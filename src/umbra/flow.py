@@ -59,13 +59,39 @@ def shifted_powers(tri: Triangle, pmax: int) -> list[Triangle]:
     return out
 
 
+def _column_powers(
+    tri: Triangle, k: int, pmax: int, shifted: bool = True
+) -> list[list[Fraction]]:
+    """Column k of (phi-1)^p, or of phi^p when not shifted, for p = 0..pmax.
+
+    Entry [p][m] is coeff(m, k) of the p-th power.  Each step is one
+    triangular matrix-vector product, so the list costs O(pmax N^2) where the
+    full powers of shifted_powers cost O(pmax N^3).
+    """
+    n = tri.n
+    col = [Fraction(1 if m == k else 0) for m in range(n + 1)]
+    out = [col]
+    for _ in range(pmax):
+        nxt = [Fraction(0)] * (n + 1)
+        for m in range(k, n + 1):
+            row = tri.rows[m]
+            acc = Fraction(0)
+            for j in range(k, m if shifted else m + 1):
+                if col[j] and row[j]:
+                    acc += row[j] * col[j]
+            nxt[m] = acc
+        col = nxt
+        out.append(col)
+    return out
+
+
 def minus_one_power_coeff(tri: Triangle, p: int, n: int, k: int) -> Fraction:
     """coeff(n,k) of (phi-1)^p for a unitary triangle; 0 whenever p > n-k."""
     if not tri.is_unitary():
         raise NotUnitary("triangle must have unit diagonal")
-    if p > n - k:
+    if p > n - k or not 0 <= k <= n <= tri.n:
         return Fraction(0)
-    return shifted_powers(tri, p)[p].entry(n, k)
+    return _column_powers(tri, k, p)[p][n]
 
 
 def chain_power_coeff(tri: Triangle, p: int, n: int, k: int, strict: bool = True) -> Fraction:
@@ -109,29 +135,29 @@ def itlog(f: Series) -> Series:
 
     Two independent routes are computed and must agree exactly:
     (i)  the flow-operator route, expanding (C_f - 1)^p over integer iterates;
-    (ii) the coefficient route through powers of the shifted triangle.
+    (ii) the coefficient route through column 1 of the powers (phi - 1)^p,
+         each obtained from the last by one triangle-vector product.
     """
     _require_unitary(f)
     n = f.trunc
-    # route (i): sum_p (-1)^{p-1}/p sum_l C(p,l)(-1)^{p-l} f^l(x)
+    # route (i): sum_p (-1)^{p-1}/p sum_l C(p,l)(-1)^{p-l} f^l(x), regrouped
+    # as sum_l w_l f^l(x); the sign (-1)^{p-1}(-1)^{p-l} = (-1)^{l-1} is the
+    # same for every p, so w_l = (-1)^{l-1} sum_{p=max(l,1)}^{n-1} C(p,l)/p
     iterates = [x_series(n)]
     for _ in range(max(n - 1, 0)):
         iterates.append(compose(f, iterates[-1]))
     route1 = series([0], n)
-    for p in range(1, n):
-        acc = series([0], n)
-        for ell in range(p + 1):
-            c = Fraction(comb(p, ell) * (-1) ** (p - ell))
-            acc = acc + iterates[ell].scale(c)
-        route1 = route1 + acc.scale(Fraction((-1) ** (p - 1), p))
+    for ell, it in enumerate(iterates):
+        w = sum((Fraction(comb(p, ell), p) for p in range(max(ell, 1), n)), Fraction(0))
+        route1 = route1 + it.scale(w if ell % 2 else -w)
     # route (ii): coefficients through (phi - 1)^p
     phi = _flow_triangle(f, n)
-    powers = shifted_powers(phi.tri, max(n - 1, 0))
+    cols = _column_powers(phi.tri, 1, max(n - 1, 0))
     coeffs = [Fraction(0)] * (n + 1)
     for m in range(2, n + 1):
         s = Fraction(0)
         for p in range(1, m):
-            c = powers[p].entry(m, 1)
+            c = cols[p][m]
             if c:
                 s += Fraction((-1) ** (p - 1), p) * c
         coeffs[m] = s / factorial(m)
@@ -153,8 +179,9 @@ def frac_iterate(f: Series, s: RatLike, k: int = 1, n_max: int | None = None) ->
     """f^s(x)^k / k! to order n_max, exact for rational s.
 
     Primary formula: sum_n x^n/n! sum_{p<=n-k} C(s,p) coeff(n,k)_{(phi-1)^p};
-    the second displayed form (through integer triangle powers) is computed
-    as a cross-check and must agree.
+    the second displayed form (through integer powers phi^p) is computed as a
+    cross-check and must agree.  Both read only column k of each power, built
+    by repeated triangle-vector products.
     """
     _require_unitary(f)
     if k < 1:
@@ -164,19 +191,17 @@ def frac_iterate(f: Series, s: RatLike, k: int = 1, n_max: int | None = None) ->
     if f.trunc < n:
         raise TruncationError(f"need trunc >= {n}, have {f.trunc}")
     phi = _flow_triangle(f, n)
-    powers = shifted_powers(phi.tri, max(n - k, 0))
-    int_powers = [tri_identity(n)]
-    for _ in range(max(n - k, 0)):
-        int_powers.append(tri_compose(int_powers[-1], phi.tri))
+    cols = _column_powers(phi.tri, k, max(n - k, 0))
+    int_cols = _column_powers(phi.tri, k, max(n - k, 0), shifted=False)
     out = [Fraction(0)] * (n + 1)
     for m in range(k, n + 1):
         acc = Fraction(0)
         acc2 = Fraction(0)
         for p in range(m - k + 1):
-            c = powers[p].entry(m, k)
+            c = cols[p][m]
             if c:
                 acc += binom(s, p) * c
-            c2 = int_powers[p].entry(m, k)
+            c2 = int_cols[p][m]
             if c2:
                 acc2 += binom(s, p) * binom(m - k - s, m - k - p) * c2
         if acc != acc2:

@@ -350,12 +350,7 @@ def basic_from_inverse_series(f: Series, n: int, delta: DeltaOp | None = None) -
     if f.trunc < n:
         raise TruncationError(f"need trunc >= {n}, have {f.trunc}")
     a = [factorial(j) * f[j] for j in range(1, n + 1)]
-    rows = [[Fraction(0)] * (m + 1) for m in range(n + 1)]
-    rows[0][0] = Fraction(1)
-    for m in range(1, n + 1):
-        for k in range(1, m + 1):
-            rows[m][k] = bell.partial_bell(m, k, a)
-    return UmbralOp(Triangle(tuple(tuple(r) for r in rows)), delta)
+    return UmbralOp(Triangle(bell.partial_bell_table(n, a)), delta)
 
 
 def delta_of(phi: UmbralOp | Triangle, trunc: int | None = None) -> DeltaOp:

@@ -5,8 +5,16 @@ from fractions import Fraction as F
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from umbra.bell import complete_bell, complete_bell_via_exp, egf_from_arguments, partial_bell
+from umbra.bell import (
+    complete_bell,
+    complete_bell_via_exp,
+    egf_from_arguments,
+    partial_bell,
+    partial_bell_table,
+)
 from umbra.fps import series
 from umbra.operators import ShiftOp, validate_delta, shift_by
 from umbra.umbral import basic_transfer
@@ -120,3 +128,34 @@ def test_triangle_coefficients_are_bell_values():
         for n in range(1, 11):
             for k in range(1, n + 1):
                 assert tri.entry(n, k) == partial_bell(n, k, a)
+
+
+def test_table_matches_entries_and_partition_oracle():
+    rng = random.Random(17)
+    rational = [F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(10)]
+    non_unit_a1 = [F(-3, 2)] + [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(9)]
+    for a in (rational, non_unit_a1):
+        table = partial_bell_table(10, a)
+        assert [len(row) for row in table] == list(range(1, 12))
+        for m in range(11):
+            for k in range(m + 1):
+                assert table[m][k] == partial_bell(m, k, a) == partition_bell(m, k, a)
+        for n in range(10):
+            assert partial_bell_table(n, a) == table[: n + 1]
+
+
+def test_table_edge_cases():
+    assert partial_bell_table(0, []) == ((1,),)
+    assert partial_bell_table(1, [F(2, 3)]) == ((1,), (0, F(2, 3)))
+    with pytest.raises(IndexError):
+        partial_bell_table(3, [1, 1])  # needs a_1, a_2, a_3
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=6), min_size=0, max_size=8))
+def test_table_property_random_rationals(a):
+    n = len(a)
+    table = partial_bell_table(n, a)
+    for m in range(n + 1):
+        for k in range(m + 1):
+            assert table[m][k] == partition_bell(m, k, a)

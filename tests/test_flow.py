@@ -6,6 +6,7 @@ from math import factorial
 
 import pytest
 
+from umbra import flow
 from umbra.errors import NotUnitary, OrderError
 from umbra.flow import (
     chain_power_coeff,
@@ -20,6 +21,7 @@ from umbra.flow import (
     matmul,
     minus_one_power_coeff,
     phi_pow,
+    shifted_powers,
 )
 from umbra.fps import (
     comp_inv,
@@ -31,7 +33,17 @@ from umbra.fps import (
     x_series,
 )
 from umbra.operators import ShiftOp, shift_by, validate_delta
-from umbra.umbral import UmbralOp, basic_transfer, delta_of, tri_compose, tri_identity, tri_invert
+from umbra.umbral import (
+    UmbralOp,
+    basic_from_inverse_series,
+    basic_transfer,
+    delta_of,
+    tri_compose,
+    tri_identity,
+    tri_invert,
+    tri_power,
+    triangle,
+)
 
 from oracles import interpolated_itlog, stirling2
 
@@ -246,6 +258,51 @@ def test_schroeder_consistency():
         assert frac_iterate(f, s, 1, 8) == iterate_int(f.truncate(8), s)
 
 
+def test_column_powers_match_full_powers_and_chain_oracles():
+    tri = basic_from_inverse_series(series([0, 1, F(1, 2), F(-2, 3), F(1, 5)], 8), 8).tri
+    powers = shifted_powers(tri, 8)
+    int_powers = [tri_power(tri, p) for p in range(9)]
+    for k in range(9):
+        cols = flow._column_powers(tri, k, 8)
+        int_cols = flow._column_powers(tri, k, 8, shifted=False)
+        for p in range(9):
+            for m in range(9):
+                assert cols[p][m] == powers[p].entry(m, k) == chain_power_coeff(tri, p, m, k)
+                assert int_cols[p][m] == int_powers[p].entry(m, k)
+                if 1 <= p <= 4:
+                    assert int_cols[p][m] == integer_power_chain_coeff(tri, p, m, k)
+    assert minus_one_power_coeff(tri, 1, 9, 1) == 0  # row beyond the triangle
+
+
+def test_frac_iterate_power_index_beyond_order_is_zero():
+    out = frac_iterate(expm1(6), F(1, 2), 8, 6)
+    assert out == series([0], 6)
+
+
+def _corrupt_shifted_columns(monkeypatch):
+    real = flow._column_powers
+
+    def corrupted(tri, k, pmax, shifted=True):
+        cols = real(tri, k, pmax, shifted)
+        if shifted:
+            cols[1][k + 1] += 1
+        return cols
+
+    monkeypatch.setattr(flow, "_column_powers", corrupted)
+
+
+def test_itlog_cross_check_bites(monkeypatch):
+    _corrupt_shifted_columns(monkeypatch)
+    with pytest.raises(AssertionError, match="itlog routes disagree"):
+        itlog(expm1(8))
+
+
+def test_frac_iterate_cross_check_bites(monkeypatch):
+    _corrupt_shifted_columns(monkeypatch)
+    with pytest.raises(AssertionError, match="fractional iterate routes disagree"):
+        frac_iterate(expm1(8), F(1, 2), 1, 8)
+
+
 # -- phi_pow ------------------------------------------------------------------------------------
 
 
@@ -274,8 +331,6 @@ def test_phi_pow_unit_diagonal():
 
 
 def test_phi_pow_integer_matches_triangle_power():
-    from umbra.umbral import tri_power
-
     base = basic_transfer(delta_forward(12), 7).tri
     for s in (-2, 2, 3):
         assert phi_pow(delta_forward(12), s, 7) == tri_power(base, s)
@@ -295,6 +350,21 @@ def test_phi_pow_rejects_non_unitary():
     Q = validate_delta(ShiftOp(x_series(8) / 2))
     with pytest.raises(NotUnitary):
         phi_pow(Q, F(1, 2), 6)
+
+
+def test_phi_pow_cross_check_bites(monkeypatch):
+    real = flow.shifted_powers
+
+    def corrupted(tri, pmax):
+        powers = real(tri, pmax)
+        rows = [list(r) for r in powers[1].rows]
+        rows[2][1] += 1
+        powers[1] = triangle(rows)
+        return powers
+
+    monkeypatch.setattr(flow, "shifted_powers", corrupted)
+    with pytest.raises(AssertionError, match="phi_pow routes disagree"):
+        phi_pow(delta_forward(10), F(1, 2), 6)
 
 
 # -- Jabotinsky export -------------------------------------------------------------------------------
