@@ -13,6 +13,7 @@ from .errors import (
     NotUnitary,
     OrderError,
     ParseError,
+    RouteDisagreement,
     SingularTriangle,
     TruncationError,
     UmbraError,

@@ -23,9 +23,6 @@ from fractions import Fraction
 from math import comb
 from typing import Sequence
 
-from .fps import Series, exp_series, series
-from .rational import rat
-
 
 def _argument(a: Sequence, j: int):
     """a is 1-indexed: a[0] holds a_1."""
@@ -79,23 +76,3 @@ def complete_bell(n: int, a: Sequence) -> Fraction:
         term = cols[k][n]
         total = term if total is None else total + term
     return total
-
-
-def egf_from_arguments(a: Sequence, trunc: int) -> Series:
-    """The series f = sum a_k x^k / k! built from 1-indexed arguments."""
-    fact = Fraction(1)
-    coeffs = [Fraction(0)]
-    for k in range(1, trunc + 1):
-        fact *= k
-        coeffs.append(rat(_argument(a, k)) / fact if k - 1 < len(a) else Fraction(0))
-    return series(coeffs, trunc)
-
-
-def complete_bell_via_exp(n: int, a: Sequence) -> Fraction:
-    """Independent route: n! [x^n] e^{f(x)}."""
-    f = egf_from_arguments(a, n)
-    g = exp_series(f)
-    fact = 1
-    for i in range(2, n + 1):
-        fact *= i
-    return g[n] * fact

@@ -15,7 +15,7 @@ from functools import lru_cache
 from math import comb, factorial
 from typing import Callable
 
-from .errors import UnknownFamily
+from .errors import RouteDisagreement, UnknownFamily
 from .fps import (
     comp_inv,
     exp_series,
@@ -30,7 +30,7 @@ from .rational import RatLike, binom, rat
 from .umbral import (
     Triangle,
     UmbralOp,
-    BASIC_ROUTES,
+    basic_all_routes,
     basic_transfer,
     connection_constants,
     cross,
@@ -305,15 +305,10 @@ def _closed_triangle(spec: FamilySpec, n: int) -> Triangle:
 
 def _check_routes(spec: FamilySpec, n: int):
     """All five construction routes and the closed form must agree."""
-    Q = spec.delta(n + 2)
-    base = None
-    for route_name, route in BASIC_ROUTES.items():
-        tri = route(Q, n).tri
-        if base is None:
-            base = tri
-            base_name = route_name
-        elif tri != base:
-            return {"route": route_name, "against": base_name}
+    try:
+        base = basic_all_routes(spec.delta(n + 2), n).tri
+    except RouteDisagreement as exc:
+        return {"route": exc.routes[1], "against": exc.routes[0]}
     if spec.closed_form is not None and base != _closed_triangle(spec, n):
         return {"route": "closed_form"}
     return None

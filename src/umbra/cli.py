@@ -2,8 +2,8 @@
 
 Every subcommand prints exact rational output (JSON, TSV or pretty text);
 --decimal renders pretty output as fixed-precision decimals clearly marked
-as lossy.  Exit codes: 0 success / all checks pass, 1 identity failure
-(with a JSON counterexample on stdout), 2 input or usage error.
+as lossy.  Exit codes: 0 success / all checks pass, 1 identity failure or
+route disagreement (JSON counterexample on stdout), 2 input or usage error.
 The environment variable UMBRA_ORDER overrides the default order (16).
 """
 
@@ -16,13 +16,13 @@ from decimal import Decimal, getcontext
 from fractions import Fraction
 
 from . import catalog, serialize, sigma
-from .errors import UmbraError
+from .errors import RouteDisagreement, UmbraError
 from .expr import eval_expr
 from .flow import frac_iterate, itlog, phi_pow
 from .fps import Poly, Series, comp_inv, format_series, series_to_poly
 from .operators import ShiftOp, validate_delta
 from .rational import rat, rat_str
-from .umbral import BASIC_ROUTES, Triangle, basic_transfer, sheffer
+from .umbral import BASIC_ROUTES, Triangle, basic_all_routes, basic_transfer, sheffer
 
 MAX_ORDER = 64
 
@@ -206,36 +206,8 @@ def run(args) -> int:
 
     if cmd == "basic":
         Q = _delta_from_expr(args.delta, order + 1)
-        if args.route != "all":
-            _emit_triangle(BASIC_ROUTES[args.route](Q, order).tri, args)
-            return 0
-        tris = {name: route(Q, order).tri for name, route in BASIC_ROUTES.items()}
-        names = list(tris)
-        base = tris[names[0]]
-        for name in names[1:]:
-            if tris[name] != base:
-                diff = next(
-                    {"row": n, "col": k}
-                    for n in range(base.n + 1)
-                    for k in range(n + 1)
-                    if base.entry(n, k) != tris[name].entry(n, k)
-                )
-                print(
-                    serialize.dumps(
-                        {
-                            "error": "route disagreement",
-                            "routes": [names[0], name],
-                            "row": diff["row"],
-                            "col": diff["col"],
-                            "values": [
-                                rat_str(base.entry(diff["row"], diff["col"])),
-                                rat_str(tris[name].entry(diff["row"], diff["col"])),
-                            ],
-                        }
-                    )
-                )
-                return 1
-        _emit_triangle(base, args)
+        build = basic_all_routes if args.route == "all" else BASIC_ROUTES[args.route]
+        _emit_triangle(build(Q, order).tri, args)
         return 0
 
     if cmd == "triangle":
@@ -271,7 +243,10 @@ def run(args) -> int:
         summed = sigma.sigma_apply(delta, anchor, p)
         if args.at is not None:
             value = summed(rat(args.at))
-            print(_rat_pretty(value, args) if args.format == "pretty" else rat_str(value))
+            if args.format == "json":
+                print(serialize.dumps(rat_str(value)))
+            else:
+                print(_rat_pretty(value, args) if args.format == "pretty" else rat_str(value))
         else:
             _emit_poly(summed, args)
         return 0
@@ -302,6 +277,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return run(args)
+    except RouteDisagreement as exc:
+        print(serialize.dumps(serialize.disagreement_to_json(exc)))
+        return 1
     except (UmbraError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

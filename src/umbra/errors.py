@@ -55,3 +55,38 @@ class ParseError(UmbraError):
         if expected:
             detail += " (expected " + " | ".join(sorted(expected)) + ")"
         super().__init__(detail)
+
+
+class RouteDisagreement(UmbraError):
+    """Two routes of one construction differ at ``index``: [] for a scalar, [i] for a
+    Series or Poly coefficient, [row, col] for a Triangle entry."""
+
+    def __init__(self, construction: str, routes: tuple[str, str], index: list[int], values: tuple):
+        self.construction, self.routes = construction, routes
+        self.index, self.values = index, values
+        super().__init__(
+            f"{construction} routes disagree at {index}: "
+            f"{routes[0]} gives {values[0]}, {routes[1]} gives {values[1]}"
+        )
+
+
+def _first_difference(a, b) -> tuple[list[int], tuple]:
+    """(index, (a entry, b entry)) where a and b first differ; ([], (a, b)) if no entry does."""
+    if hasattr(a, "rows"):
+        cells = [[m, k] for m in range(max(a.n, b.n) + 1) for k in range(m + 1)]
+        entries = ((i, (a.entry(*i), b.entry(*i))) for i in cells)
+    elif hasattr(a, "coeffs"):
+        entries = (([i], (a[i], b[i])) for i in range(max(len(a.coeffs), len(b.coeffs))))
+    else:
+        entries = ()
+    return next((e for e in entries if e[1][0] != e[1][1]), ([], (a, b)))
+
+
+def agree(construction: str, **routes):
+    """The first route's value; raises RouteDisagreement unless all routes are equal."""
+    (first_name, first), *rest = routes.items()
+    for name, value in rest:
+        if value != first:
+            index, values = _first_difference(first, value)
+            raise RouteDisagreement(construction, (first_name, name), index, values)
+    return first

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
-from .errors import NotUnitary, OrderError, TruncationError
+from .errors import NotUnitary, OrderError, TruncationError, agree
 from .fps import Series, comp_inv, compose, series, x_series
 from .operators import DeltaOp, ShiftOp, apply_op, validate_delta
 from .rational import RatLike, binom, rat
@@ -94,37 +94,6 @@ def minus_one_power_coeff(tri: Triangle, p: int, n: int, k: int) -> Fraction:
     return _column_powers(tri, k, p)[p][n]
 
 
-def chain_power_coeff(tri: Triangle, p: int, n: int, k: int, strict: bool = True) -> Fraction:
-    """Oracle route: sum over chains k = j_0 < ... < j_p = n (or <= for phi^p)."""
-    def rec(prev: int, depth: int) -> Fraction:
-        if depth == p:
-            return Fraction(1) if prev == n else Fraction(0)
-        total = Fraction(0)
-        start = prev + 1 if strict else prev
-        for j in range(start, n + 1):
-            c = tri.entry(j, prev)
-            if c:
-                total += c * rec(j, depth + 1)
-        return total
-
-    if p == 0:
-        return Fraction(1 if n == k else 0)
-    total = Fraction(0)
-    start = k + 1 if strict else k
-    for j in range(start, n + 1):
-        c = tri.entry(j, k)
-        if c:
-            total += c * rec(j, 1)
-    return total
-
-
-def integer_power_chain_coeff(tri: Triangle, s: int, n: int, k: int) -> Fraction:
-    """coeff(n,k) of phi^s as the weakly-increasing chain sum."""
-    if s < 1:
-        raise ValueError("s must be >= 1")
-    return chain_power_coeff(tri, s, n, k, strict=False)
-
-
 def _flow_triangle(f: Series, n: int) -> UmbralOp:
     """Basic triangle with column-1 EGF equal to f (the paper's phi for f)."""
     return basic_from_inverse_series(f.truncate(n) if f.trunc > n else f, n)
@@ -161,10 +130,7 @@ def itlog(f: Series) -> Series:
             if c:
                 s += Fraction((-1) ** (p - 1), p) * c
         coeffs[m] = s / factorial(m)
-    route2 = series(coeffs, n)
-    if route1 != route2:
-        raise AssertionError("itlog routes disagree")
-    return route2
+    return agree("itlog", flow=route1, coefficient=series(coeffs, n))
 
 
 def koszul_numbers(n_max: int) -> list[Fraction]:
@@ -204,9 +170,7 @@ def frac_iterate(f: Series, s: RatLike, k: int = 1, n_max: int | None = None) ->
             c2 = int_cols[p][m]
             if c2:
                 acc2 += binom(s, p) * binom(m - k - s, m - k - p) * c2
-        if acc != acc2:
-            raise AssertionError("fractional iterate routes disagree")
-        out[m] = acc / factorial(m)
+        out[m] = agree("fractional iterate", shifted=acc, integer=acc2) / factorial(m)
     return series(out, n)
 
 
@@ -269,10 +233,7 @@ def phi_pow(Q: DeltaOp, s: RatLike, n: int) -> Triangle:
                     acc += binom(s, p) * c
             row.append(acc)
         rows_b.append(tuple(row))
-    route_b = Triangle(tuple(rows_b))
-    if route_a != route_b:
-        raise AssertionError("phi_pow routes disagree")
-    return route_a
+    return agree("phi_pow", flow=route_a, coefficient=Triangle(tuple(rows_b)))
 
 
 def jabotinsky(tri: Triangle) -> tuple[tuple[Fraction, ...], ...]:
@@ -284,15 +245,6 @@ def jabotinsky(tri: Triangle) -> tuple[tuple[Fraction, ...], ...]:
             for j in range(n + 1)
         )
         for i in range(n + 1)
-    )
-
-
-def matmul(a, b) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact dense matrix product (row-times-column)."""
-    n = len(a)
-    return tuple(
-        tuple(sum((a[i][j] * b[j][k] for j in range(n)), Fraction(0)) for k in range(n))
-        for i in range(n)
     )
 
 

@@ -23,7 +23,6 @@ from .fps import (
     exp_series,
     mul_inv,
     poly,
-    series,
     x_series,
 )
 from .rational import RatLike, rat
@@ -84,10 +83,6 @@ class DeltaOp(ShiftOp):
 
     def is_unitary(self) -> bool:
         return self.unit == 1
-
-
-def shift_op(values, trunc: int | None = None) -> ShiftOp:
-    return ShiftOp(series(values, trunc))
 
 
 def derivative_op(trunc: int) -> DeltaOp:
@@ -183,37 +178,20 @@ def bracket_iterate(Q: DeltaOp, n: int) -> DeltaOp:
 # ---------------------------------------------------------------------------
 
 
-def evaluate(p: Poly, a: RatLike) -> Fraction:
-    """Evaluation at a, as a linear form."""
-    return p(a)
-
-
-def mul_by_x(p: Poly) -> Poly:
-    return p.times_x()
-
-
-def shift_poly(p: Poly, a: RatLike) -> Poly:
-    return p.shifted(a)
-
-
-def reflect(p: Poly) -> Poly:
-    return p.reflected()
-
-
 def elementary(kind: str, p: Poly, a: RatLike | None = None):
     """Dispatch for the elementary-operator table; eval returns a scalar."""
     if kind == "identity":
         return p
     if kind == "eval":
-        return evaluate(p, 0 if a is None else a)
+        return p(0 if a is None else a)
     if kind == "scalar":
         return rat(a) * p
     if kind == "mulx":
-        return mul_by_x(p)
+        return p.times_x()
     if kind == "shift":
-        return shift_poly(p, 1 if a is None else a)
+        return p.shifted(1 if a is None else a)
     if kind == "symmetry":
-        return reflect(p)
+        return p.reflected()
     if kind == "derivative":
         return p.derivative()
     raise ValueError(f"unknown elementary operator kind: {kind!r}")

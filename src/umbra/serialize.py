@@ -111,3 +111,13 @@ def report_to_json(report) -> list[dict]:
             item["counterexample"] = {k: str(v) for k, v in r.counterexample.items()}
         out.append(item)
     return out
+
+
+def disagreement_to_json(exc) -> dict:
+    return {
+        "error": "route disagreement",
+        "construction": exc.construction,
+        "routes": list(exc.routes),
+        "index": exc.index,
+        "values": [str(v) for v in exc.values],
+    }

@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
-from .errors import TruncationError
+from .errors import TruncationError, agree
 from .fps import Poly, expm1, mul_inv, poly
 from .operators import DeltaOp, apply_op, derivative_op, shift_by, validate_delta, divide
 from .rational import RatLike, rat
@@ -45,11 +45,10 @@ def bernoulli_polynomial(n: int) -> Poly:
 class SigmaOp:
     """Anchored pseudoinverse of a delta operator.
 
-    Precomputes the basic triangle of Q to ``depth`` rows; the defining
-    relations are asserted on monomials at construction.
+    Precomputes the basic triangle of Q to ``depth`` rows.
     """
 
-    def __init__(self, Q: DeltaOp, anchor: RatLike = 0, depth: int = 16, validate: bool = True):
+    def __init__(self, Q: DeltaOp, anchor: RatLike = 0, depth: int = 16):
         self.Q = Q
         self.anchor = rat(anchor)
         if Q.indicator.trunc < depth + 2:
@@ -59,11 +58,6 @@ class SigmaOp:
         self.depth = depth
         self._phi = basic_transfer(Q, depth + 1)
         self._phi_inv = tri_invert(self._phi.tri)
-        if validate:
-            for m in range(depth + 1):
-                p = poly([0] * m + [1])
-                assert apply_op(Q, self.apply(p)) == p
-                assert self.apply(apply_op(Q, p)) == p - p(self.anchor)
 
     # -- the two constructions ------------------------------------------------
 
@@ -105,14 +99,11 @@ class SigmaOp:
 
 
 def sigma_apply(Q: DeltaOp, a: RatLike, p: Poly, depth: int | None = None) -> Poly:
-    """One-shot anchored sigma application (both routes asserted equal)."""
+    """One-shot anchored sigma application (both routes must agree)."""
     d = 0 if p.is_zero() else int(p.degree())
     depth = d + 1 if depth is None else depth
-    s = SigmaOp(Q, a, depth=depth, validate=False)
-    out = s.apply(p)
-    if out != s.apply_basic_route(p):
-        raise AssertionError("sigma routes disagree")
-    return out
+    s = SigmaOp(Q, a, depth=depth)
+    return agree("sigma", corollary=s.apply(p), basic=s.apply_basic_route(p))
 
 
 def _delta_op(trunc: int) -> DeltaOp:
@@ -130,12 +121,9 @@ def faulhaber(n: int) -> Poly:
     closed = [Fraction(0)] * (n + 2)
     for k in range(n + 1):
         closed[n + 1 - k] = Fraction(comb(n + 1, k), n + 1) * bs[k]
-    route1 = poly(closed)
     route2 = sigma_apply(_delta_op(n + 4), 0, poly([0] * n + [1]))
     route3 = bernoulli_polynomial(n).antiderivative(0)
-    if not (route1 == route2 == route3):
-        raise AssertionError("faulhaber routes disagree")
-    return route1
+    return agree("faulhaber", closed=poly(closed), sigma=route2, integral=route3)
 
 
 def euler_maclaurin_residual(p: Poly, a: RatLike = 0) -> Poly:
@@ -157,9 +145,7 @@ def euler_maclaurin_residual(p: Poly, a: RatLike = 0) -> Poly:
         if bs[k]:
             route_b = route_b + Fraction(bs[k], factorial(k)) * (deriv - deriv(a))
         deriv = deriv.derivative()
-    if route_a != route_b:
-        raise AssertionError("Euler-Maclaurin routes disagree")
-    return route_a
+    return agree("Euler-Maclaurin", sigma=route_a, bernoulli=route_b)
 
 
 def sigma_identities_check(Q: DeltaOp, R: DeltaOp, a: RatLike, depth: int) -> bool:
@@ -171,13 +157,13 @@ def sigma_identities_check(Q: DeltaOp, R: DeltaOp, a: RatLike, depth: int) -> bo
     (d) Q/R applied directly = Q R^{-1}_{(a)} = Q R^{-1}_{(0)}
     """
     a = rat(a)
-    sq = SigmaOp(Q, a, depth, validate=False)
-    sr = SigmaOp(R, a, depth, validate=False)
-    sr0 = SigmaOp(R, 0, depth, validate=False)
+    sq = SigmaOp(Q, a, depth)
+    sr = SigmaOp(R, a, depth)
+    sr0 = SigmaOp(R, 0, depth)
     r_over_q = divide(R, Q)
     q_over_r = divide(Q, R)
     aq = validate_delta(r_over_q * Q)  # equals R as an operator; built independently
-    s_aq = SigmaOp(aq, a, depth, validate=False)
+    s_aq = SigmaOp(aq, a, depth)
     a_inv = q_over_r  # (R/Q)^{-1} = Q/R
     for m in range(depth + 1):
         p = poly([0] * m + [1])
@@ -217,9 +203,7 @@ def bernoulli2_poly(n: int) -> Poly:
     falling = basic_transfer(delta, n + 1)
     route1 = apply_op(b_inv, falling.basic_poly(n))
     anti = falling.basic_poly(n).antiderivative(0)
-    route2 = anti.shifted(1) - anti
-    if route1 != route2:
-        raise AssertionError("second-kind Bernoulli routes disagree")
-    if n >= 1 and route1.derivative() != n * falling.basic_poly(n - 1):
-        raise AssertionError("second-kind Bernoulli commutation check failed")
+    agree("second-kind Bernoulli", operator=route1, integral=anti.shifted(1) - anti)
+    lower = n * falling.basic_poly(max(n - 1, 0))  # n phi_{n-1}; zero for n = 0
+    agree("second-kind Bernoulli commutation", derivative=route1.derivative(), falling=lower)
     return route1

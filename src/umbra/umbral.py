@@ -19,7 +19,9 @@ from math import comb, factorial
 from typing import Callable, Sequence
 
 from . import bell
-from .errors import NotAppell, NotDelta, NotUnitary, OrderError, SingularTriangle, TruncationError
+from .errors import (
+    NotAppell, NotDelta, NotUnitary, OrderError, SingularTriangle, TruncationError, agree
+)
 from .fps import (
     Poly,
     Series,
@@ -339,6 +341,12 @@ BASIC_ROUTES: dict[str, Callable[[DeltaOp, int], UmbralOp]] = {
 }
 
 
+def basic_all_routes(Q: DeltaOp, n: int) -> UmbralOp:
+    """The basic set of Q built by every route in BASIC_ROUTES; all must agree."""
+    tris = {name: route(Q, n).tri for name, route in BASIC_ROUTES.items()}
+    return UmbralOp(agree("basic", **tris), Q)
+
+
 def basic_from_inverse_series(f: Series, n: int, delta: DeltaOp | None = None) -> UmbralOp:
     """Basic triangle whose column-1 EGF is f (= indicator of Q^[-1]).
 
@@ -432,7 +440,7 @@ def niederhausen(phi: UmbralOp) -> UmbralOp:
     """Coefficient transform coeff[n][k] = C(n,k) phi_{n-k}(k).
 
     The result is again basic; its delta R satisfies R^[-1] indicator
-    = t e^{invQ(t)}, which is asserted here together with basicness.
+    = t e^{invQ(t)}, which must agree with column 1 of the transform.
     """
     if phi.delta is None:
         raise ValueError("niederhausen needs the source delta cached")
@@ -444,13 +452,11 @@ def niederhausen(phi: UmbralOp) -> UmbralOp:
     tri = Triangle(tuple(tuple(r) for r in rows))
     if n < 1:
         return UmbralOp(tri, None)
-    # check the generating identity: column-1 EGF equals t * e^{invQ(t)}
     ind = phi.delta.indicator
     g = comp_inv(ind.truncate(n) if ind.trunc > n else ind)
     expected = exp_series(g) * series([0, 1], g.trunc)
-    for m in range(n + 1):
-        if tri.entry(m, 1) / factorial(m) != expected[m]:
-            raise AssertionError("niederhausen generating-function check failed")
+    column = series([tri.entry(m, 1) / factorial(m) for m in range(n + 1)], n)
+    agree("niederhausen", generating_function=expected, column=column)
     return UmbralOp(tri, validate_delta(ShiftOp(comp_inv(expected))))
 
 
@@ -462,15 +468,6 @@ def power_coeffs(Q: DeltaOp, n: int) -> list[Fraction]:
     """
     phi = basic_transfer(Q, n)
     return [phi.tri.entry(n, k) / comb(n - 1, k - 1) for k in range(1, n + 1)]
-
-
-def power_coeffs_direct(Q: DeltaOp, n: int) -> list[Fraction]:
-    """Oracle route: expand (D/Q)^n directly and read EGF coefficients."""
-    ratio = _dq_ratio(Q)
-    p = series([1], ratio.trunc)
-    for _ in range(n):
-        p = p * ratio
-    return [p[n - k] * factorial(n - k) for k in range(1, n + 1)]
 
 
 def coeff_via_ratio(Q: DeltaOp, n: int) -> Triangle:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from umbra.fps import Series, compose, derive, mul_inv, series, x_series
+from umbra.fps import Series, compose, derive, exp_series, mul_inv, series, x_series
 from umbra.flow import iterate_int
 
 
@@ -113,6 +113,69 @@ def partition_bell(n: int, k: int, a) -> Fraction:
             term /= Fraction(factorial(part)) ** count * factorial(count)
         total += term
     return total
+
+
+def egf_from_arguments(a, trunc: int) -> Series:
+    """The series f = sum a_k x^k / k! built from 1-indexed arguments."""
+    fact = Fraction(1)
+    coeffs = [Fraction(0)]
+    for k in range(1, trunc + 1):
+        fact *= k
+        coeffs.append(Fraction(a[k - 1]) / fact if k - 1 < len(a) else Fraction(0))
+    return series(coeffs, trunc)
+
+
+def complete_bell_via_exp(n: int, a) -> Fraction:
+    """Complete Bell polynomial as n! [x^n] e^{f(x)}."""
+    return exp_series(egf_from_arguments(a, n))[n] * factorial(n)
+
+
+# -- operator-power oracles ----------------------------------------------------
+
+
+def power_coeffs_direct(Q, n: int) -> list[Fraction]:
+    """Expand (D/Q)^n directly and read its EGF coefficients a_{n-1}, ..., a_0."""
+    ratio = mul_inv(Q.indicator.shift_down(1))
+    p = series([1], ratio.trunc)
+    for _ in range(n):
+        p = p * ratio
+    return [p[n - k] * factorial(n - k) for k in range(1, n + 1)]
+
+
+def chain_power_coeff(tri, p: int, n: int, k: int, strict: bool = True) -> Fraction:
+    """coeff(n,k) of (phi-1)^p as a sum over chains k = j_0 < ... < j_p = n
+    (<= instead of < gives phi^p)."""
+
+    def rec(prev: int, depth: int) -> Fraction:
+        if depth == p:
+            return Fraction(1) if prev == n else Fraction(0)
+        total = Fraction(0)
+        start = prev + 1 if strict else prev
+        for j in range(start, n + 1):
+            c = tri.entry(j, prev)
+            if c:
+                total += c * rec(j, depth + 1)
+        return total
+
+    if p == 0:
+        return Fraction(1 if n == k else 0)
+    return rec(k, 0)
+
+
+def integer_power_chain_coeff(tri, s: int, n: int, k: int) -> Fraction:
+    """coeff(n,k) of phi^s as the weakly-increasing chain sum."""
+    if s < 1:
+        raise ValueError("s must be >= 1")
+    return chain_power_coeff(tri, s, n, k, strict=False)
+
+
+def matmul(a, b) -> tuple[tuple[Fraction, ...], ...]:
+    """Exact dense matrix product (row-times-column)."""
+    n = len(a)
+    return tuple(
+        tuple(sum((a[i][j] * b[j][k] for j in range(n)), Fraction(0)) for k in range(n))
+        for i in range(n)
+    )
 
 
 # -- iterative-logarithm interpolation oracle ----------------------------------

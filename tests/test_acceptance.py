@@ -161,7 +161,7 @@ def test_criterion_6_inversion():
 def test_criterion_7_sigma():
     for name, Q in _acceptance_deltas(16):
         for a in (F(0), F(1), F(-1, 2)):
-            s = SigmaOp(Q, a, depth=12, validate=False)
+            s = SigmaOp(Q, a, depth=12)
             for m in range(13):
                 p = poly([0] * m + [1])
                 assert apply_op(Q, s.apply(p)) == p, (name, a)

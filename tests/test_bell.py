@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 
 from umbra.bell import (
     complete_bell,
-    complete_bell_via_exp,
-    egf_from_arguments,
     partial_bell,
     partial_bell_table,
 )
@@ -19,7 +17,13 @@ from umbra.fps import series
 from umbra.operators import ShiftOp, validate_delta, shift_by
 from umbra.umbral import basic_transfer
 
-from oracles import catalan, partition_bell, stirling2
+from oracles import (
+    catalan,
+    complete_bell_via_exp,
+    egf_from_arguments,
+    partition_bell,
+    stirling2,
+)
 
 
 def test_diagonal_is_first_argument_power():

@@ -106,6 +106,15 @@ def test_sum_value(capsys):
     assert out.strip() == "30"
 
 
+def test_sum_value_json_is_a_json_string(capsys):
+    code, out, _ = run(capsys, "sum", "--poly", "x", "--from", "0", "--at", "1/2", "--format", "json")
+    assert code == 0
+    assert out == '"-1/8"\n'
+    assert json.loads(out) == "-1/8"
+    code, out, _ = run(capsys, "sum", "--poly", "x", "--from", "0", "--at", "1/2", "--format", "tsv")
+    assert out == "-1/8\n"
+
+
 def test_sum_polynomial_output(capsys):
     code, out, _ = run(capsys, "sum", "--poly", "x^2", "--from", "0", "--format", "tsv")
     assert code == 0

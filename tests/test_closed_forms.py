@@ -118,7 +118,7 @@ def test_euler_operator_stirling_expansion():
 def test_sigma_iterated_builds_basic_polys():
     # phi_n = n! (Q^{-1}_{(0)})^n 1  and  (n+1)...(n+p) Q^{-p} phi_n = phi_{n+p}
     for name, Q in deltas().items():
-        s = SigmaOp(Q, 0, depth=N + 1, validate=False)
+        s = SigmaOp(Q, 0, depth=N + 1)
         phi = basic_transfer(Q, N + 1)
         acc = poly([1])
         for n in range(1, N + 1):

@@ -1,0 +1,206 @@
+"""The one cross-check mechanism: `agree`, `RouteDisagreement` and the CLI's exit 1.
+
+Each injection below makes one route of one construction return a wrong
+answer; the CLI must then exit 1 with a single JSON counterexample, also
+under `python -O`.
+"""
+
+import ast
+import json
+import os
+import subprocess
+import sys
+from fractions import Fraction as F
+from pathlib import Path
+
+import pytest
+
+from umbra import flow, sigma, umbral
+from umbra.catalog import identity_check
+from umbra.cli import main
+from umbra.errors import RouteDisagreement, agree
+from umbra.fps import poly, series
+from umbra.umbral import UmbralOp, triangle
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+# -- agree ----------------------------------------------------------------------------------------
+
+
+def test_agree_returns_first_route():
+    a, b = poly([1, 2]), poly([1, 2])
+    assert agree("demo", one=a, two=b) is a
+
+
+@pytest.mark.parametrize(
+    "one, two, index, values",
+    [
+        (F(1, 2), F(1, 3), [], (F(1, 2), F(1, 3))),
+        (poly([1, 2]), poly([1, 2, 5]), [2], (0, 5)),
+        (series([0, 1, 3], 2), series([0, 1, 4], 2), [2], (3, 4)),
+        (triangle([[1], [0, 1], [0, 1, 1]]), triangle([[1], [0, 1], [0, 7, 1]]), [2, 1], (1, 7)),
+    ],
+)
+def test_agree_locates_first_difference(one, two, index, values):
+    with pytest.raises(RouteDisagreement, match="demo routes disagree") as info:
+        agree("demo", one=one, two=two)
+    exc = info.value
+    assert (exc.construction, exc.routes, exc.index, exc.values) == ("demo", ("one", "two"), index, values)
+
+
+def test_agree_names_first_route_that_differs():
+    with pytest.raises(RouteDisagreement) as info:
+        agree("demo", a=F(1), b=F(1), c=F(2), d=F(3))
+    assert info.value.routes == ("a", "c")
+
+
+# -- injected disagreements through the CLI -------------------------------------------------------
+
+
+def _wrong_km(Q, n):
+    phi = umbral.basic_km(Q, n)
+    rows = [list(r) for r in phi.tri.rows]
+    rows[3][2] += 1
+    return UmbralOp(triangle(rows), phi.delta)
+
+
+def _corrupt_shifted_columns(mp):
+    real = flow._column_powers
+
+    def corrupted(tri, k, pmax, shifted=True):
+        cols = real(tri, k, pmax, shifted)
+        if shifted:
+            cols[1][k + 1] += 1
+        return cols
+
+    mp.setattr(flow, "_column_powers", corrupted)
+
+
+def _corrupt_shifted_powers(mp):
+    real = flow.shifted_powers
+
+    def corrupted(tri, pmax):
+        powers = real(tri, pmax)
+        rows = [list(r) for r in powers[1].rows]
+        rows[2][1] += 1
+        powers[1] = triangle(rows)
+        return powers
+
+    mp.setattr(flow, "shifted_powers", corrupted)
+
+
+def _corrupt_sigma(mp):
+    real = sigma.sigma_apply
+    mp.setattr(sigma, "sigma_apply", lambda *args, **kwargs: real(*args, **kwargs) + 1)
+
+
+def _corrupt_niederhausen(mp):
+    real = umbral.exp_series
+    mp.setattr(umbral, "exp_series", lambda f: real(f).scale(2))
+
+
+# name -> (argv, injection, expected disagreement document)
+INJECTIONS = {
+    "basic": (
+        ["basic", "--delta", "exp(D)-1", "--route", "all", "--order", "5", "--format", "json"],
+        lambda mp: mp.setitem(umbral.BASIC_ROUTES, "km", _wrong_km),
+        {"construction": "basic", "routes": ["transfer", "km"], "index": [3, 2], "values": ["-3", "-2"]},
+    ),
+    "itlog": (
+        ["itlog", "--series", "exp(x)-1", "--order", "8", "--format", "json"],
+        _corrupt_shifted_columns,
+        {"construction": "itlog", "routes": ["flow", "coefficient"], "index": [2], "values": ["1/2", "1"]},
+    ),
+    "iterate": (
+        ["iterate", "--series", "exp(x)-1", "--s", "1/2", "--order", "8"],
+        _corrupt_shifted_columns,
+        {
+            "construction": "fractional iterate",
+            "routes": ["shifted", "integer"],
+            "index": [],
+            "values": ["1", "1/2"],
+        },
+    ),
+    "phipow": (
+        ["phipow", "--delta", "exp(D)-1", "--s", "1/2", "--order", "5", "--format", "tsv"],
+        _corrupt_shifted_powers,
+        {"construction": "phi_pow", "routes": ["flow", "coefficient"], "index": [2, 1], "values": ["-1/2", "0"]},
+    ),
+    "faulhaber": (
+        ["faulhaber", "--n", "3"],
+        _corrupt_sigma,
+        {"construction": "faulhaber", "routes": ["closed", "sigma"], "index": [0], "values": ["0", "1"]},
+    ),
+    "niederhausen": (
+        ["check", "--family", "abel", "--params", "a=1", "--order", "6", "--format", "json"],
+        _corrupt_niederhausen,
+        {
+            "construction": "niederhausen",
+            "routes": ["generating_function", "column"],
+            "index": [1],
+            "values": ["2", "1"],
+        },
+    ),
+}
+
+
+def _check_document(out: str, expected: dict):
+    doc = json.loads(out)  # exactly one JSON document
+    assert doc == {"error": "route disagreement", **expected}
+
+
+@pytest.mark.parametrize("name", sorted(INJECTIONS))
+def test_injected_disagreement_exits_1_with_json(name, monkeypatch, capsys):
+    argv, inject, expected = INJECTIONS[name]
+    inject(monkeypatch)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    _check_document(captured.out, expected)
+    assert captured.err == ""
+
+
+def test_catalog_reports_route_disagreement_as_counterexample(monkeypatch):
+    monkeypatch.setitem(umbral.BASIC_ROUTES, "km", _wrong_km)
+    result = identity_check("falling", n=4).results[0]
+    assert result.identity == "five_routes"
+    assert result.counterexample == {"route": "km", "against": "transfer"}
+
+
+_SUBPROCESS = """
+import sys
+import pytest
+from test_crosscheck import INJECTIONS
+from umbra.cli import main
+
+argv, inject, _ = INJECTIONS[sys.argv[1]]
+inject(pytest.MonkeyPatch())
+sys.exit(main(argv))
+"""
+
+
+@pytest.mark.parametrize("name", sorted(INJECTIONS))
+def test_injected_disagreement_survives_optimize_flag(name):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _SUBPROCESS, name],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 1, proc.stderr
+    _check_document(proc.stdout, INJECTIONS[name][2])
+    assert "Traceback" not in proc.stderr
+
+
+# -- source guard ---------------------------------------------------------------------------------
+
+
+def test_library_has_no_assert():
+    """Cross-checks go through `agree`; `python -O` strips assert statements."""
+    for path in sorted((ROOT / "src" / "umbra").glob("*.py")):
+        text = path.read_text()
+        assert "AssertionError" not in text, path.name
+        asserts = [node.lineno for node in ast.walk(ast.parse(text)) if isinstance(node, ast.Assert)]
+        assert not asserts, f"{path.name}: assert at lines {asserts}"

@@ -56,7 +56,7 @@ def test_bernoulli_polynomial():
 def test_defining_relations_catalog():
     for name, Q in catalog_deltas().items():
         for a in (F(0), F(1), F(-1, 2)):
-            s = SigmaOp(Q, a, depth=12, validate=False)
+            s = SigmaOp(Q, a, depth=12)
             for m in range(13):
                 p = poly([0] * m + [1])
                 assert apply_op(Q, s.apply(p)) == p, name
@@ -67,7 +67,7 @@ def test_defining_relations_catalog():
 def test_two_routes_coincide_random():
     rng = random.Random(8)
     for name, Q in catalog_deltas().items():
-        s = SigmaOp(Q, F(1, 2), depth=10, validate=False)
+        s = SigmaOp(Q, F(1, 2), depth=10)
         for _ in range(5):
             p = poly([F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(rng.randint(1, 9))])
             assert s.apply(p) == s.apply_basic_route(p), name

@@ -41,7 +41,6 @@ from umbra.umbral import (
     is_binomial_type,
     niederhausen,
     power_coeffs,
-    power_coeffs_direct,
     sheffer,
     special_class_check,
     commutation_expansion_check,
@@ -52,7 +51,7 @@ from umbra.umbral import (
     triangle,
 )
 
-from oracles import lah, stirling1_unsigned
+from oracles import lah, power_coeffs_direct, stirling1_unsigned
 
 T = 16
 N = 10
