@@ -1,0 +1,107 @@
+"""Exact integer kernel under Series, Poly, operators and triangles.
+
+A vector of rationals enters as integer numerators over one common
+denominator (the lcm of its denominators), the loop runs on Python ints, and
+each output entry becomes a reduced ``Fraction`` once, at the end.  This is
+the fraction-free idea of Bareiss (Math. Comp. 22, 1968): no gcd inside the
+loop, and no floats anywhere.
+
+The kernel is stateless and caches nothing, so routes that are meant to
+cross-check each other never share an intermediate value through it.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from itertools import repeat
+from math import factorial, gcd, lcm
+from operator import add, mul
+from typing import Sequence
+
+
+def scaled(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(nums, den) with values[i] == nums[i] / den, den the lcm of the denominators."""
+    den = lcm(*[v.denominator for v in values])
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
+    """sum_i a_i b_i (zip stops at the shorter vector)."""
+    (x, dx), (y, dy) = scaled(a), scaled(b)
+    return Fraction(sum(map(mul, x, y)), dx * dy)
+
+
+def evaluate(c: Sequence[Fraction], a: Fraction) -> Fraction:
+    """sum_i c_i a^i, by Horner on integers: with a = u/v the loop builds
+    sum_i C_i u^i v^(d-i) = v^d den sum_i c_i a^i."""
+    x, den = scaled(c)
+    u, v = a.numerator, a.denominator
+    acc, vp = 0, 1
+    for ci in reversed(x):
+        acc, vp = acc * u + ci * vp, vp * v
+    return Fraction(acc * v, den * vp)
+
+
+def convolve(a: Sequence[Fraction], b: Sequence[Fraction], n: int | None = None) -> list[Fraction]:
+    """Cauchy product c_k = sum_{i+j=k} a_i b_j for k = 0..n (default: all of it);
+    each nonzero entry of the sparser factor adds one scaled copy of the other."""
+    (x, dx), (y, dy) = scaled(a), scaled(b)
+    if n is None:
+        n = len(x) + len(y) - 2
+    if x.count(0) < y.count(0):
+        x, y = y, x
+    acc = [0] * (n + 1)
+    for i, xi in enumerate(x[: n + 1]):
+        if xi:
+            seg = y[: n + 1 - i]
+            acc[i : i + len(seg)] = map(add, acc[i : i + len(seg)], map(mul, repeat(xi), seg))
+    return [Fraction(v, dx * dy) for v in acc]
+
+
+def apply_derivatives(c: Sequence[Fraction], p: Sequence[Fraction]) -> list[Fraction]:
+    """Coefficients of sum_k c_k p^(k): entry j is sum_k c_k (j+k)! p_{j+k} / j!."""
+    (x, dx), (y, dy) = scaled(c[: len(p)]), scaled(p)
+    q = [factorial(m) * v for m, v in enumerate(y)]
+    return [Fraction(sum(map(mul, x, q[j:])), dx * dy * factorial(j)) for j in range(len(q))]
+
+
+def tri_product(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]):
+    """Rows of the lower-triangular product: out[m][k] = sum_j a[m][j] b[j][k]."""
+    n = min(len(a), len(b))
+    rows = [scaled(row) for row in a[:n]]
+    cols = [scaled([b[j][k] for j in range(k, n)]) for k in range(n)]
+    return [
+        tuple(Fraction(sum(map(mul, x[k:], y)), dx * dy) for k, (y, dy) in enumerate(cols[: m + 1]))
+        for m, (x, dx) in enumerate(rows)
+    ]
+
+
+def tri_inverse(rows: Sequence[Sequence[Fraction]]):
+    """Rows of the inverse of a lower-triangular matrix with a nonzero diagonal.
+
+    Forward substitution, one column at a time; the solved part of the column
+    is kept as integers over one denominator, which grows only when a new
+    entry needs it."""
+    mats = [scaled(row) for row in rows]
+    inv = [[Fraction(0)] * (m + 1) for m in range(len(rows))]
+    for k in range(len(rows)):
+        col, den = [], 1
+        for m, (x, dx) in enumerate(mats[k:], k):
+            v = Fraction((dx * den if m == k else 0) - sum(map(mul, x[k:m], col)), den * x[m])
+            inv[m][k] = v
+            if den % v.denominator:
+                f = v.denominator // gcd(den, v.denominator)
+                den, col = den * f, [c * f for c in col]
+            col.append(v.numerator * (den // v.denominator))
+    return [tuple(row) for row in inv]
+
+
+def krylov(rows: Sequence[Sequence[Fraction]], vec: Sequence[Fraction], count: int):
+    """[v, A v, ..., A^count v] for the matrix A with the given (possibly ragged,
+    zero-padded) rows; each product is reduced before it enters the next."""
+    mats = [scaled(row) for row in rows]
+    out = [list(vec)]
+    for _ in range(count):
+        v, dv = scaled(out[-1])
+        out.append([Fraction(sum(map(mul, x, v)), dx * dv) for x, dx in mats])
+    return out

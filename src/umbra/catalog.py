@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from inspect import signature
 from math import comb, factorial
 from typing import Callable
 
@@ -225,7 +226,7 @@ def _spec_degenerate_laguerre(p: int) -> FamilySpec:
     return FamilySpec("degenerate_laguerre", {"p": p}, build, form, True)
 
 
-_FAMILY_BUILDERS: dict[str, Callable[..., FamilySpec]] = {
+_SPEC_FACTORIES: dict[str, Callable[..., FamilySpec]] = {
     "derivative": _spec_derivative,
     "stretch": _spec_stretch,
     "falling": _spec_falling,
@@ -238,23 +239,31 @@ _FAMILY_BUILDERS: dict[str, Callable[..., FamilySpec]] = {
     "degenerate_laguerre": _spec_degenerate_laguerre,
 }
 
-FAMILY_NAMES = tuple(_FAMILY_BUILDERS)
+FAMILY_NAMES = tuple(_SPEC_FACTORIES)
 
 
 def family(name: str, **params: RatLike) -> FamilySpec:
     """Look up a family by name; parameters are exact rationals."""
-    if name not in _FAMILY_BUILDERS:
+    if name not in _SPEC_FACTORIES:
         raise UnknownFamily(f"unknown family {name!r}; known: {', '.join(FAMILY_NAMES)}")
-    builder = _FAMILY_BUILDERS[name]
+    make_spec = _SPEC_FACTORIES[name]
+    accepted = tuple(signature(make_spec).parameters)
+    missing = [key for key in accepted if key not in params]
+    unknown = [key for key in params if key not in accepted]
+    if missing or unknown:
+        kind, key = ("missing", missing[0]) if missing else ("unknown", unknown[0])
+        accepts = ", ".join(accepted) or "none"
+        raise UnknownFamily(
+            f"bad parameters for family {name!r}: {kind} parameter {key!r} (accepted: {accepts})"
+        )
     coerced = {}
-    try:
-        for key, value in params.items():
+    for key, value in params.items():
+        try:
             coerced[key] = int(value) if key == "p" else rat(value)
-        return builder(**coerced)
-    except UnknownFamily:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise UnknownFamily(f"bad parameters for family {name!r}: {exc}") from exc
+        except (ValueError, ZeroDivisionError):
+            msg = f"bad value {value!r} for parameter {key!r} of family {name!r}"
+            raise UnknownFamily(msg) from None
+    return make_spec(**coerced)
 
 
 # ---------------------------------------------------------------------------

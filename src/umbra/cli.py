@@ -252,8 +252,8 @@ def run(args) -> int:
         return 0
 
     if cmd == "faulhaber":
-        if args.n < 0:
-            raise UmbraError("n must be >= 0")
+        if not 0 <= args.n <= MAX_ORDER:
+            raise UmbraError(f"n must be between 0 and {MAX_ORDER}")
         _emit_poly(sigma.faulhaber(args.n), args)
         return 0
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
+from ._kernel import dot, krylov
 from .errors import NotUnitary, OrderError, TruncationError, agree
 from .fps import Series, comp_inv, compose, series, x_series
 from .operators import DeltaOp, ShiftOp, apply_op, validate_delta
@@ -59,30 +60,17 @@ def shifted_powers(tri: Triangle, pmax: int) -> list[Triangle]:
     return out
 
 
-def _column_powers(
-    tri: Triangle, k: int, pmax: int, shifted: bool = True
-) -> list[list[Fraction]]:
+def _column_powers(tri: Triangle, k: int, pmax: int, shifted: bool = True) -> list[list[Fraction]]:
     """Column k of (phi-1)^p, or of phi^p when not shifted, for p = 0..pmax.
 
     Entry [p][m] is coeff(m, k) of the p-th power.  Each step is one
     triangular matrix-vector product, so the list costs O(pmax N^2) where the
     full powers of shifted_powers cost O(pmax N^3).
     """
-    n = tri.n
-    col = [Fraction(1 if m == k else 0) for m in range(n + 1)]
-    out = [col]
-    for _ in range(pmax):
-        nxt = [Fraction(0)] * (n + 1)
-        for m in range(k, n + 1):
-            row = tri.rows[m]
-            acc = Fraction(0)
-            for j in range(k, m if shifted else m + 1):
-                if col[j] and row[j]:
-                    acc += row[j] * col[j]
-            nxt[m] = acc
-        col = nxt
-        out.append(col)
-    return out
+    rows = (_shifted_triangle(tri) if shifted else tri).rows
+    unit = [Fraction(1 if m == k else 0) for m in range(k, tri.n + 1)]
+    cols = krylov([row[k:] for row in rows[k:]], unit, pmax)
+    return [[Fraction(0)] * k + col for col in cols]
 
 
 def minus_one_power_coeff(tri: Triangle, p: int, n: int, k: int) -> Fraction:
@@ -124,12 +112,8 @@ def itlog(f: Series) -> Series:
     cols = _column_powers(phi.tri, 1, max(n - 1, 0))
     coeffs = [Fraction(0)] * (n + 1)
     for m in range(2, n + 1):
-        s = Fraction(0)
-        for p in range(1, m):
-            c = cols[p][m]
-            if c:
-                s += Fraction((-1) ** (p - 1), p) * c
-        coeffs[m] = s / factorial(m)
+        weights = [Fraction((-1) ** (p - 1), p) for p in range(1, m)]
+        coeffs[m] = dot(weights, [cols[p][m] for p in range(1, m)]) / factorial(m)
     return agree("itlog", flow=route1, coefficient=series(coeffs, n))
 
 
@@ -159,17 +143,13 @@ def frac_iterate(f: Series, s: RatLike, k: int = 1, n_max: int | None = None) ->
     phi = _flow_triangle(f, n)
     cols = _column_powers(phi.tri, k, max(n - k, 0))
     int_cols = _column_powers(phi.tri, k, max(n - k, 0), shifted=False)
+    binoms = [binom(s, p) for p in range(n - k + 1)]
     out = [Fraction(0)] * (n + 1)
     for m in range(k, n + 1):
-        acc = Fraction(0)
-        acc2 = Fraction(0)
-        for p in range(m - k + 1):
-            c = cols[p][m]
-            if c:
-                acc += binom(s, p) * c
-            c2 = int_cols[p][m]
-            if c2:
-                acc2 += binom(s, p) * binom(m - k - s, m - k - p) * c2
+        ps = range(m - k + 1)
+        acc = dot(binoms, [cols[p][m] for p in ps])
+        weights = [binom(s, p) * binom(m - k - s, m - k - p) for p in ps]
+        acc2 = dot(weights, [int_cols[p][m] for p in ps])
         out[m] = agree("fractional iterate", shifted=acc, integer=acc2) / factorial(m)
     return series(out, n)
 
@@ -222,17 +202,11 @@ def phi_pow(Q: DeltaOp, s: RatLike, n: int) -> Triangle:
     f = comp_inv(q)
     phi = _flow_triangle(f, n)
     powers = shifted_powers(phi.tri, n)
-    rows_b = []
-    for m in range(n + 1):
-        row = []
-        for k in range(m + 1):
-            acc = Fraction(0)
-            for p in range(m - k + 1):
-                c = powers[p].entry(m, k)
-                if c:
-                    acc += binom(s, p) * c
-            row.append(acc)
-        rows_b.append(tuple(row))
+    binoms = [binom(s, p) for p in range(n + 1)]
+    rows_b = [
+        tuple(dot(binoms, [powers[p].entry(m, k) for p in range(m - k + 1)]) for k in range(m + 1))
+        for m in range(n + 1)
+    ]
     return agree("phi_pow", flow=route_a, coefficient=Triangle(tuple(rows_b)))
 
 

@@ -16,6 +16,7 @@ from fractions import Fraction
 from math import factorial, inf
 from typing import Iterable, Sequence
 
+from ._kernel import apply_derivatives, convolve, dot, evaluate
 from .errors import ConstantTermError, NotInvertible, OrderError, TruncationError
 from .rational import RatLike, binom, rat
 
@@ -118,16 +119,7 @@ class Series:
         if not isinstance(other, Series):
             return self.scale(other)
         n = min(self.trunc, other.trunc)
-        out = [Fraction(0)] * (n + 1)
-        for i in range(min(self.trunc, n) + 1):
-            a = self.coeffs[i]
-            if not a:
-                continue
-            for j in range(min(other.trunc, n - i) + 1):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return Series(n, tuple(out))
+        return Series(n, tuple(convolve(self.coeffs[: n + 1], other.coeffs[: n + 1], n)))
 
     __rmul__ = __mul__
 
@@ -210,16 +202,10 @@ def mul_inv(f: Series) -> Series:
     a0 = f.coeffs[0]
     if a0 == 0:
         raise NotInvertible("constant term is zero")
-    n = f.trunc
-    out = [Fraction(0)] * (n + 1)
-    out[0] = 1 / a0
-    for m in range(1, n + 1):
-        s = Fraction(0)
-        for k in range(1, m + 1):
-            if f.coeffs[k]:
-                s += f.coeffs[k] * out[m - k]
-        out[m] = -s / a0
-    return Series(n, tuple(out))
+    out = [1 / a0]
+    for m in range(1, f.trunc + 1):
+        out.append(-dot(f.coeffs[1 : m + 1], out[::-1]) / a0)
+    return Series(f.trunc, tuple(out))
 
 
 def comp_inv(f: Series) -> Series:
@@ -236,11 +222,8 @@ def comp_inv(f: Series) -> Series:
         powers.append(powers[-1] * f)
     b = [Fraction(0)] * (n + 1)
     for m in range(1, n + 1):
-        s = Fraction(1) if m == 1 else Fraction(0)
-        for k in range(1, m):
-            if b[k]:
-                s -= b[k] * powers[k][m]
-        b[m] = s / powers[m][m]
+        s = dot(b[1:m], [powers[k][m] for k in range(1, m)])
+        b[m] = (int(m == 1) - s) / powers[m][m]
     return Series(n, tuple(b))
 
 
@@ -263,14 +246,10 @@ def exp_series(f: Series) -> Series:
     if f.coeffs[0] != 0:
         raise ConstantTermError("exp requires zero constant term")
     n = f.trunc
-    out = [Fraction(0)] * (n + 1)
-    out[0] = Fraction(1)
+    kf = [k * f.coeffs[k] for k in range(1, n + 1)]
+    out = [Fraction(1)]
     for m in range(1, n + 1):
-        s = Fraction(0)
-        for k in range(1, m + 1):
-            if f.coeffs[k]:
-                s += k * f.coeffs[k] * out[m - k]
-        out[m] = s / m
+        out.append(dot(kf, out[::-1]) / m)
     return Series(n, tuple(out))
 
 
@@ -279,13 +258,10 @@ def log_series(f: Series) -> Series:
     if f.coeffs[0] != 1:
         raise ConstantTermError("log requires constant term exactly 1")
     n = f.trunc
-    out = [Fraction(0)] * (n + 1)
+    out = [Fraction(0)]
     for m in range(1, n + 1):
-        s = m * f.coeffs[m]
-        for k in range(1, m):
-            if out[k]:
-                s -= k * out[k] * f.coeffs[m - k]
-        out[m] = s / m
+        s = dot([k * out[k] for k in range(1, m)], f.coeffs[m - 1 : 0 : -1])
+        out.append(f.coeffs[m] - s / m)
     return Series(n, tuple(out))
 
 
@@ -377,11 +353,7 @@ class Poly:
         return not self.coeffs
 
     def __call__(self, a: RatLike) -> Fraction:
-        a = rat(a)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * a + c
-        return acc
+        return evaluate(self.coeffs, rat(a))
 
     def __add__(self, other: "Poly | RatLike") -> "Poly":
         if not isinstance(other, Poly):
@@ -406,14 +378,7 @@ class Poly:
             return poly([c * a for a in self.coeffs])
         if self.is_zero() or other.is_zero():
             return poly([])
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    out[i + j] += a * b
-        return poly(out)
+        return Poly(tuple(convolve(self.coeffs, other.coeffs)))
 
     __rmul__ = __mul__
 
@@ -439,12 +404,10 @@ class Poly:
         return poly([rat(c0)] + [self.coeffs[k] / (k + 1) for k in range(len(self.coeffs))])
 
     def shifted(self, a: RatLike) -> "Poly":
-        """p(x + a), exact Taylor shift (Horner in x + a)."""
+        """p(x + a) = sum_k a^k/k! p^(k)(x), the exact Taylor shift."""
         a = rat(a)
-        acc = poly([])
-        for c in reversed(self.coeffs):
-            acc = acc.times_x() + a * acc + c
-        return acc
+        weights = [a**k / factorial(k) for k in range(len(self.coeffs))]
+        return poly(apply_derivatives(weights, self.coeffs))
 
     def reflected(self) -> "Poly":
         """p(-x)."""
@@ -456,12 +419,9 @@ class Poly:
         return Poly((Fraction(0),) * k + self.coeffs)
 
     def compose_linear(self, scale_: RatLike, offset: RatLike = 0) -> "Poly":
-        """p(scale*x + offset)."""
-        s, o = rat(scale_), rat(offset)
-        acc = poly([])
-        for c in reversed(self.coeffs):
-            acc = poly([o]) * acc + acc.times_x() * s + c
-        return acc
+        """p(scale*x + offset) = q(scale*x) for the Taylor shift q(y) = p(y + offset)."""
+        s = rat(scale_)
+        return poly([c * s**j for j, c in enumerate(self.shifted(offset).coeffs)])
 
     def __str__(self) -> str:
         if self.is_zero():

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from ._kernel import apply_derivatives
 from .errors import DivisionOrderError, NotAppell, NotDelta, OrderError, TruncationError
 from .fps import (
     INF,
@@ -117,7 +118,7 @@ def is_appell(T: ShiftOp) -> bool:
 
 
 def apply_op(T: ShiftOp, p: Poly) -> Poly:
-    """T p via the expansion in D: sum_k c_k p^(k)."""
+    """T p via the expansion in D: sum_k c_k p^(k), one exact correlation."""
     d = p.degree()
     if d == -INF:
         return p
@@ -125,14 +126,7 @@ def apply_op(T: ShiftOp, p: Poly) -> Poly:
         raise TruncationError(
             f"indicator trunc {T.indicator.trunc} < deg p = {d}; operator not resolved deeply enough"
         )
-    out = poly([])
-    dk = p
-    for k in range(int(d) + 1):
-        c = T.indicator[k]
-        if c:
-            out = out + c * dk
-        dk = dk.derivative()
-    return out
+    return poly(apply_derivatives(T.indicator.coeffs, p.coeffs))
 
 
 def pincherle(T: ShiftOp) -> ShiftOp:

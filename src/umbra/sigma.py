@@ -18,7 +18,7 @@ from .errors import TruncationError, agree
 from .fps import Poly, expm1, mul_inv, poly
 from .operators import DeltaOp, apply_op, derivative_op, shift_by, validate_delta, divide
 from .rational import RatLike, rat
-from .umbral import basic_transfer, tri_invert
+from .umbral import basic_transfer, transform_seq, tri_invert
 
 # Bernoulli numbers B_k (B_1 = -1/2), extended on demand; write-once per size.
 _bernoulli_cache: list[Fraction] = []
@@ -80,18 +80,11 @@ class SigmaOp:
         """Basic-set route: expand in {phi_n}, shift indices, re-anchor."""
         if p.is_zero():
             return p
-        d = int(p.degree())
-        coords = [rat(v) for v in (p[m] for m in range(d + 1))]
         # monomial coefficients -> basic coordinates: p = phi(sum c_n x^n), so
         # c_n = sum_{m>=n} inv[m][n] a_m (the column transform)
-        basic_coords = [
-            sum((self._phi_inv.entry(m, n) * coords[m] for m in range(n, d + 1)), Fraction(0))
-            for n in range(d + 1)
-        ]
-        out = poly([])
-        for n, c in enumerate(basic_coords):
-            if c:
-                out = out + c * self._phi.basic_poly(n + 1) / (n + 1)
+        basic_coords = transform_seq(self._phi_inv, p.coeffs, "column")
+        # sum_n c_n phi_{n+1}/(n+1) is phi applied to sum_n c_n x^{n+1}/(n+1)
+        out = self._phi.tri.apply_poly(poly([0] + [c / n for n, c in enumerate(basic_coords, 1)]))
         return out - out(self.anchor)
 
     def __call__(self, p: Poly) -> Poly:

@@ -19,6 +19,7 @@ from math import comb, factorial
 from typing import Callable, Sequence
 
 from . import bell
+from ._kernel import dot, krylov, tri_inverse, tri_product
 from .errors import (
     NotAppell, NotDelta, NotUnitary, OrderError, SingularTriangle, TruncationError, agree
 )
@@ -74,12 +75,7 @@ class Triangle:
         d = int(p.degree())
         if d > self.n:
             raise TruncationError(f"triangle depth {self.n} < deg p = {d}")
-        out = poly([])
-        for m in range(d + 1):
-            c = p[m]
-            if c:
-                out = out + c * self.row_poly(m)
-        return out
+        return poly([dot(p.coeffs, [self.entry(m, k) for m in range(d + 1)]) for k in range(d + 1)])
 
     def diagonal(self) -> tuple[Fraction, ...]:
         return tuple(self.rows[n][n] for n in range(self.n + 1))
@@ -115,19 +111,7 @@ def tri_from_polys(polys: Sequence[Poly]) -> Triangle:
 def tri_compose(phi: Triangle, psi: Triangle) -> Triangle:
     """Triangle of the operator product phi o psi (psi applied first)."""
     n = min(phi.n, psi.n)
-    rows = []
-    for m in range(n + 1):
-        row = []
-        for k in range(m + 1):
-            s = Fraction(0)
-            for j in range(k, m + 1):
-                a = phi.entry(j, k)
-                b = psi.entry(m, j)
-                if a and b:
-                    s += a * b
-            row.append(s)
-        rows.append(tuple(row))
-    return Triangle(tuple(rows))
+    return Triangle(tuple(tri_product(psi.rows[: n + 1], phi.rows[: n + 1])))
 
 
 def tri_invert(phi: Triangle) -> Triangle:
@@ -135,16 +119,7 @@ def tri_invert(phi: Triangle) -> Triangle:
     for n, d in enumerate(phi.diagonal()):
         if d == 0:
             raise SingularTriangle(f"zero diagonal entry at row {n}")
-    inv = [[Fraction(0)] * (m + 1) for m in range(phi.n + 1)]
-    for n in range(phi.n + 1):
-        inv[n][n] = 1 / phi.rows[n][n]
-        for k in range(n - 1, -1, -1):
-            s = Fraction(0)
-            for j in range(k, n):
-                if inv[j][k] and phi.rows[n][j]:
-                    s += inv[j][k] * phi.rows[n][j]
-            inv[n][k] = -s / phi.rows[n][n]
-    return Triangle(tuple(tuple(row) for row in inv))
+    return Triangle(tuple(tri_inverse(phi.rows)))
 
 
 def tri_power(phi: Triangle, s: int) -> Triangle:
@@ -167,29 +142,13 @@ def transform_seq(
     """
     vals = [rat(v) for v in a]
     m = len(vals)
-    out = []
     if mode == "row":
-        for i in range(m):
-            n = start + i
-            s = Fraction(0)
-            for j in range(i + 1):
-                c = phi.entry(n, start + j)
-                if c:
-                    s += c * vals[j]
-            out.append(s)
+        rows = [[phi.entry(start + i, start + j) for j in range(i + 1)] for i in range(m)]
     elif mode == "column":
-        jmax = start + m - 1
-        for i in range(m):
-            k = start + i
-            s = Fraction(0)
-            for j in range(i, m):
-                c = phi.entry(start + j, k)
-                if c:
-                    s += c * vals[j]
-            out.append(s)
+        rows = [[phi.entry(start + j, start + i) for j in range(m)] for i in range(m)]
     else:
         raise ValueError("mode must be 'row' or 'column'")
-    return out
+    return krylov(rows, vals, 1)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -394,13 +353,8 @@ def is_binomial_type(tri: Triangle) -> bool:
         for i in range(n + 1):
             for j in range(n - i + 1):
                 lhs = comb(i + j, i) * tri.entry(n, i + j)
-                rhs = Fraction(0)
-                for k in range(n + 1):
-                    a = tri.entry(k, i)
-                    b = tri.entry(n - k, j)
-                    if a and b:
-                        rhs += comb(n, k) * a * b
-                if lhs != rhs:
+                a = [comb(n, k) * tri.entry(k, i) for k in range(n + 1)]
+                if lhs != dot(a, [tri.entry(n - k, j) for k in range(n + 1)]):
                     return False
     # grid check of the bivariate identity
     for n in range(tri.n + 1):

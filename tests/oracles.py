@@ -3,8 +3,9 @@
 Everything here recomputes expected values by a different algorithm than the
 code under test: Newton doubling for compositional inverses, partition
 enumeration for Bell polynomials, Lagrange interpolation for the iterative
-logarithm, plain finite sums/integrals for the summation calculus, and the
-classical recurrences for Stirling/Lah numbers.
+logarithm, plain finite sums/integrals for the summation calculus, the
+classical recurrences for Stirling/Lah numbers, and the plain ``Fraction``
+loops that the integer kernel replaced.
 """
 
 from __future__ import annotations
@@ -13,8 +14,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from umbra.fps import Series, compose, derive, exp_series, mul_inv, series, x_series
+from umbra.fps import Poly, Series, compose, derive, exp_series, mul_inv, poly, series, x_series
 from umbra.flow import iterate_int
+from umbra.umbral import Triangle
 
 
 # -- number triangles via their classical recurrences -------------------------
@@ -218,3 +220,168 @@ def direct_sum(p, a: int, b: int) -> Fraction:
 def integral(p, a, b) -> Fraction:
     anti = p.antiderivative(0)
     return anti(b) - anti(a)
+
+
+# -- the plain Fraction loops that the integer kernel replaced ------------------
+# Each is the loop as it stood before umbra._kernel, one gcd per operation; they
+# touch neither the kernel nor any function that calls it.
+
+
+def series_mul_ref(f: Series, g: Series) -> Series:
+    n = min(f.trunc, g.trunc)
+    out = [Fraction(0)] * (n + 1)
+    for i in range(n + 1):
+        a = f.coeffs[i]
+        if not a:
+            continue
+        for j in range(n - i + 1):
+            b = g.coeffs[j]
+            if b:
+                out[i + j] += a * b
+    return Series(n, tuple(out))
+
+
+def poly_mul_ref(p: Poly, q: Poly) -> Poly:
+    if p.is_zero() or q.is_zero():
+        return poly([])
+    out = [Fraction(0)] * (len(p.coeffs) + len(q.coeffs) - 1)
+    for i, a in enumerate(p.coeffs):
+        for j, b in enumerate(q.coeffs):
+            out[i + j] += a * b
+    return poly(out)
+
+
+def poly_eval_ref(p: Poly, a) -> Fraction:
+    acc = Fraction(0)
+    for c in reversed(p.coeffs):
+        acc = acc * a + c
+    return acc
+
+
+def shifted_ref(p: Poly, a) -> Poly:
+    """p(x + a) by Horner in x + a."""
+    acc = poly([])
+    for c in reversed(p.coeffs):
+        acc = acc.times_x() + poly([a * v for v in acc.coeffs]) + poly([c])
+    return acc
+
+
+def compose_linear_ref(p: Poly, s, o) -> Poly:
+    """p(s x + o) by Horner in s x + o."""
+    acc = poly([])
+    for c in reversed(p.coeffs):
+        acc = poly_mul_ref(poly([o, s]), acc) + poly([c])
+    return acc
+
+
+def apply_op_ref(T, p: Poly) -> Poly:
+    """sum_k c_k p^(k), one Poly per derivative and per partial sum."""
+    out = poly([])
+    dk = p
+    for k in range(len(p.coeffs)):
+        c = T.indicator[k]
+        if c:
+            out = out + poly([c * v for v in dk.coeffs])
+        dk = dk.derivative()
+    return out
+
+
+def mul_inv_ref(f: Series) -> Series:
+    a0 = f.coeffs[0]
+    out = [1 / a0]
+    for m in range(1, f.trunc + 1):
+        s = sum((f.coeffs[k] * out[m - k] for k in range(1, m + 1)), Fraction(0))
+        out.append(-s / a0)
+    return Series(f.trunc, tuple(out))
+
+
+def exp_series_ref(f: Series) -> Series:
+    out = [Fraction(1)]
+    for m in range(1, f.trunc + 1):
+        out.append(sum((k * f.coeffs[k] * out[m - k] for k in range(1, m + 1)), Fraction(0)) / m)
+    return Series(f.trunc, tuple(out))
+
+
+def log_series_ref(f: Series) -> Series:
+    out = [Fraction(0)]
+    for m in range(1, f.trunc + 1):
+        s = m * f.coeffs[m] - sum((k * out[k] * f.coeffs[m - k] for k in range(1, m)), Fraction(0))
+        out.append(s / m)
+    return Series(f.trunc, tuple(out))
+
+
+def comp_inv_ref(f: Series) -> Series:
+    """Triangular solve of sum_k b_k f^k = x, with the powers from series_mul_ref."""
+    n = f.trunc
+    powers = [series([1], n), f]
+    for _ in range(2, n + 1):
+        powers.append(series_mul_ref(powers[-1], f))
+    b = [Fraction(0)] * (n + 1)
+    for m in range(1, n + 1):
+        s = Fraction(1 if m == 1 else 0)
+        for k in range(1, m):
+            s -= b[k] * powers[k][m]
+        b[m] = s / powers[m][m]
+    return Series(n, tuple(b))
+
+
+def tri_compose_ref(phi, psi):
+    """Triangle of phi o psi: entry (m, k) is sum_j phi[j][k] psi[m][j]."""
+    n = min(phi.n, psi.n)
+    return Triangle(
+        tuple(
+            tuple(
+                sum((phi.entry(j, k) * psi.entry(m, j) for j in range(k, m + 1)), Fraction(0))
+                for k in range(m + 1)
+            )
+            for m in range(n + 1)
+        )
+    )
+
+
+def tri_invert_ref(phi):
+    """Forward substitution, row by row."""
+    inv = [[Fraction(0)] * (m + 1) for m in range(phi.n + 1)]
+    for n in range(phi.n + 1):
+        inv[n][n] = 1 / phi.rows[n][n]
+        for k in range(n - 1, -1, -1):
+            s = sum((inv[j][k] * phi.rows[n][j] for j in range(k, n)), Fraction(0))
+            inv[n][k] = -s / phi.rows[n][n]
+    return Triangle(tuple(tuple(row) for row in inv))
+
+
+def apply_poly_ref(tri, p: Poly) -> Poly:
+    """sum_m p_m phi_m, one Poly per row."""
+    out = poly([])
+    for m, c in enumerate(p.coeffs):
+        out = out + poly([c * v for v in tri.rows[m]])
+    return out
+
+
+def transform_seq_ref(phi, a, mode: str = "row", start: int = 0) -> list[Fraction]:
+    m = len(a)
+    if mode == "row":
+        return [
+            sum((phi.entry(start + i, start + j) * a[j] for j in range(i + 1)), Fraction(0))
+            for i in range(m)
+        ]
+    return [
+        sum((phi.entry(start + j, start + i) * a[j] for j in range(i, m)), Fraction(0))
+        for i in range(m)
+    ]
+
+
+def column_powers_ref(tri, k: int, pmax: int, shifted: bool = True) -> list[list[Fraction]]:
+    """Column k of (phi-1)^p (or phi^p), one triangle-vector product per step."""
+    n = tri.n
+    col = [Fraction(1 if m == k else 0) for m in range(n + 1)]
+    out = [col]
+    for _ in range(pmax):
+        nxt = [Fraction(0)] * (n + 1)
+        for m in range(k, n + 1):
+            nxt[m] = sum(
+                (tri.rows[m][j] * col[j] for j in range(k, m if shifted else m + 1)), Fraction(0)
+            )
+        col = nxt
+        out.append(col)
+    return out

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, formats, exit codes, determinism."""
 
+import hashlib
 import json
 
 from umbra.cli import main
@@ -218,3 +219,44 @@ def test_failing_report_exits_one_with_counterexample(capsys):
     assert _emit_report(rep, args) == 1
     out = capsys.readouterr().out
     assert out.startswith("FAIL") and '"counterexample"' in out
+
+
+def test_family_missing_parameter_is_named(capsys):
+    code, out, err = run(capsys, "check", "--family", "abel")
+    assert code == 2 and out == ""
+    assert err == "error: bad parameters for family 'abel': missing parameter 'a' (accepted: a)\n"
+
+
+def test_family_unknown_parameter_is_named(capsys):
+    code, out, err = run(capsys, "check", "--family", "abel", "--params", "a=1,b=2")
+    assert code == 2 and out == ""
+    assert err == "error: bad parameters for family 'abel': unknown parameter 'b' (accepted: a)\n"
+
+
+def test_faulhaber_n_cap(capsys):
+    code, out, err = run(capsys, "faulhaber", "--n", "65")
+    assert code == 2 and out == ""
+    assert "n must be between 0 and 64" in err
+
+
+# SHA-256 of --format json stdout, captured before the integer kernel replaced
+# the Fraction loops; any change of representation must keep these bytes.
+GOLDEN_JSON = {
+    ("basic", "--delta=2*D-D^2/3+3*D^3/5", "--route=all", "--order=16"):
+        "01b36674410bf1ee19da1919181b4c9d54b528bb90f3039e751106dd5e6bd77a",
+    ("triangle", "--family=touchard", "--order=24"):
+        "97f2443d7161f13376787b45bbfaa49b886aa838a41050a69bbfb7cb82ed2dc8",
+    ("sheffer", "--appell=1/(1-D/2)", "--delta=D-D^2/3+D^3/7", "--order=16"):
+        "6f98c3d30e9bdc03f9754400558e0a2454570de85392d7d215676e49c9aca746",
+    ("series", "(1+x/2-x^2/3)^(-5/2)", "--order=32"):
+        "ccfc347ddf22ca796c173c75e0b73b71f09e44535550b4f6e4d60bd57a1021de",
+    ("inverse", "x-x^2/2+x^3/3", "--order=32"):
+        "45648fd884cf00c370051826ad0e89bf738d9b6ae512ec1398fc6a8e9b88a1b6",
+}
+
+
+def test_json_stdout_matches_golden_digests(capsys):
+    for argv, digest in GOLDEN_JSON.items():
+        code, out, _ = run(capsys, *argv, "--format=json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv

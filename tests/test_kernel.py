@@ -1,0 +1,243 @@
+"""The integer kernel against the plain Fraction loops it replaced.
+
+Each kernel primitive, and each public function whose loop now runs on
+integer numerators over a common denominator, is compared value for value
+with the Fraction loop it replaced (kept in ``oracles``); every output entry
+must also be a normalised Fraction (positive denominator, gcd 1).
+"""
+
+from fractions import Fraction as F
+from math import gcd
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from umbra import _kernel
+from umbra.flow import _column_powers
+from umbra.fps import Poly, Series, comp_inv, exp_series, log_series, mul_inv, poly, series
+from umbra.operators import ShiftOp, apply_op
+from umbra.umbral import Triangle, transform_seq, tri_compose, tri_invert
+
+import oracles
+
+# Large pairwise-coprime denominators (distinct primes), so a common
+# denominator is a product of several of them.
+PRIMES = (2, 3, 7, 10007, 65537, 1000003, 2**61 - 1, 2**89 - 1)
+
+rationals = st.one_of(
+    st.just(F(0)),
+    st.fractions(min_value=-9, max_value=9, max_denominator=12),
+    st.builds(F, st.integers(-(10**30), 10**30), st.sampled_from(PRIMES)),
+)
+nonzero = rationals.filter(bool)
+
+
+def vectors(min_size=0, max_size=9):
+    return st.lists(rationals, min_size=min_size, max_size=max_size)
+
+
+@st.composite
+def series_values(draw, min_trunc=0, max_trunc=8, unit_constant=None):
+    trunc = draw(st.integers(min_trunc, max_trunc))
+    cs = draw(st.lists(rationals, min_size=trunc + 1, max_size=trunc + 1))
+    if unit_constant is not None:
+        cs[0] = F(unit_constant)
+    return Series(trunc, tuple(cs))
+
+
+@st.composite
+def triangles(draw, max_n=6, nonzero_diagonal=False):
+    n = draw(st.integers(0, max_n))
+    rows = []
+    for m in range(n + 1):
+        row = draw(st.lists(rationals, min_size=m + 1, max_size=m + 1))
+        if nonzero_diagonal:
+            row[m] = draw(nonzero)
+        rows.append(tuple(row))
+    return Triangle(tuple(rows))
+
+
+def normalised(values):
+    return all(
+        type(v) is F and v.denominator > 0 and gcd(v.numerator, v.denominator) == 1 for v in values
+    )
+
+
+def entries(t: Triangle):
+    return [v for row in t.rows for v in row]
+
+
+# -- the kernel primitives ------------------------------------------------------
+
+
+@settings(max_examples=80, deadline=None)
+@given(vectors(), vectors())
+def test_dot_and_convolve_match_plain_sums(a, b):
+    assert _kernel.dot(a, b) == sum((x * y for x, y in zip(a, b)), F(0))
+    full = _kernel.convolve(a, b)
+    expected = [F(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            expected[i + j] += x * y
+    assert full == expected and normalised(full)
+
+
+@settings(max_examples=60, deadline=None)
+@given(vectors(), rationals)
+def test_evaluate_matches_horner(c, a):
+    value = _kernel.evaluate(c, a)
+    expected = F(0)
+    for v in reversed(c):
+        expected = expected * a + v
+    assert value == expected and normalised([value])
+
+
+def test_empty_and_zero_vectors():
+    assert _kernel.convolve([], []) == []
+    assert _kernel.dot([], []) == 0
+    assert _kernel.evaluate([], F(3, 7)) == 0
+    assert _kernel.apply_derivatives([], []) == []
+    zeros = _kernel.convolve([F(0)] * 4, [F(5, 3), F(-1, 65537)], 3)
+    assert zeros == [0, 0, 0, 0] and normalised(zeros)
+
+
+# -- Series and Poly ------------------------------------------------------------
+
+
+@settings(max_examples=80, deadline=None)
+@given(series_values(), series_values())
+def test_series_multiply_matches_oracle_with_mismatched_truncations(f, g):
+    product = f * g
+    assert product == oracles.series_mul_ref(f, g)
+    assert product.trunc == min(f.trunc, g.trunc) and normalised(product.coeffs)
+
+
+def test_series_product_that_vanishes_below_the_truncation():
+    f = series([0, 0, 0, F(2, 65537), F(-5, 3)], 5)
+    g = series([0, 0, 0, F(7, 10007)], 4)
+    product = f * g
+    assert product == oracles.series_mul_ref(f, g) == series([0], 4)
+    assert normalised(product.coeffs)
+
+
+@settings(max_examples=80, deadline=None)
+@given(vectors(max_size=8), vectors(max_size=8))
+def test_poly_multiply_matches_oracle(a, b):
+    p, q = poly(a), poly(b)
+    product = p * q
+    assert product == oracles.poly_mul_ref(p, q) and normalised(product.coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(vectors(max_size=8), rationals)
+def test_poly_evaluation_matches_oracle(a, x):
+    p = poly(a)
+    assert p(x) == oracles.poly_eval_ref(p, x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(vectors(max_size=8), rationals, rationals)
+def test_taylor_shift_and_linear_substitution_match_oracle(a, s, o):
+    p = poly(a)
+    shifted, linear = p.shifted(o), p.compose_linear(s, o)
+    assert shifted == oracles.shifted_ref(p, o) and normalised(shifted.coeffs)
+    assert linear == oracles.compose_linear_ref(p, s, o) and normalised(linear.coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(series_values(min_trunc=1, max_trunc=8), st.data())
+def test_mul_inv_matches_oracle(f, data):
+    f = Series(f.trunc, (data.draw(nonzero),) + f.coeffs[1:])
+    inv = mul_inv(f)
+    assert inv == oracles.mul_inv_ref(f) and normalised(inv.coeffs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(series_values(max_trunc=7, unit_constant=0))
+def test_exp_and_log_match_oracle(f):
+    e = exp_series(f)
+    assert e == oracles.exp_series_ref(f)
+    assert log_series(e) == oracles.log_series_ref(e) == f
+    assert normalised(e.coeffs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(series_values(min_trunc=1, max_trunc=7, unit_constant=0), st.data())
+def test_comp_inv_matches_oracle(f, data):
+    f = Series(f.trunc, (F(0), data.draw(nonzero)) + f.coeffs[2:])
+    g = comp_inv(f)
+    assert g == oracles.comp_inv_ref(f) and normalised(g.coeffs)
+
+
+# -- apply_op: one correlation instead of a Poly per derivative -----------------
+
+
+@settings(max_examples=80, deadline=None)
+@given(vectors(max_size=9), st.data())
+def test_apply_op_matches_oracle(a, data):
+    p = poly(a)
+    ind = data.draw(series_values(min_trunc=max(len(p.coeffs) - 1, 0), max_trunc=10))
+    T = ShiftOp(ind)
+    out = apply_op(T, p)
+    assert out == oracles.apply_op_ref(T, p) and normalised(out.coeffs)
+
+
+def test_apply_op_on_the_empty_poly_and_to_zero():
+    T = ShiftOp(series([F(1, 2**61 - 1), F(-3), F(5, 7)], 4))
+    assert apply_op(T, poly([])) == Poly(())
+    D3 = ShiftOp(series([0, 0, 0, 1], 4))
+    p = poly([F(1, 3), F(-2, 10007), F(9, 65537)])
+    assert apply_op(D3, p) == oracles.apply_op_ref(D3, p) == Poly(())
+
+
+# -- triangular products --------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(triangles(), triangles())
+def test_tri_compose_matches_oracle(phi, psi):
+    out = tri_compose(phi, psi)
+    assert out == oracles.tri_compose_ref(phi, psi) and normalised(entries(out))
+
+
+def test_tri_compose_of_nilpotent_triangles_is_zero():
+    strict = Triangle(((F(0),), (F(3, 10007), F(0)), (F(-1, 2), F(5, 65537), F(0))))
+    square = tri_compose(strict, strict)
+    cube = tri_compose(square, strict)
+    assert square == oracles.tri_compose_ref(strict, strict)
+    assert cube == oracles.tri_compose_ref(square, strict)
+    assert all(v == 0 for v in entries(cube)) and normalised(entries(cube))
+
+
+@settings(max_examples=60, deadline=None)
+@given(triangles(), st.data())
+def test_triangle_apply_poly_matches_oracle(tri, data):
+    p = poly(data.draw(vectors(max_size=tri.n + 1)))
+    out = tri.apply_poly(p)
+    assert out == oracles.apply_poly_ref(tri, p) and normalised(out.coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(triangles(nonzero_diagonal=True))
+def test_tri_invert_matches_oracle(phi):
+    inv = tri_invert(phi)
+    assert inv == oracles.tri_invert_ref(phi) and normalised(entries(inv))
+
+
+@settings(max_examples=60, deadline=None)
+@given(triangles(), st.sampled_from(("row", "column")), st.integers(0, 3), st.data())
+def test_transform_seq_matches_oracle(phi, mode, start, data):
+    a = data.draw(vectors(max_size=phi.n + 3))
+    out = transform_seq(phi, a, mode, start)
+    assert out == oracles.transform_seq_ref(phi, a, mode, start) and normalised(out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(triangles(), st.integers(0, 7), st.integers(0, 6), st.booleans())
+def test_column_powers_match_oracle(tri, k, pmax, shifted):
+    cols = _column_powers(tri, k, pmax, shifted)
+    ref = oracles.column_powers_ref(tri, k, pmax, shifted)
+    assert len(cols) == len(ref) == pmax + 1
+    for col, expected in zip(cols, ref):
+        assert [col[m] if m < len(col) else 0 for m in range(tri.n + 1)] == expected
+        assert normalised(col)
