@@ -89,11 +89,39 @@ def tri_inverse(rows: Sequence[Sequence[Fraction]]):
         for m, (x, dx) in enumerate(mats[k:], k):
             v = Fraction((dx * den if m == k else 0) - sum(map(mul, x[k:m], col)), den * x[m])
             inv[m][k] = v
-            if den % v.denominator:
-                f = v.denominator // gcd(den, v.denominator)
-                den, col = den * f, [c * f for c in col]
-            col.append(v.numerator * (den // v.denominator))
+            den = _append(col, den, v)
     return [tuple(row) for row in inv]
+
+
+def _append(col: list[int], den: int, v: Fraction) -> int:
+    """Append v to the integer numerators col over den; returns the new denominator,
+    which grows (and rescales col) only when v's denominator does not divide it."""
+    if den % v.denominator:
+        f = v.denominator // gcd(den, v.denominator)
+        den, col[:] = den * f, [c * f for c in col]
+    col.append(v.numerator * (den // v.denominator))
+    return den
+
+
+def power(f: Sequence[Fraction], p: int, q: int) -> list[Fraction]:
+    """g = f^(p/q) for f_0 = 1, by J. C. P. Miller's recurrence (Knuth, TAOCP 2,
+    4.7): q m g_m = sum_{k=1..m} ((p+q) k - q m) f_k g_{m-k}, with g_0 = 1.
+
+    With f = F/D on integers the sum splits into (p+q) sum k F_k G_{m-k} and
+    q m sum F_k G_{m-k}, both over the solved part G/den of g; only f up to its
+    last nonzero entry takes part, so a polynomial of degree d costs O(N d)."""
+    x, dx = scaled(f)
+    while len(x) > 1 and not x[-1]:
+        x.pop()
+    tail = x[1:]
+    ktail = [k * v for k, v in enumerate(tail, 1)]
+    out, col, den = [Fraction(1)], [1], 1
+    for m in range(1, len(f)):
+        s = (p + q) * sum(map(mul, ktail, reversed(col)))
+        s -= q * m * sum(map(mul, tail, reversed(col)))
+        out.append(Fraction(s, q * m * dx * den))
+        den = _append(col, den, out[-1])
+    return out
 
 
 def krylov(rows: Sequence[Sequence[Fraction]], vec: Sequence[Fraction], count: int):

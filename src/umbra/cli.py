@@ -133,6 +133,15 @@ def _parse_params(text: str) -> dict:
     return out
 
 
+def _rat_option(option: str, text: str) -> Fraction:
+    try:
+        return rat(text)
+    except (ValueError, ZeroDivisionError):
+        raise UmbraError(
+            f"bad value {text!r} for {option}: expected a rational such as 3 or -2/3"
+        ) from None
+
+
 def _rat_pretty(q: Fraction, args) -> str:
     return _decimal_str(q) if args.decimal else rat_str(q)
 
@@ -223,7 +232,7 @@ def run(args) -> int:
 
     if cmd == "iterate":
         f = eval_expr(args.series_expr, order)
-        _emit_series(frac_iterate(f, rat(args.s), args.k, order), args)
+        _emit_series(frac_iterate(f, _rat_option("--s", args.s), args.k, order), args)
         return 0
 
     if cmd == "itlog":
@@ -232,17 +241,17 @@ def run(args) -> int:
 
     if cmd == "phipow":
         Q = _delta_from_expr(args.delta, order)
-        _emit_triangle(phi_pow(Q, rat(args.s), order), args)
+        _emit_triangle(phi_pow(Q, _rat_option("--s", args.s), order), args)
         return 0
 
     if cmd == "sum":
         p = series_to_poly(eval_expr(args.poly_expr, order))
-        anchor = rat(args.lower)
+        anchor = _rat_option("--from", args.lower)
         d = 0 if p.is_zero() else int(p.degree())
         delta = sigma._delta_op(d + 4)
         summed = sigma.sigma_apply(delta, anchor, p)
         if args.at is not None:
-            value = summed(rat(args.at))
+            value = summed(_rat_option("--at", args.at))
             if args.format == "json":
                 print(serialize.dumps(rat_str(value)))
             else:

@@ -15,15 +15,24 @@ Precedence: '^' > unary minus > '*','/' > '+','-'; '^' is right-associative
 on its single literal exponent.  Division follows operator-division
 semantics: when the divisor has positive order k the quotient is computed by
 cancelling the shared x^k factor (so "D/(exp(D)-1)" works), and "1/D" is a
-DivisionOrderError.
+DivisionOrderError.  A tree deeper than MAX_DEPTH, or more than MAX_DEPTH
+brackets, calls and unary minuses around one token, is a ParseError.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DivisionOrderError, NotInvertible, ParseError, TruncationError, UmbraError
+from .errors import (
+    DivisionOrderError,
+    NotInvertible,
+    ParseError,
+    RouteDisagreement,
+    TruncationError,
+    UmbraError,
+)
 from .fps import (
     INF,
     Series,
@@ -134,11 +143,21 @@ def _tokenize(text: str) -> list[Token]:
 # ---------------------------------------------------------------------------
 
 
+# Deepest syntax tree, and most brackets, calls and unary minuses around one
+# token, that an expression may have: parsing and evaluation both recurse.
+MAX_DEPTH = 100
+
+
 class _Parser:
+    """Each rule returns (node, height of its tree); ``open`` counts the
+    brackets, calls and unary minuses being parsed.  Both stay at most
+    MAX_DEPTH, so neither the parser nor the evaluator recurses deeper."""
+
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.open = 0
 
     def peek(self) -> Token:
         return self.tokens[self.i]
@@ -154,43 +173,58 @@ class _Parser:
             raise ParseError(f"unexpected token {tok.text or 'end of input'!r}", tok.pos, (kind,))
         return self.advance()
 
+    def bounded(self, height: int, tok: Token) -> int:
+        if max(height, self.open) > MAX_DEPTH:
+            raise ParseError(f"expression nested more than {MAX_DEPTH} deep", tok.pos)
+        return height
+
+    @contextmanager
+    def nested(self, tok: Token):
+        self.open += 1
+        self.bounded(0, tok)
+        yield
+        self.open -= 1
+
     def parse(self) -> Node:
-        node = self.expr()
+        node, _ = self.expr()
         tok = self.peek()
         if tok.kind != "end":
             raise ParseError(f"trailing input {tok.text!r}", tok.pos, ("end of input",))
         return node
 
-    def expr(self) -> Node:
-        node = self.term()
+    def expr(self) -> tuple[Node, int]:
+        node, height = self.term()
         while self.peek().kind in ("+", "-"):
             op = self.advance()
-            rhs = self.term()
-            node = BinOp(node.pos, op.kind, node, rhs)
-        return node
+            rhs, h = self.term()
+            node, height = BinOp(node.pos, op.kind, node, rhs), self.bounded(max(height, h) + 1, op)
+        return node, height
 
-    def term(self) -> Node:
-        node = self.factor()
+    def term(self) -> tuple[Node, int]:
+        node, height = self.factor()
         while self.peek().kind in ("*", "/"):
             op = self.advance()
-            rhs = self.factor()
-            node = BinOp(node.pos, op.kind, node, rhs)
-        return node
+            rhs, h = self.factor()
+            node, height = BinOp(node.pos, op.kind, node, rhs), self.bounded(max(height, h) + 1, op)
+        return node, height
 
-    def factor(self) -> Node:
+    def factor(self) -> tuple[Node, int]:
         tok = self.peek()
         if tok.kind == "-":
             self.advance()
-            return Neg(tok.pos, self.factor())
+            with self.nested(tok):
+                child, height = self.factor()
+            return Neg(tok.pos, child), self.bounded(height + 1, tok)
         return self.power()
 
-    def power(self) -> Node:
-        base = self.base()
-        if self.peek().kind == "^":
+    def power(self) -> tuple[Node, int]:
+        base, height = self.base()
+        tok = self.peek()
+        if tok.kind == "^":
             self.advance()
             exponent = self.exponent()
-            return Pow(base.pos, base, exponent)
-        return base
+            return Pow(base.pos, base, exponent), self.bounded(height + 1, tok)
+        return base, height
 
     def exponent(self) -> Fraction:
         tok = self.peek()
@@ -216,7 +250,7 @@ class _Parser:
             return Fraction(sign * num, den)
         return Fraction(sign * num)
 
-    def base(self) -> Node:
+    def base(self) -> tuple[Node, int]:
         tok = self.peek()
         if tok.kind == "int":
             self.advance()
@@ -227,25 +261,27 @@ class _Parser:
                 den_tok = self.advance()
                 if int(den_tok.text) == 0:
                     raise ParseError("zero denominator", den_tok.pos)
-                return Num(tok.pos, Fraction(int(tok.text), int(den_tok.text)))
-            return Num(tok.pos, Fraction(int(tok.text)))
+                return Num(tok.pos, Fraction(int(tok.text), int(den_tok.text))), 1
+            return Num(tok.pos, Fraction(int(tok.text))), 1
         if tok.kind == "name":
             self.advance()
             if tok.text in ("x", "D"):
-                return Var(tok.pos, tok.text)
+                return Var(tok.pos, tok.text), 1
             if tok.text in _FUNCTIONS:
                 self.expect("(")
-                arg = self.expr()
+                with self.nested(tok):
+                    arg, height = self.expr()
                 self.expect(")")
-                return Call(tok.pos, tok.text, arg)
+                return Call(tok.pos, tok.text, arg), self.bounded(height + 1, tok)
             raise ParseError(
                 f"unknown name {tok.text!r}", tok.pos, ("x", "D") + _FUNCTIONS
             )
         if tok.kind == "(":
             self.advance()
-            node = self.expr()
+            with self.nested(tok):
+                node, height = self.expr()
             self.expect(")")
-            return node
+            return node, height
         raise ParseError(
             f"unexpected token {tok.text or 'end of input'!r}",
             tok.pos,
@@ -309,8 +345,16 @@ def _render(node: Node) -> tuple[str, int]:
 # ---------------------------------------------------------------------------
 
 
-def _located(exc: UmbraError, pos: int) -> UmbraError:
-    return type(exc)(f"{exc} (at offset {pos})")
+@contextmanager
+def _at(pos: int):
+    """Append the source offset to an input error raised in the block; a route
+    disagreement passes through unchanged, it carries its own counterexample."""
+    try:
+        yield
+    except RouteDisagreement:
+        raise
+    except UmbraError as exc:
+        raise type(exc)(f"{exc} (at offset {pos})") from exc
 
 
 def _eval(node: Node, trunc: int) -> Series:
@@ -322,18 +366,16 @@ def _eval(node: Node, trunc: int) -> Series:
         return -_eval(node.child, trunc)
     if isinstance(node, Call):
         arg = _eval(node.arg, trunc)
-        try:
+        with _at(node.pos):
             if node.func == "exp":
                 return exp_series(arg)
             if node.func == "log":
                 return log_series(arg)
             return pow_rat(arg, Fraction(1, 2))
-        except UmbraError as exc:
-            raise _located(exc, node.pos) from exc
     if isinstance(node, Pow):
         base = _eval(node.base, trunc)
         e = node.exponent
-        try:
+        with _at(node.pos):
             if e.denominator == 1:
                 k = int(e)
                 if k >= 0:
@@ -342,12 +384,10 @@ def _eval(node: Node, trunc: int) -> Series:
                     raise NotInvertible("negative power of a series with zero constant term")
                 return mul_inv(base) ** (-k)
             return pow_rat(base, e)
-        except UmbraError as exc:
-            raise _located(exc, node.pos) from exc
     if isinstance(node, BinOp):
         left = _eval(node.left, trunc)
         right = _eval(node.right, trunc)
-        try:
+        with _at(node.pos):
             if node.op == "+":
                 return left + right
             if node.op == "-":
@@ -355,8 +395,6 @@ def _eval(node: Node, trunc: int) -> Series:
             if node.op == "*":
                 return left * right
             return _divide(left, right)
-        except UmbraError as exc:
-            raise _located(exc, node.pos) from exc
     raise TypeError(f"unknown node {node!r}")
 
 

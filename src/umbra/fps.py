@@ -16,9 +16,9 @@ from fractions import Fraction
 from math import factorial, inf
 from typing import Iterable, Sequence
 
-from ._kernel import apply_derivatives, convolve, dot, evaluate
-from .errors import ConstantTermError, NotInvertible, OrderError, TruncationError
-from .rational import RatLike, binom, rat
+from ._kernel import apply_derivatives, convolve, dot, evaluate, power
+from .errors import ConstantTermError, NotInvertible, OrderError, TruncationError, agree
+from .rational import RatLike, rat
 
 INF = inf
 
@@ -228,17 +228,17 @@ def comp_inv(f: Series) -> Series:
 
 
 def pow_rat(f: Series, r: RatLike) -> Series:
-    """f^r for rational r via the binomial series; requires f(0) = 1."""
+    """f^r for rational r by Miller's recurrence, O(N^2); requires f(0) = 1.
+
+    Checked on every call against f g' = r f' g, computed with the series
+    product: with g(0) = 1 that equation has f^r as its only solution."""
     if f.coeffs[0] != 1:
         raise ConstantTermError("rational power requires constant term exactly 1")
     r = rat(r)
-    u = f - 1
-    result = const(0, f.trunc)
-    term = const(1, f.trunc)
-    for k in range(f.trunc + 1):
-        result = result + term.scale(binom(r, k))
-        term = term * u
-    return result
+    g = Series(f.trunc, tuple(power(f.coeffs, r.numerator, r.denominator)))
+    agree("pow_rat", recurrence=g[0], constant_term=Fraction(1))
+    agree("pow_rat", recurrence=f * derive(g), equation=(derive(f) * g).scale(r))
+    return g
 
 
 def exp_series(f: Series) -> Series:

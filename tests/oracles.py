@@ -16,6 +16,7 @@ from math import comb, factorial
 
 from umbra.fps import Poly, Series, compose, derive, exp_series, mul_inv, poly, series, x_series
 from umbra.flow import iterate_int
+from umbra.rational import binom
 from umbra.umbral import Triangle
 
 
@@ -239,6 +240,17 @@ def series_mul_ref(f: Series, g: Series) -> Series:
             if b:
                 out[i + j] += a * b
     return Series(n, tuple(out))
+
+
+def pow_rat_ref(f: Series, r) -> Series:
+    """f^r = sum_k binom(r, k) (f - 1)^k, the binomial series, O(N^3)."""
+    u = f - 1
+    result = series([0], f.trunc)
+    term = series([1], f.trunc)
+    for k in range(f.trunc + 1):
+        result = result + term.scale(binom(r, k))
+        term = series_mul_ref(term, u)
+    return result
 
 
 def poly_mul_ref(p: Poly, q: Poly) -> Poly:

@@ -3,6 +3,8 @@
 import hashlib
 import json
 
+import pytest
+
 from umbra.cli import main
 from umbra.serialize import series_from_json, triangle_from_json
 
@@ -179,7 +181,7 @@ def test_unitary_required_for_iterate(capsys):
 
 def test_bad_rational_argument_exit_2(capsys):
     code, _, err = run(capsys, "iterate", "--series", "x", "--s", "abc")
-    assert code == 2 and "Fraction" in err
+    assert code == 2 and err == "error: bad value 'abc' for --s: expected a rational such as 3 or -2/3\n"
 
 
 def test_bad_family_params_exit_2(capsys):
@@ -252,6 +254,11 @@ GOLDEN_JSON = {
         "ccfc347ddf22ca796c173c75e0b73b71f09e44535550b4f6e4d60bd57a1021de",
     ("inverse", "x-x^2/2+x^3/3", "--order=32"):
         "45648fd884cf00c370051826ad0e89bf738d9b6ae512ec1398fc6a8e9b88a1b6",
+    # captured before Miller's recurrence replaced the binomial series in pow_rat
+    ("series", "sqrt(1+x/3-2*x^2/7+x^3/11)", "--order=64"):
+        "44a8d3bec2a6554ec3c684438efbb02f2dd812031a548714b5a6e065c72ff190",
+    ("series", "(1-3*x/5+x^2/9+7*x^3)^(-22/7)", "--order=64"):
+        "fae764348737213225c472117034213b2338c55e3786e2521470b066366caec5",
 }
 
 
@@ -260,3 +267,39 @@ def test_json_stdout_matches_golden_digests(capsys):
         code, out, _ = run(capsys, *argv, "--format=json")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+@pytest.mark.parametrize(
+    "text, offset",
+    [
+        ("(" * 200 + "x" + ")" * 200, 100),
+        ("exp(" * 200 + "x" + ")" * 200, 400),
+        ("+".join(["x"] * 1000), 199),
+        ("*".join(["1"] * 1000), 199),
+    ],
+    ids=["parentheses", "calls", "sum_chain", "product_chain"],
+)
+def test_deep_expression_is_refused_with_offset(capsys, text, offset):
+    code, out, err = run(capsys, "series", text, "--order", "2")
+    assert code == 2 and out == ""
+    assert err == f"error: expression nested more than 100 deep at offset {offset}\n"
+
+
+def test_expression_at_the_depth_bound_evaluates(capsys):
+    code, out, _ = run(capsys, "series", "(" * 100 + "+".join(["x"] * 100) + ")" * 100, "--order", "2")
+    assert code == 0 and out == "100*x + O(x^3)\n"
+
+
+@pytest.mark.parametrize(
+    "argv, option, value",
+    [
+        (["iterate", "--series=x+x^2", "--s=1/0"], "--s", "1/0"),
+        (["phipow", "--delta=D+D^2", "--s=1/0"], "--s", "1/0"),
+        (["sum", "--poly=x^2", "--from=1/0"], "--from", "1/0"),
+        (["sum", "--poly=x^2", "--from=0", "--at=1/0"], "--at", "1/0"),
+    ],
+)
+def test_bad_rational_option_names_option_and_value(capsys, argv, option, value):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: bad value {value!r} for {option}: expected a rational such as 3 or -2/3\n"

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from umbra import flow, sigma, umbral
+from umbra import flow, fps, sigma, umbral
 from umbra.catalog import identity_check
 from umbra.cli import main
 from umbra.errors import RouteDisagreement, agree
@@ -100,6 +100,17 @@ def _corrupt_niederhausen(mp):
     mp.setattr(umbral, "exp_series", lambda f: real(f).scale(2))
 
 
+def _corrupt_power(mp):
+    real = fps.power
+
+    def corrupted(f, p, q):
+        g = real(f, p, q)
+        g[3] += 1
+        return g
+
+    mp.setattr(fps, "power", corrupted)
+
+
 # name -> (argv, injection, expected disagreement document)
 INJECTIONS = {
     "basic": (
@@ -126,6 +137,16 @@ INJECTIONS = {
         ["phipow", "--delta", "exp(D)-1", "--s", "1/2", "--order", "5", "--format", "tsv"],
         _corrupt_shifted_powers,
         {"construction": "phi_pow", "routes": ["flow", "coefficient"], "index": [2, 1], "values": ["-1/2", "0"]},
+    ),
+    "pow_rat": (
+        ["series", "sqrt(1+x)", "--order", "6", "--format", "json"],
+        _corrupt_power,
+        {
+            "construction": "pow_rat",
+            "routes": ["recurrence", "equation"],
+            "index": [2],
+            "values": ["47/16", "-1/16"],
+        },
     ),
     "faulhaber": (
         ["faulhaber", "--n", "3"],
@@ -165,6 +186,15 @@ def test_catalog_reports_route_disagreement_as_counterexample(monkeypatch):
     result = identity_check("falling", n=4).results[0]
     assert result.identity == "five_routes"
     assert result.counterexample == {"route": "km", "against": "transfer"}
+
+
+def test_pow_rat_checks_the_constant_term(monkeypatch):
+    # 2 f^r satisfies f g' = r f' g too; only g(0) = 1 tells it from f^r
+    real = fps.power
+    monkeypatch.setattr(fps, "power", lambda f, p, q: [2 * v for v in real(f, p, q)])
+    with pytest.raises(RouteDisagreement) as info:
+        fps.pow_rat(series([1, 1], 4), F(1, 2))
+    assert (info.value.routes, info.value.values) == (("recurrence", "constant_term"), (2, 1))
 
 
 _SUBPROCESS = """

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from umbra import _kernel
 from umbra.flow import _column_powers
-from umbra.fps import Poly, Series, comp_inv, exp_series, log_series, mul_inv, poly, series
+from umbra.fps import Poly, Series, comp_inv, exp_series, log_series, mul_inv, poly, pow_rat, series
 from umbra.operators import ShiftOp, apply_op
 from umbra.umbral import Triangle, transform_seq, tri_compose, tri_invert
 
@@ -167,6 +167,30 @@ def test_comp_inv_matches_oracle(f, data):
     f = Series(f.trunc, (F(0), data.draw(nonzero)) + f.coeffs[2:])
     g = comp_inv(f)
     assert g == oracles.comp_inv_ref(f) and normalised(g.coeffs)
+
+
+# Exponents of every kind: negative, zero, positive integer, and p/q with a
+# large prime q (so p/q is in lowest terms and far from an integer).
+exponents = st.one_of(
+    st.fractions(min_value=-9, max_value=F(-1, 12), max_denominator=12),
+    st.just(F(0)),
+    st.integers(1, 9).map(F),
+    st.builds(F, st.integers(-(10**9), 10**9), st.sampled_from(PRIMES[3:])),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(series_values(max_trunc=16, unit_constant=1), exponents)
+def test_pow_rat_matches_binomial_series(f, r):
+    g = pow_rat(f, r)
+    assert g == oracles.pow_rat_ref(f, r) and normalised(g.coeffs)
+
+
+def test_pow_rat_of_a_polynomial_with_zero_tail():
+    f = series([1, F(1, 3), F(-2, 7), F(1, 11)], 12)
+    for r in (F(1, 2), F(-22, 7), F(-3), F(0)):
+        g = _kernel.power(f.coeffs, r.numerator, r.denominator)
+        assert Series(12, tuple(g)) == oracles.pow_rat_ref(f, r) and normalised(g)
 
 
 # -- apply_op: one correlation instead of a Poly per derivative -----------------
