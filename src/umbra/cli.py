@@ -10,6 +10,7 @@ The environment variable UMBRA_ORDER overrides the default order (16).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from decimal import Decimal, getcontext
@@ -28,7 +29,11 @@ MAX_ORDER = 64
 
 
 def _default_order() -> int:
-    return int(os.environ.get("UMBRA_ORDER", "16"))
+    text = os.environ.get("UMBRA_ORDER", "16")
+    try:
+        return int(text)
+    except ValueError:
+        raise UmbraError(f"bad value {text!r} for UMBRA_ORDER: expected an integer such as 16") from None
 
 
 def _decimal_str(q: Fraction, digits: int = 12) -> str:
@@ -47,7 +52,9 @@ def _add_common(p: argparse.ArgumentParser):
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (it reads no environment)."""
     parser = argparse.ArgumentParser(prog="umbra", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -9,13 +9,13 @@ input is rejected rather than normalized.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 
 from ._kernel import dot, krylov
 from .errors import NotUnitary, OrderError, TruncationError, agree
-from .fps import Series, comp_inv, compose, series, x_series
+from .fps import Series, comp_inv, compose, derive, series, x_series
 from .operators import DeltaOp, ShiftOp, apply_op, validate_delta
-from .rational import RatLike, binom, rat
+from .rational import RatLike, binom_row, rat
 from .umbral import (
     Triangle,
     UmbralOp,
@@ -90,31 +90,29 @@ def _flow_triangle(f: Series, n: int) -> UmbralOp:
 def itlog(f: Series) -> Series:
     """Iterative logarithm f_* = d/ds f^s at s = 0; order >= 2 for unitary f.
 
-    Two independent routes are computed and must agree exactly:
-    (i)  the flow-operator route, expanding (C_f - 1)^p over integer iterates;
-    (ii) the coefficient route through column 1 of the powers (phi - 1)^p,
-         each obtained from the last by one triangle-vector product.
+    Built by the coefficient route through column 1 of the powers (phi - 1)^p,
+    each obtained from the last by one triangle-vector product, O(N^3).  Every
+    result is checked against Julia's equation lam(f(x)) = f'(x) lam(x) and
+    lam_k = f_k at the first k >= 2 with f_k != 0 (lam = 0 when f = x), which
+    together fix lam (Jabotinsky, Trans. AMS 108, 1963).  The coefficient of
+    x^{m+k-1} is the first to fix lam_m, so f and lam are padded with k zeros
+    and both sides compared through x^{N+k-1}; f_{N+1}, ... never enter.
     """
     _require_unitary(f)
     n = f.trunc
-    # route (i): sum_p (-1)^{p-1}/p sum_l C(p,l)(-1)^{p-l} f^l(x), regrouped
-    # as sum_l w_l f^l(x); the sign (-1)^{p-1}(-1)^{p-l} = (-1)^{l-1} is the
-    # same for every p, so w_l = (-1)^{l-1} sum_{p=max(l,1)}^{n-1} C(p,l)/p
-    iterates = [x_series(n)]
-    for _ in range(max(n - 1, 0)):
-        iterates.append(compose(f, iterates[-1]))
-    route1 = series([0], n)
-    for ell, it in enumerate(iterates):
-        w = sum((Fraction(comb(p, ell), p) for p in range(max(ell, 1), n)), Fraction(0))
-        route1 = route1 + it.scale(w if ell % 2 else -w)
-    # route (ii): coefficients through (phi - 1)^p
     phi = _flow_triangle(f, n)
     cols = _column_powers(phi.tri, 1, max(n - 1, 0))
     coeffs = [Fraction(0)] * (n + 1)
     for m in range(2, n + 1):
         weights = [Fraction((-1) ** (p - 1), p) for p in range(1, m)]
         coeffs[m] = dot(weights, [cols[p][m] for p in range(1, m)]) / factorial(m)
-    return agree("itlog", flow=route1, coefficient=series(coeffs, n))
+    lam = series(coeffs, n)
+    k = next((j for j in range(2, n + 1) if f[j]), n)
+    agree("itlog", coefficient=lam.truncate(k), leading_term=(f - x_series(n)).truncate(k))
+    pad = n + k - 1
+    lam_pad, f_pad = series(coeffs, pad), series(f.coeffs, pad)
+    agree("itlog", coefficient=compose(lam_pad, f_pad), equation=series(derive(f).coeffs, pad) * lam_pad)
+    return lam
 
 
 def koszul_numbers(n_max: int) -> list[Fraction]:
@@ -143,12 +141,14 @@ def frac_iterate(f: Series, s: RatLike, k: int = 1, n_max: int | None = None) ->
     phi = _flow_triangle(f, n)
     cols = _column_powers(phi.tri, k, max(n - k, 0))
     int_cols = _column_powers(phi.tri, k, max(n - k, 0), shifted=False)
-    binoms = [binom(s, p) for p in range(n - k + 1)]
+    binoms = binom_row(s, n - k)
+    int_binoms = binom_row(s, n - k)  # the integer route's own C(s, p)
     out = [Fraction(0)] * (n + 1)
     for m in range(k, n + 1):
         ps = range(m - k + 1)
         acc = dot(binoms, [cols[p][m] for p in ps])
-        weights = [binom(s, p) * binom(m - k - s, m - k - p) for p in ps]
+        rest = binom_row(m - k - s, m - k)  # C(m-k-s, j) for j = 0..m-k
+        weights = [int_binoms[p] * rest[m - k - p] for p in ps]
         acc2 = dot(weights, [int_cols[p][m] for p in ps])
         out[m] = agree("fractional iterate", shifted=acc, integer=acc2) / factorial(m)
     return series(out, n)
@@ -202,7 +202,7 @@ def phi_pow(Q: DeltaOp, s: RatLike, n: int) -> Triangle:
     f = comp_inv(q)
     phi = _flow_triangle(f, n)
     powers = shifted_powers(phi.tri, n)
-    binoms = [binom(s, p) for p in range(n + 1)]
+    binoms = binom_row(s, n)
     rows_b = [
         tuple(dot(binoms, [powers[p].entry(m, k) for p in range(m - k + 1)]) for k in range(m + 1))
         for m in range(n + 1)

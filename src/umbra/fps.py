@@ -92,7 +92,7 @@ class Series:
 
     def __add__(self, other: "Series | RatLike") -> "Series":
         if not isinstance(other, Series):
-            other = const(rat(other), self.trunc)
+            return Series(self.trunc, (self.coeffs[0] + rat(other),) + self.coeffs[1:])
         n = min(self.trunc, other.trunc)
         return Series(n, tuple(self[i] + other[i] for i in range(n + 1)))
 

@@ -11,7 +11,6 @@ fractional iteration.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
 
 Rat = Fraction
 
@@ -41,10 +40,13 @@ def binom(r: RatLike, k: int) -> Fraction:
     ``r`` may be any rational; ``k`` must be a nonnegative integer
     (negative ``k`` yields 0, matching the empty convention).
     """
-    if k < 0:
-        return Fraction(0)
+    return binom_row(r, k)[k] if k >= 0 else Fraction(0)
+
+
+def binom_row(r: RatLike, k: int) -> list[Fraction]:
+    """[C(r, 0), ..., C(r, k)], each from the last: C(r, j) = C(r, j-1) (r-j+1)/j."""
     r = rat(r)
-    num = Fraction(1)
-    for i in range(k):
-        num *= r - i
-    return num / factorial(k)
+    row = [Fraction(1)]
+    for j in range(1, k + 1):
+        row.append(row[-1] * (r - j + 1) / j)
+    return row

@@ -27,7 +27,6 @@ from .fps import (
     Poly,
     Series,
     comp_inv,
-    compose,
     derive,
     exp_series,
     mul_inv,
@@ -459,36 +458,6 @@ def special_class_check(phi: UmbralOp, U: ShiftOp, V: ShiftOp, n: int) -> bool:
                 continue
             term = apply_op(uk[k] * vn, pm)
             rhs = rhs + c * term.times_x(k)
-        if lhs != rhs:
-            return False
-    return True
-
-
-def commutation_expansion_check(phi: UmbralOp, n: int) -> bool:
-    """Verify phi X^n = sum_k X^k B_{n,k}(g'(Q), g''(Q), ...) phi with g = invQ.
-
-    The Bell arguments are shift-invariant operators (indicator series), so
-    partial_bell runs directly on them.
-    """
-    if phi.delta is None:
-        raise ValueError("needs the delta cached")
-    N = phi.n
-    q = phi.delta.indicator
-    g = comp_inv(q)
-    # j-th derivative of invQ, composed with Q: indicator of (invQ)^(j)(Q)
-    args = []
-    dj = g
-    for _ in range(n):
-        dj = derive(dj)
-        args.append(compose(dj, q.truncate(dj.trunc) if q.trunc > dj.trunc else q))
-    for m in range(N - n + 1):
-        lhs = phi.basic_poly(n + m)
-        pm = phi.basic_poly(m)
-        rhs = poly([])
-        for k in range(0 if n == 0 else 1, n + 1):  # B_{n,0} = 0 for n > 0
-            b = bell.partial_bell(n, k, args)
-            term = apply_op(ShiftOp(b), pm) if isinstance(b, Series) else rat(b) * pm
-            rhs = rhs + term.times_x(k)
         if lhs != rhs:
             return False
     return True

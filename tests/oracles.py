@@ -14,8 +14,11 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from umbra.fps import Poly, Series, compose, derive, exp_series, mul_inv, poly, series, x_series
+from umbra.fps import (
+    Poly, Series, comp_inv, compose, derive, exp_series, mul_inv, poly, series, x_series
+)
 from umbra.flow import iterate_int
+from umbra.operators import ShiftOp, apply_op
 from umbra.rational import binom
 from umbra.umbral import Triangle
 
@@ -210,6 +213,21 @@ def interpolated_itlog(f: Series, n_max: int) -> Series:
     return series(out, n_max)
 
 
+def itlog_iterate_sum(f: Series) -> Series:
+    """The flow-operator route: sum_p (-1)^{p-1}/p (C_f - 1)^p x over the integer
+    iterates f^l(x), regrouped as sum_l w_l f^l(x) with
+    w_l = (-1)^{l-1} sum_{p=max(l,1)}^{n-1} C(p,l)/p.  O(N^4): N - 1 compositions."""
+    n = f.trunc
+    iterates = [x_series(n)]
+    for _ in range(max(n - 1, 0)):
+        iterates.append(compose(f, iterates[-1]))
+    out = series([0], n)
+    for ell, it in enumerate(iterates):
+        w = sum((Fraction(comb(p, ell), p) for p in range(max(ell, 1), n)), Fraction(0))
+        out = out + it.scale(w if ell % 2 else -w)
+    return out
+
+
 # -- summation/integration oracles ----------------------------------------------
 
 
@@ -397,3 +415,41 @@ def column_powers_ref(tri, k: int, pmax: int, shifted: bool = True) -> list[list
         col = nxt
         out.append(col)
     return out
+
+
+# -- operator commutation through Bell polynomials of series ---------------------
+
+
+def series_bell(n: int, k: int, args) -> Series | int:
+    """B_{n,k}(a_1, ..., a_{n-k+1}) for series arguments, by Comtet's recurrence
+    B_{n,k} = (1/k) sum_i C(n,i) a_i B_{n-i,k-1}; the plain int 1 or 0 when k = 0."""
+    if k == 0:
+        return int(n == 0)
+    terms = [comb(n, i) * (args[i - 1] * series_bell(n - i, k - 1, args)) for i in range(1, n - k + 2)]
+    return sum(terms[1:], terms[0]) / k
+
+
+def commutation_expansion_check(phi, n: int) -> bool:
+    """Verify phi X^n = sum_k X^k B_{n,k}(g'(Q), g''(Q), ...) phi with g = invQ.
+
+    The Bell arguments are shift-invariant operators (indicator series), so
+    the recurrence runs directly on them.
+    """
+    N = phi.n
+    q = phi.delta.indicator
+    # j-th derivative of invQ, composed with Q: indicator of (invQ)^(j)(Q)
+    args = []
+    dj = comp_inv(q)
+    for _ in range(n):
+        dj = derive(dj)
+        args.append(compose(dj, q.truncate(dj.trunc) if q.trunc > dj.trunc else q))
+    for m in range(N - n + 1):
+        pm = phi.basic_poly(m)
+        rhs = poly([])
+        for k in range(0 if n == 0 else 1, n + 1):  # B_{n,0} = 0 for n > 0
+            b = series_bell(n, k, args)
+            term = apply_op(ShiftOp(b), pm) if isinstance(b, Series) else b * pm
+            rhs = rhs + term.times_x(k)
+        if phi.basic_poly(n + m) != rhs:
+            return False
+    return True

@@ -74,8 +74,11 @@ def test_falling_factorial_values_from_complete_bell():
 def test_index_error_on_bad_k():
     with pytest.raises(IndexError):
         partial_bell(2, 3, [1, 1, 1])
-    with pytest.raises(IndexError):
+    with pytest.raises(IndexError, match="need argument a_2, got only 1 arguments"):
         partial_bell(3, 2, [1])  # needs a_1, a_2
+    with pytest.raises(IndexError, match="need argument a_3, got only 2 arguments"):
+        complete_bell(3, [1, 1])
+    assert partial_bell(3, 0, []) == 0 and partial_bell(0, 0, []) == 1  # k = 0 reads no argument
 
 
 def test_partition_oracle_agreement():

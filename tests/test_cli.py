@@ -157,6 +157,21 @@ def test_env_var_order(capsys, monkeypatch):
     assert out.strip() == "0\t1\t1/2\t1/6"
 
 
+@pytest.mark.parametrize("value", ["abc", "1/2", ""])
+def test_env_var_order_bad_value_names_variable(capsys, monkeypatch, value):
+    monkeypatch.setenv("UMBRA_ORDER", value)
+    code, out, err = run(capsys, "series", "x")
+    assert code == 2 and out == ""
+    assert err == f"error: bad value {value!r} for UMBRA_ORDER: expected an integer such as 16\n"
+
+
+def test_env_var_order_is_read_on_every_call(capsys, monkeypatch):
+    # the parser is built once per process; the default order is not part of it
+    for order, expected in (("2", "x + O(x^3)"), ("4", "x + O(x^5)")):
+        monkeypatch.setenv("UMBRA_ORDER", order)
+        assert run(capsys, "series", "x")[:2] == (0, expected + "\n")
+
+
 def test_order_cap(capsys):
     code, _, err = run(capsys, "series", "x", "--order", "65")
     assert code == 2
@@ -259,6 +274,12 @@ GOLDEN_JSON = {
         "44a8d3bec2a6554ec3c684438efbb02f2dd812031a548714b5a6e065c72ff190",
     ("series", "(1-3*x/5+x^2/9+7*x^3)^(-22/7)", "--order=64"):
         "fae764348737213225c472117034213b2338c55e3786e2521470b066366caec5",
+    # captured before Julia's equation replaced the iterate sum in itlog and the
+    # Bell table moved to integers
+    ("itlog", "--series=exp(x)-1", "--order=32"):
+        "e67b3ed0f1415982db53b3e2c8f250963132cfad26c982f48f0bdbc8344acac2",
+    ("phipow", "--delta=exp(D)-1", "--s=1/2", "--order=32"):
+        "4b2433df15d671388eed61bc6e3ea956d3866205b5ff3f978375259e33f616a1",
 }
 
 

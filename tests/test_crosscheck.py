@@ -65,16 +65,34 @@ def _wrong_km(Q, n):
     return UmbralOp(triangle(rows), phi.delta)
 
 
-def _corrupt_shifted_columns(mp):
-    real = flow._column_powers
+def _edit_shifted_columns(edit):
+    """An injection that lets ``edit(cols, k)`` change the columns of (phi-1)^p in place."""
 
-    def corrupted(tri, k, pmax, shifted=True):
-        cols = real(tri, k, pmax, shifted)
-        if shifted:
-            cols[1][k + 1] += 1
-        return cols
+    def inject(mp):
+        real = flow._column_powers
 
-    mp.setattr(flow, "_column_powers", corrupted)
+        def corrupted(tri, k, pmax, shifted=True):
+            cols = real(tri, k, pmax, shifted)
+            if shifted:
+                edit(cols, k)
+            return cols
+
+        mp.setattr(flow, "_column_powers", corrupted)
+
+    return inject
+
+
+def _wrong_first_row(cols, k):
+    cols[1][k + 1] += 1  # itlog: lam_2, the leading coefficient of exp(x)-1
+
+
+def _wrong_last_row(cols, k):
+    cols[1][-1] += 1  # itlog: lam_N, fixed only by the x^(N+k-1) coefficient
+
+
+def _doubled(cols, k):
+    for col in cols:
+        col[:] = [2 * v for v in col]  # itlog: 2 lam, which also solves Julia's equation
 
 
 def _corrupt_shifted_powers(mp):
@@ -120,12 +138,37 @@ INJECTIONS = {
     ),
     "itlog": (
         ["itlog", "--series", "exp(x)-1", "--order", "8", "--format", "json"],
-        _corrupt_shifted_columns,
-        {"construction": "itlog", "routes": ["flow", "coefficient"], "index": [2], "values": ["1/2", "1"]},
+        _edit_shifted_columns(_wrong_first_row),
+        {
+            "construction": "itlog",
+            "routes": ["coefficient", "leading_term"],
+            "index": [2],
+            "values": ["1", "1/2"],
+        },
+    ),
+    "itlog_last": (
+        ["itlog", "--series", "exp(x)-1", "--order", "8", "--format", "json"],
+        _edit_shifted_columns(_wrong_last_row),
+        {
+            "construction": "itlog",
+            "routes": ["coefficient", "equation"],
+            "index": [9],
+            "values": ["17/145152", "31/725760"],
+        },
+    ),
+    "itlog_scaled": (
+        ["itlog", "--series", "x+3/5*x^3+x^5", "--order", "8", "--format", "json"],
+        _edit_shifted_columns(_doubled),
+        {
+            "construction": "itlog",
+            "routes": ["coefficient", "leading_term"],
+            "index": [3],
+            "values": ["6/5", "3/5"],
+        },
     ),
     "iterate": (
         ["iterate", "--series", "exp(x)-1", "--s", "1/2", "--order", "8"],
-        _corrupt_shifted_columns,
+        _edit_shifted_columns(_wrong_first_row),
         {
             "construction": "fractional iterate",
             "routes": ["shifted", "integer"],

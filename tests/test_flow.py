@@ -1,12 +1,13 @@
 """Fractional iteration, iterative logarithm, Jabotinsky matrices."""
 
 import random
+import sys
 from fractions import Fraction as F
 from math import factorial
 
 import pytest
 
-from umbra import flow
+from umbra import flow, fps
 from umbra.errors import NotUnitary, OrderError, RouteDisagreement
 from umbra.flow import (
     delta_power,
@@ -46,6 +47,7 @@ from oracles import (
     chain_power_coeff,
     integer_power_chain_coeff,
     interpolated_itlog,
+    itlog_iterate_sum,
     matmul,
     stirling2,
 )
@@ -105,6 +107,71 @@ def test_itlog_linear_in_generator():
     for m in (2, 3):
         fm = iterate_int(f, m)
         assert itlog(fm) == base.scale(m)
+
+
+def test_itlog_matches_iterate_sum():
+    # the O(N^4) flow-operator route over integer iterates, which itlog no longer runs
+    for f in (expm1(12), series([0, 1, 1], 12), series([0, 1, 0, F(3, 5), 0, 1], 12)):
+        for n in range(1, 13):
+            assert itlog(f.truncate(n)) == itlog_iterate_sum(f.truncate(n)), (f, n)
+
+
+def _bump(j):
+    def edit(cols, k):
+        cols[1][j] += 1  # coeff(j, k) of phi - 1; for itlog, lam_j moves by 1/j! alone
+
+    return edit
+
+
+def _double(cols, k):
+    cols[:] = [[2 * v for v in col] for col in cols]  # 2 lam also solves Julia's equation
+
+
+def _corrupt_shifted_columns(monkeypatch, edit=_bump(2)):
+    real = flow._column_powers
+
+    def corrupted(tri, k, pmax, shifted=True):
+        cols = real(tri, k, pmax, shifted)
+        if shifted:
+            edit(cols, k)
+        return cols
+
+    monkeypatch.setattr(flow, "_column_powers", corrupted)
+
+
+_BUMPS = [_bump(j) for j in range(2, 13)]
+
+
+@pytest.mark.parametrize(
+    "f, edits",
+    [
+        (expm1(12), _BUMPS + [_double]),
+        (series([0, 1, 0, F(3, 5), 0, 1], 12), _BUMPS + [_double]),
+        (x_series(12), _BUMPS),
+    ],
+    ids=["expm1", "odd", "identity"],
+)
+def test_itlog_check_catches_each_wrong_coefficient_and_scaling(monkeypatch, f, edits):
+    for edit in edits:
+        with monkeypatch.context() as mp:
+            _corrupt_shifted_columns(mp, edit)
+            with pytest.raises(RouteDisagreement, match="itlog routes disagree"):
+                itlog(f)
+
+
+def test_itlog_composes_once(monkeypatch):
+    # the iterate sum made N - 1 compositions, O(N^4); the Julia check makes one
+    real, calls = fps.compose, []
+
+    def counting(f, g):
+        calls.append(f.trunc)
+        return real(f, g)
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "umbra" and getattr(module, "compose", None) is real:
+            monkeypatch.setattr(module, "compose", counting)
+    itlog(expm1(20))
+    assert len(calls) == 1
 
 
 def test_koszul_numbers():
@@ -280,18 +347,6 @@ def test_column_powers_match_full_powers_and_chain_oracles():
 def test_frac_iterate_power_index_beyond_order_is_zero():
     out = frac_iterate(expm1(6), F(1, 2), 8, 6)
     assert out == series([0], 6)
-
-
-def _corrupt_shifted_columns(monkeypatch):
-    real = flow._column_powers
-
-    def corrupted(tri, k, pmax, shifted=True):
-        cols = real(tri, k, pmax, shifted)
-        if shifted:
-            cols[1][k + 1] += 1
-        return cols
-
-    monkeypatch.setattr(flow, "_column_powers", corrupted)
 
 
 def test_itlog_cross_check_bites(monkeypatch):

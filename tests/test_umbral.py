@@ -43,7 +43,6 @@ from umbra.umbral import (
     power_coeffs,
     sheffer,
     special_class_check,
-    commutation_expansion_check,
     transform_seq,
     tri_compose,
     tri_identity,
@@ -51,7 +50,7 @@ from umbra.umbral import (
     triangle,
 )
 
-from oracles import lah, power_coeffs_direct, stirling1_unsigned
+from oracles import commutation_expansion_check, lah, power_coeffs_direct, stirling1_unsigned
 
 T = 16
 N = 10
