@@ -18,6 +18,7 @@ from typing import Callable
 
 from .errors import RouteDisagreement, UnknownFamily
 from .fps import (
+    Poly,
     comp_inv,
     exp_series,
     mul_inv,
@@ -33,6 +34,7 @@ from .umbral import (
     UmbralOp,
     basic_all_routes,
     basic_transfer,
+    binomial_grid,
     connection_constants,
     cross,
     is_binomial_type,
@@ -327,19 +329,15 @@ def _check_binomial(spec: FamilySpec, n: int):
     return None if is_binomial_type(spec.basic(n).tri) else {"n": n}
 
 
+def _grid_point(hit: tuple[int, Fraction, Fraction] | None) -> dict | None:
+    """The counterexample of a failed ``binomial_grid``."""
+    return None if hit is None else {"n": hit[0], "x": str(hit[1]), "y": str(hit[2])}
+
+
 def _check_chu_vandermonde(spec: FamilySpec, n: int):
     phi = spec.basic(n)
-    for m in range(n + 1):
-        pm = phi.basic_poly(m)
-        for x in _grid(m):
-            for y in _grid(m):
-                rhs = sum(
-                    comb(m, k) * phi.basic_poly(k)(x) * phi.basic_poly(m - k)(y)
-                    for k in range(m + 1)
-                )
-                if pm(x + y) != rhs:
-                    return {"n": m, "x": str(x), "y": str(y)}
-    return None
+    rows = [phi.basic_poly(m) for m in range(n + 1)]
+    return _grid_point(binomial_grid(rows, rows, rows, n))
 
 
 def _check_stirling_recurrences(spec: FamilySpec, n: int):
@@ -552,21 +550,14 @@ def _check_laguerre_powers(spec: FamilySpec, n: int):
     return None
 
 
+def _abel_polys(a: Fraction, n: int) -> list[Poly]:
+    """The Abel polynomials x (x - ak)^(k-1) for k = 0..n."""
+    return [poly([1])] + [poly([0, 1]) * poly([-a * k, 1]) ** (k - 1) for k in range(1, n + 1)]
+
+
 def _check_abel_identity(spec: FamilySpec, n: int):
-    a = spec.params["a"]
-    for m in range(n + 1):
-        for x in _grid(m):
-            for y in _grid(m):
-                lhs = (x + y) * (x + y - a * m) ** (m - 1) if m else Fraction(1)
-                rhs = sum(
-                    comb(m, k)
-                    * (x * (x - a * k) ** (k - 1) if k else Fraction(1))
-                    * (y * (y - a * (m - k)) ** (m - k - 1) if m - k else Fraction(1))
-                    for k in range(m + 1)
-                )
-                if lhs != rhs:
-                    return {"n": m, "x": str(x), "y": str(y)}
-    return None
+    abel = _abel_polys(spec.params["a"], n)
+    return _grid_point(binomial_grid(abel, abel, abel, n))
 
 
 def _check_smooth_abel(spec: FamilySpec, n: int):
@@ -575,22 +566,13 @@ def _check_smooth_abel(spec: FamilySpec, n: int):
     T = n + 3
     phi = spec.basic(n)
     smoother = ShiftOp(mul_inv(series([1, a], T)))
-    for m in range(n + 1):
-        expected = poly([-a * m, 1]) ** m if m else poly([1])  # (x - am)^m
-        if apply_op(smoother, phi.basic_poly(m)) != expected:
+    smooth = [poly([-a * m, 1]) ** m for m in range(n + 1)]  # (x - am)^m
+    hit = binomial_grid(smooth, _abel_polys(a, n), smooth, n)
+    # at each degree the Sheffer form is reported before the grid form
+    for m in range(n + 1 if hit is None else hit[0] + 1):
+        if apply_op(smoother, phi.basic_poly(m)) != smooth[m]:
             return {"form": "sheffer", "n": m}
-        for x in _grid(m):
-            for y in _grid(m):
-                lhs = (x + y - a * m) ** m
-                rhs = sum(
-                    comb(m, k)
-                    * (x * (x - a * k) ** (k - 1) if k else Fraction(1))
-                    * (y - a * (m - k)) ** (m - k)
-                    for k in range(m + 1)
-                )
-                if lhs != rhs:
-                    return {"form": "grid", "n": m, "x": str(x), "y": str(y)}
-    return None
+    return None if hit is None else {"form": "grid", **_grid_point(hit)}
 
 
 def _check_abel_inverse(spec: FamilySpec, n: int):
@@ -652,30 +634,18 @@ def _check_degenerate_ode(spec: FamilySpec, n: int):
 def _check_degenerate_cross(spec: FamilySpec, n: int):
     p = spec.params["p"]
     T = n + p + 3
-    Q = spec.delta(T)
-    phi = basic_transfer(Q, n)
-    base = series([1] + [0] * (p - 1) + [-p], T)
+    phi = basic_transfer(spec.delta(T), n)
+    base = ShiftOp(series([1] + [0] * (p - 1) + [-p], T))
     exps = (Fraction(0), Fraction(1), Fraction(-1, 2))
-    polys = {
-        u: [cross(ShiftOp(base), u, phi).sheffer_poly(m) for m in range(n + 1)] for u in exps
-    }
-    polys_sum = {
-        (u, v): [cross(ShiftOp(base), u + v, phi).sheffer_poly(m) for m in range(n + 1)]
-        for u in exps
-        for v in exps
-    }
+    sheffer_rows = {}
+    for w in {u + v for u in exps for v in exps}:
+        sh = cross(base, w, phi)
+        sheffer_rows[w] = [sh.sheffer_poly(m) for m in range(n + 1)]
     for u in exps:
         for v in exps:
-            for m in range(n + 1):
-                for x in _grid(m):
-                    for y in _grid(m):
-                        lhs = polys_sum[(u, v)][m](x + y)
-                        rhs = sum(
-                            comb(m, k) * polys[u][k](x) * polys[v][m - k](y)
-                            for k in range(m + 1)
-                        )
-                        if lhs != rhs:
-                            return {"u": str(u), "v": str(v), "n": m}
+            hit = binomial_grid(sheffer_rows[u + v], sheffer_rows[u], sheffer_rows[v], n)
+            if hit is not None:
+                return {"u": str(u), "v": str(v), "n": hit[0]}
     return None
 
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import catalog, serialize, sigma
 from .errors import RouteDisagreement, UmbraError
-from .expr import eval_expr
+from .expr import MAX_POWER_BITS, eval_expr
 from .flow import frac_iterate, itlog, phi_pow
 from .fps import Poly, Series, comp_inv, format_series, series_to_poly
 from .operators import ShiftOp, validate_delta
@@ -26,6 +26,8 @@ from .rational import rat, rat_str
 from .umbral import BASIC_ROUTES, Triangle, basic_all_routes, basic_transfer, sheffer
 
 MAX_ORDER = 64
+# a b-bit integer has under 0.302 b + 1 digits: room for the binomial growth past a power's bound
+MAX_STR_DIGITS = MAX_POWER_BITS // 3
 
 
 def _default_order() -> int:
@@ -291,6 +293,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    limit = sys.get_int_max_str_digits()
+    if 0 < limit < MAX_STR_DIGITS:
+        sys.set_int_max_str_digits(MAX_STR_DIGITS)
     try:
         return run(args)
     except RouteDisagreement as exc:
@@ -299,6 +304,8 @@ def main(argv=None) -> int:
     except (UmbraError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

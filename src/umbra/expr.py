@@ -16,7 +16,9 @@ on its single literal exponent.  Division follows operator-division
 semantics: when the divisor has positive order k the quotient is computed by
 cancelling the shared x^k factor (so "D/(exp(D)-1)" works), and "1/D" is a
 DivisionOrderError.  A tree deeper than MAX_DEPTH, or more than MAX_DEPTH
-brackets, calls and unary minuses around one token, is a ParseError.
+brackets, calls and unary minuses around one token, is a ParseError.  An
+integer power that could grow a coefficient by more than MAX_POWER_BITS bits
+is refused before it is computed, and so is an exponent above MAX_EXPONENT.
 """
 
 from __future__ import annotations
@@ -357,6 +359,18 @@ def _at(pos: int):
         raise type(exc)(f"{exc} (at offset {pos})") from exc
 
 
+MAX_POWER_BITS = 1 << 16
+MAX_EXPONENT = 1 << 20
+
+
+def _growth_bits(f: Series) -> int:
+    """Largest ceil(log2 |v|) over the numerators and denominators v of f: the
+    bits each unit of k adds to f^k (none for coefficients +-1, whose powers
+    grow by binomials only; MAX_EXPONENT bounds those)."""
+    parts = [v for c in f.coeffs if c for v in (c.numerator, c.denominator)]
+    return max(((abs(v) - 1).bit_length() for v in parts), default=0)
+
+
 def _eval(node: Node, trunc: int) -> Series:
     if isinstance(node, Num):
         return const(node.value, trunc)
@@ -378,6 +392,10 @@ def _eval(node: Node, trunc: int) -> Series:
         with _at(node.pos):
             if e.denominator == 1:
                 k = int(e)
+                if abs(k) * _growth_bits(base) > MAX_POWER_BITS:
+                    raise UmbraError(f"power ^{k} would grow a coefficient past {MAX_POWER_BITS} bits")
+                if abs(k) > MAX_EXPONENT:
+                    raise UmbraError(f"power ^{k} has an exponent above {MAX_EXPONENT}")
                 if k >= 0:
                     return base**k
                 if base[0] == 0:

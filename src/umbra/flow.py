@@ -223,7 +223,11 @@ def jabotinsky(tri: Triangle) -> tuple[tuple[Fraction, ...], ...]:
 
 
 def delta_power(Q: DeltaOp, s: RatLike, n: int) -> DeltaOp:
-    """Q^[s]: the delta operator of phi^s, via the fractional iterate of Q~."""
+    """Q^[s]: the delta operator of phi^s, via the fractional iterate of Q~.
+
+    Library-only: its indicator is what ``umbra iterate --series <Q~> --s <s>``
+    prints, so a subcommand of its own would duplicate ``iterate``.
+    """
     if not Q.is_unitary():
         raise NotUnitary("fractional bracket powers need a unitary delta")
     q = Q.indicator.truncate(n) if Q.indicator.trunc > n else Q.indicator

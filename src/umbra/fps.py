@@ -440,11 +440,5 @@ def monomial(n: int, c: RatLike = 1) -> Poly:
     return poly([0] * n + [rat(c)])
 
 
-def poly_to_series(p: Poly, trunc: int) -> Series:
-    if not p.is_zero() and p.degree() > trunc:
-        raise TruncationError("polynomial degree exceeds requested trunc")
-    return series(list(p.coeffs), trunc)
-
-
 def series_to_poly(f: Series) -> Poly:
     return poly(list(f.coeffs))

@@ -8,12 +8,10 @@ serialize(deserialize(s)) == s byte-exactly.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
-from .fps import Poly, Series, poly, series
-from .operators import DeltaOp, ShiftOp, validate_delta
+from .fps import Poly, Series, series
 from .rational import rat, rat_str
-from .umbral import Triangle, triangle
+from .umbral import Triangle
 
 
 def dumps(obj) -> str:
@@ -40,34 +38,6 @@ def poly_to_json(p: Poly) -> dict:
     return {"kind": "poly", "coeffs": [rat_str(c) for c in p.coeffs]}
 
 
-def poly_from_json(obj: dict) -> Poly:
-    if obj.get("kind") != "poly":
-        raise ValueError("not a poly object")
-    return poly([rat(c) for c in obj["coeffs"]])
-
-
-# -- operators ----------------------------------------------------------------
-
-
-def shiftop_to_json(T: ShiftOp) -> dict:
-    out = {"kind": "shiftop", "indicator": series_to_json(T.indicator)}
-    if isinstance(T, DeltaOp):
-        out["unit"] = rat_str(T.unit)
-    return out
-
-
-def shiftop_from_json(obj: dict) -> ShiftOp:
-    if obj.get("kind") != "shiftop":
-        raise ValueError("not a shiftop object")
-    ind = series_from_json(obj["indicator"])
-    if "unit" in obj:
-        op = validate_delta(ShiftOp(ind))
-        if op.unit != rat(obj["unit"]):
-            raise ValueError("stored unit does not match the indicator")
-        return op
-    return ShiftOp(ind)
-
-
 # -- triangles ----------------------------------------------------------------
 
 
@@ -75,24 +45,8 @@ def triangle_to_json(t: Triangle) -> dict:
     return {"kind": "triangle", "n": t.n, "rows": [[rat_str(v) for v in row] for row in t.rows]}
 
 
-def triangle_from_json(obj: dict) -> Triangle:
-    if obj.get("kind") != "triangle":
-        raise ValueError("not a triangle object")
-    t = triangle(obj["rows"])
-    if t.n != int(obj["n"]):
-        raise ValueError("row count does not match n")
-    return t
-
-
 def triangle_to_tsv(t: Triangle) -> str:
     return "\n".join("\t".join(rat_str(v) for v in row) for row in t.rows) + "\n"
-
-
-# -- matrices -----------------------------------------------------------------
-
-
-def matrix_to_json(m: tuple[tuple[Fraction, ...], ...]) -> dict:
-    return {"kind": "matrix", "n": len(m), "rows": [[rat_str(v) for v in row] for row in m]}
 
 
 # -- reports ------------------------------------------------------------------

@@ -29,6 +29,7 @@ from .fps import (
     comp_inv,
     derive,
     exp_series,
+    monomial,
     mul_inv,
     poly,
     pow_rat,
@@ -225,7 +226,7 @@ def basic_transfer(Q: DeltaOp, n: int) -> UmbralOp:
     power = ratio
     for m in range(n + 1):
         op = ShiftOp(qprime * power)
-        rows.append(apply_op(op, _monomial(m)))
+        rows.append(apply_op(op, monomial(m)))
         power = power * ratio
     return UmbralOp(tri_from_polys(rows), Q)
 
@@ -237,7 +238,7 @@ def basic_steffensen(Q: DeltaOp, n: int) -> UmbralOp:
     rows: list[Poly] = [poly([1])]
     power = ratio
     for m in range(1, n + 1):
-        rows.append(apply_op(ShiftOp(power), _monomial(m - 1)).times_x())
+        rows.append(apply_op(ShiftOp(power), monomial(m - 1)).times_x())
         power = power * ratio
     return UmbralOp(tri_from_polys(rows), Q)
 
@@ -278,7 +279,7 @@ def basic_km(Q: DeltaOp, n: int) -> UmbralOp:
     rows: list[Poly] = []
     for m in range(n + 1):
         acc = poly([])
-        u = _monomial(m)
+        u = monomial(m)
         j = 0
         fact = 1
         while not u.is_zero():
@@ -334,6 +335,29 @@ def delta_of(phi: UmbralOp | Triangle, trunc: int | None = None) -> DeltaOp:
         raise NotDelta(f"column 1 does not start with a nonzero entry: {exc}") from exc
 
 
+def binomial_grid(
+    p_sum: Sequence[Callable], p_x: Sequence[Callable], p_y: Sequence[Callable], n: int
+) -> tuple[int, Fraction, Fraction] | None:
+    """First (m, x, y) with p_sum[m](x+y) != sum_k C(m,k) p_x[k](x) p_y[m-k](y), or None.
+
+    Degrees m = 0..n are tried in turn, then x, then y, each over the grid
+    {0, 1/2, ..., (m+1)/2}.  Every callable is evaluated once per grid point
+    into a value table, so the convolution itself is only inner products.
+    """
+    half = [Fraction(i, 2) for i in range(2 * n + 3)]
+    at_x = [[p(t) for t in half[: n + 2]] for p in p_x[: n + 1]]
+    at_y = [[p(t) for t in half[: n + 2]] for p in p_y[: n + 1]]
+    for m in range(n + 1):
+        lhs = [p_sum[m](t) for t in half[: 2 * m + 3]]
+        cols = [[at_y[m - k][j] for k in range(m + 1)] for j in range(m + 2)]
+        for i in range(m + 2):
+            row = [comb(m, k) * at_x[k][i] for k in range(m + 1)]
+            for j, col in enumerate(cols):
+                if lhs[i + j] != dot(row, col):
+                    return m, half[i], half[j]
+    return None
+
+
 def is_binomial_type(tri: Triangle) -> bool:
     """Detect binomial type == basicness.
 
@@ -341,7 +365,7 @@ def is_binomial_type(tri: Triangle) -> bool:
         C(i+j, i) coeff[n][i+j] = sum_k C(n,k) coeff[k][i] coeff[n-k][j]
     for all n <= N, i + j <= n, and additionally verifies
         p_n(x+y) = sum_k C(n,k) p_k(x) p_{n-k}(y)
-    on an (n+2)^2 rational grid per degree.
+    on the grid of ``binomial_grid``.
     """
     if tri.entry(0, 0) != 1:
         return False
@@ -355,18 +379,8 @@ def is_binomial_type(tri: Triangle) -> bool:
                 a = [comb(n, k) * tri.entry(k, i) for k in range(n + 1)]
                 if lhs != dot(a, [tri.entry(n - k, j) for k in range(n + 1)]):
                     return False
-    # grid check of the bivariate identity
-    for n in range(tri.n + 1):
-        pn = tri.row_poly(n)
-        pk = [tri.row_poly(k) for k in range(n + 1)]
-        pts = [Fraction(i, 2) for i in range(n + 2)]
-        for x in pts:
-            for y in pts:
-                lhs = pn(x + y)
-                rhs = sum(comb(n, k) * pk[k](x) * pk[n - k](y) for k in range(n + 1))
-                if lhs != rhs:
-                    return False
-    return True
+    rows = [tri.row_poly(k) for k in range(tri.n + 1)]
+    return binomial_grid(rows, rows, rows, tri.n) is None
 
 
 def sheffer(A: ShiftOp, phi: UmbralOp) -> ShefferOp:
@@ -461,7 +475,3 @@ def special_class_check(phi: UmbralOp, U: ShiftOp, V: ShiftOp, n: int) -> bool:
         if lhs != rhs:
             return False
     return True
-
-
-def _monomial(m: int) -> Poly:
-    return poly([0] * m + [1])

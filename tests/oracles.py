@@ -18,9 +18,10 @@ from umbra.fps import (
     Poly, Series, comp_inv, compose, derive, exp_series, mul_inv, poly, series, x_series
 )
 from umbra.flow import iterate_int
-from umbra.operators import ShiftOp, apply_op
-from umbra.rational import binom
-from umbra.umbral import Triangle
+from umbra.operators import DeltaOp, ShiftOp, apply_op, validate_delta
+from umbra.rational import binom, rat, rat_str
+from umbra.serialize import series_from_json, series_to_json
+from umbra.umbral import Triangle, triangle
 
 
 # -- number triangles via their classical recurrences -------------------------
@@ -453,3 +454,44 @@ def commutation_expansion_check(phi, n: int) -> bool:
         if phi.basic_poly(n + m) != rhs:
             return False
     return True
+
+
+# -- JSON readers and writers that only the tests use ------------------------------
+
+
+def poly_from_json(obj: dict) -> Poly:
+    if obj.get("kind") != "poly":
+        raise ValueError("not a poly object")
+    return poly([rat(c) for c in obj["coeffs"]])
+
+
+def shiftop_to_json(T: ShiftOp) -> dict:
+    out = {"kind": "shiftop", "indicator": series_to_json(T.indicator)}
+    if isinstance(T, DeltaOp):
+        out["unit"] = rat_str(T.unit)
+    return out
+
+
+def shiftop_from_json(obj: dict) -> ShiftOp:
+    if obj.get("kind") != "shiftop":
+        raise ValueError("not a shiftop object")
+    ind = series_from_json(obj["indicator"])
+    if "unit" in obj:
+        op = validate_delta(ShiftOp(ind))
+        if op.unit != rat(obj["unit"]):
+            raise ValueError("stored unit does not match the indicator")
+        return op
+    return ShiftOp(ind)
+
+
+def triangle_from_json(obj: dict) -> Triangle:
+    if obj.get("kind") != "triangle":
+        raise ValueError("not a triangle object")
+    t = triangle(obj["rows"])
+    if t.n != int(obj["n"]):
+        raise ValueError("row count does not match n")
+    return t
+
+
+def matrix_to_json(m: tuple[tuple[Fraction, ...], ...]) -> dict:
+    return {"kind": "matrix", "n": len(m), "rows": [[rat_str(v) for v in row] for row in m]}

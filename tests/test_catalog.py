@@ -1,7 +1,11 @@
 """Family catalog: closed forms, lookups, identity reports."""
 
+import sys
+from fractions import Fraction as F
+
 import pytest
 
+from umbra import _kernel, catalog
 from umbra.catalog import (
     DEFAULT_CHECK_SET,
     Report,
@@ -14,7 +18,8 @@ from umbra.catalog import (
     stirling2,
 )
 from umbra.errors import UnknownFamily
-from umbra.fps import x_series
+from umbra.fps import poly, x_series
+from umbra.umbral import ShefferOp, Triangle, binomial_grid, is_binomial_type, tri_from_polys
 
 import oracles
 
@@ -118,3 +123,154 @@ def test_identity_check_seeded_is_deterministic():
     assert [(r.identity, r.status) for r in a.results] == [
         (r.identity, r.status) for r in b.results
     ]
+
+
+# -- the binomial-convolution grid ------------------------------------------------------------
+
+_CORRUPTIONS = {"x": poly([0, 1]), "cubic": poly([0, F(1, 2), F(-3, 2), 1])}  # x(x-1/2)(x-1)
+
+_GRID_SITES = {
+    "binomial_type": lambda: catalog._check_binomial(family("falling"), 8),
+    "chu_vandermonde": lambda: catalog._check_chu_vandermonde(family("falling"), 8),
+    "abel_identity": lambda: catalog._check_abel_identity(family("abel", a=1), 8),
+    "smooth_abel": lambda: catalog._check_smooth_abel(family("abel", a=1), 8),
+    "degenerate_cross": lambda: catalog._check_degenerate_cross(family("degenerate_laguerre", p=2), 6),
+}
+
+# Counterexamples captured before the five sites shared `binomial_grid`, with p_m replaced
+# by p_m + c: the triangle rows for the basic and Sheffer sets, the Abel polynomials
+# x(x - ak)^(k-1) for the two Abel identities (smooth_abel's grid uses them for p_x).
+# binomial_type's coefficient identity reads the triangle entries, so only its grid fails.
+_GRID_COUNTEREXAMPLES = {
+    (2, "x"): {
+        "binomial_type": {"n": 8},
+        "chu_vandermonde": {"n": 3, "x": "1/2", "y": "1/2"},
+        "abel_identity": {"n": 3, "x": "1/2", "y": "1/2"},
+        "smooth_abel": {"form": "grid", "n": 2, "x": "1/2", "y": "0"},
+        "degenerate_cross": {"n": 3, "u": "0", "v": "0"},
+    },
+    (3, "x"): {
+        "binomial_type": {"n": 8},
+        "chu_vandermonde": {"n": 4, "x": "1/2", "y": "1/2"},
+        "abel_identity": {"n": 4, "x": "1/2", "y": "1/2"},
+        "smooth_abel": {"form": "grid", "n": 3, "x": "1/2", "y": "0"},
+        "degenerate_cross": {"n": 4, "u": "0", "v": "0"},
+    },
+    (5, "x"): {
+        "binomial_type": {"n": 8},
+        "chu_vandermonde": {"n": 6, "x": "1/2", "y": "1/2"},
+        "abel_identity": {"n": 6, "x": "1/2", "y": "1/2"},
+        "smooth_abel": {"form": "grid", "n": 5, "x": "1/2", "y": "0"},
+        "degenerate_cross": {"n": 6, "u": "0", "v": "0"},
+    },
+    (3, "cubic"): {
+        "binomial_type": {"n": 8},
+        "chu_vandermonde": {"n": 3, "x": "1/2", "y": "1"},
+        "abel_identity": {"n": 3, "x": "1/2", "y": "1"},
+        "smooth_abel": {"form": "grid", "n": 3, "x": "3/2", "y": "0"},
+        "degenerate_cross": {"n": 3, "u": "0", "v": "0"},
+    },
+    (5, "cubic"): {
+        "binomial_type": {"n": 8},
+        "chu_vandermonde": {"n": 5, "x": "1/2", "y": "1"},
+        "abel_identity": {"n": 5, "x": "1/2", "y": "1"},
+        "smooth_abel": {"form": "grid", "n": 5, "x": "3/2", "y": "0"},
+        "degenerate_cross": {"n": 5, "u": "0", "v": "0"},
+    },
+}
+
+
+def _corrupt_rows(monkeypatch, m, extra=_CORRUPTIONS["x"]):
+    real = Triangle.row_poly
+    monkeypatch.setattr(
+        Triangle, "row_poly", lambda tri, n: real(tri, n) + (extra if n == m else poly([]))
+    )
+
+
+def _corrupt_abel(monkeypatch, m, extra=_CORRUPTIONS["x"]):
+    real = catalog._abel_polys
+
+    def abel_polys(a, n):
+        polys = real(a, n)
+        polys[m] = polys[m] + extra
+        return polys
+
+    monkeypatch.setattr(catalog, "_abel_polys", abel_polys)
+
+
+@pytest.mark.parametrize("site", sorted(_GRID_SITES))
+@pytest.mark.parametrize("m, corruption", sorted(_GRID_COUNTEREXAMPLES))
+def test_grid_identity_reports_the_first_failing_point(monkeypatch, site, m, corruption):
+    assert _GRID_SITES[site]() is None
+    corrupt = _corrupt_abel if site in ("abel_identity", "smooth_abel") else _corrupt_rows
+    corrupt(monkeypatch, m, _CORRUPTIONS[corruption])
+    assert _GRID_SITES[site]() == _GRID_COUNTEREXAMPLES[m, corruption][site]
+
+
+@pytest.mark.parametrize(
+    "basic_row, abel_row, expected",
+    [
+        (5, 2, {"form": "grid", "n": 2, "x": "1/2", "y": "0"}),
+        (4, 3, {"form": "grid", "n": 3, "x": "1/2", "y": "0"}),
+        (3, 3, {"form": "sheffer", "n": 3}),
+        (2, 5, {"form": "sheffer", "n": 2}),
+    ],
+)
+def test_smooth_abel_reports_the_lower_degree_of_its_two_forms(
+    monkeypatch, basic_row, abel_row, expected
+):
+    # at equal degree the Sheffer form comes first; captured as above
+    _corrupt_rows(monkeypatch, basic_row)
+    _corrupt_abel(monkeypatch, abel_row)
+    assert _GRID_SITES["smooth_abel"]() == expected
+
+
+@pytest.mark.parametrize(
+    "exponent, expected",
+    [
+        ("0", {"u": "0", "v": "0", "n": 4}),
+        ("1", {"u": "0", "v": "1", "n": 3}),
+        ("2", {"u": "1", "v": "1", "n": 3}),
+        ("-1", {"u": "-1/2", "v": "-1/2", "n": 3}),
+        ("-1/2", {"u": "0", "v": "-1/2", "n": 3}),
+        ("1/2", {"u": "1", "v": "-1/2", "n": 3}),
+    ],
+)
+def test_degenerate_cross_names_the_corrupted_exponent_pair(monkeypatch, exponent, expected):
+    # p_3 + x in the cross sequence of one exponent only; captured as above
+    real = catalog.cross
+
+    def cross(C, u, phi):
+        sh = real(C, u, phi)
+        if u != F(exponent):
+            return sh
+        rows = [sh.sheffer_poly(k) + (poly([0, 1]) if k == 3 else poly([])) for k in range(sh.n + 1)]
+        return ShefferOp(tri_from_polys(rows), sh.delta, sh.appell)
+
+    monkeypatch.setattr(catalog, "cross", cross)
+    assert _GRID_SITES["degenerate_cross"]() == expected
+
+
+def test_binomial_grid_returns_the_point_itself():
+    rows = [family("falling").basic(8).basic_poly(m) for m in range(9)]
+    assert binomial_grid(rows, rows, rows, 8) is None
+    assert binomial_grid([poly([2])] + rows[1:], rows, rows, 8) == (0, 0, 0)
+    rows[2] = rows[2] + poly([0, 1])
+    assert binomial_grid(rows, rows, rows, 8) == (3, F(1, 2), F(1, 2))
+
+
+def test_is_binomial_type_evaluates_each_polynomial_once_per_point(monkeypatch):
+    # the inline grid evaluated every p_k again for each (x, y): thousands of calls at N = 8
+    N = 8
+    tri = family("touchard").basic(N).tri
+    real, calls = _kernel.evaluate, []
+
+    def counting(c, a):
+        calls.append(a)
+        return real(c, a)
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "umbra" and getattr(module, "evaluate", None) is real:
+            monkeypatch.setattr(module, "evaluate", counting)
+    assert is_binomial_type(tri)
+    assert 0 < len(calls) <= 3 * (N + 1) * (2 * N + 3)

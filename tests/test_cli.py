@@ -2,11 +2,19 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import time
+from decimal import Decimal, localcontext
+from pathlib import Path
 
 import pytest
 
 from umbra.cli import main
-from umbra.serialize import series_from_json, triangle_from_json
+from umbra.serialize import series_from_json
+
+from oracles import triangle_from_json
 
 
 def run(capsys, *argv):
@@ -280,6 +288,9 @@ GOLDEN_JSON = {
         "e67b3ed0f1415982db53b3e2c8f250963132cfad26c982f48f0bdbc8344acac2",
     ("phipow", "--delta=exp(D)-1", "--s=1/2", "--order=32"):
         "4b2433df15d671388eed61bc6e3ea956d3866205b5ff3f978375259e33f616a1",
+    # captured before the catalog's grid identities shared one binomial-convolution grid
+    ("check", "--all"):
+        "eea5bbdd0a8fe9ec0549ef082a5e3f207bb851252ee447468e4deb16902f71d1",
 }
 
 
@@ -288,6 +299,50 @@ def test_json_stdout_matches_golden_digests(capsys):
         code, out, _ = run(capsys, *argv, "--format=json")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+def test_check_all_digest_holds_under_optimize_flag():
+    # `python -O` strips assert statements; no catalog check may go with them
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "umbra.cli", "check", "--all", "--format=json"],
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == GOLDEN_JSON["check", "--all"]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            "99999999999999999999999999999999999999999999^999999",
+            "power ^999999 would grow a coefficient past 65536 bits (at offset 0)",
+        ),
+        ("2^99999999", "power ^99999999 would grow a coefficient past 65536 bits (at offset 0)"),
+        ("x+(1+x)^1048577", "power ^1048577 has an exponent above 1048576 (at offset 3)"),
+    ],
+)
+def test_oversized_power_is_refused_up_front(capsys, text, message):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "series", text)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_power_within_the_bound_prints_exactly(capsys):
+    code, out, err = run(capsys, "series", "2^20000", "--order", "2", "--format", "tsv")
+    with localcontext() as ctx:
+        ctx.prec = 7000  # 2^20000 has 6021 digits; decimal is not bound by the int limit
+        expected = str(Decimal(2) ** 20000)
+    assert code == 0 and err == ""
+    assert out == f"{expected}\t0\t0\n"
+    code, out, _ = run(capsys, "series", "(1+x)^999999", "--order", "8", "--format", "tsv")
+    assert code == 0
+    assert out.split("\t")[:3] == ["1", "999999", str(999999 * 999998 // 2)]
 
 
 @pytest.mark.parametrize(

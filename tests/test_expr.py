@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from umbra.errors import ConstantTermError, DivisionOrderError, NotInvertible, ParseError
+from umbra.errors import ConstantTermError, DivisionOrderError, NotInvertible, ParseError, UmbraError
 from umbra.expr import BinOp, Call, Neg, Num, Pow, Var, eval_expr, parse, render
 from umbra.fps import log1p, series
 
@@ -108,6 +108,39 @@ def test_eval_negative_power_requires_unit():
 def test_eval_rational_power_requires_unit_constant():
     with pytest.raises(ConstantTermError):
         eval_expr("(2+x)^(1/2)", 4)
+
+
+@pytest.mark.parametrize(
+    "text, order",
+    [
+        ("2^65536", 0),  # 1 bit per unit of k
+        ("(1/2)^-65536", 0),
+        ("(2-x/3)^32768", 2),  # 2 bits: ceil(log2 3)
+        ("(4^16384)^2", 0),
+        ("x^1048576", 4),  # coefficients 1 add no bits; the exponent bound holds
+        ("(1-x)^-1048576", 2),
+        ("0^1048576", 2),
+    ],
+)
+def test_eval_power_at_the_bound(text, order):
+    eval_expr(text, order)
+
+
+@pytest.mark.parametrize(
+    "text, order",
+    [
+        ("2^65537", 0),
+        ("(1/2)^-65537", 0),
+        ("(2-x/3)^32769", 2),
+        ("4^32769", 0),
+        ("(4^16384+1)^2", 0),
+        ("x^1048577", 4),
+        ("(1-x)^-1048577", 2),
+    ],
+)
+def test_eval_power_past_the_bound_is_refused(text, order):
+    with pytest.raises(UmbraError, match=r"power \^-?\d+ (would grow|has an exponent)"):
+        eval_expr(text, order)
 
 
 def test_precedence():

@@ -7,19 +7,22 @@ from umbra.fps import poly, series
 from umbra.operators import ShiftOp, shift_by, validate_delta
 from umbra.serialize import (
     dumps,
-    matrix_to_json,
-    poly_from_json,
     poly_to_json,
     report_to_json,
     series_from_json,
     series_to_json,
-    shiftop_from_json,
-    shiftop_to_json,
-    triangle_from_json,
     triangle_to_json,
     triangle_to_tsv,
 )
 from umbra.umbral import basic_transfer
+
+from oracles import (
+    matrix_to_json,
+    poly_from_json,
+    shiftop_from_json,
+    shiftop_to_json,
+    triangle_from_json,
+)
 
 
 def test_series_schema_shape():
