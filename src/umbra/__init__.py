@@ -66,7 +66,6 @@ from .umbral import (
     basic_recurrence,
     basic_steffensen,
     basic_transfer,
-    coeff_via_ratio,
     connection_constants,
     cross,
     delta_of,

@@ -93,8 +93,7 @@ class FamilySpec:
     name: str
     params: dict
     delta_builder: Callable[[int], DeltaOp]
-    closed_form: Callable[[int, int], Fraction] | None
-    unitary: bool
+    closed_form: Callable[[int, int], Fraction]
 
     def delta(self, trunc: int) -> DeltaOp:
         return self.delta_builder(trunc)
@@ -109,7 +108,6 @@ def _spec_derivative() -> FamilySpec:
         {},
         lambda t: validate_delta(ShiftOp(x_series(t))),
         lambda n, k: Fraction(1 if n == k else 0),
-        True,
     )
 
 
@@ -121,7 +119,6 @@ def _spec_stretch(lam: Fraction) -> FamilySpec:
         {"lam": lam},
         lambda t: validate_delta(ShiftOp(x_series(t).scale(1 / lam))),
         lambda n, k: lam**n if n == k else Fraction(0),
-        lam == 1,
     )
 
 
@@ -131,7 +128,6 @@ def _spec_falling() -> FamilySpec:
         {},
         lambda t: validate_delta(shift_by(1, t) - 1),
         lambda n, k: Fraction((-1) ** (n - k) * stirling1_unsigned(n, k)),
-        True,
     )
 
 
@@ -141,7 +137,6 @@ def _spec_rising() -> FamilySpec:
         {},
         lambda t: validate_delta(1 - shift_by(-1, t)),
         lambda n, k: Fraction(stirling1_unsigned(n, k)),
-        True,
     )
 
 
@@ -152,7 +147,7 @@ def _spec_divided_difference(h: Fraction) -> FamilySpec:
     else:
         builder = lambda t: validate_delta((shift_by(h, t) - 1) * (1 / h))
         form = lambda n, k: (-1) ** (n - k) * stirling1_unsigned(n, k) * h ** (n - k)
-    return FamilySpec("divided_difference", {"h": h}, builder, form, True)
+    return FamilySpec("divided_difference", {"h": h}, builder, form)
 
 
 def _spec_touchard() -> FamilySpec:
@@ -163,7 +158,6 @@ def _spec_touchard() -> FamilySpec:
         {},
         lambda t: validate_delta(ShiftOp(log1p(t))),
         lambda n, k: Fraction(stirling2(n, k)),
-        True,
     )
 
 
@@ -180,7 +174,6 @@ def _spec_abel(a: Fraction) -> FamilySpec:
         {"a": a},
         lambda t: validate_delta(ShiftOp(x_series(t) * exp_series(x_series(t).scale(a)))),
         form,
-        True,
     )
 
 
@@ -197,7 +190,6 @@ def _spec_catalan() -> FamilySpec:
         {},
         lambda t: validate_delta(ShiftOp(series([0, 1, -1], t))),
         form,
-        True,
     )
 
 
@@ -207,7 +199,6 @@ def _spec_laguerre() -> FamilySpec:
         {},
         lambda t: validate_delta(ShiftOp(mul_inv(series([1, -1], t)).shift_up(1).truncate(t))),
         lambda n, k: Fraction((-1) ** (n - k) * lah(n, k)),
-        True,
     )
 
 
@@ -225,7 +216,7 @@ def _spec_degenerate_laguerre(p: int) -> FamilySpec:
         j = (n - k) // p
         return binom(Fraction(n, p) - 1, j) * Fraction(factorial(n), factorial(k)) * (-p) ** j
 
-    return FamilySpec("degenerate_laguerre", {"p": p}, build, form, True)
+    return FamilySpec("degenerate_laguerre", {"p": p}, build, form)
 
 
 _SPEC_FACTORIES: dict[str, Callable[..., FamilySpec]] = {
@@ -320,7 +311,7 @@ def _check_routes(spec: FamilySpec, n: int):
         base = basic_all_routes(spec.delta(n + 2), n).tri
     except RouteDisagreement as exc:
         return {"route": exc.routes[1], "against": exc.routes[0]}
-    if spec.closed_form is not None and base != _closed_triangle(spec, n):
+    if base != _closed_triangle(spec, n):
         return {"route": "closed_form"}
     return None
 

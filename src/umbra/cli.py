@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import catalog, serialize, sigma
 from .errors import RouteDisagreement, UmbraError
-from .expr import MAX_POWER_BITS, eval_expr
+from .expr import MAX_STR_DIGITS, eval_expr
 from .flow import frac_iterate, itlog, phi_pow
 from .fps import Poly, Series, comp_inv, format_series, series_to_poly
 from .operators import ShiftOp, validate_delta
@@ -26,8 +26,6 @@ from .rational import rat, rat_str
 from .umbral import BASIC_ROUTES, Triangle, basic_all_routes, basic_transfer, sheffer
 
 MAX_ORDER = 64
-# a b-bit integer has under 0.302 b + 1 digits: room for the binomial growth past a power's bound
-MAX_STR_DIGITS = MAX_POWER_BITS // 3
 
 
 def _default_order() -> int:

@@ -18,7 +18,9 @@ cancelling the shared x^k factor (so "D/(exp(D)-1)" works), and "1/D" is a
 DivisionOrderError.  A tree deeper than MAX_DEPTH, or more than MAX_DEPTH
 brackets, calls and unary minuses around one token, is a ParseError.  An
 integer power that could grow a coefficient by more than MAX_POWER_BITS bits
-is refused before it is computed, and so is an exponent above MAX_EXPONENT.
+is refused before it is computed, and so is an exponent above MAX_EXPONENT;
+any other node whose value has a numerator or denominator too long to print
+in MAX_STR_DIGITS digits is refused as soon as it is computed.
 """
 
 from __future__ import annotations
@@ -84,6 +86,8 @@ class BinOp(Node):
 
 @dataclass(frozen=True)
 class Pow(Node):
+    """base ^ exponent; pos is the offset of the '^' token."""
+
     base: Node
     exponent: Fraction
 
@@ -92,6 +96,11 @@ class Pow(Node):
 class Call(Node):
     func: str
     arg: Node
+
+
+def _start(node: Node) -> int:
+    """Offset of a node's first token, the pos of a BinOp over it."""
+    return _start(node.base) if isinstance(node, Pow) else node.pos
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +208,7 @@ class _Parser:
         while self.peek().kind in ("+", "-"):
             op = self.advance()
             rhs, h = self.term()
-            node, height = BinOp(node.pos, op.kind, node, rhs), self.bounded(max(height, h) + 1, op)
+            node, height = BinOp(_start(node), op.kind, node, rhs), self.bounded(max(height, h) + 1, op)
         return node, height
 
     def term(self) -> tuple[Node, int]:
@@ -207,7 +216,7 @@ class _Parser:
         while self.peek().kind in ("*", "/"):
             op = self.advance()
             rhs, h = self.factor()
-            node, height = BinOp(node.pos, op.kind, node, rhs), self.bounded(max(height, h) + 1, op)
+            node, height = BinOp(_start(node), op.kind, node, rhs), self.bounded(max(height, h) + 1, op)
         return node, height
 
     def factor(self) -> tuple[Node, int]:
@@ -225,7 +234,7 @@ class _Parser:
         if tok.kind == "^":
             self.advance()
             exponent = self.exponent()
-            return Pow(base.pos, base, exponent), self.bounded(height + 1, tok)
+            return Pow(tok.pos, base, exponent), self.bounded(height + 1, tok)
         return base, height
 
     def exponent(self) -> Fraction:
@@ -361,17 +370,31 @@ def _at(pos: int):
 
 MAX_POWER_BITS = 1 << 16
 MAX_EXPONENT = 1 << 20
+# a b-bit integer has under 0.302 b + 1 digits: room for the binomial growth past a power's bound
+MAX_STR_DIGITS = MAX_POWER_BITS // 3
+# log2(10) > 3.321, so an integer up to 2^MAX_VALUE_BITS prints in MAX_STR_DIGITS digits
+MAX_VALUE_BITS = MAX_STR_DIGITS * 3321 // 1000
 
 
-def _growth_bits(f: Series) -> int:
-    """Largest ceil(log2 |v|) over the numerators and denominators v of f: the
-    bits each unit of k adds to f^k (none for coefficients +-1, whose powers
-    grow by binomials only; MAX_EXPONENT bounds those)."""
+def _bits(f: Series) -> int:
+    """Largest ceil(log2 |v|) over the numerators and denominators v of f, so
+    each |v| <= 2^bits: the bits each unit of k adds to f^k (none for
+    coefficients +-1, whose powers grow by binomials only; MAX_EXPONENT bounds
+    those)."""
     parts = [v for c in f.coeffs if c for v in (c.numerator, c.denominator)]
     return max(((abs(v) - 1).bit_length() for v in parts), default=0)
 
 
 def _eval(node: Node, trunc: int) -> Series:
+    """Evaluate one node; refuse a value that would not print in MAX_STR_DIGITS digits."""
+    value = _eval_node(node, trunc)
+    if _bits(value) > MAX_VALUE_BITS:
+        with _at(node.pos):
+            raise UmbraError(f"a coefficient would exceed {MAX_STR_DIGITS} digits")
+    return value
+
+
+def _eval_node(node: Node, trunc: int) -> Series:
     if isinstance(node, Num):
         return const(node.value, trunc)
     if isinstance(node, Var):
@@ -392,7 +415,7 @@ def _eval(node: Node, trunc: int) -> Series:
         with _at(node.pos):
             if e.denominator == 1:
                 k = int(e)
-                if abs(k) * _growth_bits(base) > MAX_POWER_BITS:
+                if abs(k) * _bits(base) > MAX_POWER_BITS:
                     raise UmbraError(f"power ^{k} would grow a coefficient past {MAX_POWER_BITS} bits")
                 if abs(k) > MAX_EXPONENT:
                     raise UmbraError(f"power ^{k} has an exponent above {MAX_EXPONENT}")

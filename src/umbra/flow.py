@@ -13,7 +13,7 @@ from math import factorial
 
 from ._kernel import dot, krylov
 from .errors import NotUnitary, OrderError, TruncationError, agree
-from .fps import Series, comp_inv, compose, derive, series, x_series
+from .fps import Series, comp_inv, compose, derive, expm1, monomial, series, x_series
 from .operators import DeltaOp, ShiftOp, apply_op, validate_delta
 from .rational import RatLike, binom_row, rat
 from .umbral import (
@@ -43,16 +43,15 @@ def _require_unitary(f: Series):
 
 def _shifted_triangle(tri: Triangle) -> Triangle:
     """Triangle of (phi - 1): the diagonal zeroed out."""
-    rows = []
-    for n, row in enumerate(tri.rows):
-        r = list(row)
-        r[n] = Fraction(0)
-        rows.append(tuple(r))
-    return Triangle(tuple(rows))
+    return Triangle(tuple(row[:n] + (Fraction(0),) for n, row in enumerate(tri.rows)))
 
 
 def shifted_powers(tri: Triangle, pmax: int) -> list[Triangle]:
-    """[(phi-1)^p for p = 0..pmax] by repeated composition (nilpotent)."""
+    """[(phi-1)^p for p = 0..pmax] by repeated composition (nilpotent).
+
+    No construction calls it: it stays as the full-power reference that the
+    columns of _column_powers are tested against, at O(pmax N^3).
+    """
     shifted = _shifted_triangle(tri)
     out = [tri_identity(tri.n)]
     for _ in range(pmax):
@@ -117,8 +116,6 @@ def itlog(f: Series) -> Series:
 
 def koszul_numbers(n_max: int) -> list[Fraction]:
     """K_n = n! [x^n] itlog(e^x - 1) for n = 0..n_max."""
-    from .fps import expm1
-
     f_star = itlog(expm1(n_max))
     return [f_star[n] * factorial(n) for n in range(n_max + 1)]
 
@@ -170,9 +167,10 @@ def phi_pow(Q: DeltaOp, s: RatLike, n: int) -> Triangle:
     """Triangle of phi^s for the basic operator of a unitary delta Q.
 
     Route A applies the flow exponential e^{-s X Q_*} to monomials (each
-    X Q_* factor drops the degree, so rows terminate); route B uses the
-    coefficient formula through (phi-1)^p.  Both must agree; for integer s
-    the result also equals the repeated triangle composition.
+    X Q_* factor drops the degree, so rows terminate); route B is the Bell
+    triangle of f^s, the fractional iterate of f = Q~^{-1}, since phi^s is the
+    umbral operator whose column-1 EGF is f^s.  A starts from itlog(q) and B
+    from comp_inv(q), so they share no intermediate result; both must agree.
     """
     if not Q.is_unitary():
         raise NotUnitary("fractional operator powers need a unitary delta")
@@ -181,33 +179,15 @@ def phi_pow(Q: DeltaOp, s: RatLike, n: int) -> Triangle:
         raise TruncationError(f"need indicator trunc >= {n}")
     q = Q.indicator.truncate(n) if Q.indicator.trunc > n else Q.indicator
     gen = ShiftOp(itlog(q))  # Q_*, indicator order >= 2
+    weights = [(-s) ** j / factorial(j) for j in range(n + 2)]  # row m has at most m + 2 terms
     rows = []
     for m in range(n + 1):
-        from .fps import poly as _poly
-
-        acc = _poly([])
-        u = _poly([0] * m + [1])
-        j = 0
-        fact = Fraction(1)
-        coef = Fraction(1)
-        while not u.is_zero():
-            acc = acc + (coef / fact) * u
-            u = apply_op(gen, u).times_x()
-            j += 1
-            fact *= j
-            coef *= -s
-        rows.append(tuple(acc[k] for k in range(m + 1)))
-    route_a = Triangle(tuple(rows))
-    # route B: coefficient formula
-    f = comp_inv(q)
-    phi = _flow_triangle(f, n)
-    powers = shifted_powers(phi.tri, n)
-    binoms = binom_row(s, n)
-    rows_b = [
-        tuple(dot(binoms, [powers[p].entry(m, k) for p in range(m - k + 1)]) for k in range(m + 1))
-        for m in range(n + 1)
-    ]
-    return agree("phi_pow", flow=route_a, coefficient=Triangle(tuple(rows_b)))
+        terms = [monomial(m)]  # (X Q_*)^j x^m until it vanishes
+        while not terms[-1].is_zero():
+            terms.append(apply_op(gen, terms[-1]).times_x())
+        rows.append(tuple(dot(weights[: len(terms)], [t[k] for t in terms]) for k in range(m + 1)))
+    route_b = basic_from_inverse_series(frac_iterate(comp_inv(q), s), n).tri
+    return agree("phi_pow", flow=Triangle(tuple(rows)), coefficient=route_b)
 
 
 def jabotinsky(tri: Triangle) -> tuple[tuple[Fraction, ...], ...]:

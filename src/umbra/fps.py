@@ -58,9 +58,6 @@ class Series:
             return self.coeffs[n]
         return Fraction(0)
 
-    def constant_term(self) -> Fraction:
-        return self.coeffs[0]
-
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 

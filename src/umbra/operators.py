@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._kernel import apply_derivatives
-from .errors import DivisionOrderError, NotAppell, NotDelta, OrderError, TruncationError
+from .errors import DivisionOrderError, NotDelta, OrderError, TruncationError
 from .fps import (
     INF,
     Poly,
@@ -38,9 +38,6 @@ class ShiftOp:
     def order(self) -> int | float:
         return self.indicator.order()
 
-    def trunc(self) -> int:
-        return self.indicator.trunc
-
     def __add__(self, other: "ShiftOp | RatLike") -> "ShiftOp":
         o = other.indicator if isinstance(other, ShiftOp) else rat(other)
         return ShiftOp(self.indicator + o)
@@ -65,12 +62,6 @@ class ShiftOp:
 
     def __pow__(self, k: int) -> "ShiftOp":
         return ShiftOp(self.indicator**k)
-
-    def inverse(self) -> "ShiftOp":
-        """Multiplicative inverse; defined iff the operator is Appell."""
-        if not is_appell(self):
-            raise NotAppell("operator with zero constant term has no inverse")
-        return ShiftOp(mul_inv(self.indicator))
 
     def __call__(self, p: Poly) -> Poly:
         return apply_op(self, p)

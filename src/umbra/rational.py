@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-Rat = Fraction
-
 RatLike = Fraction | int | str
 
 

@@ -83,11 +83,6 @@ class Triangle:
     def is_unitary(self) -> bool:
         return all(d == 1 for d in self.diagonal())
 
-    def truncated(self, n: int) -> "Triangle":
-        if n > self.n:
-            raise TruncationError(f"cannot extend triangle depth {self.n} to {n}")
-        return Triangle(self.rows[: n + 1])
-
 
 def triangle(rows: Sequence[Sequence[RatLike]]) -> Triangle:
     return Triangle(tuple(tuple(rat(v) for v in row) for row in rows))
@@ -435,21 +430,6 @@ def power_coeffs(Q: DeltaOp, n: int) -> list[Fraction]:
     """
     phi = basic_transfer(Q, n)
     return [phi.tri.entry(n, k) / comb(n - 1, k - 1) for k in range(1, n + 1)]
-
-
-def coeff_via_ratio(Q: DeltaOp, n: int) -> Triangle:
-    """coeff[m][k] extracted as the k-th coefficient of (Q^[-1]/D)^k x^m."""
-    _require_depth(Q, n)
-    g = comp_inv(Q.indicator.truncate(n + 1) if Q.indicator.trunc > n + 1 else Q.indicator)
-    ratio = g.shift_down(1)  # invQ(t)/t, order 0
-    rows = [[Fraction(0)] * (m + 1) for m in range(n + 1)]
-    rows[0][0] = Fraction(1)
-    power = series([1], ratio.trunc)
-    for k in range(1, n + 1):
-        power = power * ratio
-        for m in range(k, n + 1):
-            rows[m][k] = power[m - k] * Fraction(factorial(m), factorial(k))
-    return Triangle(tuple(tuple(r) for r in rows))
 
 
 def special_class_check(phi: UmbralOp, U: ShiftOp, V: ShiftOp, n: int) -> bool:

@@ -319,10 +319,13 @@ def test_check_all_digest_holds_under_optimize_flag():
     [
         (
             "99999999999999999999999999999999999999999999^999999",
-            "power ^999999 would grow a coefficient past 65536 bits (at offset 0)",
+            "power ^999999 would grow a coefficient past 65536 bits (at offset 44)",
         ),
-        ("2^99999999", "power ^99999999 would grow a coefficient past 65536 bits (at offset 0)"),
-        ("x+(1+x)^1048577", "power ^1048577 has an exponent above 1048576 (at offset 3)"),
+        ("2^99999999", "power ^99999999 would grow a coefficient past 65536 bits (at offset 1)"),
+        ("x+(1+x)^1048577", "power ^1048577 has an exponent above 1048576 (at offset 7)"),
+        ("2^65536*2^65536", "a coefficient would exceed 21845 digits (at offset 0)"),
+        ("2^60000*x*2^60000", "a coefficient would exceed 21845 digits (at offset 0)"),
+        ("exp(2^60000*x)", "a coefficient would exceed 21845 digits (at offset 0)"),
     ],
 )
 def test_oversized_power_is_refused_up_front(capsys, text, message):
@@ -340,6 +343,12 @@ def test_power_within_the_bound_prints_exactly(capsys):
         expected = str(Decimal(2) ** 20000)
     assert code == 0 and err == ""
     assert out == f"{expected}\t0\t0\n"
+    code, out, err = run(capsys, "series", "2^65536+2^65536", "--order", "0", "--format", "tsv")
+    with localcontext() as ctx:
+        ctx.prec = 20000  # 2^65537 has 19729 digits
+        expected = str(Decimal(2) ** 65537)
+    assert code == 0 and err == ""
+    assert out == f"{expected}\n"
     code, out, _ = run(capsys, "series", "(1+x)^999999", "--order", "8", "--format", "tsv")
     assert code == 0
     assert out.split("\t")[:3] == ["1", "999999", str(999999 * 999998 // 2)]

@@ -95,17 +95,16 @@ def _doubled(cols, k):
         col[:] = [2 * v for v in col]  # itlog: 2 lam, which also solves Julia's equation
 
 
-def _corrupt_shifted_powers(mp):
-    real = flow.shifted_powers
+def _corrupt_frac_iterate(mp):
+    # phi_pow's coefficient route: f^s gains x^2 after frac_iterate has checked it
+    real = flow.frac_iterate
+    mp.setattr(flow, "frac_iterate", lambda f, s: real(f, s) + series([0, 0, 1], f.trunc))
 
-    def corrupted(tri, pmax):
-        powers = real(tri, pmax)
-        rows = [list(r) for r in powers[1].rows]
-        rows[2][1] += 1
-        powers[1] = triangle(rows)
-        return powers
 
-    mp.setattr(flow, "shifted_powers", corrupted)
+def _doubled_itlog(mp):
+    # phi_pow's flow route: the generator Q_* doubled
+    real = flow.itlog
+    mp.setattr(flow, "itlog", lambda f: real(f).scale(2))
 
 
 def _corrupt_sigma(mp):
@@ -178,8 +177,13 @@ INJECTIONS = {
     ),
     "phipow": (
         ["phipow", "--delta", "exp(D)-1", "--s", "1/2", "--order", "5", "--format", "tsv"],
-        _corrupt_shifted_powers,
-        {"construction": "phi_pow", "routes": ["flow", "coefficient"], "index": [2, 1], "values": ["-1/2", "0"]},
+        _corrupt_frac_iterate,
+        {"construction": "phi_pow", "routes": ["flow", "coefficient"], "index": [2, 1], "values": ["-1/2", "3/2"]},
+    ),
+    "phipow_flow": (
+        ["phipow", "--delta", "exp(D)-1", "--s", "1/2", "--order", "5", "--format", "tsv"],
+        _doubled_itlog,
+        {"construction": "phi_pow", "routes": ["flow", "coefficient"], "index": [2, 1], "values": ["-1", "-1/2"]},
     ),
     "pow_rat": (
         ["series", "sqrt(1+x)", "--order", "6", "--format", "json"],

@@ -143,6 +143,15 @@ def test_eval_power_past_the_bound_is_refused(text, order):
         eval_expr(text, order)
 
 
+def test_eval_value_past_the_print_bound_is_refused():
+    # MAX_VALUE_BITS = 72547: 2^72547 prints in 21839 digits, within the 21845 allowed
+    assert eval_expr("2^65536*2^7011", 0)[0] == 2**72547
+    with pytest.raises(UmbraError, match=r"a coefficient would exceed 21845 digits \(at offset 0\)"):
+        eval_expr("2^65536*2^7012", 0)
+    with pytest.raises(UmbraError, match=r"\(at offset 2\)"):
+        eval_expr("x+exp(2^60000*x)", 2)
+
+
 def test_precedence():
     # '^' binds tighter than unary minus, which binds tighter than '*'
     assert eval_expr("-x^2", 4) == -series([0, 0, 1], 4)

@@ -40,7 +40,6 @@ from umbra.umbral import (
     tri_identity,
     tri_invert,
     tri_power,
-    triangle,
 )
 
 from oracles import (
@@ -411,16 +410,9 @@ def test_phi_pow_rejects_non_unitary():
 
 
 def test_phi_pow_cross_check_bites(monkeypatch):
-    real = flow.shifted_powers
-
-    def corrupted(tri, pmax):
-        powers = real(tri, pmax)
-        rows = [list(r) for r in powers[1].rows]
-        rows[2][1] += 1
-        powers[1] = triangle(rows)
-        return powers
-
-    monkeypatch.setattr(flow, "shifted_powers", corrupted)
+    # corrupt f^s after frac_iterate's own check, so only phi_pow can catch it
+    real = flow.frac_iterate
+    monkeypatch.setattr(flow, "frac_iterate", lambda f, s: real(f, s) + series([0, 0, 1], f.trunc))
     with pytest.raises(RouteDisagreement, match="phi_pow routes disagree"):
         phi_pow(delta_forward(10), F(1, 2), 6)
 

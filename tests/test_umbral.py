@@ -33,8 +33,8 @@ from umbra.umbral import (
     Triangle,
     UmbralOp,
     basic_from_inverse_series,
+    basic_genfunc,
     basic_transfer,
-    coeff_via_ratio,
     connection_constants,
     cross,
     delta_of,
@@ -399,15 +399,11 @@ def test_power_coeffs_gen_bernoulli():
         assert pc[k - 1] == expected
 
 
-def test_coeff_via_ratio_matches_transfer():
-    for name, Q in delta_catalog().items():
-        assert coeff_via_ratio(Q, 8) == basic_transfer(Q, 8).tri, name
-
-
 def test_coeff_via_ratio_inverse_multiderivative_is_lah():
-    # Q = D/(1+D): the ratio route runs through (1-D)^{-k} expansions
+    # Q = D/(1+D): [t^m] g^k = [t^(m-k)] (g/t)^k, the ratio route, runs through
+    # (1-D)^{-k} expansions
     Q = validate_delta(ShiftOp(mul_inv(series([1, 1], T)).shift_up(1).truncate(T)))
-    tri = coeff_via_ratio(Q, 8)
+    tri = basic_genfunc(Q, 8).tri
     for n in range(9):
         for k in range(n + 1):
             assert tri.entry(n, k) == lah(n, k)
