@@ -42,12 +42,8 @@ def evaluate(c: Sequence[Fraction], a: Fraction) -> Fraction:
     return Fraction(acc * v, den * vp)
 
 
-def convolve(a: Sequence[Fraction], b: Sequence[Fraction], n: int | None = None) -> list[Fraction]:
-    """Cauchy product c_k = sum_{i+j=k} a_i b_j for k = 0..n (default: all of it);
-    each nonzero entry of the sparser factor adds one scaled copy of the other."""
-    (x, dx), (y, dy) = scaled(a), scaled(b)
-    if n is None:
-        n = len(x) + len(y) - 2
+def cauchy(x: Sequence[int], y: Sequence[int], n: int) -> list[int]:
+    """Integer Cauchy product through x^n: each nonzero of the sparser factor adds a copy of the other."""
     if x.count(0) < y.count(0):
         x, y = y, x
     acc = [0] * (n + 1)
@@ -55,7 +51,31 @@ def convolve(a: Sequence[Fraction], b: Sequence[Fraction], n: int | None = None)
         if xi:
             seg = y[: n + 1 - i]
             acc[i : i + len(seg)] = map(add, acc[i : i + len(seg)], map(mul, repeat(xi), seg))
-    return [Fraction(v, dx * dy) for v in acc]
+    return acc
+
+
+def convolve(a: Sequence[Fraction], b: Sequence[Fraction], n: int | None = None) -> list[Fraction]:
+    """Cauchy product c_k = sum_{i+j=k} a_i b_j for k = 0..n (default: all of it)."""
+    (x, dx), (y, dy) = scaled(a), scaled(b)
+    return [Fraction(v, dx * dy) for v in cauchy(x, y, len(x) + len(y) - 2 if n is None else n)]
+
+
+def reduced(nums: Sequence[int], den: int) -> tuple[list[int], int]:
+    """nums/den over gcd(den, *nums): for den > 0 the lcm form that ``scaled`` gives."""
+    g = gcd(den, *nums)
+    return [v // g for v in nums], den // g
+
+
+def powers(f: Sequence[Fraction], count: int):
+    """Yield f^k through x^(len(f)-1) for k = 0..count as (nums, den): f is scaled once,
+    each step is one integer product and one ``reduced``, and no Fraction is built;
+    a caller that reads one power at a time never holds the whole table."""
+    x, dx = scaled(f)
+    p, dp = [1] + [0] * (len(x) - 1), 1
+    yield p, dp
+    for _ in range(count):
+        p, dp = reduced(cauchy(x, p, len(x) - 1), dp * dx)
+        yield p, dp
 
 
 def apply_derivatives(c: Sequence[Fraction], p: Sequence[Fraction]) -> list[Fraction]:

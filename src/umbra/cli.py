@@ -153,6 +153,13 @@ def _rat_pretty(q: Fraction, args) -> str:
     return _decimal_str(q) if args.decimal else rat_str(q)
 
 
+def _silence_stdout():
+    """Point stdout at the null device once its reader has gone (`umbra ... | head -1`)."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+
+
 def _emit_series(f: Series, args):
     if args.format == "json":
         print(serialize.dumps(serialize.series_to_json(f)))
@@ -183,25 +190,25 @@ def _emit_triangle(t: Triangle, args):
     elif args.format == "tsv":
         sys.stdout.write(serialize.triangle_to_tsv(t))
     else:
-        for row in t.rows:
-            print("  ".join(_rat_pretty(v, args) for v in row))
+        print("\n".join("  ".join(_rat_pretty(v, args) for v in row) for row in t.rows))
 
 
 def _emit_report(report, args) -> int:
-    if args.format == "json":
-        print(serialize.dumps(serialize.report_to_json(report)))
-    else:
-        for r in report.results:
-            mark = "PASS" if r.passed else "FAIL"
-            params = ",".join(f"{k}={rat_str(rat(v))}" for k, v in r.params.items())
-            label = f"{r.family}({params})" if params else r.family
-            print(f"{mark}\t{label}\t{r.identity}")
-    if not report.all_passed:
-        if args.format != "json":
-            failures = [r for r in report.results if not r.passed]
-            print(serialize.dumps(serialize.report_to_json(catalog.Report(failures))))
-        return 1
-    return 0
+    try:
+        if args.format == "json":
+            print(serialize.dumps(serialize.report_to_json(report)))
+        else:
+            for r in report.results:
+                mark = "PASS" if r.passed else "FAIL"
+                params = ",".join(f"{k}={rat_str(rat(v))}" for k, v in r.params.items())
+                label = f"{r.family}({params})" if params else r.family
+                print(f"{mark}\t{label}\t{r.identity}")
+            if not report.all_passed:
+                failures = [r for r in report.results if not r.passed]
+                print(serialize.dumps(serialize.report_to_json(catalog.Report(failures))))
+    except BrokenPipeError:
+        _silence_stdout()
+    return 0 if report.all_passed else 1
 
 
 def _delta_from_expr(text: str, trunc: int):
@@ -294,16 +301,22 @@ def main(argv=None) -> int:
     limit = sys.get_int_max_str_digits()
     if 0 < limit < MAX_STR_DIGITS:
         sys.set_int_max_str_digits(MAX_STR_DIGITS)
+    code = 0
     try:
-        return run(args)
-    except RouteDisagreement as exc:
-        print(serialize.dumps(serialize.disagreement_to_json(exc)))
-        return 1
-    except (UmbraError, ValueError, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        try:
+            code = run(args)
+        except RouteDisagreement as exc:
+            code = 1
+            print(serialize.dumps(serialize.disagreement_to_json(exc)))
+        except (UmbraError, ValueError, ZeroDivisionError) as exc:
+            code = 2
+            print(f"error: {exc}", file=sys.stderr)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        _silence_stdout()
     finally:
         sys.set_int_max_str_digits(limit)
+    return code
 
 
 if __name__ == "__main__":

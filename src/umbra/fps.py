@@ -16,9 +16,9 @@ from fractions import Fraction
 from math import factorial, inf
 from typing import Iterable, Sequence
 
-from ._kernel import apply_derivatives, convolve, dot, evaluate, power
+from ._kernel import apply_derivatives, convolve, dot, evaluate, power, powers, reduced
 from .errors import ConstantTermError, NotInvertible, OrderError, TruncationError, agree
-from .rational import RatLike, rat
+from .rational import RatLike, rat, rat_str
 
 INF = inf
 
@@ -123,17 +123,22 @@ class Series:
     def __pow__(self, k: int) -> "Series":
         if k < 0:
             return mul_inv(self) ** (-k)
-        result = const(1, self.trunc)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return _binary_power(self, k, const(1, self.trunc))
 
     def __str__(self) -> str:
         return format_series(self)
+
+
+def _binary_power(base, k: int, one):
+    """base^k for k >= 0 by squaring, with no product by ``one`` and none past k's top bit."""
+    result = None
+    while k:
+        if k & 1:
+            result = base if result is None else result * base
+        k >>= 1
+        if k:
+            base = base * base
+    return one if result is None else result
 
 
 def series(values: Sequence[RatLike], trunc: int | None = None) -> Series:
@@ -208,19 +213,19 @@ def mul_inv(f: Series) -> Series:
 def comp_inv(f: Series) -> Series:
     """Compositional inverse of an order-1 series (triangular solve).
 
-    Solves sum_k b_k f(t)^k = t coefficient by coefficient; the power table
-    f^k is built incrementally, O(N^3) exact rational operations.
+    Solves sum_k b_k f(t)^k = t on the integer power table of
+    ``_kernel.powers``, one power at a time: with the residual
+    r = t - sum_{j<k} b_j f^j kept as integers over one denominator,
+    b_k = r_k / [t^k] f^k, then r loses b_k f^k.  O(N^3) integer operations.
     """
     if f.order() != 1:
         raise OrderError("compositional inverse requires order exactly 1")
     n = f.trunc
-    powers = [const(1, n), f]
-    for k in range(2, n + 1):
-        powers.append(powers[-1] * f)
     b = [Fraction(0)] * (n + 1)
-    for m in range(1, n + 1):
-        s = dot(b[1:m], [powers[k][m] for k in range(1, m)])
-        b[m] = (int(m == 1) - s) / powers[m][m]
+    r, dr = [0, 1] + [0] * (n - 1), 1
+    for k, (p, dp) in enumerate(powers(f.coeffs, n)):  # k = 0 gives b_0 = 0 and keeps r
+        b[k] = Fraction(r[k] * dp, dr * p[k])
+        r, dr = reduced([u * p[k] - r[k] * v for u, v in zip(r, p)], dr * p[k])
     return Series(n, tuple(b))
 
 
@@ -276,11 +281,9 @@ def lagrange_power(f: Series, k: int, n_max: int) -> Series:
         raise TruncationError(f"need trunc >= {n_max}, have {f.trunc}")
     ratio = mul_inv(f.shift_down(1))  # x/f(x), order 0
     out = [Fraction(0)] * (n_max + 1)
-    power = const(1, ratio.trunc)
-    for n in range(1, n_max + 1):
-        power = power * ratio
+    for n, (p, dp) in enumerate(powers(ratio.coeffs, n_max)):
         if n >= k:
-            out[n] = Fraction(k, n) * power[n - k]
+            out[n] = Fraction(k * p[n - k], n * dp)
     return Series(n_max, tuple(out))
 
 
@@ -309,7 +312,7 @@ def format_series(f: Series, var: str = "x") -> str:
         if c == 0:
             continue
         if n == 0:
-            term = str(c)
+            term = rat_str(c)
         else:
             mon = var if n == 1 else f"{var}^{n}"
             if c == 1:
@@ -317,7 +320,7 @@ def format_series(f: Series, var: str = "x") -> str:
             elif c == -1:
                 term = f"-{mon}"
             else:
-                term = f"{c}*{mon}"
+                term = f"{rat_str(c)}*{mon}"
         parts.append(term)
     body = " + ".join(parts).replace("+ -", "- ") if parts else "0"
     return f"{body} + O({var}^{f.trunc + 1})"
@@ -385,14 +388,7 @@ class Poly:
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
             raise ValueError("negative polynomial powers are undefined")
-        result = poly([1])
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return _binary_power(self, k, poly([1]))
 
     def derivative(self) -> "Poly":
         return poly([k * self.coeffs[k] for k in range(1, len(self.coeffs))])

@@ -10,7 +10,10 @@ fractional iteration.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
+
+from .errors import UmbraError
 
 RatLike = Fraction | int | str
 
@@ -25,11 +28,12 @@ def rat(value: RatLike) -> Fraction:
 
 
 def rat_str(q: RatLike) -> str:
-    """Canonical string: "num/den", or just "num" when den == 1."""
+    """"num/den", or "num" when den == 1; UmbraError past Python's int-to-str digit limit."""
     q = rat(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    try:
+        return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    except ValueError:
+        raise UmbraError(f"a coefficient would exceed {sys.get_int_max_str_digits()} digits") from None
 
 
 def binom(r: RatLike, k: int) -> Fraction:

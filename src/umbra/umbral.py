@@ -15,11 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import comb, factorial
+from operator import mul
 from typing import Callable, Sequence
 
 from . import bell
-from ._kernel import dot, krylov, tri_inverse, tri_product
+from ._kernel import cauchy, dot, krylov, powers, scaled, tri_inverse, tri_product
 from .errors import (
     NotAppell, NotDelta, NotUnitary, OrderError, SingularTriangle, TruncationError, agree
 )
@@ -212,30 +214,27 @@ def _dq_ratio(Q: DeltaOp) -> Series:
     return mul_inv(Q.indicator.shift_down(1))
 
 
+def _on_monomial(c: Sequence[int], den: int, m: int) -> tuple[Fraction, ...]:
+    """Coefficients of (sum_i c_i D^i / den) x^m: entry j is c_{m-j} m!/j! / den."""
+    return tuple(Fraction(c[m - j] * (factorial(m) // factorial(j)), den) for j in range(m + 1))
+
+
 def basic_transfer(Q: DeltaOp, n: int) -> UmbralOp:
-    """Rows p_m = Q'(D/Q)^{m+1} x^m."""
+    """Rows p_m = Q'(D/Q)^{m+1} x^m: with c = Q'(D/Q)^{m+1} through x^m, entry j
+    of row m is c_{m-j} m!/j!, one integer product per power of D/Q."""
     _require_depth(Q, n)
-    qprime = derive(Q.indicator)
-    ratio = _dq_ratio(Q)
-    rows: list[Poly] = []
-    power = ratio
-    for m in range(n + 1):
-        op = ShiftOp(qprime * power)
-        rows.append(apply_op(op, monomial(m)))
-        power = power * ratio
-    return UmbralOp(tri_from_polys(rows), Q)
+    q, dq = scaled(derive(Q.indicator).coeffs[: n + 1])
+    table = islice(powers(_dq_ratio(Q).coeffs[: n + 1], n + 1), 1, None)  # from (D/Q)^1
+    rows = [_on_monomial(cauchy(q, p, m), dq * dp, m) for m, (p, dp) in enumerate(table)]
+    return UmbralOp(Triangle(tuple(rows)), Q)
 
 
 def basic_steffensen(Q: DeltaOp, n: int) -> UmbralOp:
-    """Rows p_m = x (D/Q)^m x^{m-1} (row 0 is [1])."""
+    """Rows p_m = x (D/Q)^m x^{m-1} (row 0 is [1]), one power of D/Q per row."""
     _require_depth(Q, n)
-    ratio = _dq_ratio(Q)
-    rows: list[Poly] = [poly([1])]
-    power = ratio
-    for m in range(1, n + 1):
-        rows.append(apply_op(ShiftOp(power), monomial(m - 1)).times_x())
-        power = power * ratio
-    return UmbralOp(tri_from_polys(rows), Q)
+    table = islice(powers(_dq_ratio(Q).coeffs[: n + 1], n), 1, None)  # from (D/Q)^1
+    rows = [(Fraction(0),) + _on_monomial(p, dp, m) for m, (p, dp) in enumerate(table)]
+    return UmbralOp(Triangle(((Fraction(1),), *rows)), Q)
 
 
 def basic_recurrence(Q: DeltaOp, n: int) -> UmbralOp:
@@ -249,19 +248,15 @@ def basic_recurrence(Q: DeltaOp, n: int) -> UmbralOp:
 
 
 def basic_genfunc(Q: DeltaOp, n: int) -> UmbralOp:
-    """Columns from the generating function: coeff[m][k] = m! [t^m] invQ(t)^k / k!."""
+    """Columns from the generating function: coeff[m][k] = m! [t^m] invQ(t)^k / k!,
+    column k read off the integer power table of invQ."""
     _require_depth(Q, n)
     nn = max(n, 1)
     g = comp_inv(Q.indicator.truncate(nn) if Q.indicator.trunc > nn else Q.indicator)
     rows = [[Fraction(0)] * (m + 1) for m in range(n + 1)]
-    power = series([1], g.trunc)
-    fact_k = 1
-    for k in range(n + 1):
-        if k:
-            power = power * g
-            fact_k *= k
+    for k, (p, dp) in enumerate(powers(g.coeffs, n)):
         for m in range(k, n + 1):
-            rows[m][k] = power[m] * Fraction(factorial(m), fact_k)
+            rows[m][k] = Fraction(p[m] * (factorial(m) // factorial(k)), dp)
     return UmbralOp(Triangle(tuple(tuple(r) for r in rows)), Q)
 
 
@@ -344,11 +339,12 @@ def binomial_grid(
     at_y = [[p(t) for t in half[: n + 2]] for p in p_y[: n + 1]]
     for m in range(n + 1):
         lhs = [p_sum[m](t) for t in half[: 2 * m + 3]]
-        cols = [[at_y[m - k][j] for k in range(m + 1)] for j in range(m + 2)]
+        cols = [scaled([at_y[m - k][j] for k in range(m + 1)]) for j in range(m + 2)]
         for i in range(m + 2):
-            row = [comb(m, k) * at_x[k][i] for k in range(m + 1)]
-            for j, col in enumerate(cols):
-                if lhs[i + j] != dot(row, col):
+            x, dx = scaled([comb(m, k) * at_x[k][i] for k in range(m + 1)])
+            for j, (y, dy) in enumerate(cols):
+                v = lhs[i + j]
+                if v.numerator * dx * dy != sum(map(mul, x, y)) * v.denominator:
                     return m, half[i], half[j]
     return None
 
@@ -368,11 +364,12 @@ def is_binomial_type(tri: Triangle) -> bool:
         if tri.entry(m, m) == 0:
             return False
     for n in range(tri.n + 1):
+        cols = [scaled([tri.entry(n - k, j) for k in range(n + 1)]) for j in range(n + 1)]
         for i in range(n + 1):
+            x, dx = scaled([comb(n, k) * tri.entry(k, i) for k in range(n + 1)])
             for j in range(n - i + 1):
-                lhs = comb(i + j, i) * tri.entry(n, i + j)
-                a = [comb(n, k) * tri.entry(k, i) for k in range(n + 1)]
-                if lhs != dot(a, [tri.entry(n - k, j) for k in range(n + 1)]):
+                (y, dy), v = cols[j], comb(i + j, i) * tri.entry(n, i + j)
+                if v.numerator * dx * dy != sum(map(mul, x, y)) * v.denominator:
                     return False
     rows = [tri.row_poly(k) for k in range(tri.n + 1)]
     return binomial_grid(rows, rows, rows, tri.n) is None

@@ -1,6 +1,7 @@
 """CLI surface: subcommands, formats, exit codes, determinism."""
 
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -11,6 +12,8 @@ from pathlib import Path
 
 import pytest
 
+from umbra import catalog, umbral
+from umbra.catalog import Report
 from umbra.cli import main
 from umbra.serialize import series_from_json
 
@@ -336,6 +339,20 @@ def test_oversized_power_is_refused_up_front(capsys, text, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["inverse", "x+2^6000*x^2", "--order", "64"],
+        ["basic", "--delta", "D+2^6000*D^2", "--route", "transfer"],  # pretty rows: none printed
+    ],
+)
+def test_unprintable_result_is_refused(capsys, argv):
+    # each input is within the expression bound; the construction's result is not
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: a coefficient would exceed 21845 digits\n"
+
+
 def test_power_within_the_bound_prints_exactly(capsys):
     code, out, err = run(capsys, "series", "2^20000", "--order", "2", "--format", "tsv")
     with localcontext() as ctx:
@@ -388,3 +405,62 @@ def test_bad_rational_option_names_option_and_value(capsys, argv, option, value)
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err == f"error: bad value {value!r} for {option}: expected a rational such as 3 or -2/3\n"
+
+
+class _GoneReader(io.TextIOBase):
+    """A stdout whose reader has gone (`umbra check --all | head -1`).  If ``fails`` is
+    "write", every write raises BrokenPipeError, as the write past a full pipe buffer
+    does; otherwise writes are kept and the flush that would send them raises, as
+    for a short output.  Its descriptor is a file the test owns."""
+
+    def __init__(self, fd, fails):
+        self.fd, self.fails, self.pending = fd, fails, ""
+
+    def write(self, text):
+        if self.fails == "write":
+            raise BrokenPipeError(32, "Broken pipe")
+        self.pending += text
+        return len(text)
+
+    def flush(self):
+        if self.pending:
+            raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+def _failing_report(*args, **kwargs):
+    report = Report()
+    report.record("fake", "broken_identity", {}, {"n": 3})
+    return report
+
+
+@pytest.mark.parametrize(
+    "argv, patch, code",
+    [
+        (["series", "exp(x)"], None, 0),
+        (["check", "--family", "falling", "--order", "4"], None, 0),
+        (
+            ["check", "--family", "falling", "--order", "4"],
+            lambda mp: mp.setattr(catalog, "identity_check", _failing_report),
+            1,
+        ),
+        (
+            ["basic", "--delta", "exp(D)-1", "--order", "5"],
+            lambda mp: mp.setitem(umbral.BASIC_ROUTES, "km", lambda Q, n: umbral.basic_recurrence(Q, n - 1)),
+            1,
+        ),
+    ],
+    ids=["series", "passing_report", "failing_report", "route_disagreement"],
+)
+@pytest.mark.parametrize("fails", ["write", "flush"])
+def test_gone_reader_ends_quietly_with_the_run_exit_code(argv, patch, code, fails, monkeypatch, tmp_path, capsys):
+    if patch:
+        patch(monkeypatch)
+    with open(tmp_path / "stdout", "wb") as sink:
+        monkeypatch.setattr(sys, "stdout", _GoneReader(sink.fileno(), fails))
+        assert main(argv) == code
+        os.write(sink.fileno(), b"late")  # the descriptor now points at the null device
+    assert (tmp_path / "stdout").read_bytes() == b""
+    assert capsys.readouterr().err == ""

@@ -128,12 +128,33 @@ def _corrupt_power(mp):
     mp.setattr(fps, "power", corrupted)
 
 
+def _corrupt_powers(mp):
+    # umbral's binding of the power table that transfer, Steffensen and genfunc
+    # read: every f^k, k >= 1, gains x^(k+1).  Transfer and Steffensen read f^k
+    # only through x^(k-1), so genfunc alone is wrong and transfer catches it; a
+    # change they read would fail UmbralOp's checks of column 0 or the diagonal.
+    real = umbral.powers
+
+    def corrupted(f, count):
+        for k, (p, dp) in enumerate(real(f, count)):
+            if 0 < k < len(p) - 1:
+                p = p[: k + 1] + [p[k + 1] + dp] + p[k + 2 :]
+            yield p, dp
+
+    mp.setattr(umbral, "powers", corrupted)
+
+
 # name -> (argv, injection, expected disagreement document)
 INJECTIONS = {
     "basic": (
         ["basic", "--delta", "exp(D)-1", "--route", "all", "--order", "5", "--format", "json"],
         lambda mp: mp.setitem(umbral.BASIC_ROUTES, "km", _wrong_km),
         {"construction": "basic", "routes": ["transfer", "km"], "index": [3, 2], "values": ["-3", "-2"]},
+    ),
+    "basic_powers": (
+        ["basic", "--delta", "exp(D)-1", "--route", "all", "--order", "5", "--format", "json"],
+        _corrupt_powers,
+        {"construction": "basic", "routes": ["transfer", "genfunc"], "index": [2, 1], "values": ["-1", "1"]},
     ),
     "itlog": (
         ["itlog", "--series", "exp(x)-1", "--order", "8", "--format", "json"],

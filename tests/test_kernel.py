@@ -9,14 +9,16 @@ must also be a normalised Fraction (positive denominator, gcd 1).
 from fractions import Fraction as F
 from math import gcd
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from umbra import _kernel
 from umbra.flow import _column_powers
-from umbra.fps import Poly, Series, comp_inv, exp_series, log_series, mul_inv, poly, pow_rat, series
-from umbra.operators import ShiftOp, apply_op
-from umbra.umbral import Triangle, transform_seq, tri_compose, tri_invert
+from umbra.fps import Poly, Series, comp_inv, const, exp_series, log_series, mul_inv, poly, pow_rat, series
+from umbra.operators import ShiftOp, apply_op, validate_delta
+from umbra.umbral import (
+    Triangle, basic_genfunc, basic_steffensen, basic_transfer, transform_seq, tri_compose, tri_invert
+)
 
 import oracles
 
@@ -109,6 +111,35 @@ def test_empty_and_zero_vectors():
     assert _kernel.apply_derivatives([], []) == []
     zeros = _kernel.convolve([F(0)] * 4, [F(5, 3), F(-1, 65537)], 3)
     assert zeros == [0, 0, 0, 0] and normalised(zeros)
+
+
+@settings(max_examples=60, deadline=None)
+@given(series_values(), st.integers(0, 6))
+@example(series([F(2, 65537), 0, 0, F(-5, 3), 0, 0, 0, F(1, 7), 0], 8), 6)  # sparse, interior zeros
+@example(series([F(-3, 2), F(1, 10007), 0, 1], 3), 5)  # non-unit lead
+@example(series([0, F(7, 3), 0, F(-1, 2**61 - 1)], 3), 4)  # order 1, as comp_inv and genfunc use it
+@example(series([F(-2, 3)], 0), 0)  # length 1, count 0
+def test_powers_match_repeated_series_products(f, count):
+    expected, table = const(1, f.trunc), list(_kernel.powers(f.coeffs, count))
+    assert len(table) == count + 1
+    for p, dp in table:
+        assert (p, dp) == _kernel.scaled(expected.coeffs)  # the lcm form, reduced
+        expected = expected * f
+
+
+def test_power_loops_build_no_series_per_power(monkeypatch):
+    products = []
+    for cls in (Series, Poly):
+        monkeypatch.setattr(cls, "__mul__", lambda a, b, real=cls.__mul__: products.append(a) or real(a, b))
+    Q = validate_delta(ShiftOp(series([0, F(3, 2), F(-1, 7), F(2, 5)], 17)))
+    comp_inv(Q.indicator)
+    for route in (basic_transfer, basic_steffensen, basic_genfunc):
+        route(Q, 16)
+    assert products == []
+    # x^4 is two squarings: no product by 1 and no squaring past the top bit
+    assert series([0, 1], 64) ** 4 == series([0, 0, 0, 0, 1], 64)
+    assert poly([0, 1]) ** 4 == poly([0, 0, 0, 0, 1]) and len(products) == 4
+    assert series([2], 3) ** 0 == series([1], 3) and len(products) == 4
 
 
 # -- Series and Poly ------------------------------------------------------------
