@@ -123,25 +123,31 @@ def _append(col: list[int], den: int, v: Fraction) -> int:
     return den
 
 
-def power(f: Sequence[Fraction], p: int, q: int) -> list[Fraction]:
-    """g = f^(p/q) for f_0 = 1, by J. C. P. Miller's recurrence (Knuth, TAOCP 2,
-    4.7): q m g_m = sum_{k=1..m} ((p+q) k - q m) f_k g_{m-k}, with g_0 = 1.
-
-    With f = F/D on integers the sum splits into (p+q) sum k F_k G_{m-k} and
-    q m sum F_k G_{m-k}, both over the solved part G/den of g; only f up to its
-    last nonzero entry takes part, so a polynomial of degree d costs O(N d)."""
+def recurrence(f: Sequence[Fraction], g0: Fraction, wa: int, wb: int, q: int = 1, log: bool = False):
+    """The one solved-prefix loop: g_0..g_N (N = len(f) - 1) from
+        e m g_m = wa sum_k k f_k g_{m-k} - wb m sum_k f_k g_{m-k} (+ m f_m if log), k = 1..m,
+    with e = q f_0, or 1 when f_0 = 0.  Miller's recurrence for f^(p/q) is (p + q, q, q),
+    1/f is (0, 1), exp f is (1, 0) and log f is (1, 1, log).  f is scaled once to integers
+    and only up to its last nonzero entry takes part, so a polynomial of degree d costs
+    O(N d); g_0..g_{m-1} is kept as integers over a denominator that grows only when a new
+    entry needs it (``_append``)."""
     x, dx = scaled(f)
     while len(x) > 1 and not x[-1]:
         x.pop()
-    tail = x[1:]
-    ktail = [k * v for k, v in enumerate(tail, 1)]
-    out, col, den = [Fraction(1)], [1], 1
+    a, b = [wa * k * v for k, v in enumerate(x[1:], 1)], [wb * v for v in x[1:]]
+    out, col, lead = [g0], [], q * (x[0] or dx)
+    den = _append(col, 1, g0)
     for m in range(1, len(f)):
-        s = (p + q) * sum(map(mul, ktail, reversed(col)))
-        s -= q * m * sum(map(mul, tail, reversed(col)))
-        out.append(Fraction(s, q * m * dx * den))
+        s = sum(map(mul, a, reversed(col))) - m * sum(map(mul, b, reversed(col)))
+        out.append(Fraction(s + m * x[m] * den if log and m < len(x) else s, lead * m * den))
         den = _append(col, den, out[-1])
     return out
+
+
+def power(f: Sequence[Fraction], p: int, q: int) -> list[Fraction]:
+    """g = f^(p/q) for f_0 = 1, by J. C. P. Miller's recurrence (Knuth, TAOCP 2,
+    4.7): q m g_m = sum_{k=1..m} ((p+q) k - q m) f_k g_{m-k}, with g_0 = 1."""
+    return recurrence(f, Fraction(1), p + q, q, q)
 
 
 def krylov(rows: Sequence[Sequence[Fraction]], vec: Sequence[Fraction], count: int):

@@ -1,5 +1,7 @@
 """Exception hierarchy shared by all umbra modules."""
 
+from fractions import Fraction
+
 
 class UmbraError(ValueError):
     """Base class for every error raised by this package."""
@@ -66,8 +68,19 @@ class RouteDisagreement(UmbraError):
         self.index, self.values = index, values
         super().__init__(
             f"{construction} routes disagree at {index}: "
-            f"{routes[0]} gives {values[0]}, {routes[1]} gives {values[1]}"
+            f"{routes[0]} gives {shown(values[0])}, {routes[1]} gives {shown(values[1])}"
         )
+
+
+def shown(value) -> str:
+    """str(value); past the int-to-str digit limit, a rational's sign and the bit
+    lengths of its numerator and denominator: "-<80001-bit numerator>/<1-bit denominator>"."""
+    try:
+        return str(value)
+    except ValueError:
+        q = Fraction(value)
+        bits = q.numerator.bit_length(), q.denominator.bit_length()
+        return "-" * (q < 0) + "<%d-bit numerator>/<%d-bit denominator>" % bits
 
 
 def _first_difference(a, b) -> tuple[list[int], tuple]:

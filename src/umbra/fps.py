@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import factorial, inf
 from typing import Iterable, Sequence
 
-from ._kernel import apply_derivatives, convolve, dot, evaluate, power, powers, reduced
+from ._kernel import apply_derivatives, convolve, evaluate, power, powers, recurrence, reduced
 from .errors import ConstantTermError, NotInvertible, OrderError, TruncationError, agree
 from .rational import RatLike, rat, rat_str
 
@@ -200,14 +200,11 @@ def compose(f: Series, g: Series) -> Series:
 
 
 def mul_inv(f: Series) -> Series:
-    """Multiplicative inverse; requires nonzero constant term."""
-    a0 = f.coeffs[0]
-    if a0 == 0:
+    """Multiplicative inverse, f_0 g_m = -sum_{k=1..m} f_k g_{m-k} on the kernel's
+    solved-prefix loop; requires nonzero constant term."""
+    if f.coeffs[0] == 0:
         raise NotInvertible("constant term is zero")
-    out = [1 / a0]
-    for m in range(1, f.trunc + 1):
-        out.append(-dot(f.coeffs[1 : m + 1], out[::-1]) / a0)
-    return Series(f.trunc, tuple(out))
+    return Series(f.trunc, tuple(recurrence(f.coeffs, 1 / f.coeffs[0], 0, 1)))
 
 
 def comp_inv(f: Series) -> Series:
@@ -244,27 +241,19 @@ def pow_rat(f: Series, r: RatLike) -> Series:
 
 
 def exp_series(f: Series) -> Series:
-    """exp(f) for f with zero constant term."""
+    """exp(f) for f with zero constant term, m g_m = sum_{k=1..m} k f_k g_{m-k} (Miller's
+    first sum alone) on the kernel's solved-prefix loop."""
     if f.coeffs[0] != 0:
         raise ConstantTermError("exp requires zero constant term")
-    n = f.trunc
-    kf = [k * f.coeffs[k] for k in range(1, n + 1)]
-    out = [Fraction(1)]
-    for m in range(1, n + 1):
-        out.append(dot(kf, out[::-1]) / m)
-    return Series(n, tuple(out))
+    return Series(f.trunc, tuple(recurrence(f.coeffs, Fraction(1), 1, 0)))
 
 
 def log_series(f: Series) -> Series:
-    """log(f) for f with constant term 1."""
+    """log(f) for f with constant term 1, m g_m = m f_m - sum_{k<m} k g_k f_{m-k}, which
+    is m f_m + sum_{k=1..m} (k - m) f_k g_{m-k} as g_0 = 0, on the kernel's solved-prefix loop."""
     if f.coeffs[0] != 1:
         raise ConstantTermError("log requires constant term exactly 1")
-    n = f.trunc
-    out = [Fraction(0)]
-    for m in range(1, n + 1):
-        s = dot([k * out[k] for k in range(1, m)], f.coeffs[m - 1 : 0 : -1])
-        out.append(f.coeffs[m] - s / m)
-    return Series(n, tuple(out))
+    return Series(f.trunc, tuple(recurrence(f.coeffs, Fraction(0), 1, 1, log=True)))
 
 
 def lagrange_power(f: Series, k: int, n_max: int) -> Series:

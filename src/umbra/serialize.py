@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 
+from .errors import shown
 from .fps import Poly, Series, series
 from .rational import rat, rat_str
 from .umbral import Triangle
@@ -73,5 +74,5 @@ def disagreement_to_json(exc) -> dict:
         "construction": exc.construction,
         "routes": list(exc.routes),
         "index": exc.index,
-        "values": [str(v) for v in exc.values],
+        "values": [shown(v) for v in exc.values],
     }

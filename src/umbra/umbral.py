@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from math import comb, factorial
+from math import comb, factorial, lcm
 from operator import mul
 from typing import Callable, Sequence
 
@@ -31,7 +31,6 @@ from .fps import (
     comp_inv,
     derive,
     exp_series,
-    monomial,
     mul_inv,
     poly,
     pow_rat,
@@ -261,24 +260,26 @@ def basic_genfunc(Q: DeltaOp, n: int) -> UmbralOp:
 
 
 def basic_km(Q: DeltaOp, n: int) -> UmbralOp:
-    """Closed-form rows: p_m = sum_j x^j/j! W^j x^m, W = invQ(D) - D."""
+    """Closed-form rows p_m = sum_j x^j/j! W^j x^m, W = invQ(D) - D, read off the
+    integer power table of w = invQ - t: entry k of row m is
+    sum_{j<=k} [t^{m-k+j}] w^j m!/(j! (k-j)!), summed as integers over the lcm of
+    j! den(w^j).  Every j <= k is summed: w^j has order >= j, and >= 2j only when
+    Q is unitary."""
     _require_depth(Q, n)
     nn = max(n, 1)
     g = comp_inv(Q.indicator.truncate(nn) if Q.indicator.trunc > nn else Q.indicator)
-    w = ShiftOp(g - x_series(g.trunc))
-    rows: list[Poly] = []
-    for m in range(n + 1):
-        acc = poly([])
-        u = monomial(m)
-        j = 0
-        fact = 1
-        while not u.is_zero():
-            acc = acc + u.times_x(j) / fact
-            u = apply_op(w, u)
-            j += 1
-            fact *= j
-        rows.append(acc)
-    return UmbralOp(tri_from_polys(rows), Q)
+    table = list(powers((g - x_series(g.trunc)).coeffs, n))
+    fact = [factorial(j) for j in range(n + 1)]
+    den = lcm(*[fact[j] * dp for j, (_, dp) in enumerate(table)])
+    scale = [den // (fact[j] * dp) for j, (_, dp) in enumerate(table)]
+    # diag[d][j] = [t^(d+j)] w^j over den / j!; fall[m][r] = m!/r!
+    diag = [[table[j][0][d + j] * scale[j] for j in range(n + 1 - d)] for d in range(n + 1)]
+    fall = [[fact[m] // fact[r] for r in range(m + 1)] for m in range(n + 1)]
+    rows = [
+        tuple(Fraction(sum(map(mul, diag[m - k], fall[m][k::-1])), den) for k in range(m + 1))
+        for m in range(n + 1)
+    ]
+    return UmbralOp(Triangle(tuple(rows)), Q)
 
 
 BASIC_ROUTES: dict[str, Callable[[DeltaOp, int], UmbralOp]] = {

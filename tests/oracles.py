@@ -15,13 +15,13 @@ from functools import lru_cache
 from math import comb, factorial
 
 from umbra.fps import (
-    Poly, Series, comp_inv, compose, derive, exp_series, mul_inv, poly, series, x_series
+    Poly, Series, comp_inv, compose, derive, exp_series, monomial, mul_inv, poly, series, x_series
 )
 from umbra.flow import iterate_int
 from umbra.operators import DeltaOp, ShiftOp, apply_op, validate_delta
 from umbra.rational import binom, rat, rat_str
 from umbra.serialize import series_from_json, series_to_json
-from umbra.umbral import Triangle, triangle
+from umbra.umbral import Triangle, UmbralOp, tri_from_polys, triangle
 
 
 # -- number triangles via their classical recurrences -------------------------
@@ -354,6 +354,27 @@ def comp_inv_ref(f: Series) -> Series:
             s -= b[k] * powers[k][m]
         b[m] = s / powers[m][m]
     return Series(n, tuple(b))
+
+
+def km_ref(Q: DeltaOp, n: int) -> UmbralOp:
+    """Kurbanov-Maksimov rows p_m = sum_j x^j/j! W^j x^m, W = invQ(D) - D, with one
+    apply_op and one Poly sum per term."""
+    nn = max(n, 1)
+    g = comp_inv(Q.indicator.truncate(nn) if Q.indicator.trunc > nn else Q.indicator)
+    w = ShiftOp(g - x_series(g.trunc))
+    rows: list[Poly] = []
+    for m in range(n + 1):
+        acc = poly([])
+        u = monomial(m)
+        j = 0
+        fact = 1
+        while not u.is_zero():
+            acc = acc + u.times_x(j) / fact
+            u = apply_op(w, u)
+            j += 1
+            fact *= j
+        rows.append(acc)
+    return UmbralOp(tri_from_polys(rows), Q)
 
 
 def tri_compose_ref(phi, psi):

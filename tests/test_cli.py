@@ -294,6 +294,16 @@ GOLDEN_JSON = {
     # captured before the catalog's grid identities shared one binomial-convolution grid
     ("check", "--all"):
         "eea5bbdd0a8fe9ec0549ef082a5e3f207bb851252ee447468e4deb16902f71d1",
+    # captured before the mul_inv, exp and log recurrences and the Kurbanov-Maksimov
+    # route moved onto the kernel's solved-prefix loop and power table
+    ("series", "exp(x/2-3*x^2/7+x^3/5)", "--order=64"):
+        "92743d458a0d1adbcf9fef5b1265b6b2bac033b0d61f94c604b41ed4a4a4d0d9",
+    ("series", "log(1-x/5+3*x^2/7+x^3/2)", "--order=64"):
+        "2a3ba61d4b37fb2b0c4c510aed173b8afb4dfc0298c777a5517fc87121fa0377",
+    ("series", "1/(1-x/5-x^2/2+3*x^3/7)", "--order=64"):
+        "049a0c6494566dbb623877b0934abdb118804a5c84d73c4c9250cbe9826febba",
+    ("basic", "--delta=2*D-D^2/3+3*D^3/5", "--route=km", "--order=20"):
+        "0045409a638db79eb02074b4b142a05305a2632880873da6ce861f9bdf2342a6",
 }
 
 

@@ -18,7 +18,7 @@ import pytest
 from umbra import flow, fps, sigma, umbral
 from umbra.catalog import identity_check
 from umbra.cli import main
-from umbra.errors import RouteDisagreement, agree
+from umbra.errors import RouteDisagreement, agree, shown
 from umbra.fps import poly, series
 from umbra.umbral import UmbralOp, triangle
 
@@ -49,6 +49,12 @@ def test_agree_locates_first_difference(one, two, index, values):
     assert (exc.construction, exc.routes, exc.index, exc.values) == ("demo", ("one", "two"), index, values)
 
 
+def test_shown_gives_sign_and_bit_lengths_past_the_digit_limit():
+    assert shown(F(-(2**80000), 3)) == "-<80001-bit numerator>/<2-bit denominator>"
+    assert shown(2**80000) == "<80001-bit numerator>/<1-bit denominator>"
+    assert shown(F(-1, 3)) == "-1/3"
+
+
 def test_agree_names_first_route_that_differs():
     with pytest.raises(RouteDisagreement) as info:
         agree("demo", a=F(1), b=F(1), c=F(2), d=F(3))
@@ -58,10 +64,10 @@ def test_agree_names_first_route_that_differs():
 # -- injected disagreements through the CLI -------------------------------------------------------
 
 
-def _wrong_km(Q, n):
+def _wrong_km(Q, n, gain=1):
     phi = umbral.basic_km(Q, n)
     rows = [list(r) for r in phi.tri.rows]
-    rows[3][2] += 1
+    rows[3][2] += gain
     return UmbralOp(triangle(rows), phi.delta)
 
 
@@ -129,10 +135,10 @@ def _corrupt_power(mp):
 
 
 def _corrupt_powers(mp):
-    # umbral's binding of the power table that transfer, Steffensen and genfunc
+    # umbral's binding of the power table that transfer, Steffensen, genfunc and km
     # read: every f^k, k >= 1, gains x^(k+1).  Transfer and Steffensen read f^k
-    # only through x^(k-1), so genfunc alone is wrong and transfer catches it; a
-    # change they read would fail UmbralOp's checks of column 0 or the diagonal.
+    # only through x^(k-1), so genfunc and km are wrong and transfer catches genfunc
+    # first; a change they read would fail UmbralOp's checks of column 0 or the diagonal.
     real = umbral.powers
 
     def corrupted(f, count):
@@ -150,6 +156,17 @@ INJECTIONS = {
         ["basic", "--delta", "exp(D)-1", "--route", "all", "--order", "5", "--format", "json"],
         lambda mp: mp.setitem(umbral.BASIC_ROUTES, "km", _wrong_km),
         {"construction": "basic", "routes": ["transfer", "km"], "index": [3, 2], "values": ["-3", "-2"]},
+    ),
+    "basic_past_digit_limit": (
+        # -3 + 2^80000 has 24083 digits, past the 21845 the CLI can print
+        ["basic", "--delta", "exp(D)-1", "--route", "all", "--order", "5", "--format", "json"],
+        lambda mp: mp.setitem(umbral.BASIC_ROUTES, "km", lambda Q, n: _wrong_km(Q, n, 2**80000)),
+        {
+            "construction": "basic",
+            "routes": ["transfer", "km"],
+            "index": [3, 2],
+            "values": ["-3", "<80000-bit numerator>/<1-bit denominator>"],
+        },
     ),
     "basic_powers": (
         ["basic", "--delta", "exp(D)-1", "--route", "all", "--order", "5", "--format", "json"],

@@ -12,12 +12,16 @@ from math import gcd
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from umbra import _kernel
+from umbra import _kernel, fps, operators, umbral
 from umbra.flow import _column_powers
-from umbra.fps import Poly, Series, comp_inv, const, exp_series, log_series, mul_inv, poly, pow_rat, series
+from umbra.fps import (
+    Poly, Series, comp_inv, const, exp_series, exp_x, log1p, log_series, mul_inv, poly, pow_rat, series,
+    x_series,
+)
 from umbra.operators import ShiftOp, apply_op, validate_delta
 from umbra.umbral import (
-    Triangle, basic_genfunc, basic_steffensen, basic_transfer, transform_seq, tri_compose, tri_invert
+    Triangle, basic_genfunc, basic_km, basic_steffensen, basic_transfer, transform_seq, tri_compose,
+    tri_invert,
 )
 
 import oracles
@@ -142,6 +146,25 @@ def test_power_loops_build_no_series_per_power(monkeypatch):
     assert series([2], 3) ** 0 == series([1], 3) and len(products) == 4
 
 
+def test_recurrences_and_km_take_no_dot_apply_op_or_poly_sum(monkeypatch):
+    f = series([F(-3, 2), F(1, 7), 0, F(2, 5)], 24)
+    Q = validate_delta(ShiftOp(series([0, F(3, 2), F(-1, 7), F(2, 5)], 17)))
+    calls = []
+
+    def spy(name, real):
+        return lambda *args: calls.append(name) or real(*args)
+
+    for module in (_kernel, fps):
+        monkeypatch.setattr(module, "dot", spy("dot", _kernel.dot), raising=False)
+    for module in (operators, umbral):
+        monkeypatch.setattr(module, "apply_op", spy("apply_op", operators.apply_op))
+    for name in ("__add__", "__radd__"):
+        monkeypatch.setattr(Poly, name, spy(name, getattr(Poly, name)))
+    mul_inv(f), exp_series(f - f[0]), log_series(f / f[0])
+    basic_km(Q, 16)
+    assert calls == []
+
+
 # -- Series and Poly ------------------------------------------------------------
 
 
@@ -185,20 +208,35 @@ def test_taylor_shift_and_linear_substitution_match_oracle(a, s, o):
     assert linear == oracles.compose_linear_ref(p, s, o) and normalised(linear.coeffs)
 
 
+# A polynomial with an interior zero and a zero tail: the recurrences read f
+# only up to its last nonzero entry.
+SPARSE = series([0, F(2, 65537), 0, F(-5, 3), 0, 0, 0], 6)
+
+
 @settings(max_examples=60, deadline=None)
-@given(series_values(min_trunc=1, max_trunc=8), st.data())
-def test_mul_inv_matches_oracle(f, data):
-    f = Series(f.trunc, (data.draw(nonzero),) + f.coeffs[1:])
+@given(series_values(min_trunc=1, max_trunc=8), nonzero)
+@example(series([0], 0), F(7, 3))  # trunc 0
+@example(series([0, F(1, 10007), F(-2, 3)], 2), F(-3, 2))
+@example(SPARSE, F(-3, 2))
+@example(exp_x(32), F(1))  # dense
+def test_mul_inv_matches_oracle(f, a0):
+    f = Series(f.trunc, (a0,) + f.coeffs[1:])
     inv = mul_inv(f)
     assert inv == oracles.mul_inv_ref(f) and normalised(inv.coeffs)
 
 
 @settings(max_examples=40, deadline=None)
 @given(series_values(max_trunc=7, unit_constant=0))
+@example(series([0], 0))  # trunc 0
+@example(series([0, F(-3, 2), F(1, 7)], 5))
+@example(SPARSE)
+@example(x_series(32))  # exp gives the dense exp_x(32), which log reads back
+@example(exp_x(32) - 1)  # dense
 def test_exp_and_log_match_oracle(f):
     e = exp_series(f)
     assert e == oracles.exp_series_ref(f)
     assert log_series(e) == oracles.log_series_ref(e) == f
+    assert log_series(1 + f) == oracles.log_series_ref(1 + f)  # as sparse as f
     assert normalised(e.coeffs)
 
 
@@ -232,6 +270,27 @@ def test_pow_rat_of_a_polynomial_with_zero_tail():
     for r in (F(1, 2), F(-22, 7), F(-3), F(0)):
         g = _kernel.power(f.coeffs, r.numerator, r.denominator)
         assert Series(12, tuple(g)) == oracles.pow_rat_ref(f, r) and normalised(g)
+
+
+# -- the Kurbanov-Maksimov route against its apply_op loop ---------------------
+
+
+@st.composite
+def polynomial_deltas(draw):
+    lead = draw(st.sampled_from((F(1), F(2), F(-3, 2))))
+    tail = draw(st.lists(rationals, max_size=4))
+    return validate_delta(ShiftOp(series([0, lead, *tail], 15)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(polynomial_deltas(), st.integers(0, 14))
+@example(validate_delta(ShiftOp(log1p(15))), 14)  # Touchard, dense
+@example(validate_delta(ShiftOp(x_series(15) * exp_x(15))), 14)  # Abel with a = 1, dense
+@example(validate_delta(ShiftOp(series([0, F(-3, 2), F(1, 5)], 15))), 0)
+@example(validate_delta(ShiftOp(series([0, 2, 0, F(-1, 7)], 15))), 1)
+def test_km_matches_apply_op_oracle(Q, n):
+    phi = basic_km(Q, n)
+    assert phi == oracles.km_ref(Q, n) and normalised(entries(phi.tri))
 
 
 # -- apply_op: one correlation instead of a Poly per derivative -----------------
