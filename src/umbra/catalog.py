@@ -13,9 +13,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from inspect import signature
+from itertools import repeat
 from math import comb, factorial
+from operator import add, mul
 from typing import Callable
 
+from ._kernel import half_grid, scaled
 from .errors import RouteDisagreement, UnknownFamily
 from .fps import (
     Poly,
@@ -35,10 +38,11 @@ from .umbral import (
     basic_all_routes,
     basic_transfer,
     binomial_grid,
-    connection_constants,
+    binomial_scan,
     cross,
     is_binomial_type,
     niederhausen,
+    scaled_rows,
     special_class_check,
     tri_compose,
     tri_identity,
@@ -297,8 +301,14 @@ class Report:
         return all(r.passed for r in self.results)
 
 
-def _grid(n: int) -> list[Fraction]:
-    return [Fraction(i, 2) for i in range(n + 2)]
+def _combination_point(lhs: tuple[list[int], int], table, weights, m: int) -> Fraction | None:
+    """First x in {0, 1/2, ..., (m+1)/2} with lhs(x) != sum_k weights[k] table[k](x), or None;
+    lhs and the table rows are ``half_grid`` values, compared on integers."""
+    (v, dv), (w, dw) = lhs, scaled([Fraction(c, d) for c, (_, d) in zip(weights, table)])
+    for i in range(m + 2):
+        if v[i] * dw != dv * sum(wk * table[k][0][i] for k, wk in enumerate(w)):
+            return Fraction(i, 2)
+    return None
 
 
 def _closed_triangle(spec: FamilySpec, n: int) -> Triangle:
@@ -432,17 +442,25 @@ def _check_catalan_numbers(spec: FamilySpec, n: int):
 
 
 def _check_spivey(spec: FamilySpec, n: int):
-    tou = spec.basic(n)
+    """phi x^(n+m) = sum_k S(n,k) x^k phi (x+k)^m, on the rows e of the triangle
+    scaled once: phi (x+k)^m = sum_j C(m,j) k^(m-j) e[j] is an integer combination."""
+    e, _ = scaled_rows(spec.basic(n).tri)
+
+    def shifted(m: int, k: int) -> list[int]:
+        """phi (x+k)^m through x^m."""
+        terms = [comb(m, j) * k ** (m - j) for j in range(m + 1)]
+        return [sum(t * e[j][i] for j, t in enumerate(terms[i:], i)) for i in range(m + 1)]
+
+    table = [[shifted(m, k) for k in range(n + 1 - m)] for m in range(n + 1)]
     for nn in range(n + 1):
         for m in range(n + 1 - nn):
-            lhs = tou.tri.apply_poly(poly([0] * (nn + m) + [1]))
-            rhs = poly([])
+            rhs = [0] * (nn + m + 1)
             for k in range(nn + 1):
                 s = stirling2(nn, k)
                 if s:
-                    shifted = poly([0] * m + [1]).shifted(k)
-                    rhs = rhs + s * tou.tri.apply_poly(shifted).times_x(k)
-            if lhs != rhs:
+                    seg = rhs[k : k + m + 1]
+                    rhs[k : k + m + 1] = map(add, seg, map(mul, repeat(s), table[m][k]))
+            if e[nn + m][: nn + m + 1] != rhs:
                 return {"form": "operator", "n": nn, "m": m}
             # Bell-number corollary at x = 1
             bell_lhs = bell_number(nn + m)
@@ -480,25 +498,23 @@ def _check_touchard_recurrence(spec: FamilySpec, n: int):
 
 def _check_erdelyi(spec: FamilySpec, n: int):
     lag = spec.basic(n)
+    rows = [lag.basic_poly(k).coeffs for k in range(n + 1)]
+    at = half_grid(rows, n)
+    inv = tri_invert(lag.tri)
     for lam in (Fraction(2), Fraction(1, 2), Fraction(-1)):
         stretch_tri = _closed_triangle(_spec_stretch(lam), n)
-        conn = connection_constants(
-            UmbralOp(tri_compose(stretch_tri, lag.tri)), lag
-        )
+        conn = tri_compose(inv, tri_compose(stretch_tri, lag.tri))  # the connection constants
+        # L_m(lam x), tabulated as the polynomial with coefficients c_j lam^j
+        stretched = half_grid([[c * lam**j for j, c in enumerate(p)] for p in rows], n)
         for m in range(n + 1):
+            coef = [lah(m, k) * lam**k * (lam - 1) ** (m - k) for k in range(m + 1)]
             for k in range(m + 1):
-                expected = lah(m, k) * lam**k * (lam - 1) ** (m - k)
-                if conn.entry(m, k) != expected:
+                if conn.entry(m, k) != coef[k]:
                     return {"lam": str(lam), "n": m, "k": k}
             # grid form: L_m(lam x) = sum_k Lah(m,k) lam^k (lam-1)^{m-k} L_k(x)
-            pm = lag.basic_poly(m)
-            for x in _grid(m):
-                rhs = sum(
-                    lah(m, k) * lam**k * (lam - 1) ** (m - k) * lag.basic_poly(k)(x)
-                    for k in range(m + 1)
-                )
-                if pm(lam * x) != rhs:
-                    return {"lam": str(lam), "n": m, "x": str(x)}
+            x = _combination_point(stretched[m], at, coef, m)
+            if x is not None:
+                return {"lam": str(lam), "n": m, "x": str(x)}
     return None
 
 
@@ -519,14 +535,13 @@ def _check_lah_connection(spec: FamilySpec, n: int):
     if tri_compose(rising.tri, lag.tri) != falling.tri:
         return {"n": n}
     # Lah's original identity on a grid
+    at_falling = half_grid([falling.basic_poly(m).coeffs for m in range(n + 1)], n)
+    at_rising = half_grid([rising.basic_poly(k).coeffs for k in range(n + 1)], n)
     for m in range(n + 1):
-        fm = falling.basic_poly(m)
-        for x in _grid(m):
-            rhs = sum(
-                lah(m, k) * (-1) ** (m - k) * rising.basic_poly(k)(x) for k in range(m + 1)
-            )
-            if fm(x) != rhs:
-                return {"n": m, "x": str(x)}
+        coef = [lah(m, k) * (-1) ** (m - k) for k in range(m + 1)]
+        x = _combination_point(at_falling[m], at_rising, coef, m)
+        if x is not None:
+            return {"n": m, "x": str(x)}
     return None
 
 
@@ -628,13 +643,13 @@ def _check_degenerate_cross(spec: FamilySpec, n: int):
     phi = basic_transfer(spec.delta(T), n)
     base = ShiftOp(series([1] + [0] * (p - 1) + [-p], T))
     exps = (Fraction(0), Fraction(1), Fraction(-1, 2))
-    sheffer_rows = {}
+    tables = {}
     for w in {u + v for u in exps for v in exps}:
         sh = cross(base, w, phi)
-        sheffer_rows[w] = [sh.sheffer_poly(m) for m in range(n + 1)]
+        tables[w] = half_grid([sh.sheffer_poly(m).coeffs for m in range(n + 1)], n)
     for u in exps:
         for v in exps:
-            hit = binomial_grid(sheffer_rows[u + v], sheffer_rows[u], sheffer_rows[v], n)
+            hit = binomial_scan(tables[u + v], tables[u], tables[v], n)
             if hit is not None:
                 return {"u": str(u), "v": str(v), "n": hit[0]}
     return None
@@ -694,19 +709,28 @@ _FAMILY_IDENTITIES: dict[str, list[tuple[str, Callable[[FamilySpec, int], dict |
 
 
 def _check_transform_roundtrip(spec: FamilySpec, n: int, rng) -> dict | None:
-    """Both dual inversion transforms on random rational sequences."""
+    """Both dual inversion transforms on random rational sequences.
+
+    The row transform of a triangle is its matrix, the column transform its
+    transpose; with both triangles scaled once to a / D_a and b / D_b, the round
+    trip b (a s) = s is the integer test b (a S) = D_a D_b S."""
     tri = spec.basic(n).tri
-    inv = tri_invert(tri)
+    (a, da), (b, db) = scaled_rows(tri), scaled_rows(tri_invert(tri))
+    mats = {"row": (a, b), "column": ([*zip(*a)], [*zip(*b)])}
     for trial in range(5):
         seq = [Fraction(rng.randint(-40, 40), rng.randint(1, 12)) for _ in range(n + 1)]
-        for mode in ("row", "column"):
-            from .umbral import transform_seq
-
-            if transform_seq(inv, transform_seq(tri, seq, mode), mode) != seq:
+        s, _ = scaled(seq)
+        target = [da * db * v for v in s]
+        for mode, (fwd, back) in mats.items():
+            if _apply(back, _apply(fwd, s)) != target:
                 return {"mode": mode, "trial": trial}
-            if transform_seq(tri, transform_seq(inv, seq, mode), mode) != seq:
+            if _apply(fwd, _apply(back, s)) != target:
                 return {"mode": mode, "trial": trial, "orientation": "inverse-first"}
     return None
+
+
+def _apply(rows, v: list[int]) -> list[int]:
+    return [sum(map(mul, row, v)) for row in rows]
 
 
 def identity_check(

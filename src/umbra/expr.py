@@ -20,7 +20,8 @@ brackets, calls and unary minuses around one token, is a ParseError.  An
 integer power that could grow a coefficient by more than MAX_POWER_BITS bits
 is refused before it is computed, and so is an exponent above MAX_EXPONENT;
 any other node whose value has a numerator or denominator too long to print
-in MAX_STR_DIGITS digits is refused as soon as it is computed.
+in MAX_STR_DIGITS digits is refused as soon as it is computed, and an integer
+literal longer than MAX_STR_DIGITS digits as soon as it is read.
 """
 
 from __future__ import annotations
@@ -130,6 +131,8 @@ def _tokenize(text: str) -> list[Token]:
             j = i
             while j < n and text[j].isdigit():
                 j += 1
+            if j - i > MAX_STR_DIGITS:
+                raise ParseError(f"integer literal longer than {MAX_STR_DIGITS} digits", i)
             out.append(Token("int", text[i:j], i))
             i = j
             continue

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 
 from .errors import shown
-from .fps import Poly, Series, series
+from .fps import Poly, Series
 from .rational import rat, rat_str
 from .umbral import Triangle
 
@@ -24,12 +24,6 @@ def dumps(obj) -> str:
 
 def series_to_json(f: Series) -> dict:
     return {"kind": "series", "trunc": f.trunc, "coeffs": [rat_str(c) for c in f.coeffs]}
-
-
-def series_from_json(obj: dict) -> Series:
-    if obj.get("kind") != "series":
-        raise ValueError("not a series object")
-    return series([rat(c) for c in obj["coeffs"]], int(obj["trunc"]))
 
 
 # -- polynomials --------------------------------------------------------------

@@ -21,7 +21,7 @@ from operator import mul
 from typing import Callable, Sequence
 
 from . import bell
-from ._kernel import cauchy, dot, krylov, powers, scaled, tri_inverse, tri_product
+from ._kernel import cauchy, dot, half_grid, krylov, powers, scaled, tri_inverse, tri_product
 from .errors import (
     NotAppell, NotDelta, NotUnitary, OrderError, SingularTriangle, TruncationError, agree
 )
@@ -327,27 +327,47 @@ def delta_of(phi: UmbralOp | Triangle, trunc: int | None = None) -> DeltaOp:
 
 
 def binomial_grid(
-    p_sum: Sequence[Callable], p_x: Sequence[Callable], p_y: Sequence[Callable], n: int
+    p_sum: Sequence[Poly], p_x: Sequence[Poly], p_y: Sequence[Poly], n: int
 ) -> tuple[int, Fraction, Fraction] | None:
     """First (m, x, y) with p_sum[m](x+y) != sum_k C(m,k) p_x[k](x) p_y[m-k](y), or None.
 
+    Each distinct polynomial set is tabulated once by ``half_grid``; the scan is
+    ``binomial_scan``."""
+    tables = {}
+    for ps in (p_sum, p_x, p_y):
+        if id(ps) not in tables:
+            tables[id(ps)] = half_grid([p.coeffs for p in ps[: n + 1]], n)
+    return binomial_scan(tables[id(p_sum)], tables[id(p_x)], tables[id(p_y)], n)
+
+
+def binomial_scan(v_sum, v_x, v_y, n: int) -> tuple[int, Fraction, Fraction] | None:
+    """``binomial_grid`` on value tables from ``half_grid``.
+
     Degrees m = 0..n are tried in turn, then x, then y, each over the grid
-    {0, 1/2, ..., (m+1)/2}.  Every callable is evaluated once per grid point
-    into a value table, so the convolution itself is only inner products.
+    {0, 1/2, ..., (m+1)/2}.  The test runs on integers: with L the lcm of the
+    products of denominators d_x[k] d_y[m-k], both sides are multiplied by L and
+    by the denominator of p_sum[m], so the weights C(m,k) L / (d_x[k] d_y[m-k])
+    are found once per m.
     """
-    half = [Fraction(i, 2) for i in range(2 * n + 3)]
-    at_x = [[p(t) for t in half[: n + 2]] for p in p_x[: n + 1]]
-    at_y = [[p(t) for t in half[: n + 2]] for p in p_y[: n + 1]]
     for m in range(n + 1):
-        lhs = [p_sum[m](t) for t in half[: 2 * m + 3]]
-        cols = [scaled([at_y[m - k][j] for k in range(m + 1)]) for j in range(m + 2)]
+        lhs, den = v_sum[m]
+        dens = [v_x[k][1] * v_y[m - k][1] for k in range(m + 1)]
+        big = lcm(*dens)
+        w = [comb(m, k) * (big // d) for k, d in enumerate(dens)]
+        cols = [[v_y[m - k][0][j] for k in range(m + 1)] for j in range(m + 2)]
         for i in range(m + 2):
-            x, dx = scaled([comb(m, k) * at_x[k][i] for k in range(m + 1)])
-            for j, (y, dy) in enumerate(cols):
-                v = lhs[i + j]
-                if v.numerator * dx * dy != sum(map(mul, x, y)) * v.denominator:
-                    return m, half[i], half[j]
+            x = [wk * v_x[k][0][i] for k, wk in enumerate(w)]
+            for j, y in enumerate(cols):
+                if lhs[i + j] * big != den * sum(map(mul, x, y)):
+                    return m, Fraction(i, 2), Fraction(j, 2)
     return None
+
+
+def scaled_rows(tri: Triangle) -> tuple[list[list[int]], int]:
+    """The whole triangle as integers over one denominator, rows padded with zeros to n+1."""
+    nums, den = scaled([v for row in tri.rows for v in row])
+    it = iter(nums)
+    return [[next(it) for _ in range(m + 1)] + [0] * (tri.n - m) for m in range(tri.n + 1)], den
 
 
 def is_binomial_type(tri: Triangle) -> bool:
@@ -357,20 +377,22 @@ def is_binomial_type(tri: Triangle) -> bool:
         C(i+j, i) coeff[n][i+j] = sum_k C(n,k) coeff[k][i] coeff[n-k][j]
     for all n <= N, i + j <= n, and additionally verifies
         p_n(x+y) = sum_k C(n,k) p_k(x) p_{n-k}(y)
-    on the grid of ``binomial_grid``.
+    on the grid of ``binomial_grid``.  The coefficient identity runs on one
+    scaling of the whole triangle, D C(i+j, i) e[n][i+j] = sum_k C(n,k) e[k][i] e[n-k][j]
+    with entries e / D.
     """
     if tri.entry(0, 0) != 1:
         return False
     for m in range(1, tri.n + 1):
         if tri.entry(m, m) == 0:
             return False
+    e, den = scaled_rows(tri)
     for n in range(tri.n + 1):
-        cols = [scaled([tri.entry(n - k, j) for k in range(n + 1)]) for j in range(n + 1)]
+        cols = [[e[n - k][j] for k in range(n + 1)] for j in range(n + 1)]
         for i in range(n + 1):
-            x, dx = scaled([comb(n, k) * tri.entry(k, i) for k in range(n + 1)])
+            x = [comb(n, k) * e[k][i] for k in range(n + 1)]
             for j in range(n - i + 1):
-                (y, dy), v = cols[j], comb(i + j, i) * tri.entry(n, i + j)
-                if v.numerator * dx * dy != sum(map(mul, x, y)) * v.denominator:
+                if den * comb(i + j, i) * e[n][i + j] != sum(map(mul, x, cols[j])):
                     return False
     rows = [tri.row_poly(k) for k in range(tri.n + 1)]
     return binomial_grid(rows, rows, rows, tri.n) is None
@@ -433,23 +455,29 @@ def power_coeffs(Q: DeltaOp, n: int) -> list[Fraction]:
 def special_class_check(phi: UmbralOp, U: ShiftOp, V: ShiftOp, n: int) -> bool:
     """Verify phi X^n = sum_k coeff[n][k] X^k U^k V^n phi as operators.
 
-    Both sides are applied to x^m for all m <= N - n.
+    Both sides are applied to x^m for all m <= N - n, on integers: the rows of
+    phi are scaled once to e / D, and the products U^k V^n are built once, their
+    terms weighted by coeff[n][k] as w[k][i] / W.  Then
+        W e[n+m] = sum_k x^k sum_i w[k][i] D^i e[m].
     """
     N = phi.n
     if n > N:
         raise TruncationError("n exceeds triangle depth")
     vn = V**n
-    uk = [U**k for k in range(n + 1)]
-    for m in range(N - n + 1):
-        lhs = phi.basic_poly(n + m)
-        rhs = poly([])
-        pm = phi.basic_poly(m)
-        for k in range(n + 1):
-            c = phi.tri.entry(n, k)
-            if not c:
-                continue
-            term = apply_op(uk[k] * vn, pm)
-            rhs = rhs + c * term.times_x(k)
-        if lhs != rhs:
+    ops = [(k, (U**k * vn).indicator) for k in range(n + 1) if phi.tri.entry(n, k)]
+    width = N - n + 1
+    w, dw = scaled([phi.tri.entry(n, k) * ind[i] for k, ind in ops for i in range(width)])
+    e, _ = scaled_rows(phi.tri)
+    fact = [factorial(j) for j in range(width)]
+    for m in range(width):
+        if any(ind.trunc < m for _, ind in ops):
+            raise TruncationError(f"indicator trunc < deg p = {m}; operator not resolved deeply enough")
+        q = [f * v for f, v in zip(fact, e[m][: m + 1])]
+        rhs = [0] * (N + 1)
+        for r, (k, _) in enumerate(ops):
+            wk = w[r * width : (r + 1) * width]
+            for j in range(m + 1):
+                rhs[k + j] += sum(map(mul, wk, q[j:])) // fact[j]
+        if [dw * v for v in e[n + m]] != rhs:
             return False
     return True

@@ -20,7 +20,7 @@ from umbra.fps import (
 from umbra.flow import iterate_int
 from umbra.operators import DeltaOp, ShiftOp, apply_op, validate_delta
 from umbra.rational import binom, rat, rat_str
-from umbra.serialize import series_from_json, series_to_json
+from umbra.serialize import series_to_json
 from umbra.umbral import Triangle, UmbralOp, tri_from_polys, triangle
 
 
@@ -478,6 +478,12 @@ def commutation_expansion_check(phi, n: int) -> bool:
 
 
 # -- JSON readers and writers that only the tests use ------------------------------
+
+
+def series_from_json(obj: dict) -> Series:
+    if obj.get("kind") != "series":
+        raise ValueError("not a series object")
+    return series([rat(c) for c in obj["coeffs"]], int(obj["trunc"]))
 
 
 def poly_from_json(obj: dict) -> Poly:

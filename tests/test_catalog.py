@@ -2,6 +2,7 @@
 
 import sys
 from fractions import Fraction as F
+from itertools import cycle
 
 import pytest
 
@@ -19,7 +20,9 @@ from umbra.catalog import (
 )
 from umbra.errors import UnknownFamily
 from umbra.fps import poly, x_series
-from umbra.umbral import ShefferOp, Triangle, binomial_grid, is_binomial_type, tri_from_polys
+from umbra.umbral import (
+    ShefferOp, Triangle, UmbralOp, binomial_grid, is_binomial_type, tri_from_polys
+)
 
 import oracles
 
@@ -259,18 +262,189 @@ def test_binomial_grid_returns_the_point_itself():
     assert binomial_grid(rows, rows, rows, 8) == (3, F(1, 2), F(1, 2))
 
 
-def test_is_binomial_type_evaluates_each_polynomial_once_per_point(monkeypatch):
-    # the inline grid evaluated every p_k again for each (x, y): thousands of calls at N = 8
-    N = 8
-    tri = family("touchard").basic(N).tri
-    real, calls = _kernel.evaluate, []
+def _count_half_grid(monkeypatch) -> list[tuple[int, int]]:
+    """Record (polynomials, points) for each call of ``_kernel.half_grid``."""
+    real, calls = _kernel.half_grid, []
 
-    def counting(c, a):
-        calls.append(a)
-        return real(c, a)
+    def counting(polys, n):
+        calls.append((len(polys), 2 * n + 3))
+        return real(polys, n)
 
     for name, module in list(sys.modules.items()):
-        if name.partition(".")[0] == "umbra" and getattr(module, "evaluate", None) is real:
-            monkeypatch.setattr(module, "evaluate", counting)
+        if name.partition(".")[0] == "umbra" and getattr(module, "half_grid", None) is real:
+            monkeypatch.setattr(module, "half_grid", counting)
+    return calls
+
+
+def test_is_binomial_type_evaluates_each_polynomial_once_per_point(monkeypatch):
+    # the inline grid evaluated every p_k again for each (x, y): thousands of calls at N = 8;
+    # the three sets of the grid are one set here, so it is tabulated once
+    N = 8
+    tri = family("touchard").basic(N).tri
+    calls = _count_half_grid(monkeypatch)
     assert is_binomial_type(tri)
-    assert 0 < len(calls) <= 3 * (N + 1) * (2 * N + 3)
+    assert 0 < sum(p * t for p, t in calls) <= (N + 1) * (2 * N + 3)
+
+
+def test_degenerate_cross_tabulates_each_row_set_once(monkeypatch):
+    # six exponent sums u + v, nine (u, v) scans: each Sheffer row set is evaluated once
+    n = 6
+    calls = _count_half_grid(monkeypatch)
+    assert catalog._check_degenerate_cross(family("degenerate_laguerre", p=2), n) is None
+    assert calls == [(n + 1, 2 * n + 3)] * 6
+
+
+# -- identities on value tables and scaled rows: counterexamples ---------------------------------
+#
+# Captured before these checks moved onto value tables and integer rows, with the
+# corruptions below; each names the first failing point in the unchanged scan order.
+
+
+def _corrupt_basic(monkeypatch, name, row, col):
+    """Add 1 to entry (row, col) of every basic triangle of the family `name`."""
+    real = catalog.FamilySpec.basic
+
+    def basic(spec, n):
+        op = real(spec, n)
+        if spec.name != name or row > n:
+            return op
+        rows = [list(r) for r in op.tri.rows]
+        rows[row][col] += 1
+        return UmbralOp(Triangle(tuple(map(tuple, rows))), op.delta)
+
+    monkeypatch.setattr(catalog.FamilySpec, "basic", basic)
+
+
+def _corrupt_number(monkeypatch, name, at):
+    real = getattr(catalog, name)
+    monkeypatch.setattr(catalog, name, lambda n, k: real(n, k) + ((n, k) == at))
+
+
+def _erdelyi():
+    return catalog._check_erdelyi(family("laguerre"), 8)
+
+
+def _lah_connection():
+    return catalog._check_lah_connection(family("laguerre"), 8)
+
+
+def _spivey():
+    return catalog._check_spivey(family("touchard"), 10)
+
+
+@pytest.mark.parametrize(
+    "row, col, expected",
+    [
+        (2, 1, {"lam": "2", "n": 2, "k": 1}),
+        (3, 2, {"lam": "2", "n": 3, "k": 1}),
+        (8, 3, {"lam": "2", "n": 8, "k": 1}),
+    ],
+)
+def test_erdelyi_coefficient_form_fails_on_a_corrupted_row(monkeypatch, row, col, expected):
+    assert _erdelyi() is None
+    _corrupt_basic(monkeypatch, "laguerre", row, col)
+    assert _erdelyi() == expected
+
+
+@pytest.mark.parametrize(
+    "at, expected",
+    [((3, 2), {"lam": "2", "n": 3, "k": 2}), ((7, 7), {"lam": "2", "n": 7, "k": 7})],
+)
+def test_erdelyi_coefficient_form_fails_on_a_corrupted_lah_number(monkeypatch, at, expected):
+    _corrupt_number(monkeypatch, "lah", at)
+    assert _erdelyi() == expected
+
+
+@pytest.mark.parametrize(
+    "m, corruption, expected",
+    [
+        (2, "x", {"lam": "2", "n": 2, "x": "1/2"}),
+        (4, "x", {"lam": "2", "n": 4, "x": "1/2"}),
+        (3, "cubic", {"lam": "2", "n": 3, "x": "1"}),
+        (6, "cubic", {"lam": "2", "n": 6, "x": "1"}),
+    ],
+)
+def test_erdelyi_grid_form_fails_on_a_corrupted_polynomial(monkeypatch, m, corruption, expected):
+    # the coefficient form reads the triangle, so only the grid sees L_m + c
+    _corrupt_rows(monkeypatch, m, _CORRUPTIONS[corruption])
+    assert _erdelyi() == expected
+
+
+@pytest.mark.parametrize(
+    "corrupt, expected",
+    [
+        (lambda mp: _corrupt_basic(mp, "laguerre", 3, 1), {"n": 8}),
+        (lambda mp: _corrupt_rows(mp, 2), {"n": 3, "x": "1/2"}),
+        (lambda mp: _corrupt_rows(mp, 4, _CORRUPTIONS["cubic"]), {"n": 5, "x": "3/2"}),
+        (lambda mp: _corrupt_number(mp, "lah", (5, 1)), {"n": 5, "x": "1/2"}),
+        (lambda mp: _corrupt_number(mp, "lah", (8, 4)), {"n": 8, "x": "1/2"}),
+    ],
+)
+def test_lah_connection_fails_on_a_corruption(monkeypatch, corrupt, expected):
+    assert _lah_connection() is None
+    corrupt(monkeypatch)
+    assert _lah_connection() == expected
+
+
+@pytest.mark.parametrize(
+    "row, col, expected",
+    [
+        (2, 1, {"form": "operator", "n": 1, "m": 1}),
+        (4, 2, {"form": "operator", "n": 1, "m": 3}),
+        (7, 3, {"form": "operator", "n": 1, "m": 6}),
+        (10, 9, {"form": "operator", "n": 1, "m": 9}),
+    ],
+)
+def test_spivey_operator_form_fails_on_a_corrupted_row(monkeypatch, row, col, expected):
+    assert _spivey() is None
+    _corrupt_basic(monkeypatch, "touchard", row, col)
+    assert _spivey() == expected
+
+
+def test_spivey_bell_form_fails_on_a_corrupted_stirling_number(monkeypatch):
+    _corrupt_number(monkeypatch, "stirling2", (3, 2))
+    assert _spivey() == {"form": "bell", "n": 1, "m": 2}
+
+
+class _FixedDraws:
+    """Stands in for the seeded generator: every trial draws the integers `seq`."""
+
+    def __init__(self, seq):
+        self.draws = cycle([v for s in seq for v in (s, 1)])  # numerator, denominator
+
+    def randint(self, lo, hi):
+        return next(self.draws)
+
+
+@pytest.mark.parametrize(
+    "col, seq, expected",
+    [
+        # (T s)_0 = s_0 != 0: the forward round trip sees the corrupted inverse
+        (0, [1] * 9, {"mode": "row", "trial": 0}),
+        # falling row 2 is x^2 - x, so (T s)_2 = 0 while s_2 = 1: only the inverse-first trip fails
+        (2, [1] * 9, {"mode": "row", "trial": 0, "orientation": "inverse-first"}),
+        # s_1 = (T s)_1 = 0 hides the entry from both row trips; the column trip sees it
+        (1, [1, 0] + [1] * 7, {"mode": "column", "trial": 0}),
+    ],
+)
+def test_transform_roundtrip_fails_on_a_corrupted_inverse(monkeypatch, col, seq, expected):
+    spec = family("falling")
+    assert catalog._check_transform_roundtrip(spec, 8, _FixedDraws(seq)) is None
+    real = catalog.tri_invert
+
+    def tri_invert(tri):
+        rows = [list(r) for r in real(tri).rows]
+        rows[8][col] += 1
+        return Triangle(tuple(map(tuple, rows)))
+
+    monkeypatch.setattr(catalog, "tri_invert", tri_invert)
+    assert catalog._check_transform_roundtrip(spec, 8, _FixedDraws(seq)) == expected
+
+
+@pytest.mark.parametrize("name", ["falling", "touchard", "laguerre", "catalan"])
+@pytest.mark.parametrize("row, col", [(3, 1), (5, 2), (8, 7)])
+def test_special_class_fails_on_a_corrupted_row(monkeypatch, name, row, col):
+    # n = 1 reaches every row of the triangle, so the first failure is always there
+    assert catalog._check_special_class(family(name), 8) is None
+    _corrupt_basic(monkeypatch, name, row, col)
+    assert catalog._check_special_class(family(name), 8) == {"n": 1}

@@ -15,9 +15,8 @@ import pytest
 from umbra import catalog, umbral
 from umbra.catalog import Report
 from umbra.cli import main
-from umbra.serialize import series_from_json
 
-from oracles import triangle_from_json
+from oracles import series_from_json, triangle_from_json
 
 
 def run(capsys, *argv):
@@ -347,6 +346,20 @@ def test_oversized_power_is_refused_up_front(capsys, text, message):
     assert time.perf_counter() - start < 1
     assert code == 2 and out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        # 21,845 digits, the bound; the leading zeros keep the value printable
+        ("x+" + "0" * 21844 + "7", (0, "7 + x + O(x^3)\n", "")),
+        ("x+" + "0" * 21845 + "7", (2, "", "error: integer literal longer than 21845 digits at offset 2\n")),
+        ("7" * 30000 + "*x", (2, "", "error: integer literal longer than 21845 digits at offset 0\n")),
+    ],
+    ids=["at-the-bound", "one-digit-over", "30000-digits"],
+)
+def test_integer_literal_length_is_bounded(capsys, text, expected):
+    assert run(capsys, "series", text, "--order", "2") == expected
 
 
 @pytest.mark.parametrize(

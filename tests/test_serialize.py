@@ -9,7 +9,6 @@ from umbra.serialize import (
     dumps,
     poly_to_json,
     report_to_json,
-    series_from_json,
     series_to_json,
     triangle_to_json,
     triangle_to_tsv,
@@ -19,6 +18,7 @@ from umbra.umbral import basic_transfer
 from oracles import (
     matrix_to_json,
     poly_from_json,
+    series_from_json,
     shiftop_from_json,
     shiftop_to_json,
     triangle_from_json,
