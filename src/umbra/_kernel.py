@@ -95,6 +95,38 @@ def powers(f: Sequence[Fraction], count: int):
         yield p, dp
 
 
+def reciprocal_powers(g: Sequence[Fraction], count: int):
+    """Yield (1/g)^k through x^N (N = len(g) - 1) for k = 0..count, exactly as
+    ``powers(1/g, count)`` yields them; g_0 must be nonzero.
+
+    A short g, of degree d with 4(d + 1) <= N + 1, divides each power by g
+    (Knuth, TAOCP 2, 4.7): with g = G/dg and a = h/G, B_m = a_m G_0^(m+1) solves
+    B_m = h_m G_0^m - sum_{i=1..d} G_i G_0^(i-1) B_{m-i}, O(N d) integer products
+    per power and one ``reduced``.  On a dense g those graded numbers outgrow the
+    dense products, so a dense g goes through ``powers`` of 1/g."""
+    x, dx = scaled(g)
+    n = d = len(x) - 1
+    while d and not x[d]:
+        d -= 1
+    if 4 * (d + 1) > n + 1:
+        yield from powers(recurrence(g, 1 / g[0], 0, 1), count)
+        return
+    pw = [1]
+    for _ in range(n + 1):
+        pw.append(pw[-1] * x[0])
+    w = [x[i] * pw[i - 1] for i in range(d, 0, -1)]  # against B_{m-d}..B_{m-1}
+    sign = -1 if pw[n + 1] < 0 else 1
+    lift = [sign * dx * pw[n - m] for m in range(n + 1)]  # B_m over G_0^(m+1) to one denominator
+    p, dp = [1] + [0] * n, 1
+    yield p, dp
+    for _ in range(count):
+        b = [0] * d
+        for m in range(n + 1):
+            b.append(p[m] * pw[m] - sum(map(mul, w, b[-d:])))
+        p, dp = reduced(list(map(mul, b[d:], lift)), sign * dp * pw[n + 1])
+        yield p, dp
+
+
 def apply_derivatives(c: Sequence[Fraction], p: Sequence[Fraction]) -> list[Fraction]:
     """Coefficients of sum_k c_k p^(k): entry j is sum_k c_k (j+k)! p_{j+k} / j!."""
     (x, dx), (y, dy) = scaled(c[: len(p)]), scaled(p)

@@ -38,16 +38,8 @@ from .errors import (
     TruncationError,
     UmbraError,
 )
-from .fps import (
-    INF,
-    Series,
-    const,
-    exp_series,
-    log_series,
-    mul_inv,
-    pow_rat,
-    x_series,
-)
+from ._kernel import convolve
+from .fps import INF, Poly, Series, _binary_power, exp_series, log_series, mul_inv, poly, pow_rat, series
 from .rational import rat_str
 
 _FUNCTIONS = ("exp", "log", "sqrt")
@@ -152,6 +144,17 @@ def _tokenize(text: str) -> list[Token]:
     return out
 
 
+def _literal(text: str) -> int:
+    """int(text) read 640 digits at a time, the smallest int-string limit the
+    interpreter allows, so a literal of up to MAX_STR_DIGITS digits reads
+    whatever limit the caller has set."""
+    value = 0
+    for i in range(0, len(text), 640):
+        chunk = text[i : i + 640]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
@@ -254,11 +257,11 @@ class _Parser:
         if self.peek().kind == "-":
             self.advance()
             sign = -1
-        num = int(self.expect("int").text)
+        num = _literal(self.expect("int").text)
         if not integer_only and self.peek().kind == "/":
             self.advance()
             den_tok = self.expect("int")
-            den = int(den_tok.text)
+            den = _literal(den_tok.text)
             if den == 0:
                 raise ParseError("zero denominator", den_tok.pos)
             return Fraction(sign * num, den)
@@ -273,10 +276,11 @@ class _Parser:
             if self.peek().kind == "/" and self.tokens[self.i + 1].kind == "int":
                 self.advance()
                 den_tok = self.advance()
-                if int(den_tok.text) == 0:
+                den = _literal(den_tok.text)
+                if den == 0:
                     raise ParseError("zero denominator", den_tok.pos)
-                return Num(tok.pos, Fraction(int(tok.text), int(den_tok.text))), 1
-            return Num(tok.pos, Fraction(int(tok.text))), 1
+                return Num(tok.pos, Fraction(_literal(tok.text), den)), 1
+            return Num(tok.pos, Fraction(_literal(tok.text))), 1
         if tok.kind == "name":
             self.advance()
             if tok.text in ("x", "D"):
@@ -379,7 +383,7 @@ MAX_STR_DIGITS = MAX_POWER_BITS // 3
 MAX_VALUE_BITS = MAX_STR_DIGITS * 3321 // 1000
 
 
-def _bits(f: Series) -> int:
+def _bits(f: Series | Poly) -> int:
     """Largest ceil(log2 |v|) over the numerators and denominators v of f, so
     each |v| <= 2^bits: the bits each unit of k adds to f^k (none for
     coefficients +-1, whose powers grow by binomials only; MAX_EXPONENT bounds
@@ -388,7 +392,27 @@ def _bits(f: Series) -> int:
     return max(((abs(v) - 1).bit_length() for v in parts), default=0)
 
 
-def _eval(node: Node, trunc: int) -> Series:
+# A node's value is a Poly cut at x^trunc while every node under it is a number,
+# x, a sum, difference or product, an integer power k >= 0, or a division by a
+# nonzero constant; a polynomial then costs its degree, not trunc.  Any other
+# node is a Series, and a Poly that meets one becomes a Series at trunc first.
+
+
+def _dense(f: Series | Poly, trunc: int) -> Series:
+    return f if isinstance(f, Series) else series(f.coeffs, trunc)
+
+
+def _times(f: Poly, g: Poly, trunc: int) -> Poly:
+    return poly(convolve(f.coeffs, g.coeffs, min(trunc, len(f.coeffs) + len(g.coeffs) - 2)))
+
+
+def _power(f: Series | Poly, k: int, trunc: int) -> Series | Poly:
+    if isinstance(f, Series):
+        return f**k
+    return _binary_power(f, k, poly([1]), lambda a, b: _times(a, b, trunc))
+
+
+def _eval(node: Node, trunc: int) -> Series | Poly:
     """Evaluate one node; refuse a value that would not print in MAX_STR_DIGITS digits."""
     value = _eval_node(node, trunc)
     if _bits(value) > MAX_VALUE_BITS:
@@ -397,15 +421,15 @@ def _eval(node: Node, trunc: int) -> Series:
     return value
 
 
-def _eval_node(node: Node, trunc: int) -> Series:
+def _eval_node(node: Node, trunc: int) -> Series | Poly:
     if isinstance(node, Num):
-        return const(node.value, trunc)
+        return poly([node.value])
     if isinstance(node, Var):
-        return x_series(trunc)
+        return poly([0, 1][: trunc + 1])
     if isinstance(node, Neg):
         return -_eval(node.child, trunc)
     if isinstance(node, Call):
-        arg = _eval(node.arg, trunc)
+        arg = _dense(_eval(node.arg, trunc), trunc)
         with _at(node.pos):
             if node.func == "exp":
                 return exp_series(arg)
@@ -423,22 +447,26 @@ def _eval_node(node: Node, trunc: int) -> Series:
                 if abs(k) > MAX_EXPONENT:
                     raise UmbraError(f"power ^{k} has an exponent above {MAX_EXPONENT}")
                 if k >= 0:
-                    return base**k
+                    return _power(base, k, trunc)
                 if base[0] == 0:
                     raise NotInvertible("negative power of a series with zero constant term")
-                return mul_inv(base) ** (-k)
-            return pow_rat(base, e)
+                return mul_inv(_dense(_power(base, -k, trunc), trunc))
+            return pow_rat(_dense(base, trunc), e)
     if isinstance(node, BinOp):
         left = _eval(node.left, trunc)
         right = _eval(node.right, trunc)
         with _at(node.pos):
+            if node.op == "/" and not (isinstance(right, Poly) and right.degree() == 0):
+                return _divide(_dense(left, trunc), _dense(right, trunc))
+            if isinstance(left, Series) or isinstance(right, Series):
+                left, right = _dense(left, trunc), _dense(right, trunc)
             if node.op == "+":
                 return left + right
             if node.op == "-":
                 return left - right
-            if node.op == "*":
-                return left * right
-            return _divide(left, right)
+            if node.op == "/":
+                return left / right[0]
+            return left * right if isinstance(left, Series) else _times(left, right, trunc)
     raise TypeError(f"unknown node {node!r}")
 
 
@@ -467,7 +495,7 @@ def eval_ast(node: Node, order: int) -> Series:
     last_exc: UmbraError | None = None
     for _ in range(8):
         try:
-            result = _eval(node, working)
+            result = _dense(_eval(node, working), working)
         except NotInvertible as exc:
             # a divisor can look like the zero series purely because the
             # working order is shallow; deepen and retry before giving up

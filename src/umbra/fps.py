@@ -14,9 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, inf
+from operator import mul
 from typing import Iterable, Sequence
 
-from ._kernel import apply_derivatives, convolve, evaluate, power, powers, recurrence, reduced
+from ._kernel import (
+    apply_derivatives, convolve, evaluate, power, powers, reciprocal_powers, recurrence, reduced
+)
 from .errors import ConstantTermError, NotInvertible, OrderError, TruncationError, agree
 from .rational import RatLike, rat, rat_str
 
@@ -129,15 +132,15 @@ class Series:
         return format_series(self)
 
 
-def _binary_power(base, k: int, one):
+def _binary_power(base, k: int, one, times=mul):
     """base^k for k >= 0 by squaring, with no product by ``one`` and none past k's top bit."""
     result = None
     while k:
         if k & 1:
-            result = base if result is None else result * base
+            result = base if result is None else times(result, base)
         k >>= 1
         if k:
-            base = base * base
+            base = times(base, base)
     return one if result is None else result
 
 
@@ -268,9 +271,9 @@ def lagrange_power(f: Series, k: int, n_max: int) -> Series:
         raise OrderError("power index k must be >= 1")
     if f.trunc < n_max:
         raise TruncationError(f"need trunc >= {n_max}, have {f.trunc}")
-    ratio = mul_inv(f.shift_down(1))  # x/f(x), order 0
     out = [Fraction(0)] * (n_max + 1)
-    for n, (p, dp) in enumerate(powers(ratio.coeffs, n_max)):
+    # (x/f)^n = (f/x)^-n through x^(n_max-1)
+    for n, (p, dp) in enumerate(reciprocal_powers(f.coeffs[1 : max(n_max, 1) + 1], n_max)):
         if n >= k:
             out[n] = Fraction(k * p[n - k], n * dp)
     return Series(n_max, tuple(out))

@@ -21,7 +21,9 @@ from operator import mul
 from typing import Callable, Sequence
 
 from . import bell
-from ._kernel import cauchy, dot, half_grid, krylov, powers, scaled, tri_inverse, tri_product
+from ._kernel import (
+    cauchy, dot, half_grid, krylov, powers, reciprocal_powers, scaled, tri_inverse, tri_product
+)
 from .errors import (
     NotAppell, NotDelta, NotUnitary, OrderError, SingularTriangle, TruncationError, agree
 )
@@ -208,11 +210,6 @@ def _require_depth(Q: DeltaOp, n: int):
         )
 
 
-def _dq_ratio(Q: DeltaOp) -> Series:
-    """Indicator of D/Q (order-0 series, constant term 1/unit)."""
-    return mul_inv(Q.indicator.shift_down(1))
-
-
 def _on_monomial(c: Sequence[int], den: int, m: int) -> tuple[Fraction, ...]:
     """Coefficients of (sum_i c_i D^i / den) x^m: entry j is c_{m-j} m!/j! / den."""
     return tuple(Fraction(c[m - j] * (factorial(m) // factorial(j)), den) for j in range(m + 1))
@@ -223,7 +220,7 @@ def basic_transfer(Q: DeltaOp, n: int) -> UmbralOp:
     of row m is c_{m-j} m!/j!, one integer product per power of D/Q."""
     _require_depth(Q, n)
     q, dq = scaled(derive(Q.indicator).coeffs[: n + 1])
-    table = islice(powers(_dq_ratio(Q).coeffs[: n + 1], n + 1), 1, None)  # from (D/Q)^1
+    table = islice(reciprocal_powers(Q.indicator.coeffs[1 : n + 2], n + 1), 1, None)  # from (D/Q)^1
     rows = [_on_monomial(cauchy(q, p, m), dq * dp, m) for m, (p, dp) in enumerate(table)]
     return UmbralOp(Triangle(tuple(rows)), Q)
 
@@ -231,7 +228,7 @@ def basic_transfer(Q: DeltaOp, n: int) -> UmbralOp:
 def basic_steffensen(Q: DeltaOp, n: int) -> UmbralOp:
     """Rows p_m = x (D/Q)^m x^{m-1} (row 0 is [1]), one power of D/Q per row."""
     _require_depth(Q, n)
-    table = islice(powers(_dq_ratio(Q).coeffs[: n + 1], n), 1, None)  # from (D/Q)^1
+    table = islice(reciprocal_powers(Q.indicator.coeffs[1 : n + 2], n), 1, None)  # from (D/Q)^1
     rows = [(Fraction(0),) + _on_monomial(p, dp, m) for m, (p, dp) in enumerate(table)]
     return UmbralOp(Triangle(((Fraction(1),), *rows)), Q)
 

@@ -4,8 +4,9 @@ Everything here recomputes expected values by a different algorithm than the
 code under test: Newton doubling for compositional inverses, partition
 enumeration for Bell polynomials, Lagrange interpolation for the iterative
 logarithm, plain finite sums/integrals for the summation calculus, the
-classical recurrences for Stirling/Lah numbers, and the plain ``Fraction``
-loops that the integer kernel replaced.
+classical recurrences for Stirling/Lah numbers, the plain ``Fraction``
+loops that the integer kernel replaced, and the dense expression evaluator
+that polynomial nodes' short values replaced.
 """
 
 from __future__ import annotations
@@ -14,8 +15,13 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
+from umbra.errors import DivisionOrderError, NotInvertible, TruncationError, UmbraError
+from umbra.expr import (
+    MAX_EXPONENT, MAX_POWER_BITS, MAX_STR_DIGITS, MAX_VALUE_BITS, Call, Neg, Num, Pow, Var, _at, _bits
+)
 from umbra.fps import (
-    Poly, Series, comp_inv, compose, derive, exp_series, monomial, mul_inv, poly, series, x_series
+    INF, Poly, Series, comp_inv, compose, const, derive, exp_series, log_series, monomial, mul_inv,
+    poly, pow_rat, series, x_series,
 )
 from umbra.flow import iterate_int
 from umbra.operators import DeltaOp, ShiftOp, apply_op, validate_delta
@@ -240,6 +246,92 @@ def direct_sum(p, a: int, b: int) -> Fraction:
 def integral(p, a, b) -> Fraction:
     anti = p.antiderivative(0)
     return anti(b) - anti(a)
+
+
+# -- the dense expression evaluator -------------------------------------------------
+
+
+def eval_dense_ref(node, order: int) -> Series:
+    """``expr.eval_ast`` as it stood before polynomial nodes got short values:
+    every node is a Series at the working order, with the same value bounds,
+    error offsets and retry loop."""
+    def divide(f, g):
+        k = g.order()
+        if k == INF:
+            raise NotInvertible("division by the zero series")
+        k = int(k)
+        if k == 0:
+            return f * mul_inv(g)
+        if f.order() < k:
+            raise DivisionOrderError(f"dividend order {f.order()} < divisor order {k}")
+        return f.shift_down(k) * mul_inv(g.shift_down(k))
+
+    def ev(node, trunc):
+        value = ev_node(node, trunc)
+        if _bits(value) > MAX_VALUE_BITS:
+            with _at(node.pos):
+                raise UmbraError(f"a coefficient would exceed {MAX_STR_DIGITS} digits")
+        return value
+
+    def ev_node(node, trunc):
+        if isinstance(node, Num):
+            return const(node.value, trunc)
+        if isinstance(node, Var):
+            return x_series(trunc)
+        if isinstance(node, Neg):
+            return -ev(node.child, trunc)
+        if isinstance(node, Call):
+            arg = ev(node.arg, trunc)
+            with _at(node.pos):
+                if node.func == "exp":
+                    return exp_series(arg)
+                if node.func == "log":
+                    return log_series(arg)
+                return pow_rat(arg, Fraction(1, 2))
+        if isinstance(node, Pow):
+            base = ev(node.base, trunc)
+            e = node.exponent
+            with _at(node.pos):
+                if e.denominator == 1:
+                    k = int(e)
+                    if abs(k) * _bits(base) > MAX_POWER_BITS:
+                        raise UmbraError(f"power ^{k} would grow a coefficient past {MAX_POWER_BITS} bits")
+                    if abs(k) > MAX_EXPONENT:
+                        raise UmbraError(f"power ^{k} has an exponent above {MAX_EXPONENT}")
+                    if k >= 0:
+                        return base**k
+                    if base[0] == 0:
+                        raise NotInvertible("negative power of a series with zero constant term")
+                    return mul_inv(base) ** (-k)
+                return pow_rat(base, e)
+        left = ev(node.left, trunc)
+        right = ev(node.right, trunc)
+        with _at(node.pos):
+            if node.op == "+":
+                return left + right
+            if node.op == "-":
+                return left - right
+            if node.op == "*":
+                return left * right
+            return divide(left, right)
+
+    if order < 0:
+        raise TruncationError("order must be >= 0")
+    working = order
+    last_exc = None
+    for _ in range(8):
+        try:
+            result = ev(node, working)
+        except NotInvertible as exc:
+            last_exc = exc
+            working += order + 1
+            continue
+        if result.trunc >= order:
+            return result.truncate(order)
+        working += order - result.trunc
+    if last_exc is not None:
+        raise last_exc
+    raise TruncationError("expression loses too much truncation depth to evaluate")
 
 
 # -- the plain Fraction loops that the integer kernel replaced ------------------

@@ -303,6 +303,24 @@ GOLDEN_JSON = {
         "049a0c6494566dbb623877b0934abdb118804a5c84d73c4c9250cbe9826febba",
     ("basic", "--delta=2*D-D^2/3+3*D^3/5", "--route=km", "--order=20"):
         "0045409a638db79eb02074b4b142a05305a2632880873da6ce861f9bdf2342a6",
+    # captured before polynomial nodes got short values and the transfer and Steffensen
+    # routes moved onto the divided (D/Q)^k table
+    ("basic", "--delta=2*D-D^2/3+3*D^3/5", "--route=transfer", "--order=56"):
+        "380910aa649ca7ada522ec6351bac09d1cf7b9741ed746c25ebcb4bac1cb3f08",
+    ("basic", "--delta=2*D-D^2/3+3*D^3/5", "--route=steffensen", "--order=56"):
+        "380910aa649ca7ada522ec6351bac09d1cf7b9741ed746c25ebcb4bac1cb3f08",
+    ("basic", "--delta=-3/2*D+D^2/5-2*D^4/7", "--route=transfer", "--order=56"):
+        "cbbee140670f2dab0fbcffe1e1e9dae0a533830bbf084bbf78ca5cd965ba9cbe",
+    ("basic", "--delta=-3/2*D+D^2/5-2*D^4/7", "--route=steffensen", "--order=56"):
+        "cbbee140670f2dab0fbcffe1e1e9dae0a533830bbf084bbf78ca5cd965ba9cbe",
+    ("series", "1-x/5+3*x^2/7+x^3/2", "--order=64"):
+        "69763dc7e4ba21af2f366af020c5d6d18a8bd5b6ba7bb709991a5ec3fd9e6705",
+    ("series", "(1-3*x/5+x^2/9+7*x^3)^5-1/3*(x-x^2)^7", "--order=64"):
+        "7d1589967c671afc1bfa0cd7afab1d47336deef5bacea27cb7250ecf539c0680",
+    ("inverse", "2*x-x^2/3+3*x^3/5", "--order=64"):
+        "3c927ae58f6282904aee19f93cd9d8e9adf0f52efb11b8b1761e8644a6ff284c",
+    ("inverse", "(-3/2)*x+x^2/5-2*x^4/7", "--order=64"):
+        "816d8182de3d9430de7db1fd03a3a06a9b6cf0f2b1dfb75b97d5429ca2bb2f55",
 }
 
 

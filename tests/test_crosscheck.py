@@ -135,10 +135,9 @@ def _corrupt_power(mp):
 
 
 def _corrupt_powers(mp):
-    # umbral's binding of the power table that transfer, Steffensen, genfunc and km
-    # read: every f^k, k >= 1, gains x^(k+1).  Transfer and Steffensen read f^k
-    # only through x^(k-1), so genfunc and km are wrong and transfer catches genfunc
-    # first; a change they read would fail UmbralOp's checks of column 0 or the diagonal.
+    # umbral's binding of the power table that genfunc and km read: every f^k,
+    # k >= 1, gains x^(k+1).  Transfer and Steffensen read reciprocal_powers instead,
+    # so genfunc and km are wrong and transfer catches genfunc first.
     real = umbral.powers
 
     def corrupted(f, count):
@@ -148,6 +147,22 @@ def _corrupt_powers(mp):
             yield p, dp
 
     mp.setattr(umbral, "powers", corrupted)
+
+
+def _corrupt_reciprocal_powers(mp):
+    # umbral's binding of the (D/Q)^k table that transfer and Steffensen read: every
+    # (D/Q)^k, k >= 5, gains x.  Column 0 of transfer's row k - 1 is [x^(k-1)] Q'(D/Q)^k,
+    # which reads x^1 only through Q'_(k-2), zero for k >= 5 as Q' has degree 2, so both
+    # routes stay well-formed triangles and go wrong off column 0 and the diagonal.
+    real = umbral.reciprocal_powers
+
+    def corrupted(g, count):
+        for k, (p, dp) in enumerate(real(g, count)):
+            if k >= 5:
+                p = [p[0], p[1] + dp, *p[2:]]
+            yield p, dp
+
+    mp.setattr(umbral, "reciprocal_powers", corrupted)
 
 
 # name -> (argv, injection, expected disagreement document)
@@ -172,6 +187,16 @@ INJECTIONS = {
         ["basic", "--delta", "exp(D)-1", "--route", "all", "--order", "5", "--format", "json"],
         _corrupt_powers,
         {"construction": "basic", "routes": ["transfer", "genfunc"], "index": [2, 1], "values": ["-1", "1"]},
+    ),
+    "basic_reciprocal_powers": (
+        ["basic", "--delta=2*D-D^2/3+3*D^3/5", "--route", "all", "--order", "16", "--format", "json"],
+        _corrupt_reciprocal_powers,
+        {
+            "construction": "basic",
+            "routes": ["transfer", "steffensen"],
+            "index": [4, 1],
+            "values": ["30859/720", "-49/144"],
+        },
     ),
     "itlog": (
         ["itlog", "--series", "exp(x)-1", "--order", "8", "--format", "json"],

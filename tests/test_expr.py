@@ -1,13 +1,19 @@
 """Expression front-end: grammar, precedence, evaluation, rendering."""
 
 import random
+import sys
 from fractions import Fraction as F
+from math import comb
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 import pytest
 
 from umbra.errors import ConstantTermError, DivisionOrderError, NotInvertible, ParseError, UmbraError
-from umbra.expr import BinOp, Call, Neg, Num, Pow, Var, eval_expr, parse, render
-from umbra.fps import log1p, series
+from umbra.expr import BinOp, Call, Neg, Num, Pow, Var, eval_ast, eval_expr, parse, render
+from umbra.fps import Series, log1p, series
+
+import oracles
 
 
 # -- parsing ---------------------------------------------------------------------
@@ -150,6 +156,96 @@ def test_eval_value_past_the_print_bound_is_refused():
         eval_expr("2^65536*2^7012", 0)
     with pytest.raises(UmbraError, match=r"\(at offset 2\)"):
         eval_expr("x+exp(2^60000*x)", 2)
+
+
+# -- short values against the dense evaluator --------------------------------------
+
+_POLY_TEXT = "1-1/5*x+3/7*x^2+1/2*x^3"
+
+
+def _wrap(template):
+    return lambda child: template.format(child)
+
+
+def _expressions():
+    """Expression text from the grammar: polynomial parts under exp, log and sqrt,
+    rational and negative powers, and division by constants and by series of
+    positive order, each child in brackets."""
+    literal = st.builds(
+        lambda n, d: str(n) if d == 1 else f"{n}/{d}", st.integers(0, 12), st.sampled_from((1, 2, 7, 10007))
+    )
+    leaves = st.one_of(st.sampled_from(("x", "D", _POLY_TEXT)), literal)
+
+    def extend(child):
+        return st.one_of(
+            st.builds(lambda a, op, b: f"({a}){op}({b})", child, st.sampled_from("+-*/"), child),
+            child.map(_wrap("-({})")),
+            st.builds(lambda a, k: f"({a})^{k}", child, st.integers(-3, 5)),
+            st.builds(lambda a, r: f"(1+x*({a}))^({r})", child, st.sampled_from(("1/2", "-1/3", "-5/2"))),
+            child.map(_wrap("exp(x*({}))")),
+            child.map(_wrap("log(1+x*({}))")),
+            child.map(_wrap("sqrt(1+x*({}))")),
+            st.builds(lambda f, a: f"{f}({a})", st.sampled_from(("exp", "log", "sqrt")), child),
+            st.builds(lambda a, c: f"({a})/{c}", child, st.sampled_from(("2", "3/7", "2^2", "(1-1)"))),
+            st.builds(lambda a, b: f"({a})/(x*({b}))", child, child),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=8)
+
+
+def _outcome(evaluate, node, order):
+    try:
+        return evaluate(node, order)
+    except UmbraError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_expressions(), st.integers(0, 24))
+@example("(1+x)^1000", 8)
+@example("x^100", 5)
+@example("x/2^2", 3)
+@example("3/2^2", 3)
+@example("1/(x-x)", 3)
+@example("1+x*(2^65536*2^7012)", 4)  # refused inside a polynomial subtree, at its offset
+@example("(1-x)^3+(2-x/3)^32769", 2)
+@example(f"({_POLY_TEXT})^-2*x^0", 0)
+@example("x/(1/(2^65536*2^7011))/(1/(2^65536*2^7011))", 0)  # x is cut at order 0 before it grows
+def test_short_values_match_the_dense_evaluator(text, order):
+    node = parse(text)
+    assert _outcome(eval_ast, node, order) == _outcome(oracles.eval_dense_ref, node, order)
+
+
+def test_short_values_at_hand_cases():
+    assert eval_expr("(1+x)^1000", 8) == series([comb(1000, k) for k in range(9)], 8)
+    assert eval_expr("x^100", 5) == series([0], 5)
+    with pytest.raises(NotInvertible, match=r"division by the zero series \(at offset 0\)"):
+        eval_expr("1/(x-x)", 3)
+    with pytest.raises(UmbraError, match=r"a coefficient would exceed 21845 digits \(at offset 5\)"):
+        eval_expr("1+x*(2^65536*2^7012)", 4)
+
+
+def test_polynomial_nodes_build_no_series(monkeypatch):
+    built = []
+    real = Series.__post_init__
+    monkeypatch.setattr(Series, "__post_init__", lambda f: built.append(f.trunc) or real(f))
+    eval_expr(f"({_POLY_TEXT})^3*(2-x)/7-x^4", 64)
+    assert built == [64, 64]  # the root, and its truncation to the order asked for
+
+
+@pytest.mark.parametrize("limit", [640, 4300])
+def test_integer_literal_length_is_bounded_whatever_the_int_string_limit(limit):
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        # 21,845 digits, the bound; the leading zeros keep the value printable
+        assert eval_expr("x+" + "0" * 21844 + "7", 2) == series([7, 1], 2)
+        assert eval_expr("1" * 5000 + "/" + "3" * 700, 0)[0] == F((10**5000 - 1) // 9, (10**700 - 1) // 3)
+        with pytest.raises(ParseError, match="integer literal longer than 21845 digits") as err:
+            parse("x+" + "0" * 21845 + "7")
+        assert err.value.pos == 2
+    finally:
+        sys.set_int_max_str_digits(previous)
 
 
 def test_precedence():

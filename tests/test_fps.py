@@ -286,6 +286,22 @@ def test_lagrange_identity_self_inverse():
     assert lagrange_power(x_series(8), 3, 5) == series([0, 0, 0, 1], 5)
 
 
+@pytest.mark.parametrize(
+    "f",
+    [
+        series([0, F(-3, 2), F(1, 5), 0, F(-2, 7)], 40),  # (f/x)^-n by division
+        series([0, 2, 0, 0, F(1, 65537)], 16),  # divides at n_max = 16, not at 15
+        expm1(16).scale(2),  # dense
+    ],
+    ids=["short", "boundary", "dense"],
+)
+def test_lagrange_with_non_unit_leads(f):
+    g = comp_inv(f)
+    for n_max in (0, 1, 11, f.trunc - 1, f.trunc):
+        for k in (1, 2):
+            assert lagrange_power(f, k, n_max) == (g**k).truncate(n_max), (n_max, k)
+
+
 def test_lagrange_equals_comp_inv_powers():
     f = series([0, 1, F(-1, 2), F(1, 3), 2, F(3, 5), -1], 24, )
     g = comp_inv(f)

@@ -11,6 +11,7 @@ from math import gcd
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+import pytest
 
 from umbra import _kernel, fps, operators, umbral
 from umbra.flow import _column_powers
@@ -142,6 +143,44 @@ def test_powers_match_repeated_series_products(f, count):
     for p, dp in table:
         assert (p, dp) == _kernel.scaled(expected.coeffs)  # the lcm form, reduced
         expected = expected * f
+
+
+@st.composite
+def reciprocal_inputs(draw):
+    """(g, count): g of degree d padded with zeros to length N + 1, where N + 1 is
+    near 4(d + 1), the least length at which reciprocal_powers divides by g."""
+    d = draw(st.integers(0, 4))
+    n = max(d, 4 * (d + 1) - 1 + draw(st.integers(-3, 3)))
+    g0 = draw(st.one_of(st.sampled_from((F(1), F(2), F(-3, 2))), nonzero))
+    body = draw(st.lists(rationals, min_size=d, max_size=d))
+    if d:
+        body[-1] = draw(nonzero)
+    return [g0, *body] + [F(0)] * (n - d), draw(st.integers(0, 8))
+
+
+@settings(max_examples=80, deadline=None)
+@given(reciprocal_inputs())
+@example(([F(1), F(-1, 5), F(3, 7), F(1, 2)] + [F(0)] * 12, 17))  # d = 3 at the boundary N = 15
+@example(([F(1), F(-1, 5), F(3, 7), F(1, 2)] + [F(0)] * 11, 16))  # and one below it
+@example(([F(2), 0, F(1, 2**61 - 1), 0, F(-7, 65537)] + [F(0)] * 40, 6))  # interior zeros
+@example(([F(-3, 2), F(1, 10007)] + [F(0)] * 30, 31))
+@example(([F(2, 3)], 3))  # length 1
+@example((list(exp_x(24).coeffs), 8))  # dense: exp
+@example((list(log1p(25).shift_down(1).coeffs), 8))  # log(1+x)/x
+@example((list(series([1] * 25, 24).coeffs), 8))  # 1/(1-x)
+def test_reciprocal_powers_match_powers_of_the_inverse(case):
+    g, count = case
+    expected = list(_kernel.powers(mul_inv(series(g)).coeffs, count))
+    assert list(_kernel.reciprocal_powers(g, count)) == expected
+
+
+@pytest.mark.parametrize("n, short", [(14, False), (15, True), (64, True)])
+def test_reciprocal_powers_divide_only_by_a_short_g(monkeypatch, n, short):
+    calls = []
+    monkeypatch.setattr(_kernel, "powers", lambda *args, real=_kernel.powers: calls.append(1) or real(*args))
+    g = [F(-3, 2), F(1, 5), 0, F(2, 7)] + [F(0)] * (n - 3)  # degree 3: short from N = 15
+    list(_kernel.reciprocal_powers(g, 4))
+    assert calls == ([] if short else [1])
 
 
 def test_power_loops_build_no_series_per_power(monkeypatch):
