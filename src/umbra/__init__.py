@@ -81,6 +81,7 @@ from .umbral import (
     triangle,
 )
 from .flow import (
+    delta_power,
     frac_iterate,
     group_law_check,
     iterate_int,

@@ -200,11 +200,30 @@ def power(f: Sequence[Fraction], p: int, q: int) -> list[Fraction]:
 
 
 def krylov(rows: Sequence[Sequence[Fraction]], vec: Sequence[Fraction], count: int):
-    """[v, A v, ..., A^count v] for the matrix A with the given (possibly ragged,
-    zero-padded) rows; each product is reduced before it enters the next."""
+    """Yield A^p v for p = 0..count as (nums, den), the form ``powers`` gives: A, given by
+    its (possibly ragged, zero-padded) rows, is scaled once over one denominator, and each
+    step is one integer matrix-vector product and one ``reduced``; no Fraction is built."""
     mats = [scaled(row) for row in rows]
-    out = [list(vec)]
+    da = lcm(*[d for _, d in mats])
+    a = [[v * (da // d) for v in x] for x, d in mats]
+    p, dp = scaled(vec)
+    yield p, dp
     for _ in range(count):
-        v, dv = scaled(out[-1])
-        out.append([Fraction(sum(map(mul, x, v)), dx * dv) for x, dx in mats])
-    return out
+        p, dp = reduced([sum(map(mul, x, p)) for x in a], dp * da)
+        yield p, dp
+
+
+def weighted_sum(terms, size: int) -> tuple[list[int], int]:
+    """sum_p w_p v_p through entry size - 1 for (w_p, (nums_p, den_p)) terms, w_p rational, as
+    (nums, den), den the running lcm of the w_p.denominator * den_p; the sum is rescaled only
+    when a term's denominator does not divide it, so the columns of ``krylov`` or ``powers``
+    can be streamed and weighted at the end.  nums/den is not reduced."""
+    acc, den = [0] * size, 1
+    for w, (nums, d) in terms:
+        if w:
+            d *= w.denominator
+            if den % d:
+                f = d // gcd(den, d)
+                den, acc = den * f, [v * f for v in acc]
+            acc[: len(nums)] = map(add, acc, map(mul, repeat(w.numerator * (den // d)), nums))
+    return acc, den

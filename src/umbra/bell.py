@@ -66,7 +66,8 @@ def partial_bell_table(n: int, a: Sequence) -> tuple[tuple[Fraction, ...], ...]:
     """Rows [B_{m,0}, ..., B_{m,m}] for m = 0..n, in one O(n^3) pass over a_1..a_n."""
     cols, den = _bell_columns(a, n, n, n)
     scale = [factorial(k) * den**k for k in range(n + 1)]
-    return tuple(tuple(Fraction(cols[k][m], scale[k]) for k in range(m + 1)) for m in range(n + 1))
+    # tuples from lists, not generators: see fps._coerce
+    return tuple([tuple([Fraction(cols[k][m], scale[k]) for k in range(m + 1)]) for m in range(n + 1)])
 
 
 def complete_bell(n: int, a: Sequence) -> Fraction:

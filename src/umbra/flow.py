@@ -9,12 +9,13 @@ input is rejected rather than normalized.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
+from operator import mul
 
-from ._kernel import dot, krylov
+from ._kernel import krylov, weighted_sum
 from .errors import NotUnitary, OrderError, TruncationError, agree
-from .fps import Series, comp_inv, compose, derive, expm1, monomial, series, x_series
-from .operators import DeltaOp, ShiftOp, apply_op, validate_delta
+from .fps import Series, comp_inv, compose, derive, expm1, series, x_series
+from .operators import DeltaOp, ShiftOp, validate_delta
 from .rational import RatLike, binom_row, rat
 from .umbral import (
     Triangle,
@@ -41,35 +42,29 @@ def _require_unitary(f: Series):
         raise NotUnitary("series must be unitary (f = x + higher order)")
 
 
-def _shifted_triangle(tri: Triangle) -> Triangle:
-    """Triangle of (phi - 1): the diagonal zeroed out."""
-    return Triangle(tuple(row[:n] + (Fraction(0),) for n, row in enumerate(tri.rows)))
-
-
 def shifted_powers(tri: Triangle, pmax: int) -> list[Triangle]:
     """[(phi-1)^p for p = 0..pmax] by repeated composition (nilpotent).
 
     No construction calls it: it stays as the full-power reference that the
-    columns of _column_powers are tested against, at O(pmax N^3).
+    Krylov columns of _column_powers are tested against, at O(pmax N^3).
     """
-    shifted = _shifted_triangle(tri)
+    shifted = Triangle(tuple(row[:n] + (Fraction(0),) for n, row in enumerate(tri.rows)))
     out = [tri_identity(tri.n)]
     for _ in range(pmax):
         out.append(tri_compose(out[-1], shifted))
     return out
 
 
-def _column_powers(tri: Triangle, k: int, pmax: int, shifted: bool = True) -> list[list[Fraction]]:
-    """Column k of (phi-1)^p, or of phi^p when not shifted, for p = 0..pmax.
+def _column_powers(tri: Triangle, k: int, pmax: int, shifted: bool = True):
+    """Yield column k of (phi-1)^p, or of phi^p when not shifted, for p = 0..pmax.
 
-    Entry [p][m] is coeff(m, k) of the p-th power.  Each step is one
-    triangular matrix-vector product, so the list costs O(pmax N^2) where the
+    Each column is the integer (nums, den) of ``_kernel.krylov``, with entry i
+    equal to den * coeff(k + i, k) of the p-th power.  Each step is one
+    triangular matrix-vector product, so the columns cost O(pmax N^2) where the
     full powers of shifted_powers cost O(pmax N^3).
     """
-    rows = (_shifted_triangle(tri) if shifted else tri).rows
-    unit = [Fraction(1 if m == k else 0) for m in range(k, tri.n + 1)]
-    cols = krylov([row[k:] for row in rows[k:]], unit, pmax)
-    return [[Fraction(0)] * k + col for col in cols]
+    rows = [row[k : m + 1 - shifted] for m, row in enumerate(tri.rows[k:], k)]
+    return krylov(rows, [int(m == k) for m in range(k, tri.n + 1)], pmax)
 
 
 def minus_one_power_coeff(tri: Triangle, p: int, n: int, k: int) -> Fraction:
@@ -78,7 +73,8 @@ def minus_one_power_coeff(tri: Triangle, p: int, n: int, k: int) -> Fraction:
         raise NotUnitary("triangle must have unit diagonal")
     if p > n - k or not 0 <= k <= n <= tri.n:
         return Fraction(0)
-    return _column_powers(tri, k, p)[p][n]
+    *_, (nums, den) = _column_powers(tri, k, p)
+    return Fraction(nums[n - k], den)
 
 
 def _flow_triangle(f: Series, n: int) -> UmbralOp:
@@ -89,9 +85,10 @@ def _flow_triangle(f: Series, n: int) -> UmbralOp:
 def itlog(f: Series) -> Series:
     """Iterative logarithm f_* = d/ds f^s at s = 0; order >= 2 for unitary f.
 
-    Built by the coefficient route through column 1 of the powers (phi - 1)^p,
-    each obtained from the last by one triangle-vector product, O(N^3).  Every
-    result is checked against Julia's equation lam(f(x)) = f'(x) lam(x) and
+    Built by the coefficient route: n! lam_n = sum_p (-1)^(p-1)/p coeff(n,1) of
+    (phi - 1)^p, one weighted sum over the integer Krylov columns, O(N^3); the
+    weights do not depend on n as (phi - 1) is nilpotent.  Every result is
+    checked against Julia's equation lam(f(x)) = f'(x) lam(x) and
     lam_k = f_k at the first k >= 2 with f_k != 0 (lam = 0 when f = x), which
     together fix lam (Jabotinsky, Trans. AMS 108, 1963).  The coefficient of
     x^{m+k-1} is the first to fix lam_m, so f and lam are padded with k zeros
@@ -100,11 +97,9 @@ def itlog(f: Series) -> Series:
     _require_unitary(f)
     n = f.trunc
     phi = _flow_triangle(f, n)
-    cols = _column_powers(phi.tri, 1, max(n - 1, 0))
-    coeffs = [Fraction(0)] * (n + 1)
-    for m in range(2, n + 1):
-        weights = [Fraction((-1) ** (p - 1), p) for p in range(1, m)]
-        coeffs[m] = dot(weights, [cols[p][m] for p in range(1, m)]) / factorial(m)
+    weights = [Fraction(0)] + [Fraction((-1) ** (p - 1), p) for p in range(1, n)]
+    nums, den = weighted_sum(zip(weights, _column_powers(phi.tri, 1, n - 1)), n)
+    coeffs = [Fraction(0)] + [Fraction(v, den * factorial(m)) for m, v in enumerate(nums, 1)]
     lam = series(coeffs, n)
     k = next((j for j in range(2, n + 1) if f[j]), n)
     agree("itlog", coefficient=lam.truncate(k), leading_term=(f - x_series(n)).truncate(k))
@@ -123,10 +118,13 @@ def koszul_numbers(n_max: int) -> list[Fraction]:
 def frac_iterate(f: Series, s: RatLike, k: int = 1, n_max: int | None = None) -> Series:
     """f^s(x)^k / k! to order n_max, exact for rational s.
 
-    Primary formula: sum_n x^n/n! sum_{p<=n-k} C(s,p) coeff(n,k)_{(phi-1)^p};
-    the second displayed form (through integer powers phi^p) is computed as a
-    cross-check and must agree.  Both read only column k of each power, built
-    by repeated triangle-vector products.
+    Primary formula: sum_n x^n/n! sum_{p<=n-k} C(s,p) coeff(n,k)_{(phi-1)^p},
+    one weighted sum over the columns, as (phi - 1) is nilpotent; the second
+    displayed form, through the integer powers phi^p with the weights
+    C(s,p) C(M-s, M-p) of M = n-k, is computed as a cross-check and must agree.
+    With s = a/b those weights are C(M,p) A_p P_p(M) / (b^M M!) for the integers
+    A_p = prod_{j<p} (a - j b) and P_p(M) = prod_{p<i<=M} (i b - a).  Each route
+    reads only column k of each power, from its own Krylov columns.
     """
     _require_unitary(f)
     if k < 1:
@@ -136,17 +134,25 @@ def frac_iterate(f: Series, s: RatLike, k: int = 1, n_max: int | None = None) ->
     if f.trunc < n:
         raise TruncationError(f"need trunc >= {n}, have {f.trunc}")
     phi = _flow_triangle(f, n)
-    cols = _column_powers(phi.tri, k, max(n - k, 0))
-    int_cols = _column_powers(phi.tri, k, max(n - k, 0), shifted=False)
-    binoms = binom_row(s, n - k)
-    int_binoms = binom_row(s, n - k)  # the integer route's own C(s, p)
+    pmax = max(n - k, 0)
+    nums, den = weighted_sum(zip(binom_row(s, pmax), _column_powers(phi.tri, k, pmax)), pmax + 1)
+    a, b = s.numerator, s.denominator
+
+    def integer_terms():
+        lead = 1  # A_p
+        for p, (col, d) in enumerate(_column_powers(phi.tri, k, pmax, shifted=False)):
+            w, q = [0] * p, lead
+            for m in range(p, pmax + 1):
+                w.append(comb(m, p) * q)
+                q *= (m + 1) * b - a
+            yield 1, (list(map(mul, w, col)), d)
+            lead *= a - p * b
+
+    nums2, den2 = weighted_sum(integer_terms(), pmax + 1)
     out = [Fraction(0)] * (n + 1)
     for m in range(k, n + 1):
-        ps = range(m - k + 1)
-        acc = dot(binoms, [cols[p][m] for p in ps])
-        rest = binom_row(m - k - s, m - k)  # C(m-k-s, j) for j = 0..m-k
-        weights = [int_binoms[p] * rest[m - k - p] for p in ps]
-        acc2 = dot(weights, [int_cols[p][m] for p in ps])
+        i = m - k
+        acc, acc2 = Fraction(nums[i], den), Fraction(nums2[i], den2 * b**i * factorial(i))
         out[m] = agree("fractional iterate", shifted=acc, integer=acc2) / factorial(m)
     return series(out, n)
 
@@ -166,11 +172,15 @@ def group_law_check(f: Series, r: RatLike, s: RatLike, n_max: int) -> bool:
 def phi_pow(Q: DeltaOp, s: RatLike, n: int) -> Triangle:
     """Triangle of phi^s for the basic operator of a unitary delta Q.
 
-    Route A applies the flow exponential e^{-s X Q_*} to monomials (each
-    X Q_* factor drops the degree, so rows terminate); route B is the Bell
-    triangle of f^s, the fractional iterate of f = Q~^{-1}, since phi^s is the
-    umbral operator whose column-1 EGF is f^s.  A starts from itlog(q) and B
-    from comp_inv(q), so they share no intermediate result; both must agree.
+    Route A applies the flow exponential e^{-s G}, G = X Q_*, to monomials: each
+    G drops the degree, so row m is the weighted sum of the Krylov columns
+    G^j x^m, j <= m, with the weights (-s)^j/j!.  G = D^-1 H D for D = diag(m!)
+    and H[i][m] = i lam_(m-i+1) (lam = Q_*'s indicator), so the columns are
+    those of H, free of factorials, and entry k of row m gains m!/k! once at
+    the end (Jabotinsky's rescaling).  Route B is the Bell triangle of f^s, the
+    fractional iterate of f = Q~^{-1}, since phi^s is the umbral operator whose
+    column-1 EGF is f^s.  A starts from itlog(q) and B from comp_inv(q), so
+    they share no intermediate result; both must agree.
     """
     if not Q.is_unitary():
         raise NotUnitary("fractional operator powers need a unitary delta")
@@ -178,14 +188,14 @@ def phi_pow(Q: DeltaOp, s: RatLike, n: int) -> Triangle:
     if Q.indicator.trunc < n:
         raise TruncationError(f"need indicator trunc >= {n}")
     q = Q.indicator.truncate(n) if Q.indicator.trunc > n else Q.indicator
-    gen = ShiftOp(itlog(q))  # Q_*, indicator order >= 2
-    weights = [(-s) ** j / factorial(j) for j in range(n + 2)]  # row m has at most m + 2 terms
+    lam = itlog(q)  # Q_*'s indicator, order >= 2
+    weights = [(-s) ** j / factorial(j) for j in range(n + 1)]
+    h = [[i * lam[m - i + 1] if m > i else 0 for m in range(n + 1)] for i in range(n + 1)]
     rows = []
     for m in range(n + 1):
-        terms = [monomial(m)]  # (X Q_*)^j x^m until it vanishes
-        while not terms[-1].is_zero():
-            terms.append(apply_op(gen, terms[-1]).times_x())
-        rows.append(tuple(dot(weights[: len(terms)], [t[k] for t in terms]) for k in range(m + 1)))
+        cols = krylov([row[: m + 1] for row in h[: m + 1]], [0] * m + [1], m)  # H^j e_m
+        nums, den = weighted_sum(zip(weights, cols), m + 1)
+        rows.append(tuple([Fraction(factorial(m) // factorial(k) * v, den) for k, v in enumerate(nums)]))
     route_b = basic_from_inverse_series(frac_iterate(comp_inv(q), s), n).tri
     return agree("phi_pow", flow=Triangle(tuple(rows)), coefficient=route_b)
 

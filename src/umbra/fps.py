@@ -18,7 +18,8 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from ._kernel import (
-    apply_derivatives, convolve, evaluate, power, powers, reciprocal_powers, recurrence, reduced
+    apply_derivatives, convolve, evaluate, power, powers, reciprocal_powers, recurrence, reduced,
+    weighted_sum,
 )
 from .errors import ConstantTermError, NotInvertible, OrderError, TruncationError, agree
 from .rational import RatLike, rat, rat_str
@@ -27,7 +28,11 @@ INF = inf
 
 
 def _coerce(values: Iterable[RatLike]) -> tuple[Fraction, ...]:
-    return tuple(rat(v) for v in values)
+    # tuple() of a list allocates the exact size.  Of a generator it allocates 10 slots and
+    # resizes, and the freed tuple then waits on the free list of its final size until a
+    # full garbage collection, which the kernel's integer loops seldom trigger: per-request
+    # tuples are built from lists here and in bell and flow for that reason.
+    return tuple([rat(v) for v in values])
 
 
 # ---------------------------------------------------------------------------
@@ -94,12 +99,12 @@ class Series:
         if not isinstance(other, Series):
             return Series(self.trunc, (self.coeffs[0] + rat(other),) + self.coeffs[1:])
         n = min(self.trunc, other.trunc)
-        return Series(n, tuple(self[i] + other[i] for i in range(n + 1)))
+        return Series(n, tuple([self[i] + other[i] for i in range(n + 1)]))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Series":
-        return Series(self.trunc, tuple(-c for c in self.coeffs))
+        return Series(self.trunc, tuple([-c for c in self.coeffs]))
 
     def __sub__(self, other: "Series | RatLike") -> "Series":
         return self + (-other if isinstance(other, Series) else -rat(other))
@@ -109,7 +114,7 @@ class Series:
 
     def scale(self, c: RatLike) -> "Series":
         c = rat(c)
-        return Series(self.trunc, tuple(c * a for a in self.coeffs))
+        return Series(self.trunc, tuple([c * a for a in self.coeffs]))
 
     def __truediv__(self, other: RatLike) -> "Series":
         """Division by a nonzero rational scalar only."""
@@ -177,7 +182,7 @@ def derive(f: Series) -> Series:
     """Coefficient-wise derivative; trunc drops by one."""
     if f.trunc == 0:
         return series([0], 0)
-    return Series(f.trunc - 1, tuple((k + 1) * f.coeffs[k + 1] for k in range(f.trunc)))
+    return Series(f.trunc - 1, tuple([(k + 1) * f.coeffs[k + 1] for k in range(f.trunc)]))
 
 
 def integrate(f: Series, c0: RatLike = 0) -> Series:
@@ -191,15 +196,15 @@ def integrate(f: Series, c0: RatLike = 0) -> Series:
 
 
 def compose(f: Series, g: Series) -> Series:
-    """f(g(x)) for ord(g) >= 1, exact to min(trunc f, trunc g)."""
+    """f(g(x)) for ord(g) >= 1, exact to min(trunc f, trunc g): the sum of f_k g^k
+    over the integer power table of g, through f's last nonzero coefficient."""
     if g[0] != 0:
         raise OrderError("composition requires the inner series to have order >= 1")
     n = min(f.trunc, g.trunc)
-    g = g.truncate(n) if g.trunc > n else g
-    result = const(0, n)
-    for k in range(min(f.trunc, n), -1, -1):
-        result = result * g + f.coeffs[k]
-    return result
+    fs = f.coeffs[: n + 1]
+    last = max((k for k, c in enumerate(fs) if c), default=0)
+    nums, den = weighted_sum(zip(fs, powers(g.coeffs[: n + 1], last)), n + 1)
+    return Series(n, tuple([Fraction(v, den) for v in nums]))
 
 
 def mul_inv(f: Series) -> Series:

@@ -146,7 +146,8 @@ def transform_seq(
         rows = [[phi.entry(start + j, start + i) for j in range(m)] for i in range(m)]
     else:
         raise ValueError("mode must be 'row' or 'column'")
-    return krylov(rows, vals, 1)[1]
+    *_, (nums, den) = krylov(rows, vals, 1)
+    return [Fraction(v, den) for v in nums]
 
 
 # ---------------------------------------------------------------------------

@@ -353,6 +353,16 @@ def series_mul_ref(f: Series, g: Series) -> Series:
     return Series(n, tuple(out))
 
 
+def compose_ref(f: Series, g: Series) -> Series:
+    """f(g(x)) by Horner over Series products, through min(trunc f, trunc g)."""
+    n = min(f.trunc, g.trunc)
+    g = g.truncate(n) if g.trunc > n else g
+    result = const(0, n)
+    for k in range(n, -1, -1):
+        result = result * g + f.coeffs[k]
+    return result
+
+
 def pow_rat_ref(f: Series, r) -> Series:
     """f^r = sum_k binom(r, k) (f - 1)^k, the binomial series, O(N^3)."""
     u = f - 1

@@ -321,6 +321,14 @@ GOLDEN_JSON = {
         "3c927ae58f6282904aee19f93cd9d8e9adf0f52efb11b8b1761e8644a6ff284c",
     ("inverse", "(-3/2)*x+x^2/5-2*x^4/7", "--order=64"):
         "816d8182de3d9430de7db1fd03a3a06a9b6cf0f2b1dfb75b97d5429ca2bb2f55",
+    # captured before the flow layer and compose moved onto integer Krylov columns and
+    # power tables
+    ("iterate", "--series=x - 1/2*x^2 + 1/5*x^3", "--s=-2/3", "--order=64"):
+        "be9c7c334a1bbfa99531e7ee3902cb2e5b52057ec036d93d6f68e3500cdd1a3c",
+    ("phipow", "--delta=D+D^2", "--s=1/2", "--order=48"):
+        "e9be62cb9e36fbec59bf4b8a6a573b8eb6c4bd9159fe93bf6d2ba7afdb0f233d",
+    ("iterate", "--series=x+x^2/3-2/5*x^3", "--s=3/2", "--k=3", "--order=20"):
+        "713fb102eb9151905d3fc9bec97fbcee43041d7402ebe4e108af742e02f55ee8",
 }
 
 
@@ -329,6 +337,54 @@ def test_json_stdout_matches_golden_digests(capsys):
         code, out, _ = run(capsys, *argv, "--format=json")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+# exit code, stdout and stderr at --order 0..3, captured before the flow layer and
+# compose moved onto integer Krylov columns and power tables
+LOW_ORDERS = {
+    ("iterate", "--series=exp(x)-1", "--s=1/2"): [
+        (2, "", "error: series must be unitary (f = x + higher order)\n"),
+        (0, '{"coeffs":["0","1"],"kind":"series","trunc":1}\n', ""),
+        (0, '{"coeffs":["0","1","1/4"],"kind":"series","trunc":2}\n', ""),
+        (0, '{"coeffs":["0","1","1/4","1/48"],"kind":"series","trunc":3}\n', ""),
+    ],
+    ("iterate", "--series=x+x^2", "--s=-3", "--k=2"): [
+        (2, "", "error: series must be unitary (f = x + higher order)\n"),
+        (0, '{"coeffs":["0","0"],"kind":"series","trunc":1}\n', ""),
+        (0, '{"coeffs":["0","0","1/2"],"kind":"series","trunc":2}\n', ""),
+        (0, '{"coeffs":["0","0","1/2","-3"],"kind":"series","trunc":3}\n', ""),
+    ],
+    ("itlog", "--series=exp(x)-1"): [
+        (2, "", "error: series must be unitary (f = x + higher order)\n"),
+        (0, '{"coeffs":["0","0"],"kind":"series","trunc":1}\n', ""),
+        (0, '{"coeffs":["0","0","1/2"],"kind":"series","trunc":2}\n', ""),
+        (0, '{"coeffs":["0","0","1/2","-1/12"],"kind":"series","trunc":3}\n', ""),
+    ],
+    ("itlog", "--series=x"): [
+        (2, "", "error: series must be unitary (f = x + higher order)\n"),
+        (0, '{"coeffs":["0","0"],"kind":"series","trunc":1}\n', ""),
+        (0, '{"coeffs":["0","0","0"],"kind":"series","trunc":2}\n', ""),
+        (0, '{"coeffs":["0","0","0","0"],"kind":"series","trunc":3}\n', ""),
+    ],
+    ("phipow", "--delta=exp(D)-1", "--s=1/2"): [
+        (2, "", "error: indicator is the zero series\n"),
+        (0, '{"kind":"triangle","n":1,"rows":[["1"],["0","1"]]}\n', ""),
+        (0, '{"kind":"triangle","n":2,"rows":[["1"],["0","1"],["0","-1/2","1"]]}\n', ""),
+        (0, '{"kind":"triangle","n":3,"rows":[["1"],["0","1"],["0","-1/2","1"],["0","5/8","-3/2","1"]]}\n', ""),
+    ],
+    ("phipow", "--delta=D+D^2", "--s=0"): [
+        (2, "", "error: indicator is the zero series\n"),
+        (0, '{"kind":"triangle","n":1,"rows":[["1"],["0","1"]]}\n', ""),
+        (0, '{"kind":"triangle","n":2,"rows":[["1"],["0","1"],["0","0","1"]]}\n', ""),
+        (0, '{"kind":"triangle","n":3,"rows":[["1"],["0","1"],["0","0","1"],["0","0","0","1"]]}\n', ""),
+    ],
+}
+
+
+@pytest.mark.parametrize("argv", sorted(LOW_ORDERS), ids=" ".join)
+def test_flow_subcommands_keep_their_low_order_output(capsys, argv):
+    for order, (code, out, err) in enumerate(LOW_ORDERS[argv]):
+        assert run(capsys, *argv, f"--order={order}", "--format=json") == (code, out, err), order
 
 
 def test_check_all_digest_holds_under_optimize_flag():

@@ -72,15 +72,16 @@ def _wrong_km(Q, n, gain=1):
 
 
 def _edit_shifted_columns(edit):
-    """An injection that lets ``edit(cols, k)`` change the columns of (phi-1)^p in place."""
+    """An injection that lets ``edit(cols)`` change the integer Krylov columns (nums, den) of
+    (phi-1)^p in place, entry i at row k + i, before they are weighted."""
 
     def inject(mp):
         real = flow._column_powers
 
         def corrupted(tri, k, pmax, shifted=True):
-            cols = real(tri, k, pmax, shifted)
+            cols = [(list(nums), den) for nums, den in real(tri, k, pmax, shifted)]
             if shifted:
-                edit(cols, k)
+                edit(cols)
             return cols
 
         mp.setattr(flow, "_column_powers", corrupted)
@@ -88,17 +89,22 @@ def _edit_shifted_columns(edit):
     return inject
 
 
-def _wrong_first_row(cols, k):
-    cols[1][k + 1] += 1  # itlog: lam_2, the leading coefficient of exp(x)-1
+def _plus_one(cols, p, i):
+    nums, den = cols[p]
+    nums[i] += den  # entry i of column p gains 1
 
 
-def _wrong_last_row(cols, k):
-    cols[1][-1] += 1  # itlog: lam_N, fixed only by the x^(N+k-1) coefficient
+def _wrong_first_row(cols):
+    _plus_one(cols, 1, 1)  # itlog: lam_2, the leading coefficient of exp(x)-1
 
 
-def _doubled(cols, k):
-    for col in cols:
-        col[:] = [2 * v for v in col]  # itlog: 2 lam, which also solves Julia's equation
+def _wrong_last_row(cols):
+    _plus_one(cols, 1, -1)  # itlog: lam_N, fixed only by the x^(N+k-1) coefficient
+
+
+def _doubled(cols):
+    for nums, _ in cols:
+        nums[:] = [2 * v for v in nums]  # itlog: 2 lam, which also solves Julia's equation
 
 
 def _corrupt_frac_iterate(mp):

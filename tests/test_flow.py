@@ -7,6 +7,7 @@ from math import factorial
 
 import pytest
 
+import umbra
 from umbra import flow, fps
 from umbra.errors import NotUnitary, OrderError, RouteDisagreement
 from umbra.flow import (
@@ -117,20 +118,23 @@ def test_itlog_matches_iterate_sum():
 
 def _bump(j):
     def edit(cols, k):
-        cols[1][j] += 1  # coeff(j, k) of phi - 1; for itlog, lam_j moves by 1/j! alone
+        nums, den = cols[1]
+        nums[j - k] += den  # coeff(j, k) of phi - 1 gains 1; for itlog, lam_j moves by 1/j! alone
 
     return edit
 
 
 def _double(cols, k):
-    cols[:] = [[2 * v for v in col] for col in cols]  # 2 lam also solves Julia's equation
+    for nums, _ in cols:
+        nums[:] = [2 * v for v in nums]  # 2 lam also solves Julia's equation
 
 
 def _corrupt_shifted_columns(monkeypatch, edit=_bump(2)):
+    # the integer Krylov columns (nums, den) of (phi - 1)^p, entry i at row k + i
     real = flow._column_powers
 
     def corrupted(tri, k, pmax, shifted=True):
-        cols = real(tri, k, pmax, shifted)
+        cols = [(list(nums), den) for nums, den in real(tri, k, pmax, shifted)]
         if shifted:
             edit(cols, k)
         return cols
@@ -332,8 +336,11 @@ def test_column_powers_match_full_powers_and_chain_oracles():
     powers = shifted_powers(tri, 8)
     int_powers = [tri_power(tri, p) for p in range(9)]
     for k in range(9):
-        cols = flow._column_powers(tri, k, 8)
-        int_cols = flow._column_powers(tri, k, 8, shifted=False)
+        # column k as coeff(m, k) for m = 0..8; the Krylov columns start at row k
+        cols, int_cols = (
+            [[F(0)] * k + [F(v, den) for v in nums] for nums, den in flow._column_powers(tri, k, 8, shifted)]
+            for shifted in (True, False)
+        )
         for p in range(9):
             for m in range(9):
                 assert cols[p][m] == powers[p].entry(m, k) == chain_power_coeff(tri, p, m, k)
@@ -401,6 +408,15 @@ def test_phi_pow_delta_consistency():
         got = delta_of(UmbralOp(tri))
         expected = delta_power(Q, s, 8)
         assert all(got.indicator[i] == expected.indicator[i] for i in range(9))
+
+
+def test_delta_power_is_exported_from_the_package():
+    assert umbra.delta_power is flow.delta_power
+    Q = delta_forward(12)
+    # Q^[1/2] has the half iterate of Q~ as its indicator, and Q^[1/2]^[2] is Q
+    half = umbra.delta_power(Q, F(1, 2), 8)
+    assert umbra.delta_power(half, 2, 8).indicator == Q.indicator.truncate(8)
+    assert half.indicator == frac_iterate(Q.indicator, F(1, 2), 1, 8)
 
 
 def test_phi_pow_rejects_non_unitary():

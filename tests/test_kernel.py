@@ -14,15 +14,16 @@ from hypothesis import strategies as st
 import pytest
 
 from umbra import _kernel, fps, operators, umbral
-from umbra.flow import _column_powers
+from umbra.errors import OrderError
+from umbra.flow import _column_powers, shifted_powers
 from umbra.fps import (
-    Poly, Series, comp_inv, const, exp_series, exp_x, log1p, log_series, mul_inv, poly, pow_rat, series,
-    x_series,
+    Poly, Series, comp_inv, compose, const, exp_series, exp_x, log1p, log_series, mul_inv, poly, pow_rat,
+    series, x_series,
 )
 from umbra.operators import ShiftOp, apply_op, validate_delta
 from umbra.umbral import (
-    Triangle, basic_genfunc, basic_km, basic_steffensen, basic_transfer, transform_seq, tri_compose,
-    tri_invert,
+    Triangle, basic_from_inverse_series, basic_genfunc, basic_km, basic_steffensen, basic_transfer,
+    transform_seq, tri_compose, tri_identity, tri_invert,
 )
 
 import oracles
@@ -408,12 +409,126 @@ def test_transform_seq_matches_oracle(phi, mode, start, data):
     assert out == oracles.transform_seq_ref(phi, a, mode, start) and normalised(out)
 
 
+def reduced_form(nums, den):
+    return den > 0 and gcd(den, *nums) == 1
+
+
 @settings(max_examples=60, deadline=None)
 @given(triangles(), st.integers(0, 7), st.integers(0, 6), st.booleans())
 def test_column_powers_match_oracle(tri, k, pmax, shifted):
-    cols = _column_powers(tri, k, pmax, shifted)
+    cols = list(_column_powers(tri, k, pmax, shifted))
     ref = oracles.column_powers_ref(tri, k, pmax, shifted)
     assert len(cols) == len(ref) == pmax + 1
-    for col, expected in zip(cols, ref):
-        assert [col[m] if m < len(col) else 0 for m in range(tri.n + 1)] == expected
-        assert normalised(col)
+    for (nums, den), expected in zip(cols, ref):
+        assert len(nums) == max(tri.n + 1 - k, 0)
+        assert [F(v, den) for v in nums] == expected[k:] and reduced_form(nums, den)
+
+
+# -- integer Krylov columns and their weighted sum --------------------------------
+
+
+def _full_powers(tri, pmax, shifted):
+    """The p-th powers for p = 0..pmax: shifted_powers' (phi-1)^p, or repeated tri_compose."""
+    if shifted:
+        return shifted_powers(tri, pmax)
+    out = [tri_identity(tri.n)]
+    for _ in range(pmax):
+        out.append(tri_compose(out[-1], tri))
+    return out
+
+
+def _krylov_columns(tri, k, pmax, shifted):
+    rows = [row[k : m + 1 - shifted] for m, row in enumerate(tri.rows[k:], k)]
+    return _kernel.krylov(rows, [int(m == k) for m in range(k, tri.n + 1)], pmax)
+
+
+def _weighted_column(full, weights, k, n):
+    """sum_p w_p coeff(m, k) of the p-th power, for m = k..n."""
+    return [sum((w * full[p].entry(m, k) for p, w in enumerate(weights)), F(0)) for m in range(k, n + 1)]
+
+
+KRYLOV_TRIANGLES = {
+    "n=0": Triangle(((F(-3, 7),),)),
+    "unitary": basic_from_inverse_series(series([0, 1, F(1, 2), F(-2, 3), F(1, 5)], 6), 6).tri,
+    "non-unitary diagonal": Triangle(
+        tuple(
+            tuple(F((-1) ** (m + j) * (m + 2 * j + 1), PRIMES[(m + j) % 8]) for j in range(m + 1))
+            for m in range(6)
+        )
+    ),
+}
+
+
+@pytest.mark.parametrize("shifted", [True, False], ids=["phi-1", "phi"])
+@pytest.mark.parametrize("name", sorted(KRYLOV_TRIANGLES))
+def test_krylov_columns_and_weighted_sum_match_full_powers(name, shifted):
+    tri = KRYLOV_TRIANGLES[name]
+    n = tri.n
+    full = _full_powers(tri, n + 1, shifted)
+    weights = [F(0)] + [F((-1) ** p * (p + 2), 2 * p + 3) for p in range(1, n + 2)]
+    for k in range(n + 1):
+        for pmax in range(n + 2):  # pmax = 0 yields the unit vector alone
+            cols = list(_krylov_columns(tri, k, pmax, shifted))
+            assert len(cols) == pmax + 1
+            for p, (nums, den) in enumerate(cols):
+                assert [F(v, den) for v in nums] == [full[p].entry(m, k) for m in range(k, n + 1)]
+                assert reduced_form(nums, den)
+            total, den = _kernel.weighted_sum(zip(weights, cols), n + 1 - k)
+            expected = _weighted_column(full, weights[: pmax + 1], k, n)
+            assert den > 0 and [F(v, den) for v in total] == expected
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(triangles(max_n=5), st.data())
+def test_weighted_krylov_sum_matches_full_powers_drawn(tri, data):
+    k = data.draw(st.integers(0, tri.n))
+    pmax = data.draw(st.integers(0, tri.n + 1))
+    shifted = data.draw(st.booleans())
+    weights = data.draw(vectors(min_size=pmax + 1, max_size=pmax + 1))
+    cols = _krylov_columns(tri, k, pmax, shifted)
+    total, den = _kernel.weighted_sum(zip(weights, cols), tri.n + 1 - k)
+    expected = _weighted_column(_full_powers(tri, pmax, shifted), weights, k, tri.n)
+    assert den > 0 and [F(v, den) for v in total] == expected
+
+
+def test_weighted_sum_of_nothing_and_of_short_columns():
+    assert _kernel.weighted_sum([], 3) == ([0, 0, 0], 1)
+    assert _kernel.weighted_sum([(F(0), ([5, 7], 3))], 2) == ([0, 0], 1)  # a zero weight adds nothing
+    total, den = _kernel.weighted_sum([(F(1, 2), ([1], 3)), (F(2, 5), ([1, 1, 1], 7))], 3)
+    assert [F(v, den) for v in total] == [F(1, 6) + F(2, 35), F(2, 35), F(2, 35)]
+
+
+# -- compose on the power table of its inner series -------------------------------
+
+
+@pytest.mark.parametrize(
+    "f, g",
+    [
+        (series([1, F(2, 3), F(-1, 2), 5, F(1, 7)], 4), series([0, 1, F(1, 3), 0, F(-2, 65537), 1], 5)),
+        (series([F(1, 2), 1, 0, F(-3, 10007), 2, 0, 1], 6), series([0, F(-2, 3), 1], 2)),
+        (
+            series([F(5, 3), -1, F(1, 2**61 - 1), 0, 4, F(2, 9), 1], 6),
+            series([0, 0, F(3, 5), 1, F(-1, 7), 0, 2], 6),
+        ),
+        (series([0] * 5, 4), series([0, F(7, 3), 1, F(1, 2), 0], 4)),
+        (series([F(5, 3)], 0), series([0], 0)),
+        (series([F(5, 3), 1, 2], 2), series([0], 0)),
+    ],
+    ids=["f-shorter", "g-shorter", "inner-order-2", "f-zero", "trunc-0", "g-trunc-0"],
+)
+def test_compose_matches_horner(f, g):
+    out = compose(f, g)
+    assert out == oracles.compose_ref(f, g) and normalised(out.coeffs)
+
+
+def test_compose_refuses_a_constant_inner_term():
+    with pytest.raises(OrderError, match="inner series to have order >= 1"):
+        compose(series([0, 1, 1], 3), series([F(1, 2), 1], 3))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(series_values(), series_values(), st.integers(1, 3))
+def test_compose_matches_horner_drawn(f, g, order):
+    g = Series(g.trunc, (F(0),) * min(order, g.trunc + 1) + g.coeffs[order:])
+    out = compose(f, g)
+    assert out == oracles.compose_ref(f, g) and normalised(out.coeffs)
