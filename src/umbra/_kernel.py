@@ -199,17 +199,37 @@ def power(f: Sequence[Fraction], p: int, q: int) -> list[Fraction]:
     return recurrence(f, Fraction(1), p + q, q, q)
 
 
-def krylov(rows: Sequence[Sequence[Fraction]], vec: Sequence[Fraction], count: int):
-    """Yield A^p v for p = 0..count as (nums, den), the form ``powers`` gives: A, given by
-    its (possibly ragged, zero-padded) rows, is scaled once over one denominator, and each
-    step is one integer matrix-vector product and one ``reduced``; no Fraction is built."""
-    mats = [scaled(row) for row in rows]
-    da = lcm(*[d for _, d in mats])
-    a = [[v * (da // d) for v in x] for x, d in mats]
-    p, dp = scaled(vec)
+def scaled_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
+    """(nums, den) with rows[m][j] == nums[m][j] / den, den the lcm of every denominator;
+    each row is padded with zeros to the length of the longest."""
+    den, width = lcm(*[v.denominator for row in rows for v in row]), max(map(len, rows), default=0)
+    nums = [[v.numerator * (den // v.denominator) for v in row] + [0] * (width - len(row)) for row in rows]
+    return nums, den
+
+
+def krylov(a: Sequence[Sequence[int]], da: int, vec: tuple[Sequence[int], int], count: int):
+    """Yield A^p v for p = 0..count as (nums, den), the form ``powers`` gives, for A = a / da
+    given by integer (possibly ragged, zero-padded) rows over one denominator and v = (nums, den):
+    each step is one integer matrix-vector product and one ``reduced``; no Fraction is built."""
+    p, dp = vec
     yield p, dp
     for _ in range(count):
         p, dp = reduced([sum(map(mul, x, p)) for x in a], dp * da)
+        yield p, dp
+
+
+def nilpotent_krylov(t: Sequence[int], dt: int, m: int):
+    """Yield H^j e_m for j = 0..m as (nums, den), for H[i][l] = i t_(l-i+1) / dt when l > i and
+    0 elsewhere (t must reach t_m).
+
+    H is strictly upper triangular, so H^j e_m lives on entries 0..m-j and nums holds only
+    those: each step is one product on that shrinking support and one ``reduced``, O(m^3/6)
+    integer products for the m + 1 columns, where a dense (m+1)^2 product per step costs O(m^3)."""
+    p, dp = [0] * m + [1], 1
+    yield p, dp
+    for top in range(m, 0, -1):  # p lives on 0..top; H p on 0..top-1, and its entry 0 is 0
+        hp = [i * sum(map(mul, t[2 : top - i + 2], p[i + 1 : top + 1])) for i in range(1, top)]
+        p, dp = reduced([0] + hp, dp * dt)
         yield p, dp
 
 

@@ -17,7 +17,9 @@ which has no division, and each entry becomes one reduced Fraction
 E_{n,k} / (k! D^k) at the end.  One entry B_{n,k} costs O(n^2 k) integer
 operations and the whole triangle up to row n (partial_bell_table) O(n^3),
 instead of enumerating partitions; the partition-sum definition is kept in
-the test suite as an oracle.
+the test suite as an oracle.  The flow layer reads the integer columns
+(``_bell_columns``) directly and puts them over one denominator, so no
+Fraction is built between them and its Krylov columns.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ from math import comb, factorial
 from operator import add, mul
 from typing import Callable
 
-from ._kernel import half_grid, scaled
+from ._kernel import half_grid, scaled, scaled_rows
 from .errors import RouteDisagreement, UnknownFamily
 from .fps import (
     Poly,
@@ -42,7 +42,6 @@ from .umbral import (
     cross,
     is_binomial_type,
     niederhausen,
-    scaled_rows,
     special_class_check,
     tri_compose,
     tri_identity,
@@ -444,7 +443,7 @@ def _check_catalan_numbers(spec: FamilySpec, n: int):
 def _check_spivey(spec: FamilySpec, n: int):
     """phi x^(n+m) = sum_k S(n,k) x^k phi (x+k)^m, on the rows e of the triangle
     scaled once: phi (x+k)^m = sum_j C(m,j) k^(m-j) e[j] is an integer combination."""
-    e, _ = scaled_rows(spec.basic(n).tri)
+    e, _ = scaled_rows(spec.basic(n).tri.rows)
 
     def shifted(m: int, k: int) -> list[int]:
         """phi (x+k)^m through x^m."""
@@ -715,7 +714,7 @@ def _check_transform_roundtrip(spec: FamilySpec, n: int, rng) -> dict | None:
     transpose; with both triangles scaled once to a / D_a and b / D_b, the round
     trip b (a s) = s is the integer test b (a S) = D_a D_b S."""
     tri = spec.basic(n).tri
-    (a, da), (b, db) = scaled_rows(tri), scaled_rows(tri_invert(tri))
+    (a, da), (b, db) = scaled_rows(tri.rows), scaled_rows(tri_invert(tri).rows)
     mats = {"row": (a, b), "column": ([*zip(*a)], [*zip(*b)])}
     for trial in range(5):
         seq = [Fraction(rng.randint(-40, 40), rng.randint(1, 12)) for _ in range(n + 1)]

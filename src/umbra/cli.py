@@ -224,7 +224,8 @@ def run(args) -> int:
         return 0
 
     if cmd == "inverse":
-        _emit_series(comp_inv(eval_expr(args.expr, order)), args)
+        # an order-1 input is read through x^1 at least: order 0 needs its x coefficient too
+        _emit_series(comp_inv(eval_expr(args.expr, max(order, 1))).truncate(order), args)
         return 0
 
     if cmd == "basic":
@@ -245,16 +246,16 @@ def run(args) -> int:
         return 0
 
     if cmd == "iterate":
-        f = eval_expr(args.series_expr, order)
+        f = eval_expr(args.series_expr, max(order, 1))
         _emit_series(frac_iterate(f, _rat_option("--s", args.s), args.k, order), args)
         return 0
 
     if cmd == "itlog":
-        _emit_series(itlog(eval_expr(args.series_expr, order)), args)
+        _emit_series(itlog(eval_expr(args.series_expr, max(order, 1))).truncate(order), args)
         return 0
 
     if cmd == "phipow":
-        Q = _delta_from_expr(args.delta, order)
+        Q = _delta_from_expr(args.delta, max(order, 1))
         _emit_triangle(phi_pow(Q, _rat_option("--s", args.s), order), args)
         return 0
 

@@ -9,17 +9,18 @@ input is rejected rather than normalized.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from itertools import chain
+from math import comb, factorial, gcd
 from operator import mul
 
-from ._kernel import krylov, weighted_sum
+from ._kernel import krylov, nilpotent_krylov, scaled, scaled_rows, weighted_sum
+from .bell import _bell_columns
 from .errors import NotUnitary, OrderError, TruncationError, agree
 from .fps import Series, comp_inv, compose, derive, expm1, series, x_series
 from .operators import DeltaOp, ShiftOp, validate_delta
 from .rational import RatLike, binom_row, rat
 from .umbral import (
     Triangle,
-    UmbralOp,
     basic_from_inverse_series,
     tri_compose,
     tri_identity,
@@ -55,16 +56,20 @@ def shifted_powers(tri: Triangle, pmax: int) -> list[Triangle]:
     return out
 
 
-def _column_powers(tri: Triangle, k: int, pmax: int, shifted: bool = True):
+def _column_powers(phi: tuple[list[list[int]], int], k: int, pmax: int, shifted: bool = True):
     """Yield column k of (phi-1)^p, or of phi^p when not shifted, for p = 0..pmax.
 
-    Each column is the integer (nums, den) of ``_kernel.krylov``, with entry i
-    equal to den * coeff(k + i, k) of the p-th power.  Each step is one
-    triangular matrix-vector product, so the columns cost O(pmax N^2) where the
-    full powers of shifted_powers cost O(pmax N^3).
+    phi is a triangle as integer rows over one denominator (``_flow_triangle``,
+    or ``_kernel.scaled_rows`` of a Fraction triangle); its rows k..N from
+    column k on go to ``_kernel.krylov`` as they are, without the diagonal when
+    shifted, so no entry is rescaled.  Each column is the integer (nums, den),
+    with entry i equal to den * coeff(k + i, k) of the p-th power.  Each step is
+    one triangular matrix-vector product, so the columns cost O(pmax N^2) where
+    the full powers of shifted_powers cost O(pmax N^3).
     """
-    rows = [row[k : m + 1 - shifted] for m, row in enumerate(tri.rows[k:], k)]
-    return krylov(rows, [int(m == k) for m in range(k, tri.n + 1)], pmax)
+    rows, den = phi
+    a = [row[k : m + 1 - shifted] for m, row in enumerate(rows[k:], k)]
+    return krylov(a, den, ([int(m == k) for m in range(k, len(rows))], 1), pmax)
 
 
 def minus_one_power_coeff(tri: Triangle, p: int, n: int, k: int) -> Fraction:
@@ -73,13 +78,26 @@ def minus_one_power_coeff(tri: Triangle, p: int, n: int, k: int) -> Fraction:
         raise NotUnitary("triangle must have unit diagonal")
     if p > n - k or not 0 <= k <= n <= tri.n:
         return Fraction(0)
-    *_, (nums, den) = _column_powers(tri, k, p)
+    *_, (nums, den) = _column_powers(scaled_rows(tri.rows), k, p)
     return Fraction(nums[n - k], den)
 
 
-def _flow_triangle(f: Series, n: int) -> UmbralOp:
-    """Basic triangle with column-1 EGF equal to f (the paper's phi for f)."""
-    return basic_from_inverse_series(f.truncate(n) if f.trunc > n else f, n)
+def _flow_triangle(f: Series, n: int) -> tuple[list[list[int]], int]:
+    """The basic triangle with column-1 EGF f (the paper's phi for f) through row n, as
+    integer rows over one denominator: exactly ``_kernel.scaled`` of partial_bell_table.
+
+    Entry (m, k) is B_(m,k)(a) = E_(m,k) / (k! D^k) for a_j = j! f_j, with E and D from
+    ``bell._bell_columns``; every entry is put over n! D^n and the table is reduced once
+    by the gcd of that denominator and all numerators, which leaves the lcm of the
+    entries' denominators (``_kernel.reduced``).  No Fraction sits between the Bell
+    columns and the Krylov columns of ``_column_powers``.
+    """
+    cols, d = _bell_columns([factorial(j) * f[j] for j in range(1, n + 1)], n, n, n)
+    den = factorial(n) * d**n
+    lift = [factorial(n) // factorial(k) * d ** (n - k) for k in range(n + 1)]
+    rows = [[cols[k][m] * lift[k] for k in range(m + 1)] for m in range(n + 1)]
+    g = gcd(den, *chain.from_iterable(rows))
+    return [[v // g for v in row] for row in rows], den // g
 
 
 def itlog(f: Series) -> Series:
@@ -98,7 +116,7 @@ def itlog(f: Series) -> Series:
     n = f.trunc
     phi = _flow_triangle(f, n)
     weights = [Fraction(0)] + [Fraction((-1) ** (p - 1), p) for p in range(1, n)]
-    nums, den = weighted_sum(zip(weights, _column_powers(phi.tri, 1, n - 1)), n)
+    nums, den = weighted_sum(zip(weights, _column_powers(phi, 1, n - 1)), n)
     coeffs = [Fraction(0)] + [Fraction(v, den * factorial(m)) for m, v in enumerate(nums, 1)]
     lam = series(coeffs, n)
     k = next((j for j in range(2, n + 1) if f[j]), n)
@@ -135,12 +153,12 @@ def frac_iterate(f: Series, s: RatLike, k: int = 1, n_max: int | None = None) ->
         raise TruncationError(f"need trunc >= {n}, have {f.trunc}")
     phi = _flow_triangle(f, n)
     pmax = max(n - k, 0)
-    nums, den = weighted_sum(zip(binom_row(s, pmax), _column_powers(phi.tri, k, pmax)), pmax + 1)
+    nums, den = weighted_sum(zip(binom_row(s, pmax), _column_powers(phi, k, pmax)), pmax + 1)
     a, b = s.numerator, s.denominator
 
     def integer_terms():
         lead = 1  # A_p
-        for p, (col, d) in enumerate(_column_powers(phi.tri, k, pmax, shifted=False)):
+        for p, (col, d) in enumerate(_column_powers(phi, k, pmax, shifted=False)):
             w, q = [0] * p, lead
             for m in range(p, pmax + 1):
                 w.append(comb(m, p) * q)
@@ -170,31 +188,31 @@ def group_law_check(f: Series, r: RatLike, s: RatLike, n_max: int) -> bool:
 
 
 def phi_pow(Q: DeltaOp, s: RatLike, n: int) -> Triangle:
-    """Triangle of phi^s for the basic operator of a unitary delta Q.
+    """Triangle of phi^s for the basic operator of a unitary delta Q, rows 0..n.
 
     Route A applies the flow exponential e^{-s G}, G = X Q_*, to monomials: each
     G drops the degree, so row m is the weighted sum of the Krylov columns
     G^j x^m, j <= m, with the weights (-s)^j/j!.  G = D^-1 H D for D = diag(m!)
-    and H[i][m] = i lam_(m-i+1) (lam = Q_*'s indicator), so the columns are
-    those of H, free of factorials, and entry k of row m gains m!/k! once at
-    the end (Jabotinsky's rescaling).  Route B is the Bell triangle of f^s, the
-    fractional iterate of f = Q~^{-1}, since phi^s is the umbral operator whose
-    column-1 EGF is f^s.  A starts from itlog(q) and B from comp_inv(q), so
-    they share no intermediate result; both must agree.
+    and H[i][l] = i lam_(l-i+1) (lam = Q_*'s indicator, scaled to integers once),
+    so the columns are the H^j e_m of ``_kernel.nilpotent_krylov``, which touch
+    only their support 0..m-j, O(N^4/24) integer products in all; entry k of
+    row m gains m!/k! once at the end (Jabotinsky's rescaling).  Route B is the
+    Bell triangle of f^s, the fractional iterate of f = Q~^{-1}, since phi^s is
+    the umbral operator whose column-1 EGF is f^s.  A starts from itlog(q) and
+    B from comp_inv(q), so they share no intermediate result; both must agree.
+    q is read through x^max(n, 1), so n = 0 gives the one-entry identity.
     """
     if not Q.is_unitary():
         raise NotUnitary("fractional operator powers need a unitary delta")
     s = rat(s)
     if Q.indicator.trunc < n:
         raise TruncationError(f"need indicator trunc >= {n}")
-    q = Q.indicator.truncate(n) if Q.indicator.trunc > n else Q.indicator
-    lam = itlog(q)  # Q_*'s indicator, order >= 2
+    q = Q.indicator.truncate(max(n, 1))  # a delta's indicator reaches x^1
+    t, dt = scaled(itlog(q).coeffs)  # Q_*'s indicator, order >= 2
     weights = [(-s) ** j / factorial(j) for j in range(n + 1)]
-    h = [[i * lam[m - i + 1] if m > i else 0 for m in range(n + 1)] for i in range(n + 1)]
     rows = []
     for m in range(n + 1):
-        cols = krylov([row[: m + 1] for row in h[: m + 1]], [0] * m + [1], m)  # H^j e_m
-        nums, den = weighted_sum(zip(weights, cols), m + 1)
+        nums, den = weighted_sum(zip(weights, nilpotent_krylov(t, dt, m)), m + 1)
         rows.append(tuple([Fraction(factorial(m) // factorial(k) * v, den) for k, v in enumerate(nums)]))
     route_b = basic_from_inverse_series(frac_iterate(comp_inv(q), s), n).tri
     return agree("phi_pow", flow=Triangle(tuple(rows)), coefficient=route_b)

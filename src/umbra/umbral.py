@@ -22,7 +22,8 @@ from typing import Callable, Sequence
 
 from . import bell
 from ._kernel import (
-    cauchy, dot, half_grid, krylov, powers, reciprocal_powers, scaled, tri_inverse, tri_product
+    cauchy, dot, half_grid, krylov, powers, reciprocal_powers, scaled, scaled_rows, tri_inverse,
+    tri_product,
 )
 from .errors import (
     NotAppell, NotDelta, NotUnitary, OrderError, SingularTriangle, TruncationError, agree
@@ -146,7 +147,8 @@ def transform_seq(
         rows = [[phi.entry(start + j, start + i) for j in range(m)] for i in range(m)]
     else:
         raise ValueError("mode must be 'row' or 'column'")
-    *_, (nums, den) = krylov(rows, vals, 1)
+    a, da = scaled_rows(rows)
+    *_, (nums, den) = krylov(a, da, scaled(vals), 1)
     return [Fraction(v, den) for v in nums]
 
 
@@ -361,13 +363,6 @@ def binomial_scan(v_sum, v_x, v_y, n: int) -> tuple[int, Fraction, Fraction] | N
     return None
 
 
-def scaled_rows(tri: Triangle) -> tuple[list[list[int]], int]:
-    """The whole triangle as integers over one denominator, rows padded with zeros to n+1."""
-    nums, den = scaled([v for row in tri.rows for v in row])
-    it = iter(nums)
-    return [[next(it) for _ in range(m + 1)] + [0] * (tri.n - m) for m in range(tri.n + 1)], den
-
-
 def is_binomial_type(tri: Triangle) -> bool:
     """Detect binomial type == basicness.
 
@@ -384,7 +379,7 @@ def is_binomial_type(tri: Triangle) -> bool:
     for m in range(1, tri.n + 1):
         if tri.entry(m, m) == 0:
             return False
-    e, den = scaled_rows(tri)
+    e, den = scaled_rows(tri.rows)
     for n in range(tri.n + 1):
         cols = [[e[n - k][j] for k in range(n + 1)] for j in range(n + 1)]
         for i in range(n + 1):
@@ -465,7 +460,7 @@ def special_class_check(phi: UmbralOp, U: ShiftOp, V: ShiftOp, n: int) -> bool:
     ops = [(k, (U**k * vn).indicator) for k in range(n + 1) if phi.tri.entry(n, k)]
     width = N - n + 1
     w, dw = scaled([phi.tri.entry(n, k) * ind[i] for k, ind in ops for i in range(width)])
-    e, _ = scaled_rows(phi.tri)
+    e, _ = scaled_rows(phi.tri.rows)
     fact = [factorial(j) for j in range(width)]
     for m in range(width):
         if any(ind.trunc < m for _, ind in ops):

@@ -541,6 +541,25 @@ def column_powers_ref(tri, k: int, pmax: int, shifted: bool = True) -> list[list
     return out
 
 
+def flow_route_dense(lam: Series, exponents, n: int) -> list[Triangle]:
+    """Route A of phi_pow, for each s in exponents, as it ran before it followed the
+    support of H^j e_m: for each row m, the dense (m+1)x(m+1) matrix H[i][l] =
+    i lam_(l-i+1) (l > i) applied to e_m step by step in Fractions, the columns
+    weighted by (-s)^j/j!, and entry k scaled by m!/k!.  The columns do not depend
+    on s, so they are built once for all exponents."""
+    h = [[i * lam[l - i + 1] if l > i else Fraction(0) for l in range(n + 1)] for i in range(n + 1)]
+    rows = {s: [] for s in exponents}
+    for m in range(n + 1):
+        cols = [[Fraction(int(i == m)) for i in range(m + 1)]]
+        for _ in range(m):
+            cols.append([sum((h[i][l] * cols[-1][l] for l in range(m + 1)), Fraction(0)) for i in range(m + 1)])
+        for s, out in rows.items():
+            weights = [(-Fraction(s)) ** j / factorial(j) for j in range(m + 1)]
+            acc = [sum((w * col[k] for w, col in zip(weights, cols)), Fraction(0)) for k in range(m + 1)]
+            out.append(tuple(Fraction(factorial(m), factorial(k)) * acc[k] for k in range(m + 1)))
+    return [Triangle(tuple(out)) for out in rows.values()]
+
+
 # -- operator commutation through Bell polynomials of series ---------------------
 
 

@@ -78,8 +78,8 @@ def _edit_shifted_columns(edit):
     def inject(mp):
         real = flow._column_powers
 
-        def corrupted(tri, k, pmax, shifted=True):
-            cols = [(list(nums), den) for nums, den in real(tri, k, pmax, shifted)]
+        def corrupted(phi, k, pmax, shifted=True):
+            cols = [(list(nums), den) for nums, den in real(phi, k, pmax, shifted)]
             if shifted:
                 edit(cols)
             return cols
@@ -117,6 +117,39 @@ def _doubled_itlog(mp):
     # phi_pow's flow route: the generator Q_* doubled
     real = flow.itlog
     mp.setattr(flow, "itlog", lambda f: real(f).scale(2))
+
+
+def _corrupt_flow_columns(mp):
+    # phi_pow's flow route: H e_m, the column after e_m, gains 1 at entry 1 for every row m >= 2
+    real = flow.nilpotent_krylov
+
+    def corrupted(t, dt, m):
+        for j, (p, dp) in enumerate(real(t, dt, m)):
+            if j == 1 and m >= 2:
+                p = [p[0], p[1] + dp, *p[2:]]
+            yield p, dp
+
+    mp.setattr(flow, "nilpotent_krylov", corrupted)
+
+
+def _edit_flow_rows(edit):
+    """An injection that lets ``edit(rows, den)`` change the integer flow triangle, rows over
+    one denominator, and returns the pair the Krylov columns then read."""
+
+    def inject(mp):
+        real = flow._flow_triangle
+        mp.setattr(flow, "_flow_triangle", lambda f, n: edit(*real(f, n)))
+
+    return inject
+
+
+def _halved_rows(rows, den):
+    return rows, 2 * den  # every entry halved, the unit diagonal included
+
+
+def _wrong_bell_entry(rows, den):
+    rows[2][1] += den  # B_(2,1) = a_2 gains 1; the diagonal stays 1
+    return rows, den
 
 
 def _corrupt_sigma(mp):
@@ -253,6 +286,51 @@ INJECTIONS = {
         ["phipow", "--delta", "exp(D)-1", "--s", "1/2", "--order", "5", "--format", "tsv"],
         _doubled_itlog,
         {"construction": "phi_pow", "routes": ["flow", "coefficient"], "index": [2, 1], "values": ["-1", "-1/2"]},
+    ),
+    "phipow_flow_columns": (
+        ["phipow", "--delta", "exp(D)-1", "--s", "1/2", "--order", "5", "--format", "tsv"],
+        _corrupt_flow_columns,
+        {"construction": "phi_pow", "routes": ["flow", "coefficient"], "index": [2, 1], "values": ["-3/2", "-1/2"]},
+    ),
+    "phipow_flow_rows": (
+        ["phipow", "--delta", "exp(D)-1", "--s", "1/2", "--order", "5", "--format", "tsv"],
+        _edit_flow_rows(_halved_rows),
+        {
+            "construction": "itlog",
+            "routes": ["coefficient", "leading_term"],
+            "index": [2],
+            "values": ["1/4", "1/2"],
+        },
+    ),
+    "itlog_flow_rows": (
+        ["itlog", "--series", "exp(x)-1", "--order", "8", "--format", "json"],
+        _edit_flow_rows(_halved_rows),
+        {
+            "construction": "itlog",
+            "routes": ["coefficient", "leading_term"],
+            "index": [2],
+            "values": ["1/4", "1/2"],
+        },
+    ),
+    "itlog_bell_entry": (
+        ["itlog", "--series", "exp(x)-1", "--order", "8", "--format", "json"],
+        _edit_flow_rows(_wrong_bell_entry),
+        {
+            "construction": "itlog",
+            "routes": ["coefficient", "leading_term"],
+            "index": [2],
+            "values": ["1", "1/2"],
+        },
+    ),
+    "iterate_flow_rows": (
+        ["iterate", "--series", "exp(x)-1", "--s", "1/2", "--order", "8"],
+        _edit_flow_rows(_halved_rows),
+        {
+            "construction": "fractional iterate",
+            "routes": ["shifted", "integer"],
+            "index": [],
+            "values": ["5/32", "7/32"],
+        },
     ),
     "pow_rat": (
         ["series", "sqrt(1+x)", "--order", "6", "--format", "json"],

@@ -8,7 +8,8 @@ from math import factorial
 import pytest
 
 import umbra
-from umbra import flow, fps
+from umbra import flow, fps, umbral
+from umbra.cli import main
 from umbra.errors import NotUnitary, OrderError, RouteDisagreement
 from umbra.flow import (
     delta_power,
@@ -45,6 +46,7 @@ from umbra.umbral import (
 
 from oracles import (
     chain_power_coeff,
+    flow_route_dense,
     integer_power_chain_coeff,
     interpolated_itlog,
     itlog_iterate_sum,
@@ -133,8 +135,8 @@ def _corrupt_shifted_columns(monkeypatch, edit=_bump(2)):
     # the integer Krylov columns (nums, den) of (phi - 1)^p, entry i at row k + i
     real = flow._column_powers
 
-    def corrupted(tri, k, pmax, shifted=True):
-        cols = [(list(nums), den) for nums, den in real(tri, k, pmax, shifted)]
+    def corrupted(phi, k, pmax, shifted=True):
+        cols = [(list(nums), den) for nums, den in real(phi, k, pmax, shifted)]
         if shifted:
             edit(cols, k)
         return cols
@@ -332,13 +334,14 @@ def test_schroeder_consistency():
 
 
 def test_column_powers_match_full_powers_and_chain_oracles():
-    tri = basic_from_inverse_series(series([0, 1, F(1, 2), F(-2, 3), F(1, 5)], 8), 8).tri
+    f = series([0, 1, F(1, 2), F(-2, 3), F(1, 5)], 8)
+    tri, rows = basic_from_inverse_series(f, 8).tri, flow._flow_triangle(f, 8)
     powers = shifted_powers(tri, 8)
     int_powers = [tri_power(tri, p) for p in range(9)]
     for k in range(9):
         # column k as coeff(m, k) for m = 0..8; the Krylov columns start at row k
         cols, int_cols = (
-            [[F(0)] * k + [F(v, den) for v in nums] for nums, den in flow._column_powers(tri, k, 8, shifted)]
+            [[F(0)] * k + [F(v, den) for v in nums] for nums, den in flow._column_powers(rows, k, 8, shifted)]
             for shifted in (True, False)
         )
         for p in range(9):
@@ -431,6 +434,45 @@ def test_phi_pow_cross_check_bites(monkeypatch):
     monkeypatch.setattr(flow, "frac_iterate", lambda f, s: real(f, s) + series([0, 0, 1], f.trunc))
     with pytest.raises(RouteDisagreement, match="phi_pow routes disagree"):
         phi_pow(delta_forward(10), F(1, 2), 6)
+
+
+FLOW_EXPONENTS = (0, -1, F(1, 2), F(-2, 3), 3)
+
+
+@pytest.mark.parametrize("n", [*range(13), 20, 33])
+def test_flow_route_matches_dense_oracle(n):
+    # phi_pow returns its flow route, which follows the support of H^j e_m, once the
+    # coefficient route agrees; the oracle runs the dense per-row products it replaced
+    inputs = [expm1(max(n, 1))]
+    if n <= 12:
+        inputs.append(series([0, 1, F(1, 2), F(-2, 3)], max(n, 1)))
+    for q in inputs:
+        got = [phi_pow(validate_delta(ShiftOp(q)), s, n) for s in FLOW_EXPONENTS]
+        assert got == flow_route_dense(itlog(q), FLOW_EXPONENTS, n), (q, n)
+
+
+def test_only_phi_pow_route_b_builds_a_bell_triangle(monkeypatch, capsys):
+    # the flow triangles of itlog and frac_iterate come from the Bell columns as integers
+    real, calls = umbral.basic_from_inverse_series, []
+
+    def counting(f, n, delta=None):
+        calls.append(n)
+        return real(f, n, delta)
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "umbra" and getattr(module, "basic_from_inverse_series", None) is real:
+            monkeypatch.setattr(module, "basic_from_inverse_series", counting)
+    for argv, count in (
+        (["phipow", "--delta=exp(D)-1", "--s=1/2", "--order=12"], 1),
+        (["phipow", "--delta=D+D^2", "--s=-2/3", "--order=7"], 1),
+        (["itlog", "--series=exp(x)-1", "--order=12"], 0),
+        (["iterate", "--series=x+x^2", "--s=1/3", "--order=12"], 0),
+        (["iterate", "--series=exp(x)-1", "--s=-3", "--k=2", "--order=9"], 0),
+    ):
+        calls.clear()
+        assert main(argv) == 0
+        assert len(calls) == count, argv
+    capsys.readouterr()
 
 
 # -- Jabotinsky export -------------------------------------------------------------------------------

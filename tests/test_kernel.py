@@ -7,15 +7,15 @@ must also be a normalised Fraction (positive denominator, gcd 1).
 """
 
 from fractions import Fraction as F
-from math import gcd
+from math import factorial, gcd
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import pytest
 
-from umbra import _kernel, fps, operators, umbral
+from umbra import _kernel, bell, fps, operators, umbral
 from umbra.errors import OrderError
-from umbra.flow import _column_powers, shifted_powers
+from umbra.flow import _column_powers, _flow_triangle, shifted_powers
 from umbra.fps import (
     Poly, Series, comp_inv, compose, const, exp_series, exp_x, log1p, log_series, mul_inv, poly, pow_rat,
     series, x_series,
@@ -416,12 +416,24 @@ def reduced_form(nums, den):
 @settings(max_examples=60, deadline=None)
 @given(triangles(), st.integers(0, 7), st.integers(0, 6), st.booleans())
 def test_column_powers_match_oracle(tri, k, pmax, shifted):
-    cols = list(_column_powers(tri, k, pmax, shifted))
+    cols = list(_column_powers(_kernel.scaled_rows(tri.rows), k, pmax, shifted))
     ref = oracles.column_powers_ref(tri, k, pmax, shifted)
     assert len(cols) == len(ref) == pmax + 1
     for (nums, den), expected in zip(cols, ref):
         assert len(nums) == max(tri.n + 1 - k, 0)
         assert [F(v, den) for v in nums] == expected[k:] and reduced_form(nums, den)
+
+
+@settings(max_examples=60, deadline=None)
+@given(vectors(max_size=10), st.integers(0, 9))
+def test_flow_triangle_is_the_scaled_bell_table(cs, n):
+    # numerators and denominator exactly as `scaled` gives them for partial_bell_table
+    f = series([0, *cs], max(len(cs), n))
+    rows, den = _flow_triangle(f, n)
+    table = bell.partial_bell_table(n, [factorial(j) * f[j] for j in range(1, n + 1)])
+    nums, d = _kernel.scaled([v for row in table for v in row])
+    assert [len(row) for row in rows] == list(range(1, n + 2))
+    assert (den, [v for row in rows for v in row]) == (d, nums)
 
 
 # -- integer Krylov columns and their weighted sum --------------------------------
@@ -438,8 +450,8 @@ def _full_powers(tri, pmax, shifted):
 
 
 def _krylov_columns(tri, k, pmax, shifted):
-    rows = [row[k : m + 1 - shifted] for m, row in enumerate(tri.rows[k:], k)]
-    return _kernel.krylov(rows, [int(m == k) for m in range(k, tri.n + 1)], pmax)
+    rows, den = _kernel.scaled_rows([row[k : m + 1 - shifted] for m, row in enumerate(tri.rows[k:], k)])
+    return _kernel.krylov(rows, den, ([int(m == k) for m in range(k, tri.n + 1)], 1), pmax)
 
 
 def _weighted_column(full, weights, k, n):
