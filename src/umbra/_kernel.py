@@ -25,12 +25,6 @@ def scaled(values: Sequence[Fraction]) -> tuple[list[int], int]:
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
-    """sum_i a_i b_i (zip stops at the shorter vector)."""
-    (x, dx), (y, dy) = scaled(a), scaled(b)
-    return Fraction(sum(map(mul, x, y)), dx * dy)
-
-
 def evaluate(c: Sequence[Fraction], a: Fraction) -> Fraction:
     """sum_i c_i a^i, by Horner on integers: with a = u/v the loop builds
     sum_i C_i u^i v^(d-i) = v^d den sum_i c_i a^i."""

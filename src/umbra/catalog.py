@@ -95,11 +95,8 @@ def bell_number(n: int) -> int:
 class FamilySpec:
     name: str
     params: dict
-    delta_builder: Callable[[int], DeltaOp]
+    delta: Callable[[int], DeltaOp]
     closed_form: Callable[[int, int], Fraction]
-
-    def delta(self, trunc: int) -> DeltaOp:
-        return self.delta_builder(trunc)
 
     def basic(self, n: int) -> UmbralOp:
         return basic_transfer(self.delta(n + 2), n)

@@ -20,7 +20,7 @@ from . import catalog, serialize, sigma
 from .errors import RouteDisagreement, UmbraError
 from .expr import MAX_STR_DIGITS, eval_expr
 from .flow import frac_iterate, itlog, phi_pow
-from .fps import Poly, Series, comp_inv, format_series, series_to_poly
+from .fps import Poly, Series, comp_inv, format_series, poly
 from .operators import ShiftOp, validate_delta
 from .rational import rat, rat_str
 from .umbral import BASIC_ROUTES, Triangle, basic_all_routes, basic_transfer, sheffer
@@ -260,7 +260,7 @@ def run(args) -> int:
         return 0
 
     if cmd == "sum":
-        p = series_to_poly(eval_expr(args.poly_expr, order))
+        p = poly(eval_expr(args.poly_expr, order).coeffs)
         anchor = _rat_option("--from", args.lower)
         d = 0 if p.is_zero() else int(p.degree())
         delta = sigma._delta_op(d + 4)

@@ -1,22 +1,21 @@
 """Iteration theory for unitary order-1 power series.
 
-Integer iterates, the iterative logarithm (infinitesimal generator of the
-composition flow), exact fractional iterates, fractional powers of umbral
-operators, and the Jabotinsky rescaling.  Everything stays in Q; non-unitary
-input is rejected rather than normalized.
+Integer iterates (``fps.iterate_int``, re-exported here), the iterative
+logarithm (infinitesimal generator of the composition flow), exact fractional
+iterates, fractional powers of umbral operators, and the Jabotinsky rescaling.
+Everything stays in Q; non-unitary input is rejected rather than normalized.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from math import comb, factorial, gcd
-from operator import mul
+from math import factorial, gcd
 
 from ._kernel import krylov, nilpotent_krylov, scaled, scaled_rows, weighted_sum
 from .bell import _bell_columns
 from .errors import NotUnitary, OrderError, TruncationError, agree
-from .fps import Series, comp_inv, compose, derive, expm1, series, x_series
+from .fps import Series, comp_inv, compose, derive, expm1, iterate_int, series, x_series
 from .operators import DeltaOp, ShiftOp, validate_delta
 from .rational import RatLike, binom_row, rat
 from .umbral import (
@@ -25,17 +24,6 @@ from .umbral import (
     tri_compose,
     tri_identity,
 )
-
-
-def iterate_int(f: Series, m: int) -> Series:
-    """m-fold compositional iterate; the inverse is used for m < 0."""
-    if f.order() != 1:
-        raise OrderError("iteration requires order exactly 1")
-    step = f if m >= 0 else comp_inv(f)
-    out = x_series(f.trunc)
-    for _ in range(abs(m)):
-        out = compose(step, out)
-    return out
 
 
 def _require_unitary(f: Series):
@@ -56,19 +44,19 @@ def shifted_powers(tri: Triangle, pmax: int) -> list[Triangle]:
     return out
 
 
-def _column_powers(phi: tuple[list[list[int]], int], k: int, pmax: int, shifted: bool = True):
-    """Yield column k of (phi-1)^p, or of phi^p when not shifted, for p = 0..pmax.
+def _column_powers(phi: tuple[list[list[int]], int], k: int, pmax: int):
+    """Yield column k of (phi-1)^p for p = 0..pmax.
 
     phi is a triangle as integer rows over one denominator (``_flow_triangle``,
     or ``_kernel.scaled_rows`` of a Fraction triangle); its rows k..N from
-    column k on go to ``_kernel.krylov`` as they are, without the diagonal when
-    shifted, so no entry is rescaled.  Each column is the integer (nums, den),
-    with entry i equal to den * coeff(k + i, k) of the p-th power.  Each step is
-    one triangular matrix-vector product, so the columns cost O(pmax N^2) where
-    the full powers of shifted_powers cost O(pmax N^3).
+    column k on, without the diagonal, go to ``_kernel.krylov`` as they are, so
+    no entry is rescaled.  Each column is the integer (nums, den), with entry i
+    equal to den * coeff(k + i, k) of the p-th power.  Each step is one
+    triangular matrix-vector product, so the columns cost O(pmax N^2) where the
+    full powers of shifted_powers cost O(pmax N^3).
     """
     rows, den = phi
-    a = [row[k : m + 1 - shifted] for m, row in enumerate(rows[k:], k)]
+    a = [row[k:m] for m, row in enumerate(rows[k:], k)]
     return krylov(a, den, ([int(m == k) for m in range(k, len(rows))], 1), pmax)
 
 
@@ -133,16 +121,27 @@ def koszul_numbers(n_max: int) -> list[Fraction]:
     return [f_star[n] * factorial(n) for n in range(n_max + 1)]
 
 
+def _frac_coefficients(f: Series, s: Fraction, n: int) -> Series:
+    """f^s through x^n, unchecked: n! [x^n] f^s = sum_{p<n} C(s,p) coeff(n,1) of (phi - 1)^p,
+    one weighted sum over the integer Krylov columns of f's flow triangle, as (phi - 1)
+    is nilpotent."""
+    pmax = max(n - 1, 0)
+    nums, den = weighted_sum(zip(binom_row(s, pmax), _column_powers(_flow_triangle(f, n), 1, pmax)), n)
+    return series([0] + [Fraction(v, den * factorial(m)) for m, v in enumerate(nums, 1)], n)
+
+
 def frac_iterate(f: Series, s: RatLike, k: int = 1, n_max: int | None = None) -> Series:
     """f^s(x)^k / k! to order n_max, exact for rational s.
 
-    Primary formula: sum_n x^n/n! sum_{p<=n-k} C(s,p) coeff(n,k)_{(phi-1)^p},
-    one weighted sum over the columns, as (phi - 1) is nilpotent; the second
-    displayed form, through the integer powers phi^p with the weights
-    C(s,p) C(M-s, M-p) of M = n-k, is computed as a cross-check and must agree.
-    With s = a/b those weights are C(M,p) A_p P_p(M) / (b^M M!) for the integers
-    A_p = prod_{j<p} (a - j b) and P_p(M) = prod_{p<i<=M} (i b - a).  Each route
-    reads only column k of each power, from its own Krylov columns.
+    f^s is built by the coefficient route of ``_frac_coefficients`` and checked,
+    as itlog is, by its leading term and its defining equation, neither of which
+    reads the flow triangle: g = f^s must be x + s f_j x^j through x^j, for the
+    first j >= 2 with f_j != 0 (j = N when f = x), and must commute with f.  A
+    unitary g with g o f = f o g is fixed by g_j (Jabotinsky, Trans. AMS 108,
+    1963): the coefficient of x^{m+j-1} is the first to fix g_m, so f and g are
+    padded with zeros and both sides compared through x^max(N+j-1, N);
+    f_{N+1}, ... never enter.  For k > 1 the result is (f^s)^k / k! of the
+    checked f^s, and the zero series when k > N.
     """
     _require_unitary(f)
     if k < 1:
@@ -151,28 +150,17 @@ def frac_iterate(f: Series, s: RatLike, k: int = 1, n_max: int | None = None) ->
     n = f.trunc if n_max is None else n_max
     if f.trunc < n:
         raise TruncationError(f"need trunc >= {n}, have {f.trunc}")
-    phi = _flow_triangle(f, n)
-    pmax = max(n - k, 0)
-    nums, den = weighted_sum(zip(binom_row(s, pmax), _column_powers(phi, k, pmax)), pmax + 1)
-    a, b = s.numerator, s.denominator
-
-    def integer_terms():
-        lead = 1  # A_p
-        for p, (col, d) in enumerate(_column_powers(phi, k, pmax, shifted=False)):
-            w, q = [0] * p, lead
-            for m in range(p, pmax + 1):
-                w.append(comb(m, p) * q)
-                q *= (m + 1) * b - a
-            yield 1, (list(map(mul, w, col)), d)
-            lead *= a - p * b
-
-    nums2, den2 = weighted_sum(integer_terms(), pmax + 1)
-    out = [Fraction(0)] * (n + 1)
-    for m in range(k, n + 1):
-        i = m - k
-        acc, acc2 = Fraction(nums[i], den), Fraction(nums2[i], den2 * b**i * factorial(i))
-        out[m] = agree("fractional iterate", shifted=acc, integer=acc2) / factorial(m)
-    return series(out, n)
+    if k > n:
+        return series([0], n)
+    f = f.truncate(n)
+    g = _frac_coefficients(f, s, n)
+    j = next((i for i in range(2, n + 1) if f[i]), n)
+    x = x_series(j)
+    agree("fractional iterate", coefficient=g.truncate(j), leading_term=x + (f.truncate(j) - x).scale(s))
+    pad = max(n + j - 1, n)
+    g_pad, f_pad = series(g.coeffs, pad), series(f.coeffs, pad)
+    agree("fractional iterate", coefficient=compose(g_pad, f_pad), equation=compose(f_pad, g_pad))
+    return g if k == 1 else (g**k).scale(Fraction(1, factorial(k)))
 
 
 def group_law_check(f: Series, r: RatLike, s: RatLike, n_max: int) -> bool:
@@ -198,7 +186,8 @@ def phi_pow(Q: DeltaOp, s: RatLike, n: int) -> Triangle:
     only their support 0..m-j, O(N^4/24) integer products in all; entry k of
     row m gains m!/k! once at the end (Jabotinsky's rescaling).  Route B is the
     Bell triangle of f^s, the fractional iterate of f = Q~^{-1}, since phi^s is
-    the umbral operator whose column-1 EGF is f^s.  A starts from itlog(q) and
+    the umbral operator whose column-1 EGF is f^s; it takes f^s unchecked from
+    ``_frac_coefficients``, as route A checks it.  A starts from itlog(q) and
     B from comp_inv(q), so they share no intermediate result; both must agree.
     q is read through x^max(n, 1), so n = 0 gives the one-entry identity.
     """
@@ -214,7 +203,7 @@ def phi_pow(Q: DeltaOp, s: RatLike, n: int) -> Triangle:
     for m in range(n + 1):
         nums, den = weighted_sum(zip(weights, nilpotent_krylov(t, dt, m)), m + 1)
         rows.append(tuple([Fraction(factorial(m) // factorial(k) * v, den) for k, v in enumerate(nums)]))
-    route_b = basic_from_inverse_series(frac_iterate(comp_inv(q), s), n).tri
+    route_b = basic_from_inverse_series(_frac_coefficients(comp_inv(q), s, q.trunc), n).tri
     return agree("phi_pow", flow=Triangle(tuple(rows)), coefficient=route_b)
 
 

@@ -234,6 +234,17 @@ def comp_inv(f: Series) -> Series:
     return Series(n, tuple(b))
 
 
+def iterate_int(f: Series, m: int) -> Series:
+    """m-fold compositional iterate; the inverse is used for m < 0."""
+    if f.order() != 1:
+        raise OrderError("iteration requires order exactly 1")
+    step = f if m >= 0 else comp_inv(f)
+    out = x_series(f.trunc)
+    for _ in range(abs(m)):
+        out = compose(step, out)
+    return out
+
+
 def pow_rat(f: Series, r: RatLike) -> Series:
     """f^r for rational r by Miller's recurrence, O(N^2); requires f(0) = 1.
 
@@ -428,7 +439,3 @@ def poly(values: Sequence[RatLike]) -> Poly:
 
 def monomial(n: int, c: RatLike = 1) -> Poly:
     return poly([0] * n + [rat(c)])
-
-
-def series_to_poly(f: Series) -> Poly:
-    return poly(list(f.coeffs))

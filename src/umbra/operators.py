@@ -17,11 +17,11 @@ from .fps import (
     INF,
     Poly,
     Series,
-    comp_inv,
     compose,
     const,
     derive,
     exp_series,
+    iterate_int,
     mul_inv,
     poly,
     x_series,
@@ -151,11 +151,7 @@ def diamond(T: ShiftOp, U: ShiftOp) -> ShiftOp:
 
 def bracket_iterate(Q: DeltaOp, n: int) -> DeltaOp:
     """Q^[n]: n-fold indicator self-composition, compositional inverse for n < 0."""
-    ind = x_series(Q.indicator.trunc)
-    step = Q.indicator if n >= 0 else comp_inv(Q.indicator)
-    for _ in range(abs(n)):
-        ind = compose(step, ind)
-    return validate_delta(ShiftOp(ind))
+    return validate_delta(ShiftOp(iterate_int(Q.indicator, n)))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 from . import bell
 from ._kernel import (
-    cauchy, dot, half_grid, krylov, powers, reciprocal_powers, scaled, scaled_rows, tri_inverse,
+    cauchy, half_grid, krylov, powers, reciprocal_powers, scaled, scaled_rows, tri_inverse,
     tri_product,
 )
 from .errors import (
@@ -79,7 +79,7 @@ class Triangle:
         d = int(p.degree())
         if d > self.n:
             raise TruncationError(f"triangle depth {self.n} < deg p = {d}")
-        return poly([dot(p.coeffs, [self.entry(m, k) for m in range(d + 1)]) for k in range(d + 1)])
+        return poly(transform_seq(self, p.coeffs, "column"))
 
     def diagonal(self) -> tuple[Fraction, ...]:
         return tuple(self.rows[n][n] for n in range(self.n + 1))

@@ -525,17 +525,15 @@ def transform_seq_ref(phi, a, mode: str = "row", start: int = 0) -> list[Fractio
     ]
 
 
-def column_powers_ref(tri, k: int, pmax: int, shifted: bool = True) -> list[list[Fraction]]:
-    """Column k of (phi-1)^p (or phi^p), one triangle-vector product per step."""
+def column_powers_ref(tri, k: int, pmax: int) -> list[list[Fraction]]:
+    """Column k of (phi-1)^p, one triangle-vector product per step."""
     n = tri.n
     col = [Fraction(1 if m == k else 0) for m in range(n + 1)]
     out = [col]
     for _ in range(pmax):
         nxt = [Fraction(0)] * (n + 1)
         for m in range(k, n + 1):
-            nxt[m] = sum(
-                (tri.rows[m][j] * col[j] for j in range(k, m if shifted else m + 1)), Fraction(0)
-            )
+            nxt[m] = sum((tri.rows[m][j] * col[j] for j in range(k, m)), Fraction(0))
         col = nxt
         out.append(col)
     return out

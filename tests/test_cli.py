@@ -99,6 +99,12 @@ def test_iterate_half(capsys):
     assert out.strip() == "0\t1\t1/4\t1/48\t0"
 
 
+def test_iterate_power_index_past_the_order_is_zero_at_once(capsys):
+    # (f^s)^k / k! is O(x^k): no k! and no power is built for k > N
+    code, out, _ = run(capsys, "iterate", "--series", "exp(x)-1", "--s", "1/2", "--k", "1000000000", "--order", "5")
+    assert (code, out) == (0, "0 + O(x^6)\n")
+
+
 def test_itlog(capsys):
     code, out, _ = run(capsys, "itlog", "--series", "exp(x)-1", "--order", "4", "--format", "tsv")
     assert code == 0

@@ -78,10 +78,9 @@ def _edit_shifted_columns(edit):
     def inject(mp):
         real = flow._column_powers
 
-        def corrupted(phi, k, pmax, shifted=True):
-            cols = [(list(nums), den) for nums, den in real(phi, k, pmax, shifted)]
-            if shifted:
-                edit(cols)
+        def corrupted(phi, k, pmax):
+            cols = [(list(nums), den) for nums, den in real(phi, k, pmax)]
+            edit(cols)
             return cols
 
         mp.setattr(flow, "_column_powers", corrupted)
@@ -95,11 +94,11 @@ def _plus_one(cols, p, i):
 
 
 def _wrong_first_row(cols):
-    _plus_one(cols, 1, 1)  # itlog: lam_2, the leading coefficient of exp(x)-1
+    _plus_one(cols, 1, 1)  # x^2 of itlog or f^s: for exp(x)-1, the leading term fixes it
 
 
 def _wrong_last_row(cols):
-    _plus_one(cols, 1, -1)  # itlog: lam_N, fixed only by the x^(N+k-1) coefficient
+    _plus_one(cols, 1, -1)  # x^N of itlog or f^s, fixed only by the x^(N+k-1) coefficient
 
 
 def _doubled(cols):
@@ -108,9 +107,9 @@ def _doubled(cols):
 
 
 def _corrupt_frac_iterate(mp):
-    # phi_pow's coefficient route: f^s gains x^2 after frac_iterate has checked it
-    real = flow.frac_iterate
-    mp.setattr(flow, "frac_iterate", lambda f, s: real(f, s) + series([0, 0, 1], f.trunc))
+    # phi_pow's coefficient route: its unchecked f^s gains x^2
+    real = flow._frac_coefficients
+    mp.setattr(flow, "_frac_coefficients", lambda f, s, n: real(f, s, n) + series([0, 0, 1], n))
 
 
 def _doubled_itlog(mp):
@@ -272,9 +271,19 @@ INJECTIONS = {
         _edit_shifted_columns(_wrong_first_row),
         {
             "construction": "fractional iterate",
-            "routes": ["shifted", "integer"],
-            "index": [],
-            "values": ["1", "1/2"],
+            "routes": ["coefficient", "leading_term"],
+            "index": [2],
+            "values": ["1/2", "1/4"],
+        },
+    ),
+    "iterate_last": (
+        ["iterate", "--series", "exp(x)-1", "--s", "1/2", "--order", "8"],
+        _edit_shifted_columns(_wrong_last_row),
+        {
+            "construction": "fractional iterate",
+            "routes": ["coefficient", "equation"],
+            "index": [9],
+            "values": ["7963/4644864", "38951/23224320"],
         },
     ),
     "phipow": (
@@ -327,9 +336,20 @@ INJECTIONS = {
         _edit_flow_rows(_halved_rows),
         {
             "construction": "fractional iterate",
-            "routes": ["shifted", "integer"],
-            "index": [],
-            "values": ["5/32", "7/32"],
+            "routes": ["coefficient", "leading_term"],
+            "index": [2],
+            "values": ["1/8", "1/4"],
+        },
+    ),
+    "iterate_bell_entry": (
+        # B_(2,1) of the flow triangle gains 1; frac_iterate's checks never read that triangle
+        ["iterate", "--series", "exp(x)-1", "--s", "1/2", "--order", "8"],
+        _edit_flow_rows(_wrong_bell_entry),
+        {
+            "construction": "fractional iterate",
+            "routes": ["coefficient", "leading_term"],
+            "index": [2],
+            "values": ["1/2", "1/4"],
         },
     ),
     "pow_rat": (

@@ -135,10 +135,9 @@ def _corrupt_shifted_columns(monkeypatch, edit=_bump(2)):
     # the integer Krylov columns (nums, den) of (phi - 1)^p, entry i at row k + i
     real = flow._column_powers
 
-    def corrupted(phi, k, pmax, shifted=True):
-        cols = [(list(nums), den) for nums, den in real(phi, k, pmax, shifted)]
-        if shifted:
-            edit(cols, k)
+    def corrupted(phi, k, pmax):
+        cols = [(list(nums), den) for nums, den in real(phi, k, pmax)]
+        edit(cols, k)
         return cols
 
     monkeypatch.setattr(flow, "_column_powers", corrupted)
@@ -337,19 +336,12 @@ def test_column_powers_match_full_powers_and_chain_oracles():
     f = series([0, 1, F(1, 2), F(-2, 3), F(1, 5)], 8)
     tri, rows = basic_from_inverse_series(f, 8).tri, flow._flow_triangle(f, 8)
     powers = shifted_powers(tri, 8)
-    int_powers = [tri_power(tri, p) for p in range(9)]
     for k in range(9):
         # column k as coeff(m, k) for m = 0..8; the Krylov columns start at row k
-        cols, int_cols = (
-            [[F(0)] * k + [F(v, den) for v in nums] for nums, den in flow._column_powers(rows, k, 8, shifted)]
-            for shifted in (True, False)
-        )
+        cols = [[F(0)] * k + [F(v, den) for v in nums] for nums, den in flow._column_powers(rows, k, 8)]
         for p in range(9):
             for m in range(9):
                 assert cols[p][m] == powers[p].entry(m, k) == chain_power_coeff(tri, p, m, k)
-                assert int_cols[p][m] == int_powers[p].entry(m, k)
-                if 1 <= p <= 4:
-                    assert int_cols[p][m] == integer_power_chain_coeff(tri, p, m, k)
     assert minus_one_power_coeff(tri, 1, 9, 1) == 0  # row beyond the triangle
 
 
@@ -429,9 +421,9 @@ def test_phi_pow_rejects_non_unitary():
 
 
 def test_phi_pow_cross_check_bites(monkeypatch):
-    # corrupt f^s after frac_iterate's own check, so only phi_pow can catch it
-    real = flow.frac_iterate
-    monkeypatch.setattr(flow, "frac_iterate", lambda f, s: real(f, s) + series([0, 0, 1], f.trunc))
+    # corrupt route B's unchecked f^s, so only phi_pow's own check can catch it
+    real = flow._frac_coefficients
+    monkeypatch.setattr(flow, "_frac_coefficients", lambda f, s, n: real(f, s, n) + series([0, 0, 1], n))
     with pytest.raises(RouteDisagreement, match="phi_pow routes disagree"):
         phi_pow(delta_forward(10), F(1, 2), 6)
 
@@ -473,6 +465,49 @@ def test_only_phi_pow_route_b_builds_a_bell_triangle(monkeypatch, capsys):
         assert main(argv) == 0
         assert len(calls) == count, argv
     capsys.readouterr()
+
+
+def test_iterate_builds_one_flow_triangle_and_one_column_pass(monkeypatch, capsys):
+    # the checks of f^s read no flow triangle, and k > 1 powers the checked f^s
+    calls = []
+    for name in ("_flow_triangle", "_column_powers"):
+        real = getattr(flow, name)
+        monkeypatch.setattr(flow, name, lambda *args, name=name, real=real: calls.append(name) or real(*args))
+    for argv in (
+        ["iterate", "--series=exp(x)-1", "--s=1/2", "--order=12"],
+        ["iterate", "--series=x+x^2", "--s=-3", "--k=2", "--order=9"],
+    ):
+        calls.clear()
+        assert main(argv) == 0
+        assert calls == ["_flow_triangle", "_column_powers"], argv
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("s", ["1/2", "-2/3"])
+def test_iterate_exits_1_or_prints_the_clean_series_on_each_wrong_flow_entry(monkeypatch, capsys, s):
+    # every single entry of the flow triangle at N = 8 gains 1 in turn; column 0 and the
+    # diagonal are never read, and with no C(s, p) zero every other entry reaches f^s,
+    # so its check must fail
+    argv = ["iterate", "--series=exp(x)-1", f"--s={s}", "--order=8"]
+    assert main(argv) == 0
+    clean = capsys.readouterr().out
+    real = flow._flow_triangle
+    for m in range(9):
+        for k in range(m + 1):
+
+            def corrupted(f, n, m=m, k=k):
+                rows, den = real(f, n)
+                rows[m][k] += den
+                return rows, den
+
+            with monkeypatch.context() as mp:
+                mp.setattr(flow, "_flow_triangle", corrupted)
+                code = main(argv)
+            out = capsys.readouterr().out
+            if 1 <= k < m:
+                assert code == 1 and '"construction":"fractional iterate"' in out, (m, k)
+            else:
+                assert (code, out) == (0, clean), (m, k)
 
 
 # -- Jabotinsky export -------------------------------------------------------------------------------

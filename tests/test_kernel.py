@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import pytest
 
-from umbra import _kernel, bell, fps, operators, umbral
+from umbra import _kernel, bell, operators, umbral
 from umbra.errors import OrderError
 from umbra.flow import _column_powers, _flow_triangle, shifted_powers
 from umbra.fps import (
@@ -90,8 +90,7 @@ def entries(t: Triangle):
 
 @settings(max_examples=80, deadline=None)
 @given(vectors(), vectors())
-def test_dot_and_convolve_match_plain_sums(a, b):
-    assert _kernel.dot(a, b) == sum((x * y for x, y in zip(a, b)), F(0))
+def test_convolve_matches_plain_sums(a, b):
     full = _kernel.convolve(a, b)
     expected = [F(0)] * max(len(a) + len(b) - 1, 0)
     for i, x in enumerate(a):
@@ -123,7 +122,6 @@ def test_half_grid_matches_poly_call(polys, n):
 
 def test_empty_and_zero_vectors():
     assert _kernel.convolve([], []) == []
-    assert _kernel.dot([], []) == 0
     assert _kernel.evaluate([], F(3, 7)) == 0
     assert _kernel.half_grid([], 2) == []
     assert _kernel.half_grid([[], [F(0)] * 3, [F(5, 3)]], 0) == [([0] * 3, 1), ([0] * 3, 4), ([5] * 3, 3)]
@@ -199,7 +197,7 @@ def test_power_loops_build_no_series_per_power(monkeypatch):
     assert series([2], 3) ** 0 == series([1], 3) and len(products) == 4
 
 
-def test_recurrences_and_km_take_no_dot_apply_op_or_poly_sum(monkeypatch):
+def test_recurrences_and_km_take_no_apply_op_or_poly_sum(monkeypatch):
     f = series([F(-3, 2), F(1, 7), 0, F(2, 5)], 24)
     Q = validate_delta(ShiftOp(series([0, F(3, 2), F(-1, 7), F(2, 5)], 17)))
     calls = []
@@ -207,8 +205,6 @@ def test_recurrences_and_km_take_no_dot_apply_op_or_poly_sum(monkeypatch):
     def spy(name, real):
         return lambda *args: calls.append(name) or real(*args)
 
-    for module in (_kernel, fps):
-        monkeypatch.setattr(module, "dot", spy("dot", _kernel.dot), raising=False)
     for module in (operators, umbral):
         monkeypatch.setattr(module, "apply_op", spy("apply_op", operators.apply_op))
     for name in ("__add__", "__radd__"):
@@ -414,10 +410,10 @@ def reduced_form(nums, den):
 
 
 @settings(max_examples=60, deadline=None)
-@given(triangles(), st.integers(0, 7), st.integers(0, 6), st.booleans())
-def test_column_powers_match_oracle(tri, k, pmax, shifted):
-    cols = list(_column_powers(_kernel.scaled_rows(tri.rows), k, pmax, shifted))
-    ref = oracles.column_powers_ref(tri, k, pmax, shifted)
+@given(triangles(), st.integers(0, 7), st.integers(0, 6))
+def test_column_powers_match_oracle(tri, k, pmax):
+    cols = list(_column_powers(_kernel.scaled_rows(tri.rows), k, pmax))
+    ref = oracles.column_powers_ref(tri, k, pmax)
     assert len(cols) == len(ref) == pmax + 1
     for (nums, den), expected in zip(cols, ref):
         assert len(nums) == max(tri.n + 1 - k, 0)
