@@ -88,7 +88,6 @@ from .flow import (
     itlog,
     jabotinsky,
     koszul_numbers,
-    minus_one_power_coeff,
     phi_pow,
 )
 from .sigma import (

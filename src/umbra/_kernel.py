@@ -212,21 +212,6 @@ def krylov(a: Sequence[Sequence[int]], da: int, vec: tuple[Sequence[int], int], 
         yield p, dp
 
 
-def nilpotent_krylov(t: Sequence[int], dt: int, m: int):
-    """Yield H^j e_m for j = 0..m as (nums, den), for H[i][l] = i t_(l-i+1) / dt when l > i and
-    0 elsewhere (t must reach t_m).
-
-    H is strictly upper triangular, so H^j e_m lives on entries 0..m-j and nums holds only
-    those: each step is one product on that shrinking support and one ``reduced``, O(m^3/6)
-    integer products for the m + 1 columns, where a dense (m+1)^2 product per step costs O(m^3)."""
-    p, dp = [0] * m + [1], 1
-    yield p, dp
-    for top in range(m, 0, -1):  # p lives on 0..top; H p on 0..top-1, and its entry 0 is 0
-        hp = [i * sum(map(mul, t[2 : top - i + 2], p[i + 1 : top + 1])) for i in range(1, top)]
-        p, dp = reduced([0] + hp, dp * dt)
-        yield p, dp
-
-
 def weighted_sum(terms, size: int) -> tuple[list[int], int]:
     """sum_p w_p v_p through entry size - 1 for (w_p, (nums_p, den_p)) terms, w_p rational, as
     (nums, den), den the running lcm of the w_p.denominator * den_p; the sum is rescaled only

@@ -12,14 +12,15 @@ from fractions import Fraction
 from itertools import chain
 from math import factorial, gcd
 
-from ._kernel import krylov, nilpotent_krylov, scaled, scaled_rows, weighted_sum
+from ._kernel import krylov, weighted_sum
 from .bell import _bell_columns
 from .errors import NotUnitary, OrderError, TruncationError, agree
-from .fps import Series, comp_inv, compose, derive, expm1, iterate_int, series, x_series
+from .fps import Series, compose, derive, expm1, iterate_int, series, x_series
 from .operators import DeltaOp, ShiftOp, validate_delta
 from .rational import RatLike, binom_row, rat
 from .umbral import (
     Triangle,
+    _power_triangle,
     basic_from_inverse_series,
     tri_compose,
     tri_identity,
@@ -58,16 +59,6 @@ def _column_powers(phi: tuple[list[list[int]], int], k: int, pmax: int):
     rows, den = phi
     a = [row[k:m] for m, row in enumerate(rows[k:], k)]
     return krylov(a, den, ([int(m == k) for m in range(k, len(rows))], 1), pmax)
-
-
-def minus_one_power_coeff(tri: Triangle, p: int, n: int, k: int) -> Fraction:
-    """coeff(n,k) of (phi-1)^p for a unitary triangle; 0 whenever p > n-k."""
-    if not tri.is_unitary():
-        raise NotUnitary("triangle must have unit diagonal")
-    if p > n - k or not 0 <= k <= n <= tri.n:
-        return Fraction(0)
-    *_, (nums, den) = _column_powers(scaled_rows(tri.rows), k, p)
-    return Fraction(nums[n - k], den)
 
 
 def _flow_triangle(f: Series, n: int) -> tuple[list[list[int]], int]:
@@ -176,20 +167,16 @@ def group_law_check(f: Series, r: RatLike, s: RatLike, n_max: int) -> bool:
 
 
 def phi_pow(Q: DeltaOp, s: RatLike, n: int) -> Triangle:
-    """Triangle of phi^s for the basic operator of a unitary delta Q, rows 0..n.
+    """Triangle of phi^s for the basic operator phi of a unitary delta Q, rows 0..n.
 
-    Route A applies the flow exponential e^{-s G}, G = X Q_*, to monomials: each
-    G drops the degree, so row m is the weighted sum of the Krylov columns
-    G^j x^m, j <= m, with the weights (-s)^j/j!.  G = D^-1 H D for D = diag(m!)
-    and H[i][l] = i lam_(l-i+1) (lam = Q_*'s indicator, scaled to integers once),
-    so the columns are the H^j e_m of ``_kernel.nilpotent_krylov``, which touch
-    only their support 0..m-j, O(N^4/24) integer products in all; entry k of
-    row m gains m!/k! once at the end (Jabotinsky's rescaling).  Route B is the
-    Bell triangle of f^s, the fractional iterate of f = Q~^{-1}, since phi^s is
-    the umbral operator whose column-1 EGF is f^s; it takes f^s unchecked from
-    ``_frac_coefficients``, as route A checks it.  A starts from itlog(q) and
-    B from comp_inv(q), so they share no intermediate result; both must agree.
-    q is read through x^max(n, 1), so n = 0 gives the one-entry identity.
+    phi^s is the umbral operator whose column-1 EGF is the fractional iterate
+    g = (q~^-1)^s = q~^(-s) of Q's indicator q (Jabotinsky, Trans. AMS 108, 1963),
+    the inverse of ``delta_power(Q, s)``'s indicator.  g comes from ``frac_iterate``,
+    which checks it against q itself by its leading term and by g o q = q o g, and
+    these two fix g.  The triangle of g is built by two routes that share no
+    intermediate result and must agree: the Bell recurrence
+    (``basic_from_inverse_series``) and the power table m!/k! [x^m] g^k.  q is read
+    through x^max(n, 1), so n = 0 gives the one-entry identity.
     """
     if not Q.is_unitary():
         raise NotUnitary("fractional operator powers need a unitary delta")
@@ -197,14 +184,8 @@ def phi_pow(Q: DeltaOp, s: RatLike, n: int) -> Triangle:
     if Q.indicator.trunc < n:
         raise TruncationError(f"need indicator trunc >= {n}")
     q = Q.indicator.truncate(max(n, 1))  # a delta's indicator reaches x^1
-    t, dt = scaled(itlog(q).coeffs)  # Q_*'s indicator, order >= 2
-    weights = [(-s) ** j / factorial(j) for j in range(n + 1)]
-    rows = []
-    for m in range(n + 1):
-        nums, den = weighted_sum(zip(weights, nilpotent_krylov(t, dt, m)), m + 1)
-        rows.append(tuple([Fraction(factorial(m) // factorial(k) * v, den) for k, v in enumerate(nums)]))
-    route_b = basic_from_inverse_series(_frac_coefficients(comp_inv(q), s, q.trunc), n).tri
-    return agree("phi_pow", flow=Triangle(tuple(rows)), coefficient=route_b)
+    g = frac_iterate(q, -s, 1, q.trunc)
+    return agree("phi_pow", bell=basic_from_inverse_series(g, n).tri, powers=_power_triangle(g, n))
 
 
 def jabotinsky(tri: Triangle) -> tuple[tuple[Fraction, ...], ...]:
@@ -222,8 +203,10 @@ def jabotinsky(tri: Triangle) -> tuple[tuple[Fraction, ...], ...]:
 def delta_power(Q: DeltaOp, s: RatLike, n: int) -> DeltaOp:
     """Q^[s]: the delta operator of phi^s, via the fractional iterate of Q~.
 
-    Library-only: its indicator is what ``umbra iterate --series <Q~> --s <s>``
-    prints, so a subcommand of its own would duplicate ``iterate``.
+    phi_pow(Q, s, n) is the Bell triangle of the inverse of this operator's
+    indicator, (q~^s)^-1 = q~^(-s).  Library-only: its indicator is what
+    ``umbra iterate --series <Q~> --s <s>`` prints, so a subcommand of its own
+    would duplicate ``iterate``.
     """
     if not Q.is_unitary():
         raise NotUnitary("fractional bracket powers need a unitary delta")

@@ -246,17 +246,23 @@ def basic_recurrence(Q: DeltaOp, n: int) -> UmbralOp:
     return UmbralOp(tri_from_polys(rows), Q)
 
 
+def _power_triangle(g: Series, n: int) -> Triangle:
+    """Rows 0..n of coeff[m][k] = m!/k! [t^m] g^k, column k read off the integer power
+    table of g (g.trunc >= n): the basic triangle whose column-1 EGF is g."""
+    rows = [[Fraction(0)] * (m + 1) for m in range(n + 1)]
+    for k, (p, dp) in enumerate(powers(g.coeffs, n)):
+        for m in range(k, n + 1):
+            rows[m][k] = Fraction(p[m] * (factorial(m) // factorial(k)), dp)
+    return Triangle(tuple([tuple(r) for r in rows]))
+
+
 def basic_genfunc(Q: DeltaOp, n: int) -> UmbralOp:
     """Columns from the generating function: coeff[m][k] = m! [t^m] invQ(t)^k / k!,
     column k read off the integer power table of invQ."""
     _require_depth(Q, n)
     nn = max(n, 1)
     g = comp_inv(Q.indicator.truncate(nn) if Q.indicator.trunc > nn else Q.indicator)
-    rows = [[Fraction(0)] * (m + 1) for m in range(n + 1)]
-    for k, (p, dp) in enumerate(powers(g.coeffs, n)):
-        for m in range(k, n + 1):
-            rows[m][k] = Fraction(p[m] * (factorial(m) // factorial(k)), dp)
-    return UmbralOp(Triangle(tuple(tuple(r) for r in rows)), Q)
+    return UmbralOp(_power_triangle(g, n), Q)
 
 
 def basic_km(Q: DeltaOp, n: int) -> UmbralOp:

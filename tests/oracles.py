@@ -15,7 +15,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from umbra.errors import DivisionOrderError, NotInvertible, TruncationError, UmbraError
+from umbra._kernel import scaled_rows
+from umbra.errors import DivisionOrderError, NotInvertible, NotUnitary, TruncationError, UmbraError
 from umbra.expr import (
     MAX_EXPONENT, MAX_POWER_BITS, MAX_STR_DIGITS, MAX_VALUE_BITS, Call, Neg, Num, Pow, Var, _at, _bits
 )
@@ -23,7 +24,7 @@ from umbra.fps import (
     INF, Poly, Series, comp_inv, compose, const, derive, exp_series, log_series, monomial, mul_inv,
     poly, pow_rat, series, x_series,
 )
-from umbra.flow import iterate_int
+from umbra.flow import _column_powers, iterate_int
 from umbra.operators import DeltaOp, ShiftOp, apply_op, validate_delta
 from umbra.rational import binom, rat, rat_str
 from umbra.serialize import series_to_json
@@ -153,6 +154,17 @@ def power_coeffs_direct(Q, n: int) -> list[Fraction]:
     for _ in range(n):
         p = p * ratio
     return [p[n - k] * factorial(n - k) for k in range(1, n + 1)]
+
+
+def minus_one_power_coeff(tri: Triangle, p: int, n: int, k: int) -> Fraction:
+    """coeff(n,k) of (phi-1)^p for a unitary triangle, read off the last Krylov column
+    of ``flow._column_powers``; 0 whenever p > n-k."""
+    if not tri.is_unitary():
+        raise NotUnitary("triangle must have unit diagonal")
+    if p > n - k or not 0 <= k <= n <= tri.n:
+        return Fraction(0)
+    *_, (nums, den) = _column_powers(scaled_rows(tri.rows), k, p)
+    return Fraction(nums[n - k], den)
 
 
 def chain_power_coeff(tri, p: int, n: int, k: int, strict: bool = True) -> Fraction:

@@ -335,6 +335,12 @@ GOLDEN_JSON = {
         "e9be62cb9e36fbec59bf4b8a6a573b8eb6c4bd9159fe93bf6d2ba7afdb0f233d",
     ("iterate", "--series=x+x^2/3-2/5*x^3", "--s=3/2", "--k=3", "--order=20"):
         "713fb102eb9151905d3fc9bec97fbcee43041d7402ebe4e108af742e02f55ee8",
+    # captured while phi_pow still ran the flow exponential e^(-sG) against the Bell
+    # triangle of (q^-1)^s
+    ("phipow", "--delta=exp(D)-1", "--s=1/2", "--order=64"):
+        "3a1de94f580205ed0ad8b96e6bcb3a11fe6e452ba9bd346b3f0660188393f20c",
+    ("phipow", "--delta=D-D^2/2+3*D^3/7+D^4/5", "--s=-2/3", "--order=64"):
+        "17568e0d82091f36194ebd611b6b9edf24cbebae91b615a461bb72eade8b81c5",
 }
 
 

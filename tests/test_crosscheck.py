@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from umbra import flow, fps, sigma, umbral
+from umbra import bell, flow, fps, sigma, umbral
 from umbra.catalog import identity_check
 from umbra.cli import main
 from umbra.errors import RouteDisagreement, agree, shown
@@ -106,29 +106,46 @@ def _doubled(cols):
         nums[:] = [2 * v for v in nums]  # itlog: 2 lam, which also solves Julia's equation
 
 
-def _corrupt_frac_iterate(mp):
-    # phi_pow's coefficient route: its unchecked f^s gains x^2
-    real = flow._frac_coefficients
-    mp.setattr(flow, "_frac_coefficients", lambda f, s, n: real(f, s, n) + series([0, 0, 1], n))
+def _corrupt_frac_coefficients(j):
+    """An injection that adds x^j (x^N for j = None) to the unchecked f^s of ``frac_iterate``."""
+
+    def inject(mp):
+        real = flow._frac_coefficients
+
+        def corrupted(f, s, n):
+            return real(f, s, n) + series([0] * (n if j is None else j) + [1], n)
+
+        mp.setattr(flow, "_frac_coefficients", corrupted)
+
+    return inject
 
 
-def _doubled_itlog(mp):
-    # phi_pow's flow route: the generator Q_* doubled
-    real = flow.itlog
-    mp.setattr(flow, "itlog", lambda f: real(f).scale(2))
+def _wrong_bell_column(mp):
+    # phi_pow's Bell route: E_(2,1) = 1! D B_(2,1) of bell._bell_columns gains D, so B_(2,1)
+    # gains 1; the flow triangle of frac_iterate reads flow's own binding and stays clean
+    real = bell._bell_columns
+
+    def corrupted(a, n, k, depth):
+        cols, d = real(a, n, k, depth)
+        if k >= 1 and n >= 2:
+            cols[1][2] += d
+        return cols, d
+
+    mp.setattr(bell, "_bell_columns", corrupted)
 
 
-def _corrupt_flow_columns(mp):
-    # phi_pow's flow route: H e_m, the column after e_m, gains 1 at entry 1 for every row m >= 2
-    real = flow.nilpotent_krylov
+def _wrong_power_entry(mp):
+    # phi_pow's power-table route: [x^2] g^1 of umbral's power table gains 1, so entry
+    # (2, 1) = 2!/1! [x^2] g gains 2
+    real = umbral.powers
 
-    def corrupted(t, dt, m):
-        for j, (p, dp) in enumerate(real(t, dt, m)):
-            if j == 1 and m >= 2:
-                p = [p[0], p[1] + dp, *p[2:]]
+    def corrupted(f, count):
+        for k, (p, dp) in enumerate(real(f, count)):
+            if k == 1:
+                p = [p[0], p[1], p[2] + dp, *p[3:]]
             yield p, dp
 
-    mp.setattr(flow, "nilpotent_krylov", corrupted)
+    mp.setattr(umbral, "powers", corrupted)
 
 
 def _edit_flow_rows(edit):
@@ -287,28 +304,46 @@ INJECTIONS = {
         },
     ),
     "phipow": (
+        # g = q^(-s) gains x^2; frac_iterate's leading term catches it before any triangle
         ["phipow", "--delta", "exp(D)-1", "--s", "1/2", "--order", "5", "--format", "tsv"],
-        _corrupt_frac_iterate,
-        {"construction": "phi_pow", "routes": ["flow", "coefficient"], "index": [2, 1], "values": ["-1/2", "3/2"]},
+        _corrupt_frac_coefficients(2),
+        {
+            "construction": "fractional iterate",
+            "routes": ["coefficient", "leading_term"],
+            "index": [2],
+            "values": ["3/4", "-1/4"],
+        },
+    ),
+    "phipow_last": (
+        # g gains x^N, fixed only by g o q = q o g
+        ["phipow", "--delta", "exp(D)-1", "--s", "1/2", "--order", "5", "--format", "tsv"],
+        _corrupt_frac_coefficients(None),
+        {
+            "construction": "fractional iterate",
+            "routes": ["coefficient", "equation"],
+            "index": [6],
+            "values": ["19313/7680", "7793/7680"],
+        },
     ),
     "phipow_flow": (
         ["phipow", "--delta", "exp(D)-1", "--s", "1/2", "--order", "5", "--format", "tsv"],
-        _doubled_itlog,
-        {"construction": "phi_pow", "routes": ["flow", "coefficient"], "index": [2, 1], "values": ["-1", "-1/2"]},
+        _wrong_bell_column,
+        {"construction": "phi_pow", "routes": ["bell", "powers"], "index": [2, 1], "values": ["1/2", "-1/2"]},
     ),
     "phipow_flow_columns": (
         ["phipow", "--delta", "exp(D)-1", "--s", "1/2", "--order", "5", "--format", "tsv"],
-        _corrupt_flow_columns,
-        {"construction": "phi_pow", "routes": ["flow", "coefficient"], "index": [2, 1], "values": ["-3/2", "-1/2"]},
+        _wrong_power_entry,
+        {"construction": "phi_pow", "routes": ["bell", "powers"], "index": [2, 1], "values": ["-1/2", "3/2"]},
     ),
     "phipow_flow_rows": (
+        # every entry of the flow triangle that frac_iterate reads is halved, the diagonal too
         ["phipow", "--delta", "exp(D)-1", "--s", "1/2", "--order", "5", "--format", "tsv"],
         _edit_flow_rows(_halved_rows),
         {
-            "construction": "itlog",
+            "construction": "fractional iterate",
             "routes": ["coefficient", "leading_term"],
             "index": [2],
-            "values": ["1/4", "1/2"],
+            "values": ["-1/8", "-1/4"],
         },
     ),
     "itlog_flow_rows": (

@@ -8,7 +8,7 @@ from math import factorial
 import pytest
 
 import umbra
-from umbra import flow, fps, umbral
+from umbra import bell, flow, fps, umbral
 from umbra.cli import main
 from umbra.errors import NotUnitary, OrderError, RouteDisagreement
 from umbra.flow import (
@@ -19,7 +19,6 @@ from umbra.flow import (
     itlog,
     jabotinsky,
     koszul_numbers,
-    minus_one_power_coeff,
     phi_pow,
     shifted_powers,
 )
@@ -51,6 +50,7 @@ from oracles import (
     interpolated_itlog,
     itlog_iterate_sum,
     matmul,
+    minus_one_power_coeff,
     stirling2,
 )
 
@@ -420,12 +420,51 @@ def test_phi_pow_rejects_non_unitary():
         phi_pow(Q, F(1, 2), 6)
 
 
+def _wrong_bell_columns(m, k):
+    """A stand-in for bell._bell_columns whose integer entry E_(m,k) gains 1."""
+    real = bell._bell_columns
+
+    def corrupted(a, n, kk, depth):
+        cols, d = real(a, n, kk, depth)
+        if k <= kk and m <= n:
+            cols[k][m] += 1
+        return cols, d
+
+    return corrupted
+
+
+def _wrong_powers(k, m):
+    """A stand-in for umbral's power table whose [x^m] g^k gains 1."""
+    real = umbral.powers
+
+    def corrupted(f, count):
+        for j, (p, dp) in enumerate(real(f, count)):
+            if j == k:
+                p = p[:m] + [p[m] + dp] + p[m + 1 :]
+            yield p, dp
+
+    return corrupted
+
+
 def test_phi_pow_cross_check_bites(monkeypatch):
-    # corrupt route B's unchecked f^s, so only phi_pow's own check can catch it
+    # g = q^(-s) is checked by frac_iterate against q (x^2 by its leading term, x^N by
+    # g o q = q o g), and the Bell and power triangles of g by each other
     real = flow._frac_coefficients
-    monkeypatch.setattr(flow, "_frac_coefficients", lambda f, s, n: real(f, s, n) + series([0, 0, 1], n))
-    with pytest.raises(RouteDisagreement, match="phi_pow routes disagree"):
-        phi_pow(delta_forward(10), F(1, 2), 6)
+    for j, route in ((2, "leading_term"), (6, "equation")):
+        with monkeypatch.context() as mp:
+            mp.setattr(flow, "_frac_coefficients", lambda f, s, n, j=j: real(f, s, n) + series([0] * j + [1], n))
+            with pytest.raises(RouteDisagreement, match="fractional iterate routes disagree") as info:
+                phi_pow(delta_forward(10), F(1, 2), 6)
+        assert info.value.routes == ("coefficient", route)
+    for module, name, corrupted in (
+        (bell, "_bell_columns", _wrong_bell_columns(4, 2)),
+        (umbral, "powers", _wrong_powers(2, 4)),
+    ):
+        with monkeypatch.context() as mp:
+            mp.setattr(module, name, corrupted)
+            with pytest.raises(RouteDisagreement, match="phi_pow routes disagree") as info:
+                phi_pow(delta_forward(10), F(1, 2), 6)
+        assert (info.value.routes, info.value.index) == (("bell", "powers"), [4, 2])
 
 
 FLOW_EXPONENTS = (0, -1, F(1, 2), F(-2, 3), 3)
@@ -433,18 +472,22 @@ FLOW_EXPONENTS = (0, -1, F(1, 2), F(-2, 3), 3)
 
 @pytest.mark.parametrize("n", [*range(13), 20, 33])
 def test_flow_route_matches_dense_oracle(n):
-    # phi_pow returns its flow route, which follows the support of H^j e_m, once the
-    # coefficient route agrees; the oracle runs the dense per-row products it replaced
+    # phi_pow, the Bell triangle of q^(-s), equals the paper's flow construction e^(-sG),
+    # G = X Q_*, run by dense per-row products in the oracle, and the Bell triangle of
+    # (q^-1)^s, whose comp_inv and frac_iterate share nothing with phi_pow's g
     inputs = [expm1(max(n, 1))]
     if n <= 12:
         inputs.append(series([0, 1, F(1, 2), F(-2, 3)], max(n, 1)))
     for q in inputs:
         got = [phi_pow(validate_delta(ShiftOp(q)), s, n) for s in FLOW_EXPONENTS]
         assert got == flow_route_dense(itlog(q), FLOW_EXPONENTS, n), (q, n)
+        through_inverse = [basic_from_inverse_series(frac_iterate(comp_inv(q), s), n).tri for s in FLOW_EXPONENTS]
+        assert got == through_inverse, (q, n)
 
 
 def test_only_phi_pow_route_b_builds_a_bell_triangle(monkeypatch, capsys):
-    # the flow triangles of itlog and frac_iterate come from the Bell columns as integers
+    # phi_pow's bell route is the one Bell triangle of Fractions; the flow triangles of
+    # itlog and frac_iterate come from the Bell columns as integers
     real, calls = umbral.basic_from_inverse_series, []
 
     def counting(f, n, delta=None):
@@ -465,6 +508,68 @@ def test_only_phi_pow_route_b_builds_a_bell_triangle(monkeypatch, capsys):
         assert main(argv) == 0
         assert len(calls) == count, argv
     capsys.readouterr()
+
+
+def test_phipow_takes_one_frac_iterate_and_no_itlog_or_comp_inv(monkeypatch, capsys):
+    # g = q^(-s) is read off q itself: no inverse series and no generator
+    calls = []
+    for name in ("itlog", "comp_inv", "frac_iterate"):
+        real = getattr(fps if name == "comp_inv" else flow, name)
+
+        def counting(*args, name=name, real=real, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        for mod_name, module in list(sys.modules.items()):
+            if mod_name.partition(".")[0] == "umbra" and getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counting)
+    for argv in (
+        ["phipow", "--delta=exp(D)-1", "--s=1/2", "--order=12"],
+        ["phipow", "--delta=D+D^2", "--s=-2/3", "--order=7"],
+        ["phipow", "--delta=D-D^2/2+3*D^3/7+D^4/5", "--s=3", "--order=0"],
+    ):
+        calls.clear()
+        assert main(argv) == 0
+        assert calls == ["frac_iterate"], argv
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(("delta", "s"), [("exp(D)-1", "1/2"), ("D+D^2", "-2/3")])
+def test_phipow_exits_nonzero_or_prints_the_clean_triangle_on_each_wrong_entry(monkeypatch, capsys, delta, s):
+    # at N = 8 every single entry of the flow triangle of frac_iterate, of the Bell columns
+    # and of the power table gains 1 in turn; no corruption may print a wrong triangle
+    argv = ["phipow", f"--delta={delta}", f"--s={s}", "--order=8"]
+    assert main(argv) == 0
+    clean = capsys.readouterr().out
+    real_flow = flow._flow_triangle
+
+    def wrong_flow(m, k):
+        def corrupted(f, n):
+            rows, den = real_flow(f, n)
+            rows[m][k] += den
+            return rows, den
+
+        return corrupted
+
+    cells = [(m, k) for m in range(9) for k in range(m + 1)]
+    cases = [(flow, "_flow_triangle", wrong_flow(m, k), (m, k), "fractional iterate" if 1 <= k < m else None)
+             for m, k in cells]
+    # column 0 of the Bell columns breaks UmbralOp's check (exit 2); any other entry reaches bell
+    cases += [(bell, "_bell_columns", _wrong_bell_columns(m, k), (m, k), "phi_pow" if k else 2) for m, k in cells]
+    # [x^m] g^k with m < k is never read
+    cases += [(umbral, "powers", _wrong_powers(k, m), (m, k), "phi_pow") for m, k in cells]
+    cases += [(umbral, "powers", _wrong_powers(k, m), (m, k), None) for k in range(9) for m in range(k)]
+    for module, name, corrupted, cell, expected in cases:
+        with monkeypatch.context() as mp:
+            mp.setattr(module, name, corrupted)
+            code = main(argv)
+        out = capsys.readouterr().out
+        if expected is None:
+            assert (code, out) == (0, clean), (name, cell)
+        elif expected == 2:
+            assert (code, out) == (2, ""), (name, cell)
+        else:
+            assert code == 1 and f'"construction":"{expected}"' in out, (name, cell)
 
 
 def test_iterate_builds_one_flow_triangle_and_one_column_pass(monkeypatch, capsys):
