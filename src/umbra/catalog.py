@@ -46,7 +46,6 @@ from .umbral import (
     tri_compose,
     tri_identity,
     tri_invert,
-    tri_power,
     triangle,
 )
 
@@ -333,7 +332,7 @@ def _grid_point(hit: tuple[int, Fraction, Fraction] | None) -> dict | None:
 
 def _check_chu_vandermonde(spec: FamilySpec, n: int):
     phi = spec.basic(n)
-    rows = [phi.basic_poly(m) for m in range(n + 1)]
+    rows = [phi.tri.row_poly(m) for m in range(n + 1)]
     return _grid_point(binomial_grid(rows, rows, rows, n))
 
 
@@ -486,15 +485,15 @@ def _check_touchard_recurrence(spec: FamilySpec, n: int):
     for m in range(n + 1):
         rhs = poly([])
         for k in range(m + 1):
-            rhs = rhs + comb(m, k) * tou.basic_poly(k)
-        if tou.basic_poly(m + 1) != rhs.times_x():
+            rhs = rhs + comb(m, k) * tou.tri.row_poly(k)
+        if tou.tri.row_poly(m + 1) != rhs.times_x():
             return {"n": m}
     return None
 
 
 def _check_erdelyi(spec: FamilySpec, n: int):
     lag = spec.basic(n)
-    rows = [lag.basic_poly(k).coeffs for k in range(n + 1)]
+    rows = [lag.tri.row_poly(k).coeffs for k in range(n + 1)]
     at = half_grid(rows, n)
     inv = tri_invert(lag.tri)
     for lam in (Fraction(2), Fraction(1, 2), Fraction(-1)):
@@ -531,8 +530,8 @@ def _check_lah_connection(spec: FamilySpec, n: int):
     if tri_compose(rising.tri, lag.tri) != falling.tri:
         return {"n": n}
     # Lah's original identity on a grid
-    at_falling = half_grid([falling.basic_poly(m).coeffs for m in range(n + 1)], n)
-    at_rising = half_grid([rising.basic_poly(k).coeffs for k in range(n + 1)], n)
+    at_falling = half_grid([falling.tri.row_poly(m).coeffs for m in range(n + 1)], n)
+    at_rising = half_grid([rising.tri.row_poly(k).coeffs for k in range(n + 1)], n)
     for m in range(n + 1):
         coef = [lah(m, k) * (-1) ** (m - k) for k in range(m + 1)]
         x = _combination_point(at_falling[m], at_rising, coef, m)
@@ -543,8 +542,9 @@ def _check_lah_connection(spec: FamilySpec, n: int):
 
 def _check_laguerre_powers(spec: FamilySpec, n: int):
     lag = spec.basic(n)
+    tri_r = tri_identity(n)
     for r in (1, 2, 3):
-        tri_r = tri_power(lag.tri, r)
+        tri_r = tri_compose(tri_r, lag.tri)
         for m in range(n + 1):
             for k in range(m + 1):
                 if tri_r.entry(m, k) != lah(m, k) * Fraction(-r) ** (m - k):
@@ -572,7 +572,7 @@ def _check_smooth_abel(spec: FamilySpec, n: int):
     hit = binomial_grid(smooth, _abel_polys(a, n), smooth, n)
     # at each degree the Sheffer form is reported before the grid form
     for m in range(n + 1 if hit is None else hit[0] + 1):
-        if apply_op(smoother, phi.basic_poly(m)) != smooth[m]:
+        if apply_op(smoother, phi.tri.row_poly(m)) != smooth[m]:
             return {"form": "sheffer", "n": m}
     return None if hit is None else {"form": "grid", **_grid_point(hit)}
 
@@ -618,7 +618,7 @@ def _check_degenerate_ode(spec: FamilySpec, n: int):
     for alpha in (Fraction(0), Fraction(1), Fraction(1, 2), Fraction(-2)):
         sh = cross(ShiftOp(base), alpha, phi)
         for m in range(n + 1):
-            f = sh.sheffer_poly(m)
+            f = sh.tri.row_poly(m)
             derivs = [f]
             for _ in range(p + 1):
                 derivs.append(derivs[-1].derivative())
@@ -642,7 +642,7 @@ def _check_degenerate_cross(spec: FamilySpec, n: int):
     tables = {}
     for w in {u + v for u in exps for v in exps}:
         sh = cross(base, w, phi)
-        tables[w] = half_grid([sh.sheffer_poly(m).coeffs for m in range(n + 1)], n)
+        tables[w] = half_grid([sh.tri.row_poly(m).coeffs for m in range(n + 1)], n)
     for u in exps:
         for v in exps:
             hit = binomial_scan(tables[u + v], tables[u], tables[v], n)

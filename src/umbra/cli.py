@@ -41,10 +41,10 @@ def _decimal_str(q: Fraction, digits: int = 12) -> str:
     return str(Decimal(q.numerator) / Decimal(q.denominator))
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--order", type=int, default=None, help=f"truncation order (max {MAX_ORDER})")
+def _add_common(p: argparse.ArgumentParser, order: bool = True):
+    if order:
+        p.add_argument("--order", type=int, default=None, help=f"truncation order (max {MAX_ORDER})")
     p.add_argument("--format", choices=("json", "tsv", "pretty"), default="pretty")
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized property checks")
     p.add_argument(
         "--decimal",
         action="store_true",
@@ -109,13 +109,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("faulhaber", help="power-sum polynomial sum_{k<x} k^n")
     p.add_argument("--n", type=int, required=True)
-    _add_common(p)
+    _add_common(p, order=False)
 
     p = sub.add_parser("check", help="run family identity checks")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--family", choices=catalog.FAMILY_NAMES)
     group.add_argument("--all", action="store_true")
     p.add_argument("--params", default="")
+    p.add_argument("--seed", type=int, default=0, help="seed for randomized property checks")
     _add_common(p)
 
     return parser
@@ -216,8 +217,14 @@ def _delta_from_expr(text: str, trunc: int):
 
 
 def run(args) -> int:
-    order = _order(args)
     cmd = args.command
+    if cmd == "faulhaber":  # the one subcommand without an order
+        if not 0 <= args.n <= MAX_ORDER:
+            raise UmbraError(f"n must be between 0 and {MAX_ORDER}")
+        _emit_poly(sigma.faulhaber(args.n), args)
+        return 0
+
+    order = _order(args)
 
     if cmd == "series":
         _emit_series(eval_expr(args.expr, order), args)
@@ -273,12 +280,6 @@ def run(args) -> int:
                 print(_rat_pretty(value, args) if args.format == "pretty" else rat_str(value))
         else:
             _emit_poly(summed, args)
-        return 0
-
-    if cmd == "faulhaber":
-        if not 0 <= args.n <= MAX_ORDER:
-            raise UmbraError(f"n must be between 0 and {MAX_ORDER}")
-        _emit_poly(sigma.faulhaber(args.n), args)
         return 0
 
     if cmd == "check":

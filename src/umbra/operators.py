@@ -63,9 +63,6 @@ class ShiftOp:
     def __pow__(self, k: int) -> "ShiftOp":
         return ShiftOp(self.indicator**k)
 
-    def __call__(self, p: Poly) -> Poly:
-        return apply_op(self, p)
-
 
 @dataclass(frozen=True)
 class DeltaOp(ShiftOp):

@@ -71,7 +71,7 @@ class SigmaOp:
         out = poly([])
         qpow = p  # Q^{n-1} p starting at n = 1
         for n in range(1, d + 2):
-            fn = self._phi.basic_poly(n).compose_linear(-1, self.anchor)  # phi_n(a - x)
+            fn = self._phi.tri.row_poly(n).compose_linear(-1, self.anchor)  # phi_n(a - x)
             out = out + fn * qpow / factorial(n)
             qpow = apply_op(self.Q, qpow)
         return -out
@@ -86,9 +86,6 @@ class SigmaOp:
         # sum_n c_n phi_{n+1}/(n+1) is phi applied to sum_n c_n x^{n+1}/(n+1)
         out = self._phi.tri.apply_poly(poly([0] + [c / n for n, c in enumerate(basic_coords, 1)]))
         return out - out(self.anchor)
-
-    def __call__(self, p: Poly) -> Poly:
-        return self.apply(p)
 
 
 def sigma_apply(Q: DeltaOp, a: RatLike, p: Poly, depth: int | None = None) -> Poly:
@@ -194,9 +191,9 @@ def bernoulli2_poly(n: int) -> Poly:
     delta = _delta_op(trunc)
     b_inv = divide(delta, derivative_op(trunc))  # indicator (e^t - 1)/t
     falling = basic_transfer(delta, n + 1)
-    route1 = apply_op(b_inv, falling.basic_poly(n))
-    anti = falling.basic_poly(n).antiderivative(0)
+    route1 = apply_op(b_inv, falling.tri.row_poly(n))
+    anti = falling.tri.row_poly(n).antiderivative(0)
     agree("second-kind Bernoulli", operator=route1, integral=anti.shifted(1) - anti)
-    lower = n * falling.basic_poly(max(n - 1, 0))  # n phi_{n-1}; zero for n = 0
+    lower = n * falling.tri.row_poly(max(n - 1, 0))  # n phi_{n-1}; zero for n = 0
     agree("second-kind Bernoulli commutation", derivative=route1.derivative(), falling=lower)
     return route1

@@ -121,15 +121,6 @@ def tri_invert(phi: Triangle) -> Triangle:
     return Triangle(tuple(tri_inverse(phi.rows)))
 
 
-def tri_power(phi: Triangle, s: int) -> Triangle:
-    """Integer operator power via repeated composition (inverse for s < 0)."""
-    base = phi if s >= 0 else tri_invert(phi)
-    out = tri_identity(phi.n)
-    for _ in range(abs(s)):
-        out = tri_compose(out, base)
-    return out
-
-
 def transform_seq(
     phi: Triangle, a: Sequence[RatLike], mode: str = "row", start: int = 0
 ) -> list[Fraction]:
@@ -179,16 +170,6 @@ class UmbralOp:
                 if t.entry(n, n) != c ** (-n):
                     raise ValueError("diagonal must equal unit^(-n)")
 
-    @property
-    def n(self) -> int:
-        return self.tri.n
-
-    def basic_poly(self, n: int) -> Poly:
-        return self.tri.row_poly(n)
-
-    def is_unitary(self) -> bool:
-        return self.tri.is_unitary()
-
 
 @dataclass(frozen=True)
 class ShefferOp:
@@ -197,13 +178,6 @@ class ShefferOp:
     tri: Triangle
     delta: DeltaOp
     appell: ShiftOp
-
-    @property
-    def n(self) -> int:
-        return self.tri.n
-
-    def sheffer_poly(self, n: int) -> Poly:
-        return self.tri.row_poly(n)
 
 
 def _require_depth(Q: DeltaOp, n: int):
@@ -401,7 +375,7 @@ def sheffer(A: ShiftOp, phi: UmbralOp) -> ShefferOp:
     """Sheffer operator A o phi; rows are A applied to the basic polynomials."""
     if not is_appell(A):
         raise NotAppell("Sheffer construction requires an invertible (Appell) operator")
-    rows = [apply_op(A, phi.basic_poly(m)) for m in range(phi.n + 1)]
+    rows = [apply_op(A, phi.tri.row_poly(m)) for m in range(phi.tri.n + 1)]
     delta = phi.delta if phi.delta is not None else delta_of(phi)
     return ShefferOp(tri_from_polys(rows), delta, A)
 
@@ -425,11 +399,11 @@ def niederhausen(phi: UmbralOp) -> UmbralOp:
     """
     if phi.delta is None:
         raise ValueError("niederhausen needs the source delta cached")
-    n = phi.n
+    n = phi.tri.n
     rows = [[Fraction(0)] * (m + 1) for m in range(n + 1)]
     for m in range(n + 1):
         for k in range(m + 1):
-            rows[m][k] = comb(m, k) * phi.basic_poly(m - k)(k)
+            rows[m][k] = comb(m, k) * phi.tri.row_poly(m - k)(k)
     tri = Triangle(tuple(tuple(r) for r in rows))
     if n < 1:
         return UmbralOp(tri, None)
@@ -459,7 +433,7 @@ def special_class_check(phi: UmbralOp, U: ShiftOp, V: ShiftOp, n: int) -> bool:
     terms weighted by coeff[n][k] as w[k][i] / W.  Then
         W e[n+m] = sum_k x^k sum_i w[k][i] D^i e[m].
     """
-    N = phi.n
+    N = phi.tri.n
     if n > N:
         raise TruncationError("n exceeds triangle depth")
     vn = V**n

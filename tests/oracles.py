@@ -588,7 +588,7 @@ def commutation_expansion_check(phi, n: int) -> bool:
     The Bell arguments are shift-invariant operators (indicator series), so
     the recurrence runs directly on them.
     """
-    N = phi.n
+    N = phi.tri.n
     q = phi.delta.indicator
     # j-th derivative of invQ, composed with Q: indicator of (invQ)^(j)(Q)
     args = []
@@ -597,13 +597,13 @@ def commutation_expansion_check(phi, n: int) -> bool:
         dj = derive(dj)
         args.append(compose(dj, q.truncate(dj.trunc) if q.trunc > dj.trunc else q))
     for m in range(N - n + 1):
-        pm = phi.basic_poly(m)
+        pm = phi.tri.row_poly(m)
         rhs = poly([])
         for k in range(0 if n == 0 else 1, n + 1):  # B_{n,0} = 0 for n > 0
             b = series_bell(n, k, args)
             term = apply_op(ShiftOp(b), pm) if isinstance(b, Series) else b * pm
             rhs = rhs + term.times_x(k)
-        if phi.basic_poly(n + m) != rhs:
+        if phi.tri.row_poly(n + m) != rhs:
             return False
     return True
 

@@ -247,7 +247,8 @@ def test_degenerate_cross_names_the_corrupted_exponent_pair(monkeypatch, exponen
         sh = real(C, u, phi)
         if u != F(exponent):
             return sh
-        rows = [sh.sheffer_poly(k) + (poly([0, 1]) if k == 3 else poly([])) for k in range(sh.n + 1)]
+        rows = [sh.tri.row_poly(k) for k in range(sh.tri.n + 1)]
+        rows[3] = rows[3] + poly([0, 1])
         return ShefferOp(tri_from_polys(rows), sh.delta, sh.appell)
 
     monkeypatch.setattr(catalog, "cross", cross)
@@ -255,7 +256,7 @@ def test_degenerate_cross_names_the_corrupted_exponent_pair(monkeypatch, exponen
 
 
 def test_binomial_grid_returns_the_point_itself():
-    rows = [family("falling").basic(8).basic_poly(m) for m in range(9)]
+    rows = [family("falling").basic(8).tri.row_poly(m) for m in range(9)]
     assert binomial_grid(rows, rows, rows, 8) is None
     assert binomial_grid([poly([2])] + rows[1:], rows, rows, 8) == (0, 0, 0)
     rows[2] = rows[2] + poly([0, 1])

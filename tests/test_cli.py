@@ -188,6 +188,21 @@ def test_env_var_order_is_read_on_every_call(capsys, monkeypatch):
         assert run(capsys, "series", "x")[:2] == (0, expected + "\n")
 
 
+def test_faulhaber_ignores_umbra_order(capsys, monkeypatch):
+    # faulhaber has no order, so it neither reads nor validates UMBRA_ORDER
+    expected = run(capsys, "faulhaber", "--n", "3")
+    monkeypatch.setenv("UMBRA_ORDER", "abc")
+    assert run(capsys, "faulhaber", "--n", "3") == expected
+    assert expected[0] == 0 and expected[1]
+
+
+@pytest.mark.parametrize("argv", [["series", "x", "--seed", "1"], ["faulhaber", "--n", "3", "--order", "100"]])
+def test_subcommand_refuses_an_option_it_does_not_read(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "unrecognized arguments" in err
+
+
 def test_order_cap(capsys):
     code, _, err = run(capsys, "series", "x", "--order", "65")
     assert code == 2

@@ -115,7 +115,7 @@ def test_euler_operator_stirling_expansion():
             assert total == m**n
 
 
-def test_sigma_iterated_builds_basic_polys():
+def test_sigma_iterated_builds_basic_set():
     # phi_n = n! (Q^{-1}_{(0)})^n 1  and  (n+1)...(n+p) Q^{-p} phi_n = phi_{n+p}
     for name, Q in deltas().items():
         s = SigmaOp(Q, 0, depth=N + 1)
@@ -123,12 +123,12 @@ def test_sigma_iterated_builds_basic_polys():
         acc = poly([1])
         for n in range(1, N + 1):
             acc = s.apply(acc)
-            assert factorial(n) * acc == phi.basic_poly(n), name
+            assert factorial(n) * acc == phi.tri.row_poly(n), name
         for n in range(1, 5):
             for p in range(1, 4):
-                out = phi.basic_poly(n)
+                out = phi.tri.row_poly(n)
                 scale = 1
                 for i in range(1, p + 1):
                     out = s.apply(out)
                     scale *= n + i
-                assert scale * out == phi.basic_poly(n + p), name
+                assert scale * out == phi.tri.row_poly(n + p), name

@@ -477,8 +477,12 @@ def test_injected_disagreement_survives_optimize_flag(name):
 
 
 def test_library_has_no_assert():
-    """Cross-checks go through `agree`; `python -O` strips assert statements."""
-    for path in sorted((ROOT / "src" / "umbra").glob("*.py")):
+    """Cross-checks go through `agree`; `python -O` strips assert statements.
+
+    The walk covers every module under src/umbra, subpackages included."""
+    paths = sorted((ROOT / "src" / "umbra").rglob("*.py"))
+    assert paths
+    for path in paths:
         text = path.read_text()
         assert "AssertionError" not in text, path.name
         asserts = [node.lineno for node in ast.walk(ast.parse(text)) if isinstance(node, ast.Assert)]

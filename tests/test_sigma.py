@@ -240,4 +240,4 @@ def test_bernoulli2_integral_oracle():
     falling = basic_transfer(Delta, 8)
     for n in range(8):
         psi = bernoulli2_poly(n)  # internal dual-route assertion
-        assert integral(falling.basic_poly(n), 0, 1) == psi(0)
+        assert integral(falling.tri.row_poly(n), 0, 1) == psi(0)

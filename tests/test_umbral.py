@@ -264,8 +264,8 @@ def test_second_kind_bernoulli_integral_rows():
     Delta = delta_catalog()["Delta"]
     sh = sheffer(divide(Delta, derivative_op(T)), basic_transfer(Delta, 6))
     for n in range(7):
-        anti = basic_transfer(Delta, 6).basic_poly(n).antiderivative(0)
-        assert sh.sheffer_poly(n) == anti.shifted(1) - anti
+        anti = basic_transfer(Delta, 6).tri.row_poly(n).antiderivative(0)
+        assert sh.tri.row_poly(n) == anti.shifted(1) - anti
 
 
 def test_sheffer_defining_relation():
@@ -273,7 +273,7 @@ def test_sheffer_defining_relation():
         A = ShiftOp(series([1, F(1, 2), F(-1, 3)], T))
         sh = sheffer(A, basic_transfer(Q, 8))
         for n in range(1, 9):
-            assert apply_op(Q, sh.sheffer_poly(n)) == n * sh.sheffer_poly(n - 1), name
+            assert apply_op(Q, sh.tri.row_poly(n)) == n * sh.tri.row_poly(n - 1), name
 
 
 def test_sheffer_bivariate_identity_on_grid():
@@ -282,11 +282,11 @@ def test_sheffer_bivariate_identity_on_grid():
     sh = sheffer(divide(derivative_op(T), Q), phi)
     pts = [F(i, 2) for i in range(8)]
     for n in range(7):
-        sn = sh.sheffer_poly(n)
+        sn = sh.tri.row_poly(n)
         for x in pts:
             for y in pts:
                 rhs = sum(
-                    comb(n, k) * sh.sheffer_poly(k)(x) * phi.basic_poly(n - k)(y)
+                    comb(n, k) * sh.tri.row_poly(k)(x) * phi.tri.row_poly(n - k)(y)
                     for k in range(n + 1)
                 )
                 assert sn(x + y) == rhs
@@ -313,10 +313,10 @@ def test_cross_two_parameter_convolution():
                 for x in pts:
                     for y in pts:
                         rhs = sum(
-                            comb(n, k) * su.sheffer_poly(k)(x) * sv.sheffer_poly(n - k)(y)
+                            comb(n, k) * su.tri.row_poly(k)(x) * sv.tri.row_poly(n - k)(y)
                             for k in range(n + 1)
                         )
-                        assert suv.sheffer_poly(n)(x + y) == rhs
+                        assert suv.tri.row_poly(n)(x + y) == rhs
 
 
 # -- connection constants / niederhausen ---------------------------------------------------------
@@ -338,8 +338,8 @@ def test_connection_rising_falling_is_lah():
     pts = [F(i, 3) for i in range(10)]
     for n in range(9):
         for x in pts:
-            rhs = sum(conn.entry(n, k) * falling.basic_poly(k)(x) for k in range(n + 1))
-            assert rising.basic_poly(n)(x) == rhs
+            rhs = sum(conn.entry(n, k) * falling.tri.row_poly(k)(x) for k in range(n + 1))
+            assert rising.tri.row_poly(n)(x) == rhs
 
 
 def test_niederhausen_identity_gives_idempotent():
@@ -362,7 +362,7 @@ def test_niederhausen_delta_series_formula():
         phi = basic_transfer(Q, 9)
         nie = niederhausen(phi)
         for n in range(1, 10):
-            expected = phi.basic_poly(n - 1)(-n) / factorial(n)
+            expected = phi.tri.row_poly(n - 1)(-n) / factorial(n)
             assert nie.delta.indicator[n] == expected, (name, n)
 
 
@@ -469,7 +469,7 @@ def test_differential_equation_invariant():
         phi = basic_transfer(Q, N)
         ratio = divide(Q, pincherle(Q))
         for n in range(N + 1):
-            pn = phi.basic_poly(n)
+            pn = phi.tri.row_poly(n)
             assert (n * pn - apply_op(ratio, pn).times_x()).is_zero(), name
 
 
