@@ -30,6 +30,7 @@ from .fps import (
     exp_series,
     expm1,
     integrate,
+    iterate_int,
     lagrange_power,
     log1p,
     log_series,
@@ -48,7 +49,6 @@ from .operators import (
     derivative_op,
     diamond,
     divide,
-    elementary,
     identity_op,
     is_appell,
     pincherle,
@@ -84,7 +84,6 @@ from .flow import (
     delta_power,
     frac_iterate,
     group_law_check,
-    iterate_int,
     itlog,
     jabotinsky,
     koszul_numbers,

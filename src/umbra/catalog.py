@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from inspect import signature
 from itertools import repeat
 from math import comb, factorial
@@ -732,21 +732,18 @@ def _apply(rows, v: list[int]) -> list[int]:
 def identity_check(
     name: str, n: int = 10, report: Report | None = None, seed: int = 0, **params
 ) -> Report:
-    """Run every identity attached to a family; exact pass/fail per identity."""
+    """Run every identity of a family at depth min(n, its row's cap), the three rows
+    here and then the family's rows of ``_FAMILY_IDENTITIES``; exact pass/fail each."""
     import random
 
     spec = family(name, **params)
     report = report if report is not None else Report()
-    report.record(spec.name, "five_routes", spec.params, _check_routes(spec, min(n, 10)))
-    report.record(spec.name, "binomial_type", spec.params, _check_binomial(spec, min(n, 8)))
-    rng = random.Random(seed)
-    report.record(
-        spec.name,
-        "transform_roundtrip",
-        spec.params,
-        _check_transform_roundtrip(spec, min(n, 10), rng),
-    )
-    for identity, check, depth in _FAMILY_IDENTITIES[spec.name]:
+    rows = [
+        ("five_routes", _check_routes, 10),
+        ("binomial_type", _check_binomial, 8),
+        ("transform_roundtrip", partial(_check_transform_roundtrip, rng=random.Random(seed)), 10),
+    ]
+    for identity, check, depth in rows + _FAMILY_IDENTITIES[spec.name]:
         report.record(spec.name, identity, spec.params, check(spec, min(n, depth)))
     return report
 

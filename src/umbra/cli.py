@@ -36,8 +36,8 @@ def _default_order() -> int:
         raise UmbraError(f"bad value {text!r} for UMBRA_ORDER: expected an integer such as 16") from None
 
 
-def _decimal_str(q: Fraction, digits: int = 12) -> str:
-    getcontext().prec = digits
+def _decimal_str(q: Fraction) -> str:
+    getcontext().prec = 12
     return str(Decimal(q.numerator) / Decimal(q.denominator))
 
 
@@ -269,9 +269,7 @@ def run(args) -> int:
     if cmd == "sum":
         p = poly(eval_expr(args.poly_expr, order).coeffs)
         anchor = _rat_option("--from", args.lower)
-        d = 0 if p.is_zero() else int(p.degree())
-        delta = sigma._delta_op(d + 4)
-        summed = sigma.sigma_apply(delta, anchor, p)
+        summed = sigma.delta_sum(p, anchor)
         if args.at is not None:
             value = summed(_rat_option("--at", args.at))
             if args.format == "json":
@@ -283,12 +281,11 @@ def run(args) -> int:
         return 0
 
     if cmd == "check":
-        n = min(order, 12)
         if args.all:
-            report = catalog.check_all(n=n, seed=args.seed)
+            report = catalog.check_all(n=order, seed=args.seed)
         else:
             params = _parse_params(args.params)
-            report = catalog.identity_check(args.family, n=n, seed=args.seed, **params)
+            report = catalog.identity_check(args.family, n=order, seed=args.seed, **params)
         return _emit_report(report, args)
 
     raise UmbraError(f"unknown command {cmd!r}")

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
-    DivisionOrderError,
     NotInvertible,
     ParseError,
     RouteDisagreement,
@@ -39,7 +38,7 @@ from .errors import (
     UmbraError,
 )
 from ._kernel import convolve
-from .fps import INF, Poly, Series, _binary_power, exp_series, log_series, mul_inv, poly, pow_rat, series
+from .fps import Poly, Series, _binary_power, exp_series, log_series, mul_inv, poly, pow_rat, quotient, series
 from .rational import rat_str
 
 _FUNCTIONS = ("exp", "log", "sqrt")
@@ -457,7 +456,7 @@ def _eval_node(node: Node, trunc: int) -> Series | Poly:
         right = _eval(node.right, trunc)
         with _at(node.pos):
             if node.op == "/" and not (isinstance(right, Poly) and right.degree() == 0):
-                return _divide(_dense(left, trunc), _dense(right, trunc))
+                return quotient(_dense(left, trunc), _dense(right, trunc))
             if isinstance(left, Series) or isinstance(right, Series):
                 left, right = _dense(left, trunc), _dense(right, trunc)
             if node.op == "+":
@@ -468,18 +467,6 @@ def _eval_node(node: Node, trunc: int) -> Series | Poly:
                 return left / right[0]
             return left * right if isinstance(left, Series) else _times(left, right, trunc)
     raise TypeError(f"unknown node {node!r}")
-
-
-def _divide(f: Series, g: Series) -> Series:
-    k = g.order()
-    if k == INF:
-        raise NotInvertible("division by the zero series")
-    k = int(k)
-    if k == 0:
-        return f * mul_inv(g)
-    if f.order() < k:
-        raise DivisionOrderError(f"dividend order {f.order()} < divisor order {k}")
-    return f.shift_down(k) * mul_inv(g.shift_down(k))
 
 
 def eval_ast(node: Node, order: int) -> Series:

@@ -1,8 +1,8 @@
 """Iteration theory for unitary order-1 power series.
 
-Integer iterates (``fps.iterate_int``, re-exported here), the iterative
-logarithm (infinitesimal generator of the composition flow), exact fractional
-iterates, fractional powers of umbral operators, and the Jabotinsky rescaling.
+The iterative logarithm (infinitesimal generator of the composition flow),
+exact fractional iterates, fractional powers of umbral operators, and the
+Jabotinsky rescaling; integer iterates are ``fps.iterate_int``.
 Everything stays in Q; non-unitary input is rejected rather than normalized.
 """
 
@@ -15,7 +15,7 @@ from math import factorial, gcd
 from ._kernel import krylov, weighted_sum
 from .bell import _bell_columns
 from .errors import NotUnitary, OrderError, TruncationError, agree
-from .fps import Series, compose, derive, expm1, iterate_int, series, x_series
+from .fps import Series, compose, derive, expm1, series, x_series
 from .operators import DeltaOp, ShiftOp, validate_delta
 from .rational import RatLike, binom_row, rat
 from .umbral import (

@@ -21,7 +21,7 @@ from ._kernel import (
     apply_derivatives, convolve, evaluate, power, powers, reciprocal_powers, recurrence, reduced,
     weighted_sum,
 )
-from .errors import ConstantTermError, NotInvertible, OrderError, TruncationError, agree
+from .errors import ConstantTermError, DivisionOrderError, NotInvertible, OrderError, TruncationError, agree
 from .rational import RatLike, rat, rat_str
 
 INF = inf
@@ -215,6 +215,18 @@ def mul_inv(f: Series) -> Series:
     return Series(f.trunc, tuple(recurrence(f.coeffs, 1 / f.coeffs[0], 0, 1)))
 
 
+def quotient(f: Series, g: Series) -> Series:
+    """Operator division f/g: with k = ord g, cancel the shared factor x^k and
+    multiply by the inverse of g/x^k; requires ord f >= k, so a non-invertible
+    divisor is never expanded as a divergent geometric series."""
+    k = g.order()
+    if k == INF:
+        raise NotInvertible("division by the zero series")
+    if f.order() < k:
+        raise DivisionOrderError(f"dividend order {f.order()} < divisor order {k}")
+    return f.shift_down(k) * mul_inv(g.shift_down(k))
+
+
 def comp_inv(f: Series) -> Series:
     """Compositional inverse of an order-1 series (triangular solve).
 
@@ -313,8 +325,8 @@ def log1p(trunc: int) -> Series:
     )
 
 
-def format_series(f: Series, var: str = "x") -> str:
-    """Human-readable rendering, ending with the O() marker."""
+def format_series(f: Series) -> str:
+    """Human-readable rendering in x, ending with the O() marker."""
     parts = []
     for n, c in enumerate(f.coeffs):
         if c == 0:
@@ -322,7 +334,7 @@ def format_series(f: Series, var: str = "x") -> str:
         if n == 0:
             term = rat_str(c)
         else:
-            mon = var if n == 1 else f"{var}^{n}"
+            mon = "x" if n == 1 else f"x^{n}"
             if c == 1:
                 term = mon
             elif c == -1:
@@ -331,7 +343,7 @@ def format_series(f: Series, var: str = "x") -> str:
                 term = f"{rat_str(c)}*{mon}"
         parts.append(term)
     body = " + ".join(parts).replace("+ -", "- ") if parts else "0"
-    return f"{body} + O({var}^{f.trunc + 1})"
+    return f"{body} + O(x^{f.trunc + 1})"
 
 
 # ---------------------------------------------------------------------------

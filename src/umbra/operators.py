@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._kernel import apply_derivatives
-from .errors import DivisionOrderError, NotDelta, OrderError, TruncationError
+from .errors import NotDelta, OrderError, TruncationError
 from .fps import (
     INF,
     Poly,
@@ -22,8 +22,8 @@ from .fps import (
     derive,
     exp_series,
     iterate_int,
-    mul_inv,
     poly,
+    quotient,
     x_series,
 )
 from .rational import RatLike, rat
@@ -34,9 +34,6 @@ class ShiftOp:
     """Shift-invariant operator with explicit truncated indicator."""
 
     indicator: Series
-
-    def order(self) -> int | float:
-        return self.indicator.order()
 
     def __add__(self, other: "ShiftOp | RatLike") -> "ShiftOp":
         o = other.indicator if isinstance(other, ShiftOp) else rat(other)
@@ -123,25 +120,14 @@ def pincherle(T: ShiftOp) -> ShiftOp:
 
 
 def divide(U: ShiftOp, V: ShiftOp) -> ShiftOp:
-    """Operator division per the shared-factor definition U = D^k P, V = D^k R.
-
-    k is the order of V; requires ord(U) >= k, and never expands a
-    non-invertible divisor into a divergent geometric series.
-    """
-    k = V.order()
-    if k == INF:
-        raise DivisionOrderError("division by the zero operator")
-    k = int(k)
-    if U.order() < k:
-        raise DivisionOrderError(f"ord(U) = {U.order()} < ord(V) = {k}")
-    p_part = U.indicator.shift_down(k) if k else U.indicator
-    r_part = V.indicator.shift_down(k) if k else V.indicator
-    return ShiftOp(p_part * mul_inv(r_part))
+    """Operator division per the shared-factor definition U = D^k P, V = D^k R:
+    U/V = P/R, the indicator quotient ``fps.quotient``."""
+    return ShiftOp(quotient(U.indicator, V.indicator))
 
 
 def diamond(T: ShiftOp, U: ShiftOp) -> ShiftOp:
     """Indicator composition (T o U signature): indicator of result = T~ o U~."""
-    if U.order() < 1:
+    if U.indicator.order() < 1:
         raise OrderError("diamond requires the right operand to have order >= 1")
     return ShiftOp(compose(T.indicator, U.indicator))
 
@@ -149,27 +135,3 @@ def diamond(T: ShiftOp, U: ShiftOp) -> ShiftOp:
 def bracket_iterate(Q: DeltaOp, n: int) -> DeltaOp:
     """Q^[n]: n-fold indicator self-composition, compositional inverse for n < 0."""
     return validate_delta(ShiftOp(iterate_int(Q.indicator, n)))
-
-
-# ---------------------------------------------------------------------------
-# elementary operators (the non-shift-invariant ones act on Poly directly)
-# ---------------------------------------------------------------------------
-
-
-def elementary(kind: str, p: Poly, a: RatLike | None = None):
-    """Dispatch for the elementary-operator table; eval returns a scalar."""
-    if kind == "identity":
-        return p
-    if kind == "eval":
-        return p(0 if a is None else a)
-    if kind == "scalar":
-        return rat(a) * p
-    if kind == "mulx":
-        return p.times_x()
-    if kind == "shift":
-        return p.shifted(1 if a is None else a)
-    if kind == "symmetry":
-        return p.reflected()
-    if kind == "derivative":
-        return p.derivative()
-    raise ValueError(f"unknown elementary operator kind: {kind!r}")

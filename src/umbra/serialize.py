@@ -2,7 +2,9 @@
 
 All rationals are canonical "num/den" strings (plain integer when den = 1).
 ``dumps`` is the canonical encoder: sorted keys, compact separators, so that
-serialize(deserialize(s)) == s byte-exactly.
+serialize(deserialize(s)) == s byte-exactly.  The package writes these
+schemas only; the readers that check that round trip are the tests' own
+(``tests/oracles.py``).
 """
 
 from __future__ import annotations

@@ -20,17 +20,11 @@ from .operators import DeltaOp, apply_op, derivative_op, shift_by, validate_delt
 from .rational import RatLike, rat
 from .umbral import basic_transfer, transform_seq, tri_invert
 
-# Bernoulli numbers B_k (B_1 = -1/2), extended on demand; write-once per size.
-_bernoulli_cache: list[Fraction] = []
-
 
 def bernoulli_numbers(n: int) -> list[Fraction]:
-    """B_0..B_n as exact rationals, from the EGF t/(e^t - 1)."""
-    global _bernoulli_cache
-    if len(_bernoulli_cache) < n + 1:
-        egf = mul_inv(expm1(n + 1).shift_down(1))
-        _bernoulli_cache = [egf[k] * factorial(k) for k in range(n + 1)]
-    return _bernoulli_cache[: n + 1]
+    """B_0..B_n (B_1 = -1/2) as exact rationals, from the EGF t/(e^t - 1)."""
+    egf = mul_inv(expm1(n + 1).shift_down(1))
+    return [egf[k] * factorial(k) for k in range(n + 1)]
 
 
 def bernoulli_polynomial(n: int) -> Poly:
@@ -100,6 +94,12 @@ def _delta_op(trunc: int) -> DeltaOp:
     return validate_delta(shift_by(1, trunc) - 1)
 
 
+def delta_sum(p: Poly, a: RatLike) -> Poly:
+    """The anchored Delta-sigma of p: Delta resolved at deg p + 4, then ``sigma_apply``."""
+    d = 0 if p.is_zero() else int(p.degree())
+    return sigma_apply(_delta_op(d + 4), a, p)
+
+
 def faulhaber(n: int) -> Poly:
     """Power-sum polynomial: F_n(x) = sum_{k=0}^{x-1} k^n for integer x.
 
@@ -111,7 +111,7 @@ def faulhaber(n: int) -> Poly:
     closed = [Fraction(0)] * (n + 2)
     for k in range(n + 1):
         closed[n + 1 - k] = Fraction(comb(n + 1, k), n + 1) * bs[k]
-    route2 = sigma_apply(_delta_op(n + 4), 0, poly([0] * n + [1]))
+    route2 = delta_sum(poly([0] * n + [1]), 0)
     route3 = bernoulli_polynomial(n).antiderivative(0)
     return agree("faulhaber", closed=poly(closed), sigma=route2, integral=route3)
 
@@ -126,8 +126,7 @@ def euler_maclaurin_residual(p: Poly, a: RatLike = 0) -> Poly:
     if p.is_zero():
         return p
     d = int(p.degree())
-    trunc = d + 4
-    route_a = sigma_apply(_delta_op(trunc), a, p) - sigma_apply(derivative_op(trunc), a, p)
+    route_a = delta_sum(p, a) - sigma_apply(derivative_op(d + 4), a, p)
     bs = bernoulli_numbers(d + 1)
     route_b = poly([])
     deriv = p
@@ -175,10 +174,7 @@ def frac_sum_eval(p: Poly, a: RatLike, x: RatLike) -> Fraction:
     For integers a <= x this reproduces sum_{k=a}^{x-1} p(k); the bounds may
     be arbitrary rationals.
     """
-    if p.is_zero():
-        return Fraction(0)
-    d = int(p.degree())
-    return sigma_apply(_delta_op(d + 4), a, p)(x)
+    return delta_sum(p, a)(x)
 
 
 def bernoulli2_poly(n: int) -> Poly:

@@ -84,9 +84,6 @@ class Triangle:
     def diagonal(self) -> tuple[Fraction, ...]:
         return tuple(self.rows[n][n] for n in range(self.n + 1))
 
-    def is_unitary(self) -> bool:
-        return all(d == 1 for d in self.diagonal())
-
 
 def triangle(rows: Sequence[Sequence[RatLike]]) -> Triangle:
     return Triangle(tuple(tuple(rat(v) for v in row) for row in rows))
@@ -277,7 +274,7 @@ def basic_all_routes(Q: DeltaOp, n: int) -> UmbralOp:
     return UmbralOp(agree("basic", **tris), Q)
 
 
-def basic_from_inverse_series(f: Series, n: int, delta: DeltaOp | None = None) -> UmbralOp:
+def basic_from_inverse_series(f: Series, n: int) -> UmbralOp:
     """Basic triangle whose column-1 EGF is f (= indicator of Q^[-1]).
 
     coeff[m][k] = B_{m,k}(a_1, ..., a_{m-k+1}) with a_j = j! [x^j] f; this is
@@ -288,7 +285,7 @@ def basic_from_inverse_series(f: Series, n: int, delta: DeltaOp | None = None) -
     if f.trunc < n:
         raise TruncationError(f"need trunc >= {n}, have {f.trunc}")
     a = [factorial(j) * f[j] for j in range(1, n + 1)]
-    return UmbralOp(Triangle(bell.partial_bell_table(n, a)), delta)
+    return UmbralOp(Triangle(bell.partial_bell_table(n, a)))
 
 
 def delta_of(phi: UmbralOp | Triangle, trunc: int | None = None) -> DeltaOp:

@@ -21,10 +21,10 @@ from umbra.expr import (
     MAX_EXPONENT, MAX_POWER_BITS, MAX_STR_DIGITS, MAX_VALUE_BITS, Call, Neg, Num, Pow, Var, _at, _bits
 )
 from umbra.fps import (
-    INF, Poly, Series, comp_inv, compose, const, derive, exp_series, log_series, monomial, mul_inv,
-    poly, pow_rat, series, x_series,
+    INF, Poly, Series, comp_inv, compose, const, derive, exp_series, iterate_int, log_series, monomial,
+    mul_inv, poly, pow_rat, series, x_series,
 )
-from umbra.flow import _column_powers, iterate_int
+from umbra.flow import _column_powers
 from umbra.operators import DeltaOp, ShiftOp, apply_op, validate_delta
 from umbra.rational import binom, rat, rat_str
 from umbra.serialize import series_to_json
@@ -159,7 +159,7 @@ def power_coeffs_direct(Q, n: int) -> list[Fraction]:
 def minus_one_power_coeff(tri: Triangle, p: int, n: int, k: int) -> Fraction:
     """coeff(n,k) of (phi-1)^p for a unitary triangle, read off the last Krylov column
     of ``flow._column_powers``; 0 whenever p > n-k."""
-    if not tri.is_unitary():
+    if any(d != 1 for d in tri.diagonal()):
         raise NotUnitary("triangle must have unit diagonal")
     if p > n - k or not 0 <= k <= n <= tri.n:
         return Fraction(0)

@@ -160,6 +160,14 @@ def test_check_family_pretty(capsys):
     assert all(line.startswith("PASS") for line in out.strip().splitlines())
 
 
+@pytest.mark.parametrize("fmt", ["pretty", "json"])
+def test_check_all_output_is_the_same_past_every_cap(capsys, fmt):
+    # every identity's depth is capped at 10 or less, so orders past 10 verify the same rows
+    assert run(capsys, "check", "--all", "--order=64", f"--format={fmt}") == run(
+        capsys, "check", "--all", "--order=10", f"--format={fmt}"
+    )
+
+
 def test_determinism_bytes(capsys):
     a = run(capsys, "check", "--family", "falling", "--seed", "3", "--format", "json")
     b = run(capsys, "check", "--family", "falling", "--seed", "3", "--format", "json")

@@ -487,3 +487,12 @@ def test_library_has_no_assert():
         assert "AssertionError" not in text, path.name
         asserts = [node.lineno for node in ast.walk(ast.parse(text)) if isinstance(node, ast.Assert)]
         assert not asserts, f"{path.name}: assert at lines {asserts}"
+
+
+def test_library_has_no_global():
+    """Every function is pure: none rebinds module state, such as a cache."""
+    paths = sorted((ROOT / "src" / "umbra").rglob("*.py"))
+    assert paths
+    for path in paths:
+        found = [node.lineno for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Global)]
+        assert not found, f"{path.name}: global statement at lines {found}"

@@ -4,7 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from umbra.errors import DivisionOrderError, NotDelta, TruncationError
+from umbra.errors import DivisionOrderError, NotDelta, TruncationError, UmbraError
+from umbra.expr import eval_expr
 from umbra.fps import (
     const,
     log1p,
@@ -21,7 +22,6 @@ from umbra.operators import (
     derivative_op,
     diamond,
     divide,
-    elementary,
     identity_op,
     is_appell,
     pincherle,
@@ -156,6 +156,23 @@ def test_divide_order_error():
         divide(identity_op(T), derivative_op(T))
 
 
+@pytest.mark.parametrize(
+    "U, V, text, message",
+    [
+        (derivative_op(T), ShiftOp(const(0, T)), "1/(x-x)", "division by the zero series"),
+        (identity_op(T), derivative_op(T), "1/D", "dividend order 0 < divisor order 1"),
+    ],
+    ids=["zero_divisor", "order"],
+)
+def test_divide_raises_what_expression_division_raises(U, V, text, message):
+    with pytest.raises(UmbraError) as from_expr:
+        eval_expr(text, 3)
+    with pytest.raises(type(from_expr.value)) as from_ops:
+        divide(U, V)
+    assert str(from_ops.value) == message
+    assert str(from_expr.value) == f"{message} (at offset 0)"
+
+
 # -- diamond / bracket ------------------------------------------------------------------
 
 
@@ -228,10 +245,9 @@ def test_nonunitary_unit():
 
 def test_elementary_table():
     p = poly([0, 1, 1])  # x^2 + x
-    assert elementary("symmetry", p) == poly([0, -1, 1])
-    assert elementary("shift", monomial(2), 1) == poly([1, 2, 1])
-    assert elementary("eval", poly([1, 0, 1]), 2) == 5
-    assert elementary("identity", p) == p
-    assert elementary("scalar", p, F(1, 2)) == poly([0, F(1, 2), F(1, 2)])
-    assert elementary("mulx", p) == poly([0, 0, 1, 1])
-    assert elementary("derivative", p) == poly([1, 2])
+    assert p.reflected() == poly([0, -1, 1])
+    assert monomial(2).shifted(1) == poly([1, 2, 1])
+    assert poly([1, 0, 1])(2) == 5
+    assert F(1, 2) * p == poly([0, F(1, 2), F(1, 2)])
+    assert p.times_x() == poly([0, 0, 1, 1])
+    assert p.derivative() == poly([1, 2])
