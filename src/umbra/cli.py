@@ -115,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--family", choices=catalog.FAMILY_NAMES)
     group.add_argument("--all", action="store_true")
-    p.add_argument("--params", default="")
+    p.add_argument("--params", default=None)
     p.add_argument("--seed", type=int, default=0, help="seed for randomized property checks")
     _add_common(p)
 
@@ -282,6 +282,8 @@ def run(args) -> int:
 
     if cmd == "check":
         if args.all:
+            if args.params is not None:
+                raise UmbraError("--params needs --family: check --all runs its own parameter set")
             report = catalog.check_all(n=order, seed=args.seed)
         else:
             params = _parse_params(args.params)

@@ -210,5 +210,4 @@ def delta_power(Q: DeltaOp, s: RatLike, n: int) -> DeltaOp:
     """
     if not Q.is_unitary():
         raise NotUnitary("fractional bracket powers need a unitary delta")
-    q = Q.indicator.truncate(n) if Q.indicator.trunc > n else Q.indicator
-    return validate_delta(ShiftOp(frac_iterate(q, rat(s), 1, n)))
+    return validate_delta(ShiftOp(frac_iterate(Q.indicator, rat(s), 1, n)))

@@ -431,11 +431,6 @@ class Poly:
             return self
         return Poly((Fraction(0),) * k + self.coeffs)
 
-    def compose_linear(self, scale_: RatLike, offset: RatLike = 0) -> "Poly":
-        """p(scale*x + offset) = q(scale*x) for the Taylor shift q(y) = p(y + offset)."""
-        s = rat(scale_)
-        return poly([c * s**j for j, c in enumerate(self.shifted(offset).coeffs)])
-
     def __str__(self) -> str:
         if self.is_zero():
             return "0"

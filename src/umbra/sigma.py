@@ -65,7 +65,7 @@ class SigmaOp:
         out = poly([])
         qpow = p  # Q^{n-1} p starting at n = 1
         for n in range(1, d + 2):
-            fn = self._phi.tri.row_poly(n).compose_linear(-1, self.anchor)  # phi_n(a - x)
+            fn = self._phi.tri.row_poly(n).shifted(self.anchor).reflected()  # phi_n(a - x)
             out = out + fn * qpow / factorial(n)
             qpow = apply_op(self.Q, qpow)
         return -out
@@ -82,11 +82,10 @@ class SigmaOp:
         return out - out(self.anchor)
 
 
-def sigma_apply(Q: DeltaOp, a: RatLike, p: Poly, depth: int | None = None) -> Poly:
+def sigma_apply(Q: DeltaOp, a: RatLike, p: Poly) -> Poly:
     """One-shot anchored sigma application (both routes must agree)."""
     d = 0 if p.is_zero() else int(p.degree())
-    depth = d + 1 if depth is None else depth
-    s = SigmaOp(Q, a, depth=depth)
+    s = SigmaOp(Q, a, depth=d + 1)
     return agree("sigma", corollary=s.apply(p), basic=s.apply_basic_route(p))
 
 

@@ -125,10 +125,13 @@ def transform_seq(
 
     row mode:    b_n = sum_{k=start}^n  coeff[n][k] a_k   (a indexed from start)
     column mode: b_k = sum_{n=k}^jmax   coeff[n][k] a_n
-    Applying the same mode with the inverse triangle recovers the input.
+    Applying the same mode with the inverse triangle recovers the input.  Entries past the
+    triangle's depth are unknown, so a sequence reaching past it raises TruncationError.
     """
     vals = [rat(v) for v in a]
     m = len(vals)
+    if start + m - 1 > phi.n:
+        raise TruncationError(f"triangle depth {phi.n} < last index {start + m - 1}")
     if mode == "row":
         rows = [[phi.entry(start + i, start + j) for j in range(i + 1)] for i in range(m)]
     elif mode == "column":
@@ -231,8 +234,7 @@ def basic_genfunc(Q: DeltaOp, n: int) -> UmbralOp:
     """Columns from the generating function: coeff[m][k] = m! [t^m] invQ(t)^k / k!,
     column k read off the integer power table of invQ."""
     _require_depth(Q, n)
-    nn = max(n, 1)
-    g = comp_inv(Q.indicator.truncate(nn) if Q.indicator.trunc > nn else Q.indicator)
+    g = comp_inv(Q.indicator.truncate(max(n, 1)))
     return UmbralOp(_power_triangle(g, n), Q)
 
 
@@ -243,8 +245,7 @@ def basic_km(Q: DeltaOp, n: int) -> UmbralOp:
     j! den(w^j).  Every j <= k is summed: w^j has order >= j, and >= 2j only when
     Q is unitary."""
     _require_depth(Q, n)
-    nn = max(n, 1)
-    g = comp_inv(Q.indicator.truncate(nn) if Q.indicator.trunc > nn else Q.indicator)
+    g = comp_inv(Q.indicator.truncate(max(n, 1)))
     table = list(powers((g - x_series(g.trunc)).coeffs, n))
     fact = [factorial(j) for j in range(n + 1)]
     den = lcm(*[fact[j] * dp for j, (_, dp) in enumerate(table)])
@@ -288,14 +289,13 @@ def basic_from_inverse_series(f: Series, n: int) -> UmbralOp:
     return UmbralOp(Triangle(bell.partial_bell_table(n, a)))
 
 
-def delta_of(phi: UmbralOp | Triangle, trunc: int | None = None) -> DeltaOp:
+def delta_of(phi: UmbralOp | Triangle) -> DeltaOp:
     """Recover Q from the triangle: column 1 is the EGF of Q^[-1]'s indicator."""
     tri = phi.tri if isinstance(phi, UmbralOp) else phi
-    n = tri.n if trunc is None else min(trunc, tri.n)
-    if n < 1:
+    if tri.n < 1:
         raise NotDelta("triangle too shallow to determine a delta operator")
     inv_ind = series(
-        [Fraction(0)] + [tri.entry(m, 1) / factorial(m) for m in range(1, n + 1)], n
+        [Fraction(0)] + [tri.entry(m, 1) / factorial(m) for m in range(1, tri.n + 1)], tri.n
     )
     try:
         return validate_delta(ShiftOp(comp_inv(inv_ind)))

@@ -1,12 +1,13 @@
 """Family catalog: closed forms, lookups, identity reports."""
 
 import sys
+import tracemalloc
 from fractions import Fraction as F
 from itertools import cycle
 
 import pytest
 
-from umbra import _kernel, catalog
+from umbra import _kernel, catalog, umbral
 from umbra.catalog import (
     DEFAULT_CHECK_SET,
     Report,
@@ -19,9 +20,9 @@ from umbra.catalog import (
     stirling2,
 )
 from umbra.errors import UnknownFamily
-from umbra.fps import poly, x_series
+from umbra.fps import Poly, poly, x_series
 from umbra.umbral import (
-    ShefferOp, Triangle, UmbralOp, binomial_grid, is_binomial_type, tri_from_polys
+    ShefferOp, Triangle, UmbralOp, binomial_grid, is_binomial_type, tri_from_polys, tri_identity
 )
 
 import oracles
@@ -449,3 +450,59 @@ def test_special_class_fails_on_a_corrupted_row(monkeypatch, name, row, col):
     assert catalog._check_special_class(family(name), 8) is None
     _corrupt_basic(monkeypatch, name, row, col)
     assert catalog._check_special_class(family(name), 8) == {"n": 1}
+
+
+# -- the last Poly-loop identities on scaled rows; the degenerate base at any p -----------------
+
+_POLY_METHODS = ("__add__", "__mul__", "__rmul__", "__sub__", "derivative", "times_x")
+
+
+def test_row_identities_make_no_poly_arithmetic(monkeypatch):
+    # these identities compare integer rows; a Poly loop makes hundreds of these calls each
+    calls = []
+
+    def counting(cls, name):
+        real = getattr(cls, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, wrapper)
+
+    for name in _POLY_METHODS:
+        counting(Poly, name)
+    counting(Triangle, "apply_poly")
+    assert catalog._check_stirling_recurrences(family("falling"), 10) is None
+    assert catalog._check_touchard_recurrence(family("touchard"), 10) is None
+    for p in (1, 2, 3):
+        assert catalog._check_degenerate_ode(family("degenerate_laguerre", p=p), 8) is None
+    assert calls == []
+
+
+def test_degenerate_basic_set_costs_its_depth_not_p():
+    # the base 1 - p x^p is built through x^t only; p + 1 Fractions would take tens of MB
+    tracemalloc.start()
+    try:
+        tri = family("degenerate_laguerre", p=10**6).basic(4).tri
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert tri == tri_identity(4)  # x^m: the term -p x^p lies past x^4
+
+
+@pytest.mark.parametrize(
+    "check, n", [(catalog._check_degenerate_ode, 8), (catalog._check_degenerate_cross, 6)]
+)
+def test_degenerate_identities_resolve_the_base_at_n_plus_3(monkeypatch, check, n):
+    # rows 0..n read the base through x^n; a base resolved at n + p + 3 fails here at once
+    real = catalog.pow_rat
+
+    def pow_rat(f, r):
+        assert f.trunc <= n + 3, f"pow_rat at trunc {f.trunc} > {n + 3}"
+        return real(f, r)
+
+    monkeypatch.setattr(catalog, "pow_rat", pow_rat)
+    monkeypatch.setattr(umbral, "pow_rat", pow_rat)
+    assert check(family("degenerate_laguerre", p=10**5), n) is None

@@ -211,6 +211,26 @@ def test_subcommand_refuses_an_option_it_does_not_read(capsys, argv):
     assert "unrecognized arguments" in err
 
 
+@pytest.mark.parametrize("params", ["a=1", ""])
+def test_check_all_refuses_params(capsys, params):
+    # --all runs DEFAULT_CHECK_SET's own parameters; --params belongs to --family
+    code, out, err = run(capsys, "check", "--all", "--params", params)
+    assert code == 2 and out == ""
+    assert "--params" in err
+
+
+@pytest.mark.parametrize("fmt", ["pretty", "json"])
+def test_check_all_at_order_zero_reports_every_family(capsys, fmt):
+    # abel's niederhausen delta is absent at n = 0; its check ends at the triangle comparison
+    code, out, err = run(capsys, "check", "--all", "--order", "0", f"--format={fmt}")
+    assert code == 0 and err == ""
+    if fmt == "json":
+        labels = {(r["family"], json.dumps(r["params"], sort_keys=True)) for r in json.loads(out)}
+    else:
+        labels = {line.split("\t")[1] for line in out.splitlines()}
+    assert len(labels) == len(catalog.DEFAULT_CHECK_SET)
+
+
 def test_order_cap(capsys):
     code, _, err = run(capsys, "series", "x", "--order", "65")
     assert code == 2

@@ -6,7 +6,7 @@ from math import comb, factorial
 
 import pytest
 
-from umbra.errors import NotDelta, SingularTriangle
+from umbra.errors import NotDelta, SingularTriangle, TruncationError
 from umbra.fps import (
     comp_inv,
     compose,
@@ -205,6 +205,16 @@ def test_transform_zero_and_window():
     seq = [F(1), F(-2), F(3)]
     out = transform_seq(tri, seq, "row", start=2)
     assert transform_seq(tri_invert(tri), out, "row", start=2) == seq
+
+
+@pytest.mark.parametrize("mode", ["row", "column"])
+@pytest.mark.parametrize("seq, start", [([1, 2, 3, 4, 5], 0), ([1, 2], 2)])
+def test_transform_refuses_a_sequence_past_the_depth(mode, seq, start):
+    # rows 3 and 4 are unknown at depth 2, not zero
+    tri = triangle([[1], [0, 1], [0, 1, 1]])
+    with pytest.raises(TruncationError):
+        transform_seq(tri, seq, mode, start)
+    assert transform_seq(tri, seq[:3 - start], mode, start)
 
 
 def test_pascal_involution():
