@@ -58,7 +58,6 @@ from .operators import (
 from .bell import complete_bell, partial_bell
 from .umbral import (
     BASIC_ROUTES,
-    ShefferOp,
     Triangle,
     UmbralOp,
     basic_genfunc,

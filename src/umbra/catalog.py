@@ -103,66 +103,59 @@ class FamilySpec:
         return basic_transfer(self.delta(n + 2), n)
 
 
-def _spec_derivative() -> FamilySpec:
-    return FamilySpec(
-        "derivative",
-        {},
+# what a family's factory knows: its delta builder and the closed form of its triangle
+_Spec = tuple[Callable[[int], DeltaOp], Callable[[int, int], Fraction]]
+
+
+def _spec_derivative() -> _Spec:
+    return (
         lambda t: validate_delta(ShiftOp(x_series(t))),
         lambda n, k: Fraction(1 if n == k else 0),
     )
 
 
-def _spec_stretch(lam: Fraction) -> FamilySpec:
+def _spec_stretch(lam: Fraction) -> _Spec:
     if lam == 0:
         raise UnknownFamily("stretch parameter must be nonzero")
-    return FamilySpec(
-        "stretch",
-        {"lam": lam},
+    return (
         lambda t: validate_delta(ShiftOp(x_series(t).scale(1 / lam))),
         lambda n, k: lam**n if n == k else Fraction(0),
     )
 
 
-def _spec_falling() -> FamilySpec:
-    return FamilySpec(
-        "falling",
-        {},
+def _spec_falling() -> _Spec:
+    return (
         lambda t: validate_delta(shift_by(1, t) - 1),
         lambda n, k: Fraction((-1) ** (n - k) * stirling1_unsigned(n, k)),
     )
 
 
-def _spec_rising() -> FamilySpec:
-    return FamilySpec(
-        "rising",
-        {},
+def _spec_rising() -> _Spec:
+    return (
         lambda t: validate_delta(1 - shift_by(-1, t)),
         lambda n, k: Fraction(stirling1_unsigned(n, k)),
     )
 
 
-def _spec_divided_difference(h: Fraction) -> FamilySpec:
+def _spec_divided_difference(h: Fraction) -> _Spec:
     if h == 0:
-        builder = lambda t: validate_delta(ShiftOp(x_series(t)))
-        form = lambda n, k: Fraction(1 if n == k else 0)
-    else:
-        builder = lambda t: validate_delta((shift_by(h, t) - 1) * (1 / h))
-        form = lambda n, k: (-1) ** (n - k) * stirling1_unsigned(n, k) * h ** (n - k)
-    return FamilySpec("divided_difference", {"h": h}, builder, form)
+        return _spec_derivative()
+    return (
+        lambda t: validate_delta((shift_by(h, t) - 1) * (1 / h)),
+        lambda n, k: (-1) ** (n - k) * stirling1_unsigned(n, k) * h ** (n - k),
+    )
 
 
-def _spec_touchard() -> FamilySpec:
+def _spec_touchard() -> _Spec:
     from .fps import log1p
 
-    return FamilySpec(
-        "touchard",
-        {},
+    return (
         lambda t: validate_delta(ShiftOp(log1p(t))),
         lambda n, k: Fraction(stirling2(n, k)),
     )
 
 
-def _spec_abel(a: Fraction) -> FamilySpec:
+def _spec_abel(a: Fraction) -> _Spec:
     def form(n: int, k: int) -> Fraction:
         if n == 0:
             return Fraction(1 if k == 0 else 0)
@@ -170,15 +163,13 @@ def _spec_abel(a: Fraction) -> FamilySpec:
             return Fraction(0)
         return comb(n - 1, k - 1) * (-a * n) ** (n - k)
 
-    return FamilySpec(
-        "abel",
-        {"a": a},
+    return (
         lambda t: validate_delta(ShiftOp(x_series(t) * exp_series(x_series(t).scale(a)))),
         form,
     )
 
 
-def _spec_catalan() -> FamilySpec:
+def _spec_catalan() -> _Spec:
     def form(n: int, k: int) -> Fraction:
         if n == 0:
             return Fraction(1 if k == 0 else 0)
@@ -186,18 +177,14 @@ def _spec_catalan() -> FamilySpec:
             return Fraction(0)
         return Fraction(comb(2 * n - k - 1, n - 1) * factorial(n - 1), factorial(k - 1))
 
-    return FamilySpec(
-        "catalan",
-        {},
+    return (
         lambda t: validate_delta(ShiftOp(series([0, 1, -1], t))),
         form,
     )
 
 
-def _spec_laguerre() -> FamilySpec:
-    return FamilySpec(
-        "laguerre",
-        {},
+def _spec_laguerre() -> _Spec:
+    return (
         lambda t: validate_delta(ShiftOp(mul_inv(series([1, -1], t)).shift_up(1).truncate(t))),
         lambda n, k: Fraction((-1) ** (n - k) * lah(n, k)),
     )
@@ -208,7 +195,7 @@ def _degenerate_base(p: int, t: int) -> Series:
     return series([1] + [0] * (p - 1) + [-p] if p <= t else [1], t)
 
 
-def _spec_degenerate_laguerre(p: int) -> FamilySpec:
+def _spec_degenerate_laguerre(p: int) -> _Spec:
     if p < 1:
         raise UnknownFamily("degenerate Laguerre needs integer p >= 1")
 
@@ -222,10 +209,10 @@ def _spec_degenerate_laguerre(p: int) -> FamilySpec:
         j = (n - k) // p
         return binom(Fraction(n, p) - 1, j) * Fraction(factorial(n), factorial(k)) * (-p) ** j
 
-    return FamilySpec("degenerate_laguerre", {"p": p}, build, form)
+    return build, form
 
 
-_SPEC_FACTORIES: dict[str, Callable[..., FamilySpec]] = {
+_SPEC_FACTORIES: dict[str, Callable[..., _Spec]] = {
     "derivative": _spec_derivative,
     "stretch": _spec_stretch,
     "falling": _spec_falling,
@@ -262,7 +249,7 @@ def family(name: str, **params: RatLike) -> FamilySpec:
         except (ValueError, ZeroDivisionError):
             msg = f"bad value {value!r} for parameter {key!r} of family {name!r}"
             raise UnknownFamily(msg) from None
-    return make_spec(**coerced)
+    return FamilySpec(name, coerced, *make_spec(**coerced))
 
 
 # ---------------------------------------------------------------------------
@@ -275,12 +262,15 @@ class IdentityResult:
     family: str
     identity: str
     params: dict
-    status: str
     counterexample: dict | None = None
 
     @property
     def passed(self) -> bool:
-        return self.status == "pass"
+        return self.counterexample is None
+
+    @property
+    def status(self) -> str:
+        return "pass" if self.passed else "fail"
 
 
 @dataclass
@@ -288,15 +278,7 @@ class Report:
     results: list[IdentityResult] = field(default_factory=list)
 
     def record(self, family_name: str, identity: str, params: dict, counterexample):
-        self.results.append(
-            IdentityResult(
-                family_name,
-                identity,
-                params,
-                "pass" if counterexample is None else "fail",
-                counterexample,
-            )
-        )
+        self.results.append(IdentityResult(family_name, identity, params, counterexample))
 
     @property
     def all_passed(self) -> bool:
@@ -496,7 +478,7 @@ def _check_erdelyi(spec: FamilySpec, n: int):
     at = half_grid(rows, n)
     inv = tri_invert(lag.tri)
     for lam in (Fraction(2), Fraction(1, 2), Fraction(-1)):
-        stretch_tri = _closed_triangle(_spec_stretch(lam), n)
+        stretch_tri = _closed_triangle(family("stretch", lam=lam), n)
         conn = tri_compose(inv, tri_compose(stretch_tri, lag.tri))  # the connection constants
         # L_m(lam x), tabulated as the polynomial with coefficients c_j lam^j
         stretched = half_grid([[c * lam**j for j, c in enumerate(p)] for p in rows], n)
@@ -564,7 +546,7 @@ def _check_abel_identity(spec: FamilySpec, n: int):
 def _check_smooth_abel(spec: FamilySpec, n: int):
     a = spec.params["a"]
     # Sheffer route: smooth Abel operator is (1+aD)^{-1} applied to the basic set
-    rows = sheffer(ShiftOp(mul_inv(series([1, a], n + 3))), spec.basic(n)).tri.rows
+    rows = sheffer(ShiftOp(mul_inv(series([1, a], n + 3))), spec.basic(n)).rows
     smooth = [poly([-a * m, 1]) ** m for m in range(n + 1)]  # (x - am)^m
     hit = binomial_grid(smooth, _abel_polys(a, n), smooth, n)
     # at each degree the Sheffer form is reported before the grid form
@@ -578,9 +560,8 @@ def _check_abel_inverse(spec: FamilySpec, n: int):
     a = spec.params["a"]
     if a == 0:
         return None
-    stretch_basic = UmbralOp(
-        _closed_triangle(_spec_stretch(a), n), _spec_stretch(a).delta(n + 2)
-    )
+    stretch = family("stretch", lam=a)
+    stretch_basic = UmbralOp(_closed_triangle(stretch, n), stretch.delta(n + 2))
     nie = niederhausen(stretch_basic)
     if nie.tri != tri_invert(spec.basic(n).tri):
         return {"n": n}
@@ -613,7 +594,7 @@ def _check_degenerate_ode(spec: FamilySpec, n: int):
     phi, base = spec.basic(n), ShiftOp(_degenerate_base(p, n + 3))
     for alpha in (Fraction(0), Fraction(1), Fraction(1, 2), Fraction(-2)):
         a, b = alpha.numerator, alpha.denominator
-        rows, _ = scaled_rows(cross(base, alpha, phi).tri.rows)
+        rows, _ = scaled_rows(cross(base, alpha, phi).rows)
         for m, f in enumerate(rows):
             lhs = [b * (m - j) * f[j] for j in range(m + 1)]
             for j in range(m + 1 - p):
@@ -630,7 +611,7 @@ def _check_degenerate_cross(spec: FamilySpec, n: int):
     tables = {}
     for w in {u + v for u in exps for v in exps}:
         sh = cross(base, w, phi)
-        tables[w] = half_grid([sh.tri.row_poly(m).coeffs for m in range(n + 1)], n)
+        tables[w] = half_grid([sh.row_poly(m).coeffs for m in range(n + 1)], n)
     for u in exps:
         for v in exps:
             hit = binomial_scan(tables[u + v], tables[u], tables[v], n)

@@ -249,7 +249,7 @@ def run(args) -> int:
     if cmd == "sheffer":
         Q = _delta_from_expr(args.delta, order + 1)
         appell = ShiftOp(eval_expr(args.appell, order))
-        _emit_triangle(sheffer(appell, basic_transfer(Q, order)).tri, args)
+        _emit_triangle(sheffer(appell, basic_transfer(Q, order)), args)
         return 0
 
     if cmd == "iterate":

@@ -107,8 +107,9 @@ def itlog(f: Series) -> Series:
 
 
 def koszul_numbers(n_max: int) -> list[Fraction]:
-    """K_n = n! [x^n] itlog(e^x - 1) for n = 0..n_max."""
-    f_star = itlog(expm1(n_max))
+    """K_n = n! [x^n] itlog(e^x - 1) for n = 0..n_max; e^x - 1 is read through x^1 at least,
+    as through x^0 it is not unitary."""
+    f_star = itlog(expm1(max(n_max, 1)))
     return [f_star[n] * factorial(n) for n in range(n_max + 1)]
 
 
@@ -155,13 +156,14 @@ def frac_iterate(f: Series, s: RatLike, k: int = 1, n_max: int | None = None) ->
 
 
 def group_law_check(f: Series, r: RatLike, s: RatLike, n_max: int) -> bool:
-    """f^r o f^s = f^{r+s} and (f^r)^s = f^{rs}, to order n_max."""
-    r, s = rat(r), rat(s)
-    fr = frac_iterate(f, r, 1, n_max)
-    fs = frac_iterate(f, s, 1, n_max)
-    if compose(fr, fs) != frac_iterate(f, r + s, 1, n_max):
+    """f^r o f^s = f^{r+s} and (f^r)^s = f^{rs}, to order n_max; read through x^1 at
+    least, as f^r through x^0 is 0, which is not unitary."""
+    r, s, n = rat(r), rat(s), max(n_max, 1)
+    fr = frac_iterate(f, r, 1, n)
+    fs = frac_iterate(f, s, 1, n)
+    if compose(fr, fs) != frac_iterate(f, r + s, 1, n):
         return False
-    if frac_iterate(fr, s, 1, n_max) != frac_iterate(f, r * s, 1, n_max):
+    if frac_iterate(fr, s, 1, n) != frac_iterate(f, r * s, 1, n):
         return False
     return True
 

@@ -168,11 +168,6 @@ def x_series(trunc: int) -> Series:
     return series([0, 1], trunc)
 
 
-def geometric(trunc: int) -> Series:
-    """1/(1-x) = 1 + x + x^2 + ..."""
-    return series([1] * (trunc + 1), trunc)
-
-
 # ---------------------------------------------------------------------------
 # calculus and composition
 # ---------------------------------------------------------------------------

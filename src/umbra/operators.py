@@ -65,14 +65,16 @@ class ShiftOp:
 class DeltaOp(ShiftOp):
     """Shift-invariant operator of indicator order exactly 1; unit c = [D^1]."""
 
-    unit: Fraction
+    @property
+    def unit(self) -> Fraction:
+        return self.indicator[1]
 
     def is_unitary(self) -> bool:
         return self.unit == 1
 
 
 def derivative_op(trunc: int) -> DeltaOp:
-    return DeltaOp(x_series(trunc), Fraction(1))
+    return DeltaOp(x_series(trunc))
 
 
 def identity_op(trunc: int) -> ShiftOp:
@@ -85,7 +87,7 @@ def shift_by(a: RatLike, trunc: int) -> ShiftOp:
 
 
 def validate_delta(T: ShiftOp) -> DeltaOp:
-    """Check that the indicator has order exactly 1 and attach the unit."""
+    """Check that the indicator has order exactly 1."""
     ind = T.indicator
     order = ind.order()
     if order == INF:
@@ -94,7 +96,7 @@ def validate_delta(T: ShiftOp) -> DeltaOp:
         raise NotDelta("indicator has order 0 (invertible, not delta)")
     if order >= 2:
         raise NotDelta(f"indicator has order {order} >= 2")
-    return DeltaOp(ind, ind[1])
+    return DeltaOp(ind)
 
 
 def is_appell(T: ShiftOp) -> bool:

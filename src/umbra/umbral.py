@@ -74,11 +74,6 @@ class Triangle:
 
     def apply_poly(self, p: Poly) -> Poly:
         """U p for the represented operator; needs depth >= deg p."""
-        if p.is_zero():
-            return p
-        d = int(p.degree())
-        if d > self.n:
-            raise TruncationError(f"triangle depth {self.n} < deg p = {d}")
         return poly(transform_seq(self, p.coeffs, "column"))
 
     def diagonal(self) -> tuple[Fraction, ...]:
@@ -169,15 +164,6 @@ class UmbralOp:
             for n in range(t.n + 1):
                 if t.entry(n, n) != c ** (-n):
                     raise ValueError("diagonal must equal unit^(-n)")
-
-
-@dataclass(frozen=True)
-class ShefferOp:
-    """Sheffer operator s = A o phi for an Appell A and umbral phi."""
-
-    tri: Triangle
-    delta: DeltaOp
-    appell: ShiftOp
 
 
 def _require_depth(Q: DeltaOp, n: int):
@@ -368,17 +354,16 @@ def is_binomial_type(tri: Triangle) -> bool:
     return binomial_grid(rows, rows, rows, tri.n) is None
 
 
-def sheffer(A: ShiftOp, phi: UmbralOp) -> ShefferOp:
-    """Sheffer operator A o phi; rows are A applied to the basic polynomials."""
+def sheffer(A: ShiftOp, phi: UmbralOp) -> Triangle:
+    """Triangle of the Sheffer operator A o phi; rows are A applied to the basic polynomials."""
     if not is_appell(A):
         raise NotAppell("Sheffer construction requires an invertible (Appell) operator")
     rows = [apply_op(A, phi.tri.row_poly(m)) for m in range(phi.tri.n + 1)]
-    delta = phi.delta if phi.delta is not None else delta_of(phi)
-    return ShefferOp(tri_from_polys(rows), delta, A)
+    return tri_from_polys(rows)
 
 
-def cross(C: ShiftOp, u: RatLike, phi: UmbralOp) -> ShefferOp:
-    """Cross operator C^u o phi for rational u; requires C~(0) = 1 exactly."""
+def cross(C: ShiftOp, u: RatLike, phi: UmbralOp) -> Triangle:
+    """Triangle of the cross operator C^u o phi for rational u; requires C~(0) = 1 exactly."""
     appell = ShiftOp(pow_rat(C.indicator, rat(u)))
     return sheffer(appell, phi)
 

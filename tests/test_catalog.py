@@ -10,6 +10,7 @@ import pytest
 from umbra import _kernel, catalog, umbral
 from umbra.catalog import (
     DEFAULT_CHECK_SET,
+    IdentityResult,
     Report,
     bell_number,
     check_all,
@@ -22,7 +23,7 @@ from umbra.catalog import (
 from umbra.errors import UnknownFamily
 from umbra.fps import Poly, poly, x_series
 from umbra.umbral import (
-    ShefferOp, Triangle, UmbralOp, binomial_grid, is_binomial_type, tri_from_polys, tri_identity
+    Triangle, UmbralOp, binomial_grid, is_binomial_type, tri_from_polys, tri_identity
 )
 
 import oracles
@@ -36,6 +37,9 @@ def test_family_lookup_and_params():
         family("nope")
     with pytest.raises(UnknownFamily):
         family("stretch", lam=0)
+    for name, params in DEFAULT_CHECK_SET + (("divided_difference", {"h": F(0)}),):
+        spec = family(name, **{k: str(v) for k, v in params.items()})
+        assert (spec.name, spec.params) == (name, params)
 
 
 def test_number_helpers_match_oracles():
@@ -112,6 +116,11 @@ def test_report_records_failures():
     assert rep.results[0].status == "fail"
     assert rep.results[0].counterexample == {"n": 3}
     assert rep.results[1].passed
+
+
+def test_identity_status_is_read_from_the_counterexample():
+    assert IdentityResult("fake", "fine", {}, None).status == "pass"
+    assert IdentityResult("fake", "broken", {}, {"n": 3}).status == "fail"
 
 
 def test_check_all_passes():
@@ -248,9 +257,9 @@ def test_degenerate_cross_names_the_corrupted_exponent_pair(monkeypatch, exponen
         sh = real(C, u, phi)
         if u != F(exponent):
             return sh
-        rows = [sh.tri.row_poly(k) for k in range(sh.tri.n + 1)]
+        rows = [sh.row_poly(k) for k in range(sh.n + 1)]
         rows[3] = rows[3] + poly([0, 1])
-        return ShefferOp(tri_from_polys(rows), sh.delta, sh.appell)
+        return tri_from_polys(rows)
 
     monkeypatch.setattr(catalog, "cross", cross)
     assert _GRID_SITES["degenerate_cross"]() == expected

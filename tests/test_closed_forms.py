@@ -78,7 +78,7 @@ def test_sheffer_generating_function_columns():
             power = power * g
         col = a_of_g * power
         for m in range(k, N + 1):
-            assert sh.tri.entry(m, k) == col[m] * F(factorial(m), factorial(k))
+            assert sh.entry(m, k) == col[m] * F(factorial(m), factorial(k))
 
 
 def test_coefficient_shift_laws():

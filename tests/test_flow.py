@@ -243,6 +243,12 @@ def test_group_law():
     assert group_law_check(series([0, 1, 1], 10), F(2, 3), F(3, 2), 10)
 
 
+def test_order_zero_flow_results():
+    # through x^0 the series x + ... is 0, so each is computed through x^1 and cut
+    assert koszul_numbers(0) == [0]
+    assert group_law_check(expm1(4), F(1, 2), F(-1, 3), 0) is True
+
+
 def test_frac_iterate_rejects_non_unitary():
     with pytest.raises(NotUnitary):
         frac_iterate(series([0, 2], 6), F(1, 2), 1, 6)

@@ -16,6 +16,7 @@ from umbra.fps import (
     x_series,
 )
 from umbra.operators import (
+    DeltaOp,
     ShiftOp,
     apply_op,
     bracket_iterate,
@@ -238,6 +239,13 @@ def test_is_appell():
 def test_nonunitary_unit():
     Q = validate_delta(ShiftOp(x_series(T).scale(F(1, 3))))
     assert Q.unit == F(1, 3) and not Q.is_unitary()
+
+
+def test_delta_unit_is_read_from_the_indicator():
+    ind = series([0, F(-2, 5), 3], T)
+    assert DeltaOp(ind).unit == ind[1] == F(-2, 5)
+    with pytest.raises(TypeError):
+        DeltaOp(ind, F(1))  # a second unit could disagree with the indicator
 
 
 # -- elementary operators --------------------------------------------------------------------

@@ -6,9 +6,12 @@ from math import comb, factorial
 
 import pytest
 
+from umbra import umbral
 from umbra.errors import NotDelta, SingularTriangle, TruncationError
 from umbra.fps import (
     comp_inv,
+    poly,
+    pow_rat,
     compose,
     exp_series,
     log1p,
@@ -43,6 +46,7 @@ from umbra.umbral import (
     power_coeffs,
     sheffer,
     special_class_check,
+    tri_from_polys,
     transform_seq,
     tri_compose,
     tri_identity,
@@ -238,15 +242,15 @@ def test_detector_rejects_bernoulli():
     D = derivative_op(T)
     Delta = delta_catalog()["Delta"]
     bern = sheffer(divide(D, Delta), basic_transfer(D, 8))
-    assert not is_binomial_type(bern.tri)
+    assert not is_binomial_type(bern)
 
 
 def test_detector_rejects_second_kind_bernoulli():
     D = derivative_op(T)
     Delta = delta_catalog()["Delta"]
     psi = sheffer(divide(Delta, D), basic_transfer(Delta, 8))
-    assert psi.tri.entry(1, 0) == F(1, 2)
-    assert not is_binomial_type(psi.tri)
+    assert psi.entry(1, 0) == F(1, 2)
+    assert not is_binomial_type(psi)
 
 
 def test_detector_rejects_perturbations():
@@ -267,7 +271,7 @@ def test_bernoulli_sheffer_row():
     D = derivative_op(T)
     Delta = delta_catalog()["Delta"]
     sh = sheffer(divide(D, Delta), basic_transfer(D, 6))
-    assert list(sh.tri.rows[2]) == [F(1, 6), -1, 1]
+    assert list(sh.rows[2]) == [F(1, 6), -1, 1]
 
 
 def test_second_kind_bernoulli_integral_rows():
@@ -275,7 +279,7 @@ def test_second_kind_bernoulli_integral_rows():
     sh = sheffer(divide(Delta, derivative_op(T)), basic_transfer(Delta, 6))
     for n in range(7):
         anti = basic_transfer(Delta, 6).tri.row_poly(n).antiderivative(0)
-        assert sh.tri.row_poly(n) == anti.shifted(1) - anti
+        assert sh.row_poly(n) == anti.shifted(1) - anti
 
 
 def test_sheffer_defining_relation():
@@ -283,7 +287,7 @@ def test_sheffer_defining_relation():
         A = ShiftOp(series([1, F(1, 2), F(-1, 3)], T))
         sh = sheffer(A, basic_transfer(Q, 8))
         for n in range(1, 9):
-            assert apply_op(Q, sh.tri.row_poly(n)) == n * sh.tri.row_poly(n - 1), name
+            assert apply_op(Q, sh.row_poly(n)) == n * sh.row_poly(n - 1), name
 
 
 def test_sheffer_bivariate_identity_on_grid():
@@ -292,20 +296,51 @@ def test_sheffer_bivariate_identity_on_grid():
     sh = sheffer(divide(derivative_op(T), Q), phi)
     pts = [F(i, 2) for i in range(8)]
     for n in range(7):
-        sn = sh.tri.row_poly(n)
+        sn = sh.row_poly(n)
         for x in pts:
             for y in pts:
                 rhs = sum(
-                    comb(n, k) * sh.tri.row_poly(k)(x) * phi.tri.row_poly(n - k)(y)
+                    comb(n, k) * sh.row_poly(k)(x) * phi.tri.row_poly(n - k)(y)
                     for k in range(n + 1)
                 )
                 assert sn(x + y) == rhs
 
 
+def test_sheffer_and_cross_return_the_triangle_of_their_rows():
+    Q = delta_catalog()["Laguerre"]
+    phi = basic_transfer(Q, 6)
+    A = ShiftOp(series([1, F(1, 2), F(-1, 3)], T))
+    C, u = ShiftOp(series([1, -1], T)), F(-3, 2)
+
+    def rows(op):
+        return tri_from_polys([apply_op(op, phi.tri.row_poly(m)) for m in range(7)])
+
+    assert sheffer(A, phi) == rows(A)
+    assert cross(C, u, phi) == rows(ShiftOp(pow_rat(C.indicator, u)))
+
+
+def test_sheffer_without_a_cached_delta_does_not_recover_it(monkeypatch):
+    # the Sheffer triangle reads only phi's rows: no delta_of, so no comp_inv
+    Q = delta_catalog()["Delta"]
+    phi = UmbralOp(basic_transfer(Q, 6).tri)
+    calls = []
+    for name in ("delta_of", "comp_inv"):
+        monkeypatch.setattr(umbral, name, lambda *args, _name=name: calls.append(_name))
+    tri = sheffer(ShiftOp(series([1, 1], T)), phi)
+    assert calls == [] and tri.n == 6
+
+
+def test_apply_poly_past_the_depth_raises():
+    tri = basic_transfer(delta_catalog()["Delta"], 4).tri
+    assert tri.apply_poly(poly([])) == poly([])
+    with pytest.raises(TruncationError):
+        tri.apply_poly(monomial(5))
+
+
 def test_cross_zero_exponent_is_basic():
     Q = delta_catalog()["Laguerre"]
     phi = basic_transfer(Q, 6)
-    assert cross(ShiftOp(series([1, 0, -2], T)), 0, phi).tri == phi.tri
+    assert cross(ShiftOp(series([1, 0, -2], T)), 0, phi) == phi.tri
 
 
 def test_cross_two_parameter_convolution():
@@ -323,10 +358,10 @@ def test_cross_two_parameter_convolution():
                 for x in pts:
                     for y in pts:
                         rhs = sum(
-                            comb(n, k) * su.tri.row_poly(k)(x) * sv.tri.row_poly(n - k)(y)
+                            comb(n, k) * su.row_poly(k)(x) * sv.row_poly(n - k)(y)
                             for k in range(n + 1)
                         )
-                        assert suv.tri.row_poly(n)(x + y) == rhs
+                        assert suv.row_poly(n)(x + y) == rhs
 
 
 # -- connection constants / niederhausen ---------------------------------------------------------
