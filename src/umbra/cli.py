@@ -13,7 +13,7 @@ import argparse
 import functools
 import os
 import sys
-from decimal import Decimal, getcontext
+from decimal import Context
 from fractions import Fraction
 
 from . import catalog, serialize, sigma
@@ -37,8 +37,7 @@ def _default_order() -> int:
 
 
 def _decimal_str(q: Fraction) -> str:
-    getcontext().prec = 12
-    return str(Decimal(q.numerator) / Decimal(q.denominator))
+    return str(Context(prec=12).divide(q.numerator, q.denominator))
 
 
 def _add_common(p: argparse.ArgumentParser, order: bool = True):

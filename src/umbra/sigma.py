@@ -4,9 +4,11 @@ Q^{-1}_{(a)} is the unique right inverse of Q with value 0 at the anchor a:
 QQ^{-1}_{(a)} = 1 and Q^{-1}_{(a)}Q = 1 - Ev_a.   For Q = D this is anchored
 integration, for Q = Delta anchored summation; the same machinery yields
 Faulhaber's formula, the operational Euler-Maclaurin identity and fractional
-sums.  Sigma operators are deliberately exposed only as actions on
-polynomials: they are not shift-invariant and must never be expanded as a
-series in D (the divergent-geometric-series trap).
+sums.  Q s = p and s(a) = 0 fix s = Q^{-1}_{(a)} p, so ``sigma_apply`` checks
+its one construction by those two equations.  Sigma operators are
+deliberately exposed only as actions on polynomials: they are not
+shift-invariant and must never be expanded as a series in D (the
+divergent-geometric-series trap).
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
-from .errors import TruncationError, agree
+from .errors import agree
 from .fps import Poly, expm1, mul_inv, poly
 from .operators import DeltaOp, apply_op, derivative_op, shift_by, validate_delta, divide
 from .rational import RatLike, rat
@@ -37,41 +39,19 @@ def bernoulli_polynomial(n: int) -> Poly:
 
 
 class SigmaOp:
-    """Anchored pseudoinverse of a delta operator.
+    """Anchored pseudoinverse of a delta operator, by the basic-set route.
 
-    Precomputes the basic triangle of Q to ``depth`` rows.
+    Precomputes the basic triangle of Q through row ``depth + 1``, so it acts on
+    polynomials of degree <= ``depth``.
     """
 
     def __init__(self, Q: DeltaOp, anchor: RatLike = 0, depth: int = 16):
-        self.Q = Q
         self.anchor = rat(anchor)
-        if Q.indicator.trunc < depth + 2:
-            raise TruncationError(
-                f"sigma at depth {depth} needs indicator trunc >= {depth + 2}"
-            )
-        self.depth = depth
         self._phi = basic_transfer(Q, depth + 1)
         self._phi_inv = tri_invert(self._phi.tri)
 
-    # -- the two constructions ------------------------------------------------
-
     def apply(self, p: Poly) -> Poly:
-        """Corollary-series route: -(sum_n phi_n(a - x)/n! Q^{n-1} p)."""
-        if p.is_zero():
-            return p
-        d = int(p.degree())
-        if d + 1 > self.depth + 1:
-            raise TruncationError(f"sigma depth {self.depth} < deg p = {d}")
-        out = poly([])
-        qpow = p  # Q^{n-1} p starting at n = 1
-        for n in range(1, d + 2):
-            fn = self._phi.tri.row_poly(n).shifted(self.anchor).reflected()  # phi_n(a - x)
-            out = out + fn * qpow / factorial(n)
-            qpow = apply_op(self.Q, qpow)
-        return -out
-
-    def apply_basic_route(self, p: Poly) -> Poly:
-        """Basic-set route: expand in {phi_n}, shift indices, re-anchor."""
+        """Expand p in {phi_n}, shift indices, re-anchor."""
         if p.is_zero():
             return p
         # monomial coefficients -> basic coordinates: p = phi(sum c_n x^n), so
@@ -83,10 +63,16 @@ class SigmaOp:
 
 
 def sigma_apply(Q: DeltaOp, a: RatLike, p: Poly) -> Poly:
-    """One-shot anchored sigma application (both routes must agree)."""
+    """One-shot anchored sigma application, checked by the equations that fix it.
+
+    s = Q^{-1}_{(a)} p is the one polynomial with s(a) = 0 and Q s = p: Q lowers
+    degree by exactly one and its kernel on polynomials is the constants.
+    """
     d = 0 if p.is_zero() else int(p.degree())
-    s = SigmaOp(Q, a, depth=d + 1)
-    return agree("sigma", corollary=s.apply(p), basic=s.apply_basic_route(p))
+    s = SigmaOp(Q, a, depth=d + 1).apply(p)
+    agree("sigma", basic=s(a), anchor=Fraction(0))
+    agree("sigma", basic=apply_op(Q, s), equation=p)
+    return s
 
 
 def _delta_op(trunc: int) -> DeltaOp:
@@ -102,17 +88,14 @@ def delta_sum(p: Poly, a: RatLike) -> Poly:
 def faulhaber(n: int) -> Poly:
     """Power-sum polynomial: F_n(x) = sum_{k=0}^{x-1} k^n for integer x.
 
-    Three routes are computed and must coincide exactly: the Bernoulli-number
-    closed form, the anchored sigma of Delta, and the integral of the
-    Bernoulli polynomial.
+    The Bernoulli-number closed form and the anchored sigma of Delta must
+    coincide exactly.
     """
     bs = bernoulli_numbers(n)
     closed = [Fraction(0)] * (n + 2)
     for k in range(n + 1):
         closed[n + 1 - k] = Fraction(comb(n + 1, k), n + 1) * bs[k]
-    route2 = delta_sum(poly([0] * n + [1]), 0)
-    route3 = bernoulli_polynomial(n).antiderivative(0)
-    return agree("faulhaber", closed=poly(closed), sigma=route2, integral=route3)
+    return agree("faulhaber", closed=poly(closed), sigma=delta_sum(poly([0] * n + [1]), 0))
 
 
 def euler_maclaurin_residual(p: Poly, a: RatLike = 0) -> Poly:

@@ -3,7 +3,8 @@
 Everything here recomputes expected values by a different algorithm than the
 code under test: Newton doubling for compositional inverses, partition
 enumeration for Bell polynomials, Lagrange interpolation for the iterative
-logarithm, plain finite sums/integrals for the summation calculus, the
+logarithm, plain finite sums/integrals and the corollary series for the
+summation calculus, the coefficient identity for binomial type, the
 classical recurrences for Stirling/Lah numbers, the plain ``Fraction``
 loops that the integer kernel replaced, and the dense expression evaluator
 that polynomial nodes' short values replaced.
@@ -258,6 +259,34 @@ def direct_sum(p, a: int, b: int) -> Fraction:
 def integral(p, a, b) -> Fraction:
     anti = p.antiderivative(0)
     return anti(b) - anti(a)
+
+
+def sigma_corollary(Q: DeltaOp, a, p: Poly) -> Poly:
+    """The anchored sigma by the corollary series -sum_{n=1}^{deg p + 1} phi_n(a - x)/n! Q^{n-1} p,
+    with the basic set phi from ``km_ref`` and the powers of Q from ``apply_op_ref``."""
+    d = 0 if p.is_zero() else int(p.degree())
+    phi = km_ref(Q, d + 1).tri
+    out = poly([])
+    qpow = p  # Q^{n-1} p starting at n = 1
+    for n in range(1, d + 2):
+        out = out + phi.row_poly(n).shifted(a).reflected() * qpow / factorial(n)  # phi_n(a - x)
+        qpow = apply_op_ref(Q, qpow)
+    return -out
+
+
+# -- the binomial-type coefficient identity ---------------------------------------------------
+
+
+def binomial_identity_ref(tri: Triangle) -> bool:
+    """C(i+j, i) coeff[n][i+j] = sum_k C(n,k) coeff[k][i] coeff[n-k][j] for all n <= N and
+    i + j <= n, in plain Fraction loops."""
+    e = tri.entry
+    return all(
+        comb(i + j, i) * e(n, i + j) == sum(comb(n, k) * e(k, i) * e(n - k, j) for k in range(n + 1))
+        for n in range(tri.n + 1)
+        for i in range(n + 1)
+        for j in range(n - i + 1)
+    )
 
 
 # -- the dense expression evaluator -------------------------------------------------

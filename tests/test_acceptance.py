@@ -167,7 +167,7 @@ def test_criterion_7_sigma():
                 assert apply_op(Q, s.apply(p)) == p, (name, a)
                 assert s.apply(apply_op(Q, p)) == p - p(a), (name, a)
     for n in range(11):
-        faulhaber(n)  # three routes asserted equal internally
+        faulhaber(n)  # closed form and sigma asserted equal internally
     assert frac_sum_eval(poly([0, 0, 1]), 0, 5) == 30
     rng = random.Random(4242)
     for _ in range(10):

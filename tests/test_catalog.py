@@ -4,6 +4,7 @@ import sys
 import tracemalloc
 from fractions import Fraction as F
 from itertools import cycle
+from math import factorial
 
 import pytest
 
@@ -21,7 +22,7 @@ from umbra.catalog import (
     stirling2,
 )
 from umbra.errors import UnknownFamily
-from umbra.fps import Poly, poly, x_series
+from umbra.fps import Poly, poly, series, x_series
 from umbra.umbral import (
     Triangle, UmbralOp, binomial_grid, is_binomial_type, tri_from_polys, tri_identity
 )
@@ -295,6 +296,30 @@ def test_is_binomial_type_evaluates_each_polynomial_once_per_point(monkeypatch):
     calls = _count_half_grid(monkeypatch)
     assert is_binomial_type(tri)
     assert 0 < sum(p * t for p, t in calls) <= (N + 1) * (2 * N + 3)
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [("touchard", {}), ("falling", {}), ("laguerre", {}), ("catalan", {}), ("abel", {"a": 1})],
+)
+def test_is_binomial_type_rejects_every_single_entry_corruption(name, params):
+    # the grid alone decides, and the coefficient identity, now an oracle, gives the same
+    # verdict.  The one exception is entry (N, 1): column 1 is the EGF of the inverse
+    # indicator, so that triangle is the basic triangle of another delta operator.
+    N = 10
+    tri = family(name, **params).basic(N).tri
+    assert is_binomial_type(tri) and oracles.binomial_identity_ref(tri)
+    for m in range(N + 1):
+        for k in range(m + 1):
+            rows = [list(r) for r in tri.rows]
+            rows[m][k] += 1
+            bad = Triangle(tuple(tuple(r) for r in rows))
+            basic = (m, k) == (N, 1)
+            assert is_binomial_type(bad) == basic, (m, k)
+            assert oracles.binomial_identity_ref(bad) == basic, (m, k)
+            if basic:
+                col1 = series([0] + [bad.entry(j, 1) / factorial(j) for j in range(1, N + 1)], N)
+                assert umbral.basic_from_inverse_series(col1, N).tri == bad
 
 
 def test_degenerate_cross_tabulates_each_row_set_once(monkeypatch):

@@ -275,6 +275,19 @@ def test_decimal_flag_is_marked(capsys):
     assert "lossy" in out and "0.5" in out
 
 
+@pytest.mark.parametrize("prec", [28, 5])
+def test_decimal_flag_leaves_caller_precision(capsys, prec):
+    # --decimal renders 12 significant digits in its own context, whatever the caller's
+    with localcontext() as ctx:
+        ctx.prec = prec
+        code, out, _ = run(capsys, "series", "exp(x)", "--order", "3", "--decimal")
+        assert ctx.prec == prec
+        code2, out2, _ = run(capsys, "sum", "--poly=x^2/3", "--from=1/7", "--at=2/3", "--decimal")
+        assert ctx.prec == prec
+    assert (code, out) == (0, "(decimal, lossy) 1 1 0.5 0.166666666667\n")
+    assert (code2, out2) == (0, "-0.00897431282919\n")
+
+
 def test_failing_report_exits_one_with_counterexample(capsys):
     # exercise the identity-failure contract through the report emitter
     import argparse

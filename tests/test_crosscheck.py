@@ -16,10 +16,10 @@ from pathlib import Path
 import pytest
 
 from umbra import bell, flow, fps, sigma, umbral
-from umbra.catalog import identity_check
+from umbra.catalog import family, identity_check
 from umbra.cli import main
 from umbra.errors import RouteDisagreement, agree, shown
-from umbra.fps import poly, series
+from umbra.fps import monomial, poly, series
 from umbra.umbral import UmbralOp, triangle
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -171,6 +171,16 @@ def _wrong_bell_entry(rows, den):
 def _corrupt_sigma(mp):
     real = sigma.sigma_apply
     mp.setattr(sigma, "sigma_apply", lambda *args, **kwargs: real(*args, **kwargs) + 1)
+
+
+def _corrupt_sigma_op(extra):
+    """An injection that adds ``extra(p)`` to what ``SigmaOp.apply(p)`` returns."""
+
+    def inject(mp):
+        real = sigma.SigmaOp.apply
+        mp.setattr(sigma.SigmaOp, "apply", lambda self, p: real(self, p) + extra(p))
+
+    return inject
 
 
 def _corrupt_niederhausen(mp):
@@ -402,6 +412,18 @@ INJECTIONS = {
         _corrupt_sigma,
         {"construction": "faulhaber", "routes": ["closed", "sigma"], "index": [0], "values": ["0", "1"]},
     ),
+    "sigma_equation": (
+        # s gains x^(d+1), which vanishes at the anchor 0, so only Q s = p tells
+        ["sum", "--poly=x^2", "--from=0", "--format", "json"],
+        _corrupt_sigma_op(lambda p: monomial(int(p.degree()) + 1)),
+        {"construction": "sigma", "routes": ["basic", "equation"], "index": [0], "values": ["1", "0"]},
+    ),
+    "sigma_anchor": (
+        # s gains 1, which Q s = p cannot see
+        ["sum", "--poly=x^2", "--from=3/2", "--format", "json"],
+        _corrupt_sigma_op(lambda p: 1),
+        {"construction": "sigma", "routes": ["basic", "anchor"], "index": [], "values": ["1", "0"]},
+    ),
     "niederhausen": (
         ["check", "--family", "abel", "--params", "a=1", "--order", "6", "--format", "json"],
         _corrupt_niederhausen,
@@ -444,6 +466,24 @@ def test_pow_rat_checks_the_constant_term(monkeypatch):
     with pytest.raises(RouteDisagreement) as info:
         fps.pow_rat(series([1, 1], 4), F(1, 2))
     assert (info.value.routes, info.value.values) == (("recurrence", "constant_term"), (2, 1))
+
+
+@pytest.mark.parametrize("name", ["derivative", "falling", "catalan", "laguerre"])
+@pytest.mark.parametrize("a", [F(0), F(1, 2)])
+def test_sigma_check_rejects_every_single_coefficient_corruption(name, a, monkeypatch):
+    # Q s = p and s(a) = 0 fix s: adding x^i breaks s(a) = 0 unless a^i = 0, and Q x^i
+    # has degree exactly i - 1, so Q s = p breaks otherwise
+    Q = family(name).delta(9)
+    p = poly([3, F(-1, 2), 0, F(2, 7), 5])
+    s = sigma.sigma_apply(Q, a, p)
+    for i in range(len(s.coeffs)):
+        bad = s + monomial(i)
+        monkeypatch.setattr(sigma.SigmaOp, "apply", lambda self, q: bad)
+        with pytest.raises(RouteDisagreement) as info:
+            sigma.sigma_apply(Q, a, p)
+        assert (info.value.construction, info.value.routes) == (
+            "sigma", ("basic", "anchor" if a**i else "equation")
+        ), i
 
 
 _SUBPROCESS = """
