@@ -121,11 +121,23 @@ def reciprocal_powers(g: Sequence[Fraction], count: int):
         yield p, dp
 
 
-def apply_derivatives(c: Sequence[Fraction], p: Sequence[Fraction]) -> list[Fraction]:
-    """Coefficients of sum_k c_k p^(k): entry j is sum_k c_k (j+k)! p_{j+k} / j!."""
-    (x, dx), (y, dy) = scaled(c[: len(p)]), scaled(p)
-    q = [factorial(m) * v for m, v in enumerate(y)]
-    return [Fraction(sum(map(mul, x, q[j:])), dx * dy * factorial(j)) for j in range(len(q))]
+def apply_derivatives(c: Sequence[Fraction], polys: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
+    """Coefficients of sum_k c_k p^(k) for each p in polys: entry j is sum_k c_k (j+k)! p_{j+k} / j!.
+    c is scaled once and the factorials are built once, for the longest p."""
+    width = max(map(len, polys), default=0)
+    x, dx = scaled(c[:width])
+    fact = [factorial(m) for m in range(width)]
+    out = []
+    for p in polys:
+        y, dy = scaled(p)
+        q = list(map(mul, fact, y))
+        out.append([Fraction(sum(map(mul, x, q[j:])), dx * dy * fact[j]) for j in range(len(q))])
+    return out
+
+
+def derivative(x: Sequence[int]) -> list[int]:
+    """Numerators of f' for the numerators x of f, over the same denominator."""
+    return [k * v for k, v in enumerate(x[1:], 1)]
 
 
 def tri_product(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]):
@@ -226,3 +238,13 @@ def weighted_sum(terms, size: int) -> tuple[list[int], int]:
                 den, acc = den * f, [v * f for v in acc]
             acc[: len(nums)] = map(add, acc, map(mul, repeat(w.numerator * (den // d)), nums))
     return acc, den
+
+
+def composition(f: Sequence[Fraction], g: Sequence[Fraction]) -> tuple[list[int], int]:
+    """f(g) through x^(len(g)-1) as the unreduced (nums, den) of ``weighted_sum``, for g_0 = 0:
+    the sum of f_k g^k over the integer power table of g, through f's last nonzero
+    coefficient; no Fraction is built."""
+    n = len(g) - 1
+    fs = f[: n + 1]
+    last = max((k for k, c in enumerate(fs) if c), default=0)
+    return weighted_sum(zip(fs, powers(g, last)), n + 1)

@@ -1,6 +1,7 @@
 """Exception hierarchy shared by all umbra modules."""
 
 from fractions import Fraction
+from math import gcd
 
 
 class UmbraError(ValueError):
@@ -83,9 +84,50 @@ def shown(value) -> str:
         return "-" * (q < 0) + "<%d-bit numerator>/<%d-bit denominator>" % bits
 
 
+def _columns(form) -> list:
+    """An integer form as its (nums, den) columns; a vector is one column."""
+    nums, den = form
+    return [form] if isinstance(den, int) else list(zip(nums, den))
+
+
+def _entry(cols, k: int, i: int) -> Fraction:
+    """Entry i of column k of an integer form as a reduced Fraction; 0 past the end."""
+    if k < len(cols) and i < len(cols[k][0]):
+        return Fraction(cols[k][0][i], cols[k][1])
+    return Fraction(0)
+
+
+def _same_column(a, b) -> bool:
+    """Whether columns (x, dx) and (y, dy) have one length and x[i] / dx == y[i] / dy, on
+    integers: x and y are cross-multiplied by the cofactors of gcd(dx, dy)."""
+    (x, dx), (y, dy) = a, b
+    if len(x) != len(y):
+        return False
+    if dx == dy:
+        return x == y
+    g = gcd(dx, dy)
+    fx, fy = dy // g, dx // g
+    return all(u * fx == v * fy for u, v in zip(x, y))
+
+
+def _equal(a, b) -> bool:
+    """a == b, for integer forms as for Series and Triangles: the same shape and values."""
+    if not isinstance(a, tuple):
+        return a == b
+    ca, cb = _columns(a), _columns(b)
+    return len(ca) == len(cb) and all(map(_same_column, ca, cb))
+
+
 def _first_difference(a, b) -> tuple[list[int], tuple]:
     """(index, (a entry, b entry)) where a and b first differ; ([], (a, b)) if no entry does."""
-    if hasattr(a, "rows"):
+    if isinstance(a, tuple):
+        ca, cb = _columns(a), _columns(b)
+        if isinstance(a[1], int):
+            cells = [([i], 0, i) for i in range(max(len(a[0]), len(b[0])))]
+        else:
+            cells = [([m, k], k, m - k) for m in range(max(len(ca), len(cb))) for k in range(m + 1)]
+        entries = ((i, (_entry(ca, k, j), _entry(cb, k, j))) for i, k, j in cells)
+    elif hasattr(a, "rows"):
         cells = [[m, k] for m in range(max(a.n, b.n) + 1) for k in range(m + 1)]
         entries = ((i, (a.entry(*i), b.entry(*i))) for i in cells)
     elif hasattr(a, "coeffs"):
@@ -96,10 +138,20 @@ def _first_difference(a, b) -> tuple[list[int], tuple]:
 
 
 def agree(construction: str, **routes):
-    """The first route's value; raises RouteDisagreement unless all routes are equal."""
+    """The first route's value; raises RouteDisagreement unless all routes are equal.
+
+    A value is a rational, a Poly, a Series or a Triangle, or an integer form that
+    is compared with no Fraction: (nums, den) for the vector nums[i] / den, and
+    (cols, dens) for the triangle whose column k lists entries (k, k), ..., (n, k)
+    as cols[k][i] / dens[k].  Neither form need be reduced, and nums are lists.  Two
+    forms are equal when they have one shape and, column by column, the numerators
+    cross-multiplied by the cofactors of the two denominators agree.  Only the two
+    entries where they first differ, in the order of a Series ([i]) or of a Triangle's
+    rows ([m, k]) and with 0 past the end, become Fractions, so the disagreement reads
+    as it would between Series or Triangles."""
     (first_name, first), *rest = routes.items()
     for name, value in rest:
-        if value != first:
+        if not _equal(first, value):
             index, values = _first_difference(first, value)
             raise RouteDisagreement(construction, (first_name, name), index, values)
     return first

@@ -12,19 +12,14 @@ from fractions import Fraction
 from itertools import chain
 from math import factorial, gcd
 
-from ._kernel import krylov, weighted_sum
+from . import umbral
+from ._kernel import cauchy, composition, derivative, krylov, scaled, weighted_sum
 from .bell import _bell_columns
 from .errors import NotUnitary, OrderError, TruncationError, agree
-from .fps import Series, compose, derive, expm1, series, x_series
+from .fps import Series, compose, expm1, series, x_series
 from .operators import DeltaOp, ShiftOp, validate_delta
 from .rational import RatLike, binom_row, rat
-from .umbral import (
-    Triangle,
-    _power_triangle,
-    basic_from_inverse_series,
-    tri_compose,
-    tri_identity,
-)
+from .umbral import Triangle, tri_compose, tri_from_columns, tri_identity
 
 
 def _require_unitary(f: Series):
@@ -89,7 +84,9 @@ def itlog(f: Series) -> Series:
     lam_k = f_k at the first k >= 2 with f_k != 0 (lam = 0 when f = x), which
     together fix lam (Jabotinsky, Trans. AMS 108, 1963).  The coefficient of
     x^{m+k-1} is the first to fix lam_m, so f and lam are padded with k zeros
-    and both sides compared through x^{N+k-1}; f_{N+1}, ... never enter.
+    and both sides compared through x^{N+k-1}; f_{N+1}, ... never enter.  The
+    equation is checked on integers: lam o f is one weighted sum over the power
+    table of f, f' lam one integer product.
     """
     _require_unitary(f)
     n = f.trunc
@@ -100,9 +97,13 @@ def itlog(f: Series) -> Series:
     lam = series(coeffs, n)
     k = next((j for j in range(2, n + 1) if f[j]), n)
     agree("itlog", coefficient=lam.truncate(k), leading_term=(f - x_series(n)).truncate(k))
-    pad = n + k - 1
-    lam_pad, f_pad = series(coeffs, pad), series(f.coeffs, pad)
-    agree("itlog", coefficient=compose(lam_pad, f_pad), equation=series(derive(f).coeffs, pad) * lam_pad)
+    zeros = (0,) * max(k - 1, 0)
+    (x, dx), (y, dy) = scaled(f.coeffs), scaled(lam.coeffs)
+    agree(
+        "itlog",
+        coefficient=composition(lam.coeffs + zeros, f.coeffs + zeros),
+        equation=(cauchy(derivative(x), y, n + len(zeros)), dx * dy),
+    )
     return lam
 
 
@@ -149,9 +150,9 @@ def frac_iterate(f: Series, s: RatLike, k: int = 1, n_max: int | None = None) ->
     j = next((i for i in range(2, n + 1) if f[i]), n)
     x = x_series(j)
     agree("fractional iterate", coefficient=g.truncate(j), leading_term=x + (f.truncate(j) - x).scale(s))
-    pad = max(n + j - 1, n)
-    g_pad, f_pad = series(g.coeffs, pad), series(f.coeffs, pad)
-    agree("fractional iterate", coefficient=compose(g_pad, f_pad), equation=compose(f_pad, g_pad))
+    zeros = (0,) * max(j - 1, 0)
+    g_pad, f_pad = g.coeffs + zeros, f.coeffs + zeros
+    agree("fractional iterate", coefficient=composition(g_pad, f_pad), equation=composition(f_pad, g_pad))
     return g if k == 1 else (g**k).scale(Fraction(1, factorial(k)))
 
 
@@ -176,9 +177,12 @@ def phi_pow(Q: DeltaOp, s: RatLike, n: int) -> Triangle:
     the inverse of ``delta_power(Q, s)``'s indicator.  g comes from ``frac_iterate``,
     which checks it against q itself by its leading term and by g o q = q o g, and
     these two fix g.  The triangle of g is built by two routes that share no
-    intermediate result and must agree: the Bell recurrence
-    (``basic_from_inverse_series``) and the power table m!/k! [x^m] g^k.  q is read
-    through x^max(n, 1), so n = 0 gives the one-entry identity.
+    intermediate result and must agree: the Bell recurrence on integers
+    (``umbral._bell_form``) and the power table m!/k! [x^m] g^k
+    (``umbral._power_columns``).  Both stay integer columns over their own
+    denominators while ``agree`` compares them, and only the returned triangle is
+    made of Fractions.  q is read through x^max(n, 1), so n = 0 gives the
+    one-entry identity.
     """
     if not Q.is_unitary():
         raise NotUnitary("fractional operator powers need a unitary delta")
@@ -187,7 +191,11 @@ def phi_pow(Q: DeltaOp, s: RatLike, n: int) -> Triangle:
         raise TruncationError(f"need indicator trunc >= {n}")
     q = Q.indicator.truncate(max(n, 1))  # a delta's indicator reaches x^1
     g = frac_iterate(q, -s, 1, q.trunc)
-    return agree("phi_pow", bell=basic_from_inverse_series(g, n).tri, powers=_power_triangle(g, n))
+    bell_form = umbral._bell_form(g, n)
+    cols, dens = bell_form
+    if cols[0] != [dens[0]] + [0] * n or not all(col[0] for col in cols):
+        raise ValueError("umbral triangle must have coeff[0][0] = 1, coeff[n][0] = 0 and a nonzero diagonal")
+    return tri_from_columns(*agree("phi_pow", bell=bell_form, powers=umbral._power_columns(g, n)))
 
 
 def jabotinsky(tri: Triangle) -> tuple[tuple[Fraction, ...], ...]:

@@ -18,8 +18,8 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from ._kernel import (
-    apply_derivatives, convolve, evaluate, power, powers, reciprocal_powers, recurrence, reduced,
-    weighted_sum,
+    apply_derivatives, cauchy, composition, convolve, derivative, evaluate, power, powers,
+    reciprocal_powers, recurrence, reduced, scaled,
 )
 from .errors import ConstantTermError, DivisionOrderError, NotInvertible, OrderError, TruncationError, agree
 from .rational import RatLike, rat, rat_str
@@ -196,9 +196,7 @@ def compose(f: Series, g: Series) -> Series:
     if g[0] != 0:
         raise OrderError("composition requires the inner series to have order >= 1")
     n = min(f.trunc, g.trunc)
-    fs = f.coeffs[: n + 1]
-    last = max((k for k, c in enumerate(fs) if c), default=0)
-    nums, den = weighted_sum(zip(fs, powers(g.coeffs[: n + 1], last)), n + 1)
+    nums, den = composition(f.coeffs[: n + 1], g.coeffs[: n + 1])
     return Series(n, tuple([Fraction(v, den) for v in nums]))
 
 
@@ -255,14 +253,22 @@ def iterate_int(f: Series, m: int) -> Series:
 def pow_rat(f: Series, r: RatLike) -> Series:
     """f^r for rational r by Miller's recurrence, O(N^2); requires f(0) = 1.
 
-    Checked on every call against f g' = r f' g, computed with the series
-    product: with g(0) = 1 that equation has f^r as its only solution."""
+    Checked on every call against f g' = r f' g through x^(N-1), on integers: with
+    f = F / d_f and g = G / d_g (r = p/q), q F G' and p F' G are both over q d_f d_g,
+    and ``agree`` compares the two vectors with no Fraction.  With g(0) = 1 that
+    equation has f^r as its only solution."""
     if f.coeffs[0] != 1:
         raise ConstantTermError("rational power requires constant term exactly 1")
     r = rat(r)
     g = Series(f.trunc, tuple(power(f.coeffs, r.numerator, r.denominator)))
     agree("pow_rat", recurrence=g[0], constant_term=Fraction(1))
-    agree("pow_rat", recurrence=f * derive(g), equation=(derive(f) * g).scale(r))
+    (x, dx), (y, dy) = scaled(f.coeffs), scaled(g.coeffs)
+    n, den = f.trunc - 1, r.denominator * dx * dy
+    agree(
+        "pow_rat",
+        recurrence=([r.denominator * v for v in cauchy(x, derivative(y), n)], den),
+        equation=([r.numerator * v for v in cauchy(derivative(x), y, n)], den),
+    )
     return g
 
 
@@ -415,7 +421,7 @@ class Poly:
         """p(x + a) = sum_k a^k/k! p^(k)(x), the exact Taylor shift."""
         a = rat(a)
         weights = [a**k / factorial(k) for k in range(len(self.coeffs))]
-        return poly(apply_derivatives(weights, self.coeffs))
+        return poly(apply_derivatives(weights, [self.coeffs])[0])
 
     def reflected(self) -> "Poly":
         """p(-x)."""

@@ -113,7 +113,7 @@ def apply_op(T: ShiftOp, p: Poly) -> Poly:
         raise TruncationError(
             f"indicator trunc {T.indicator.trunc} < deg p = {d}; operator not resolved deeply enough"
         )
-    return poly(apply_derivatives(T.indicator.coeffs, p.coeffs))
+    return poly(apply_derivatives(T.indicator.coeffs, [p.coeffs])[0])
 
 
 def pincherle(T: ShiftOp) -> ShiftOp:

@@ -22,8 +22,8 @@ from typing import Callable, Sequence
 
 from . import bell
 from ._kernel import (
-    cauchy, half_grid, krylov, powers, reciprocal_powers, scaled, scaled_rows, tri_inverse,
-    tri_product,
+    apply_derivatives, cauchy, half_grid, krylov, powers, reciprocal_powers, reduced, scaled,
+    scaled_rows, tri_inverse, tri_product,
 )
 from .errors import (
     NotAppell, NotDelta, NotUnitary, OrderError, SingularTriangle, TruncationError, agree
@@ -40,7 +40,7 @@ from .fps import (
     series,
     x_series,
 )
-from .operators import DeltaOp, ShiftOp, apply_op, is_appell, validate_delta
+from .operators import DeltaOp, ShiftOp, is_appell, validate_delta
 from .rational import RatLike, rat
 
 
@@ -90,13 +90,11 @@ def tri_identity(n: int) -> Triangle:
     )
 
 
-def tri_from_polys(polys: Sequence[Poly]) -> Triangle:
-    rows = []
-    for n, p in enumerate(polys):
-        if not p.is_zero() and p.degree() > n:
-            raise ValueError(f"row {n} polynomial has degree {p.degree()} > {n}")
-        rows.append(tuple(p[k] for k in range(n + 1)))
-    return Triangle(tuple(rows))
+def tri_from_columns(cols: Sequence[Sequence[int]], dens: Sequence[int]) -> Triangle:
+    """The Triangle of ``agree``'s triangle form: entry (m, k) is cols[k][m - k] / dens[k]."""
+    return Triangle(
+        tuple([tuple([Fraction(cols[k][m - k], dens[k]) for k in range(m + 1)]) for m in range(len(cols))])
+    )
 
 
 def tri_compose(phi: Triangle, psi: Triangle) -> Triangle:
@@ -197,23 +195,37 @@ def basic_steffensen(Q: DeltaOp, n: int) -> UmbralOp:
 
 
 def basic_recurrence(Q: DeltaOp, n: int) -> UmbralOp:
-    """Rows p_{m+1} = x (Q')^{-1} p_m; inherently sequential."""
+    """Rows p_{m+1} = x (Q')^{-1} p_m; inherently sequential.  On r_j = j! p_j, with
+    c = 1/Q', the step is r'_{j+1} = (j+1) sum_k c_k r_{j+k}: c is scaled once, and each
+    row is kept as integers over one denominator, one ``reduced`` per row."""
     _require_depth(Q, n)
-    qprime_inv = ShiftOp(mul_inv(derive(Q.indicator)))
-    rows: list[Poly] = [poly([1])]
-    for _ in range(n):
-        rows.append(apply_op(qprime_inv, rows[-1]).times_x())
-    return UmbralOp(tri_from_polys(rows), Q)
+    c, dc = scaled(mul_inv(derive(Q.indicator)).coeffs[: n + 1])
+    fact = [factorial(j) for j in range(n + 1)]
+    r, dr = [1], 1
+    rows = [(Fraction(1),)]
+    for m in range(1, n + 1):
+        r, dr = reduced([0] + [(j + 1) * sum(map(mul, c, r[j:])) for j in range(m)], dr * dc)
+        rows.append(tuple([Fraction(v, dr * fact[j]) for j, v in enumerate(r)]))
+    return UmbralOp(Triangle(tuple(rows)), Q)
 
 
-def _power_triangle(g: Series, n: int) -> Triangle:
-    """Rows 0..n of coeff[m][k] = m!/k! [t^m] g^k, column k read off the integer power
-    table of g (g.trunc >= n): the basic triangle whose column-1 EGF is g."""
-    rows = [[Fraction(0)] * (m + 1) for m in range(n + 1)]
+def _power_columns(g: Series, n: int) -> tuple[list[list[int]], list[int]]:
+    """Rows 0..n of coeff[m][k] = m!/k! [t^m] g^k as the triangle form of ``agree``: column k
+    is [t^k..t^n] g^k of the integer power table of g (g.trunc >= n), times m!/k!, over the
+    denominator of g^k.  It is the basic triangle whose column-1 EGF is g."""
+    fact = [factorial(m) for m in range(n + 1)]
+    cols, dens = [], []
     for k, (p, dp) in enumerate(powers(g.coeffs, n)):
-        for m in range(k, n + 1):
-            rows[m][k] = Fraction(p[m] * (factorial(m) // factorial(k)), dp)
-    return Triangle(tuple([tuple(r) for r in rows]))
+        cols.append([p[m] * (fact[m] // fact[k]) for m in range(k, n + 1)])
+        dens.append(dp)
+    return cols, dens
+
+
+def _bell_form(f: Series, n: int) -> tuple[list[list[int]], list[int]]:
+    """Rows 0..n of coeff[m][k] = B_(m,k)(a), a_j = j! [x^j] f, as the triangle form of
+    ``agree``: column k is E_(k,k), ..., E_(n,k) of ``bell._bell_columns`` over k! D^k."""
+    cols, d = bell._bell_columns([factorial(j) * f[j] for j in range(1, n + 1)], n, n, n)
+    return [col[k:] for k, col in enumerate(cols)], [factorial(k) * d**k for k in range(n + 1)]
 
 
 def basic_genfunc(Q: DeltaOp, n: int) -> UmbralOp:
@@ -221,7 +233,7 @@ def basic_genfunc(Q: DeltaOp, n: int) -> UmbralOp:
     column k read off the integer power table of invQ."""
     _require_depth(Q, n)
     g = comp_inv(Q.indicator.truncate(max(n, 1)))
-    return UmbralOp(_power_triangle(g, n), Q)
+    return UmbralOp(tri_from_columns(*_power_columns(g, n)), Q)
 
 
 def basic_km(Q: DeltaOp, n: int) -> UmbralOp:
@@ -343,11 +355,15 @@ def is_binomial_type(tri: Triangle) -> bool:
 
 
 def sheffer(A: ShiftOp, phi: UmbralOp) -> Triangle:
-    """Triangle of the Sheffer operator A o phi; rows are A applied to the basic polynomials."""
+    """Triangle of the Sheffer operator A o phi; rows are A applied to the basic polynomials,
+    all from one scaling of A and one factorial table (``_kernel.apply_derivatives``)."""
     if not is_appell(A):
         raise NotAppell("Sheffer construction requires an invertible (Appell) operator")
-    rows = [apply_op(A, phi.tri.row_poly(m)) for m in range(phi.tri.n + 1)]
-    return tri_from_polys(rows)
+    t = A.indicator.trunc
+    if t < phi.tri.n:
+        raise TruncationError(f"indicator trunc {t} < deg p = {t + 1}; operator not resolved deeply enough")
+    rows = apply_derivatives(A.indicator.coeffs, [phi.tri.row_poly(m).coeffs for m in range(phi.tri.n + 1)])
+    return Triangle(tuple([tuple(row) for row in rows]))
 
 
 def cross(C: ShiftOp, u: RatLike, phi: UmbralOp) -> Triangle:

@@ -15,6 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
+from typing import Sequence
 
 from umbra._kernel import scaled_rows
 from umbra.errors import DivisionOrderError, NotInvertible, NotUnitary, TruncationError, UmbraError
@@ -29,7 +30,17 @@ from umbra.flow import _column_powers
 from umbra.operators import DeltaOp, ShiftOp, apply_op, validate_delta
 from umbra.rational import binom, rat, rat_str
 from umbra.serialize import series_to_json
-from umbra.umbral import Triangle, UmbralOp, tri_from_polys, triangle
+from umbra.umbral import Triangle, UmbralOp, triangle
+
+
+def tri_from_polys(polys: Sequence[Poly]) -> Triangle:
+    """The Triangle whose row n is the coefficients of polys[n], of degree at most n."""
+    rows = []
+    for n, p in enumerate(polys):
+        if not p.is_zero() and p.degree() > n:
+            raise ValueError(f"row {n} polynomial has degree {p.degree()} > {n}")
+        rows.append(tuple(p[k] for k in range(n + 1)))
+    return Triangle(tuple(rows))
 
 
 # -- number triangles via their classical recurrences -------------------------

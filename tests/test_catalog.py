@@ -24,7 +24,7 @@ from umbra.catalog import (
 from umbra.errors import UnknownFamily
 from umbra.fps import Poly, poly, series, x_series
 from umbra.umbral import (
-    Triangle, UmbralOp, binomial_grid, is_binomial_type, tri_from_polys, tri_identity
+    Triangle, UmbralOp, binomial_grid, is_binomial_type, tri_identity
 )
 
 import oracles
@@ -260,7 +260,7 @@ def test_degenerate_cross_names_the_corrupted_exponent_pair(monkeypatch, exponen
             return sh
         rows = [sh.row_poly(k) for k in range(sh.n + 1)]
         rows[3] = rows[3] + poly([0, 1])
-        return tri_from_polys(rows)
+        return oracles.tri_from_polys(rows)
 
     monkeypatch.setattr(catalog, "cross", cross)
     assert _GRID_SITES["degenerate_cross"]() == expected

@@ -397,6 +397,27 @@ GOLDEN_JSON = {
         "3a1de94f580205ed0ad8b96e6bcb3a11fe6e452ba9bd346b3f0660188393f20c",
     ("phipow", "--delta=D-D^2/2+3*D^3/7+D^4/5", "--s=-2/3", "--order=64"):
         "17568e0d82091f36194ebd611b6b9edf24cbebae91b615a461bb72eade8b81c5",
+    # captured before the recurrence route and sheffer scaled their operator once per
+    # triangle, and before pow_rat, itlog, frac_iterate and phi_pow compared their checks
+    # as integers
+    ("basic", "--delta=2*D-D^2/3+3*D^3/5", "--route=recurrence", "--order=64"):
+        "fd8e25e9935680ce853e24448cf7b31c83015b6ec009dc916cefb11753bf1a6a",
+    ("basic", "--delta=D-1/5*D^2+3/2*D^3+1/7*D^4", "--route=recurrence", "--order=64"):
+        "28cce7aa711583b550f73d2eafd0e1506717d92555c4b0cf20778d25c8cf544a",
+    ("sheffer", "--appell=1/(1-D/2)", "--delta=D-D^2/3+D^3/7", "--order=36"):
+        "a3d3b53fcfb3776eb4a6704eddc18a2f9013311928fcccd9a7af90387087d480",
+    ("sheffer", "--appell=exp(D/3)-D^2", "--delta=exp(D)-1", "--order=36"):
+        "3e16df152a9648ac7df7fdf565c707661eb0c09d579eecac780cad8eafeaff12",
+    ("iterate", "--series=exp(x)-1", "--s=-2/3", "--order=32"):
+        "e38ebc65325f08a787927d7532e510cccc069096918909f0cff66ecefb9203df",
+    ("iterate", "--series=x+x^2/3-2/5*x^3", "--s=-2/3", "--order=32"):
+        "67a48cd239234c8661d8a1916922803b1068cb0a1131d39ce72c60ceb41040a4",
+    ("itlog", "--series=x+3/5*x^3+x^5", "--order=32"):
+        "a41240f7e877b9b91b4b9a823b39c3e2899a40f88aa1ad23153cbf311e396d0f",
+    ("phipow", "--delta=D+D^2/3", "--s=-2/3", "--order=32"):
+        "bf91c998f35aa69084821ba69531023a280dac1202df53e7f24a3a36feda48f1",
+    ("series", "(1+x)^(1/2)", "--order=64"):
+        "340bf4dbb65d3291ccbcd713b5776dc3bb637ffd242a301142846acd33754eb7",
 }
 
 

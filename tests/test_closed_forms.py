@@ -12,7 +12,9 @@ from math import comb, factorial
 from umbra.fps import monomial, mul_inv, poly, series, x_series, log1p, compose, comp_inv
 from umbra.operators import ShiftOp, apply_op, derivative_op, divide, shift_by, validate_delta
 from umbra.sigma import SigmaOp
-from umbra.umbral import basic_transfer, sheffer, tri_from_polys, tri_invert
+from umbra.umbral import basic_transfer, sheffer, tri_invert
+
+from oracles import tri_from_polys
 
 T = 14
 N = 8

@@ -13,6 +13,8 @@ import sys
 from fractions import Fraction as F
 from pathlib import Path
 
+from hypothesis import given
+from hypothesis import strategies as st
 import pytest
 
 from umbra import bell, flow, fps, sigma, umbral
@@ -20,6 +22,7 @@ from umbra.catalog import family, identity_check
 from umbra.cli import main
 from umbra.errors import RouteDisagreement, agree, shown
 from umbra.fps import monomial, poly, series
+from umbra.operators import ShiftOp, validate_delta
 from umbra.umbral import UmbralOp, triangle
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -53,6 +56,66 @@ def test_shown_gives_sign_and_bit_lengths_past_the_digit_limit():
     assert shown(F(-(2**80000), 3)) == "-<80001-bit numerator>/<2-bit denominator>"
     assert shown(2**80000) == "<80001-bit numerator>/<1-bit denominator>"
     assert shown(F(-1, 3)) == "-1/3"
+
+
+def _outcome(**routes):
+    """(index, values) of agree's disagreement over ``routes``, or None if they agree."""
+    try:
+        agree("demo", **routes)
+    except RouteDisagreement as exc:
+        return exc.index, exc.values
+    return None
+
+
+def _same_outcome(forms, fractions):
+    """Integer forms and Fraction values give one verdict and index, and one pair of values
+    when an entry differs; with no differing entry the values are the routes' own."""
+    got, want = _outcome(one=forms[0], two=forms[1]), _outcome(one=fractions[0], two=fractions[1])
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got[0] == want[0]
+        assert got[1] == (want[1] if got[0] else forms)
+
+
+@st.composite
+def _vector_pair(draw):
+    """Two vector forms: the second is the first over k times its denominator (k = 1 keeps
+    it), maybe with zeros past its end and one entry shifted; neither need be reduced."""
+    nums = draw(st.lists(st.integers(-9, 9), min_size=1, max_size=7))
+    den, k = draw(st.integers(1, 12)), draw(st.integers(1, 4))
+    other = [k * v for v in nums] + [0] * draw(st.integers(0, 2))
+    i, shift = draw(st.integers(0, len(other) - 1)), draw(st.integers(-2, 2))
+    other[i] += shift
+    return (nums, den), (other, k * den)
+
+
+@given(_vector_pair())
+def test_agree_on_vector_forms_matches_series(pair):
+    (x, dx), (y, dy) = pair
+    _same_outcome(pair, [series([F(v, d) for v in nums], len(nums) - 1) for nums, d in ((x, dx), (y, dy))])
+
+
+@st.composite
+def _triangle_pair(draw):
+    """Two triangle forms, column k over its own denominator: the second scales column k by
+    k_k, maybe with a zero row more and one entry shifted."""
+    n = draw(st.integers(0, 4))
+    cols = [draw(st.lists(st.integers(-9, 9), min_size=n + 1 - k, max_size=n + 1 - k)) for k in range(n + 1)]
+    dens = [draw(st.integers(1, 12)) for _ in range(n + 1)]
+    scale = [draw(st.integers(1, 3)) for _ in range(n + 1)]
+    extra = draw(st.integers(0, 1))
+    other = [[s * v for v in col] + [0] * extra for s, col in zip(scale, cols)] + [[0]] * extra
+    k = draw(st.integers(0, n))
+    other[k][draw(st.integers(0, len(other[k]) - 1))] += draw(st.integers(-2, 2))
+    return (cols, dens), (other, [s * d for s, d in zip(scale, dens)] + [1] * extra)
+
+
+@given(_triangle_pair())
+def test_agree_on_triangle_forms_matches_triangles(pair):
+    def rows(cols, dens):
+        return triangle([[F(cols[k][m - k], dens[k]) for k in range(m + 1)] for m in range(len(cols))])
+
+    _same_outcome(pair, [rows(*form) for form in pair])
 
 
 def test_agree_names_first_route_that_differs():
@@ -194,6 +257,18 @@ def _corrupt_power(mp):
     def corrupted(f, p, q):
         g = real(f, p, q)
         g[3] += 1
+        return g
+
+    mp.setattr(fps, "power", corrupted)
+
+
+def _corrupt_last_power(mp):
+    # g_N of Miller's recurrence gains 1; only f g' reads it, at x^(N-1)
+    real = fps.power
+
+    def corrupted(f, p, q):
+        g = real(f, p, q)
+        g[-1] += 1
         return g
 
     mp.setattr(fps, "power", corrupted)
@@ -407,6 +482,19 @@ INJECTIONS = {
             "values": ["47/16", "-1/16"],
         },
     ),
+    "pow_rat_last": (
+        ["series", "sqrt(1+x)", "--order", "64", "--format", "json"],
+        _corrupt_last_power,
+        {
+            "construction": "pow_rat",
+            "routes": ["recurrence", "equation"],
+            "index": [63],
+            "values": [
+                "170141937827273701907525607198963676769/2658455991569831745807614120560689152",
+                "754366804470175838303483079571041/2658455991569831745807614120560689152",
+            ],
+        },
+    ),
     "faulhaber": (
         ["faulhaber", "--n", "3"],
         _corrupt_sigma,
@@ -466,6 +554,27 @@ def test_pow_rat_checks_the_constant_term(monkeypatch):
     with pytest.raises(RouteDisagreement) as info:
         fps.pow_rat(series([1, 1], 4), F(1, 2))
     assert (info.value.routes, info.value.values) == (("recurrence", "constant_term"), (2, 1))
+
+
+def test_integer_checks_take_no_series_product_derivative_or_composition(monkeypatch):
+    # pow_rat, itlog, frac_iterate and phi_pow compare their checks as integer forms
+    f, q = series([1, F(1, 3), F(-2, 7), F(1, 11)], 16), series([0, 1, F(-1, 2), F(3, 7), F(1, 5)], 12)
+    Q, calls = validate_delta(ShiftOp(q)), []
+
+    def spy(name, real):
+        return lambda *args: calls.append(name) or real(*args)
+
+    for name in ("__mul__", "__rmul__"):
+        monkeypatch.setattr(fps.Series, name, spy(name, getattr(fps.Series, name)))
+    for real in (fps.derive, fps.compose):
+        for mod_name, module in list(sys.modules.items()):
+            if mod_name.partition(".")[0] == "umbra" and getattr(module, real.__name__, None) is real:
+                monkeypatch.setattr(module, real.__name__, spy(real.__name__, real))
+    fps.pow_rat(f, F(-5, 2))
+    flow.itlog(q)
+    flow.frac_iterate(q, F(2, 3))
+    flow.phi_pow(Q, F(1, 2), 10)
+    assert calls == []
 
 
 @pytest.mark.parametrize("name", ["derivative", "falling", "catalan", "laguerre"])

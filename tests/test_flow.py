@@ -8,7 +8,7 @@ from math import factorial
 import pytest
 
 import umbra
-from umbra import bell, flow, fps, umbral
+from umbra import _kernel, bell, flow, fps, umbral
 from umbra.cli import main
 from umbra.errors import NotUnitary, OrderError, RouteDisagreement
 from umbra.flow import (
@@ -163,18 +163,20 @@ def test_itlog_check_catches_each_wrong_coefficient_and_scaling(monkeypatch, f, 
 
 
 def test_itlog_composes_once(monkeypatch):
-    # the iterate sum made N - 1 compositions, O(N^4); the Julia check makes one
-    real, calls = fps.compose, []
+    # the iterate sum made N - 1 compositions, O(N^4); the Julia check makes one, as an
+    # integer form, and no Fraction composition
+    calls = []
+    for real, tag in ((fps.compose, "compose"), (_kernel.composition, "composition")):
 
-    def counting(f, g):
-        calls.append(f.trunc)
-        return real(f, g)
+        def counting(f, g, real=real, tag=tag):
+            calls.append(tag)
+            return real(f, g)
 
-    for name, module in list(sys.modules.items()):
-        if name.partition(".")[0] == "umbra" and getattr(module, "compose", None) is real:
-            monkeypatch.setattr(module, "compose", counting)
+        for name, module in list(sys.modules.items()):
+            if name.partition(".")[0] == "umbra" and getattr(module, real.__name__, None) is real:
+                monkeypatch.setattr(module, real.__name__, counting)
     itlog(expm1(20))
-    assert len(calls) == 1
+    assert calls == ["composition"]
 
 
 def test_koszul_numbers():
@@ -494,17 +496,23 @@ def test_flow_route_matches_dense_oracle(n):
 
 
 def test_only_phi_pow_route_b_builds_a_bell_triangle(monkeypatch, capsys):
-    # phi_pow's bell route is the one Bell triangle of Fractions; the flow triangles of
-    # itlog and frac_iterate come from the Bell columns as integers
-    real, calls = umbral.basic_from_inverse_series, []
+    # phi_pow's bell route is the one Bell table besides the flow triangle, and it stays
+    # integer columns; the flow triangles of itlog and frac_iterate read the Bell columns
+    # through flow's own binding, and no request builds a Bell triangle of Fractions
+    calls = []
+    for real, tag in ((bell._bell_columns, "columns"), (bell.partial_bell_table, "table")):
 
-    def counting(f, n):
-        calls.append(n)
-        return real(f, n)
+        def counting(*args, real=real, tag=tag):
+            calls.append(tag)
+            return real(*args)
 
-    for name, module in list(sys.modules.items()):
-        if name.partition(".")[0] == "umbra" and getattr(module, "basic_from_inverse_series", None) is real:
-            monkeypatch.setattr(module, "basic_from_inverse_series", counting)
+        # only the bell module's binding of the columns: flow's own is _flow_triangle's
+        modules = [bell] if tag == "columns" else [
+            module for name, module in list(sys.modules.items())
+            if name.partition(".")[0] == "umbra" and getattr(module, real.__name__, None) is real
+        ]
+        for module in modules:
+            monkeypatch.setattr(module, real.__name__, counting)
     for argv, count in (
         (["phipow", "--delta=exp(D)-1", "--s=1/2", "--order=12"], 1),
         (["phipow", "--delta=D+D^2", "--s=-2/3", "--order=7"], 1),
@@ -514,7 +522,7 @@ def test_only_phi_pow_route_b_builds_a_bell_triangle(monkeypatch, capsys):
     ):
         calls.clear()
         assert main(argv) == 0
-        assert len(calls) == count, argv
+        assert calls == ["columns"] * count, argv
     capsys.readouterr()
 
 

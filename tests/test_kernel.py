@@ -6,6 +6,7 @@ with the Fraction loop it replaced (kept in ``oracles``); every output entry
 must also be a normalised Fraction (positive denominator, gcd 1).
 """
 
+import sys
 from fractions import Fraction as F
 from math import factorial, gcd
 
@@ -13,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import pytest
 
-from umbra import _kernel, bell, operators, umbral
+from umbra import _kernel, bell, operators
 from umbra.errors import OrderError, TruncationError
 from umbra.flow import _column_powers, _flow_triangle, shifted_powers
 from umbra.fps import (
@@ -22,8 +23,8 @@ from umbra.fps import (
 )
 from umbra.operators import ShiftOp, apply_op, validate_delta
 from umbra.umbral import (
-    Triangle, basic_from_inverse_series, basic_genfunc, basic_km, basic_steffensen, basic_transfer,
-    transform_seq, tri_compose, tri_identity, tri_invert,
+    Triangle, basic_from_inverse_series, basic_genfunc, basic_km, basic_recurrence, basic_steffensen,
+    basic_transfer, sheffer, transform_seq, tri_compose, tri_identity, tri_invert,
 )
 
 import oracles
@@ -126,6 +127,7 @@ def test_empty_and_zero_vectors():
     assert _kernel.half_grid([], 2) == []
     assert _kernel.half_grid([[], [F(0)] * 3, [F(5, 3)]], 0) == [([0] * 3, 1), ([0] * 3, 4), ([5] * 3, 3)]
     assert _kernel.apply_derivatives([], []) == []
+    assert _kernel.apply_derivatives([F(2)], [[], [F(0)]]) == [[], [0]]
     zeros = _kernel.convolve([F(0)] * 4, [F(5, 3), F(-1, 65537)], 3)
     assert zeros == [0, 0, 0, 0] and normalised(zeros)
 
@@ -198,20 +200,26 @@ def test_power_loops_build_no_series_per_power(monkeypatch):
 
 
 def test_recurrences_and_km_take_no_apply_op_or_poly_sum(monkeypatch):
+    # the recurrence route and sheffer scale their operator once per triangle, not per row
     f = series([F(-3, 2), F(1, 7), 0, F(2, 5)], 24)
     Q = validate_delta(ShiftOp(series([0, F(3, 2), F(-1, 7), F(2, 5)], 17)))
+    A = ShiftOp(series([2, F(-1, 3), 0, F(5, 7)], 16))
     calls = []
 
     def spy(name, real):
         return lambda *args: calls.append(name) or real(*args)
 
-    for module in (operators, umbral):
-        monkeypatch.setattr(module, "apply_op", spy("apply_op", operators.apply_op))
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "umbra" and getattr(module, "apply_op", None) is operators.apply_op:
+            monkeypatch.setattr(module, "apply_op", spy("apply_op", operators.apply_op))
     for name in ("__add__", "__radd__"):
         monkeypatch.setattr(Poly, name, spy(name, getattr(Poly, name)))
     mul_inv(f), exp_series(f - f[0]), log_series(f / f[0])
     basic_km(Q, 16)
+    phi = basic_recurrence(Q, 16)
+    sheffer(A, phi)
     assert calls == []
+    assert phi == basic_transfer(Q, 16)
 
 
 # -- Series and Poly ------------------------------------------------------------

@@ -46,7 +46,6 @@ from umbra.umbral import (
     power_coeffs,
     sheffer,
     special_class_check,
-    tri_from_polys,
     transform_seq,
     tri_compose,
     tri_identity,
@@ -54,7 +53,7 @@ from umbra.umbral import (
     triangle,
 )
 
-from oracles import commutation_expansion_check, lah, power_coeffs_direct, stirling1_unsigned
+from oracles import commutation_expansion_check, lah, power_coeffs_direct, stirling1_unsigned, tri_from_polys
 
 T = 16
 N = 10
