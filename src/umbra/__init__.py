@@ -29,7 +29,6 @@ from .fps import (
     derive,
     exp_series,
     expm1,
-    integrate,
     iterate_int,
     lagrange_power,
     log1p,
@@ -49,13 +48,12 @@ from .operators import (
     derivative_op,
     diamond,
     divide,
-    identity_op,
     is_appell,
     pincherle,
     shift_by,
     validate_delta,
 )
-from .bell import complete_bell, partial_bell
+from .bell import partial_bell
 from .umbral import (
     BASIC_ROUTES,
     Triangle,
@@ -70,7 +68,6 @@ from .umbral import (
     delta_of,
     is_binomial_type,
     niederhausen,
-    power_coeffs,
     sheffer,
     special_class_check,
     transform_seq,

@@ -1,4 +1,4 @@
-"""Partial and complete Bell polynomials over exact rationals.
+"""Partial Bell polynomials over exact rationals.
 
 The arguments a_1, a_2, ... are the EGF coefficients of f = sum a_k x^k / k!,
 and B_{n,k}(a_1, ..., a_{n-k+1}) = n! [x^n] f(x)^k / k!.
@@ -70,10 +70,3 @@ def partial_bell_table(n: int, a: Sequence) -> tuple[tuple[Fraction, ...], ...]:
     scale = [factorial(k) * den**k for k in range(n + 1)]
     # tuples from lists, not generators: see fps._coerce
     return tuple([tuple([Fraction(cols[k][m], scale[k]) for k in range(m + 1)]) for m in range(n + 1)])
-
-
-def complete_bell(n: int, a: Sequence) -> Fraction:
-    """B_n(a_1, ..., a_n) = sum_k B_{n,k}, as one Fraction over n! D^n."""
-    cols, den = _bell_columns(a, n, n, n)
-    total = sum(cols[k][n] * (factorial(n) // factorial(k)) * den ** (n - k) for k in range(n + 1))
-    return Fraction(total, factorial(n) * den**n)

@@ -9,17 +9,15 @@ regression entry point used by the CLI.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
-from inspect import signature
 from itertools import repeat
-from math import comb, factorial, perm
+from math import comb, factorial, perm, prod
 from operator import add, mul
 from typing import Callable
 
 from ._kernel import half_grid, scaled, scaled_rows
-from .errors import RouteDisagreement, UnknownFamily
+from .errors import Record, RouteDisagreement, UnknownFamily
 from .fps import (
     Poly,
     Series,
@@ -32,7 +30,7 @@ from .fps import (
     x_series,
 )
 from .operators import DeltaOp, ShiftOp, shift_by, validate_delta
-from .rational import RatLike, binom, rat
+from .rational import RatLike, rat
 from .umbral import (
     Triangle,
     UmbralOp,
@@ -92,12 +90,20 @@ def bell_number(n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(Record):
+    __slots__ = ("name", "params", "delta", "closed_form")
     name: str
     params: dict
     delta: Callable[[int], DeltaOp]
     closed_form: Callable[[int, int], Fraction]
+
+    def __init__(
+        self, name: str, params: dict, delta: Callable[[int], DeltaOp], closed_form: Callable[[int, int], Fraction]
+    ):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "closed_form", closed_form)
 
     def basic(self, n: int) -> UmbralOp:
         return basic_transfer(self.delta(n + 2), n)
@@ -204,10 +210,13 @@ def _spec_degenerate_laguerre(p: int) -> _Spec:
         return validate_delta(ShiftOp((x_series(t) * pow_rat(base, Fraction(-1, p))).truncate(t)))
 
     def form(n: int, k: int) -> Fraction:
+        """binom(n/p - 1, j) n!/k! (-p)^j with j = (n - k)/p, on integers:
+        (-1)^j n!/(k! j!) (n - p)(n - 2p)...(n - jp), where n - jp = k."""
         if (n - k) % p != 0 or k < 0 or k > n:
             return Fraction(0)
         j = (n - k) // p
-        return binom(Fraction(n, p) - 1, j) * Fraction(factorial(n), factorial(k)) * (-p) ** j
+        top = factorial(n) // (factorial(k) * factorial(j))  # an integer: k + j <= n
+        return Fraction((-1) ** j * top * prod(range(n - p, k - 1, -p)))
 
     return build, form
 
@@ -233,7 +242,8 @@ def family(name: str, **params: RatLike) -> FamilySpec:
     if name not in _SPEC_FACTORIES:
         raise UnknownFamily(f"unknown family {name!r}; known: {', '.join(FAMILY_NAMES)}")
     make_spec = _SPEC_FACTORIES[name]
-    accepted = tuple(signature(make_spec).parameters)
+    code = make_spec.__code__
+    accepted = code.co_varnames[: code.co_argcount]
     missing = [key for key in accepted if key not in params]
     unknown = [key for key in params if key not in accepted]
     if missing or unknown:
@@ -257,12 +267,18 @@ def family(name: str, **params: RatLike) -> FamilySpec:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class IdentityResult:
+class IdentityResult(Record):
+    __slots__ = ("family", "identity", "params", "counterexample")
     family: str
     identity: str
     params: dict
-    counterexample: dict | None = None
+    counterexample: dict | None
+
+    def __init__(self, family: str, identity: str, params: dict, counterexample: dict | None = None):
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "identity", identity)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "counterexample", counterexample)
 
     @property
     def passed(self) -> bool:
@@ -273,9 +289,12 @@ class IdentityResult:
         return "pass" if self.passed else "fail"
 
 
-@dataclass
-class Report:
-    results: list[IdentityResult] = field(default_factory=list)
+class Report(Record):
+    __slots__ = ("results",)
+    results: list[IdentityResult]
+
+    def __init__(self, results: list[IdentityResult] | None = None):
+        object.__setattr__(self, "results", [] if results is None else results)
 
     def record(self, family_name: str, identity: str, params: dict, counterexample):
         self.results.append(IdentityResult(family_name, identity, params, counterexample))

@@ -1,7 +1,49 @@
-"""Exception hierarchy shared by all umbra modules."""
+"""Exception hierarchy shared by all umbra modules, the route cross-check ``agree``, and
+``Record``, the base of every record class: errors is the lowest module that the
+records' modules all import."""
 
 from fractions import Fraction
 from math import gcd
+from operator import attrgetter
+
+
+class Record:
+    """Base of umbra's records: immutable values compared by their fields.
+
+    A record class lists its fields in ``__slots__``, after those of its bases, and
+    writes its own ``__init__``, which sets each field with ``object.__setattr__`` and
+    calls ``__post_init__`` where the record checks its fields.  Assigning or deleting
+    a field raises AttributeError.  Two records are equal when they are of one class
+    and their fields are equal; the hash is that of the fields, and the repr is
+    ``Series(trunc=2, coeffs=(...))``.  Records are not dataclasses, because importing
+    ``dataclasses`` loads ``inspect``, ``ast``, ``dis`` and ``tokenize``, and each
+    decorated class ``exec``s generated methods, which was more than half of the cost
+    of ``import umbra.cli``."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(f for c in reversed(cls.__mro__) for f in c.__dict__.get("__slots__", ()))
+        cls._values = attrgetter(*cls._fields)  # not a method: called as self._values(self)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
 
 
 class UmbraError(ValueError):

@@ -27,12 +27,12 @@ literal longer than MAX_STR_DIGITS digits as soon as it is read.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
     NotInvertible,
     ParseError,
+    Record,
     RouteDisagreement,
     TruncationError,
     UmbraError,
@@ -49,45 +49,76 @@ _FUNCTIONS = ("exp", "log", "sqrt")
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(Record):
+    __slots__ = ("pos",)
     pos: int
 
+    def __init__(self, pos: int):
+        object.__setattr__(self, "pos", pos)
 
-@dataclass(frozen=True)
+
 class Num(Node):
+    __slots__ = ("value",)
     value: Fraction
 
+    def __init__(self, pos: int, value: Fraction):
+        object.__setattr__(self, "pos", pos)
+        object.__setattr__(self, "value", value)
 
-@dataclass(frozen=True)
+
 class Var(Node):
+    __slots__ = ("name",)
     name: str
 
+    def __init__(self, pos: int, name: str):
+        object.__setattr__(self, "pos", pos)
+        object.__setattr__(self, "name", name)
 
-@dataclass(frozen=True)
+
 class Neg(Node):
+    __slots__ = ("child",)
     child: Node
 
+    def __init__(self, pos: int, child: Node):
+        object.__setattr__(self, "pos", pos)
+        object.__setattr__(self, "child", child)
 
-@dataclass(frozen=True)
+
 class BinOp(Node):
+    __slots__ = ("op", "left", "right")
     op: str
     left: Node
     right: Node
 
+    def __init__(self, pos: int, op: str, left: Node, right: Node):
+        object.__setattr__(self, "pos", pos)
+        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
-@dataclass(frozen=True)
+
 class Pow(Node):
     """base ^ exponent; pos is the offset of the '^' token."""
 
+    __slots__ = ("base", "exponent")
     base: Node
     exponent: Fraction
 
+    def __init__(self, pos: int, base: Node, exponent: Fraction):
+        object.__setattr__(self, "pos", pos)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "exponent", exponent)
 
-@dataclass(frozen=True)
+
 class Call(Node):
+    __slots__ = ("func", "arg")
     func: str
     arg: Node
+
+    def __init__(self, pos: int, func: str, arg: Node):
+        object.__setattr__(self, "pos", pos)
+        object.__setattr__(self, "func", func)
+        object.__setattr__(self, "arg", arg)
 
 
 def _start(node: Node) -> int:
@@ -102,11 +133,16 @@ def _start(node: Node) -> int:
 _SYMBOLS = "+-*/^()"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(Record):
+    __slots__ = ("kind", "text", "pos")
     kind: str  # 'int' | 'name' | symbol | 'end'
     text: str
     pos: int
+
+    def __init__(self, kind: str, text: str, pos: int):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "pos", pos)
 
 
 def _tokenize(text: str) -> list[Token]:

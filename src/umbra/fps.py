@@ -11,7 +11,6 @@ of the zero polynomial is ``-INF``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, inf
 from operator import mul
@@ -21,7 +20,7 @@ from ._kernel import (
     apply_derivatives, cauchy, composition, convolve, derivative, evaluate, power, powers,
     reciprocal_powers, recurrence, reduced, scaled,
 )
-from .errors import ConstantTermError, DivisionOrderError, NotInvertible, OrderError, TruncationError, agree
+from .errors import ConstantTermError, DivisionOrderError, NotInvertible, OrderError, Record, TruncationError, agree
 from .rational import RatLike, rat, rat_str
 
 INF = inf
@@ -40,12 +39,17 @@ def _coerce(values: Iterable[RatLike]) -> tuple[Fraction, ...]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Series:
+class Series(Record):
     """Formal power series truncated at exponent ``trunc`` (inclusive)."""
 
+    __slots__ = ("trunc", "coeffs")
     trunc: int
     coeffs: tuple[Fraction, ...]
+
+    def __init__(self, trunc: int, coeffs: tuple[Fraction, ...]):
+        object.__setattr__(self, "trunc", trunc)
+        object.__setattr__(self, "coeffs", coeffs)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.trunc < 0:
@@ -178,16 +182,6 @@ def derive(f: Series) -> Series:
     if f.trunc == 0:
         return series([0], 0)
     return Series(f.trunc - 1, tuple([(k + 1) * f.coeffs[k + 1] for k in range(f.trunc)]))
-
-
-def integrate(f: Series, c0: RatLike = 0) -> Series:
-    """Antiderivative with constant term c0.
-
-    The result reuses the input trunc, so the topmost input coefficient is
-    dropped rather than inventing a deeper one.
-    """
-    out = [rat(c0)] + [f.coeffs[k - 1] / k for k in range(1, f.trunc + 1)]
-    return Series(f.trunc, tuple(out))
 
 
 def compose(f: Series, g: Series) -> Series:
@@ -352,11 +346,15 @@ def format_series(f: Series) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Poly:
+class Poly(Record):
     """Exact polynomial; coefficients are stored trimmed (no trailing zeros)."""
 
+    __slots__ = ("coeffs",)
     coeffs: tuple[Fraction, ...]
+
+    def __init__(self, coeffs: tuple[Fraction, ...]):
+        object.__setattr__(self, "coeffs", coeffs)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.coeffs and self.coeffs[-1] == 0:

@@ -8,17 +8,15 @@ instead of silently truncating.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from ._kernel import apply_derivatives
-from .errors import NotDelta, OrderError, TruncationError
+from .errors import NotDelta, OrderError, Record, TruncationError
 from .fps import (
     INF,
     Poly,
     Series,
     compose,
-    const,
     derive,
     exp_series,
     iterate_int,
@@ -29,11 +27,14 @@ from .fps import (
 from .rational import RatLike, rat
 
 
-@dataclass(frozen=True)
-class ShiftOp:
+class ShiftOp(Record):
     """Shift-invariant operator with explicit truncated indicator."""
 
+    __slots__ = ("indicator",)
     indicator: Series
+
+    def __init__(self, indicator: Series):
+        object.__setattr__(self, "indicator", indicator)
 
     def __add__(self, other: "ShiftOp | RatLike") -> "ShiftOp":
         o = other.indicator if isinstance(other, ShiftOp) else rat(other)
@@ -61,9 +62,10 @@ class ShiftOp:
         return ShiftOp(self.indicator**k)
 
 
-@dataclass(frozen=True)
 class DeltaOp(ShiftOp):
     """Shift-invariant operator of indicator order exactly 1; unit c = [D^1]."""
+
+    __slots__ = ()
 
     @property
     def unit(self) -> Fraction:
@@ -75,10 +77,6 @@ class DeltaOp(ShiftOp):
 
 def derivative_op(trunc: int) -> DeltaOp:
     return DeltaOp(x_series(trunc))
-
-
-def identity_op(trunc: int) -> ShiftOp:
-    return ShiftOp(const(1, trunc))
 
 
 def shift_by(a: RatLike, trunc: int) -> ShiftOp:

@@ -4,8 +4,8 @@ The coefficient domain is the rationals and nothing else.  Python's
 ``fractions.Fraction`` already keeps values in canonical reduced form
 (gcd(num, den) = 1, den > 0, arbitrary-precision integers), so it is used
 directly; this module adds the parsing/formatting used by the JSON schemas
-and the generalized binomial coefficient needed for rational powers and
-fractional iteration.
+and the row of generalized binomial coefficients needed for fractional
+iteration.
 """
 
 from __future__ import annotations
@@ -34,15 +34,6 @@ def rat_str(q: RatLike) -> str:
         return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
     except ValueError:
         raise UmbraError(f"a coefficient would exceed {sys.get_int_max_str_digits()} digits") from None
-
-
-def binom(r: RatLike, k: int) -> Fraction:
-    """Generalized binomial coefficient r(r-1)...(r-k+1)/k!, exact in Q.
-
-    ``r`` may be any rational; ``k`` must be a nonnegative integer
-    (negative ``k`` yields 0, matching the empty convention).
-    """
-    return binom_row(r, k)[k] if k >= 0 else Fraction(0)
 
 
 def binom_row(r: RatLike, k: int) -> list[Fraction]:

@@ -13,7 +13,6 @@ indicator raises TruncationError rather than producing an incomplete row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import comb, factorial, lcm
@@ -26,7 +25,7 @@ from ._kernel import (
     scaled_rows, tri_inverse, tri_product,
 )
 from .errors import (
-    NotAppell, NotDelta, NotUnitary, OrderError, SingularTriangle, TruncationError, agree
+    NotAppell, NotDelta, NotUnitary, OrderError, Record, SingularTriangle, TruncationError, agree
 )
 from .fps import (
     Poly,
@@ -49,11 +48,15 @@ from .rational import RatLike, rat
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Triangle:
+class Triangle(Record):
     """Ragged lower-triangular matrix of exact rationals; row n has n+1 entries."""
 
+    __slots__ = ("rows",)
     rows: tuple[tuple[Fraction, ...], ...]
+
+    def __init__(self, rows: tuple[tuple[Fraction, ...], ...]):
+        object.__setattr__(self, "rows", rows)
+        self.__post_init__()
 
     def __post_init__(self):
         for n, row in enumerate(self.rows):
@@ -141,12 +144,17 @@ def transform_seq(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class UmbralOp:
+class UmbralOp(Record):
     """Basic-set operator: triangle plus (optionally cached) delta operator."""
 
+    __slots__ = ("tri", "delta")
     tri: Triangle
-    delta: DeltaOp | None = None
+    delta: DeltaOp | None
+
+    def __init__(self, tri: Triangle, delta: DeltaOp | None = None):
+        object.__setattr__(self, "tri", tri)
+        object.__setattr__(self, "delta", delta)
+        self.__post_init__()
 
     def __post_init__(self):
         t = self.tri
@@ -399,16 +407,6 @@ def niederhausen(phi: UmbralOp) -> UmbralOp:
     column = series([tri.entry(m, 1) / factorial(m) for m in range(n + 1)], n)
     agree("niederhausen", generating_function=expected, column=column)
     return UmbralOp(tri, validate_delta(ShiftOp(comp_inv(expected))))
-
-
-def power_coeffs(Q: DeltaOp, n: int) -> list[Fraction]:
-    """EGF coefficients a^{(n)}_{n-k} of (D/Q)^n for k = 1..n.
-
-    Returned as [a_{n-1}, a_{n-2}, ..., a_0] indexed by k-1; each equals
-    coeff[n][k]_phi / C(n-1, k-1).
-    """
-    phi = basic_transfer(Q, n)
-    return [phi.tri.entry(n, k) / comb(n - 1, k - 1) for k in range(1, n + 1)]
 
 
 def special_class_check(phi: UmbralOp, U: ShiftOp, V: ShiftOp, n: int) -> bool:

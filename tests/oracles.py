@@ -6,8 +6,10 @@ enumeration for Bell polynomials, Lagrange interpolation for the iterative
 logarithm, plain finite sums/integrals and the corollary series for the
 summation calculus, the coefficient identity for binomial type, the
 classical recurrences for Stirling/Lah numbers, the plain ``Fraction``
-loops that the integer kernel replaced, and the dense expression evaluator
-that polynomial nodes' short values replaced.
+loops that the integer kernel replaced, the dense expression evaluator
+that polynomial nodes' short values replaced, and the binomial closed form
+of the degenerate Laguerre triangle.  Helpers that only tests call (such as
+``identity_op`` and ``integrate``) live here too, not in the package.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from math import comb, factorial
 from typing import Sequence
 
 from umbra._kernel import scaled_rows
+from umbra.bell import _bell_columns
 from umbra.errors import DivisionOrderError, NotInvertible, NotUnitary, TruncationError, UmbraError
 from umbra.expr import (
     MAX_EXPONENT, MAX_POWER_BITS, MAX_STR_DIGITS, MAX_VALUE_BITS, Call, Neg, Num, Pow, Var, _at, _bits
@@ -28,9 +31,9 @@ from umbra.fps import (
 )
 from umbra.flow import _column_powers
 from umbra.operators import DeltaOp, ShiftOp, apply_op, validate_delta
-from umbra.rational import binom, rat, rat_str
+from umbra.rational import binom_row, rat, rat_str
 from umbra.serialize import series_to_json
-from umbra.umbral import Triangle, UmbralOp, triangle
+from umbra.umbral import Triangle, UmbralOp, basic_transfer, triangle
 
 
 def tri_from_polys(polys: Sequence[Poly]) -> Triangle:
@@ -41,6 +44,49 @@ def tri_from_polys(polys: Sequence[Poly]) -> Triangle:
             raise ValueError(f"row {n} polynomial has degree {p.degree()} > {n}")
         rows.append(tuple(p[k] for k in range(n + 1)))
     return Triangle(tuple(rows))
+
+
+# -- helpers that only tests call -----------------------------------------------
+
+
+def identity_op(trunc: int) -> ShiftOp:
+    return ShiftOp(const(1, trunc))
+
+
+def integrate(f: Series, c0=0) -> Series:
+    """Antiderivative with constant term c0.
+
+    The result reuses the input trunc, so the topmost input coefficient is
+    dropped rather than inventing a deeper one.
+    """
+    out = [rat(c0)] + [f.coeffs[k - 1] / k for k in range(1, f.trunc + 1)]
+    return Series(f.trunc, tuple(out))
+
+
+def complete_bell(n: int, a: Sequence) -> Fraction:
+    """B_n(a_1, ..., a_n) = sum_k B_{n,k}, as one Fraction over n! D^n."""
+    cols, den = _bell_columns(a, n, n, n)
+    total = sum(cols[k][n] * (factorial(n) // factorial(k)) * den ** (n - k) for k in range(n + 1))
+    return Fraction(total, factorial(n) * den**n)
+
+
+def power_coeffs(Q: DeltaOp, n: int) -> list[Fraction]:
+    """EGF coefficients a^{(n)}_{n-k} of (D/Q)^n for k = 1..n.
+
+    Returned as [a_{n-1}, a_{n-2}, ..., a_0] indexed by k-1; each equals
+    coeff[n][k]_phi / C(n-1, k-1).
+    """
+    phi = basic_transfer(Q, n)
+    return [phi.tri.entry(n, k) / comb(n - 1, k - 1) for k in range(1, n + 1)]
+
+
+def binom(r, k: int) -> Fraction:
+    """Generalized binomial coefficient r(r-1)...(r-k+1)/k!, exact in Q.
+
+    ``r`` may be any rational; ``k`` must be a nonnegative integer
+    (negative ``k`` yields 0, matching the empty convention).
+    """
+    return binom_row(r, k)[k] if k >= 0 else Fraction(0)
 
 
 # -- number triangles via their classical recurrences -------------------------
@@ -74,6 +120,15 @@ def lah(n: int, k: int) -> int:
 
 def catalan(n: int) -> int:
     return comb(2 * n, n) // (n + 1)
+
+
+def degenerate_laguerre(p: int, n: int, k: int) -> Fraction:
+    """Entry (n, k) of the degenerate Laguerre triangle as binom(n/p - 1, j) n!/k! (-p)^j,
+    with j = (n - k)/p; 0 where p does not divide n - k or k is outside 0..n."""
+    if (n - k) % p != 0 or k < 0 or k > n:
+        return Fraction(0)
+    j = (n - k) // p
+    return binom(Fraction(n, p) - 1, j) * Fraction(factorial(n), factorial(k)) * (-p) ** j
 
 
 def bell_number(n: int) -> int:

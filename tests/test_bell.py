@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from umbra.bell import (
-    complete_bell,
     partial_bell,
     partial_bell_table,
 )
@@ -19,6 +18,7 @@ from umbra.umbral import basic_transfer
 
 from oracles import (
     catalan,
+    complete_bell,
     complete_bell_via_exp,
     egf_from_arguments,
     partition_bell,

@@ -86,6 +86,14 @@ def test_closed_forms_match_routes():
                 assert tri.entry(n, k) == spec.closed_form(n, k), (name, params, n, k)
 
 
+@pytest.mark.parametrize("p", [1, 2, 3, 5])
+def test_degenerate_laguerre_closed_form_matches_the_binomial_form(p):
+    form = family("degenerate_laguerre", p=p).closed_form
+    for n in range(40):
+        for k in range(-1, n + 2):
+            assert form(n, k) == oracles.degenerate_laguerre(p, n, k), (n, k)
+
+
 def test_degenerate_laguerre_row_values():
     spec = family("degenerate_laguerre", p=2)
     tri = spec.basic(4).tri

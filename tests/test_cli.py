@@ -490,6 +490,21 @@ def test_check_all_digest_holds_under_optimize_flag():
     assert hashlib.sha256(proc.stdout).hexdigest() == GOLDEN_JSON["check", "--all"]
 
 
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # every CLI call pays for this import; the set before it is what the interpreter and
+    # any site .pth files preload, so only what umbra.cli adds is judged
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
+        "import umbra.cli; umbra.cli.build_parser(); print(*sorted(set(sys.modules) - before))"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-I", "-c", code, src], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert "umbra.cli" in added
+    assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize"}, sorted(added)
+
+
 @pytest.mark.parametrize(
     "text, message",
     [

@@ -15,7 +15,6 @@ from umbra.fps import (
     derive,
     exp_series,
     expm1,
-    integrate,
     lagrange_power,
     log1p,
     log_series,
@@ -26,7 +25,7 @@ from umbra.fps import (
     x_series,
 )
 
-from oracles import catalan, newton_comp_inv
+from oracles import catalan, integrate, newton_comp_inv
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=5)
 

@@ -23,12 +23,13 @@ from umbra.operators import (
     derivative_op,
     diamond,
     divide,
-    identity_op,
     is_appell,
     pincherle,
     shift_by,
     validate_delta,
 )
+
+from oracles import identity_op
 
 T = 14
 

@@ -26,7 +26,6 @@ from umbra.operators import (
     derivative_op,
     diamond,
     divide,
-    identity_op,
     pincherle,
     shift_by,
     validate_delta,
@@ -43,7 +42,6 @@ from umbra.umbral import (
     delta_of,
     is_binomial_type,
     niederhausen,
-    power_coeffs,
     sheffer,
     special_class_check,
     transform_seq,
@@ -53,7 +51,9 @@ from umbra.umbral import (
     triangle,
 )
 
-from oracles import commutation_expansion_check, lah, power_coeffs_direct, stirling1_unsigned, tri_from_polys
+from oracles import (
+    commutation_expansion_check, identity_op, lah, power_coeffs, power_coeffs_direct, stirling1_unsigned, tri_from_polys
+)
 
 T = 16
 N = 10
