@@ -314,12 +314,24 @@ def _combination_point(lhs: tuple[list[int], int], table, weights, m: int) -> Fr
     return None
 
 
+def _basic(sets: dict, spec: FamilySpec, n: int) -> UmbralOp:
+    """spec's basic set through row n from ``sets``, the basic sets of one check request,
+    built there by ``FamilySpec.basic`` on a miss; the key holds the coerced params, so
+    lam=2 and lam=Fraction(2) find one set."""
+    key = (spec.name, tuple(sorted(spec.params.items())), n)
+    phi = sets.get(key)
+    if phi is None:
+        phi = sets[key] = spec.basic(n)
+    return phi
+
+
 def _closed_triangle(spec: FamilySpec, n: int) -> Triangle:
     return triangle([[spec.closed_form(m, k) for k in range(m + 1)] for m in range(n + 1)])
 
 
-def _check_routes(spec: FamilySpec, n: int):
-    """All five construction routes and the closed form must agree."""
+def _check_routes(spec: FamilySpec, n: int, sets: dict):
+    """All five construction routes and the closed form must agree.  The routes never read
+    ``sets``: they stay independent of the basic set that the other identities share."""
     try:
         base = basic_all_routes(spec.delta(n + 2), n).tri
     except RouteDisagreement as exc:
@@ -329,8 +341,8 @@ def _check_routes(spec: FamilySpec, n: int):
     return None
 
 
-def _check_binomial(spec: FamilySpec, n: int):
-    return None if is_binomial_type(spec.basic(n).tri) else {"n": n}
+def _check_binomial(spec: FamilySpec, n: int, sets: dict):
+    return None if is_binomial_type(_basic(sets, spec, n).tri) else {"n": n}
 
 
 def _grid_point(hit: tuple[int, Fraction, Fraction] | None) -> dict | None:
@@ -338,13 +350,13 @@ def _grid_point(hit: tuple[int, Fraction, Fraction] | None) -> dict | None:
     return None if hit is None else {"n": hit[0], "x": str(hit[1]), "y": str(hit[2])}
 
 
-def _check_chu_vandermonde(spec: FamilySpec, n: int):
-    phi = spec.basic(n)
+def _check_chu_vandermonde(spec: FamilySpec, n: int, sets: dict):
+    phi = _basic(sets, spec, n)
     rows = [phi.tri.row_poly(m) for m in range(n + 1)]
     return _grid_point(binomial_grid(rows, rows, rows, n))
 
 
-def _check_stirling_recurrences(spec: FamilySpec, n: int):
+def _check_stirling_recurrences(spec: FamilySpec, n: int, sets: dict):
     for m in range(n + 1):
         for k in range(m + 2):
             if stirling1_unsigned(m + 1, k) != m * stirling1_unsigned(m, k) + stirling1_unsigned(m, k - 1):
@@ -353,8 +365,8 @@ def _check_stirling_recurrences(spec: FamilySpec, n: int):
                 return {"kind": 2, "n": m, "k": k}
     # operator forms phi X = X phi (1+D)^{-1} and phi^{-1} X = X (1+D) phi^{-1}, on the scaled rows
     # f of phi (falling) and g of phi^{-1} (Touchard); (1+D)^{-1} x^m = sum_j (-1)^(m-j) m!/j! x^j
-    f, _ = scaled_rows(family("falling").basic(n + 1).tri.rows)
-    g, _ = scaled_rows(family("touchard").basic(n + 1).tri.rows)
+    f, _ = scaled_rows(_basic(sets, family("falling"), n + 1).tri.rows)
+    g, _ = scaled_rows(_basic(sets, family("touchard"), n + 1).tri.rows)
     for m in range(n + 1):
         w = [(-1) ** (m - j) * perm(m, m - j) for j in range(m + 1)]
         if f[m + 1] != [0] + [sum(wj * f[j][i] for j, wj in enumerate(w)) for i in range(n + 1)]:
@@ -364,7 +376,7 @@ def _check_stirling_recurrences(spec: FamilySpec, n: int):
     return None
 
 
-def _check_gen_bernoulli(spec: FamilySpec, n: int):
+def _check_gen_bernoulli(spec: FamilySpec, n: int, sets: dict):
     egf = mul_inv(series([Fraction(1, factorial(j + 1)) for j in range(n + 1)], n))  # t/(e^t-1)
     for m in range(1, n + 1):
         direct = egf**m
@@ -375,7 +387,7 @@ def _check_gen_bernoulli(spec: FamilySpec, n: int):
     return None
 
 
-def _check_special_class(spec: FamilySpec, n: int):
+def _check_special_class(spec: FamilySpec, n: int, sets: dict):
     T = n + 3
     name = spec.name
     if name == "falling":
@@ -391,14 +403,14 @@ def _check_special_class(spec: FamilySpec, n: int):
         U, V = ShiftOp(series([1, -2], T)), ShiftOp(mul_inv(series([1, -2], T)) ** 2)
     else:
         return None
-    phi = spec.basic(n)
+    phi = _basic(sets, spec, n)
     for m in range(1, min(n, 4) + 1):
         if not special_class_check(phi, U, V, m):
             return {"n": m}
     return None
 
 
-def _check_catalan_inverse_class(spec: FamilySpec, n: int):
+def _check_catalan_inverse_class(spec: FamilySpec, n: int, sets: dict):
     T = n + 3
     Q = spec.delta(T)
     from .operators import bracket_iterate
@@ -412,12 +424,12 @@ def _check_catalan_inverse_class(spec: FamilySpec, n: int):
     return None
 
 
-def _check_catalan_bell(spec: FamilySpec, n: int):
+def _check_catalan_bell(spec: FamilySpec, n: int, sets: dict):
     from .bell import partial_bell
 
     catalans = [comb(2 * j, j) // (j + 1) for j in range(n + 1)]
     args = [factorial(j) * catalans[j - 1] for j in range(1, n + 1)]
-    tri = spec.basic(n).tri
+    tri = _basic(sets, spec, n).tri
     for m in range(1, n + 1):
         for k in range(1, m + 1):
             expected = Fraction(factorial(m - 1), factorial(k - 1)) * comb(2 * m - k - 1, m - 1)
@@ -427,7 +439,7 @@ def _check_catalan_bell(spec: FamilySpec, n: int):
     return None
 
 
-def _check_catalan_numbers(spec: FamilySpec, n: int):
+def _check_catalan_numbers(spec: FamilySpec, n: int, sets: dict):
     Q = spec.delta(n + 2)
     inv = comp_inv(Q.indicator)
     root = (1 - pow_rat(series([1, -4], n + 2), Fraction(1, 2))) / 2
@@ -438,10 +450,10 @@ def _check_catalan_numbers(spec: FamilySpec, n: int):
     return None
 
 
-def _check_spivey(spec: FamilySpec, n: int):
+def _check_spivey(spec: FamilySpec, n: int, sets: dict):
     """phi x^(n+m) = sum_k S(n,k) x^k phi (x+k)^m, on the rows e of the triangle
     scaled once: phi (x+k)^m = sum_j C(m,j) k^(m-j) e[j] is an integer combination."""
-    e, _ = scaled_rows(spec.basic(n).tri.rows)
+    e, _ = scaled_rows(_basic(sets, spec, n).tri.rows)
 
     def shifted(m: int, k: int) -> list[int]:
         """phi (x+k)^m through x^m."""
@@ -471,7 +483,7 @@ def _check_spivey(spec: FamilySpec, n: int):
     return None
 
 
-def _check_dobinski(spec: FamilySpec, n: int):
+def _check_dobinski(spec: FamilySpec, n: int, sets: dict):
     for nn in range(n + 1):
         for m in range(nn + 1):
             lhs = sum(
@@ -482,17 +494,17 @@ def _check_dobinski(spec: FamilySpec, n: int):
     return None
 
 
-def _check_touchard_recurrence(spec: FamilySpec, n: int):
+def _check_touchard_recurrence(spec: FamilySpec, n: int, sets: dict):
     """T_{m+1} = x sum_k C(m,k) T_k, on the scaled rows."""
-    e, _ = scaled_rows(spec.basic(n + 1).tri.rows)
+    e, _ = scaled_rows(_basic(sets, spec, n + 1).tri.rows)
     for m in range(n + 1):
         if e[m + 1] != [0] + [sum(comb(m, k) * e[k][i] for k in range(m + 1)) for i in range(n + 1)]:
             return {"n": m}
     return None
 
 
-def _check_erdelyi(spec: FamilySpec, n: int):
-    lag = spec.basic(n)
+def _check_erdelyi(spec: FamilySpec, n: int, sets: dict):
+    lag = _basic(sets, spec, n)
     rows = [lag.tri.row_poly(k).coeffs for k in range(n + 1)]
     at = half_grid(rows, n)
     inv = tri_invert(lag.tri)
@@ -513,8 +525,8 @@ def _check_erdelyi(spec: FamilySpec, n: int):
     return None
 
 
-def _check_laguerre_involution(spec: FamilySpec, n: int):
-    lag = spec.basic(n)
+def _check_laguerre_involution(spec: FamilySpec, n: int, sets: dict):
+    lag = _basic(sets, spec, n)
     ln = triangle(
         [[(-1) ** m * lag.tri.entry(m, k) for k in range(m + 1)] for m in range(n + 1)]
     )
@@ -523,10 +535,10 @@ def _check_laguerre_involution(spec: FamilySpec, n: int):
     return None
 
 
-def _check_lah_connection(spec: FamilySpec, n: int):
-    lag = spec.basic(n)
-    rising = family("rising").basic(n)
-    falling = family("falling").basic(n)
+def _check_lah_connection(spec: FamilySpec, n: int, sets: dict):
+    lag = _basic(sets, spec, n)
+    rising = _basic(sets, family("rising"), n)
+    falling = _basic(sets, family("falling"), n)
     if tri_compose(rising.tri, lag.tri) != falling.tri:
         return {"n": n}
     # Lah's original identity on a grid
@@ -540,8 +552,8 @@ def _check_lah_connection(spec: FamilySpec, n: int):
     return None
 
 
-def _check_laguerre_powers(spec: FamilySpec, n: int):
-    lag = spec.basic(n)
+def _check_laguerre_powers(spec: FamilySpec, n: int, sets: dict):
+    lag = _basic(sets, spec, n)
     tri_r = tri_identity(n)
     for r in (1, 2, 3):
         tri_r = tri_compose(tri_r, lag.tri)
@@ -557,15 +569,15 @@ def _abel_polys(a: Fraction, n: int) -> list[Poly]:
     return [poly([1])] + [poly([0, 1]) * poly([-a * k, 1]) ** (k - 1) for k in range(1, n + 1)]
 
 
-def _check_abel_identity(spec: FamilySpec, n: int):
+def _check_abel_identity(spec: FamilySpec, n: int, sets: dict):
     abel = _abel_polys(spec.params["a"], n)
     return _grid_point(binomial_grid(abel, abel, abel, n))
 
 
-def _check_smooth_abel(spec: FamilySpec, n: int):
+def _check_smooth_abel(spec: FamilySpec, n: int, sets: dict):
     a = spec.params["a"]
     # Sheffer route: smooth Abel operator is (1+aD)^{-1} applied to the basic set
-    rows = sheffer(ShiftOp(mul_inv(series([1, a], n + 3))), spec.basic(n)).rows
+    rows = sheffer(ShiftOp(mul_inv(series([1, a], n + 3))), _basic(sets, spec, n)).rows
     smooth = [poly([-a * m, 1]) ** m for m in range(n + 1)]  # (x - am)^m
     hit = binomial_grid(smooth, _abel_polys(a, n), smooth, n)
     # at each degree the Sheffer form is reported before the grid form
@@ -575,14 +587,14 @@ def _check_smooth_abel(spec: FamilySpec, n: int):
     return None if hit is None else {"form": "grid", **_grid_point(hit)}
 
 
-def _check_abel_inverse(spec: FamilySpec, n: int):
+def _check_abel_inverse(spec: FamilySpec, n: int, sets: dict):
     a = spec.params["a"]
     if a == 0:
         return None
     stretch = family("stretch", lam=a)
     stretch_basic = UmbralOp(_closed_triangle(stretch, n), stretch.delta(n + 2))
     nie = niederhausen(stretch_basic)
-    if nie.tri != tri_invert(spec.basic(n).tri):
+    if nie.tri != tri_invert(_basic(sets, spec, n).tri):
         return {"n": n}
     if n == 0:  # the delta has no coefficient to compare
         return None
@@ -594,10 +606,10 @@ def _check_abel_inverse(spec: FamilySpec, n: int):
     return None
 
 
-def _check_conjugation(spec: FamilySpec, n: int):
+def _check_conjugation(spec: FamilySpec, n: int, sets: dict):
     h = spec.params["h"]
-    phi_h = spec.basic(n).tri
-    falling = family("falling").basic(n).tri
+    phi_h = _basic(sets, spec, n).tri
+    falling = _basic(sets, family("falling"), n).tri
     for m in range(n + 1):
         for k in range(m + 1):
             if phi_h.entry(m, k) != falling.entry(m, k) * h ** (m - k):
@@ -605,12 +617,12 @@ def _check_conjugation(spec: FamilySpec, n: int):
     return None
 
 
-def _check_degenerate_ode(spec: FamilySpec, n: int):
+def _check_degenerate_ode(spec: FamilySpec, n: int, sets: dict):
     """p x f^(p+1) + alpha p^2 f^(p) - x f' + m f = 0 for row m of each cross sequence: on a
     scaled row f, the coefficient of x^j is (p j + alpha p^2) (j+p)!/j! f_{j+p} + (m - j) f_j,
     times alpha's denominator b; f_{j+p} = 0 past the row."""
     p = spec.params["p"]
-    phi, base = spec.basic(n), ShiftOp(_degenerate_base(p, n + 3))
+    phi, base = _basic(sets, spec, n), ShiftOp(_degenerate_base(p, n + 3))
     for alpha in (Fraction(0), Fraction(1), Fraction(1, 2), Fraction(-2)):
         a, b = alpha.numerator, alpha.denominator
         rows, _ = scaled_rows(cross(base, alpha, phi).rows)
@@ -623,9 +635,9 @@ def _check_degenerate_ode(spec: FamilySpec, n: int):
     return None
 
 
-def _check_degenerate_cross(spec: FamilySpec, n: int):
+def _check_degenerate_cross(spec: FamilySpec, n: int, sets: dict):
     p = spec.params["p"]
-    phi, base = spec.basic(n), ShiftOp(_degenerate_base(p, n + 3))
+    phi, base = _basic(sets, spec, n), ShiftOp(_degenerate_base(p, n + 3))
     exps = (Fraction(0), Fraction(1), Fraction(-1, 2))
     tables = {}
     for w in {u + v for u in exps for v in exps}:
@@ -639,14 +651,14 @@ def _check_degenerate_cross(spec: FamilySpec, n: int):
     return None
 
 
-def _check_degenerate_closed_form(spec: FamilySpec, n: int):
-    tri = spec.basic(n).tri
+def _check_degenerate_closed_form(spec: FamilySpec, n: int, sets: dict):
+    tri = _basic(sets, spec, n).tri
     if tri != _closed_triangle(spec, n):
         return {"n": n}
     return None
 
 
-_FAMILY_IDENTITIES: dict[str, list[tuple[str, Callable[[FamilySpec, int], dict | None], int]]] = {
+_FAMILY_IDENTITIES: dict[str, list[tuple[str, Callable[[FamilySpec, int, dict], dict | None], int]]] = {
     "derivative": [],
     "stretch": [],
     "falling": [
@@ -692,13 +704,13 @@ _FAMILY_IDENTITIES: dict[str, list[tuple[str, Callable[[FamilySpec, int], dict |
 }
 
 
-def _check_transform_roundtrip(spec: FamilySpec, n: int, rng) -> dict | None:
+def _check_transform_roundtrip(spec: FamilySpec, n: int, sets: dict, rng) -> dict | None:
     """Both dual inversion transforms on random rational sequences.
 
     The row transform of a triangle is its matrix, the column transform its
     transpose; with both triangles scaled once to a / D_a and b / D_b, the round
     trip b (a s) = s is the integer test b (a S) = D_a D_b S."""
-    tri = spec.basic(n).tri
+    tri = _basic(sets, spec, n).tri
     (a, da), (b, db) = scaled_rows(tri.rows), scaled_rows(tri_invert(tri).rows)
     mats = {"row": (a, b), "column": ([*zip(*a)], [*zip(*b)])}
     for trial in range(5):
@@ -721,19 +733,24 @@ def identity_check(
     name: str, n: int = 10, report: Report | None = None, seed: int = 0, **params
 ) -> Report:
     """Run every identity of a family at depth min(n, its row's cap), the three rows
-    here and then the family's rows of ``_FAMILY_IDENTITIES``; exact pass/fail each."""
+    here and then the family's rows of ``_FAMILY_IDENTITIES``; exact pass/fail each.
+    The identities share one basic set per (family, params, depth), built in this call."""
+    report = report if report is not None else Report()
+    _run_identities(family(name, **params), n, report, seed, {})
+    return report
+
+
+def _run_identities(spec: FamilySpec, n: int, report: Report, seed: int, sets: dict):
+    """``identity_check`` of spec, with basic sets taken from and added to ``sets``."""
     import random
 
-    spec = family(name, **params)
-    report = report if report is not None else Report()
     rows = [
         ("five_routes", _check_routes, 10),
         ("binomial_type", _check_binomial, 8),
         ("transform_roundtrip", partial(_check_transform_roundtrip, rng=random.Random(seed)), 10),
     ]
     for identity, check, depth in rows + _FAMILY_IDENTITIES[spec.name]:
-        report.record(spec.name, identity, spec.params, check(spec, min(n, depth)))
-    return report
+        report.record(spec.name, identity, spec.params, check(spec, min(n, depth), sets))
 
 
 DEFAULT_CHECK_SET: tuple[tuple[str, dict], ...] = (
@@ -754,8 +771,9 @@ DEFAULT_CHECK_SET: tuple[tuple[str, dict], ...] = (
 
 
 def check_all(n: int = 10, seed: int = 0) -> Report:
-    """The CI entry point: every family in the default set, deterministic order."""
-    report = Report()
+    """The CI entry point: every family in the default set, deterministic order; the
+    families share one set of basic sets, built in this call."""
+    report, sets = Report(), {}
     for name, params in DEFAULT_CHECK_SET:
-        identity_check(name, n=n, report=report, seed=seed, **params)
+        _run_identities(family(name, **params), n, report, seed, sets)
     return report

@@ -19,7 +19,7 @@ from .errors import NotUnitary, OrderError, TruncationError, agree
 from .fps import Series, compose, expm1, series, x_series
 from .operators import DeltaOp, ShiftOp, validate_delta
 from .rational import RatLike, binom_row, rat
-from .umbral import Triangle, tri_compose, tri_from_columns, tri_identity
+from .umbral import Triangle, tri_compose, tri_from_form, tri_identity
 
 
 def _require_unitary(f: Series):
@@ -195,7 +195,7 @@ def phi_pow(Q: DeltaOp, s: RatLike, n: int) -> Triangle:
     cols, dens = bell_form
     if cols[0] != [dens[0]] + [0] * n or not all(col[0] for col in cols):
         raise ValueError("umbral triangle must have coeff[0][0] = 1, coeff[n][0] = 0 and a nonzero diagonal")
-    return tri_from_columns(*agree("phi_pow", bell=bell_form, powers=umbral._power_columns(g, n)))
+    return tri_from_form(agree("phi_pow", bell=bell_form, powers=umbral._power_columns(g, n)))
 
 
 def jabotinsky(tri: Triangle) -> tuple[tuple[Fraction, ...], ...]:

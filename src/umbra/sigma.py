@@ -16,11 +16,11 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
-from .errors import agree
+from .errors import TruncationError, agree
 from .fps import Poly, expm1, mul_inv, poly
 from .operators import DeltaOp, apply_op, derivative_op, shift_by, validate_delta, divide
 from .rational import RatLike, rat
-from .umbral import basic_transfer, transform_seq, tri_invert
+from .umbral import basic_transfer
 
 
 def bernoulli_numbers(n: int) -> list[Fraction]:
@@ -48,17 +48,21 @@ class SigmaOp:
     def __init__(self, Q: DeltaOp, anchor: RatLike = 0, depth: int = 16):
         self.anchor = rat(anchor)
         self._phi = basic_transfer(Q, depth + 1)
-        self._phi_inv = tri_invert(self._phi.tri)
 
     def apply(self, p: Poly) -> Poly:
         """Expand p in {phi_n}, shift indices, re-anchor."""
         if p.is_zero():
             return p
-        # monomial coefficients -> basic coordinates: p = phi(sum c_n x^n), so
-        # c_n = sum_{m>=n} inv[m][n] a_m (the column transform)
-        basic_coords = transform_seq(self._phi_inv, p.coeffs, "column")
+        rows, d = self._phi.tri.rows, len(p.coeffs) - 1
+        if d >= len(rows) - 1:
+            raise TruncationError(f"sigma depth {len(rows) - 2} < deg p = {d}")
+        # monomial coefficients a -> basic coordinates c, p = sum_n c_n phi_n: a_j is
+        # sum_{n>=j} c_n phi[n][j], solved by back substitution from j = deg p down
+        c = [Fraction(0)] * (d + 1)
+        for j in range(d, -1, -1):
+            c[j] = (p.coeffs[j] - sum([c[n] * rows[n][j] for n in range(j + 1, d + 1)])) / rows[j][j]
         # sum_n c_n phi_{n+1}/(n+1) is phi applied to sum_n c_n x^{n+1}/(n+1)
-        out = self._phi.tri.apply_poly(poly([0] + [c / n for n, c in enumerate(basic_coords, 1)]))
+        out = self._phi.tri.apply_poly(poly([0] + [v / n for n, v in enumerate(c, 1)]))
         return out - out(self.anchor)
 
 

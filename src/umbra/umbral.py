@@ -25,7 +25,7 @@ from ._kernel import (
     scaled_rows, tri_inverse, tri_product,
 )
 from .errors import (
-    NotAppell, NotDelta, NotUnitary, OrderError, Record, SingularTriangle, TruncationError, agree
+    NotAppell, NotDelta, NotUnitary, OrderError, Record, Rows, SingularTriangle, TruncationError, agree
 )
 from .fps import (
     Poly,
@@ -80,23 +80,27 @@ class Triangle(Record):
         return poly(transform_seq(self, p.coeffs, "column"))
 
     def diagonal(self) -> tuple[Fraction, ...]:
-        return tuple(self.rows[n][n] for n in range(self.n + 1))
+        return tuple([self.rows[n][n] for n in range(self.n + 1)])
 
 
 def triangle(rows: Sequence[Sequence[RatLike]]) -> Triangle:
-    return Triangle(tuple(tuple(rat(v) for v in row) for row in rows))
+    return Triangle(tuple([tuple([rat(v) for v in row]) for row in rows]))
 
 
 def tri_identity(n: int) -> Triangle:
     return Triangle(
-        tuple(tuple(Fraction(1 if k == m else 0) for k in range(m + 1)) for m in range(n + 1))
+        tuple([tuple([Fraction(1 if k == m else 0) for k in range(m + 1)]) for m in range(n + 1)])
     )
 
 
-def tri_from_columns(cols: Sequence[Sequence[int]], dens: Sequence[int]) -> Triangle:
-    """The Triangle of ``agree``'s triangle form: entry (m, k) is cols[k][m - k] / dens[k]."""
+def tri_from_form(form) -> Triangle:
+    """The Triangle of ``agree``'s triangle form: entry (m, k) is rows[m][k] / dens[m] for
+    Rows((rows, dens)), cols[k][m - k] / dens[k] for (cols, dens)."""
+    lines, dens = form
+    if isinstance(form, Rows):
+        return Triangle(tuple([tuple([Fraction(v, d) for v in row]) for row, d in zip(lines, dens)]))
     return Triangle(
-        tuple([tuple([Fraction(cols[k][m - k], dens[k]) for k in range(m + 1)]) for m in range(len(cols))])
+        tuple([tuple([Fraction(lines[k][m - k], dens[k]) for k in range(m + 1)]) for m in range(len(lines))])
     )
 
 
@@ -179,42 +183,57 @@ def _require_depth(Q: DeltaOp, n: int):
         )
 
 
-def _on_monomial(c: Sequence[int], den: int, m: int) -> tuple[Fraction, ...]:
-    """Coefficients of (sum_i c_i D^i / den) x^m: entry j is c_{m-j} m!/j! / den."""
-    return tuple(Fraction(c[m - j] * (factorial(m) // factorial(j)), den) for j in range(m + 1))
+def _on_monomial(c: Sequence[int], m: int, fact: Sequence[int]) -> list[int]:
+    """Numerators of (sum_i c_i D^i) x^m over the denominator of c: entry j is c_{m-j} m!/j!."""
+    return [c[m - j] * (fact[m] // fact[j]) for j in range(m + 1)]
 
 
-def basic_transfer(Q: DeltaOp, n: int) -> UmbralOp:
+def _result(out, Q: DeltaOp, form: bool):
+    """A route's result: its integer triangle form itself, or the UmbralOp of it."""
+    return out if form else UmbralOp(tri_from_form(out), Q)
+
+
+def basic_transfer(Q: DeltaOp, n: int, form: bool = False) -> UmbralOp | Rows:
     """Rows p_m = Q'(D/Q)^{m+1} x^m: with c = Q'(D/Q)^{m+1} through x^m, entry j
-    of row m is c_{m-j} m!/j!, one integer product per power of D/Q."""
+    of row m is c_{m-j} m!/j!, one integer product per power of D/Q.  With ``form``,
+    the rows as ``agree``'s Rows, row m over the denominators of Q' and (D/Q)^{m+1}."""
     _require_depth(Q, n)
     q, dq = scaled(derive(Q.indicator).coeffs[: n + 1])
     table = islice(reciprocal_powers(Q.indicator.coeffs[1 : n + 2], n + 1), 1, None)  # from (D/Q)^1
-    rows = [_on_monomial(cauchy(q, p, m), dq * dp, m) for m, (p, dp) in enumerate(table)]
-    return UmbralOp(Triangle(tuple(rows)), Q)
+    fact, rows, dens = [factorial(j) for j in range(n + 1)], [], []
+    for m, (p, dp) in enumerate(table):
+        rows.append(_on_monomial(cauchy(q, p, m), m, fact))
+        dens.append(dq * dp)
+    return _result(Rows((rows, dens)), Q, form)
 
 
-def basic_steffensen(Q: DeltaOp, n: int) -> UmbralOp:
-    """Rows p_m = x (D/Q)^m x^{m-1} (row 0 is [1]), one power of D/Q per row."""
+def basic_steffensen(Q: DeltaOp, n: int, form: bool = False) -> UmbralOp | Rows:
+    """Rows p_m = x (D/Q)^m x^{m-1} (row 0 is [1]), one power of D/Q per row.  With
+    ``form``, the rows as ``agree``'s Rows, row m over the denominator of (D/Q)^m."""
     _require_depth(Q, n)
     table = islice(reciprocal_powers(Q.indicator.coeffs[1 : n + 2], n), 1, None)  # from (D/Q)^1
-    rows = [(Fraction(0),) + _on_monomial(p, dp, m) for m, (p, dp) in enumerate(table)]
-    return UmbralOp(Triangle(((Fraction(1),), *rows)), Q)
+    fact, rows, dens = [factorial(j) for j in range(n + 1)], [[1]], [1]
+    for m, (p, dp) in enumerate(table):
+        rows.append([0] + _on_monomial(p, m, fact))
+        dens.append(dp)
+    return _result(Rows((rows, dens)), Q, form)
 
 
-def basic_recurrence(Q: DeltaOp, n: int) -> UmbralOp:
+def basic_recurrence(Q: DeltaOp, n: int, form: bool = False) -> UmbralOp | Rows:
     """Rows p_{m+1} = x (Q')^{-1} p_m; inherently sequential.  On r_j = j! p_j, with
     c = 1/Q', the step is r'_{j+1} = (j+1) sum_k c_k r_{j+k}: c is scaled once, and each
-    row is kept as integers over one denominator, one ``reduced`` per row."""
+    row is kept as integers over one denominator, one ``reduced`` per row.  With ``form``,
+    the rows as ``agree``'s Rows: row m is r_j m!/j! over dr m!."""
     _require_depth(Q, n)
     c, dc = scaled(mul_inv(derive(Q.indicator)).coeffs[: n + 1])
     fact = [factorial(j) for j in range(n + 1)]
     r, dr = [1], 1
-    rows = [(Fraction(1),)]
+    rows, dens = [[1]], [1]
     for m in range(1, n + 1):
         r, dr = reduced([0] + [(j + 1) * sum(map(mul, c, r[j:])) for j in range(m)], dr * dc)
-        rows.append(tuple([Fraction(v, dr * fact[j]) for j, v in enumerate(r)]))
-    return UmbralOp(Triangle(tuple(rows)), Q)
+        rows.append([v * (fact[m] // fact[j]) for j, v in enumerate(r)])
+        dens.append(dr * fact[m])
+    return _result(Rows((rows, dens)), Q, form)
 
 
 def _power_columns(g: Series, n: int) -> tuple[list[list[int]], list[int]]:
@@ -236,20 +255,21 @@ def _bell_form(f: Series, n: int) -> tuple[list[list[int]], list[int]]:
     return [col[k:] for k, col in enumerate(cols)], [factorial(k) * d**k for k in range(n + 1)]
 
 
-def basic_genfunc(Q: DeltaOp, n: int) -> UmbralOp:
+def basic_genfunc(Q: DeltaOp, n: int, form: bool = False) -> UmbralOp | tuple[list[list[int]], list[int]]:
     """Columns from the generating function: coeff[m][k] = m! [t^m] invQ(t)^k / k!,
-    column k read off the integer power table of invQ."""
+    column k read off the integer power table of invQ.  With ``form``, the columns
+    as ``agree``'s (cols, dens), the form of ``_power_columns``."""
     _require_depth(Q, n)
     g = comp_inv(Q.indicator.truncate(max(n, 1)))
-    return UmbralOp(tri_from_columns(*_power_columns(g, n)), Q)
+    return _result(_power_columns(g, n), Q, form)
 
 
-def basic_km(Q: DeltaOp, n: int) -> UmbralOp:
+def basic_km(Q: DeltaOp, n: int, form: bool = False) -> UmbralOp | Rows:
     """Closed-form rows p_m = sum_j x^j/j! W^j x^m, W = invQ(D) - D, read off the
     integer power table of w = invQ - t: entry k of row m is
     sum_{j<=k} [t^{m-k+j}] w^j m!/(j! (k-j)!), summed as integers over the lcm of
     j! den(w^j).  Every j <= k is summed: w^j has order >= j, and >= 2j only when
-    Q is unitary."""
+    Q is unitary.  With ``form``, the rows as ``agree``'s Rows, all over that lcm."""
     _require_depth(Q, n)
     g = comp_inv(Q.indicator.truncate(max(n, 1)))
     table = list(powers((g - x_series(g.trunc)).coeffs, n))
@@ -259,14 +279,11 @@ def basic_km(Q: DeltaOp, n: int) -> UmbralOp:
     # diag[d][j] = [t^(d+j)] w^j over den / j!; fall[m][r] = m!/r!
     diag = [[table[j][0][d + j] * scale[j] for j in range(n + 1 - d)] for d in range(n + 1)]
     fall = [[fact[m] // fact[r] for r in range(m + 1)] for m in range(n + 1)]
-    rows = [
-        tuple(Fraction(sum(map(mul, diag[m - k], fall[m][k::-1])), den) for k in range(m + 1))
-        for m in range(n + 1)
-    ]
-    return UmbralOp(Triangle(tuple(rows)), Q)
+    rows = [[sum(map(mul, diag[m - k], fall[m][k::-1])) for k in range(m + 1)] for m in range(n + 1)]
+    return _result(Rows((rows, [den] * (n + 1))), Q, form)
 
 
-BASIC_ROUTES: dict[str, Callable[[DeltaOp, int], UmbralOp]] = {
+BASIC_ROUTES: dict[str, Callable[..., UmbralOp]] = {
     "transfer": basic_transfer,
     "steffensen": basic_steffensen,
     "recurrence": basic_recurrence,
@@ -276,9 +293,13 @@ BASIC_ROUTES: dict[str, Callable[[DeltaOp, int], UmbralOp]] = {
 
 
 def basic_all_routes(Q: DeltaOp, n: int) -> UmbralOp:
-    """The basic set of Q built by every route in BASIC_ROUTES; all must agree."""
-    tris = {name: route(Q, n).tri for name, route in BASIC_ROUTES.items()}
-    return UmbralOp(agree("basic", **tris), Q)
+    """The basic set of Q built by every route in BASIC_ROUTES; all must agree.  Each
+    route hands ``agree`` its integer form (``form=True``), so the routes are compared
+    with no Fraction, and only the first route's triangle, the one returned, is built
+    from Fractions and checked by UmbralOp; a malformed entry of another route is a
+    route disagreement."""
+    forms = {name: route(Q, n, form=True) for name, route in BASIC_ROUTES.items()}
+    return UmbralOp(tri_from_form(agree("basic", **forms)), Q)
 
 
 def basic_from_inverse_series(f: Series, n: int) -> UmbralOp:
@@ -347,19 +368,33 @@ def binomial_scan(v_sum, v_x, v_y, n: int) -> tuple[int, Fraction, Fraction] | N
 
 
 def is_binomial_type(tri: Triangle) -> bool:
-    """Detect binomial type == basicness.
+    """Detect binomial type == basicness: p_n(x+y) = sum_k C(n,k) p_k(x) p_{n-k}(y) for
+    all n <= N, in O(N^3) through the column EGFs c_k(t) = sum_m coeff[m][k] t^m/m!
+    (Mullin & Rota, On the foundations of combinatorial theory III, 1970).
 
-    After the shape guard (coeff[0][0] = 1, nonzero diagonal) one check is complete:
-        p_n(x+y) = sum_k C(n,k) p_k(x) p_{n-k}(y)
-    for all n <= N on the grid of ``binomial_grid``.
-    """
-    if tri.entry(0, 0) != 1:
+    After the shape guard (coeff[0][0] = 1, nonzero diagonal) the test is
+        c_0 = 1 and (i+1) c_{i+1} = c_i c_1 through t^N, for 1 <= i < N.
+    Proof.  The identity for n <= N says sum_k (x+y)^k c_k = (sum_i x^i c_i)(sum_j y^j c_j)
+    through t^N, that is C(i+j, i) c_{i+j} = c_i c_j for all i, j (*).  Each c_k has
+    order >= k, and c_k = 0 for k > N.  (*) implies the test: i = j = 0 gives
+    c_0 = c_0^2 with c_0(0) = 1, so c_0 = 1, and j = 1 is the second condition.
+    Conversely, induction on i gives c_i = c_1^i / i! for i <= N; for k > N both c_k and
+    c_1^k / k! vanish through t^N, so C(i+j, i) c_{i+j} = c_1^(i+j) / (i! j!) = c_i c_j
+    for all i, j.
+
+    On integers: the rows are scaled once to e / D and row m is lifted by N!/m!, so column
+    k holds N! D c_k; then c_0 = 1 reads column 0 = [N! D, 0, ..., 0], and the second
+    condition reads (i+1) N! D col_{i+1} = col_i col_1, one ``cauchy`` per i."""
+    if tri.entry(0, 0) != 1 or 0 in tri.diagonal():
         return False
-    for m in range(1, tri.n + 1):
-        if tri.entry(m, m) == 0:
-            return False
-    rows = [tri.row_poly(k) for k in range(tri.n + 1)]
-    return binomial_grid(rows, rows, rows, tri.n) is None
+    N = tri.n
+    e, d = scaled_rows(tri.rows)
+    lift = [factorial(N) // factorial(m) for m in range(N + 1)]
+    cols = [list(c) for c in zip(*[[v * f for v in row] for row, f in zip(e, lift)])]
+    one = d * lift[0]
+    if cols[0] != [one] + [0] * N:
+        return False
+    return all([(i + 1) * one * v for v in cols[i + 1]] == cauchy(cols[i], cols[1], N) for i in range(1, N))
 
 
 def sheffer(A: ShiftOp, phi: UmbralOp) -> Triangle:

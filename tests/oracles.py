@@ -33,7 +33,7 @@ from umbra.flow import _column_powers
 from umbra.operators import DeltaOp, ShiftOp, apply_op, validate_delta
 from umbra.rational import binom_row, rat, rat_str
 from umbra.serialize import series_to_json
-from umbra.umbral import Triangle, UmbralOp, basic_transfer, triangle
+from umbra.umbral import Triangle, UmbralOp, basic_transfer, binomial_grid, triangle
 
 
 def tri_from_polys(polys: Sequence[Poly]) -> Triangle:
@@ -341,6 +341,16 @@ def sigma_corollary(Q: DeltaOp, a, p: Poly) -> Poly:
 
 
 # -- the binomial-type coefficient identity ---------------------------------------------------
+
+
+def binomial_grid_ref(tri: Triangle) -> bool:
+    """Binomial type as ``umbral.is_binomial_type`` tested it before its column-EGF form:
+    after the shape guard (coeff[0][0] = 1, nonzero diagonal), the O(N^4) grid of
+    ``binomial_grid``, p_n(x+y) = sum_k C(n,k) p_k(x) p_{n-k}(y) for all n <= N."""
+    if tri.entry(0, 0) != 1 or any(tri.entry(m, m) == 0 for m in range(tri.n + 1)):
+        return False
+    rows = [tri.row_poly(k) for k in range(tri.n + 1)]
+    return binomial_grid(rows, rows, rows, tri.n) is None
 
 
 def binomial_identity_ref(tri: Triangle) -> bool:

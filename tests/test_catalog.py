@@ -2,6 +2,7 @@
 
 import sys
 import tracemalloc
+from collections import Counter
 from fractions import Fraction as F
 from itertools import cycle
 from math import factorial
@@ -147,22 +148,99 @@ def test_identity_check_seeded_is_deterministic():
     ]
 
 
+# -- one basic set per (family, params, depth) in a check request --------------------------------
+
+
+def _spy_basic_sets(monkeypatch):
+    """Spy on every binding of ``umbral.basic_transfer``: returns (built, routes), the
+    (Q, n) of each basic set built outside five_routes and the name of each route builder
+    that five_routes calls."""
+    built, routes, inside = [], [], []
+    real = umbral.basic_transfer
+
+    def transfer(Q, n, *args, **kwargs):
+        if not inside:
+            built.append((Q, n))
+        return real(Q, n, *args, **kwargs)
+
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name.partition(".")[0] == "umbra" and getattr(module, "basic_transfer", None) is real:
+            monkeypatch.setattr(module, "basic_transfer", transfer)
+
+    def route_spy(name, route):
+        return lambda Q, n, *args, **kwargs: routes.append(name) or route(Q, n, *args, **kwargs)
+
+    for name, route in umbral.BASIC_ROUTES.items():
+        monkeypatch.setitem(umbral.BASIC_ROUTES, name, route_spy(name, route))
+    five_routes = catalog._check_routes
+
+    def check_routes(*args):
+        inside.append(True)
+        try:
+            return five_routes(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(catalog, "_check_routes", check_routes)
+    return built, routes
+
+
+@pytest.mark.parametrize("name, params", DEFAULT_CHECK_SET)
+def test_identity_check_builds_each_basic_set_once(monkeypatch, name, params):
+    built, routes = _spy_basic_sets(monkeypatch)
+    assert identity_check(name, n=10, **params).all_passed
+    assert built and max(Counter(built).values()) == 1
+    # five_routes builds its own sets, one per route
+    assert sorted(routes) == sorted(umbral.BASIC_ROUTES)
+
+
+def test_check_all_builds_each_basic_set_once(monkeypatch):
+    # laguerre and degenerate_laguerre p=1 have one delta, so sets are told apart by family
+    built, routes = _spy_basic_sets(monkeypatch)
+    families, real = [], catalog.FamilySpec.basic
+
+    def basic(spec, n):
+        families.append((spec.name, tuple(spec.params.items()), n))
+        return real(spec, n)
+
+    monkeypatch.setattr(catalog.FamilySpec, "basic", basic)
+    assert check_all(10).all_passed
+    assert len(built) > len(families) > 0 and max(Counter(families).values()) == 1
+    assert Counter(routes) == {name: len(DEFAULT_CHECK_SET) for name in umbral.BASIC_ROUTES}
+
+
+def test_identity_checks_do_not_share_their_basic_sets(monkeypatch):
+    built, _ = _spy_basic_sets(monkeypatch)
+    identity_check("laguerre", n=8)
+    first = list(built)
+    identity_check("laguerre", n=8)
+    assert first and built == first + first
+
+
+def test_basic_set_key_holds_the_coerced_params():
+    sets = {}
+    phi = catalog._basic(sets, family("stretch", lam=2), 4)
+    assert catalog._basic(sets, family("stretch", lam=F(2)), 4) is phi
+    assert catalog._basic(sets, family("stretch", lam="2"), 4) is phi and len(sets) == 1
+
+
 # -- the binomial-convolution grid ------------------------------------------------------------
 
 _CORRUPTIONS = {"x": poly([0, 1]), "cubic": poly([0, F(1, 2), F(-3, 2), 1])}  # x(x-1/2)(x-1)
 
 _GRID_SITES = {
-    "binomial_type": lambda: catalog._check_binomial(family("falling"), 8),
-    "chu_vandermonde": lambda: catalog._check_chu_vandermonde(family("falling"), 8),
-    "abel_identity": lambda: catalog._check_abel_identity(family("abel", a=1), 8),
-    "smooth_abel": lambda: catalog._check_smooth_abel(family("abel", a=1), 8),
-    "degenerate_cross": lambda: catalog._check_degenerate_cross(family("degenerate_laguerre", p=2), 6),
+    "binomial_type": lambda: catalog._check_binomial(family("falling"), 8, {}),
+    "chu_vandermonde": lambda: catalog._check_chu_vandermonde(family("falling"), 8, {}),
+    "abel_identity": lambda: catalog._check_abel_identity(family("abel", a=1), 8, {}),
+    "smooth_abel": lambda: catalog._check_smooth_abel(family("abel", a=1), 8, {}),
+    "degenerate_cross": lambda: catalog._check_degenerate_cross(family("degenerate_laguerre", p=2), 6, {}),
 }
 
 # Counterexamples captured before the five sites shared `binomial_grid`, with p_m replaced
 # by p_m + c: the triangle rows for the basic and Sheffer sets, the Abel polynomials
 # x(x - ak)^(k-1) for the two Abel identities (smooth_abel's grid uses them for p_x).
-# binomial_type's coefficient identity reads the triangle entries, so only its grid fails.
+# binomial_type reads the triangle's entries, not its row polynomials, so there the same
+# p_m + c is made in the entries.
 _GRID_COUNTEREXAMPLES = {
     (2, "x"): {
         "binomial_type": {"n": 8},
@@ -209,6 +287,17 @@ def _corrupt_rows(monkeypatch, m, extra=_CORRUPTIONS["x"]):
     )
 
 
+def _corrupt_entries(monkeypatch, m, extra=_CORRUPTIONS["x"]):
+    real = catalog.FamilySpec.basic
+
+    def basic(spec, n):
+        rows = [list(r) for r in real(spec, n).tri.rows]
+        rows[m] = [v + extra[k] for k, v in enumerate(rows[m])]
+        return UmbralOp(Triangle(tuple(map(tuple, rows))))
+
+    monkeypatch.setattr(catalog.FamilySpec, "basic", basic)
+
+
 def _corrupt_abel(monkeypatch, m, extra=_CORRUPTIONS["x"]):
     real = catalog._abel_polys
 
@@ -224,7 +313,8 @@ def _corrupt_abel(monkeypatch, m, extra=_CORRUPTIONS["x"]):
 @pytest.mark.parametrize("m, corruption", sorted(_GRID_COUNTEREXAMPLES))
 def test_grid_identity_reports_the_first_failing_point(monkeypatch, site, m, corruption):
     assert _GRID_SITES[site]() is None
-    corrupt = _corrupt_abel if site in ("abel_identity", "smooth_abel") else _corrupt_rows
+    corrupt = {"abel_identity": _corrupt_abel, "smooth_abel": _corrupt_abel, "binomial_type": _corrupt_entries}
+    corrupt = corrupt.get(site, _corrupt_rows)
     corrupt(monkeypatch, m, _CORRUPTIONS[corruption])
     assert _GRID_SITES[site]() == _GRID_COUNTEREXAMPLES[m, corruption][site]
 
@@ -296,13 +386,12 @@ def _count_half_grid(monkeypatch) -> list[tuple[int, int]]:
     return calls
 
 
-def test_is_binomial_type_evaluates_each_polynomial_once_per_point(monkeypatch):
+def test_chu_vandermonde_evaluates_each_polynomial_once_per_point(monkeypatch):
     # the inline grid evaluated every p_k again for each (x, y): thousands of calls at N = 8;
     # the three sets of the grid are one set here, so it is tabulated once
     N = 8
-    tri = family("touchard").basic(N).tri
     calls = _count_half_grid(monkeypatch)
-    assert is_binomial_type(tri)
+    assert catalog._check_chu_vandermonde(family("touchard"), N, {}) is None
     assert 0 < sum(p * t for p, t in calls) <= (N + 1) * (2 * N + 3)
 
 
@@ -330,11 +419,45 @@ def test_is_binomial_type_rejects_every_single_entry_corruption(name, params):
                 assert umbral.basic_from_inverse_series(col1, N).tri == bad
 
 
+def _with_entry_raised(tri: Triangle, m: int, k: int) -> Triangle:
+    rows = [list(r) for r in tri.rows]
+    rows[m][k] += 1
+    return Triangle(tuple(map(tuple, rows)))
+
+
+@pytest.mark.parametrize("name, params", DEFAULT_CHECK_SET)
+def test_binomial_type_and_grid_oracle_reject_every_single_entry_corruption(name, params):
+    # the column-EGF test and the grid it replaced, now an oracle, give one verdict on every
+    # single-entry corruption; only entry (N, 1) gives the basic triangle of another delta
+    N = 12
+    tri = family(name, **params).basic(N).tri
+    assert is_binomial_type(tri) and oracles.binomial_grid_ref(tri)
+    for m in range(N + 1):
+        for k in range(m + 1):
+            bad = _with_entry_raised(tri, m, k)
+            basic = (m, k) == (N, 1)
+            assert is_binomial_type(bad) == basic, (m, k)
+            assert oracles.binomial_grid_ref(bad) == basic, (m, k)
+
+
+@pytest.mark.parametrize("name, params", DEFAULT_CHECK_SET)
+@pytest.mark.parametrize("N", [0, 1])
+def test_binomial_type_at_depth_zero_and_one(name, params, N):
+    # at N = 0 only the guard speaks; at N = 1, p_1(x+y) = p_1(x) + p_1(y) asks coeff[1][0] = 0
+    tri = family(name, **params).basic(N).tri
+    assert is_binomial_type(tri) and oracles.binomial_grid_ref(tri)
+    for m in range(N + 1):
+        for k in range(m + 1):
+            bad = _with_entry_raised(tri, m, k)
+            expected = (m, k) == (1, 1) and bad.entry(1, 1) != 0  # c_1 alone is free at N = 1
+            assert is_binomial_type(bad) == oracles.binomial_grid_ref(bad) == expected, (m, k)
+
+
 def test_degenerate_cross_tabulates_each_row_set_once(monkeypatch):
     # six exponent sums u + v, nine (u, v) scans: each Sheffer row set is evaluated once
     n = 6
     calls = _count_half_grid(monkeypatch)
-    assert catalog._check_degenerate_cross(family("degenerate_laguerre", p=2), n) is None
+    assert catalog._check_degenerate_cross(family("degenerate_laguerre", p=2), n, {}) is None
     assert calls == [(n + 1, 2 * n + 3)] * 6
 
 
@@ -365,15 +488,15 @@ def _corrupt_number(monkeypatch, name, at):
 
 
 def _erdelyi():
-    return catalog._check_erdelyi(family("laguerre"), 8)
+    return catalog._check_erdelyi(family("laguerre"), 8, {})
 
 
 def _lah_connection():
-    return catalog._check_lah_connection(family("laguerre"), 8)
+    return catalog._check_lah_connection(family("laguerre"), 8, {})
 
 
 def _spivey():
-    return catalog._check_spivey(family("touchard"), 10)
+    return catalog._check_spivey(family("touchard"), 10, {})
 
 
 @pytest.mark.parametrize(
@@ -473,7 +596,7 @@ class _FixedDraws:
 )
 def test_transform_roundtrip_fails_on_a_corrupted_inverse(monkeypatch, col, seq, expected):
     spec = family("falling")
-    assert catalog._check_transform_roundtrip(spec, 8, _FixedDraws(seq)) is None
+    assert catalog._check_transform_roundtrip(spec, 8, {}, _FixedDraws(seq)) is None
     real = catalog.tri_invert
 
     def tri_invert(tri):
@@ -482,16 +605,16 @@ def test_transform_roundtrip_fails_on_a_corrupted_inverse(monkeypatch, col, seq,
         return Triangle(tuple(map(tuple, rows)))
 
     monkeypatch.setattr(catalog, "tri_invert", tri_invert)
-    assert catalog._check_transform_roundtrip(spec, 8, _FixedDraws(seq)) == expected
+    assert catalog._check_transform_roundtrip(spec, 8, {}, _FixedDraws(seq)) == expected
 
 
 @pytest.mark.parametrize("name", ["falling", "touchard", "laguerre", "catalan"])
 @pytest.mark.parametrize("row, col", [(3, 1), (5, 2), (8, 7)])
 def test_special_class_fails_on_a_corrupted_row(monkeypatch, name, row, col):
     # n = 1 reaches every row of the triangle, so the first failure is always there
-    assert catalog._check_special_class(family(name), 8) is None
+    assert catalog._check_special_class(family(name), 8, {}) is None
     _corrupt_basic(monkeypatch, name, row, col)
-    assert catalog._check_special_class(family(name), 8) == {"n": 1}
+    assert catalog._check_special_class(family(name), 8, {}) == {"n": 1}
 
 
 # -- the last Poly-loop identities on scaled rows; the degenerate base at any p -----------------
@@ -515,10 +638,10 @@ def test_row_identities_make_no_poly_arithmetic(monkeypatch):
     for name in _POLY_METHODS:
         counting(Poly, name)
     counting(Triangle, "apply_poly")
-    assert catalog._check_stirling_recurrences(family("falling"), 10) is None
-    assert catalog._check_touchard_recurrence(family("touchard"), 10) is None
+    assert catalog._check_stirling_recurrences(family("falling"), 10, {}) is None
+    assert catalog._check_touchard_recurrence(family("touchard"), 10, {}) is None
     for p in (1, 2, 3):
-        assert catalog._check_degenerate_ode(family("degenerate_laguerre", p=p), 8) is None
+        assert catalog._check_degenerate_ode(family("degenerate_laguerre", p=p), 8, {}) is None
     assert calls == []
 
 
@@ -547,4 +670,4 @@ def test_degenerate_identities_resolve_the_base_at_n_plus_3(monkeypatch, check, 
 
     monkeypatch.setattr(catalog, "pow_rat", pow_rat)
     monkeypatch.setattr(umbral, "pow_rat", pow_rat)
-    assert check(family("degenerate_laguerre", p=10**5), n) is None
+    assert check(family("degenerate_laguerre", p=10**5), n, {}) is None

@@ -650,7 +650,7 @@ def _failing_report(*args, **kwargs):
         ),
         (
             ["basic", "--delta", "exp(D)-1", "--order", "5"],
-            lambda mp: mp.setitem(umbral.BASIC_ROUTES, "km", lambda Q, n: umbral.basic_recurrence(Q, n - 1)),
+            lambda mp: mp.setitem(umbral.BASIC_ROUTES, "km", lambda Q, n, form: umbral.basic_recurrence(Q, n - 1, form)),
             1,
         ),
     ],

@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction as F
+from math import lcm
 from pathlib import Path
 
 from hypothesis import given
@@ -20,10 +21,10 @@ import pytest
 from umbra import bell, flow, fps, sigma, umbral
 from umbra.catalog import family, identity_check
 from umbra.cli import main
-from umbra.errors import RouteDisagreement, agree, shown
+from umbra.errors import RouteDisagreement, Rows, agree, shown
 from umbra.fps import monomial, poly, series
 from umbra.operators import ShiftOp, validate_delta
-from umbra.umbral import UmbralOp, triangle
+from umbra.umbral import triangle
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -118,6 +119,46 @@ def test_agree_on_triangle_forms_matches_triangles(pair):
     _same_outcome(pair, [rows(*form) for form in pair])
 
 
+@st.composite
+def _row_pair(draw):
+    """Two triangle forms by rows, row m over its own denominator: the second scales row m
+    by k_m, so neither need be reduced, maybe with a zero row more and one entry shifted."""
+    n = draw(st.integers(0, 4))
+    rows = [draw(st.lists(st.integers(-9, 9), min_size=m + 1, max_size=m + 1)) for m in range(n + 1)]
+    dens = [draw(st.integers(1, 12)) for _ in range(n + 1)]
+    scale = [draw(st.integers(1, 3)) for _ in range(n + 1)]
+    extra = draw(st.integers(0, 1))
+    other = [[s * v for v in row] for s, row in zip(scale, rows)] + [[0] * (n + 2)] * extra
+    m = draw(st.integers(0, n))
+    other[m][draw(st.integers(0, m))] += draw(st.integers(-2, 2))
+    return Rows((rows, dens)), Rows((other, [s * d for s, d in zip(scale, dens)] + [1] * extra))
+
+
+def _by_columns(form):
+    """The triangle by columns of a form by rows, column k over the lcm of its rows' dens."""
+    rows, dens = form
+    cols, col_dens = [], []
+    for k in range(len(rows)):
+        d = lcm(*dens[k:])
+        cols.append([rows[m][k] * (d // dens[m]) for m in range(k, len(rows))])
+        col_dens.append(d)
+    return cols, col_dens
+
+
+def _tri_of_rows(form):
+    rows, dens = form
+    return triangle([[F(v, d) for v in row] for row, d in zip(rows, dens)])
+
+
+@given(_row_pair())
+def test_agree_on_row_forms_matches_triangles(pair):
+    tris = [_tri_of_rows(form) for form in pair]
+    _same_outcome(pair, tris)
+    # a form by rows against one by columns, either first
+    _same_outcome((pair[0], _by_columns(pair[1])), tris)
+    _same_outcome((_by_columns(pair[0]), pair[1]), tris)
+
+
 def test_agree_names_first_route_that_differs():
     with pytest.raises(RouteDisagreement) as info:
         agree("demo", a=F(1), b=F(1), c=F(2), d=F(3))
@@ -127,11 +168,19 @@ def test_agree_names_first_route_that_differs():
 # -- injected disagreements through the CLI -------------------------------------------------------
 
 
-def _wrong_km(Q, n, gain=1):
-    phi = umbral.basic_km(Q, n)
-    rows = [list(r) for r in phi.tri.rows]
-    rows[3][2] += gain
-    return UmbralOp(triangle(rows), phi.delta)
+def _wrong_route(route, m, k, gain=1):
+    """A route for ``basic_all_routes``, which asks each route for its integer form: the
+    form of ``route``, by rows, with entry (m, k) raised by ``gain``."""
+
+    def wrong(Q, n, form):
+        rows, dens = out = route(Q, n, form=True)
+        rows[m][k] += gain * dens[m]
+        return out
+
+    return wrong
+
+
+_wrong_km = _wrong_route(umbral.basic_km, 3, 2)
 
 
 def _edit_shifted_columns(edit):
@@ -315,13 +364,41 @@ INJECTIONS = {
     "basic_past_digit_limit": (
         # -3 + 2^80000 has 24083 digits, past the 21845 the CLI can print
         ["basic", "--delta", "exp(D)-1", "--route", "all", "--order", "5", "--format", "json"],
-        lambda mp: mp.setitem(umbral.BASIC_ROUTES, "km", lambda Q, n: _wrong_km(Q, n, 2**80000)),
+        lambda mp: mp.setitem(umbral.BASIC_ROUTES, "km", _wrong_route(umbral.basic_km, 3, 2, 2**80000)),
         {
             "construction": "basic",
             "routes": ["transfer", "km"],
             "index": [3, 2],
             "values": ["-3", "<80000-bit numerator>/<1-bit denominator>"],
         },
+    ),
+    "basic_recurrence": (
+        ["basic", "--delta=2*D-D^2/3+3*D^3/5", "--route", "all", "--order", "8", "--format", "json"],
+        lambda mp: mp.setitem(umbral.BASIC_ROUTES, "recurrence", _wrong_route(umbral.basic_recurrence, 7, 2)),
+        {
+            "construction": "basic",
+            "routes": ["transfer", "recurrence"],
+            "index": [7, 2],
+            "values": ["86597/5760", "92357/5760"],
+        },
+    ),
+    "basic_transfer": (
+        # the route that agree returns is the wrong one; steffensen is the first to differ
+        ["basic", "--delta=2*D-D^2/3+3*D^3/5", "--route", "all", "--order", "8", "--format", "json"],
+        lambda mp: mp.setitem(umbral.BASIC_ROUTES, "transfer", _wrong_route(umbral.basic_transfer, 6, 3)),
+        {
+            "construction": "basic",
+            "routes": ["transfer", "steffensen"],
+            "index": [6, 3],
+            "values": ["-209/288", "-497/288"],
+        },
+    ),
+    "basic_km_zero_diagonal": (
+        # no UmbralOp has a zero diagonal, but only the returned route's triangle is built:
+        # a malformed entry of another route is a disagreement
+        ["basic", "--delta", "exp(D)-1", "--route", "all", "--order", "5", "--format", "json"],
+        lambda mp: mp.setitem(umbral.BASIC_ROUTES, "km", _wrong_route(umbral.basic_km, 4, 4, -1)),
+        {"construction": "basic", "routes": ["transfer", "km"], "index": [4, 4], "values": ["1", "0"]},
     ),
     "basic_powers": (
         ["basic", "--delta", "exp(D)-1", "--route", "all", "--order", "5", "--format", "json"],

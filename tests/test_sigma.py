@@ -3,6 +3,9 @@
 import random
 from fractions import Fraction as F
 
+import pytest
+
+from umbra.errors import TruncationError
 from umbra.fps import exp_series, mul_inv, poly, series, x_series
 from umbra.operators import ShiftOp, apply_op, derivative_op, shift_by, validate_delta
 from umbra.sigma import (
@@ -102,6 +105,13 @@ def test_catalan_sigma_integration_route():
 def test_sigma_on_zero():
     Delta = catalog_deltas()["Delta"]
     assert sigma_apply(Delta, 3, poly([])).is_zero()
+
+
+def test_sigma_past_its_depth_raises_truncation_error():
+    s = SigmaOp(catalog_deltas()["Laguerre"], F(1, 2), depth=3)
+    assert not s.apply(poly([1, 2, 3, 4])).is_zero()
+    with pytest.raises(TruncationError):
+        s.apply(poly([1, 2, 3, 4, 5]))
 
 
 # -- Faulhaber ------------------------------------------------------------------------
