@@ -237,7 +237,7 @@ _SPEC_FACTORIES: dict[str, Callable[..., _Spec]] = {
 FAMILY_NAMES = tuple(_SPEC_FACTORIES)
 
 
-def family(name: str, **params: RatLike) -> FamilySpec:
+def family(name: str, /, **params: RatLike) -> FamilySpec:
     """Look up a family by name; parameters are exact rationals."""
     if name not in _SPEC_FACTORIES:
         raise UnknownFamily(f"unknown family {name!r}; known: {', '.join(FAMILY_NAMES)}")
@@ -729,13 +729,11 @@ def _apply(rows, v: list[int]) -> list[int]:
     return [sum(map(mul, row, v)) for row in rows]
 
 
-def identity_check(
-    name: str, n: int = 10, report: Report | None = None, seed: int = 0, **params
-) -> Report:
+def identity_check(name: str, n: int = 10, seed: int = 0, **params) -> Report:
     """Run every identity of a family at depth min(n, its row's cap), the three rows
     here and then the family's rows of ``_FAMILY_IDENTITIES``; exact pass/fail each.
     The identities share one basic set per (family, params, depth), built in this call."""
-    report = report if report is not None else Report()
+    report = Report()
     _run_identities(family(name, **params), n, report, seed, {})
     return report
 

@@ -1,10 +1,11 @@
 """Command-line surface.
 
-Every subcommand prints exact rational output (JSON, TSV or pretty text);
---decimal renders pretty output as fixed-precision decimals clearly marked
-as lossy.  Exit codes: 0 success / all checks pass, 1 identity failure or
-route disagreement (JSON counterexample on stdout), 2 input or usage error.
-The environment variable UMBRA_ORDER overrides the default order (16).
+Each subcommand returns one value; ``main`` alone turns it into the exit code
+and prints it as exact rational output (JSON, TSV or pretty text); --decimal
+renders pretty output as fixed-precision decimals clearly marked as lossy.
+Exit codes: 0 success / all checks pass, 1 identity failure or route
+disagreement (JSON counterexample on stdout), 2 input or usage error.  The
+environment variable UMBRA_ORDER overrides the default order (16).
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from fractions import Fraction
 
 from . import catalog, serialize, sigma
 from .errors import RouteDisagreement, UmbraError
-from .expr import MAX_STR_DIGITS, eval_expr
+from .expr import MAX_STR_DIGITS, degree_bound, eval_ast, eval_expr, parse
 from .flow import frac_iterate, itlog, phi_pow
-from .fps import Poly, Series, comp_inv, format_series, poly
+from .fps import Poly, comp_inv, poly
 from .operators import ShiftOp, validate_delta
 from .rational import rat, rat_str
 from .umbral import BASIC_ROUTES, Triangle, basic_all_routes, basic_transfer, sheffer
@@ -128,15 +129,15 @@ def _order(args) -> int:
     return order
 
 
-def _parse_params(text: str) -> dict:
+def _parse_params(text: str | None) -> dict:
     out = {}
-    if not text:
-        return out
-    for piece in text.split(","):
+    for piece in text.split(",") if text else ():
         if "=" not in piece:
             raise UmbraError(f"bad parameter {piece!r}; expected name=value")
-        key, value = piece.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in piece.split("=", 1))
+        if key in out:
+            raise UmbraError(f"parameter {key!r} given twice")
+        out[key] = value
     return out
 
 
@@ -149,145 +150,101 @@ def _rat_option(option: str, text: str) -> Fraction:
         ) from None
 
 
-def _rat_pretty(q: Fraction, args) -> str:
-    return _decimal_str(q) if args.decimal else rat_str(q)
-
-
-def _silence_stdout():
-    """Point stdout at the null device once its reader has gone (`umbra ... | head -1`)."""
-    devnull = os.open(os.devnull, os.O_WRONLY)
-    os.dup2(devnull, sys.stdout.fileno())
-    os.close(devnull)
-
-
-def _emit_series(f: Series, args):
+def _text(value, args) -> str:
+    """One result as printed: JSON, TSV, or pretty text (lossy decimals with --decimal).
+    A report prints a line per identity and then, if one failed, the JSON of the failures."""
     if args.format == "json":
-        print(serialize.dumps(serialize.series_to_json(f)))
+        return serialize.dumps(serialize.to_json(value)) + "\n"
+    if isinstance(value, catalog.Report):
+        lines = []
+        for r in value.results:
+            params = ",".join(f"{k}={rat_str(v)}" for k, v in r.params.items())
+            label = f"{r.family}({params})" if params else r.family
+            lines.append(f"{'PASS' if r.passed else 'FAIL'}\t{label}\t{r.identity}")
+        if not value.all_passed:
+            failures = catalog.Report([r for r in value.results if not r.passed])
+            lines.append(serialize.dumps(serialize.to_json(failures)))
+        return "\n".join(lines) + "\n"
+    if isinstance(value, Triangle) and args.format == "tsv":
+        return serialize.triangle_to_tsv(value)
+    num = _decimal_str if args.decimal and args.format == "pretty" else rat_str
+    if isinstance(value, Triangle):
+        text = "\n".join("  ".join(map(num, row)) for row in value.rows)
+    elif isinstance(value, Fraction):
+        text = num(value)
     elif args.format == "tsv":
-        print("\t".join(rat_str(c) for c in f.coeffs))
+        text = "\t".join(map(rat_str, value.coeffs)) or "0"  # the zero polynomial has no coefficients
     else:
-        if args.decimal:
-            print("(decimal, lossy) " + " ".join(_decimal_str(c) for c in f.coeffs))
-        else:
-            print(format_series(f))
-
-
-def _emit_poly(p: Poly, args):
-    if args.format == "json":
-        print(serialize.dumps(serialize.poly_to_json(p)))
-    elif args.format == "tsv":
-        print("\t".join(rat_str(c) for c in p.coeffs) if not p.is_zero() else "0")
-    else:
-        if args.decimal:
-            print("(decimal, lossy) " + " ".join(_decimal_str(c) for c in p.coeffs))
-        else:
-            print(str(p))
-
-
-def _emit_triangle(t: Triangle, args):
-    if args.format == "json":
-        print(serialize.dumps(serialize.triangle_to_json(t)))
-    elif args.format == "tsv":
-        sys.stdout.write(serialize.triangle_to_tsv(t))
-    else:
-        print("\n".join("  ".join(_rat_pretty(v, args) for v in row) for row in t.rows))
-
-
-def _emit_report(report, args) -> int:
-    try:
-        if args.format == "json":
-            print(serialize.dumps(serialize.report_to_json(report)))
-        else:
-            for r in report.results:
-                mark = "PASS" if r.passed else "FAIL"
-                params = ",".join(f"{k}={rat_str(rat(v))}" for k, v in r.params.items())
-                label = f"{r.family}({params})" if params else r.family
-                print(f"{mark}\t{label}\t{r.identity}")
-            if not report.all_passed:
-                failures = [r for r in report.results if not r.passed]
-                print(serialize.dumps(serialize.report_to_json(catalog.Report(failures))))
-    except BrokenPipeError:
-        _silence_stdout()
-    return 0 if report.all_passed else 1
+        text = "(decimal, lossy) " + " ".join(map(num, value.coeffs)) if args.decimal else str(value)
+    return text + "\n"
 
 
 def _delta_from_expr(text: str, trunc: int):
     return validate_delta(ShiftOp(eval_expr(text, trunc)))
 
 
-def run(args) -> int:
+def _poly_option(text: str, order: int) -> Poly:
+    """--poly as an exact polynomial, refused unless no term past x^order can be cut off."""
+    tree = parse(text)
+    bound = degree_bound(tree)
+    if bound is None or bound > order:
+        raise UmbraError(f"--poly {text!r} is not a polynomial of degree at most --order ({order})")
+    return poly(eval_ast(tree, order).coeffs)
+
+
+def run(args):
+    """The value of one subcommand: a Series, Poly, Triangle, Fraction (sum --at) or Report."""
     cmd = args.command
     if cmd == "faulhaber":  # the one subcommand without an order
         if not 0 <= args.n <= MAX_ORDER:
             raise UmbraError(f"n must be between 0 and {MAX_ORDER}")
-        _emit_poly(sigma.faulhaber(args.n), args)
-        return 0
+        return sigma.faulhaber(args.n)
 
     order = _order(args)
 
     if cmd == "series":
-        _emit_series(eval_expr(args.expr, order), args)
-        return 0
+        return eval_expr(args.expr, order)
 
     if cmd == "inverse":
         # an order-1 input is read through x^1 at least: order 0 needs its x coefficient too
-        _emit_series(comp_inv(eval_expr(args.expr, max(order, 1))).truncate(order), args)
-        return 0
+        return comp_inv(eval_expr(args.expr, max(order, 1))).truncate(order)
 
     if cmd == "basic":
         Q = _delta_from_expr(args.delta, order + 1)
         build = basic_all_routes if args.route == "all" else BASIC_ROUTES[args.route]
-        _emit_triangle(build(Q, order).tri, args)
-        return 0
+        return build(Q, order).tri
 
     if cmd == "triangle":
-        spec = catalog.family(args.family, **_parse_params(args.params))
-        _emit_triangle(spec.basic(order).tri, args)
-        return 0
+        return catalog.family(args.family, **_parse_params(args.params)).basic(order).tri
 
     if cmd == "sheffer":
         Q = _delta_from_expr(args.delta, order + 1)
         appell = ShiftOp(eval_expr(args.appell, order))
-        _emit_triangle(sheffer(appell, basic_transfer(Q, order)), args)
-        return 0
+        return sheffer(appell, basic_transfer(Q, order))
 
     if cmd == "iterate":
         f = eval_expr(args.series_expr, max(order, 1))
-        _emit_series(frac_iterate(f, _rat_option("--s", args.s), args.k, order), args)
-        return 0
+        return frac_iterate(f, _rat_option("--s", args.s), args.k, order)
 
     if cmd == "itlog":
-        _emit_series(itlog(eval_expr(args.series_expr, max(order, 1))).truncate(order), args)
-        return 0
+        return itlog(eval_expr(args.series_expr, max(order, 1))).truncate(order)
 
     if cmd == "phipow":
         Q = _delta_from_expr(args.delta, max(order, 1))
-        _emit_triangle(phi_pow(Q, _rat_option("--s", args.s), order), args)
-        return 0
+        return phi_pow(Q, _rat_option("--s", args.s), order)
 
     if cmd == "sum":
-        p = poly(eval_expr(args.poly_expr, order).coeffs)
-        anchor = _rat_option("--from", args.lower)
-        summed = sigma.delta_sum(p, anchor)
-        if args.at is not None:
-            value = summed(_rat_option("--at", args.at))
-            if args.format == "json":
-                print(serialize.dumps(rat_str(value)))
-            else:
-                print(_rat_pretty(value, args) if args.format == "pretty" else rat_str(value))
-        else:
-            _emit_poly(summed, args)
-        return 0
+        summed = sigma.delta_sum(_poly_option(args.poly_expr, order), _rat_option("--from", args.lower))
+        return summed if args.at is None else summed(_rat_option("--at", args.at))
 
     if cmd == "check":
         if args.all:
             if args.params is not None:
                 raise UmbraError("--params needs --family: check --all runs its own parameter set")
-            report = catalog.check_all(n=order, seed=args.seed)
-        else:
-            params = _parse_params(args.params)
-            report = catalog.identity_check(args.family, n=order, seed=args.seed, **params)
-        return _emit_report(report, args)
+            return catalog.check_all(n=order, seed=args.seed)
+        params = _parse_params(args.params)
+        catalog.family(args.family, **params)  # refuses n, seed or any name the family does not take
+        return catalog.identity_check(args.family, n=order, seed=args.seed, **params)
 
     raise UmbraError(f"unknown command {cmd!r}")
 
@@ -304,7 +261,10 @@ def main(argv=None) -> int:
     code = 0
     try:
         try:
-            code = run(args)
+            value = run(args)
+            if isinstance(value, catalog.Report) and not value.all_passed:
+                code = 1  # set before printing, so a reader that has gone keeps it
+            sys.stdout.write(_text(value, args))
         except RouteDisagreement as exc:
             code = 1
             print(serialize.dumps(serialize.disagreement_to_json(exc)))
@@ -312,8 +272,10 @@ def main(argv=None) -> int:
             code = 2
             print(f"error: {exc}", file=sys.stderr)
         sys.stdout.flush()
-    except BrokenPipeError:
-        _silence_stdout()
+    except BrokenPipeError:  # the reader has gone (`umbra ... | head -1`): point stdout at the null device
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     finally:
         sys.set_int_max_str_digits(limit)
     return code

@@ -505,6 +505,28 @@ def _eval_node(node: Node, trunc: int) -> Series | Poly:
     raise TypeError(f"unknown node {node!r}")
 
 
+def degree_bound(node: Node) -> int | None:
+    """A bound on the degree of the polynomial a tree stands for: a number is 0, x or D
+    is 1, a sum takes the larger bound, a product the sum, ^k k times the bound, and a
+    division by a constant keeps it.  None where the tree need not be a polynomial:
+    exp, log, sqrt, a rational or negative power, a division by a non-constant."""
+    if isinstance(node, Num):
+        return 0
+    if isinstance(node, Var):
+        return 1
+    if isinstance(node, Neg):
+        return degree_bound(node.child)
+    if isinstance(node, Pow):
+        e, d = node.exponent, degree_bound(node.base)
+        return None if d is None or e.denominator != 1 or e < 0 else int(e) * d
+    if isinstance(node, BinOp):
+        left, right = degree_bound(node.left), degree_bound(node.right)
+        if left is None or right is None or (node.op == "/" and right > 0):
+            return None
+        return left + right if node.op == "*" else max(left, right)
+    return None
+
+
 def eval_ast(node: Node, order: int) -> Series:
     """Evaluate to an exact Series at truncation ``order``.
 

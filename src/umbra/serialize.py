@@ -10,6 +10,7 @@ schemas only; the readers that check that round trip are the tests' own
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 from .errors import shown
 from .fps import Poly, Series
@@ -72,3 +73,9 @@ def disagreement_to_json(exc) -> dict:
         "index": exc.index,
         "values": [shown(v) for v in exc.values],
     }
+
+
+def to_json(value):
+    """The schema of one CLI result: a Series, Poly, Triangle, Fraction or catalog Report."""
+    schemas = {Series: series_to_json, Poly: poly_to_json, Triangle: triangle_to_json, Fraction: rat_str}
+    return schemas.get(type(value), report_to_json)(value)

@@ -288,25 +288,22 @@ def test_decimal_flag_leaves_caller_precision(capsys, prec):
     assert (code2, out2) == (0, "-0.00897431282919\n")
 
 
-def test_failing_report_exits_one_with_counterexample(capsys):
-    # exercise the identity-failure contract through the report emitter
-    import argparse
+def test_failing_report_exits_one_with_counterexample(capsys, monkeypatch):
+    # exercise the identity-failure contract through main, with a failing report in place
+    def failing_report(*args, **kwargs):
+        rep = Report()
+        rep.record("fake", "broken_identity", {}, {"n": 3, "k": 1})
+        return rep
 
-    from umbra.catalog import Report
-    from umbra.cli import _emit_report
-
-    rep = Report()
-    rep.record("fake", "broken_identity", {}, {"n": 3, "k": 1})
-    args = argparse.Namespace(format="json", decimal=False)
-    assert _emit_report(rep, args) == 1
-    out = capsys.readouterr().out
+    monkeypatch.setattr(catalog, "identity_check", failing_report)
+    code, out, _ = run(capsys, "check", "--family", "falling", "--format", "json")
+    assert code == 1
     payload = json.loads(out)
     assert payload[0]["status"] == "fail"
     assert payload[0]["counterexample"] == {"n": "3", "k": "1"}
     # pretty mode appends the JSON counterexample after the FAIL line
-    args = argparse.Namespace(format="pretty", decimal=False)
-    assert _emit_report(rep, args) == 1
-    out = capsys.readouterr().out
+    code, out, _ = run(capsys, "check", "--family", "falling", "--format", "pretty")
+    assert code == 1
     assert out.startswith("FAIL") and '"counterexample"' in out
 
 
@@ -320,6 +317,59 @@ def test_family_unknown_parameter_is_named(capsys):
     code, out, err = run(capsys, "check", "--family", "abel", "--params", "a=1,b=2")
     assert code == 2 and out == ""
     assert err == "error: bad parameters for family 'abel': unknown parameter 'b' (accepted: a)\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # each name collided with a keyword of identity_check or family and ended in a traceback
+        (["check", "--family=falling", "--params=seed=3"], "unknown parameter 'seed' (accepted: none)"),
+        (["check", "--family=falling", "--params=n=3"], "unknown parameter 'n' (accepted: none)"),
+        (["check", "--family=falling", "--params=report=3"], "unknown parameter 'report' (accepted: none)"),
+        (["check", "--family=falling", "--params=name=3"], "unknown parameter 'name' (accepted: none)"),
+        (["triangle", "--family=stretch", "--params=lam=2,name=3"], "unknown parameter 'name' (accepted: lam)"),
+    ],
+    ids=["seed", "n", "report", "name", "triangle_name"],
+)
+def test_params_that_name_a_keyword_exit_2(capsys, argv, message):
+    family = argv[1].split("=")[1]
+    assert run(capsys, *argv) == (2, "", f"error: bad parameters for family {family!r}: {message}\n")
+
+
+@pytest.mark.parametrize("command", ["check", "triangle"])
+def test_repeated_parameter_exits_2(capsys, command):
+    # the last value used to win silently
+    code, out, err = run(capsys, command, "--family=abel", "--params=a=1,a=2")
+    assert (code, out, err) == (2, "", "error: parameter 'a' given twice\n")
+
+
+@pytest.mark.parametrize(
+    "poly, order",
+    [("x^2", "1"), ("x^20", "16"), ("x^16+x^17", "16"), ("exp(x)", "16"), ("1/(1-x)", "16"), ("(1+x)^(1/2)", "16")],
+)
+def test_sum_refuses_a_polynomial_the_order_would_cut(capsys, poly, order):
+    # --poly is read as a series cut at x^order; summing what was left printed a wrong polynomial
+    for at in ([], ["--at=3"]):
+        code, out, err = run(capsys, "sum", f"--poly={poly}", "--from=0", f"--order={order}", *at)
+        assert (code, out) == (2, "")
+        assert err == f"error: --poly {poly!r} is not a polynomial of degree at most --order ({order})\n"
+
+
+@pytest.mark.parametrize(
+    "poly, lower, order, expected",
+    [
+        (
+            "x^16",
+            "0",
+            "16",
+            "0\t-3617/510\t0\t140/3\t0\t-1382/15\t0\t260/3\t0\t-143/3\t0\t52/3\t0\t-14/3\t0\t4/3\t-1/2\t1/17\n",
+        ),
+        ("(1+x)^2/2-x/(3/2)", "1/2", "2", "-5/24\t5/12\t-1/12\t1/6\n"),
+    ],
+)
+def test_sum_of_a_polynomial_within_the_order_is_exact(capsys, poly, lower, order, expected):
+    argv = ["sum", f"--poly={poly}", f"--from={lower}", f"--order={order}", "--format=tsv"]
+    assert run(capsys, *argv) == (0, expected, "")
 
 
 def test_faulhaber_n_cap(capsys):
@@ -475,6 +525,283 @@ LOW_ORDERS = {
 def test_flow_subcommands_keep_their_low_order_output(capsys, argv):
     for order, (code, out, err) in enumerate(LOW_ORDERS[argv]):
         assert run(capsys, *argv, f"--order={order}", "--format=json") == (code, out, err), order
+
+
+# stdout of every printing subcommand in the other formats, captured before one
+# printer replaced the per-type emitters; every row exits 0 with an empty stderr
+GOLDEN_FORMATS = {
+    ("series", "exp(x)*log(1+x)", "--order=4", "--format=tsv"):
+        "0\t1\t1/2\t1/3\t0\n",
+    ("series", "exp(x)*log(1+x)", "--order=4", "--format=pretty"):
+        "x + 1/2*x^2 + 1/3*x^3 + O(x^5)\n",
+    ("series", "exp(x)*log(1+x)", "--order=4", "--format=pretty", "--decimal"):
+        "(decimal, lossy) 0 1 0.5 0.333333333333 0\n",
+    ("series", "exp(x)", "--order=0", "--format=tsv"):
+        "1\n",
+    ("series", "exp(x)", "--order=0", "--format=pretty"):
+        "1 + O(x^1)\n",
+    ("series", "exp(x)", "--order=0", "--format=pretty", "--decimal"):
+        "(decimal, lossy) 1\n",
+    ("inverse", "x-x^2/3", "--order=4", "--format=tsv"):
+        "0\t1\t1/3\t2/9\t5/27\n",
+    ("inverse", "x-x^2/3", "--order=4", "--format=pretty"):
+        "x + 1/3*x^2 + 2/9*x^3 + 5/27*x^4 + O(x^5)\n",
+    ("inverse", "x-x^2/3", "--order=4", "--format=pretty", "--decimal"):
+        "(decimal, lossy) 0 1 0.333333333333 0.222222222222 0.185185185185\n",
+    ("basic", "--delta=exp(D)-1", "--route=all", "--order=4", "--format=tsv"):
+        (
+            "1\n"
+            "0\t1\n"
+            "0\t-1\t1\n"
+            "0\t2\t-3\t1\n"
+            "0\t-6\t11\t-6\t1\n"
+        ),
+    ("basic", "--delta=exp(D)-1", "--route=all", "--order=4", "--format=pretty"):
+        (
+            "1\n"
+            "0  1\n"
+            "0  -1  1\n"
+            "0  2  -3  1\n"
+            "0  -6  11  -6  1\n"
+        ),
+    ("basic", "--delta=exp(D)-1", "--route=all", "--order=4", "--format=pretty", "--decimal"):
+        (
+            "1\n"
+            "0  1\n"
+            "0  -1  1\n"
+            "0  2  -3  1\n"
+            "0  -6  11  -6  1\n"
+        ),
+    ("basic", "--delta=D/(1-D/2)", "--route=genfunc", "--order=3", "--format=tsv"):
+        (
+            "1\n"
+            "0\t1\n"
+            "0\t-1\t1\n"
+            "0\t3/2\t-3\t1\n"
+        ),
+    ("basic", "--delta=D/(1-D/2)", "--route=genfunc", "--order=3", "--format=pretty"):
+        (
+            "1\n"
+            "0  1\n"
+            "0  -1  1\n"
+            "0  3/2  -3  1\n"
+        ),
+    ("basic", "--delta=D/(1-D/2)", "--route=genfunc", "--order=3", "--format=pretty", "--decimal"):
+        (
+            "1\n"
+            "0  1\n"
+            "0  -1  1\n"
+            "0  1.5  -3  1\n"
+        ),
+    ("triangle", "--family=abel", "--params=a=1/2", "--order=3", "--format=tsv"):
+        (
+            "1\n"
+            "0\t1\n"
+            "0\t-1\t1\n"
+            "0\t9/4\t-3\t1\n"
+        ),
+    ("triangle", "--family=abel", "--params=a=1/2", "--order=3", "--format=pretty"):
+        (
+            "1\n"
+            "0  1\n"
+            "0  -1  1\n"
+            "0  9/4  -3  1\n"
+        ),
+    ("triangle", "--family=abel", "--params=a=1/2", "--order=3", "--format=pretty", "--decimal"):
+        (
+            "1\n"
+            "0  1\n"
+            "0  -1  1\n"
+            "0  2.25  -3  1\n"
+        ),
+    ("sheffer", "--appell=D/(exp(D)-1)", "--delta=D", "--order=3", "--format=tsv"):
+        (
+            "1\n"
+            "-1/2\t1\n"
+            "1/6\t-1\t1\n"
+            "0\t1/2\t-3/2\t1\n"
+        ),
+    ("sheffer", "--appell=D/(exp(D)-1)", "--delta=D", "--order=3", "--format=pretty"):
+        (
+            "1\n"
+            "-1/2  1\n"
+            "1/6  -1  1\n"
+            "0  1/2  -3/2  1\n"
+        ),
+    ("sheffer", "--appell=D/(exp(D)-1)", "--delta=D", "--order=3", "--format=pretty", "--decimal"):
+        (
+            "1\n"
+            "-0.5  1\n"
+            "0.166666666667  -1  1\n"
+            "0  0.5  -1.5  1\n"
+        ),
+    ("iterate", "--series=exp(x)-1", "--s=1/2", "--k=2", "--order=4", "--format=tsv"):
+        "0\t0\t1/2\t1/4\t5/96\n",
+    ("iterate", "--series=exp(x)-1", "--s=1/2", "--k=2", "--order=4", "--format=pretty"):
+        "1/2*x^2 + 1/4*x^3 + 5/96*x^4 + O(x^5)\n",
+    ("iterate", "--series=exp(x)-1", "--s=1/2", "--k=2", "--order=4", "--format=pretty", "--decimal"):
+        "(decimal, lossy) 0 0 0.5 0.25 0.0520833333333\n",
+    ("itlog", "--series=exp(x)-1", "--order=4", "--format=tsv"):
+        "0\t0\t1/2\t-1/12\t1/48\n",
+    ("itlog", "--series=exp(x)-1", "--order=4", "--format=pretty"):
+        "1/2*x^2 - 1/12*x^3 + 1/48*x^4 + O(x^5)\n",
+    ("itlog", "--series=exp(x)-1", "--order=4", "--format=pretty", "--decimal"):
+        "(decimal, lossy) 0 0 0.5 -0.0833333333333 0.0208333333333\n",
+    ("phipow", "--delta=exp(D)-1", "--s=1/2", "--order=3", "--format=tsv"):
+        (
+            "1\n"
+            "0\t1\n"
+            "0\t-1/2\t1\n"
+            "0\t5/8\t-3/2\t1\n"
+        ),
+    ("phipow", "--delta=exp(D)-1", "--s=1/2", "--order=3", "--format=pretty"):
+        (
+            "1\n"
+            "0  1\n"
+            "0  -1/2  1\n"
+            "0  5/8  -3/2  1\n"
+        ),
+    ("phipow", "--delta=exp(D)-1", "--s=1/2", "--order=3", "--format=pretty", "--decimal"):
+        (
+            "1\n"
+            "0  1\n"
+            "0  -0.5  1\n"
+            "0  0.625  -1.5  1\n"
+        ),
+    ("sum", "--poly=x^2/3", "--from=1/2", "--format=tsv"):
+        "0\t1/18\t-1/6\t1/9\n",
+    ("sum", "--poly=x^2/3", "--from=1/2", "--format=pretty"):
+        "1/18*x - 1/6*x^2 + 1/9*x^3\n",
+    ("sum", "--poly=x^2/3", "--from=1/2", "--format=pretty", "--decimal"):
+        "(decimal, lossy) 0 0.0555555555556 -0.166666666667 0.111111111111\n",
+    ("sum", "--poly=x^2/3", "--from=1/2", "--at=7/3", "--format=tsv"):
+        "154/243\n",
+    ("sum", "--poly=x^2/3", "--from=1/2", "--at=7/3", "--format=pretty"):
+        "154/243\n",
+    ("sum", "--poly=x^2/3", "--from=1/2", "--at=7/3", "--format=pretty", "--decimal"):
+        "0.633744855967\n",
+    ("sum", "--poly=0", "--from=1", "--format=tsv"):
+        "0\n",
+    ("sum", "--poly=0", "--from=1", "--format=pretty"):
+        "0\n",
+    ("sum", "--poly=0", "--from=1", "--format=pretty", "--decimal"):
+        "(decimal, lossy) \n",
+    ("faulhaber", "--n=0", "--format=tsv"):
+        "0\t1\n",
+    ("faulhaber", "--n=0", "--format=pretty"):
+        "x\n",
+    ("faulhaber", "--n=0", "--format=pretty", "--decimal"):
+        "(decimal, lossy) 0 1\n",
+    ("faulhaber", "--n=3", "--format=tsv"):
+        "0\t0\t1/4\t-1/2\t1/4\n",
+    ("faulhaber", "--n=3", "--format=pretty"):
+        "1/4*x^2 - 1/2*x^3 + 1/4*x^4\n",
+    ("faulhaber", "--n=3", "--format=pretty", "--decimal"):
+        "(decimal, lossy) 0 0 0.25 -0.5 0.25\n",
+    ("check", "--family=falling", "--order=4", "--format=tsv"):
+        (
+            "PASS\tfalling\tfive_routes\n"
+            "PASS\tfalling\tbinomial_type\n"
+            "PASS\tfalling\ttransform_roundtrip\n"
+            "PASS\tfalling\tchu_vandermonde\n"
+            "PASS\tfalling\tstirling_recurrences\n"
+            "PASS\tfalling\tgen_bernoulli\n"
+            "PASS\tfalling\tspecial_class\n"
+        ),
+    ("check", "--family=falling", "--order=4", "--format=pretty"):
+        (
+            "PASS\tfalling\tfive_routes\n"
+            "PASS\tfalling\tbinomial_type\n"
+            "PASS\tfalling\ttransform_roundtrip\n"
+            "PASS\tfalling\tchu_vandermonde\n"
+            "PASS\tfalling\tstirling_recurrences\n"
+            "PASS\tfalling\tgen_bernoulli\n"
+            "PASS\tfalling\tspecial_class\n"
+        ),
+    ("check", "--family=falling", "--order=4", "--format=pretty", "--decimal"):
+        (
+            "PASS\tfalling\tfive_routes\n"
+            "PASS\tfalling\tbinomial_type\n"
+            "PASS\tfalling\ttransform_roundtrip\n"
+            "PASS\tfalling\tchu_vandermonde\n"
+            "PASS\tfalling\tstirling_recurrences\n"
+            "PASS\tfalling\tgen_bernoulli\n"
+            "PASS\tfalling\tspecial_class\n"
+        ),
+    ("check", "--family=stretch", "--params=lam=3/2", "--order=2", "--format=tsv"):
+        (
+            "PASS\tstretch(lam=3/2)\tfive_routes\n"
+            "PASS\tstretch(lam=3/2)\tbinomial_type\n"
+            "PASS\tstretch(lam=3/2)\ttransform_roundtrip\n"
+        ),
+    ("check", "--family=stretch", "--params=lam=3/2", "--order=2", "--format=pretty"):
+        (
+            "PASS\tstretch(lam=3/2)\tfive_routes\n"
+            "PASS\tstretch(lam=3/2)\tbinomial_type\n"
+            "PASS\tstretch(lam=3/2)\ttransform_roundtrip\n"
+        ),
+    ("check", "--family=stretch", "--params=lam=3/2", "--order=2", "--format=pretty", "--decimal"):
+        (
+            "PASS\tstretch(lam=3/2)\tfive_routes\n"
+            "PASS\tstretch(lam=3/2)\tbinomial_type\n"
+            "PASS\tstretch(lam=3/2)\ttransform_roundtrip\n"
+        ),
+}
+
+# stdout of `check --family=falling --order=4` with its binomial_type identity made to
+# fail, in every format; it exits 1 with an empty stderr
+GOLDEN_FAILING_REPORT = {
+    ("--format=json",): (
+        '[{"family":"falling","identity":"five_routes","params":{},"status":"pass"},'
+        '{"counterexample":{"k":"1","n":"3"},"family":"falling","identity":"binomial_type","params":{},"status":"fail"},'
+        '{"family":"falling","identity":"transform_roundtrip","params":{},"status":"pass"},'
+        '{"family":"falling","identity":"chu_vandermonde","params":{},"status":"pass"},'
+        '{"family":"falling","identity":"stirling_recurrences","params":{},"status":"pass"},'
+        '{"family":"falling","identity":"gen_bernoulli","params":{},"status":"pass"},'
+        '{"family":"falling","identity":"special_class","params":{},"status":"pass"}]\n'
+    ),
+    ("--format=tsv",): (
+        "PASS\tfalling\tfive_routes\n"
+        "FAIL\tfalling\tbinomial_type\n"
+        "PASS\tfalling\ttransform_roundtrip\n"
+        "PASS\tfalling\tchu_vandermonde\n"
+        "PASS\tfalling\tstirling_recurrences\n"
+        "PASS\tfalling\tgen_bernoulli\n"
+        "PASS\tfalling\tspecial_class\n"
+        '[{"counterexample":{"k":"1","n":"3"},"family":"falling","identity":"binomial_type","params":{},"status":"fail"}]\n'
+    ),
+    ("--format=pretty",): (
+        "PASS\tfalling\tfive_routes\n"
+        "FAIL\tfalling\tbinomial_type\n"
+        "PASS\tfalling\ttransform_roundtrip\n"
+        "PASS\tfalling\tchu_vandermonde\n"
+        "PASS\tfalling\tstirling_recurrences\n"
+        "PASS\tfalling\tgen_bernoulli\n"
+        "PASS\tfalling\tspecial_class\n"
+        '[{"counterexample":{"k":"1","n":"3"},"family":"falling","identity":"binomial_type","params":{},"status":"fail"}]\n'
+    ),
+    ("--format=pretty", "--decimal"): (
+        "PASS\tfalling\tfive_routes\n"
+        "FAIL\tfalling\tbinomial_type\n"
+        "PASS\tfalling\ttransform_roundtrip\n"
+        "PASS\tfalling\tchu_vandermonde\n"
+        "PASS\tfalling\tstirling_recurrences\n"
+        "PASS\tfalling\tgen_bernoulli\n"
+        "PASS\tfalling\tspecial_class\n"
+        '[{"counterexample":{"k":"1","n":"3"},"family":"falling","identity":"binomial_type","params":{},"status":"fail"}]\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_FORMATS), ids=" ".join)
+def test_every_format_keeps_its_bytes(capsys, argv):
+    assert run(capsys, *argv) == (0, GOLDEN_FORMATS[argv], "")
+
+
+@pytest.mark.parametrize("fmt", list(GOLDEN_FAILING_REPORT), ids=" ".join)
+def test_failing_report_keeps_its_bytes_in_every_format(capsys, monkeypatch, fmt):
+    monkeypatch.setattr(catalog, "_check_binomial", lambda spec, n, sets: {"n": 3, "k": 1})
+    assert run(capsys, "check", "--family=falling", "--order=4", *fmt) == (1, GOLDEN_FAILING_REPORT[fmt], "")
 
 
 def test_check_all_digest_holds_under_optimize_flag():

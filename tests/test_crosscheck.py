@@ -673,30 +673,51 @@ def test_sigma_check_rejects_every_single_coefficient_corruption(name, a, monkey
 
 
 _SUBPROCESS = """
-import sys
+import contextlib, io, json, sys, traceback
 import pytest
 from test_crosscheck import INJECTIONS
 from umbra.cli import main
 
-argv, inject, _ = INJECTIONS[sys.argv[1]]
-inject(pytest.MonkeyPatch())
-sys.exit(main(argv))
+rows = {}
+for name in sorted(INJECTIONS):
+    argv, inject, _ = INJECTIONS[name]
+    out, err, mp, code = io.StringIO(), io.StringIO(), pytest.MonkeyPatch(), None
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            inject(mp)
+            code = main(argv)
+    except Exception:
+        err.write(traceback.format_exc())
+    finally:
+        mp.undo()
+    rows[name] = (code, out.getvalue(), err.getvalue())
+json.dump(rows, sys.__stdout__)
 """
 
 
-@pytest.mark.parametrize("name", sorted(INJECTIONS))
-def test_injected_disagreement_survives_optimize_flag(name):
+@pytest.fixture(scope="module")
+def optimized_rows():
+    """(exit code, stdout, stderr) of every injection row, all run in one `python -O`
+    interpreter, each with its own MonkeyPatch undone after it; an exception that
+    escapes a row is that row's stderr traceback, with no exit code."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")]))
     proc = subprocess.run(
-        [sys.executable, "-O", "-c", _SUBPROCESS, name],
+        [sys.executable, "-O", "-c", _SUBPROCESS],
         capture_output=True,
         text=True,
         env=env,
-        timeout=120,
+        timeout=300,
     )
-    assert proc.returncode == 1, proc.stderr
-    _check_document(proc.stdout, INJECTIONS[name][2])
-    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("name", sorted(INJECTIONS))
+def test_injected_disagreement_survives_optimize_flag(name, optimized_rows):
+    code, out, err = optimized_rows[name]
+    assert code == 1, err
+    _check_document(out, INJECTIONS[name][2])
+    assert "Traceback" not in err
 
 
 # -- source guard ---------------------------------------------------------------------------------

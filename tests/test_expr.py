@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import pytest
 
 from umbra.errors import ConstantTermError, DivisionOrderError, NotInvertible, ParseError, UmbraError
-from umbra.expr import BinOp, Call, Neg, Num, Pow, Var, eval_ast, eval_expr, parse, render
+from umbra.expr import BinOp, Call, Neg, Num, Pow, Var, degree_bound, eval_ast, eval_expr, parse, render
 from umbra.fps import Series, log1p, series
 
 import oracles
@@ -334,3 +334,43 @@ def test_render_parse_fixpoint_random():
         assert _strip_positions(a2) == _strip_positions(a1), t1
         assert render(a2) == t1
         assert parse(render(a2)) == a2
+
+
+# -- degree bound ------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "text, bound",
+    [
+        ("3/4", 0),
+        ("-D", 1),
+        ("(x+1)*(x^2-2)", 3),
+        ("(1+x^2)^3/5", 6),
+        ("x/(2*3)-x^0", 1),
+        ("(x+1)^2-x^2", 2),  # a bound, not the degree
+        ("exp(x)", None),
+        ("x^-1", None),
+        ("(1+x)^(1/2)", None),
+        ("x/(1+x)", None),
+        ("x^2/x", None),
+    ],
+)
+def test_degree_bound_by_hand(text, bound):
+    assert degree_bound(parse(text)) == bound
+
+
+def test_degree_bound_holds_on_random_trees():
+    # no coefficient past the bound survives evaluation deeper than it
+    rng, checked = random.Random(7), 0
+    for _ in range(400):
+        ast = random_ast(rng)
+        bound = degree_bound(ast)
+        if bound is None or bound > 40:
+            continue
+        try:
+            f = eval_ast(ast, bound + 3)
+        except (UmbraError, ZeroDivisionError):
+            continue
+        assert not any(f.coeffs[bound + 1 :]), render(ast)
+        checked += 1
+    assert checked > 50
