@@ -36,23 +36,6 @@ def evaluate(c: Sequence[Fraction], a: Fraction) -> Fraction:
     return Fraction(acc * v, den * vp)
 
 
-def half_grid(polys: Sequence[Sequence[Fraction]], n: int) -> list[tuple[list[int], int]]:
-    """Each coefficient list at t = 0, 1/2, ..., (2n+2)/2 as (values, den), values[i]/den = p(i/2).
-
-    A list c of degree e is scaled once: with c_j = C_j / d, 2^e d p(u/2) is the
-    integer sum_j C_j 2^(e-j) u^j, one dot product with the powers of u, which are
-    shared by every list."""
-    width = max(map(len, polys), default=0)
-    grid = [[u**j for j in range(width)] for u in range(2 * n + 3)]
-    out = []
-    for c in polys:
-        x, den = scaled(c)
-        e = max(len(x) - 1, 0)
-        b = [v << (e - j) for j, v in enumerate(x)]
-        out.append(([sum(map(mul, b, us)) for us in grid], den << e))
-    return out
-
-
 def cauchy(x: Sequence[int], y: Sequence[int], n: int) -> list[int]:
     """Integer Cauchy product through x^n: each nonzero of the sparser factor adds a copy of the other."""
     if x.count(0) < y.count(0):

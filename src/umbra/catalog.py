@@ -16,7 +16,8 @@ from math import comb, factorial, perm, prod
 from operator import add, mul
 from typing import Callable
 
-from ._kernel import half_grid, scaled, scaled_rows
+from ._kernel import scaled, scaled_rows
+from .bell import partial_bell_table
 from .errors import Record, RouteDisagreement, UnknownFamily
 from .fps import (
     Poly,
@@ -36,8 +37,7 @@ from .umbral import (
     UmbralOp,
     basic_all_routes,
     basic_transfer,
-    binomial_grid,
-    binomial_scan,
+    binomial_convolution,
     cross,
     is_binomial_type,
     niederhausen,
@@ -304,16 +304,6 @@ class Report(Record):
         return all(r.passed for r in self.results)
 
 
-def _combination_point(lhs: tuple[list[int], int], table, weights, m: int) -> Fraction | None:
-    """First x in {0, 1/2, ..., (m+1)/2} with lhs(x) != sum_k weights[k] table[k](x), or None;
-    lhs and the table rows are ``half_grid`` values, compared on integers."""
-    (v, dv), (w, dw) = lhs, scaled([Fraction(c, d) for c, (_, d) in zip(weights, table)])
-    for i in range(m + 2):
-        if v[i] * dw != dv * sum(wk * table[k][0][i] for k, wk in enumerate(w)):
-            return Fraction(i, 2)
-    return None
-
-
 def _basic(sets: dict, spec: FamilySpec, n: int) -> UmbralOp:
     """spec's basic set through row n from ``sets``, the basic sets of one check request,
     built there by ``FamilySpec.basic`` on a miss; the key holds the coerced params, so
@@ -345,15 +335,12 @@ def _check_binomial(spec: FamilySpec, n: int, sets: dict):
     return None if is_binomial_type(_basic(sets, spec, n).tri) else {"n": n}
 
 
-def _grid_point(hit: tuple[int, Fraction, Fraction] | None) -> dict | None:
-    """The counterexample of a failed ``binomial_grid``."""
-    return None if hit is None else {"n": hit[0], "x": str(hit[1]), "y": str(hit[2])}
-
-
 def _check_chu_vandermonde(spec: FamilySpec, n: int, sets: dict):
-    phi = _basic(sets, spec, n)
-    rows = [phi.tri.row_poly(m) for m in range(n + 1)]
-    return _grid_point(binomial_grid(rows, rows, rows, n))
+    """p_m(x+y) = sum_k C(m,k) p_k(x) p_{m-k}(y) at every (i, j) of the column EGFs, where
+    ``_check_binomial`` tests j = 1 and reaches the rest by induction."""
+    rows = _basic(sets, spec, n).tri.rows
+    m = binomial_convolution(rows, rows, rows)
+    return None if m is None else {"n": m}
 
 
 def _check_stirling_recurrences(spec: FamilySpec, n: int, sets: dict):
@@ -425,16 +412,13 @@ def _check_catalan_inverse_class(spec: FamilySpec, n: int, sets: dict):
 
 
 def _check_catalan_bell(spec: FamilySpec, n: int, sets: dict):
-    from .bell import partial_bell
-
     catalans = [comb(2 * j, j) // (j + 1) for j in range(n + 1)]
     args = [factorial(j) * catalans[j - 1] for j in range(1, n + 1)]
-    tri = _basic(sets, spec, n).tri
+    tri, table = _basic(sets, spec, n).tri, partial_bell_table(n, args)
     for m in range(1, n + 1):
         for k in range(1, m + 1):
             expected = Fraction(factorial(m - 1), factorial(k - 1)) * comb(2 * m - k - 1, m - 1)
-            b = partial_bell(m, k, args)
-            if b != expected or tri.entry(m, k) != expected:
+            if table[m][k] != expected or tri.entry(m, k) != expected:
                 return {"n": m, "k": k}
     return None
 
@@ -505,23 +489,15 @@ def _check_touchard_recurrence(spec: FamilySpec, n: int, sets: dict):
 
 def _check_erdelyi(spec: FamilySpec, n: int, sets: dict):
     lag = _basic(sets, spec, n)
-    rows = [lag.tri.row_poly(k).coeffs for k in range(n + 1)]
-    at = half_grid(rows, n)
     inv = tri_invert(lag.tri)
     for lam in (Fraction(2), Fraction(1, 2), Fraction(-1)):
         stretch_tri = _closed_triangle(family("stretch", lam=lam), n)
         conn = tri_compose(inv, tri_compose(stretch_tri, lag.tri))  # the connection constants
-        # L_m(lam x), tabulated as the polynomial with coefficients c_j lam^j
-        stretched = half_grid([[c * lam**j for j, c in enumerate(p)] for p in rows], n)
         for m in range(n + 1):
             coef = [lah(m, k) * lam**k * (lam - 1) ** (m - k) for k in range(m + 1)]
             for k in range(m + 1):
                 if conn.entry(m, k) != coef[k]:
                     return {"lam": str(lam), "n": m, "k": k}
-            # grid form: L_m(lam x) = sum_k Lah(m,k) lam^k (lam-1)^{m-k} L_k(x)
-            x = _combination_point(stretched[m], at, coef, m)
-            if x is not None:
-                return {"lam": str(lam), "n": m, "x": str(x)}
     return None
 
 
@@ -541,15 +517,9 @@ def _check_lah_connection(spec: FamilySpec, n: int, sets: dict):
     falling = _basic(sets, family("falling"), n)
     if tri_compose(rising.tri, lag.tri) != falling.tri:
         return {"n": n}
-    # Lah's original identity on a grid
-    at_falling = half_grid([falling.tri.row_poly(m).coeffs for m in range(n + 1)], n)
-    at_rising = half_grid([rising.tri.row_poly(k).coeffs for k in range(n + 1)], n)
-    for m in range(n + 1):
-        coef = [lah(m, k) * (-1) ** (m - k) for k in range(m + 1)]
-        x = _combination_point(at_falling[m], at_rising, coef, m)
-        if x is not None:
-            return {"n": m, "x": str(x)}
-    return None
+    # Lah's original identity, (x)_m = sum_k (-1)^(m-k) Lah(m,k) x^(k), from the closed form
+    twin = tri_compose(rising.tri, _closed_triangle(spec, n))
+    return next(({"n": m} for m in range(n + 1) if twin.rows[m] != falling.tri.rows[m]), None)
 
 
 def _check_laguerre_powers(spec: FamilySpec, n: int, sets: dict):
@@ -570,21 +540,22 @@ def _abel_polys(a: Fraction, n: int) -> list[Poly]:
 
 
 def _check_abel_identity(spec: FamilySpec, n: int, sets: dict):
-    abel = _abel_polys(spec.params["a"], n)
-    return _grid_point(binomial_grid(abel, abel, abel, n))
+    abel = [p.coeffs for p in _abel_polys(spec.params["a"], n)]
+    m = binomial_convolution(abel, abel, abel)
+    return None if m is None else {"n": m}
 
 
 def _check_smooth_abel(spec: FamilySpec, n: int, sets: dict):
     a = spec.params["a"]
     # Sheffer route: smooth Abel operator is (1+aD)^{-1} applied to the basic set
     rows = sheffer(ShiftOp(mul_inv(series([1, a], n + 3))), _basic(sets, spec, n)).rows
-    smooth = [poly([-a * m, 1]) ** m for m in range(n + 1)]  # (x - am)^m
-    hit = binomial_grid(smooth, _abel_polys(a, n), smooth, n)
-    # at each degree the Sheffer form is reported before the grid form
-    for m in range(n + 1 if hit is None else hit[0] + 1):
-        if rows[m] != smooth[m].coeffs:
+    smooth = [(poly([-a * m, 1]) ** m).coeffs for m in range(n + 1)]  # (x - am)^m
+    hit = binomial_convolution(smooth, [p.coeffs for p in _abel_polys(a, n)], smooth)
+    # at each degree the Sheffer form is reported before the convolution form
+    for m in range(n + 1 if hit is None else hit + 1):
+        if rows[m] != smooth[m]:
             return {"form": "sheffer", "n": m}
-    return None if hit is None else {"form": "grid", **_grid_point(hit)}
+    return None if hit is None else {"form": "convolution", "n": hit}
 
 
 def _check_abel_inverse(spec: FamilySpec, n: int, sets: dict):
@@ -639,15 +610,12 @@ def _check_degenerate_cross(spec: FamilySpec, n: int, sets: dict):
     p = spec.params["p"]
     phi, base = _basic(sets, spec, n), ShiftOp(_degenerate_base(p, n + 3))
     exps = (Fraction(0), Fraction(1), Fraction(-1, 2))
-    tables = {}
-    for w in {u + v for u in exps for v in exps}:
-        sh = cross(base, w, phi)
-        tables[w] = half_grid([sh.row_poly(m).coeffs for m in range(n + 1)], n)
+    rows = {w: cross(base, w, phi).rows for w in {u + v for u in exps for v in exps}}
     for u in exps:
         for v in exps:
-            hit = binomial_scan(tables[u + v], tables[u], tables[v], n)
-            if hit is not None:
-                return {"u": str(u), "v": str(v), "n": hit[0]}
+            m = binomial_convolution(rows[u + v], rows[u], rows[v])
+            if m is not None:
+                return {"u": str(u), "v": str(v), "n": m}
     return None
 
 

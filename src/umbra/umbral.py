@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 from . import bell
 from ._kernel import (
-    apply_derivatives, cauchy, half_grid, krylov, powers, reciprocal_powers, reduced, scaled,
+    apply_derivatives, cauchy, krylov, powers, reciprocal_powers, reduced, scaled,
     scaled_rows, tri_inverse, tri_product,
 )
 from .errors import (
@@ -330,41 +330,49 @@ def delta_of(phi: UmbralOp | Triangle) -> DeltaOp:
         raise NotDelta(f"column 1 does not start with a nonzero entry: {exc}") from exc
 
 
-def binomial_grid(
-    p_sum: Sequence[Poly], p_x: Sequence[Poly], p_y: Sequence[Poly], n: int
-) -> tuple[int, Fraction, Fraction] | None:
-    """First (m, x, y) with p_sum[m](x+y) != sum_k C(m,k) p_x[k](x) p_y[m-k](y), or None.
-
-    Each distinct polynomial set is tabulated once by ``half_grid``; the scan is
-    ``binomial_scan``."""
-    tables = {}
-    for ps in (p_sum, p_x, p_y):
-        if id(ps) not in tables:
-            tables[id(ps)] = half_grid([p.coeffs for p in ps[: n + 1]], n)
-    return binomial_scan(tables[id(p_sum)], tables[id(p_x)], tables[id(p_y)], n)
+def _egf_columns(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
+    """The column EGFs c_k(t) = sum_m rows[m][k] t^m/m! through t^N (N = len(rows) - 1), on
+    integers: the rows are scaled once to e / D and row m is lifted by N!/m!, so column k
+    holds N! D c_k for k = 0..N; returns (columns, N! D)."""
+    N = len(rows) - 1
+    e, d = scaled_rows(rows)
+    lift = [factorial(N) // factorial(m) for m in range(N + 1)]
+    return [[r[k] * f if k < len(r) else 0 for r, f in zip(e, lift)] for k in range(N + 1)], d * lift[0]
 
 
-def binomial_scan(v_sum, v_x, v_y, n: int) -> tuple[int, Fraction, Fraction] | None:
-    """``binomial_grid`` on value tables from ``half_grid``.
+def binomial_convolution(
+    s: Sequence[Sequence[Fraction]], a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]
+) -> int | None:
+    """First m <= N with s_m(x+y) != sum_k C(m,k) a_k(x) b_{m-k}(y), or None, for three lists
+    of coefficient rows m = 0..N (N = len(s) - 1), row m of degree at most m.
 
-    Degrees m = 0..n are tried in turn, then x, then y, each over the grid
-    {0, 1/2, ..., (m+1)/2}.  The test runs on integers: with L the lcm of the
-    products of denominators d_x[k] d_y[m-k], both sides are multiplied by L and
-    by the denominator of p_sum[m], so the weights C(m,k) L / (d_x[k] d_y[m-k])
-    are found once per m.
-    """
-    for m in range(n + 1):
-        lhs, den = v_sum[m]
-        dens = [v_x[k][1] * v_y[m - k][1] for k in range(m + 1)]
-        big = lcm(*dens)
-        w = [comb(m, k) * (big // d) for k, d in enumerate(dens)]
-        cols = [[v_y[m - k][0][j] for k in range(m + 1)] for j in range(m + 2)]
-        for i in range(m + 2):
-            x = [wk * v_x[k][0][i] for k, wk in enumerate(w)]
-            for j, y in enumerate(cols):
-                if lhs[i + j] * big != den * sum(map(mul, x, y)):
-                    return m, Fraction(i, 2), Fraction(j, 2)
-    return None
+    Proof.  With the column EGFs s_k(t) = sum_m s[m][k] t^m/m! (and a_k, b_k alike), each
+    of order >= k, sum_m p_m(x) t^m/m! = sum_k x^k p_k(t), and the t^m coefficient of
+        sum_k (x+y)^k s_k = (sum_i x^i a_i)(sum_j y^j b_j)
+    is the degree-m identity divided by m!.  Comparing x^i y^j, that is
+        C(i+j, i) s_{i+j} = a_i b_j    for i + j <= N, through t^N
+    (for i + j > N both sides vanish through t^N).  So degree m holds iff every equation
+    holds at t^m, and the answer is the least t at which one fails.  The grid that this
+    replaced found the same m: at degree m both sides have degree <= m in x and in y, and
+    it tried m + 2 points of each.
+
+    On integers: each distinct list is scaled once (``_egf_columns``), column k holding
+    N! D c_k; the equation reads C(i+j, i) D_a D_b N!^2 S_{i+j} = D_s N! A_i B_j, one
+    ``cauchy`` per pair (i, j)."""
+    cols = {}
+    for rows in (s, a, b):
+        if id(rows) not in cols:
+            cols[id(rows)] = _egf_columns(rows)
+    (cs, one_s), (ca, one_a), (cb, one_b) = cols[id(s)], cols[id(a)], cols[id(b)]
+    N, first, scale = len(s) - 1, None, one_a * one_b
+    for i in range(N + 1):
+        for j in range(i if a is b else 0, N + 1 - i):  # (j, i) is (i, j) when a is b
+            lhs = [comb(i + j, i) * scale * v for v in cs[i + j]]
+            rhs = [one_s * v for v in cauchy(ca[i], cb[j], N)]
+            if lhs != rhs:
+                t = next(t for t, (u, v) in enumerate(zip(lhs, rhs)) if u != v)
+                first = t if first is None else min(first, t)
+    return first
 
 
 def is_binomial_type(tri: Triangle) -> bool:
@@ -382,16 +390,13 @@ def is_binomial_type(tri: Triangle) -> bool:
     c_1^k / k! vanish through t^N, so C(i+j, i) c_{i+j} = c_1^(i+j) / (i! j!) = c_i c_j
     for all i, j.
 
-    On integers: the rows are scaled once to e / D and row m is lifted by N!/m!, so column
-    k holds N! D c_k; then c_0 = 1 reads column 0 = [N! D, 0, ..., 0], and the second
-    condition reads (i+1) N! D col_{i+1} = col_i col_1, one ``cauchy`` per i."""
+    On integers (``_egf_columns``): column k holds N! D c_k; then c_0 = 1 reads column 0 =
+    [N! D, 0, ..., 0], and the second condition reads (i+1) N! D col_{i+1} = col_i col_1,
+    one ``cauchy`` per i."""
     if tri.entry(0, 0) != 1 or 0 in tri.diagonal():
         return False
     N = tri.n
-    e, d = scaled_rows(tri.rows)
-    lift = [factorial(N) // factorial(m) for m in range(N + 1)]
-    cols = [list(c) for c in zip(*[[v * f for v in row] for row, f in zip(e, lift)])]
-    one = d * lift[0]
+    cols, one = _egf_columns(tri.rows)
     if cols[0] != [one] + [0] * N:
         return False
     return all([(i + 1) * one * v for v in cols[i + 1]] == cauchy(cols[i], cols[1], N) for i in range(1, N))

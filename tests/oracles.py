@@ -4,11 +4,12 @@ Everything here recomputes expected values by a different algorithm than the
 code under test: Newton doubling for compositional inverses, partition
 enumeration for Bell polynomials, Lagrange interpolation for the iterative
 logarithm, plain finite sums/integrals and the corollary series for the
-summation calculus, the coefficient identity for binomial type, the
-classical recurrences for Stirling/Lah numbers, the plain ``Fraction``
-loops that the integer kernel replaced, the dense expression evaluator
-that polynomial nodes' short values replaced, and the binomial closed form
-of the degenerate Laguerre triangle.  Helpers that only tests call (such as
+summation calculus, the coefficient identity and the half-grid evaluation
+for binomial convolutions, the classical recurrences for Stirling/Lah
+numbers, the plain ``Fraction`` loops that the integer kernel replaced,
+the dense expression evaluator that polynomial nodes' short values
+replaced, and the binomial closed form of the degenerate Laguerre
+triangle.  Helpers that only tests call (such as
 ``identity_op`` and ``integrate``) live here too, not in the package.
 """
 
@@ -16,10 +17,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, lcm
+from operator import mul
 from typing import Sequence
 
-from umbra._kernel import scaled_rows
+from umbra._kernel import scaled, scaled_rows
 from umbra.bell import _bell_columns
 from umbra.errors import DivisionOrderError, NotInvertible, NotUnitary, TruncationError, UmbraError
 from umbra.expr import (
@@ -33,7 +35,7 @@ from umbra.flow import _column_powers
 from umbra.operators import DeltaOp, ShiftOp, apply_op, validate_delta
 from umbra.rational import binom_row, rat, rat_str
 from umbra.serialize import series_to_json
-from umbra.umbral import Triangle, UmbralOp, basic_transfer, binomial_grid, triangle
+from umbra.umbral import Triangle, UmbralOp, basic_transfer, triangle
 
 
 def tri_from_polys(polys: Sequence[Poly]) -> Triangle:
@@ -340,7 +342,52 @@ def sigma_corollary(Q: DeltaOp, a, p: Poly) -> Poly:
     return -out
 
 
-# -- the binomial-type coefficient identity ---------------------------------------------------
+# -- the binomial-convolution grid and the binomial-type coefficient identity ------------------
+
+
+def half_grid(polys: Sequence[Sequence[Fraction]], n: int) -> list[tuple[list[int], int]]:
+    """Each coefficient list at t = 0, 1/2, ..., (2n+2)/2 as (values, den), values[i]/den = p(i/2).
+
+    A list c of degree e is scaled once: with c_j = C_j / d, 2^e d p(u/2) is the
+    integer sum_j C_j 2^(e-j) u^j, one dot product with the powers of u, which are
+    shared by every list."""
+    width = max(map(len, polys), default=0)
+    grid = [[u**j for j in range(width)] for u in range(2 * n + 3)]
+    out = []
+    for c in polys:
+        x, den = scaled(c)
+        e = max(len(x) - 1, 0)
+        b = [v << (e - j) for j, v in enumerate(x)]
+        out.append(([sum(map(mul, b, us)) for us in grid], den << e))
+    return out
+
+
+def binomial_grid(p_sum, p_x, p_y, n: int) -> tuple[int, Fraction, Fraction] | None:
+    """First (m, x, y) with p_sum[m](x+y) != sum_k C(m,k) p_x[k](x) p_y[m-k](y), or None, for
+    lists of coefficient lists; the value-table form of ``umbral.binomial_convolution``.
+
+    Degrees m = 0..n are tried in turn, then x, then y, each over the grid
+    {0, 1/2, ..., (m+1)/2}; each distinct list is tabulated once by ``half_grid``.  The
+    test runs on integers: with L the lcm of the products of denominators d_x[k] d_y[m-k],
+    both sides are multiplied by L and by the denominator of p_sum[m], so the weights
+    C(m,k) L / (d_x[k] d_y[m-k]) are found once per m."""
+    tables = {}
+    for ps in (p_sum, p_x, p_y):
+        if id(ps) not in tables:
+            tables[id(ps)] = half_grid(ps[: n + 1], n)
+    v_sum, v_x, v_y = tables[id(p_sum)], tables[id(p_x)], tables[id(p_y)]
+    for m in range(n + 1):
+        lhs, den = v_sum[m]
+        dens = [v_x[k][1] * v_y[m - k][1] for k in range(m + 1)]
+        big = lcm(*dens)
+        w = [comb(m, k) * (big // d) for k, d in enumerate(dens)]
+        cols = [[v_y[m - k][0][j] for k in range(m + 1)] for j in range(m + 2)]
+        for i in range(m + 2):
+            x = [wk * v_x[k][0][i] for k, wk in enumerate(w)]
+            for j, y in enumerate(cols):
+                if lhs[i + j] * big != den * sum(map(mul, x, y)):
+                    return m, Fraction(i, 2), Fraction(j, 2)
+    return None
 
 
 def binomial_grid_ref(tri: Triangle) -> bool:
@@ -349,8 +396,7 @@ def binomial_grid_ref(tri: Triangle) -> bool:
     ``binomial_grid``, p_n(x+y) = sum_k C(n,k) p_k(x) p_{n-k}(y) for all n <= N."""
     if tri.entry(0, 0) != 1 or any(tri.entry(m, m) == 0 for m in range(tri.n + 1)):
         return False
-    rows = [tri.row_poly(k) for k in range(tri.n + 1)]
-    return binomial_grid(rows, rows, rows, tri.n) is None
+    return binomial_grid(tri.rows, tri.rows, tri.rows, tri.n) is None
 
 
 def binomial_identity_ref(tri: Triangle) -> bool:

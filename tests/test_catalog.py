@@ -9,7 +9,7 @@ from math import factorial
 
 import pytest
 
-from umbra import _kernel, catalog, umbral
+from umbra import catalog, umbral
 from umbra.catalog import (
     DEFAULT_CHECK_SET,
     IdentityResult,
@@ -25,7 +25,7 @@ from umbra.catalog import (
 from umbra.errors import UnknownFamily
 from umbra.fps import Poly, poly, series, x_series
 from umbra.umbral import (
-    Triangle, UmbralOp, binomial_grid, is_binomial_type, tri_identity
+    Triangle, UmbralOp, binomial_convolution, is_binomial_type, tri_identity
 )
 
 import oracles
@@ -224,11 +224,11 @@ def test_basic_set_key_holds_the_coerced_params():
     assert catalog._basic(sets, family("stretch", lam="2"), 4) is phi and len(sets) == 1
 
 
-# -- the binomial-convolution grid ------------------------------------------------------------
+# -- the binomial convolution -----------------------------------------------------------------
 
 _CORRUPTIONS = {"x": poly([0, 1]), "cubic": poly([0, F(1, 2), F(-3, 2), 1])}  # x(x-1/2)(x-1)
 
-_GRID_SITES = {
+_CONVOLUTION_SITES = {
     "binomial_type": lambda: catalog._check_binomial(family("falling"), 8, {}),
     "chu_vandermonde": lambda: catalog._check_chu_vandermonde(family("falling"), 8, {}),
     "abel_identity": lambda: catalog._check_abel_identity(family("abel", a=1), 8, {}),
@@ -236,55 +236,49 @@ _GRID_SITES = {
     "degenerate_cross": lambda: catalog._check_degenerate_cross(family("degenerate_laguerre", p=2), 6, {}),
 }
 
-# Counterexamples captured before the five sites shared `binomial_grid`, with p_m replaced
-# by p_m + c: the triangle rows for the basic and Sheffer sets, the Abel polynomials
-# x(x - ak)^(k-1) for the two Abel identities (smooth_abel's grid uses them for p_x).
-# binomial_type reads the triangle's entries, not its row polynomials, so there the same
-# p_m + c is made in the entries.
-_GRID_COUNTEREXAMPLES = {
+# Counterexamples captured when these sites ran on a half-grid of values, with p_m replaced
+# by p_m + c: in the basic triangle's entries (the Sheffer sets of degenerate_cross are made
+# from it), and in the Abel polynomials x(x - ak)^(k-1) for the two Abel identities
+# (smooth_abel's convolution uses them for p_x).  The column-EGF form reports the grid's
+# degree; its documents dropped the grid point (x, y), and smooth_abel's "grid" form is
+# now named "convolution".
+_CONVOLUTION_COUNTEREXAMPLES = {
     (2, "x"): {
         "binomial_type": {"n": 8},
-        "chu_vandermonde": {"n": 3, "x": "1/2", "y": "1/2"},
-        "abel_identity": {"n": 3, "x": "1/2", "y": "1/2"},
-        "smooth_abel": {"form": "grid", "n": 2, "x": "1/2", "y": "0"},
+        "chu_vandermonde": {"n": 3},
+        "abel_identity": {"n": 3},
+        "smooth_abel": {"form": "convolution", "n": 2},
         "degenerate_cross": {"n": 3, "u": "0", "v": "0"},
     },
     (3, "x"): {
         "binomial_type": {"n": 8},
-        "chu_vandermonde": {"n": 4, "x": "1/2", "y": "1/2"},
-        "abel_identity": {"n": 4, "x": "1/2", "y": "1/2"},
-        "smooth_abel": {"form": "grid", "n": 3, "x": "1/2", "y": "0"},
+        "chu_vandermonde": {"n": 4},
+        "abel_identity": {"n": 4},
+        "smooth_abel": {"form": "convolution", "n": 3},
         "degenerate_cross": {"n": 4, "u": "0", "v": "0"},
     },
     (5, "x"): {
         "binomial_type": {"n": 8},
-        "chu_vandermonde": {"n": 6, "x": "1/2", "y": "1/2"},
-        "abel_identity": {"n": 6, "x": "1/2", "y": "1/2"},
-        "smooth_abel": {"form": "grid", "n": 5, "x": "1/2", "y": "0"},
+        "chu_vandermonde": {"n": 6},
+        "abel_identity": {"n": 6},
+        "smooth_abel": {"form": "convolution", "n": 5},
         "degenerate_cross": {"n": 6, "u": "0", "v": "0"},
     },
     (3, "cubic"): {
         "binomial_type": {"n": 8},
-        "chu_vandermonde": {"n": 3, "x": "1/2", "y": "1"},
-        "abel_identity": {"n": 3, "x": "1/2", "y": "1"},
-        "smooth_abel": {"form": "grid", "n": 3, "x": "3/2", "y": "0"},
+        "chu_vandermonde": {"n": 3},
+        "abel_identity": {"n": 3},
+        "smooth_abel": {"form": "convolution", "n": 3},
         "degenerate_cross": {"n": 3, "u": "0", "v": "0"},
     },
     (5, "cubic"): {
         "binomial_type": {"n": 8},
-        "chu_vandermonde": {"n": 5, "x": "1/2", "y": "1"},
-        "abel_identity": {"n": 5, "x": "1/2", "y": "1"},
-        "smooth_abel": {"form": "grid", "n": 5, "x": "3/2", "y": "0"},
+        "chu_vandermonde": {"n": 5},
+        "abel_identity": {"n": 5},
+        "smooth_abel": {"form": "convolution", "n": 5},
         "degenerate_cross": {"n": 5, "u": "0", "v": "0"},
     },
 }
-
-
-def _corrupt_rows(monkeypatch, m, extra=_CORRUPTIONS["x"]):
-    real = Triangle.row_poly
-    monkeypatch.setattr(
-        Triangle, "row_poly", lambda tri, n: real(tri, n) + (extra if n == m else poly([]))
-    )
 
 
 def _corrupt_entries(monkeypatch, m, extra=_CORRUPTIONS["x"]):
@@ -309,21 +303,20 @@ def _corrupt_abel(monkeypatch, m, extra=_CORRUPTIONS["x"]):
     monkeypatch.setattr(catalog, "_abel_polys", abel_polys)
 
 
-@pytest.mark.parametrize("site", sorted(_GRID_SITES))
-@pytest.mark.parametrize("m, corruption", sorted(_GRID_COUNTEREXAMPLES))
-def test_grid_identity_reports_the_first_failing_point(monkeypatch, site, m, corruption):
-    assert _GRID_SITES[site]() is None
-    corrupt = {"abel_identity": _corrupt_abel, "smooth_abel": _corrupt_abel, "binomial_type": _corrupt_entries}
-    corrupt = corrupt.get(site, _corrupt_rows)
+@pytest.mark.parametrize("site", sorted(_CONVOLUTION_SITES))
+@pytest.mark.parametrize("m, corruption", sorted(_CONVOLUTION_COUNTEREXAMPLES))
+def test_convolution_identity_reports_the_first_failing_degree(monkeypatch, site, m, corruption):
+    assert _CONVOLUTION_SITES[site]() is None
+    corrupt = _corrupt_abel if site in ("abel_identity", "smooth_abel") else _corrupt_entries
     corrupt(monkeypatch, m, _CORRUPTIONS[corruption])
-    assert _GRID_SITES[site]() == _GRID_COUNTEREXAMPLES[m, corruption][site]
+    assert _CONVOLUTION_SITES[site]() == _CONVOLUTION_COUNTEREXAMPLES[m, corruption][site]
 
 
 @pytest.mark.parametrize(
     "basic_row, abel_row, expected",
     [
-        (5, 2, {"form": "grid", "n": 2, "x": "1/2", "y": "0"}),
-        (4, 3, {"form": "grid", "n": 3, "x": "1/2", "y": "0"}),
+        (5, 2, {"form": "convolution", "n": 2}),
+        (4, 3, {"form": "convolution", "n": 3}),
         (3, 3, {"form": "sheffer", "n": 3}),
         (2, 5, {"form": "sheffer", "n": 2}),
     ],
@@ -332,9 +325,9 @@ def test_smooth_abel_reports_the_lower_degree_of_its_two_forms(
     monkeypatch, basic_row, abel_row, expected
 ):
     # at equal degree the Sheffer form comes first; captured as above
-    _corrupt_rows(monkeypatch, basic_row)
+    _corrupt_entries(monkeypatch, basic_row)
     _corrupt_abel(monkeypatch, abel_row)
-    assert _GRID_SITES["smooth_abel"]() == expected
+    assert _CONVOLUTION_SITES["smooth_abel"]() == expected
 
 
 @pytest.mark.parametrize(
@@ -361,38 +354,65 @@ def test_degenerate_cross_names_the_corrupted_exponent_pair(monkeypatch, exponen
         return oracles.tri_from_polys(rows)
 
     monkeypatch.setattr(catalog, "cross", cross)
-    assert _GRID_SITES["degenerate_cross"]() == expected
+    assert _CONVOLUTION_SITES["degenerate_cross"]() == expected
 
 
-def test_binomial_grid_returns_the_point_itself():
-    rows = [family("falling").basic(8).tri.row_poly(m) for m in range(9)]
-    assert binomial_grid(rows, rows, rows, 8) is None
-    assert binomial_grid([poly([2])] + rows[1:], rows, rows, 8) == (0, 0, 0)
-    rows[2] = rows[2] + poly([0, 1])
-    assert binomial_grid(rows, rows, rows, 8) == (3, F(1, 2), F(1, 2))
+def test_binomial_grid_oracle_returns_the_point_itself():
+    rows = [list(r) for r in family("falling").basic(8).tri.rows]
+    assert oracles.binomial_grid(rows, rows, rows, 8) is None
+    assert oracles.binomial_grid([[2]] + rows[1:], rows, rows, 8) == (0, 0, 0)
+    rows[2][1] += 1
+    assert oracles.binomial_grid(rows, rows, rows, 8) == (3, F(1, 2), F(1, 2))
 
 
-def _count_half_grid(monkeypatch) -> list[tuple[int, int]]:
-    """Record (polynomials, points) for each call of ``_kernel.half_grid``."""
-    real, calls = _kernel.half_grid, []
+def _sweep_convolution(lists: dict, triples: list) -> int:
+    """``binomial_convolution`` against the grid oracle on each triple of `lists` keys: clean,
+    then with each single entry (m, k), k <= m, of one list raised by 1.  Both must name the
+    same first failing degree, and both None on the clean lists.  Returns the number of
+    corrupted inputs."""
+    n = len(next(iter(lists.values()))) - 1
+    for triple in triples:
+        rows = [lists[key] for key in triple]
+        assert binomial_convolution(*rows) is None and oracles.binomial_grid(*rows, n) is None, triple
+    count = 0
+    for key, clean in lists.items():
+        for m in range(n + 1):
+            for k in range(m + 1):
+                bad = {**lists, key: [list(r) for r in clean]}
+                bad[key][m][k] += 1
+                for triple in (t for t in triples if key in t):
+                    rows = [bad[t] for t in triple]
+                    hit = oracles.binomial_grid(*rows, n)
+                    assert binomial_convolution(*rows) == (hit and hit[0]), (triple, key, m, k)
+                    count += 1
+    return count
 
-    def counting(polys, n):
-        calls.append((len(polys), 2 * n + 3))
-        return real(polys, n)
 
-    for name, module in list(sys.modules.items()):
-        if name.partition(".")[0] == "umbra" and getattr(module, "half_grid", None) is real:
-            monkeypatch.setattr(module, "half_grid", counting)
-    return calls
+@pytest.mark.parametrize("name, params", DEFAULT_CHECK_SET)
+@pytest.mark.parametrize("N", [0, 1, 8])
+def test_convolution_matches_the_grid_oracle_on_basic_sets(name, params, N):
+    # Chu-Vandermonde's triple (T, T, T)
+    lists = {"T": family(name, **params).basic(N).tri.rows}
+    assert _sweep_convolution(lists, [("T", "T", "T")]) == (N + 1) * (N + 2) // 2
 
 
-def test_chu_vandermonde_evaluates_each_polynomial_once_per_point(monkeypatch):
-    # the inline grid evaluated every p_k again for each (x, y): thousands of calls at N = 8;
-    # the three sets of the grid are one set here, so it is tabulated once
-    N = 8
-    calls = _count_half_grid(monkeypatch)
-    assert catalog._check_chu_vandermonde(family("touchard"), N, {}) is None
-    assert 0 < sum(p * t for p, t in calls) <= (N + 1) * (2 * N + 3)
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_convolution_matches_the_grid_oracle_on_degenerate_cross_pairs(p):
+    # the nine (u, v) triples of degenerate_cross, on its six Sheffer sets at n = 6
+    n, exps = 6, (F(0), F(1), F(-1, 2))
+    phi, base = family("degenerate_laguerre", p=p).basic(n), catalog.ShiftOp(catalog._degenerate_base(p, n + 3))
+    lists = {w: catalog.cross(base, w, phi).rows for w in {u + v for u in exps for v in exps}}
+    assert _sweep_convolution(lists, [(u + v, u, v) for u in exps for v in exps])
+
+
+@pytest.mark.parametrize("a", [F(1), F(-1), F(1, 2)])
+def test_convolution_matches_the_grid_oracle_on_abel_and_smooth_polynomials(a):
+    # abel_identity's (Abel, Abel, Abel) and smooth_abel's (smooth, Abel, smooth) at N = 8
+    lists = {
+        "abel": oracles.tri_from_polys(catalog._abel_polys(a, 8)).rows,
+        "smooth": oracles.tri_from_polys([poly([-a * m, 1]) ** m for m in range(9)]).rows,
+    }
+    assert _sweep_convolution(lists, [("abel", "abel", "abel"), ("smooth", "abel", "smooth")])
 
 
 @pytest.mark.parametrize(
@@ -453,18 +473,12 @@ def test_binomial_type_at_depth_zero_and_one(name, params, N):
             assert is_binomial_type(bad) == oracles.binomial_grid_ref(bad) == expected, (m, k)
 
 
-def test_degenerate_cross_tabulates_each_row_set_once(monkeypatch):
-    # six exponent sums u + v, nine (u, v) scans: each Sheffer row set is evaluated once
-    n = 6
-    calls = _count_half_grid(monkeypatch)
-    assert catalog._check_degenerate_cross(family("degenerate_laguerre", p=2), n, {}) is None
-    assert calls == [(n + 1, 2 * n + 3)] * 6
-
-
-# -- identities on value tables and scaled rows: counterexamples ---------------------------------
+# -- identities on triangle products and scaled rows: counterexamples ----------------------------
 #
 # Captured before these checks moved onto value tables and integer rows, with the
 # corruptions below; each names the first failing point in the unchanged scan order.
+# Erdelyi's and Lah's grid forms have since gone: Erdelyi's repeated its coefficient form,
+# and Lah's is now its closed-form twin, which names a row.
 
 
 def _corrupt_basic(monkeypatch, name, row, col):
@@ -523,28 +537,15 @@ def test_erdelyi_coefficient_form_fails_on_a_corrupted_lah_number(monkeypatch, a
 
 
 @pytest.mark.parametrize(
-    "m, corruption, expected",
-    [
-        (2, "x", {"lam": "2", "n": 2, "x": "1/2"}),
-        (4, "x", {"lam": "2", "n": 4, "x": "1/2"}),
-        (3, "cubic", {"lam": "2", "n": 3, "x": "1"}),
-        (6, "cubic", {"lam": "2", "n": 6, "x": "1"}),
-    ],
-)
-def test_erdelyi_grid_form_fails_on_a_corrupted_polynomial(monkeypatch, m, corruption, expected):
-    # the coefficient form reads the triangle, so only the grid sees L_m + c
-    _corrupt_rows(monkeypatch, m, _CORRUPTIONS[corruption])
-    assert _erdelyi() == expected
-
-
-@pytest.mark.parametrize(
     "corrupt, expected",
     [
         (lambda mp: _corrupt_basic(mp, "laguerre", 3, 1), {"n": 8}),
-        (lambda mp: _corrupt_rows(mp, 2), {"n": 3, "x": "1/2"}),
-        (lambda mp: _corrupt_rows(mp, 4, _CORRUPTIONS["cubic"]), {"n": 5, "x": "3/2"}),
-        (lambda mp: _corrupt_number(mp, "lah", (5, 1)), {"n": 5, "x": "1/2"}),
-        (lambda mp: _corrupt_number(mp, "lah", (8, 4)), {"n": 8, "x": "1/2"}),
+        # p_m + c in every basic triangle: the basic-set form fails first
+        (lambda mp: _corrupt_entries(mp, 2), {"n": 8}),
+        (lambda mp: _corrupt_entries(mp, 4, _CORRUPTIONS["cubic"]), {"n": 8}),
+        # only the closed-form twin reads the Lah numbers; it names the first failing row
+        (lambda mp: _corrupt_number(mp, "lah", (5, 1)), {"n": 5}),
+        (lambda mp: _corrupt_number(mp, "lah", (8, 4)), {"n": 8}),
     ],
 )
 def test_lah_connection_fails_on_a_corruption(monkeypatch, corrupt, expected):

@@ -113,8 +113,9 @@ def test_evaluate_matches_horner(c, a):
 @settings(max_examples=60, deadline=None)
 @given(st.lists(vectors(max_size=7), max_size=5), st.integers(0, 5))
 @example([[], [F(0)], [F(7, 2**61 - 1)], [F(0), F(-3, 65537), F(1, 2**89 - 1)]], 3)
-def test_half_grid_matches_poly_call(polys, n):
-    table = _kernel.half_grid(polys, n)
+def test_half_grid_oracle_matches_poly_call(polys, n):
+    # the value tables of the binomial-convolution grid oracle
+    table = oracles.half_grid(polys, n)
     assert len(table) == len(polys)
     for c, (values, den) in zip(polys, table):
         assert len(values) == 2 * n + 3 and den > 0
@@ -124,8 +125,8 @@ def test_half_grid_matches_poly_call(polys, n):
 def test_empty_and_zero_vectors():
     assert _kernel.convolve([], []) == []
     assert _kernel.evaluate([], F(3, 7)) == 0
-    assert _kernel.half_grid([], 2) == []
-    assert _kernel.half_grid([[], [F(0)] * 3, [F(5, 3)]], 0) == [([0] * 3, 1), ([0] * 3, 4), ([5] * 3, 3)]
+    assert oracles.half_grid([], 2) == []
+    assert oracles.half_grid([[], [F(0)] * 3, [F(5, 3)]], 0) == [([0] * 3, 1), ([0] * 3, 4), ([5] * 3, 3)]
     assert _kernel.apply_derivatives([], []) == []
     assert _kernel.apply_derivatives([F(2)], [[], [F(0)]]) == [[], [0]]
     zeros = _kernel.convolve([F(0)] * 4, [F(5, 3), F(-1, 65537)], 3)
