@@ -96,6 +96,6 @@ from .sigma import (
     sigma_identities_check,
 )
 from .catalog import FamilySpec, Report, check_all, family, identity_check
-from .expr import eval_expr, parse, render
+from .expr import eval_expr, parse
 
 __version__ = "0.1.0"

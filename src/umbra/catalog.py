@@ -54,22 +54,38 @@ from .umbral import (
 # ---------------------------------------------------------------------------
 
 
+def _next_stirling_row(prev: tuple[int, ...], first_kind: bool) -> tuple[int, ...]:
+    """Row n from row n - 1 of the unsigned Stirling numbers of the first kind, c(n, k) =
+    (n-1) c(n-1, k) + c(n-1, k-1), or of the second kind, S(n, k) = k S(n-1, k) + S(n-1, k-1)."""
+    n, prev = len(prev), prev + (0,)
+    return tuple([(n - 1 if first_kind else k) * prev[k] + (prev[k - 1] if k else 0) for k in range(n + 1)])
+
+
 @lru_cache(maxsize=None)
+def _stirling_row(n: int, first_kind: bool) -> tuple[int, ...]:
+    return (1,) if n == 0 else _next_stirling_row(_stirling_row(n - 1, first_kind), first_kind)
+
+
 def stirling1_unsigned(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    if n == 0:
-        return 1 if k == 0 else 0
-    return (n - 1) * stirling1_unsigned(n - 1, k) + stirling1_unsigned(n - 1, k - 1)
+    return _stirling_row(n, True)[k] if 0 <= k <= n else 0
 
 
-@lru_cache(maxsize=None)
 def stirling2(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    if n == 0:
-        return 1 if k == 0 else 0
-    return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
+    return _stirling_row(n, False)[k] if 0 <= k <= n else 0
+
+
+def _stirling_table(first_kind: bool) -> Callable[[int, int], int]:
+    """c(n, k) or S(n, k) for a family's closed form, from rows that the returned function
+    builds on demand and holds itself, so that they live as long as the family, not as
+    long as the process (a triangle at N = 64 would keep 2,145 numbers)."""
+    rows = [(1,)]
+
+    def entry(n: int, k: int) -> int:
+        while len(rows) <= n:
+            rows.append(_next_stirling_row(rows[-1], first_kind))
+        return rows[n][k] if 0 <= k <= n else 0
+
+    return entry
 
 
 def lah(n: int, k: int) -> int:
@@ -106,6 +122,8 @@ class FamilySpec(Record):
         object.__setattr__(self, "closed_form", closed_form)
 
     def basic(self, n: int) -> UmbralOp:
+        """The set that ``check``'s identities test, by the transfer route: Touchard's
+        operator form g_{m+1} = x (1 + D) g_m is the recurrence route's own step."""
         return basic_transfer(self.delta(n + 2), n)
 
 
@@ -123,51 +141,58 @@ def _spec_derivative() -> _Spec:
 def _spec_stretch(lam: Fraction) -> _Spec:
     if lam == 0:
         raise UnknownFamily("stretch parameter must be nonzero")
+    u, v = lam.numerator, lam.denominator
     return (
         lambda t: validate_delta(ShiftOp(x_series(t).scale(1 / lam))),
-        lambda n, k: lam**n if n == k else Fraction(0),
+        lambda n, k: Fraction(u**n, v**n) if n == k else Fraction(0),
     )
 
 
 def _spec_falling() -> _Spec:
+    c = _stirling_table(True)
     return (
         lambda t: validate_delta(shift_by(1, t) - 1),
-        lambda n, k: Fraction((-1) ** (n - k) * stirling1_unsigned(n, k)),
+        lambda n, k: Fraction((-1) ** (n - k) * c(n, k)),
     )
 
 
 def _spec_rising() -> _Spec:
+    c = _stirling_table(True)
     return (
         lambda t: validate_delta(1 - shift_by(-1, t)),
-        lambda n, k: Fraction(stirling1_unsigned(n, k)),
+        lambda n, k: Fraction(c(n, k)),
     )
 
 
 def _spec_divided_difference(h: Fraction) -> _Spec:
     if h == 0:
         return _spec_derivative()
+    c, u, v = _stirling_table(True), -h.numerator, h.denominator  # (-1)^(n-k) h^(n-k) = u^(n-k) / v^(n-k)
     return (
         lambda t: validate_delta((shift_by(h, t) - 1) * (1 / h)),
-        lambda n, k: (-1) ** (n - k) * stirling1_unsigned(n, k) * h ** (n - k),
+        lambda n, k: Fraction(c(n, k) * u ** (n - k), v ** (n - k)),
     )
 
 
 def _spec_touchard() -> _Spec:
     from .fps import log1p
 
+    s = _stirling_table(False)
     return (
         lambda t: validate_delta(ShiftOp(log1p(t))),
-        lambda n, k: Fraction(stirling2(n, k)),
+        lambda n, k: Fraction(s(n, k)),
     )
 
 
 def _spec_abel(a: Fraction) -> _Spec:
+    u, v = -a.numerator, a.denominator  # -a n = u n / v
+
     def form(n: int, k: int) -> Fraction:
         if n == 0:
             return Fraction(1 if k == 0 else 0)
         if k < 1 or k > n:
             return Fraction(0)
-        return comb(n - 1, k - 1) * (-a * n) ** (n - k)
+        return Fraction(comb(n - 1, k - 1) * (u * n) ** (n - k), v ** (n - k))
 
     return (
         lambda t: validate_delta(ShiftOp(x_series(t) * exp_series(x_series(t).scale(a)))),
@@ -181,7 +206,7 @@ def _spec_catalan() -> _Spec:
             return Fraction(1 if k == 0 else 0)
         if k < 1 or k > n:
             return Fraction(0)
-        return Fraction(comb(2 * n - k - 1, n - 1) * factorial(n - 1), factorial(k - 1))
+        return Fraction(comb(2 * n - k - 1, n - 1) * perm(n - 1, n - k))  # (n-1)!/(k-1)! = perm(n-1, n-k)
 
     return (
         lambda t: validate_delta(ShiftOp(series([0, 1, -1], t))),

@@ -18,13 +18,13 @@ from decimal import Context
 from fractions import Fraction
 
 from . import catalog, serialize, sigma
-from .errors import RouteDisagreement, UmbraError
+from .errors import RouteDisagreement, UmbraError, agree
 from .expr import MAX_STR_DIGITS, degree_bound, eval_ast, eval_expr, parse
 from .flow import frac_iterate, itlog, phi_pow
 from .fps import Poly, comp_inv, poly
 from .operators import ShiftOp, validate_delta
 from .rational import rat, rat_str
-from .umbral import BASIC_ROUTES, Triangle, basic_all_routes, basic_transfer, sheffer
+from .umbral import BASIC_ROUTES, Triangle, basic_all_routes, basic_recurrence, basic_transfer, sheffer, tri_from_form
 
 MAX_ORDER = 64
 
@@ -215,7 +215,10 @@ def run(args):
         return build(Q, order).tri
 
     if cmd == "triangle":
-        return catalog.family(args.family, **_parse_params(args.params)).basic(order).tri
+        # the cheapest route, checked against the family's closed form
+        spec = catalog.family(args.family, **_parse_params(args.params))
+        tri = tri_from_form(basic_recurrence(spec.delta(order + 1), order, form=True))
+        return agree("triangle", recurrence=tri, closed_form=catalog._closed_triangle(spec, order))
 
     if cmd == "sheffer":
         Q = _delta_from_expr(args.delta, order + 1)

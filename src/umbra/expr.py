@@ -39,7 +39,6 @@ from .errors import (
 )
 from ._kernel import convolve
 from .fps import Poly, Series, _binary_power, exp_series, log_series, mul_inv, poly, pow_rat, quotient, series
-from .rational import rat_str
 
 _FUNCTIONS = ("exp", "log", "sqrt")
 
@@ -345,52 +344,6 @@ class _Parser:
 def parse(text: str) -> Node:
     """Parse an expression; raises ParseError with a byte offset on bad input."""
     return _Parser(text).parse()
-
-
-# ---------------------------------------------------------------------------
-# rendering (parse . render . parse is a fixpoint)
-# ---------------------------------------------------------------------------
-
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4, "atom": 5}
-
-
-def render(node: Node) -> str:
-    text, _ = _render(node)
-    return text
-
-
-def _render(node: Node) -> tuple[str, int]:
-    if isinstance(node, Num):
-        s = rat_str(node.value)
-        return (s, _PREC["atom"] if node.value >= 0 and node.value.denominator == 1 else _PREC["/"])
-    if isinstance(node, Var):
-        return node.name, _PREC["atom"]
-    if isinstance(node, Call):
-        inner, _ = _render(node.arg)
-        return f"{node.func}({inner})", _PREC["atom"]
-    if isinstance(node, Neg):
-        inner, prec = _render(node.child)
-        if prec < _PREC["neg"]:
-            inner = f"({inner})"
-        return f"-{inner}", _PREC["neg"]
-    if isinstance(node, Pow):
-        inner, prec = _render(node.base)
-        if prec < _PREC["atom"]:
-            inner = f"({inner})"
-        e = node.exponent
-        etext = str(e.numerator) if e.denominator == 1 and e >= 0 else f"({rat_str(e)})"
-        return f"{inner}^{etext}", _PREC["^"]
-    if isinstance(node, BinOp):
-        lt, lp = _render(node.left)
-        rt, rp = _render(node.right)
-        prec = _PREC[node.op]
-        if lp < prec:
-            lt = f"({lt})"
-        # left-associative: parenthesize right operand at equal precedence
-        if rp < prec or (rp == prec and node.op in ("-", "/", "+", "*")):
-            rt = f"({rt})"
-        return f"{lt}{node.op}{rt}", prec
-    raise TypeError(f"unknown node {node!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from ._kernel import (
-    apply_derivatives, cauchy, composition, convolve, derivative, evaluate, power, powers,
+    apply_derivatives, cauchy, composition, convolve, derivative, evaluate, power,
     reciprocal_powers, recurrence, reduced, scaled,
 )
 from .errors import ConstantTermError, DivisionOrderError, NotInvertible, OrderError, Record, TruncationError, agree
@@ -217,19 +217,27 @@ def quotient(f: Series, g: Series) -> Series:
 def comp_inv(f: Series) -> Series:
     """Compositional inverse of an order-1 series (triangular solve).
 
-    Solves sum_k b_k f(t)^k = t on the integer power table of
-    ``_kernel.powers``, one power at a time: with the residual
-    r = t - sum_{j<k} b_j f^j kept as integers over one denominator,
-    b_k = r_k / [t^k] f^k, then r loses b_k f^k.  O(N^3) integer operations.
+    Solves sum_k b_k f(t)^k = t one power at a time: with the residual
+    r = t - sum_{j<k} b_j f^j, b_k = r_k / [t^k] f^k, then r loses b_k f^k.
+    Below t^k both r and f^k vanish, so each is kept only from t^k on, as
+    integers over one denominator: the window of f^k is (f/t)^k through
+    t^(N-k), and the next power comes from (f/t)^(k+1) = (f/t) (f/t)^k, one
+    ``cauchy`` on a window that shrinks by one each step and one ``reduced``.
+    O(N^3) integer operations: a half (sparse f) to a third (dense f) of those over
+    full-length powers.
     """
     if f.order() != 1:
         raise OrderError("compositional inverse requires order exactly 1")
     n = f.trunc
+    h, dh = scaled(f.coeffs[1:])  # f/t through t^(N-1)
     b = [Fraction(0)] * (n + 1)
-    r, dr = [0, 1] + [0] * (n - 1), 1
-    for k, (p, dp) in enumerate(powers(f.coeffs, n)):  # k = 0 gives b_0 = 0 and keeps r
-        b[k] = Fraction(r[k] * dp, dr * p[k])
-        r, dr = reduced([u * p[k] - r[k] * v for u, v in zip(r, p)], dr * p[k])
+    r, dr = [1] + [0] * (n - 1), 1  # the residual t, from t^1 on
+    p, dp = h, dh  # (f/t)^k = f^k from t^k on, through t^N
+    for k in range(1, n + 1):
+        b[k] = Fraction(r[0] * dp, dr * p[0])
+        r, dr = reduced([u * p[0] - r[0] * v for u, v in zip(r[1:], p[1:])], dr * p[0])
+        if k < n:
+            p, dp = reduced(cauchy(h, p, n - k - 1), dp * dh)
     return Series(n, tuple(b))
 
 

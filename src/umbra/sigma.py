@@ -20,7 +20,7 @@ from .errors import TruncationError, agree
 from .fps import Poly, expm1, mul_inv, poly
 from .operators import DeltaOp, apply_op, derivative_op, shift_by, validate_delta, divide
 from .rational import RatLike, rat
-from .umbral import basic_transfer
+from .umbral import basic_recurrence, basic_transfer
 
 
 def bernoulli_numbers(n: int) -> list[Fraction]:
@@ -29,25 +29,18 @@ def bernoulli_numbers(n: int) -> list[Fraction]:
     return [egf[k] * factorial(k) for k in range(n + 1)]
 
 
-def bernoulli_polynomial(n: int) -> Poly:
-    """B_n(x) = sum_k C(n,k) B_k x^{n-k}."""
-    bs = bernoulli_numbers(n)
-    out = [Fraction(0)] * (n + 1)
-    for k in range(n + 1):
-        out[n - k] = comb(n, k) * bs[k]
-    return poly(out)
-
-
 class SigmaOp:
     """Anchored pseudoinverse of a delta operator, by the basic-set route.
 
     Precomputes the basic triangle of Q through row ``depth + 1``, so it acts on
-    polynomials of degree <= ``depth``.
+    polynomials of degree <= ``depth``.  The triangle is built by the recurrence
+    route, the cheapest of the five: ``sigma_apply`` checks s by Q s = p and
+    s(a) = 0, which fix s whatever route built the triangle.
     """
 
     def __init__(self, Q: DeltaOp, anchor: RatLike = 0, depth: int = 16):
         self.anchor = rat(anchor)
-        self._phi = basic_transfer(Q, depth + 1)
+        self._phi = basic_recurrence(Q, depth + 1)
 
     def apply(self, p: Poly) -> Poly:
         """Expand p in {phi_n}, shift indices, re-anchor."""

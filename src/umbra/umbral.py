@@ -221,11 +221,15 @@ def basic_steffensen(Q: DeltaOp, n: int, form: bool = False) -> UmbralOp | Rows:
 
 def basic_recurrence(Q: DeltaOp, n: int, form: bool = False) -> UmbralOp | Rows:
     """Rows p_{m+1} = x (Q')^{-1} p_m; inherently sequential.  On r_j = j! p_j, with
-    c = 1/Q', the step is r'_{j+1} = (j+1) sum_k c_k r_{j+k}: c is scaled once, and each
-    row is kept as integers over one denominator, one ``reduced`` per row.  With ``form``,
-    the rows as ``agree``'s Rows: row m is r_j m!/j! over dr m!."""
+    c = 1/Q', the step is r'_{j+1} = (j+1) sum_k c_k r_{j+k}: c is scaled once and cut
+    after its last nonzero entry, so a polynomial 1/Q' of degree d (Touchard's 1 + D,
+    Laguerre's (1 - D)^2) costs O(N^2 d), and each row is kept as integers over one
+    denominator, one ``reduced`` per row.  With ``form``, the rows as ``agree``'s Rows:
+    row m is r_j m!/j! over dr m!."""
     _require_depth(Q, n)
     c, dc = scaled(mul_inv(derive(Q.indicator)).coeffs[: n + 1])
+    while len(c) > 1 and not c[-1]:
+        c.pop()
     fact = [factorial(j) for j in range(n + 1)]
     r, dr = [1], 1
     rows, dens = [[1]], [1]

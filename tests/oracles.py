@@ -21,11 +21,11 @@ from math import comb, factorial, lcm
 from operator import mul
 from typing import Sequence
 
-from umbra._kernel import scaled, scaled_rows
+from umbra._kernel import powers, reduced, scaled, scaled_rows
 from umbra.bell import _bell_columns
-from umbra.errors import DivisionOrderError, NotInvertible, NotUnitary, TruncationError, UmbraError
+from umbra.errors import DivisionOrderError, NotInvertible, NotUnitary, OrderError, TruncationError, UmbraError
 from umbra.expr import (
-    MAX_EXPONENT, MAX_POWER_BITS, MAX_STR_DIGITS, MAX_VALUE_BITS, Call, Neg, Num, Pow, Var, _at, _bits
+    MAX_EXPONENT, MAX_POWER_BITS, MAX_STR_DIGITS, MAX_VALUE_BITS, BinOp, Call, Neg, Node, Num, Pow, Var, _at, _bits
 )
 from umbra.fps import (
     INF, Poly, Series, comp_inv, compose, const, derive, exp_series, iterate_int, log_series, monomial,
@@ -35,6 +35,7 @@ from umbra.flow import _column_powers
 from umbra.operators import DeltaOp, ShiftOp, apply_op, validate_delta
 from umbra.rational import binom_row, rat, rat_str
 from umbra.serialize import series_to_json
+from umbra.sigma import bernoulli_numbers
 from umbra.umbral import Triangle, UmbralOp, basic_transfer, triangle
 
 
@@ -319,6 +320,15 @@ def itlog_iterate_sum(f: Series) -> Series:
 # -- summation/integration oracles ----------------------------------------------
 
 
+def bernoulli_polynomial(n: int) -> Poly:
+    """B_n(x) = sum_k C(n,k) B_k x^{n-k}."""
+    bs = bernoulli_numbers(n)
+    out = [Fraction(0)] * (n + 1)
+    for k in range(n + 1):
+        out[n - k] = comb(n, k) * bs[k]
+    return poly(out)
+
+
 def direct_sum(p, a: int, b: int) -> Fraction:
     """sum_{k=a}^{b-1} p(k) for integers a <= b."""
     return sum((p(k) for k in range(a, b)), Fraction(0))
@@ -412,6 +422,50 @@ def binomial_identity_ref(tri: Triangle) -> bool:
 
 
 # -- the dense expression evaluator -------------------------------------------------
+
+
+# rendering: parse . render . parse is a fixpoint
+
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4, "atom": 5}
+
+
+def render(node: Node) -> str:
+    text, _ = _render(node)
+    return text
+
+
+def _render(node: Node) -> tuple[str, int]:
+    if isinstance(node, Num):
+        s = rat_str(node.value)
+        return (s, _PREC["atom"] if node.value >= 0 and node.value.denominator == 1 else _PREC["/"])
+    if isinstance(node, Var):
+        return node.name, _PREC["atom"]
+    if isinstance(node, Call):
+        inner, _ = _render(node.arg)
+        return f"{node.func}({inner})", _PREC["atom"]
+    if isinstance(node, Neg):
+        inner, prec = _render(node.child)
+        if prec < _PREC["neg"]:
+            inner = f"({inner})"
+        return f"-{inner}", _PREC["neg"]
+    if isinstance(node, Pow):
+        inner, prec = _render(node.base)
+        if prec < _PREC["atom"]:
+            inner = f"({inner})"
+        e = node.exponent
+        etext = str(e.numerator) if e.denominator == 1 and e >= 0 else f"({rat_str(e)})"
+        return f"{inner}^{etext}", _PREC["^"]
+    if isinstance(node, BinOp):
+        lt, lp = _render(node.left)
+        rt, rp = _render(node.right)
+        prec = _PREC[node.op]
+        if lp < prec:
+            lt = f"({lt})"
+        # left-associative: parenthesize right operand at equal precedence
+        if rp < prec or (rp == prec and node.op in ("-", "/", "+", "*")):
+            rt = f"({rt})"
+        return f"{lt}{node.op}{rt}", prec
+    raise TypeError(f"unknown node {node!r}")
 
 
 def eval_dense_ref(node, order: int) -> Series:
@@ -606,7 +660,7 @@ def log_series_ref(f: Series) -> Series:
     return Series(f.trunc, tuple(out))
 
 
-def comp_inv_ref(f: Series) -> Series:
+def comp_inv_fraction_ref(f: Series) -> Series:
     """Triangular solve of sum_k b_k f^k = x, with the powers from series_mul_ref."""
     n = f.trunc
     powers = [series([1], n), f]
@@ -618,6 +672,21 @@ def comp_inv_ref(f: Series) -> Series:
         for k in range(1, m):
             s -= b[k] * powers[k][m]
         b[m] = s / powers[m][m]
+    return Series(n, tuple(b))
+
+
+def comp_inv_ref(f: Series) -> Series:
+    """``fps.comp_inv`` as it was before its windows: the same triangular solve over the
+    full-length integer powers of ``_kernel.powers``, with the residual
+    r = t - sum_{j<k} b_j f^j kept whole; b_k = r_k / [t^k] f^k, then r loses b_k f^k."""
+    if f.order() != 1:
+        raise OrderError("compositional inverse requires order exactly 1")
+    n = f.trunc
+    b = [Fraction(0)] * (n + 1)
+    r, dr = [0, 1] + [0] * (n - 1), 1
+    for k, (p, dp) in enumerate(powers(f.coeffs, n)):  # k = 0 gives b_0 = 0 and keeps r
+        b[k] = Fraction(r[k] * dp, dr * p[k])
+        r, dr = reduced([u * p[k] - r[k] * v for u, v in zip(r, p)], dr * p[k])
     return Series(n, tuple(b))
 
 

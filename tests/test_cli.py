@@ -8,13 +8,15 @@ import subprocess
 import sys
 import time
 from decimal import Decimal, localcontext
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from umbra import catalog, umbral
+from umbra import _kernel, catalog, serialize, umbral
 from umbra.catalog import Report
 from umbra.cli import main
+from umbra.rational import rat_str
 
 from oracles import series_from_json, triangle_from_json
 
@@ -57,6 +59,41 @@ def test_triangle_with_params(capsys):
     )
     assert code == 0
     assert out.splitlines()[3] == "0\t9\t-6\t1"
+
+
+# every family of check --all, and parameters of other signs and h = 0
+TRIANGLE_FAMILIES = list(catalog.DEFAULT_CHECK_SET) + [
+    ("abel", {"a": Fraction(-2, 3)}),
+    ("stretch", {"lam": Fraction(-1, 3)}),
+    ("divided_difference", {"h": Fraction(0)}),
+]
+
+
+def _params_text(params):
+    return ",".join(f"{k}={rat_str(v)}" for k, v in params.items())
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 12, 40, 64])
+@pytest.mark.parametrize("name, params", TRIANGLE_FAMILIES, ids=lambda v: v if isinstance(v, str) else _params_text(v))
+def test_triangle_prints_the_transfer_routes_triangle(capsys, name, params, order):
+    # triangle builds by the recurrence route, checked against the closed form
+    spec = catalog.family(name, **params)
+    expected = serialize.dumps(serialize.to_json(umbral.basic_transfer(spec.delta(order + 2), order).tri)) + "\n"
+    argv = ["triangle", "--family", name, "--params", _params_text(params), "--order", str(order), "--format", "json"]
+    assert run(capsys, *argv) == (0, expected, "")
+
+
+def test_triangle_takes_neither_the_transfer_route_nor_reciprocal_powers(capsys, monkeypatch):
+    # a cost guard: for Touchard at N = 40 the transfer route alone costs about four times
+    # the recurrence route and its closed-form check
+    calls = []
+    for real in (umbral.basic_transfer, _kernel.reciprocal_powers):
+        for mod_name, module in list(sys.modules.items()):
+            if mod_name.partition(".")[0] == "umbra" and getattr(module, real.__name__, None) is real:
+                spy = lambda *args, real=real, **kwargs: calls.append(real.__name__) or real(*args, **kwargs)
+                monkeypatch.setattr(module, real.__name__, spy)
+    assert run(capsys, "triangle", "--family", "touchard", "--order", "40")[0] == 0
+    assert calls == []
 
 
 def test_basic_all_routes_agree(capsys):

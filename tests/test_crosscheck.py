@@ -18,7 +18,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 import pytest
 
-from umbra import bell, flow, fps, sigma, umbral
+from umbra import bell, catalog, cli, flow, fps, sigma, umbral
 from umbra.catalog import family, identity_check
 from umbra.cli import main
 from umbra.errors import RouteDisagreement, Rows, agree, shown
@@ -354,6 +354,22 @@ def _corrupt_reciprocal_powers(mp):
     mp.setattr(umbral, "reciprocal_powers", corrupted)
 
 
+def _corrupt_closed_triangle(m, k):
+    """An injection that adds 1 to entry (m, k) of the closed-form triangle that ``triangle`` reads."""
+
+    def inject(mp):
+        real = catalog._closed_triangle
+
+        def corrupted(spec, n):
+            rows = [list(row) for row in real(spec, n).rows]
+            rows[m][k] += 1
+            return triangle(rows)
+
+        mp.setattr(catalog, "_closed_triangle", corrupted)
+
+    return inject
+
+
 # name -> (argv, injection, expected disagreement document)
 INJECTIONS = {
     "basic": (
@@ -413,6 +429,26 @@ INJECTIONS = {
             "routes": ["transfer", "steffensen"],
             "index": [4, 1],
             "values": ["30859/720", "-49/144"],
+        },
+    ),
+    "triangle_closed_form": (
+        ["triangle", "--family", "touchard", "--order", "12", "--format", "json"],
+        _corrupt_closed_triangle(7, 3),
+        {
+            "construction": "triangle",
+            "routes": ["recurrence", "closed_form"],
+            "index": [7, 3],
+            "values": ["301", "302"],
+        },
+    ),
+    "triangle_recurrence": (
+        ["triangle", "--family", "touchard", "--order", "12", "--format", "json"],
+        lambda mp: mp.setattr(cli, "basic_recurrence", _wrong_route(umbral.basic_recurrence, 7, 3)),
+        {
+            "construction": "triangle",
+            "routes": ["recurrence", "closed_form"],
+            "index": [7, 3],
+            "values": ["302", "301"],
         },
     ),
     "itlog": (

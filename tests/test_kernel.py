@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import pytest
 
-from umbra import _kernel, bell, operators
+from umbra import _kernel, bell, fps, operators
 from umbra.errors import OrderError, TruncationError
 from umbra.flow import _column_powers, _flow_triangle, shifted_powers
 from umbra.fps import (
@@ -304,7 +304,47 @@ def test_exp_and_log_match_oracle(f):
 def test_comp_inv_matches_oracle(f, data):
     f = Series(f.trunc, (F(0), data.draw(nonzero)) + f.coeffs[2:])
     g = comp_inv(f)
+    assert g == oracles.comp_inv_fraction_ref(f) and normalised(g.coeffs)
+
+
+@st.composite
+def order_one_series(draw):
+    """lead x + c_2 x^2 + ... + c_N x^N for N in 1..20 and lead 1, 2 or -3/2: sparse (at most
+    three nonzero c_j, as in a polynomial delta) or dense (every c_j nonzero)."""
+    trunc = draw(st.integers(1, 20))
+    lead = draw(st.sampled_from([F(1), F(2), F(-3, 2)]))
+    tail = [F(0)] * (trunc - 1)
+    if draw(st.booleans()):
+        tail = [draw(nonzero) for _ in tail]
+    elif trunc > 1:
+        for j in draw(st.lists(st.integers(0, trunc - 2), max_size=3)):
+            tail[j] = draw(nonzero)
+    return Series(trunc, (F(0), lead, *tail))
+
+
+@settings(max_examples=80, deadline=None)
+@given(order_one_series())
+@example(series([0, 1], 1))
+@example(series([0, F(-3, 2)], 20))
+@example(exp_x(20) - 1)
+def test_windowed_comp_inv_matches_the_full_length_loop(f):
+    g = comp_inv(f)
     assert g == oracles.comp_inv_ref(f) and normalised(g.coeffs)
+
+
+def test_comp_inv_takes_no_series_product_and_no_full_length_power(monkeypatch):
+    # a cost guard: every power of f is a window (f/x)^k through x^(N-k), one shorter per step
+    products, powers, lengths = [], [], []
+    monkeypatch.setattr(Series, "__mul__", lambda a, b, real=Series.__mul__: products.append(a) or real(a, b))
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name.partition(".")[0] == "umbra" and getattr(module, "powers", None) is _kernel.powers:
+            monkeypatch.setattr(module, "powers", lambda *args, real=_kernel.powers: powers.append(1) or real(*args))
+    monkeypatch.setattr(fps, "cauchy", lambda x, y, n, real=_kernel.cauchy: lengths.append(n) or real(x, y, n))
+    N = 24
+    f = series([0, F(-3, 2), F(1, 5), 0, F(2, 7)], N)
+    assert comp_inv(f) == oracles.comp_inv_ref(f)
+    assert products == [] and powers == []
+    assert lengths == list(range(N - 2, -1, -1))
 
 
 # Exponents of every kind: negative, zero, positive integer, and p/q with a

@@ -1,10 +1,15 @@
 """Anchored pseudoinverses, Faulhaber, Euler-Maclaurin, fractional sums."""
 
+import importlib.util
 import random
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+from umbra import sigma, umbral
+from umbra.cli import main
 from umbra.errors import TruncationError
 from umbra.fps import exp_series, mul_inv, poly, series, x_series
 from umbra.operators import ShiftOp, apply_op, derivative_op, shift_by, validate_delta
@@ -12,7 +17,6 @@ from umbra.sigma import (
     SigmaOp,
     bernoulli2_poly,
     bernoulli_numbers,
-    bernoulli_polynomial,
     euler_maclaurin_residual,
     faulhaber,
     frac_sum_eval,
@@ -20,7 +24,7 @@ from umbra.sigma import (
     sigma_identities_check,
 )
 
-from oracles import direct_sum, integral, sigma_corollary
+from oracles import bernoulli_polynomial, direct_sum, integral, sigma_corollary
 
 T = 18
 
@@ -251,3 +255,36 @@ def test_bernoulli2_integral_oracle():
     for n in range(8):
         psi = bernoulli2_poly(n)  # internal dual-route assertion
         assert integral(falling.tri.row_poly(n), 0, 1) == psi(0)
+
+
+# -- the route of SigmaOp ------------------------------------------------------------------
+
+
+def _workload_sums():
+    """The argv of every `sum` request of the benchmark's small_order workload, seeds 1-3;
+    perfbench/workloads.py is read and executed here, never written to."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses looks the module up by name
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    requests = [r for seed in (1, 2, 3) for r in module.generate("small_order", seed)]
+    return [list(r.argv) for r in requests if r.argv[0] == "sum"]
+
+
+def test_sigma_prints_what_the_transfer_route_gives(capsys, monkeypatch):
+    # SigmaOp builds its basic set by the recurrence route; sigma_apply's checks fix s
+    # whatever the route, so every output must be that of SigmaOp on basic_transfer
+    argvs = [["faulhaber", "--n", str(n), "--format", "json"] for n in range(25)] + _workload_sums()
+    assert len(argvs) == 25 + 54
+
+    def outputs():
+        return [(main(argv), *capsys.readouterr()) for argv in argvs]
+
+    got = outputs()
+    assert all(code == 0 and out and not err for code, out, err in got)
+    monkeypatch.setattr(sigma, "basic_recurrence", umbral.basic_transfer)
+    assert outputs() == got
