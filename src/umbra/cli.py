@@ -215,7 +215,8 @@ def run(args):
         return build(Q, order).tri
 
     if cmd == "triangle":
-        # the cheapest route, checked against the family's closed form
+        # the cheapest route, checked against the family's closed form; read from its integer
+        # form, so a malformed entry is a disagreement (exit 1), not a refused UmbralOp (exit 2)
         spec = catalog.family(args.family, **_parse_params(args.params))
         tri = tri_from_form(basic_recurrence(spec.delta(order + 1), order, form=True))
         return agree("triangle", recurrence=tri, closed_form=catalog._closed_triangle(spec, order))

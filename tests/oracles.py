@@ -8,9 +8,10 @@ summation calculus, the coefficient identity and the half-grid evaluation
 for binomial convolutions, the classical recurrences for Stirling/Lah
 numbers, the plain ``Fraction`` loops that the integer kernel replaced,
 the dense expression evaluator that polynomial nodes' short values
-replaced, and the binomial closed form of the degenerate Laguerre
-triangle.  Helpers that only tests call (such as
-``identity_op`` and ``integrate``) live here too, not in the package.
+replaced, the full-length ``comp_inv`` loop that its windows replaced, and
+the binomial closed form of the degenerate Laguerre triangle.  Helpers that
+only tests call (such as ``identity_op``, ``integrate``, ``render`` and
+``bernoulli_polynomial``) live here too, not in the package.
 """
 
 from __future__ import annotations
@@ -421,10 +422,8 @@ def binomial_identity_ref(tri: Triangle) -> bool:
     )
 
 
-# -- the dense expression evaluator -------------------------------------------------
+# -- rendering: parse . render . parse is a fixpoint ----------------------------------
 
-
-# rendering: parse . render . parse is a fixpoint
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4, "atom": 5}
 
@@ -466,6 +465,9 @@ def _render(node: Node) -> tuple[str, int]:
             rt = f"({rt})"
         return f"{lt}{node.op}{rt}", prec
     raise TypeError(f"unknown node {node!r}")
+
+
+# -- the dense expression evaluator -------------------------------------------------
 
 
 def eval_dense_ref(node, order: int) -> Series:
