@@ -54,16 +54,14 @@ from .umbral import (
 # ---------------------------------------------------------------------------
 
 
-def _next_stirling_row(prev: tuple[int, ...], first_kind: bool) -> tuple[int, ...]:
-    """Row n from row n - 1 of the unsigned Stirling numbers of the first kind, c(n, k) =
-    (n-1) c(n-1, k) + c(n-1, k-1), or of the second kind, S(n, k) = k S(n-1, k) + S(n-1, k-1)."""
-    n, prev = len(prev), prev + (0,)
-    return tuple([(n - 1 if first_kind else k) * prev[k] + (prev[k - 1] if k else 0) for k in range(n + 1)])
-
-
 @lru_cache(maxsize=None)
 def _stirling_row(n: int, first_kind: bool) -> tuple[int, ...]:
-    return (1,) if n == 0 else _next_stirling_row(_stirling_row(n - 1, first_kind), first_kind)
+    """Row n of the unsigned Stirling numbers of the first kind, c(n, k) = (n-1) c(n-1, k) +
+    c(n-1, k-1), or of the second kind, S(n, k) = k S(n-1, k) + S(n-1, k-1)."""
+    if n == 0:
+        return (1,)
+    prev = _stirling_row(n - 1, first_kind) + (0,)
+    return tuple([(n - 1 if first_kind else k) * prev[k] + (prev[k - 1] if k else 0) for k in range(n + 1)])
 
 
 def stirling1_unsigned(n: int, k: int) -> int:
@@ -72,20 +70,6 @@ def stirling1_unsigned(n: int, k: int) -> int:
 
 def stirling2(n: int, k: int) -> int:
     return _stirling_row(n, False)[k] if 0 <= k <= n else 0
-
-
-def _stirling_table(first_kind: bool) -> Callable[[int, int], int]:
-    """c(n, k) or S(n, k) for a family's closed form, from rows that the returned function
-    builds on demand and holds itself, so that they live as long as the family, not as
-    long as the process (a triangle at N = 64 would keep 2,145 numbers)."""
-    rows = [(1,)]
-
-    def entry(n: int, k: int) -> int:
-        while len(rows) <= n:
-            rows.append(_next_stirling_row(rows[-1], first_kind))
-        return rows[n][k] if 0 <= k <= n else 0
-
-    return entry
 
 
 def lah(n: int, k: int) -> int:
@@ -149,38 +133,35 @@ def _spec_stretch(lam: Fraction) -> _Spec:
 
 
 def _spec_falling() -> _Spec:
-    c = _stirling_table(True)
     return (
         lambda t: validate_delta(shift_by(1, t) - 1),
-        lambda n, k: Fraction((-1) ** (n - k) * c(n, k)),
+        lambda n, k: Fraction((-1) ** (n - k) * stirling1_unsigned(n, k)),
     )
 
 
 def _spec_rising() -> _Spec:
-    c = _stirling_table(True)
     return (
         lambda t: validate_delta(1 - shift_by(-1, t)),
-        lambda n, k: Fraction(c(n, k)),
+        lambda n, k: Fraction(stirling1_unsigned(n, k)),
     )
 
 
 def _spec_divided_difference(h: Fraction) -> _Spec:
     if h == 0:
         return _spec_derivative()
-    c, u, v = _stirling_table(True), -h.numerator, h.denominator  # (-1)^(n-k) h^(n-k) = u^(n-k) / v^(n-k)
+    u, v = -h.numerator, h.denominator  # (-1)^(n-k) h^(n-k) = u^(n-k) / v^(n-k)
     return (
         lambda t: validate_delta((shift_by(h, t) - 1) * (1 / h)),
-        lambda n, k: Fraction(c(n, k) * u ** (n - k), v ** (n - k)),
+        lambda n, k: Fraction(stirling1_unsigned(n, k) * u ** (n - k), v ** (n - k)),
     )
 
 
 def _spec_touchard() -> _Spec:
     from .fps import log1p
 
-    s = _stirling_table(False)
     return (
         lambda t: validate_delta(ShiftOp(log1p(t))),
-        lambda n, k: Fraction(s(n, k)),
+        lambda n, k: Fraction(stirling2(n, k)),
     )
 
 

@@ -1,10 +1,7 @@
 """Anchored pseudoinverses, Faulhaber, Euler-Maclaurin, fractional sums."""
 
-import importlib.util
 import random
-import sys
 from fractions import Fraction as F
-from pathlib import Path
 
 import pytest
 
@@ -260,26 +257,71 @@ def test_bernoulli2_integral_oracle():
 # -- the route of SigmaOp ------------------------------------------------------------------
 
 
-def _workload_sums():
-    """The argv of every `sum` request of the benchmark's small_order workload, seeds 1-3;
-    perfbench/workloads.py is read and executed here, never written to."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses looks the module up by name
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        del sys.modules[spec.name]
-    requests = [r for seed in (1, 2, 3) for r in module.generate("small_order", seed)]
-    return [list(r.argv) for r in requests if r.argv[0] == "sum"]
+# (poly, lower bound, last argument) of the 54 `sum` requests that the small_order
+# benchmark workload draws on seeds 1-3: cubics with small rational coefficients
+_SUM_REQUESTS = [
+    ("1/2 + 1/7*x + 1/5*x^2 + 3/11*x^3", "-5/2", "--format=json"),
+    ("1/11 - 3/5*x + 1/7*x^2 + 1/2*x^3", "3/2", "--at=13/2"),
+    ("3/7 - 1/5*x + 1/2*x^2 + 1/11*x^3", "-1/2", "--format=json"),
+    ("-1/11 + 3/5*x + 1/7*x^2 + 1/2*x^3", "-1/2", "--at=3/2"),
+    ("-1/2 + 1/11*x + 3/5*x^2 - 1/7*x^3", "3/2", "--format=json"),
+    ("1/2 - 1/11*x + 1/7*x^2 - 3/5*x^3", "5/2", "--at=7/2"),
+    ("-1/5 + 3/2*x + 1/11*x^2 + 1/7*x^3", "5/2", "--format=json"),
+    ("-1/2 - 1/5*x + 3/11*x^2 - 1/7*x^3", "-5/2", "--at=1/2"),
+    ("-1/7 + 1/11*x + 1/5*x^2 - 3/2*x^3", "-3/2", "--format=json"),
+    ("-1/7 + 1/11*x + 1/5*x^2 + 3/2*x^3", "-5/2", "--at=-3/2"),
+    ("-1/5 + 3/2*x - 1/7*x^2 - 1/11*x^3", "3/2", "--format=json"),
+    ("-1/2 - 1/11*x - 3/5*x^2 + 1/7*x^3", "-1/2", "--at=11/2"),
+    ("1/2 - 1/5*x - 3/11*x^2 + 1/7*x^3", "1/2", "--format=json"),
+    ("3/2 + 1/5*x + 1/11*x^2 - 1/7*x^3", "-3/2", "--at=1/2"),
+    ("-1/5 + 1/7*x + 1/2*x^2 - 3/11*x^3", "-5/2", "--format=json"),
+    ("-1/11 - 3/5*x - 1/2*x^2 + 1/7*x^3", "-1/2", "--at=-1/2"),
+    ("-1/2 - 1/7*x - 1/11*x^2 - 3/5*x^3", "-1/2", "--format=json"),
+    ("1/7 + 1/5*x + 3/11*x^2 + 1/2*x^3", "-3/2", "--at=9/2"),
+    ("-1/2 - 1/5*x - 3/7*x^2 - 1/11*x^3", "7/2", "--format=json"),
+    ("1/11 - 1/7*x + 1/5*x^2 - 3/2*x^3", "-5/2", "--at=3/2"),
+    ("3/2 + 1/5*x - 1/11*x^2 - 1/7*x^3", "5/2", "--format=json"),
+    ("-1/5 - 1/11*x - 3/7*x^2 - 1/2*x^3", "-5/2", "--at=3/2"),
+    ("-1/11 - 1/2*x - 3/7*x^2 + 1/5*x^3", "-7/2", "--format=json"),
+    ("1/7 + 3/2*x - 1/11*x^2 + 1/5*x^3", "-5/2", "--at=5/2"),
+    ("3/2 - 1/11*x + 1/5*x^2 + 1/7*x^3", "-3/2", "--format=json"),
+    ("1/2 + 3/7*x - 1/5*x^2 - 1/11*x^3", "5/2", "--at=5/2"),
+    ("3/7 - 1/11*x + 1/2*x^2 + 1/5*x^3", "-5/2", "--format=json"),
+    ("3/2 + 1/11*x - 1/7*x^2 - 1/5*x^3", "-7/2", "--at=5/2"),
+    ("-1/7 + 1/5*x + 3/11*x^2 + 1/2*x^3", "3/2", "--format=json"),
+    ("1/5 + 1/2*x + 1/11*x^2 + 3/7*x^3", "-7/2", "--at=-1/2"),
+    ("1/11 + 3/2*x - 1/7*x^2 - 1/5*x^3", "1/2", "--format=json"),
+    ("3/7 - 1/11*x + 1/2*x^2 - 1/5*x^3", "-5/2", "--at=-5/2"),
+    ("3/7 - 1/5*x - 1/11*x^2 + 1/2*x^3", "-5/2", "--format=json"),
+    ("3/5 + 1/2*x + 1/11*x^2 + 1/7*x^3", "1/2", "--at=9/2"),
+    ("1/2 - 1/11*x + 3/5*x^2 - 1/7*x^3", "5/2", "--format=json"),
+    ("-1/5 + 1/7*x + 1/2*x^2 + 3/11*x^3", "5/2", "--at=9/2"),
+    ("1/7 + 1/11*x + 1/5*x^2 - 3/2*x^3", "7/2", "--format=json"),
+    ("1/5 + 1/7*x - 1/11*x^2 - 3/2*x^3", "-5/2", "--at=1/2"),
+    ("1/7 + 3/5*x - 1/2*x^2 + 1/11*x^3", "7/2", "--format=json"),
+    ("-1/5 - 3/11*x - 1/2*x^2 + 1/7*x^3", "1/2", "--at=7/2"),
+    ("1/7 - 3/5*x - 1/2*x^2 + 1/11*x^3", "5/2", "--format=json"),
+    ("-3/2 + 1/5*x - 1/11*x^2 + 1/7*x^3", "1/2", "--at=3/2"),
+    ("1/2 - 1/11*x + 3/5*x^2 + 1/7*x^3", "1/2", "--format=json"),
+    ("-1/5 - 1/2*x - 3/11*x^2 + 1/7*x^3", "3/2", "--at=3/2"),
+    ("3/7 - 1/5*x - 1/11*x^2 - 1/2*x^3", "-5/2", "--format=json"),
+    ("-1/11 + 1/2*x - 1/5*x^2 + 3/7*x^3", "3/2", "--at=3/2"),
+    ("-3/7 + 1/11*x - 1/5*x^2 - 1/2*x^3", "-1/2", "--format=json"),
+    ("1/7 - 3/5*x + 1/2*x^2 - 1/11*x^3", "-5/2", "--at=-1/2"),
+    ("-3/11 - 1/2*x - 1/7*x^2 - 1/5*x^3", "7/2", "--format=json"),
+    ("-1/11 + 1/2*x + 1/7*x^2 + 3/5*x^3", "1/2", "--at=7/2"),
+    ("1/5 - 3/7*x + 1/11*x^2 - 1/2*x^3", "1/2", "--format=json"),
+    ("-1/5 - 3/11*x - 1/2*x^2 + 1/7*x^3", "3/2", "--at=9/2"),
+    ("-1/2 + 1/11*x + 1/5*x^2 - 3/7*x^3", "-3/2", "--format=json"),
+    ("3/2 - 1/5*x - 1/7*x^2 + 1/11*x^3", "5/2", "--at=7/2"),
+]
 
 
 def test_sigma_prints_what_the_transfer_route_gives(capsys, monkeypatch):
     # SigmaOp builds its basic set by the recurrence route; sigma_apply's checks fix s
     # whatever the route, so every output must be that of SigmaOp on basic_transfer
-    argvs = [["faulhaber", "--n", str(n), "--format", "json"] for n in range(25)] + _workload_sums()
-    assert len(argvs) == 25 + 54
+    argvs = [["faulhaber", "--n", str(n), "--format", "json"] for n in range(25)]
+    argvs += [["sum", f"--poly={p}", f"--from={a}", last] for p, a, last in _SUM_REQUESTS]
 
     def outputs():
         return [(main(argv), *capsys.readouterr()) for argv in argvs]
