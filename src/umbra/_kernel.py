@@ -55,8 +55,9 @@ def convolve(a: Sequence[Fraction], b: Sequence[Fraction], n: int | None = None)
 
 
 def reduced(nums: Sequence[int], den: int) -> tuple[list[int], int]:
-    """nums/den over gcd(den, *nums): for den > 0 the lcm form that ``scaled`` gives."""
-    g = gcd(den, *nums)
+    """nums/den over gcd(den, *nums), signed so that the result's den is positive: the lcm
+    form that ``scaled`` gives."""
+    g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)
     return [v // g for v in nums], den // g
 
 
@@ -72,35 +73,58 @@ def powers(f: Sequence[Fraction], count: int):
         yield p, dp
 
 
-def reciprocal_powers(g: Sequence[Fraction], count: int):
-    """Yield (1/g)^k through x^N (N = len(g) - 1) for k = 0..count, exactly as
-    ``powers(1/g, count)`` yields them; g_0 must be nonzero.
-
-    A short g, of degree d with 4(d + 1) <= N + 1, divides each power by g
-    (Knuth, TAOCP 2, 4.7): with g = G/dg and a = h/G, B_m = a_m G_0^(m+1) solves
-    B_m = h_m G_0^m - sum_{i=1..d} G_i G_0^(i-1) B_{m-i}, O(N d) integer products
-    per power and one ``reduced``.  On a dense g those graded numbers outgrow the
-    dense products, so a dense g goes through ``powers`` of 1/g."""
-    x, dx = scaled(g)
-    n = d = len(x) - 1
-    while d and not x[d]:
+def degree(x: Sequence) -> int:
+    """The degree of the polynomial with coefficients x: its last nonzero index, 0 for a constant or none."""
+    d = len(x) - 1
+    while d > 0 and not x[d]:
         d -= 1
-    if 4 * (d + 1) > n + 1:
-        yield from powers(recurrence(g, 1 / g[0], 0, 1), count)
-        return
+    return max(d, 0)
+
+
+def is_short(x: Sequence) -> bool:
+    """True when x, of degree d, has 4(d + 1) <= len(x): the rule under which dividing by x
+    (``divider``) or stepping a power table by it beats the dense products, whose operands
+    stay smaller than the graded numbers of a division by a dense x."""
+    return 4 * (degree(x) + 1) <= len(x)
+
+
+def divider(x: Sequence[int], dx: int):
+    """The function (h, dh) -> (h/dh) / (x/dx) through x^(len(h) - 1) as reduced (nums, den),
+    for integer h no longer than x, and x_0 nonzero.
+
+    Graded short division (Knuth, TAOCP 2, 4.7): with a = h/x, B_m = a_m x_0^(m+1) solves
+    B_m = h_m x_0^m - sum_{i=1..d} x_i x_0^(i-1) B_{m-i} on integers, so x of degree d
+    costs O(len(h) d) integer products.  The powers of x_0 and the weights are built once,
+    and each quotient's B_m are lifted to one denominator for one ``reduced``."""
+    n, d = len(x) - 1, degree(x)
     pw = [1]
     for _ in range(n + 1):
         pw.append(pw[-1] * x[0])
     w = [x[i] * pw[i - 1] for i in range(d, 0, -1)]  # against B_{m-d}..B_{m-1}
-    sign = -1 if pw[n + 1] < 0 else 1
-    lift = [sign * dx * pw[n - m] for m in range(n + 1)]  # B_m over G_0^(m+1) to one denominator
-    p, dp = [1] + [0] * n, 1
+    lift = [dx * v for v in reversed(pw[: n + 1])]  # B_m over x_0^(m+1) to x_0^len(h)
+
+    def divide(h: Sequence[int], dh: int) -> tuple[list[int], int]:
+        b = [0] * d
+        for m, v in enumerate(h):
+            b.append(v * pw[m] - sum(map(mul, w, b[m:])))
+        return reduced(list(map(mul, b[d:], lift[n + 1 - len(h) :])), dh * pw[len(h)])
+
+    return divide
+
+
+def reciprocal_powers(g: Sequence[Fraction], count: int):
+    """Yield (1/g)^k through x^N (N = len(g) - 1) for k = 0..count, exactly as
+    ``powers(1/g, count)`` yields them; g_0 must be nonzero.  A short g (``is_short``)
+    divides each power by g (``divider``), O(N d) integer products per power; a dense g
+    goes through ``powers`` of 1/g."""
+    x, dx = scaled(g)
+    if not is_short(x):
+        yield from powers(recurrence(g, 1 / g[0], 0, 1), count)
+        return
+    divide, p, dp = divider(x, dx), [1] + [0] * (len(x) - 1), 1
     yield p, dp
     for _ in range(count):
-        b = [0] * d
-        for m in range(n + 1):
-            b.append(p[m] * pw[m] - sum(map(mul, w, b[-d:])))
-        p, dp = reduced(list(map(mul, b[d:], lift)), sign * dp * pw[n + 1])
+        p, dp = divide(p, dp)
         yield p, dp
 
 
@@ -170,8 +194,7 @@ def recurrence(f: Sequence[Fraction], g0: Fraction, wa: int, wb: int, q: int = 1
     O(N d); g_0..g_{m-1} is kept as integers over a denominator that grows only when a new
     entry needs it (``_append``)."""
     x, dx = scaled(f)
-    while len(x) > 1 and not x[-1]:
-        x.pop()
+    del x[degree(x) + 1 :]
     a, b = [wa * k * v for k, v in enumerate(x[1:], 1)], [wb * v for v in x[1:]]
     out, col, lead = [g0], [], q * (x[0] or dx)
     den = _append(col, 1, g0)

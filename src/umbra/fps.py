@@ -429,15 +429,6 @@ class Poly(Record):
         weights = [a**k / factorial(k) for k in range(len(self.coeffs))]
         return poly(apply_derivatives(weights, [self.coeffs])[0])
 
-    def reflected(self) -> "Poly":
-        """p(-x)."""
-        return poly([(-1) ** k * c for k, c in enumerate(self.coeffs)])
-
-    def times_x(self, k: int = 1) -> "Poly":
-        if self.is_zero():
-            return self
-        return Poly((Fraction(0),) * k + self.coeffs)
-
     def __str__(self) -> str:
         if self.is_zero():
             return "0"

@@ -21,8 +21,8 @@ from typing import Callable, Sequence
 
 from . import bell
 from ._kernel import (
-    apply_derivatives, cauchy, krylov, powers, reciprocal_powers, reduced, scaled,
-    scaled_rows, tri_inverse, tri_product,
+    apply_derivatives, cauchy, degree, divider, is_short, krylov, powers, reciprocal_powers, reduced,
+    scaled, scaled_rows, tri_inverse, tri_product, weighted_sum,
 )
 from .errors import (
     NotAppell, NotDelta, NotUnitary, OrderError, Record, Rows, SingularTriangle, TruncationError, agree
@@ -220,36 +220,71 @@ def basic_steffensen(Q: DeltaOp, n: int, form: bool = False) -> UmbralOp | Rows:
 
 
 def basic_recurrence(Q: DeltaOp, n: int, form: bool = False) -> UmbralOp | Rows:
-    """Rows p_{m+1} = x (Q')^{-1} p_m; inherently sequential.  On r_j = j! p_j, with
-    c = 1/Q', the step is r'_{j+1} = (j+1) sum_k c_k r_{j+k}: c is scaled once and cut
+    """Rows p_{m+1} = x (Q')^{-1} p_m; inherently sequential.  On r_j = j! p_j the step is
+    r'_{j+1} = (j+1) U_j, where U_j = sum_k c_k r_{j+k} with c = 1/Q' is a correlation:
+    read backwards it is the series quotient, U = reversed(reversed(r) / Q').  A short Q'
+    (``_kernel.is_short``; Catalan's 1 - 2D) divides by it (``_kernel.divider``), O(N d)
+    integer products per row, and 1/Q' is never built.  Otherwise c is scaled once and cut
     after its last nonzero entry, so a polynomial 1/Q' of degree d (Touchard's 1 + D,
-    Laguerre's (1 - D)^2) costs O(N^2 d), and each row is kept as integers over one
+    Laguerre's (1 - D)^2) costs O(N d) per row too.  Each U is integers over one
     denominator, one ``reduced`` per row.  With ``form``, the rows as ``agree``'s Rows:
     row m is r_j m!/j! over dr m!."""
     _require_depth(Q, n)
-    c, dc = scaled(mul_inv(derive(Q.indicator)).coeffs[: n + 1])
-    while len(c) > 1 and not c[-1]:
-        c.pop()
+    q = derive(Q.indicator)
+    head = q.coeffs[: n + 1]
+    if is_short(head):
+        divide = divider(*scaled(head))
+
+        def correlate(r: list[int], dr: int) -> tuple[list[int], int]:
+            u, du = divide(r[::-1], dr)
+            return u[::-1], du
+
+    else:
+        c, dc = scaled(mul_inv(q).coeffs[: n + 1])
+        del c[degree(c) + 1 :]
+
+        def correlate(r: list[int], dr: int) -> tuple[list[int], int]:
+            return reduced([sum(map(mul, c, r[j:])) for j in range(len(r))], dr * dc)
+
     fact = [factorial(j) for j in range(n + 1)]
     r, dr = [1], 1
     rows, dens = [[1]], [1]
     for m in range(1, n + 1):
-        r, dr = reduced([0] + [(j + 1) * sum(map(mul, c, r[j:])) for j in range(m)], dr * dc)
+        u, dr = correlate(r, dr)
+        r = [0] + [(j + 1) * v for j, v in enumerate(u)]
         rows.append([v * (fact[m] // fact[j]) for j, v in enumerate(r)])
         dens.append(dr * fact[m])
     return _result(Rows((rows, dens)), Q, form)
 
 
-def _power_columns(g: Series, n: int) -> tuple[list[list[int]], list[int]]:
+def _power_columns(g: Series, n: int, table=None) -> tuple[list[list[int]], list[int]]:
     """Rows 0..n of coeff[m][k] = m!/k! [t^m] g^k as the triangle form of ``agree``: column k
-    is [t^k..t^n] g^k of the integer power table of g (g.trunc >= n), times m!/k!, over the
-    denominator of g^k.  It is the basic triangle whose column-1 EGF is g."""
+    is [t^k..t^n] g^k of the integer power table of g (g.trunc >= n; ``table`` if given,
+    else ``powers`` of g), times m!/k!, over the denominator of g^k.  It is the basic
+    triangle whose column-1 EGF is g."""
     fact = [factorial(m) for m in range(n + 1)]
     cols, dens = [], []
-    for k, (p, dp) in enumerate(powers(g.coeffs, n)):
+    for k, (p, dp) in enumerate(powers(g.coeffs, n) if table is None else table):
         cols.append([p[m] * (fact[m] // fact[k]) for m in range(k, n + 1)])
         dens.append(dp)
     return cols, dens
+
+
+def _relation_powers(g: Series, q: Sequence[Fraction], n: int):
+    """Yield g^k through t^n for k = 0..n as (nums, den), for g = Q~^(-1) and the polynomial
+    Q~ = sum_{i=1..d} q_i t^i through t^n.  Q~(g) = t times g^k gives
+        g^(k+d) = (t g^k - sum_{i=1..d-1} q_i g^(k+i)) / q_d,
+    exact through t^n since Q~(g) - t has order > n: g^0..g^(d-1) come from ``powers``, and
+    each later power is d scaled integer vectors summed (``weighted_sum``) and one
+    ``reduced``, with no series product."""
+    d = degree(q)
+    weights = [1 / q[d]] + [-q[i] / q[d] for i in range(1, d)]
+    window = list(powers(g.coeffs, d - 1))
+    yield from window
+    for _ in range(n + 1 - d):
+        p, dp = window.pop(0)
+        window.append(reduced(*weighted_sum(zip(weights, [([0] + p[:n], dp)] + window), n + 1)))
+        yield window[-1]
 
 
 def _bell_form(f: Series, n: int) -> tuple[list[list[int]], list[int]]:
@@ -261,11 +296,16 @@ def _bell_form(f: Series, n: int) -> tuple[list[list[int]], list[int]]:
 
 def basic_genfunc(Q: DeltaOp, n: int, form: bool = False) -> UmbralOp | tuple[list[list[int]], list[int]]:
     """Columns from the generating function: coeff[m][k] = m! [t^m] invQ(t)^k / k!,
-    column k read off the integer power table of invQ.  With ``form``, the columns
-    as ``agree``'s (cols, dens), the form of ``_power_columns``."""
+    column k read off the integer power table of invQ.  A short Q~ through t^n
+    (``_kernel.is_short``) steps that table by Q~(invQ) = t (``_relation_powers``),
+    O(n d) integer products per power; a dense Q~ takes one product per power
+    (``powers``).  With ``form``, the columns as ``agree``'s (cols, dens), the form of
+    ``_power_columns``."""
     _require_depth(Q, n)
-    g = comp_inv(Q.indicator.truncate(max(n, 1)))
-    return _result(_power_columns(g, n), Q, form)
+    q = Q.indicator.truncate(max(n, 1))
+    g = comp_inv(q)
+    table = _relation_powers(g, q.coeffs, n) if is_short(q.coeffs) else None
+    return _result(_power_columns(g, n, table), Q, form)
 
 
 def basic_km(Q: DeltaOp, n: int, form: bool = False) -> UmbralOp | Rows:

@@ -8,9 +8,11 @@ summation calculus, the coefficient identity and the half-grid evaluation
 for binomial convolutions, the classical recurrences for Stirling/Lah
 numbers, the plain ``Fraction`` loops that the integer kernel replaced,
 the dense expression evaluator that polynomial nodes' short values
-replaced, the full-length ``comp_inv`` loop that its windows replaced, and
-the binomial closed form of the degenerate Laguerre triangle.  Helpers that
-only tests call (such as ``identity_op``, ``integrate``, ``render`` and
+replaced, the full-length ``comp_inv`` loop that its windows replaced, the
+recurrence and generating-function routes as they were before they divided
+by a short Q' and stepped by Q(g) = t, and the binomial closed form of the
+degenerate Laguerre triangle.  Helpers that only tests call (such as
+``identity_op``, ``integrate``, ``render``, ``reflected``, ``times_x`` and
 ``bernoulli_polynomial``) live here too, not in the package.
 """
 
@@ -24,7 +26,7 @@ from typing import Sequence
 
 from umbra._kernel import powers, reduced, scaled, scaled_rows
 from umbra.bell import _bell_columns
-from umbra.errors import DivisionOrderError, NotInvertible, NotUnitary, OrderError, TruncationError, UmbraError
+from umbra.errors import DivisionOrderError, NotInvertible, NotUnitary, OrderError, Rows, TruncationError, UmbraError
 from umbra.expr import (
     MAX_EXPONENT, MAX_POWER_BITS, MAX_STR_DIGITS, MAX_VALUE_BITS, BinOp, Call, Neg, Node, Num, Pow, Var, _at, _bits
 )
@@ -37,7 +39,7 @@ from umbra.operators import DeltaOp, ShiftOp, apply_op, validate_delta
 from umbra.rational import binom_row, rat, rat_str
 from umbra.serialize import series_to_json
 from umbra.sigma import bernoulli_numbers
-from umbra.umbral import Triangle, UmbralOp, basic_transfer, triangle
+from umbra.umbral import Triangle, UmbralOp, _power_columns, basic_transfer, triangle
 
 
 def tri_from_polys(polys: Sequence[Poly]) -> Triangle:
@@ -348,7 +350,7 @@ def sigma_corollary(Q: DeltaOp, a, p: Poly) -> Poly:
     out = poly([])
     qpow = p  # Q^{n-1} p starting at n = 1
     for n in range(1, d + 2):
-        out = out + phi.row_poly(n).shifted(a).reflected() * qpow / factorial(n)  # phi_n(a - x)
+        out = out + reflected(phi.row_poly(n).shifted(a)) * qpow / factorial(n)  # phi_n(a - x)
         qpow = apply_op_ref(Q, qpow)
     return -out
 
@@ -614,7 +616,7 @@ def shifted_ref(p: Poly, a) -> Poly:
     """p(x + a) by Horner in x + a."""
     acc = poly([])
     for c in reversed(p.coeffs):
-        acc = acc.times_x() + poly([a * v for v in acc.coeffs]) + poly([c])
+        acc = times_x(acc) + poly([a * v for v in acc.coeffs]) + poly([c])
     return acc
 
 
@@ -692,6 +694,41 @@ def comp_inv_ref(f: Series) -> Series:
     return Series(n, tuple(b))
 
 
+def basic_recurrence_ref(Q: DeltaOp, n: int) -> Rows:
+    """``umbral.basic_recurrence(Q, n, form=True)`` as it was before it divided by a short
+    Q': on r_j = j! p_j the step r'_{j+1} = (j+1) sum_k c_k r_{j+k}, with c = 1/Q' scaled
+    once and cut after its last nonzero entry, for every Q'."""
+    c, dc = scaled(mul_inv(derive(Q.indicator)).coeffs[: n + 1])
+    while len(c) > 1 and not c[-1]:
+        c.pop()
+    fact = [factorial(j) for j in range(n + 1)]
+    r, dr = [1], 1
+    rows, dens = [[1]], [1]
+    for m in range(1, n + 1):
+        r, dr = reduced([0] + [(j + 1) * sum(map(mul, c, r[j:])) for j in range(m)], dr * dc)
+        rows.append([v * (fact[m] // fact[j]) for j, v in enumerate(r)])
+        dens.append(dr * fact[m])
+    return Rows((rows, dens))
+
+
+def genfunc_powers_ref(Q: DeltaOp, n: int) -> tuple[list[list[int]], list[int]]:
+    """``umbral.basic_genfunc(Q, n, form=True)`` as it was before it stepped its power table
+    by Q(g) = t: ``_power_columns`` over the ``powers`` of g = comp_inv(Q), for every Q."""
+    return _power_columns(comp_inv(Q.indicator.truncate(max(n, 1))), n)
+
+
+def reflected(p: Poly) -> Poly:
+    """p(-x)."""
+    return poly([(-1) ** k * c for k, c in enumerate(p.coeffs)])
+
+
+def times_x(p: Poly, k: int = 1) -> Poly:
+    """x^k p."""
+    if p.is_zero():
+        return p
+    return Poly((Fraction(0),) * k + p.coeffs)
+
+
 def km_ref(Q: DeltaOp, n: int) -> UmbralOp:
     """Kurbanov-Maksimov rows p_m = sum_j x^j/j! W^j x^m, W = invQ(D) - D, with one
     apply_op and one Poly sum per term."""
@@ -705,7 +742,7 @@ def km_ref(Q: DeltaOp, n: int) -> UmbralOp:
         j = 0
         fact = 1
         while not u.is_zero():
-            acc = acc + u.times_x(j) / fact
+            acc = acc + times_x(u, j) / fact
             u = apply_op(w, u)
             j += 1
             fact *= j
@@ -824,7 +861,7 @@ def commutation_expansion_check(phi, n: int) -> bool:
         for k in range(0 if n == 0 else 1, n + 1):  # B_{n,0} = 0 for n > 0
             b = series_bell(n, k, args)
             term = apply_op(ShiftOp(b), pm) if isinstance(b, Series) else b * pm
-            rhs = rhs + term.times_x(k)
+            rhs = rhs + times_x(term, k)
         if phi.tri.row_poly(n + m) != rhs:
             return False
     return True

@@ -620,7 +620,7 @@ def test_special_class_fails_on_a_corrupted_row(monkeypatch, name, row, col):
 
 # -- the last Poly-loop identities on scaled rows; the degenerate base at any p -----------------
 
-_POLY_METHODS = ("__add__", "__mul__", "__rmul__", "__sub__", "derivative", "times_x")
+_POLY_METHODS = ("__add__", "__mul__", "__rmul__", "__sub__", "derivative")
 
 
 def test_row_identities_make_no_poly_arithmetic(monkeypatch):

@@ -505,6 +505,14 @@ GOLDEN_JSON = {
         "bf91c998f35aa69084821ba69531023a280dac1202df53e7f24a3a36feda48f1",
     ("series", "(1+x)^(1/2)", "--order=64"):
         "340bf4dbb65d3291ccbcd713b5776dc3bb637ffd242a301142846acd33754eb7",
+    # captured before the recurrence route divided by a short Q' and the generating-function
+    # route stepped its power table by Q(g) = t
+    ("basic", "--delta=-3/2*D+3/7*D^2-1/5*D^3+1/2*D^4", "--route=genfunc", "--order=64"):
+        "dbfe27474eab099f691ac053d9fb031555edbf491346ed5c7e14f8a01b268d54",
+    ("basic", "--delta=-3/2*D+3/7*D^2-1/5*D^3+1/2*D^4", "--route=recurrence", "--order=64"):
+        "dbfe27474eab099f691ac053d9fb031555edbf491346ed5c7e14f8a01b268d54",
+    ("triangle", "--family=catalan", "--order=64"):
+        "f9262729ee22be828e74546f3bf77993f719464914d330440a266aea0adcbabb",
 }
 
 

@@ -14,7 +14,7 @@ from umbra.operators import ShiftOp, apply_op, derivative_op, divide, shift_by, 
 from umbra.sigma import SigmaOp
 from umbra.umbral import basic_transfer, sheffer, tri_invert
 
-from oracles import tri_from_polys
+from oracles import times_x, tri_from_polys
 
 T = 14
 N = 8
@@ -87,7 +87,7 @@ def test_coefficient_shift_laws():
     # coeff of UX, XU, UD, DU in terms of coeff of U
     tri = basic_transfer(deltas()["Catalan"], N).tri
     ux_rows = [tri.apply_poly(monomial(n + 1)) for n in range(N)]  # U X x^n
-    xu_rows = [tri.apply_poly(monomial(n)).times_x() for n in range(N)]  # X U x^n
+    xu_rows = [times_x(tri.apply_poly(monomial(n))) for n in range(N)]  # X U x^n
     ud_rows = [tri.apply_poly(monomial(n).derivative()) for n in range(1, N + 1)]
     du_rows = [tri.apply_poly(monomial(n)).derivative() for n in range(N)]
     for n in range(N):

@@ -354,6 +354,37 @@ def _corrupt_reciprocal_powers(mp):
     mp.setattr(umbral, "reciprocal_powers", corrupted)
 
 
+def _corrupt_relation_power(mp):
+    # g^4 of genfunc's Q(g) = t steps (k >= d = 3 for a cubic Q) gains t^5, so entry (5, 4)
+    # = 5!/4! [t^5] g^4 gains 5; the steps after it read the wrong g^4 too
+    real = umbral._relation_powers
+
+    def corrupted(g, q, n):
+        for k, (p, dp) in enumerate(real(g, q, n)):
+            if k == 4:
+                p = [*p[:5], p[5] + dp, *p[6:]]
+            yield p, dp
+
+    mp.setattr(umbral, "_relation_powers", corrupted)
+
+
+def _corrupt_divided_row(mp):
+    # the recurrence route's quotient reversed(r) / Q' for row 6 gains 1 in its last entry,
+    # which is U_0, so r_1 of row 6 gains 1 and the rows after it read the wrong row 6
+    real = umbral.divider
+
+    def corrupted(x, dx):
+        divide = real(x, dx)
+
+        def wrong(h, dh):
+            u, du = divide(h, dh)
+            return ([*u[:-1], u[-1] + du] if len(h) == 6 else u), du
+
+        return wrong
+
+    mp.setattr(umbral, "divider", corrupted)
+
+
 def _corrupt_closed_triangle(m, k):
     """An injection that adds 1 to entry (m, k) of the closed-form triangle that ``triangle`` reads."""
 
@@ -429,6 +460,26 @@ INJECTIONS = {
             "routes": ["transfer", "steffensen"],
             "index": [4, 1],
             "values": ["30859/720", "-49/144"],
+        },
+    ),
+    "basic_genfunc_relation": (
+        ["basic", "--delta=2*D-D^2/3+3*D^3/5", "--route", "all", "--order", "20", "--format", "json"],
+        _corrupt_relation_power,
+        {
+            "construction": "basic",
+            "routes": ["transfer", "genfunc"],
+            "index": [5, 4],
+            "values": ["5/48", "245/48"],
+        },
+    ),
+    "basic_recurrence_divided": (
+        ["basic", "--delta=2*D-D^2/3+3*D^3/5", "--route", "all", "--order", "20", "--format", "json"],
+        _corrupt_divided_row,
+        {
+            "construction": "basic",
+            "routes": ["transfer", "recurrence"],
+            "index": [6, 1],
+            "values": ["10003/2880", "12883/2880"],
         },
     ),
     "triangle_closed_form": (

@@ -14,8 +14,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import pytest
 
-from umbra import _kernel, bell, fps, operators
-from umbra.errors import OrderError, TruncationError
+from umbra import _kernel, bell, catalog, fps, operators, umbral
+from umbra.errors import OrderError, TruncationError, agree
 from umbra.flow import _column_powers, _flow_triangle, shifted_powers
 from umbra.fps import (
     Poly, Series, comp_inv, compose, const, exp_series, exp_x, log1p, log_series, mul_inv, poly, pow_rat,
@@ -24,7 +24,7 @@ from umbra.fps import (
 from umbra.operators import ShiftOp, apply_op, validate_delta
 from umbra.umbral import (
     Triangle, basic_from_inverse_series, basic_genfunc, basic_km, basic_recurrence, basic_steffensen,
-    basic_transfer, sheffer, transform_seq, tri_compose, tri_identity, tri_invert,
+    basic_transfer, sheffer, transform_seq, tri_compose, tri_from_form, tri_identity, tri_invert,
 )
 
 import oracles
@@ -223,6 +223,88 @@ def test_recurrences_and_km_take_no_apply_op_or_poly_sum(monkeypatch):
     assert phi == basic_transfer(Q, 16)
 
 
+# -- the recurrence and generating-function routes on polynomial deltas ---------
+
+
+@st.composite
+def polynomial_deltas(draw):
+    """(Q, N): Q = sum_{i=1..d} q_i D^i through D^(N+1), d = 1..6, lead q_1 in {1, 2, -3/2, -1}
+    and q_d of either sign; N anywhere in 0..24, or next to a boundary at which a route turns
+    short: the recurrence route's 4d = N + 1 (Q' has degree d - 1) or genfunc's 4(d + 1) = N + 1."""
+    d = draw(st.integers(1, 6))
+    lead = draw(st.sampled_from((F(1), F(2), F(-3, 2), F(-1))))
+    coeffs = [F(0), lead, *draw(st.lists(rationals, min_size=d - 1, max_size=d - 1))]
+    if d > 1:
+        coeffs[d] = draw(nonzero)
+    edge = draw(st.sampled_from((4 * d, 4 * (d + 1)))) - 1 + draw(st.integers(-2, 2))
+    n = draw(st.one_of(st.integers(0, 24), st.just(min(max(edge, 0), 24))))
+    return validate_delta(ShiftOp(series(coeffs, n + 1))), n
+
+
+def _same_routes(Q, n):
+    """The recurrence and generating-function routes equal the loops they replaced, as
+    ``agree`` compares their forms and as whole triangles."""
+    for route, ref in ((basic_recurrence, oracles.basic_recurrence_ref), (basic_genfunc, oracles.genfunc_powers_ref)):
+        got, want = route(Q, n, form=True), ref(Q, n)
+        agree("basic", route=got, reference=want)
+        assert tri_from_form(got) == tri_from_form(want)
+
+
+@settings(max_examples=80, deadline=None)
+@given(polynomial_deltas())
+@example((validate_delta(ShiftOp(series([0, F(-3, 2), F(3, 7), F(-1, 5), F(1, 2)], 20))), 19))  # genfunc's boundary
+@example((validate_delta(ShiftOp(series([0, F(-3, 2), F(3, 7), F(-1, 5), F(1, 2)], 19))), 18))  # and one below it
+@example((validate_delta(ShiftOp(series([0, 2, F(-1, 3), F(3, 5)], 12))), 11))  # recurrence's boundary
+@example((validate_delta(ShiftOp(series([0, 2, F(-1, 3), F(3, 5)], 11))), 10))  # and one below it
+def test_polynomial_delta_routes_match_the_loops_they_replaced(case):
+    _same_routes(*case)
+
+
+@pytest.mark.parametrize(
+    "Q, n",
+    [
+        (validate_delta(ShiftOp(series([0, 1] + [0] * 68 + [1], 65))), 64),  # D + D^70 reads as D
+        (validate_delta(ShiftOp(series([0, 2], 41))), 40),
+        (validate_delta(ShiftOp(series([0, 1, -1], 41))), 40),
+        *[(catalog.family(name).delta(n + 1), n) for name in ("catalan", "laguerre", "touchard") for n in (0, 7, 40)],
+    ],
+)
+def test_pinned_deltas_routes_match_the_loops_they_replaced(Q, n):
+    _same_routes(Q, n)
+
+
+def _spies(monkeypatch):
+    """Record umbral's calls of ``mul_inv`` and of ``powers`` (with the count asked for) and
+    every Series product."""
+    calls = []
+    real_inv, real_powers = umbral.mul_inv, umbral.powers
+    monkeypatch.setattr(umbral, "mul_inv", lambda f: calls.append("mul_inv") or real_inv(f))
+    monkeypatch.setattr(umbral, "powers", lambda f, count: calls.append(("powers", count)) or real_powers(f, count))
+    for name in ("__mul__", "__rmul__"):
+        real = getattr(Series, name)
+        monkeypatch.setattr(Series, name, lambda a, b, real=real: calls.append("product") or real(a, b))
+    return calls
+
+
+def test_polynomial_delta_routes_take_their_short_paths(monkeypatch):
+    # a cost guard: at N = 40 on a degree-4 delta the dense paths cost O(N^3), the short O(N^2 d)
+    Q = validate_delta(ShiftOp(series([0, F(-3, 2), F(3, 7), F(-1, 5), F(1, 2)], 41)))
+    calls = _spies(monkeypatch)
+    basic_recurrence(Q, 40)
+    assert calls == []  # Q' is divided by; 1/Q' is never built
+    basic_genfunc(Q, 40)
+    assert calls == [("powers", 3)]  # g^0..g^3; the rest from Q(g) = t
+
+
+def test_dense_delta_routes_keep_their_dense_paths(monkeypatch):
+    Q = validate_delta(ShiftOp(exp_x(41) - 1))
+    calls = _spies(monkeypatch)
+    basic_recurrence(Q, 40)
+    assert calls == ["mul_inv"]
+    basic_genfunc(Q, 40)
+    assert calls == ["mul_inv", ("powers", 40)]
+
+
 # -- Series and Poly ------------------------------------------------------------
 
 
@@ -262,7 +344,7 @@ def test_poly_evaluation_matches_oracle(a, x):
 def test_taylor_shift_and_linear_substitution_match_oracle(a, o):
     # sigma's phi_n(a - x) is the Taylor shift by a, then the reflection x -> -x
     p = poly(a)
-    shifted, linear = p.shifted(o), p.shifted(o).reflected()
+    shifted, linear = p.shifted(o), oracles.reflected(p.shifted(o))
     assert shifted == oracles.shifted_ref(p, o) and normalised(shifted.coeffs)
     assert linear == oracles.compose_linear_ref(p, -1, o) and normalised(linear.coeffs)
 

@@ -29,7 +29,7 @@ from umbra.operators import (
     validate_delta,
 )
 
-from oracles import identity_op
+from oracles import identity_op, reflected, times_x
 
 T = 14
 
@@ -124,7 +124,7 @@ def test_pincherle_matches_definition_tx_minus_xt():
     for op in (_delta(), divide(derivative_op(T), _delta())):
         for d in range(6):
             p = monomial(d)
-            lhs = apply_op(op, p.times_x()) - apply_op(op, p).times_x()
+            lhs = apply_op(op, times_x(p)) - times_x(apply_op(op, p))
             assert lhs == apply_op(pincherle(op), p)
 
 
@@ -254,9 +254,9 @@ def test_delta_unit_is_read_from_the_indicator():
 
 def test_elementary_table():
     p = poly([0, 1, 1])  # x^2 + x
-    assert p.reflected() == poly([0, -1, 1])
+    assert reflected(p) == poly([0, -1, 1])
     assert monomial(2).shifted(1) == poly([1, 2, 1])
     assert poly([1, 0, 1])(2) == 5
     assert F(1, 2) * p == poly([0, F(1, 2), F(1, 2)])
-    assert p.times_x() == poly([0, 0, 1, 1])
+    assert times_x(p) == poly([0, 0, 1, 1])
     assert p.derivative() == poly([1, 2])
