@@ -83,8 +83,10 @@ def degree(x: Sequence) -> int:
 
 def is_short(x: Sequence) -> bool:
     """True when x, of degree d, has 4(d + 1) <= len(x): the rule under which dividing by x
-    (``divider``) or stepping a power table by it beats the dense products, whose operands
-    stay smaller than the graded numbers of a division by a dense x."""
+    (``divider``) beats the dense products, whose operands stay smaller than the graded
+    numbers of a division by a dense x, and under which stepping a power table by x
+    (``umbral._relation_powers``) beats one product per power, as its d-term sums cost
+    more than a product once d nears len(x) / 4."""
     return 4 * (degree(x) + 1) <= len(x)
 
 

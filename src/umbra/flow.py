@@ -195,7 +195,8 @@ def phi_pow(Q: DeltaOp, s: RatLike, n: int) -> Triangle:
     cols, dens = bell_form
     if cols[0] != [dens[0]] + [0] * n or not all(col[0] for col in cols):
         raise ValueError("umbral triangle must have coeff[0][0] = 1, coeff[n][0] = 0 and a nonzero diagonal")
-    return tri_from_form(agree("phi_pow", bell=bell_form, powers=umbral._power_columns(g, n)))
+    power_form = umbral._power_columns(umbral.powers(g.coeffs, n), n)
+    return tri_from_form(agree("phi_pow", bell=bell_form, powers=power_form))
 
 
 def jabotinsky(tri: Triangle) -> tuple[tuple[Fraction, ...], ...]:

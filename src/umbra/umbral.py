@@ -257,14 +257,14 @@ def basic_recurrence(Q: DeltaOp, n: int, form: bool = False) -> UmbralOp | Rows:
     return _result(Rows((rows, dens)), Q, form)
 
 
-def _power_columns(g: Series, n: int, table=None) -> tuple[list[list[int]], list[int]]:
+def _power_columns(table, n: int) -> tuple[list[list[int]], list[int]]:
     """Rows 0..n of coeff[m][k] = m!/k! [t^m] g^k as the triangle form of ``agree``: column k
-    is [t^k..t^n] g^k of the integer power table of g (g.trunc >= n; ``table`` if given,
-    else ``powers`` of g), times m!/k!, over the denominator of g^k.  It is the basic
-    triangle whose column-1 EGF is g."""
+    is [t^k..t^n] g^k of the integer power table of g (g^0..g^n as (nums, den) through
+    t^n), times m!/k!, over the denominator of g^k.  It is the basic triangle whose
+    column-1 EGF is g."""
     fact = [factorial(m) for m in range(n + 1)]
     cols, dens = [], []
-    for k, (p, dp) in enumerate(powers(g.coeffs, n) if table is None else table):
+    for k, (p, dp) in enumerate(table):
         cols.append([p[m] * (fact[m] // fact[k]) for m in range(k, n + 1)])
         dens.append(dp)
     return cols, dens
@@ -299,13 +299,14 @@ def basic_genfunc(Q: DeltaOp, n: int, form: bool = False) -> UmbralOp | tuple[li
     column k read off the integer power table of invQ.  A short Q~ through t^n
     (``_kernel.is_short``) steps that table by Q~(invQ) = t (``_relation_powers``),
     O(n d) integer products per power; a dense Q~ takes one product per power
-    (``powers``).  With ``form``, the columns as ``agree``'s (cols, dens), the form of
+    (``powers``), which costs less than the relation's d-term sums once d nears n/4.
+    With ``form``, the columns as ``agree``'s (cols, dens), the form of
     ``_power_columns``."""
     _require_depth(Q, n)
     q = Q.indicator.truncate(max(n, 1))
     g = comp_inv(q)
-    table = _relation_powers(g, q.coeffs, n) if is_short(q.coeffs) else None
-    return _result(_power_columns(g, n, table), Q, form)
+    table = _relation_powers(g, q.coeffs, n) if is_short(q.coeffs) else powers(g.coeffs, n)
+    return _result(_power_columns(table, n), Q, form)
 
 
 def basic_km(Q: DeltaOp, n: int, form: bool = False) -> UmbralOp | Rows:

@@ -714,7 +714,7 @@ def basic_recurrence_ref(Q: DeltaOp, n: int) -> Rows:
 def genfunc_powers_ref(Q: DeltaOp, n: int) -> tuple[list[list[int]], list[int]]:
     """``umbral.basic_genfunc(Q, n, form=True)`` as it was before it stepped its power table
     by Q(g) = t: ``_power_columns`` over the ``powers`` of g = comp_inv(Q), for every Q."""
-    return _power_columns(comp_inv(Q.indicator.truncate(max(n, 1))), n)
+    return _power_columns(powers(comp_inv(Q.indicator.truncate(max(n, 1))).coeffs, n), n)
 
 
 def reflected(p: Poly) -> Poly:

@@ -18,7 +18,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 import pytest
 
-from umbra import bell, catalog, cli, flow, fps, sigma, umbral
+from umbra import _kernel, bell, catalog, cli, flow, fps, sigma, umbral
 from umbra.catalog import family, identity_check
 from umbra.cli import main
 from umbra.errors import RouteDisagreement, Rows, agree, shown
@@ -385,6 +385,25 @@ def _corrupt_divided_row(mp):
     mp.setattr(umbral, "divider", corrupted)
 
 
+def _corrupt_divider(mp):
+    # the kernel's graded division at both bindings: every quotient of at least six entries
+    # gains x^5, so transfer and Steffensen (through reciprocal_powers) and recurrence all go
+    # wrong at once, each in its own way: transfer's (5, 0) entry is no longer 0
+    real = _kernel.divider
+
+    def corrupted(x, dx):
+        divide = real(x, dx)
+
+        def wrong(h, dh):
+            u, du = divide(h, dh)
+            return ([*u[:5], u[5] + du, *u[6:]] if len(u) > 5 else u), du
+
+        return wrong
+
+    mp.setattr(_kernel, "divider", corrupted)
+    mp.setattr(umbral, "divider", corrupted)
+
+
 def _corrupt_closed_triangle(m, k):
     """An injection that adds 1 to entry (m, k) of the closed-form triangle that ``triangle`` reads."""
 
@@ -480,6 +499,16 @@ INJECTIONS = {
             "routes": ["transfer", "recurrence"],
             "index": [6, 1],
             "values": ["10003/2880", "12883/2880"],
+        },
+    ),
+    "basic_divider": (
+        ["basic", "--delta=2*D-D^2/3+3*D^3/5", "--route", "all", "--order", "20", "--format", "json"],
+        _corrupt_divider,
+        {
+            "construction": "basic",
+            "routes": ["transfer", "steffensen"],
+            "index": [5, 0],
+            "values": ["945/2", "0"],
         },
     ),
     "triangle_closed_form": (
