@@ -126,26 +126,17 @@ def shown(value) -> str:
         return "-" * (q < 0) + "<%d-bit numerator>/<%d-bit denominator>" % bits
 
 
-class Rows(tuple):
-    """A triangle by rows for ``agree``: Rows((rows, dens)) has entry (m, j) = rows[m][j] / dens[m].
-    Its class tells it from the triangle by columns (cols, dens), also at n = 0, where
-    the two have one shape."""
-
-    __slots__ = ()
-
-
 def _lines(form) -> list:
-    """An integer form as its (nums, den) lines, the rows or the columns; a vector is one line."""
+    """An integer form as its (nums, den) lines: a vector is one line, a triangle its rows."""
     nums, den = form
     return [form] if isinstance(den, int) else list(zip(nums, den))
 
 
 def _cell(form, m: int, k: int) -> Fraction:
     """Entry (m, k) of a triangle form as a reduced Fraction; 0 past the end."""
-    lines, dens = form
-    i, j = (m, k) if isinstance(form, Rows) else (k, m - k)
-    if i < min(len(lines), len(dens)) and j < len(lines[i]):
-        return Fraction(lines[i][j], dens[i])
+    rows, dens = form
+    if m < min(len(rows), len(dens)) and k < len(rows[m]):
+        return Fraction(rows[m][k], dens[m])
     return Fraction(0)
 
 
@@ -162,27 +153,10 @@ def _same_line(a, b) -> bool:
     return all(u * fx == v * fy for u, v in zip(x, y))
 
 
-def _same_entries(by_rows, by_columns) -> bool:
-    """Whether a triangle by rows and one by columns have one shape, row m of length m + 1
-    and column k of length n + 1 - k, and equal entries, each pair cross-multiplied by the
-    other's denominator."""
-    (rows, dr), (cols, dc) = by_rows, by_columns
-    n = len(rows)
-    if len(cols) != n or len(dr) != n or len(dc) != n:
-        return False
-    if any(len(row) != m + 1 for m, row in enumerate(rows)) or any(len(c) != n - k for k, c in enumerate(cols)):
-        return False
-    return all(
-        v * dc[k] == cols[k][m - k] * d for m, (row, d) in enumerate(zip(rows, dr)) for k, v in enumerate(row)
-    )
-
-
 def _equal(a, b) -> bool:
     """a == b, for integer forms as for Series and Triangles: the same shape and values."""
     if not isinstance(a, tuple):
         return a == b
-    if isinstance(a, Rows) is not isinstance(b, Rows):
-        return _same_entries(a, b) if isinstance(a, Rows) else _same_entries(b, a)
     la, lb = _lines(a), _lines(b)
     return len(la) == len(lb) and all(map(_same_line, la, lb))
 
@@ -191,9 +165,9 @@ def _first_difference(a, b) -> tuple[list[int], tuple]:
     """(index, (a entry, b entry)) where a and b first differ; ([], (a, b)) if no entry does."""
     if isinstance(a, tuple):
         ca, cb = a, b
-        if isinstance(a[1], int):  # a vector, read as the one column of a triangle form
+        if isinstance(a[1], int):  # a vector, read as the one row of a triangle form
             ca, cb = ([a[0]], [a[1]]), ([b[0]], [b[1]])
-            cells = [([i], (i, 0)) for i in range(max(len(a[0]), len(b[0])))]
+            cells = [([i], (0, i)) for i in range(max(len(a[0]), len(b[0])))]
         else:
             cells = [([m, k], (m, k)) for m in range(max(len(a[0]), len(b[0]))) for k in range(m + 1)]
         entries = ((i, (_cell(ca, *c), _cell(cb, *c))) for i, c in cells)
@@ -211,14 +185,11 @@ def agree(construction: str, **routes):
     """The first route's value; raises RouteDisagreement unless all routes are equal.
 
     A value is a rational, a Poly, a Series or a Triangle, or an integer form that
-    is compared with no Fraction: (nums, den) for the vector nums[i] / den,
-    (cols, dens) for the triangle whose column k lists entries (k, k), ..., (n, k)
-    as cols[k][i] / dens[k], and Rows((rows, dens)) for the triangle whose row m lists
-    entries (m, 0), ..., (m, m) as rows[m][j] / dens[m].  No form need be reduced, and
-    nums are lists.  Two vectors, two triangles by columns or two by rows are equal when
-    they have one shape and, line by line, the numerators cross-multiplied by the
-    cofactors of the two denominators agree; a triangle by rows and one by columns are
-    compared entry by entry, each numerator times the other's denominator.  Only the two
+    is compared with no Fraction: (nums, den) for the vector nums[i] / den, and
+    (rows, dens) for the triangle whose row m lists entries (m, 0), ..., (m, m) as
+    rows[m][k] / dens[m].  No form need be reduced, and nums and rows are lists.  Two
+    forms are equal when they have one shape and, line by line, the numerators
+    cross-multiplied by the cofactors of the two denominators agree.  Only the two
     entries where they first differ, in the order of a Series ([i]) or of a Triangle's
     rows ([m, k]) and with 0 past the end, become Fractions, so the disagreement reads
     as it would between Series or Triangles."""

@@ -179,10 +179,10 @@ def phi_pow(Q: DeltaOp, s: RatLike, n: int) -> Triangle:
     these two fix g.  The triangle of g is built by two routes that share no
     intermediate result and must agree: the Bell recurrence on integers
     (``umbral._bell_form``) and the power table m!/k! [x^m] g^k
-    (``umbral._power_columns``).  Both stay integer columns over their own
-    denominators while ``agree`` compares them, and only the returned triangle is
-    made of Fractions.  q is read through x^max(n, 1), so n = 0 gives the
-    one-entry identity.
+    (``umbral._power_rows``).  Both stay integer rows over their own denominators
+    while ``agree`` compares them, and only the returned triangle, that of the power
+    table, whose denominators are the smaller, is made of Fractions.  q is read
+    through x^max(n, 1), so n = 0 gives the one-entry identity.
     """
     if not Q.is_unitary():
         raise NotUnitary("fractional operator powers need a unitary delta")
@@ -192,11 +192,12 @@ def phi_pow(Q: DeltaOp, s: RatLike, n: int) -> Triangle:
     q = Q.indicator.truncate(max(n, 1))  # a delta's indicator reaches x^1
     g = frac_iterate(q, -s, 1, q.trunc)
     bell_form = umbral._bell_form(g, n)
-    cols, dens = bell_form
-    if cols[0] != [dens[0]] + [0] * n or not all(col[0] for col in cols):
+    rows, dens = bell_form
+    if rows[0] != [dens[0]] or any(row[0] for row in rows[1:]) or not all(row[-1] for row in rows):
         raise ValueError("umbral triangle must have coeff[0][0] = 1, coeff[n][0] = 0 and a nonzero diagonal")
-    power_form = umbral._power_columns(umbral.powers(g.coeffs, n), n)
-    return tri_from_form(agree("phi_pow", bell=bell_form, powers=power_form))
+    power_form = umbral._power_rows(umbral.powers(g.coeffs, n), n)
+    agree("phi_pow", bell=bell_form, powers=power_form)
+    return tri_from_form(power_form)
 
 
 def jabotinsky(tri: Triangle) -> tuple[tuple[Fraction, ...], ...]:

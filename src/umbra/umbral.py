@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import islice
-from math import comb, factorial, lcm
+from math import comb, factorial, gcd, lcm
 from operator import mul
 from typing import Callable, Sequence
 
@@ -25,7 +25,7 @@ from ._kernel import (
     scaled, scaled_rows, tri_inverse, tri_product, weighted_sum,
 )
 from .errors import (
-    NotAppell, NotDelta, NotUnitary, OrderError, Record, Rows, SingularTriangle, TruncationError, agree
+    NotAppell, NotDelta, NotUnitary, OrderError, Record, SingularTriangle, TruncationError, agree
 )
 from .fps import (
     Poly,
@@ -93,15 +93,13 @@ def tri_identity(n: int) -> Triangle:
     )
 
 
-def tri_from_form(form) -> Triangle:
-    """The Triangle of ``agree``'s triangle form: entry (m, k) is rows[m][k] / dens[m] for
-    Rows((rows, dens)), cols[k][m - k] / dens[k] for (cols, dens)."""
-    lines, dens = form
-    if isinstance(form, Rows):
-        return Triangle(tuple([tuple([Fraction(v, d) for v in row]) for row, d in zip(lines, dens)]))
-    return Triangle(
-        tuple([tuple([Fraction(lines[k][m - k], dens[k]) for k in range(m + 1)]) for m in range(len(lines))])
-    )
+RowForm = tuple[list[list[int]], list[int]]  # agree's triangle form (rows, dens)
+
+
+def tri_from_form(form: RowForm) -> Triangle:
+    """The Triangle of ``agree``'s triangle form (rows, dens): entry (m, k) is rows[m][k] / dens[m]."""
+    rows, dens = form
+    return Triangle(tuple([tuple([Fraction(v, d) for v in row]) for row, d in zip(rows, dens)]))
 
 
 def tri_compose(phi: Triangle, psi: Triangle) -> Triangle:
@@ -193,10 +191,10 @@ def _result(out, Q: DeltaOp, form: bool):
     return out if form else UmbralOp(tri_from_form(out), Q)
 
 
-def basic_transfer(Q: DeltaOp, n: int, form: bool = False) -> UmbralOp | Rows:
+def basic_transfer(Q: DeltaOp, n: int, form: bool = False) -> UmbralOp | RowForm:
     """Rows p_m = Q'(D/Q)^{m+1} x^m: with c = Q'(D/Q)^{m+1} through x^m, entry j
     of row m is c_{m-j} m!/j!, one integer product per power of D/Q.  With ``form``,
-    the rows as ``agree``'s Rows, row m over the denominators of Q' and (D/Q)^{m+1}."""
+    the rows as ``agree``'s triangle form, row m over the denominators of Q' and (D/Q)^{m+1}."""
     _require_depth(Q, n)
     q, dq = scaled(derive(Q.indicator).coeffs[: n + 1])
     table = islice(reciprocal_powers(Q.indicator.coeffs[1 : n + 2], n + 1), 1, None)  # from (D/Q)^1
@@ -204,22 +202,22 @@ def basic_transfer(Q: DeltaOp, n: int, form: bool = False) -> UmbralOp | Rows:
     for m, (p, dp) in enumerate(table):
         rows.append(_on_monomial(cauchy(q, p, m), m, fact))
         dens.append(dq * dp)
-    return _result(Rows((rows, dens)), Q, form)
+    return _result((rows, dens), Q, form)
 
 
-def basic_steffensen(Q: DeltaOp, n: int, form: bool = False) -> UmbralOp | Rows:
+def basic_steffensen(Q: DeltaOp, n: int, form: bool = False) -> UmbralOp | RowForm:
     """Rows p_m = x (D/Q)^m x^{m-1} (row 0 is [1]), one power of D/Q per row.  With
-    ``form``, the rows as ``agree``'s Rows, row m over the denominator of (D/Q)^m."""
+    ``form``, the rows as ``agree``'s triangle form, row m over the denominator of (D/Q)^m."""
     _require_depth(Q, n)
     table = islice(reciprocal_powers(Q.indicator.coeffs[1 : n + 2], n), 1, None)  # from (D/Q)^1
     fact, rows, dens = [factorial(j) for j in range(n + 1)], [[1]], [1]
     for m, (p, dp) in enumerate(table):
         rows.append([0] + _on_monomial(p, m, fact))
         dens.append(dp)
-    return _result(Rows((rows, dens)), Q, form)
+    return _result((rows, dens), Q, form)
 
 
-def basic_recurrence(Q: DeltaOp, n: int, form: bool = False) -> UmbralOp | Rows:
+def basic_recurrence(Q: DeltaOp, n: int, form: bool = False) -> UmbralOp | RowForm:
     """Rows p_{m+1} = x (Q')^{-1} p_m; inherently sequential.  On r_j = j! p_j the step is
     r'_{j+1} = (j+1) U_j, where U_j = sum_k c_k r_{j+k} with c = 1/Q' is a correlation:
     read backwards it is the series quotient, U = reversed(reversed(r) / Q').  A short Q'
@@ -227,8 +225,8 @@ def basic_recurrence(Q: DeltaOp, n: int, form: bool = False) -> UmbralOp | Rows:
     integer products per row, and 1/Q' is never built.  Otherwise c is scaled once and cut
     after its last nonzero entry, so a polynomial 1/Q' of degree d (Touchard's 1 + D,
     Laguerre's (1 - D)^2) costs O(N d) per row too.  Each U is integers over one
-    denominator, one ``reduced`` per row.  With ``form``, the rows as ``agree``'s Rows:
-    row m is r_j m!/j! over dr m!."""
+    denominator, one ``reduced`` per row.  With ``form``, the rows as ``agree``'s triangle
+    form: row m is r_j m!/j! over dr m!."""
     _require_depth(Q, n)
     q = derive(Q.indicator)
     head = q.coeffs[: n + 1]
@@ -254,20 +252,27 @@ def basic_recurrence(Q: DeltaOp, n: int, form: bool = False) -> UmbralOp | Rows:
         r = [0] + [(j + 1) * v for j, v in enumerate(u)]
         rows.append([v * (fact[m] // fact[j]) for j, v in enumerate(r)])
         dens.append(dr * fact[m])
-    return _result(Rows((rows, dens)), Q, form)
+    return _result((rows, dens), Q, form)
 
 
-def _power_columns(table, n: int) -> tuple[list[list[int]], list[int]]:
-    """Rows 0..n of coeff[m][k] = m!/k! [t^m] g^k as the triangle form of ``agree``: column k
-    is [t^k..t^n] g^k of the integer power table of g (g^0..g^n as (nums, den) through
-    t^n), times m!/k!, over the denominator of g^k.  It is the basic triangle whose
-    column-1 EGF is g."""
+def _power_rows(table, n: int) -> RowForm:
+    """Rows 0..n of coeff[m][k] = m!/k! [t^m] g^k as ``agree``'s triangle form, from the
+    integer power table of g (g^0..g^n as (nums, den) through t^n): row m is over L_m, the
+    lcm of the denominators of g^0..g^m, and entry k is [t^m] g^k times m!/k! L_m/den(g^k).
+    Each lift L_m/den(g^k) is kept from row to row: when L grows by a factor f, the earlier
+    lifts are multiplied by f.  It is the basic triangle whose column-1 EGF is g."""
     fact = [factorial(m) for m in range(n + 1)]
-    cols, dens = [], []
-    for k, (p, dp) in enumerate(table):
-        cols.append([p[m] * (fact[m] // fact[k]) for m in range(k, n + 1)])
-        dens.append(dp)
-    return cols, dens
+    nums, lifts, L, rows, dens = [], [], 1, [], []
+    for m, (p, dp) in enumerate(table):
+        f = dp // gcd(L, dp)
+        if f > 1:
+            L *= f
+            lifts = [v * f for v in lifts]
+        lifts.append(L // dp)
+        nums.append(p)
+        rows.append([nums[k][m] * lifts[k] * (fact[m] // fact[k]) for k in range(m + 1)])
+        dens.append(L)
+    return rows, dens
 
 
 def _relation_powers(g: Series, q: Sequence[Fraction], n: int):
@@ -287,34 +292,39 @@ def _relation_powers(g: Series, q: Sequence[Fraction], n: int):
         yield window[-1]
 
 
-def _bell_form(f: Series, n: int) -> tuple[list[list[int]], list[int]]:
-    """Rows 0..n of coeff[m][k] = B_(m,k)(a), a_j = j! [x^j] f, as the triangle form of
-    ``agree``: column k is E_(k,k), ..., E_(n,k) of ``bell._bell_columns`` over k! D^k."""
+def _bell_form(f: Series, n: int) -> RowForm:
+    """Rows 0..n of coeff[m][k] = B_(m,k)(a), a_j = j! [x^j] f, as ``agree``'s triangle form:
+    E_(m,k) of ``bell._bell_columns`` is over k! D^k, so row m is over m! D^m and entry k
+    is E_(m,k) times the lift (m!/k!) D^(m-k), row m - 1's lift times m D."""
     cols, d = bell._bell_columns([factorial(j) * f[j] for j in range(1, n + 1)], n, n, n)
-    return [col[k:] for k, col in enumerate(cols)], [factorial(k) * d**k for k in range(n + 1)]
+    lifts, rows, dens = [], [], []
+    for m in range(n + 1):
+        lifts = [v * m * d for v in lifts] + [1]
+        rows.append([cols[k][m] * lifts[k] for k in range(m + 1)])
+        dens.append(lifts[0])  # m! D^m
+    return rows, dens
 
 
-def basic_genfunc(Q: DeltaOp, n: int, form: bool = False) -> UmbralOp | tuple[list[list[int]], list[int]]:
-    """Columns from the generating function: coeff[m][k] = m! [t^m] invQ(t)^k / k!,
-    column k read off the integer power table of invQ.  A short Q~ through t^n
-    (``_kernel.is_short``) steps that table by Q~(invQ) = t (``_relation_powers``),
-    O(n d) integer products per power; a dense Q~ takes one product per power
-    (``powers``), which costs less than the relation's d-term sums once d nears n/4.
-    With ``form``, the columns as ``agree``'s (cols, dens), the form of
-    ``_power_columns``."""
+def basic_genfunc(Q: DeltaOp, n: int, form: bool = False) -> UmbralOp | RowForm:
+    """The generating function's triangle: coeff[m][k] = m! [t^m] invQ(t)^k / k!, read off
+    the integer power table of invQ.  A short Q~ through t^n (``_kernel.is_short``) steps
+    that table by Q~(invQ) = t (``_relation_powers``), O(n d) integer products per power;
+    a dense Q~ takes one product per power (``powers``), which costs less than the
+    relation's d-term sums once d nears n/4.  With ``form``, the rows of ``_power_rows``
+    as ``agree``'s triangle form."""
     _require_depth(Q, n)
     q = Q.indicator.truncate(max(n, 1))
     g = comp_inv(q)
     table = _relation_powers(g, q.coeffs, n) if is_short(q.coeffs) else powers(g.coeffs, n)
-    return _result(_power_columns(table, n), Q, form)
+    return _result(_power_rows(table, n), Q, form)
 
 
-def basic_km(Q: DeltaOp, n: int, form: bool = False) -> UmbralOp | Rows:
+def basic_km(Q: DeltaOp, n: int, form: bool = False) -> UmbralOp | RowForm:
     """Closed-form rows p_m = sum_j x^j/j! W^j x^m, W = invQ(D) - D, read off the
     integer power table of w = invQ - t: entry k of row m is
     sum_{j<=k} [t^{m-k+j}] w^j m!/(j! (k-j)!), summed as integers over the lcm of
     j! den(w^j).  Every j <= k is summed: w^j has order >= j, and >= 2j only when
-    Q is unitary.  With ``form``, the rows as ``agree``'s Rows, all over that lcm."""
+    Q is unitary.  With ``form``, the rows as ``agree``'s triangle form, all over that lcm."""
     _require_depth(Q, n)
     g = comp_inv(Q.indicator.truncate(max(n, 1)))
     table = list(powers((g - x_series(g.trunc)).coeffs, n))
@@ -325,7 +335,7 @@ def basic_km(Q: DeltaOp, n: int, form: bool = False) -> UmbralOp | Rows:
     diag = [[table[j][0][d + j] * scale[j] for j in range(n + 1 - d)] for d in range(n + 1)]
     fall = [[fact[m] // fact[r] for r in range(m + 1)] for m in range(n + 1)]
     rows = [[sum(map(mul, diag[m - k], fall[m][k::-1])) for k in range(m + 1)] for m in range(n + 1)]
-    return _result(Rows((rows, [den] * (n + 1))), Q, form)
+    return _result((rows, [den] * (n + 1)), Q, form)
 
 
 BASIC_ROUTES: dict[str, Callable[..., UmbralOp]] = {
@@ -350,15 +360,15 @@ def basic_all_routes(Q: DeltaOp, n: int) -> UmbralOp:
 def basic_from_inverse_series(f: Series, n: int) -> UmbralOp:
     """Basic triangle whose column-1 EGF is f (= indicator of Q^[-1]).
 
-    coeff[m][k] = B_{m,k}(a_1, ..., a_{m-k+1}) with a_j = j! [x^j] f; this is
-    the Bell-polynomial route, independent of the five operator routes.
+    coeff[m][k] = B_{m,k}(a_1, ..., a_{m-k+1}) with a_j = j! [x^j] f, the rows of
+    ``_bell_form``; this is the Bell-polynomial route, independent of the five
+    operator routes.
     """
     if f.order() != 1:
         raise NotUnitary("inverse indicator must have order 1")
     if f.trunc < n:
         raise TruncationError(f"need trunc >= {n}, have {f.trunc}")
-    a = [factorial(j) * f[j] for j in range(1, n + 1)]
-    return UmbralOp(Triangle(bell.partial_bell_table(n, a)))
+    return UmbralOp(tri_from_form(_bell_form(f, n)))
 
 
 def delta_of(phi: UmbralOp | Triangle) -> DeltaOp:

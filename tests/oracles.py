@@ -10,8 +10,9 @@ numbers, the plain ``Fraction`` loops that the integer kernel replaced,
 the dense expression evaluator that polynomial nodes' short values
 replaced, the full-length ``comp_inv`` loop that its windows replaced, the
 recurrence and generating-function routes as they were before they divided
-by a short Q' and stepped by Q(g) = t, and the binomial closed form of the
-degenerate Laguerre triangle.  Helpers that only tests call (such as
+by a short Q' and stepped by Q(g) = t, the column forms of the power-table
+and Bell triangles that their row forms replaced, and the binomial closed form
+of the degenerate Laguerre triangle.  Helpers that only tests call (such as
 ``identity_op``, ``integrate``, ``render``, ``reflected``, ``times_x`` and
 ``bernoulli_polynomial``) live here too, not in the package.
 """
@@ -26,7 +27,7 @@ from typing import Sequence
 
 from umbra._kernel import powers, reduced, scaled, scaled_rows
 from umbra.bell import _bell_columns
-from umbra.errors import DivisionOrderError, NotInvertible, NotUnitary, OrderError, Rows, TruncationError, UmbraError
+from umbra.errors import DivisionOrderError, NotInvertible, NotUnitary, OrderError, TruncationError, UmbraError
 from umbra.expr import (
     MAX_EXPONENT, MAX_POWER_BITS, MAX_STR_DIGITS, MAX_VALUE_BITS, BinOp, Call, Neg, Node, Num, Pow, Var, _at, _bits
 )
@@ -39,7 +40,7 @@ from umbra.operators import DeltaOp, ShiftOp, apply_op, validate_delta
 from umbra.rational import binom_row, rat, rat_str
 from umbra.serialize import series_to_json
 from umbra.sigma import bernoulli_numbers
-from umbra.umbral import Triangle, UmbralOp, _power_columns, basic_transfer, triangle
+from umbra.umbral import Triangle, UmbralOp, _power_rows, basic_transfer, triangle
 
 
 def tri_from_polys(polys: Sequence[Poly]) -> Triangle:
@@ -694,7 +695,7 @@ def comp_inv_ref(f: Series) -> Series:
     return Series(n, tuple(b))
 
 
-def basic_recurrence_ref(Q: DeltaOp, n: int) -> Rows:
+def basic_recurrence_ref(Q: DeltaOp, n: int) -> tuple[list[list[int]], list[int]]:
     """``umbral.basic_recurrence(Q, n, form=True)`` as it was before it divided by a short
     Q': on r_j = j! p_j the step r'_{j+1} = (j+1) sum_k c_k r_{j+k}, with c = 1/Q' scaled
     once and cut after its last nonzero entry, for every Q'."""
@@ -708,13 +709,40 @@ def basic_recurrence_ref(Q: DeltaOp, n: int) -> Rows:
         r, dr = reduced([0] + [(j + 1) * sum(map(mul, c, r[j:])) for j in range(m)], dr * dc)
         rows.append([v * (fact[m] // fact[j]) for j, v in enumerate(r)])
         dens.append(dr * fact[m])
-    return Rows((rows, dens))
+    return rows, dens
 
 
 def genfunc_powers_ref(Q: DeltaOp, n: int) -> tuple[list[list[int]], list[int]]:
     """``umbral.basic_genfunc(Q, n, form=True)`` as it was before it stepped its power table
-    by Q(g) = t: ``_power_columns`` over the ``powers`` of g = comp_inv(Q), for every Q."""
-    return _power_columns(powers(comp_inv(Q.indicator.truncate(max(n, 1))).coeffs, n), n)
+    by Q(g) = t: ``_power_rows`` over the ``powers`` of g = comp_inv(Q), for every Q."""
+    return _power_rows(powers(comp_inv(Q.indicator.truncate(max(n, 1))).coeffs, n), n)
+
+
+def power_columns_ref(table, n: int) -> tuple[list[list[int]], list[int]]:
+    """``umbral._power_rows`` as it was when ``agree`` also read triangles by columns:
+    column k is [t^k..t^n] g^k of the integer power table of g (g^0..g^n as (nums, den)
+    through t^n), times m!/k!, over the denominator of g^k."""
+    fact = [factorial(m) for m in range(n + 1)]
+    cols, dens = [], []
+    for k, (p, dp) in enumerate(table):
+        cols.append([p[m] * (fact[m] // fact[k]) for m in range(k, n + 1)])
+        dens.append(dp)
+    return cols, dens
+
+
+def bell_columns_ref(f: Series, n: int) -> tuple[list[list[int]], list[int]]:
+    """``umbral._bell_form`` as it was when ``agree`` also read triangles by columns: column
+    k is E_(k,k), ..., E_(n,k) of ``bell._bell_columns`` over k! D^k, for a_j = j! [x^j] f."""
+    cols, d = _bell_columns([factorial(j) * f[j] for j in range(1, n + 1)], n, n, n)
+    return [col[k:] for k, col in enumerate(cols)], [factorial(k) * d**k for k in range(n + 1)]
+
+
+def tri_from_columns(form) -> Triangle:
+    """The Triangle of a triangle by columns (cols, dens): entry (m, k) is cols[k][m - k] / dens[k]."""
+    cols, dens = form
+    return Triangle(
+        tuple([tuple([Fraction(cols[k][m - k], dens[k]) for k in range(m + 1)]) for m in range(len(cols))])
+    )
 
 
 def reflected(p: Poly) -> Poly:

@@ -390,10 +390,10 @@ def test_comp_inv_matches_oracle(f, data):
 
 
 @st.composite
-def order_one_series(draw):
-    """lead x + c_2 x^2 + ... + c_N x^N for N in 1..20 and lead 1, 2 or -3/2: sparse (at most
-    three nonzero c_j, as in a polynomial delta) or dense (every c_j nonzero)."""
-    trunc = draw(st.integers(1, 20))
+def order_one_series(draw, max_trunc=20):
+    """lead x + c_2 x^2 + ... + c_N x^N for N in 1..max_trunc and lead 1, 2 or -3/2: sparse (at
+    most three nonzero c_j, as in a polynomial delta) or dense (every c_j nonzero)."""
+    trunc = draw(st.integers(1, max_trunc))
     lead = draw(st.sampled_from([F(1), F(2), F(-3, 2)]))
     tail = [F(0)] * (trunc - 1)
     if draw(st.booleans()):
@@ -566,6 +566,27 @@ def test_flow_triangle_is_the_scaled_bell_table(cs, n):
     nums, d = _kernel.scaled([v for row in table for v in row])
     assert [len(row) for row in rows] == list(range(1, n + 2))
     assert (den, [v for row in rows for v in row]) == (d, nums)
+
+
+@st.composite
+def series_and_order(draw):
+    """(g, n): an order-one series through x^1..x^24 and a triangle depth n in 0..its trunc."""
+    g = draw(order_one_series(max_trunc=24))
+    return g, draw(st.integers(0, g.trunc))
+
+
+@settings(max_examples=60, deadline=None)
+@given(series_and_order())
+@example((series([0, F(-3, 2)], 1), 0))
+@example((exp_x(24) - 1, 24))  # dense
+@example((series([0, 2, 0, 0, F(1, 65537)], 24), 24))  # sparse
+def test_row_forms_match_the_column_forms_they_replaced(case):
+    # both basic triangles whose column-1 EGF is g, by rows over one denominator a row
+    g, n = case
+    power_cols = oracles.power_columns_ref(_kernel.powers(g.coeffs, n), n)
+    power_rows = umbral._power_rows(_kernel.powers(g.coeffs, n), n)
+    assert tri_from_form(power_rows) == oracles.tri_from_columns(power_cols)
+    assert tri_from_form(umbral._bell_form(g, n)) == oracles.tri_from_columns(oracles.bell_columns_ref(g, n))
 
 
 # -- integer Krylov columns and their weighted sum --------------------------------
