@@ -13,6 +13,7 @@ from fractions import Fraction as F
 from umbra import (
     BASIC_ROUTES,
     Triangle,
+    basic_set,
     connection_constants,
     family,
     is_binomial_type,
@@ -33,7 +34,7 @@ def show(title, tri):
 # kind.  Watch all five routes produce the same rows.
 delta = family("falling").delta(N + 2)
 print("five routes for the forward difference:")
-triangles = {name: route(delta, N).tri for name, route in BASIC_ROUTES.items()}
+triangles = {name: basic_set(delta, N, name).tri for name in BASIC_ROUTES}
 for name, tri in triangles.items():
     print(f"  {name:11s} row 4 ->", [str(v) for v in tri.rows[4]])
 assert len({tri for tri in triangles.values()}) == 1

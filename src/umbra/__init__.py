@@ -61,6 +61,7 @@ from .umbral import (
     basic_genfunc,
     basic_km,
     basic_recurrence,
+    basic_set,
     basic_steffensen,
     basic_transfer,
     connection_constants,
@@ -72,6 +73,7 @@ from .umbral import (
     special_class_check,
     transform_seq,
     tri_compose,
+    tri_from_form,
     tri_identity,
     tri_invert,
     triangle,

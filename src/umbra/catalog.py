@@ -35,8 +35,7 @@ from .rational import RatLike, rat
 from .umbral import (
     Triangle,
     UmbralOp,
-    basic_all_routes,
-    basic_transfer,
+    basic_set,
     binomial_convolution,
     cross,
     is_binomial_type,
@@ -108,7 +107,7 @@ class FamilySpec(Record):
     def basic(self, n: int) -> UmbralOp:
         """The set that ``check``'s identities test, by the transfer route: Touchard's
         operator form g_{m+1} = x (1 + D) g_m is the recurrence route's own step."""
-        return basic_transfer(self.delta(n + 2), n)
+        return basic_set(self.delta(n + 2), n, "transfer")
 
 
 # what a family's factory knows: its delta builder and the closed form of its triangle
@@ -329,7 +328,7 @@ def _check_routes(spec: FamilySpec, n: int, sets: dict):
     """All five construction routes and the closed form must agree.  The routes never read
     ``sets``: they stay independent of the basic set that the other identities share."""
     try:
-        base = basic_all_routes(spec.delta(n + 2), n).tri
+        base = basic_set(spec.delta(n + 2), n).tri
     except RouteDisagreement as exc:
         return {"route": exc.routes[1], "against": exc.routes[0]}
     if base != _closed_triangle(spec, n):
@@ -350,14 +349,10 @@ def _check_chu_vandermonde(spec: FamilySpec, n: int, sets: dict):
 
 
 def _check_stirling_recurrences(spec: FamilySpec, n: int, sets: dict):
-    for m in range(n + 1):
-        for k in range(m + 2):
-            if stirling1_unsigned(m + 1, k) != m * stirling1_unsigned(m, k) + stirling1_unsigned(m, k - 1):
-                return {"kind": 1, "n": m, "k": k}
-            if stirling2(m + 1, k) != k * stirling2(m, k) + stirling2(m, k - 1):
-                return {"kind": 2, "n": m, "k": k}
     # operator forms phi X = X phi (1+D)^{-1} and phi^{-1} X = X (1+D) phi^{-1}, on the scaled rows
-    # f of phi (falling) and g of phi^{-1} (Touchard); (1+D)^{-1} x^m = sum_j (-1)^(m-j) m!/j! x^j
+    # f of phi (falling) and g of phi^{-1} (Touchard); (1+D)^{-1} x^m = sum_j (-1)^(m-j) m!/j! x^j.
+    # The Stirling rows' own recurrences are how _stirling_row builds them, so five_routes and
+    # the closed forms check those rows.
     f, _ = scaled_rows(_basic(sets, family("falling"), n + 1).tri.rows)
     g, _ = scaled_rows(_basic(sets, family("touchard"), n + 1).tri.rows)
     for m in range(n + 1):
@@ -408,7 +403,7 @@ def _check_catalan_inverse_class(spec: FamilySpec, n: int, sets: dict):
     Q = spec.delta(T)
     from .operators import bracket_iterate
 
-    cinv = basic_transfer(bracket_iterate(Q, -1), n)
+    cinv = basic_set(bracket_iterate(Q, -1), n, "transfer")
     U = ShiftOp(series([1, -4], T))
     V = ShiftOp(pow_rat(series([1, -4], T), Fraction(-1, 2)))
     for m in range(1, min(n, 4) + 1):

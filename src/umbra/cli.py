@@ -24,7 +24,7 @@ from .flow import frac_iterate, itlog, phi_pow
 from .fps import Poly, comp_inv, poly
 from .operators import ShiftOp, validate_delta
 from .rational import rat, rat_str
-from .umbral import BASIC_ROUTES, Triangle, basic_all_routes, basic_recurrence, basic_transfer, sheffer, tri_from_form
+from .umbral import BASIC_ROUTES, Triangle, basic_recurrence, basic_set, sheffer, tri_from_form
 
 MAX_ORDER = 64
 
@@ -211,20 +211,19 @@ def run(args):
 
     if cmd == "basic":
         Q = _delta_from_expr(args.delta, order + 1)
-        build = basic_all_routes if args.route == "all" else BASIC_ROUTES[args.route]
-        return build(Q, order).tri
+        return basic_set(Q, order, args.route).tri
 
     if cmd == "triangle":
         # the cheapest route, checked against the family's closed form; read from its integer
         # form, so a malformed entry is a disagreement (exit 1), not a refused UmbralOp (exit 2)
         spec = catalog.family(args.family, **_parse_params(args.params))
-        tri = tri_from_form(basic_recurrence(spec.delta(order + 1), order, form=True))
+        tri = tri_from_form(basic_recurrence(spec.delta(order + 1), order))
         return agree("triangle", recurrence=tri, closed_form=catalog._closed_triangle(spec, order))
 
     if cmd == "sheffer":
         Q = _delta_from_expr(args.delta, order + 1)
         appell = ShiftOp(eval_expr(args.appell, order))
-        return sheffer(appell, basic_transfer(Q, order))
+        return sheffer(appell, basic_set(Q, order, "transfer"))
 
     if cmd == "iterate":
         f = eval_expr(args.series_expr, max(order, 1))

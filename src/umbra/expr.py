@@ -293,13 +293,17 @@ class _Parser:
             sign = -1
         num = _literal(self.expect("int").text)
         if not integer_only and self.peek().kind == "/":
-            self.advance()
-            den_tok = self.expect("int")
-            den = _literal(den_tok.text)
-            if den == 0:
-                raise ParseError("zero denominator", den_tok.pos)
-            return Fraction(sign * num, den)
+            return self.over(sign * num)
         return Fraction(sign * num)
+
+    def over(self, num: int) -> Fraction:
+        """num / den for the tokens '/' int ahead; a zero den is refused at its offset."""
+        self.advance()
+        den_tok = self.expect("int")
+        den = _literal(den_tok.text)
+        if den == 0:
+            raise ParseError("zero denominator", den_tok.pos)
+        return Fraction(num, den)
 
     def base(self) -> tuple[Node, int]:
         tok = self.peek()
@@ -308,12 +312,7 @@ class _Parser:
             # rational literal: integer '/' positive-integer (greedy, per the
             # grammar; "3/2^2" is therefore (3/2)^2, while "x/2^2" is x/(2^2))
             if self.peek().kind == "/" and self.tokens[self.i + 1].kind == "int":
-                self.advance()
-                den_tok = self.advance()
-                den = _literal(den_tok.text)
-                if den == 0:
-                    raise ParseError("zero denominator", den_tok.pos)
-                return Num(tok.pos, Fraction(_literal(tok.text), den)), 1
+                return Num(tok.pos, self.over(_literal(tok.text))), 1
             return Num(tok.pos, Fraction(_literal(tok.text))), 1
         if tok.kind == "name":
             self.advance()

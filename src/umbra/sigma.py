@@ -20,7 +20,7 @@ from .errors import TruncationError, agree
 from .fps import Poly, expm1, mul_inv, poly
 from .operators import DeltaOp, apply_op, derivative_op, shift_by, validate_delta, divide
 from .rational import RatLike, rat
-from .umbral import basic_recurrence, basic_transfer
+from .umbral import basic_set
 
 
 def bernoulli_numbers(n: int) -> list[Fraction]:
@@ -40,7 +40,7 @@ class SigmaOp:
 
     def __init__(self, Q: DeltaOp, anchor: RatLike = 0, depth: int = 16):
         self.anchor = rat(anchor)
-        self._phi = basic_recurrence(Q, depth + 1)
+        self._phi = basic_set(Q, depth + 1, "recurrence")
 
     def apply(self, p: Poly) -> Poly:
         """Expand p in {phi_n}, shift indices, re-anchor."""
@@ -165,7 +165,7 @@ def bernoulli2_poly(n: int) -> Poly:
     trunc = n + 3
     delta = _delta_op(trunc)
     b_inv = divide(delta, derivative_op(trunc))  # indicator (e^t - 1)/t
-    falling = basic_transfer(delta, n + 1)
+    falling = basic_set(delta, n + 1, "transfer")
     route1 = apply_op(b_inv, falling.tri.row_poly(n))
     anti = falling.tri.row_poly(n).antiderivative(0)
     agree("second-kind Bernoulli", operator=route1, integral=anti.shifted(1) - anti)

@@ -25,7 +25,7 @@ from ._kernel import (
     scaled, scaled_rows, tri_inverse, tri_product, weighted_sum,
 )
 from .errors import (
-    NotAppell, NotDelta, NotUnitary, OrderError, Record, SingularTriangle, TruncationError, agree
+    NotAppell, NotDelta, NotUnitary, OrderError, Record, SingularTriangle, TruncationError, UmbraError, agree
 )
 from .fps import (
     Poly,
@@ -186,15 +186,10 @@ def _on_monomial(c: Sequence[int], m: int, fact: Sequence[int]) -> list[int]:
     return [c[m - j] * (fact[m] // fact[j]) for j in range(m + 1)]
 
 
-def _result(out, Q: DeltaOp, form: bool):
-    """A route's result: its integer triangle form itself, or the UmbralOp of it."""
-    return out if form else UmbralOp(tri_from_form(out), Q)
-
-
-def basic_transfer(Q: DeltaOp, n: int, form: bool = False) -> UmbralOp | RowForm:
+def basic_transfer(Q: DeltaOp, n: int) -> RowForm:
     """Rows p_m = Q'(D/Q)^{m+1} x^m: with c = Q'(D/Q)^{m+1} through x^m, entry j
-    of row m is c_{m-j} m!/j!, one integer product per power of D/Q.  With ``form``,
-    the rows as ``agree``'s triangle form, row m over the denominators of Q' and (D/Q)^{m+1}."""
+    of row m is c_{m-j} m!/j!, one integer product per power of D/Q.  Row m of the
+    triangle form is over the denominators of Q' and (D/Q)^{m+1}."""
     _require_depth(Q, n)
     q, dq = scaled(derive(Q.indicator).coeffs[: n + 1])
     table = islice(reciprocal_powers(Q.indicator.coeffs[1 : n + 2], n + 1), 1, None)  # from (D/Q)^1
@@ -202,22 +197,22 @@ def basic_transfer(Q: DeltaOp, n: int, form: bool = False) -> UmbralOp | RowForm
     for m, (p, dp) in enumerate(table):
         rows.append(_on_monomial(cauchy(q, p, m), m, fact))
         dens.append(dq * dp)
-    return _result((rows, dens), Q, form)
+    return rows, dens
 
 
-def basic_steffensen(Q: DeltaOp, n: int, form: bool = False) -> UmbralOp | RowForm:
-    """Rows p_m = x (D/Q)^m x^{m-1} (row 0 is [1]), one power of D/Q per row.  With
-    ``form``, the rows as ``agree``'s triangle form, row m over the denominator of (D/Q)^m."""
+def basic_steffensen(Q: DeltaOp, n: int) -> RowForm:
+    """Rows p_m = x (D/Q)^m x^{m-1} (row 0 is [1]), one power of D/Q per row.  Row m
+    of the triangle form is over the denominator of (D/Q)^m."""
     _require_depth(Q, n)
     table = islice(reciprocal_powers(Q.indicator.coeffs[1 : n + 2], n), 1, None)  # from (D/Q)^1
     fact, rows, dens = [factorial(j) for j in range(n + 1)], [[1]], [1]
     for m, (p, dp) in enumerate(table):
         rows.append([0] + _on_monomial(p, m, fact))
         dens.append(dp)
-    return _result((rows, dens), Q, form)
+    return rows, dens
 
 
-def basic_recurrence(Q: DeltaOp, n: int, form: bool = False) -> UmbralOp | RowForm:
+def basic_recurrence(Q: DeltaOp, n: int) -> RowForm:
     """Rows p_{m+1} = x (Q')^{-1} p_m; inherently sequential.  On r_j = j! p_j the step is
     r'_{j+1} = (j+1) U_j, where U_j = sum_k c_k r_{j+k} with c = 1/Q' is a correlation:
     read backwards it is the series quotient, U = reversed(reversed(r) / Q').  A short Q'
@@ -225,8 +220,8 @@ def basic_recurrence(Q: DeltaOp, n: int, form: bool = False) -> UmbralOp | RowFo
     integer products per row, and 1/Q' is never built.  Otherwise c is scaled once and cut
     after its last nonzero entry, so a polynomial 1/Q' of degree d (Touchard's 1 + D,
     Laguerre's (1 - D)^2) costs O(N d) per row too.  Each U is integers over one
-    denominator, one ``reduced`` per row.  With ``form``, the rows as ``agree``'s triangle
-    form: row m is r_j m!/j! over dr m!."""
+    denominator, one ``reduced`` per row.  Row m of the triangle form is r_j m!/j! over
+    dr m!."""
     _require_depth(Q, n)
     q = derive(Q.indicator)
     head = q.coeffs[: n + 1]
@@ -252,7 +247,7 @@ def basic_recurrence(Q: DeltaOp, n: int, form: bool = False) -> UmbralOp | RowFo
         r = [0] + [(j + 1) * v for j, v in enumerate(u)]
         rows.append([v * (fact[m] // fact[j]) for j, v in enumerate(r)])
         dens.append(dr * fact[m])
-    return _result((rows, dens), Q, form)
+    return rows, dens
 
 
 def _power_rows(table, n: int) -> RowForm:
@@ -305,26 +300,26 @@ def _bell_form(f: Series, n: int) -> RowForm:
     return rows, dens
 
 
-def basic_genfunc(Q: DeltaOp, n: int, form: bool = False) -> UmbralOp | RowForm:
+def basic_genfunc(Q: DeltaOp, n: int) -> RowForm:
     """The generating function's triangle: coeff[m][k] = m! [t^m] invQ(t)^k / k!, read off
     the integer power table of invQ.  A short Q~ through t^n (``_kernel.is_short``) steps
     that table by Q~(invQ) = t (``_relation_powers``), O(n d) integer products per power;
     a dense Q~ takes one product per power (``powers``), which costs less than the
-    relation's d-term sums once d nears n/4.  With ``form``, the rows of ``_power_rows``
-    as ``agree``'s triangle form."""
+    relation's d-term sums once d nears n/4.  The triangle form is that of ``_power_rows``,
+    row m over the lcm of the denominators of invQ^0..invQ^m."""
     _require_depth(Q, n)
     q = Q.indicator.truncate(max(n, 1))
     g = comp_inv(q)
     table = _relation_powers(g, q.coeffs, n) if is_short(q.coeffs) else powers(g.coeffs, n)
-    return _result(_power_rows(table, n), Q, form)
+    return _power_rows(table, n)
 
 
-def basic_km(Q: DeltaOp, n: int, form: bool = False) -> UmbralOp | RowForm:
+def basic_km(Q: DeltaOp, n: int) -> RowForm:
     """Closed-form rows p_m = sum_j x^j/j! W^j x^m, W = invQ(D) - D, read off the
     integer power table of w = invQ - t: entry k of row m is
     sum_{j<=k} [t^{m-k+j}] w^j m!/(j! (k-j)!), summed as integers over the lcm of
     j! den(w^j).  Every j <= k is summed: w^j has order >= j, and >= 2j only when
-    Q is unitary.  With ``form``, the rows as ``agree``'s triangle form, all over that lcm."""
+    Q is unitary.  Every row of the triangle form is over that lcm."""
     _require_depth(Q, n)
     g = comp_inv(Q.indicator.truncate(max(n, 1)))
     table = list(powers((g - x_series(g.trunc)).coeffs, n))
@@ -335,10 +330,10 @@ def basic_km(Q: DeltaOp, n: int, form: bool = False) -> UmbralOp | RowForm:
     diag = [[table[j][0][d + j] * scale[j] for j in range(n + 1 - d)] for d in range(n + 1)]
     fall = [[fact[m] // fact[r] for r in range(m + 1)] for m in range(n + 1)]
     rows = [[sum(map(mul, diag[m - k], fall[m][k::-1])) for k in range(m + 1)] for m in range(n + 1)]
-    return _result((rows, [den] * (n + 1)), Q, form)
+    return rows, [den] * (n + 1)
 
 
-BASIC_ROUTES: dict[str, Callable[..., UmbralOp]] = {
+BASIC_ROUTES: dict[str, Callable[[DeltaOp, int], RowForm]] = {
     "transfer": basic_transfer,
     "steffensen": basic_steffensen,
     "recurrence": basic_recurrence,
@@ -347,14 +342,19 @@ BASIC_ROUTES: dict[str, Callable[..., UmbralOp]] = {
 }
 
 
-def basic_all_routes(Q: DeltaOp, n: int) -> UmbralOp:
-    """The basic set of Q built by every route in BASIC_ROUTES; all must agree.  Each
-    route hands ``agree`` its integer form (``form=True``), so the routes are compared
-    with no Fraction, and only the first route's triangle, the one returned, is built
-    from Fractions and checked by UmbralOp; a malformed entry of another route is a
-    route disagreement."""
-    forms = {name: route(Q, n, form=True) for name, route in BASIC_ROUTES.items()}
-    return UmbralOp(tri_from_form(agree("basic", **forms)), Q)
+def basic_set(Q: DeltaOp, n: int, route: str = "all") -> UmbralOp:
+    """The basic set of Q through row n, by the named route of BASIC_ROUTES, or with "all"
+    by every route, which must agree.  The routes are looked up when called and hand
+    ``agree`` their integer forms, so they are compared with no Fraction; only the first
+    form, the one returned, is built from Fractions and checked by UmbralOp, and a
+    malformed entry of another route is a route disagreement."""
+    if route == "all":
+        form = agree("basic", **{name: build(Q, n) for name, build in BASIC_ROUTES.items()})
+    elif route in BASIC_ROUTES:
+        form = BASIC_ROUTES[route](Q, n)
+    else:
+        raise UmbraError(f"unknown basic route {route!r}; known: {', '.join(BASIC_ROUTES)}, all")
+    return UmbralOp(tri_from_form(form), Q)
 
 
 def basic_from_inverse_series(f: Series, n: int) -> UmbralOp:
@@ -464,7 +464,7 @@ def sheffer(A: ShiftOp, phi: UmbralOp) -> Triangle:
         raise NotAppell("Sheffer construction requires an invertible (Appell) operator")
     t = A.indicator.trunc
     if t < phi.tri.n:
-        raise TruncationError(f"indicator trunc {t} < deg p = {t + 1}; operator not resolved deeply enough")
+        raise TruncationError(f"indicator trunc {t} < deg p = {phi.tri.n}; operator not resolved deeply enough")
     rows = apply_derivatives(A.indicator.coeffs, [phi.tri.row_poly(m).coeffs for m in range(phi.tri.n + 1)])
     return Triangle(tuple([tuple(row) for row in rows]))
 

@@ -40,7 +40,7 @@ from umbra.operators import DeltaOp, ShiftOp, apply_op, validate_delta
 from umbra.rational import binom_row, rat, rat_str
 from umbra.serialize import series_to_json
 from umbra.sigma import bernoulli_numbers
-from umbra.umbral import Triangle, UmbralOp, _power_rows, basic_transfer, triangle
+from umbra.umbral import Triangle, UmbralOp, _power_rows, basic_set, triangle
 
 
 def tri_from_polys(polys: Sequence[Poly]) -> Triangle:
@@ -83,7 +83,7 @@ def power_coeffs(Q: DeltaOp, n: int) -> list[Fraction]:
     Returned as [a_{n-1}, a_{n-2}, ..., a_0] indexed by k-1; each equals
     coeff[n][k]_phi / C(n-1, k-1).
     """
-    phi = basic_transfer(Q, n)
+    phi = basic_set(Q, n, "transfer")
     return [phi.tri.entry(n, k) / comb(n - 1, k - 1) for k in range(1, n + 1)]
 
 
@@ -696,7 +696,7 @@ def comp_inv_ref(f: Series) -> Series:
 
 
 def basic_recurrence_ref(Q: DeltaOp, n: int) -> tuple[list[list[int]], list[int]]:
-    """``umbral.basic_recurrence(Q, n, form=True)`` as it was before it divided by a short
+    """``umbral.basic_recurrence(Q, n)`` as it was before it divided by a short
     Q': on r_j = j! p_j the step r'_{j+1} = (j+1) sum_k c_k r_{j+k}, with c = 1/Q' scaled
     once and cut after its last nonzero entry, for every Q'."""
     c, dc = scaled(mul_inv(derive(Q.indicator)).coeffs[: n + 1])
@@ -713,7 +713,7 @@ def basic_recurrence_ref(Q: DeltaOp, n: int) -> tuple[list[list[int]], list[int]
 
 
 def genfunc_powers_ref(Q: DeltaOp, n: int) -> tuple[list[list[int]], list[int]]:
-    """``umbral.basic_genfunc(Q, n, form=True)`` as it was before it stepped its power table
+    """``umbral.basic_genfunc(Q, n)`` as it was before it stepped its power table
     by Q(g) = t: ``_power_rows`` over the ``powers`` of g = comp_inv(Q), for every Q."""
     return _power_rows(powers(comp_inv(Q.indicator.truncate(max(n, 1))).coeffs, n), n)
 

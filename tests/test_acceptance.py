@@ -19,7 +19,7 @@ from umbra.sigma import SigmaOp, euler_maclaurin_residual, faulhaber, frac_sum_e
 from umbra.umbral import (
     BASIC_ROUTES,
     Triangle,
-    basic_transfer,
+    basic_set,
     is_binomial_type,
     niederhausen,
     sheffer,
@@ -67,7 +67,7 @@ def _acceptance_deltas(trunc: int):
 def test_criterion_1_five_routes():
     start = time.perf_counter()
     for name, Q in _acceptance_deltas(14):
-        tris = {route: build(Q, 12).tri for route, build in BASIC_ROUTES.items()}
+        tris = {route: basic_set(Q, 12, route).tri for route in BASIC_ROUTES}
         reference = tris.pop("transfer")
         for route, tri in tris.items():
             assert tri == reference, (name, route)
@@ -78,13 +78,13 @@ def test_criterion_1_five_routes():
 @_report(2, "known triangles match closed forms for n <= 10")
 def test_criterion_2_known_triangles():
     n = 10
-    stirling1_signed = basic_transfer(family("falling").delta(n + 2), n).tri
-    stirling2_tri = basic_transfer(family("touchard").delta(n + 2), n).tri
-    laguerre = basic_transfer(family("laguerre").delta(n + 2), n).tri
+    stirling1_signed = basic_set(family("falling").delta(n + 2), n, "transfer").tri
+    stirling2_tri = basic_set(family("touchard").delta(n + 2), n, "transfer").tri
+    laguerre = basic_set(family("laguerre").delta(n + 2), n, "transfer").tri
     lah_unsigned = tri_invert(laguerre)
-    catalan_tri = basic_transfer(family("catalan").delta(n + 2), n).tri
-    abel_tri = basic_transfer(family("abel", a=1).delta(n + 2), n).tri
-    idempotent = niederhausen(basic_transfer(family("derivative").delta(n + 2), n)).tri
+    catalan_tri = basic_set(family("catalan").delta(n + 2), n, "transfer").tri
+    abel_tri = basic_set(family("abel", a=1).delta(n + 2), n, "transfer").tri
+    idempotent = niederhausen(basic_set(family("derivative").delta(n + 2), n, "transfer")).tri
     for m in range(n + 1):
         for k in range(m + 1):
             assert stirling1_signed.entry(m, k) == (-1) ** (m - k) * oracles.stirling1_unsigned(m, k)
@@ -136,7 +136,7 @@ def test_criterion_5_itlog():
     for name, Q in _acceptance_deltas(13)[3:]:  # the unitary ones incl. Delta
         if not Q.is_unitary():
             continue
-        tri = basic_transfer(Q, 10).tri
+        tri = basic_set(Q, 10, "transfer").tri
         for n in range(11):
             for k in range(n + 1):
                 for p in range(n - k + 1, n - k + 3):
@@ -148,7 +148,7 @@ def test_criterion_6_inversion():
     rng = random.Random(777)
     n = 12
     for name, Q in _acceptance_deltas(n + 2):
-        tri = basic_transfer(Q, n).tri
+        tri = basic_set(Q, n, "transfer").tri
         inv = tri_invert(tri)
         for _ in range(20):
             seq = [F(rng.randint(-50, 50), rng.randint(1, 13)) for _ in range(n + 1)]
@@ -204,7 +204,7 @@ def test_criterion_8_family_identities(capsys):
 
 @_report(9, "Niederhausen transform: idempotent triangle and Lambert-type delta")
 def test_criterion_9_niederhausen():
-    ident = basic_transfer(family("derivative").delta(12), 10)
+    ident = basic_set(family("derivative").delta(12), 10, "transfer")
     nie = niederhausen(ident)
     for m in range(11):
         for k in range(m + 1):
@@ -220,17 +220,17 @@ def test_criterion_9_niederhausen():
 def test_criterion_10_detector():
     n = 8
     for name, Q in _acceptance_deltas(n + 2):
-        assert is_binomial_type(basic_transfer(Q, n).tri), name
+        assert is_binomial_type(basic_set(Q, n, "transfer").tri), name
     D = family("derivative").delta(n + 2)
     Delta = family("falling").delta(n + 2)
     from umbra.operators import divide
 
-    bernoulli = sheffer(divide(D, Delta), basic_transfer(D, n))
-    second_kind = sheffer(divide(Delta, D), basic_transfer(Delta, n))
+    bernoulli = sheffer(divide(D, Delta), basic_set(D, n, "transfer"))
+    second_kind = sheffer(divide(Delta, D), basic_set(Delta, n, "transfer"))
     assert not is_binomial_type(bernoulli)
     assert not is_binomial_type(second_kind)
     rng = random.Random(31337)
-    base = basic_transfer(family("touchard").delta(n + 2), n).tri
+    base = basic_set(family("touchard").delta(n + 2), n, "transfer").tri
     for _ in range(5):
         m = rng.randint(2, n)
         k = rng.randint(2, m)

@@ -14,7 +14,7 @@ from umbra.bell import (
 )
 from umbra.fps import series
 from umbra.operators import ShiftOp, validate_delta, shift_by
-from umbra.umbral import basic_transfer
+from umbra.umbral import basic_set
 
 from oracles import (
     catalan,
@@ -129,7 +129,7 @@ def test_triangle_coefficients_are_bell_values():
         validate_delta(ShiftOp(mul_inv(series([1, -1], T)).shift_up(1).truncate(T))),
     ]
     for Q in deltas:
-        tri = basic_transfer(Q, 10).tri
+        tri = basic_set(Q, 10, "transfer").tri
         inv = comp_inv(Q.indicator)
         a = [factorial(j) * inv[j] for j in range(1, 11)]
         for n in range(1, 11):

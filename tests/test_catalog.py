@@ -1,6 +1,5 @@
 """Family catalog: closed forms, lookups, identity reports."""
 
-import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction as F
@@ -152,23 +151,20 @@ def test_identity_check_seeded_is_deterministic():
 
 
 def _spy_basic_sets(monkeypatch):
-    """Spy on every binding of ``umbral.basic_transfer``: returns (built, routes), the
-    (Q, n) of each basic set built outside five_routes and the name of each route builder
-    that five_routes calls."""
+    """Spy on the routes in ``umbral.BASIC_ROUTES``, which ``umbral.basic_set`` calls:
+    returns (built, routes), the (Q, n) of each basic set built by the transfer route
+    outside five_routes and the name of each route builder that five_routes calls."""
     built, routes, inside = [], [], []
-    real = umbral.basic_transfer
-
-    def transfer(Q, n, *args, **kwargs):
-        if not inside:
-            built.append((Q, n))
-        return real(Q, n, *args, **kwargs)
-
-    for mod_name, module in list(sys.modules.items()):
-        if mod_name.partition(".")[0] == "umbra" and getattr(module, "basic_transfer", None) is real:
-            monkeypatch.setattr(module, "basic_transfer", transfer)
 
     def route_spy(name, route):
-        return lambda Q, n, *args, **kwargs: routes.append(name) or route(Q, n, *args, **kwargs)
+        def spy(Q, n):
+            if inside:
+                routes.append(name)
+            elif name == "transfer":
+                built.append((Q, n))
+            return route(Q, n)
+
+        return spy
 
     for name, route in umbral.BASIC_ROUTES.items():
         monkeypatch.setitem(umbral.BASIC_ROUTES, name, route_spy(name, route))

@@ -78,7 +78,8 @@ def _params_text(params):
 def test_triangle_prints_the_transfer_routes_triangle(capsys, name, params, order):
     # triangle builds by the recurrence route, checked against the closed form
     spec = catalog.family(name, **params)
-    expected = serialize.dumps(serialize.to_json(umbral.basic_transfer(spec.delta(order + 2), order).tri)) + "\n"
+    tri = umbral.basic_set(spec.delta(order + 2), order, "transfer").tri
+    expected = serialize.dumps(serialize.to_json(tri)) + "\n"
     argv = ["triangle", "--family", name, "--params", _params_text(params), "--order", str(order), "--format", "json"]
     assert run(capsys, *argv) == (0, expected, "")
 
@@ -87,6 +88,9 @@ def test_triangle_takes_neither_the_transfer_route_nor_reciprocal_powers(capsys,
     # a cost guard: for Touchard at N = 40 the transfer route alone costs about four times
     # the recurrence route and its closed-form check
     calls = []
+    transfer = umbral.basic_transfer
+    spy = lambda *args: calls.append("basic_transfer") or transfer(*args)
+    monkeypatch.setitem(umbral.BASIC_ROUTES, "transfer", spy)
     for real in (umbral.basic_transfer, _kernel.reciprocal_powers):
         for mod_name, module in list(sys.modules.items()):
             if mod_name.partition(".")[0] == "umbra" and getattr(module, real.__name__, None) is real:
@@ -913,6 +917,11 @@ def test_integer_literal_length_is_bounded(capsys, text, expected):
     assert run(capsys, "series", text, "--order", "2") == expected
 
 
+@pytest.mark.parametrize("text, offset", [("1/0", 2), ("(1+x)^(1/0)", 9)], ids=["literal", "exponent"])
+def test_zero_denominator_is_refused_at_its_offset(capsys, text, offset):
+    assert run(capsys, "series", text) == (2, "", f"error: zero denominator at offset {offset}\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -1022,7 +1031,7 @@ def _failing_report(*args, **kwargs):
         ),
         (
             ["basic", "--delta", "exp(D)-1", "--order", "5"],
-            lambda mp: mp.setitem(umbral.BASIC_ROUTES, "km", lambda Q, n, form: umbral.basic_recurrence(Q, n - 1, form)),
+            lambda mp: mp.setitem(umbral.BASIC_ROUTES, "km", lambda Q, n: umbral.basic_recurrence(Q, n - 1)),
             1,
         ),
     ],

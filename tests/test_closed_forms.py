@@ -12,7 +12,7 @@ from math import comb, factorial
 from umbra.fps import monomial, mul_inv, poly, series, x_series, log1p, compose, comp_inv
 from umbra.operators import ShiftOp, apply_op, derivative_op, divide, shift_by, validate_delta
 from umbra.sigma import SigmaOp
-from umbra.umbral import basic_transfer, sheffer, tri_invert
+from umbra.umbral import basic_set, sheffer, tri_invert
 
 from oracles import times_x, tri_from_polys
 
@@ -48,7 +48,7 @@ def test_generalized_exponentiation_route():
                 acc = acc + comb(n + 1, k) * apply_op(ShiftOp(power), monomial(n))
                 power = power * shifted
             rows.append(apply_op(qprime_op, acc))
-        assert tri_from_polys(rows) == basic_transfer(Q, N).tri, name
+        assert tri_from_polys(rows) == basic_set(Q, N, "transfer").tri, name
 
 
 def test_evaluation_form_inverse_route():
@@ -64,14 +64,14 @@ def test_evaluation_form_inverse_route():
                     acc = acc + value * monomial(k) / factorial(k)
                 qp = apply_op(Q, qp)
             rows.append(acc)
-        assert tri_from_polys(rows) == tri_invert(basic_transfer(Q, N).tri), name
+        assert tri_from_polys(rows) == tri_invert(basic_set(Q, N, "transfer").tri), name
 
 
 def test_sheffer_generating_function_columns():
     # column k of a Sheffer triangle: m! [t^m] A(invQ(t)) invQ(t)^k / k!
     Delta = deltas()["Delta"]
     A = divide(derivative_op(T), Delta)  # Bernoulli operator
-    sh = sheffer(A, basic_transfer(Delta, N))
+    sh = sheffer(A, basic_set(Delta, N, "transfer"))
     g = comp_inv(Delta.indicator.truncate(N))
     a_of_g = compose(A.indicator.truncate(N), g)
     power = series([1], N)
@@ -85,7 +85,7 @@ def test_sheffer_generating_function_columns():
 
 def test_coefficient_shift_laws():
     # coeff of UX, XU, UD, DU in terms of coeff of U
-    tri = basic_transfer(deltas()["Catalan"], N).tri
+    tri = basic_set(deltas()["Catalan"], N, "transfer").tri
     ux_rows = [tri.apply_poly(monomial(n + 1)) for n in range(N)]  # U X x^n
     xu_rows = [times_x(tri.apply_poly(monomial(n))) for n in range(N)]  # X U x^n
     ud_rows = [tri.apply_poly(monomial(n).derivative()) for n in range(1, N + 1)]
@@ -121,7 +121,7 @@ def test_sigma_iterated_builds_basic_set():
     # phi_n = n! (Q^{-1}_{(0)})^n 1  and  (n+1)...(n+p) Q^{-p} phi_n = phi_{n+p}
     for name, Q in deltas().items():
         s = SigmaOp(Q, 0, depth=N + 1)
-        phi = basic_transfer(Q, N + 1)
+        phi = basic_set(Q, N + 1, "transfer")
         acc = poly([1])
         for n in range(1, N + 1):
             acc = s.apply(acc)

@@ -131,11 +131,11 @@ def test_agree_names_first_route_that_differs():
 
 
 def _wrong_route(route, m, k, gain=1):
-    """A route for ``basic_all_routes``, which asks each route for its integer form: the
-    form of ``route``, by rows, with entry (m, k) raised by ``gain``."""
+    """A route for ``BASIC_ROUTES``, which returns its integer form: the form of ``route``,
+    by rows, with entry (m, k) raised by ``gain``."""
 
-    def wrong(Q, n, form):
-        rows, dens = out = route(Q, n, form=True)
+    def wrong(Q, n):
+        rows, dens = out = route(Q, n)
         rows[m][k] += gain * dens[m]
         return out
 
@@ -748,7 +748,7 @@ def test_triangle_forms_have_the_shape_agree_relies_on(delta, n):
     # own: every builder gives rows 0..n, row m of m + 1 entries, over positive int dens
     Q = SHAPE_DELTAS[delta](n + 1)
     g = fps.comp_inv(Q.indicator.truncate(max(n, 1)))
-    forms = [route(Q, n, form=True) for route in umbral.BASIC_ROUTES.values()]
+    forms = [route(Q, n) for route in umbral.BASIC_ROUTES.values()]
     forms += [umbral._bell_form(g, n), umbral._power_rows(_kernel.powers(g.coeffs, n), n)]
     for rows, dens in forms:
         assert len(rows) == len(dens) == n + 1

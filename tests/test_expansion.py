@@ -13,14 +13,14 @@ from umbra.operators import (
     shift_by,
     validate_delta,
 )
-from umbra.umbral import basic_transfer
+from umbra.umbral import basic_set
 
 T = 14
 
 
 def expand_in_delta(U: ShiftOp, Q, depth: int):
     """Coefficients a_k = Ev_0(U p_k) of the expansion U = sum a_k Q^k / k!."""
-    phi = basic_transfer(Q, depth)
+    phi = basic_set(Q, depth, "transfer")
     return [apply_op(U, phi.tri.row_poly(k))(0) for k in range(depth + 1)]
 
 
@@ -102,7 +102,7 @@ def test_unit_equivalences():
     for c in (F(1), F(1, 3), F(-2)):
         Q = validate_delta(ShiftOp(x_series(T).scale(c) + series([0, 0, 1], T)))
         assert Q.unit == c
-        phi = basic_transfer(Q, 6)
+        phi = basic_set(Q, 6, "transfer")
         assert phi.tri.row_poly(1) == poly([0, 1 / c])
         for n in range(7):
             assert phi.tri.entry(n, n) == c ** (-n)

@@ -35,7 +35,7 @@ from umbra.operators import ShiftOp, shift_by, validate_delta
 from umbra.umbral import (
     UmbralOp,
     basic_from_inverse_series,
-    basic_transfer,
+    basic_set,
     delta_of,
     tri_compose,
     tri_identity,
@@ -260,7 +260,7 @@ def test_frac_iterate_rejects_non_unitary():
 
 
 def touchard_triangle(n):
-    return basic_transfer(validate_delta(ShiftOp(log1p(n + 4))), n).tri
+    return basic_set(validate_delta(ShiftOp(log1p(n + 4))), n, "transfer").tri
 
 
 def test_minus_one_power_p0():
@@ -324,7 +324,7 @@ def test_integer_chain_matches_composition():
         k = rng.randint(0, n)
         assert integer_power_chain_coeff(tri, 3, n, k) == t3.entry(n, k)
     # Bell-number identity: coeff(n,1) of phi^{-2} where phi is the falling triangle
-    falling = basic_transfer(validate_delta(shift_by(1, 10) - 1), 8).tri
+    falling = basic_set(validate_delta(shift_by(1, 10) - 1), 8, "transfer").tri
     inv2 = tri_compose(tri_invert(falling), tri_invert(falling))
     from oracles import bell_number
 
@@ -382,13 +382,13 @@ def test_phi_pow_zero_is_identity():
 
 def test_phi_pow_minus_one_is_touchard():
     got = phi_pow(delta_forward(10), -1, 6)
-    assert got == tri_invert(basic_transfer(delta_forward(10), 6).tri)
+    assert got == tri_invert(basic_set(delta_forward(10), 6, "transfer").tri)
     assert got.entry(4, 2) == 7  # S(4,2)
 
 
 def test_phi_pow_half_self_composes():
     half = phi_pow(delta_forward(10), F(1, 2), 6)
-    assert tri_compose(half, half) == basic_transfer(delta_forward(10), 6).tri
+    assert tri_compose(half, half) == basic_set(delta_forward(10), 6, "transfer").tri
 
 
 def test_phi_pow_unit_diagonal():
@@ -397,7 +397,7 @@ def test_phi_pow_unit_diagonal():
 
 
 def test_phi_pow_integer_matches_triangle_power():
-    base = basic_transfer(delta_forward(12), 7).tri
+    base = basic_set(delta_forward(12), 7, "transfer").tri
     inv = tri_invert(base)
     expected = {-2: tri_compose(inv, inv), 2: tri_compose(base, base)}
     expected[3] = tri_compose(expected[2], base)

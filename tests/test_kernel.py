@@ -23,7 +23,7 @@ from umbra.fps import (
 )
 from umbra.operators import ShiftOp, apply_op, validate_delta
 from umbra.umbral import (
-    Triangle, basic_from_inverse_series, basic_genfunc, basic_km, basic_recurrence, basic_steffensen,
+    Triangle, basic_from_inverse_series, basic_genfunc, basic_km, basic_recurrence, basic_set, basic_steffensen,
     basic_transfer, sheffer, transform_seq, tri_compose, tri_from_form, tri_identity, tri_invert,
 )
 
@@ -217,10 +217,10 @@ def test_recurrences_and_km_take_no_apply_op_or_poly_sum(monkeypatch):
         monkeypatch.setattr(Poly, name, spy(name, getattr(Poly, name)))
     mul_inv(f), exp_series(f - f[0]), log_series(f / f[0])
     basic_km(Q, 16)
-    phi = basic_recurrence(Q, 16)
+    phi = basic_set(Q, 16, "recurrence")
     sheffer(A, phi)
     assert calls == []
-    assert phi == basic_transfer(Q, 16)
+    assert phi == basic_set(Q, 16, "transfer")
 
 
 # -- the recurrence and generating-function routes on polynomial deltas ---------
@@ -245,7 +245,7 @@ def _same_routes(Q, n):
     """The recurrence and generating-function routes equal the loops they replaced, as
     ``agree`` compares their forms and as whole triangles."""
     for route, ref in ((basic_recurrence, oracles.basic_recurrence_ref), (basic_genfunc, oracles.genfunc_powers_ref)):
-        got, want = route(Q, n, form=True), ref(Q, n)
+        got, want = route(Q, n), ref(Q, n)
         agree("basic", route=got, reference=want)
         assert tri_from_form(got) == tri_from_form(want)
 
@@ -470,7 +470,7 @@ def polynomial_deltas(draw):
 @example(validate_delta(ShiftOp(series([0, F(-3, 2), F(1, 5)], 15))), 0)
 @example(validate_delta(ShiftOp(series([0, 2, 0, F(-1, 7)], 15))), 1)
 def test_km_matches_apply_op_oracle(Q, n):
-    phi = basic_km(Q, n)
+    phi = basic_set(Q, n, "km")
     assert phi == oracles.km_ref(Q, n) and normalised(entries(phi.tri))
 
 

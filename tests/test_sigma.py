@@ -245,10 +245,10 @@ def test_bernoulli2_small():
 
 
 def test_bernoulli2_integral_oracle():
-    from umbra.umbral import basic_transfer
+    from umbra.umbral import basic_set
 
     Delta = catalog_deltas()["Delta"]
-    falling = basic_transfer(Delta, 8)
+    falling = basic_set(Delta, 8, "transfer")
     for n in range(8):
         psi = bernoulli2_poly(n)  # internal dual-route assertion
         assert integral(falling.tri.row_poly(n), 0, 1) == psi(0)
@@ -328,5 +328,5 @@ def test_sigma_prints_what_the_transfer_route_gives(capsys, monkeypatch):
 
     got = outputs()
     assert all(code == 0 and out and not err for code, out, err in got)
-    monkeypatch.setattr(sigma, "basic_recurrence", umbral.basic_transfer)
+    monkeypatch.setitem(umbral.BASIC_ROUTES, "recurrence", umbral.basic_transfer)
     assert outputs() == got

@@ -7,13 +7,14 @@ from math import comb, factorial
 import pytest
 
 from umbra import umbral
-from umbra.errors import NotDelta, SingularTriangle, TruncationError
+from umbra.errors import NotDelta, SingularTriangle, TruncationError, UmbraError
 from umbra.fps import (
     comp_inv,
     poly,
     pow_rat,
     compose,
     exp_series,
+    expm1,
     log1p,
     monomial,
     mul_inv,
@@ -35,8 +36,7 @@ from umbra.umbral import (
     Triangle,
     UmbralOp,
     basic_from_inverse_series,
-    basic_genfunc,
-    basic_transfer,
+    basic_set,
     connection_constants,
     cross,
     delta_of,
@@ -46,6 +46,7 @@ from umbra.umbral import (
     special_class_check,
     transform_seq,
     tri_compose,
+    tri_from_form,
     tri_identity,
     tri_invert,
     triangle,
@@ -78,18 +79,47 @@ def delta_catalog():
 
 def test_five_routes_agree():
     for name, Q in delta_catalog().items():
-        tris = {r: f(Q, N).tri for r, f in BASIC_ROUTES.items()}
+        tris = {r: basic_set(Q, N, r).tri for r in BASIC_ROUTES}
         base = tris.pop("transfer")
         for route, tri in tris.items():
             assert tri == base, (name, route)
 
 
+BASIC_SET_DELTAS = {
+    "exp(D)-1": lambda t: validate_delta(ShiftOp(expm1(t))),
+    "D-D^2": lambda t: validate_delta(ShiftOp(series([0, 1, -1], t))),
+    "2*D-D^2/3+3*D^3/5+D^4/2": lambda t: validate_delta(ShiftOp(series([0, 2, F(-1, 3), F(3, 5), F(1, 2)], t))),
+}
+
+
+@pytest.mark.parametrize("n", [0, 1, 12])
+@pytest.mark.parametrize("delta", sorted(BASIC_SET_DELTAS))
+@pytest.mark.parametrize("name", [*BASIC_ROUTES, "all"])
+def test_basic_set_is_the_operator_of_the_named_routes_form(name, delta, n, monkeypatch):
+    # the routes agree, so the triangle alone cannot tell which ran: spy on the route table,
+    # which basic_set reads when called; "all" returns the first route's triangle
+    Q, routes, calls = BASIC_SET_DELTAS[delta](n + 1), dict(BASIC_ROUTES), []
+    for route, build in routes.items():
+        spy = lambda Q, n, route=route, build=build: calls.append(route) or build(Q, n)
+        monkeypatch.setitem(BASIC_ROUTES, route, spy)
+    phi = basic_set(Q, n, name)
+    assert calls == (list(routes) if name == "all" else [name])
+    for route in calls:
+        assert phi.tri == tri_from_form(routes[route](Q, n)), route
+    assert phi.delta is Q
+
+
+def test_basic_set_refuses_an_unknown_route():
+    with pytest.raises(UmbraError, match="unknown basic route 'bell'"):
+        basic_set(delta_catalog()["Delta"], 4, "bell")
+
+
 def test_identity_triangle_for_derivative():
-    assert basic_transfer(derivative_op(T), 4).tri == tri_identity(4)
+    assert basic_set(derivative_op(T), 4, "transfer").tri == tri_identity(4)
 
 
 def test_falling_is_signed_stirling1():
-    tri = basic_transfer(delta_catalog()["Delta"], N).tri
+    tri = basic_set(delta_catalog()["Delta"], N, "transfer").tri
     for n in range(N + 1):
         for k in range(n + 1):
             assert tri.entry(n, k) == (-1) ** (n - k) * stirling1_unsigned(n, k)
@@ -98,29 +128,29 @@ def test_falling_is_signed_stirling1():
 
 def test_steffensen_abel_row():
     Q = delta_catalog()["Abel"]
-    row2 = BASIC_ROUTES["steffensen"](Q, 2).tri.rows[2]
+    row2 = basic_set(Q, 2, "steffensen").tri.rows[2]
     assert list(row2) == [0, -2, 1]  # x(x - 2a) at a = 1
 
 
 def test_catalan_closed_form_row():
-    tri = basic_transfer(delta_catalog()["Catalan"], 2).tri
+    tri = basic_set(delta_catalog()["Catalan"], 2, "transfer").tri
     assert list(tri.rows[2]) == [0, 2, 1]
 
 
 def test_genfunc_touchard():
-    tri = BASIC_ROUTES["genfunc"](delta_catalog()["log1p"], 3).tri
+    tri = basic_set(delta_catalog()["log1p"], 3, "genfunc").tri
     assert list(tri.rows[3]) == [0, 1, 3, 1]
 
 
 def test_km_stretch_is_diagonal():
     Q = validate_delta(ShiftOp(x_series(T) / 2))
-    tri = BASIC_ROUTES["km"](Q, 2).tri
+    tri = basic_set(Q, 2, "km").tri
     assert tri == triangle([[1], [0, 2], [0, 0, 4]])
 
 
 def test_unit_diagonal_law():
     Q = validate_delta(ShiftOp(x_series(T) / 3))
-    tri = basic_transfer(Q, 5).tri
+    tri = basic_set(Q, 5, "transfer").tri
     assert tri.diagonal() == tuple(F(3) ** n for n in range(6))
 
 
@@ -134,7 +164,7 @@ def test_delta_of_identity_triangle():
 
 def test_delta_of_round_trip():
     for name, Q in delta_catalog().items():
-        got = delta_of(basic_transfer(Q, N))
+        got = delta_of(basic_set(Q, N, "transfer"))
         assert all(got.indicator[i] == Q.indicator[i] for i in range(N + 1)), name
 
 
@@ -162,8 +192,8 @@ def test_composition_closure():
     pairs = [("Delta", "log1p"), ("Catalan", "D/2"), ("Laguerre", "Delta")]
     for qn, rn in pairs:
         Q, R = cat[qn], cat[rn]
-        phi = basic_transfer(Q, 8)
-        psi = basic_transfer(R, 8)
+        phi = basic_set(Q, 8, "transfer")
+        psi = basic_set(R, 8, "transfer")
         combined = tri_compose(psi.tri, phi.tri)
         got = delta_of(UmbralOp(combined))
         expected = diamond(Q, R).indicator
@@ -174,8 +204,8 @@ def test_composition_closure():
 
 
 def test_stirling_pair_inverse():
-    falling = basic_transfer(delta_catalog()["Delta"], 8).tri
-    touchard = basic_transfer(delta_catalog()["log1p"], 8).tri
+    falling = basic_set(delta_catalog()["Delta"], 8, "transfer").tri
+    touchard = basic_set(delta_catalog()["log1p"], 8, "transfer").tri
     assert tri_compose(falling, touchard) == tri_identity(8)
     assert tri_invert(falling) == touchard
     assert list(tri_invert(falling).rows[3]) == [0, 1, 3, 1]
@@ -193,7 +223,7 @@ def test_tri_invert_requires_diagonal():
 
 def test_transform_round_trips_random():
     rng = random.Random(20)
-    tri = basic_transfer(delta_catalog()["Catalan"], N).tri
+    tri = basic_set(delta_catalog()["Catalan"], N, "transfer").tri
     inv = tri_invert(tri)
     for _ in range(20):
         seq = [F(rng.randint(-30, 30), rng.randint(1, 11)) for _ in range(N + 1)]
@@ -203,7 +233,7 @@ def test_transform_round_trips_random():
 
 
 def test_transform_zero_and_window():
-    tri = basic_transfer(delta_catalog()["Delta"], 8).tri
+    tri = basic_set(delta_catalog()["Delta"], 8, "transfer").tri
     assert transform_seq(tri, [0] * 5, "row") == [0] * 5
     # windowed (start=2) round trip
     seq = [F(1), F(-2), F(3)]
@@ -235,27 +265,27 @@ def test_pascal_involution():
 
 def test_detector_accepts_catalog():
     for name, Q in delta_catalog().items():
-        assert is_binomial_type(basic_transfer(Q, 8).tri), name
+        assert is_binomial_type(basic_set(Q, 8, "transfer").tri), name
 
 
 def test_detector_rejects_bernoulli():
     D = derivative_op(T)
     Delta = delta_catalog()["Delta"]
-    bern = sheffer(divide(D, Delta), basic_transfer(D, 8))
+    bern = sheffer(divide(D, Delta), basic_set(D, 8, "transfer"))
     assert not is_binomial_type(bern)
 
 
 def test_detector_rejects_second_kind_bernoulli():
     D = derivative_op(T)
     Delta = delta_catalog()["Delta"]
-    psi = sheffer(divide(Delta, D), basic_transfer(Delta, 8))
+    psi = sheffer(divide(Delta, D), basic_set(Delta, 8, "transfer"))
     assert psi.entry(1, 0) == F(1, 2)
     assert not is_binomial_type(psi)
 
 
 def test_detector_rejects_perturbations():
     rng = random.Random(99)
-    base = basic_transfer(delta_catalog()["Delta"], 8).tri
+    base = basic_set(delta_catalog()["Delta"], 8, "transfer").tri
     for _ in range(5):
         n = rng.randint(2, 8)
         k = rng.randint(2, n)
@@ -270,29 +300,29 @@ def test_detector_rejects_perturbations():
 def test_bernoulli_sheffer_row():
     D = derivative_op(T)
     Delta = delta_catalog()["Delta"]
-    sh = sheffer(divide(D, Delta), basic_transfer(D, 6))
+    sh = sheffer(divide(D, Delta), basic_set(D, 6, "transfer"))
     assert list(sh.rows[2]) == [F(1, 6), -1, 1]
 
 
 def test_second_kind_bernoulli_integral_rows():
     Delta = delta_catalog()["Delta"]
-    sh = sheffer(divide(Delta, derivative_op(T)), basic_transfer(Delta, 6))
+    sh = sheffer(divide(Delta, derivative_op(T)), basic_set(Delta, 6, "transfer"))
     for n in range(7):
-        anti = basic_transfer(Delta, 6).tri.row_poly(n).antiderivative(0)
+        anti = basic_set(Delta, 6, "transfer").tri.row_poly(n).antiderivative(0)
         assert sh.row_poly(n) == anti.shifted(1) - anti
 
 
 def test_sheffer_defining_relation():
     for name, Q in delta_catalog().items():
         A = ShiftOp(series([1, F(1, 2), F(-1, 3)], T))
-        sh = sheffer(A, basic_transfer(Q, 8))
+        sh = sheffer(A, basic_set(Q, 8, "transfer"))
         for n in range(1, 9):
             assert apply_op(Q, sh.row_poly(n)) == n * sh.row_poly(n - 1), name
 
 
 def test_sheffer_bivariate_identity_on_grid():
     Q = delta_catalog()["Delta"]
-    phi = basic_transfer(Q, 6)
+    phi = basic_set(Q, 6, "transfer")
     sh = sheffer(divide(derivative_op(T), Q), phi)
     pts = [F(i, 2) for i in range(8)]
     for n in range(7):
@@ -308,7 +338,7 @@ def test_sheffer_bivariate_identity_on_grid():
 
 def test_sheffer_and_cross_return_the_triangle_of_their_rows():
     Q = delta_catalog()["Laguerre"]
-    phi = basic_transfer(Q, 6)
+    phi = basic_set(Q, 6, "transfer")
     A = ShiftOp(series([1, F(1, 2), F(-1, 3)], T))
     C, u = ShiftOp(series([1, -1], T)), F(-3, 2)
 
@@ -322,7 +352,7 @@ def test_sheffer_and_cross_return_the_triangle_of_their_rows():
 def test_sheffer_without_a_cached_delta_does_not_recover_it(monkeypatch):
     # the Sheffer triangle reads only phi's rows: no delta_of, so no comp_inv
     Q = delta_catalog()["Delta"]
-    phi = UmbralOp(basic_transfer(Q, 6).tri)
+    phi = UmbralOp(basic_set(Q, 6, "transfer").tri)
     calls = []
     for name in ("delta_of", "comp_inv"):
         monkeypatch.setattr(umbral, name, lambda *args, _name=name: calls.append(_name))
@@ -330,8 +360,15 @@ def test_sheffer_without_a_cached_delta_does_not_recover_it(monkeypatch):
     assert calls == [] and tri.n == 6
 
 
+def test_sheffer_refusal_names_the_degree_it_needs():
+    # rows 0..10 of phi have degrees up to 10, so A must be resolved through x^10
+    phi = basic_set(delta_catalog()["Delta"], 10, "transfer")
+    with pytest.raises(TruncationError, match=r"^indicator trunc 3 < deg p = 10;"):
+        sheffer(ShiftOp(series([1, 1], 3)), phi)
+
+
 def test_apply_poly_past_the_depth_raises():
-    tri = basic_transfer(delta_catalog()["Delta"], 4).tri
+    tri = basic_set(delta_catalog()["Delta"], 4, "transfer").tri
     assert tri.apply_poly(poly([])) == poly([])
     with pytest.raises(TruncationError):
         tri.apply_poly(monomial(5))
@@ -339,14 +376,14 @@ def test_apply_poly_past_the_depth_raises():
 
 def test_cross_zero_exponent_is_basic():
     Q = delta_catalog()["Laguerre"]
-    phi = basic_transfer(Q, 6)
+    phi = basic_set(Q, 6, "transfer")
     assert cross(ShiftOp(series([1, 0, -2], T)), 0, phi) == phi.tri
 
 
 def test_cross_two_parameter_convolution():
     # phi^{(u+v)}_n(x+y) = sum C(n,k) phi^{(u)}_k(x) phi^{(v)}_{n-k}(y)
     Q = delta_catalog()["Laguerre"]
-    phi = basic_transfer(Q, 5)
+    phi = basic_set(Q, 5, "transfer")
     C = ShiftOp(series([1, -1], T))
     pts = [F(i, 2) for i in range(7)]
     for u in (F(0), F(1), F(-1, 2)):
@@ -368,13 +405,13 @@ def test_cross_two_parameter_convolution():
 
 
 def test_connection_constants_self_is_identity():
-    phi = basic_transfer(delta_catalog()["Catalan"], 6)
+    phi = basic_set(delta_catalog()["Catalan"], 6, "transfer")
     assert connection_constants(phi, phi) == tri_identity(6)
 
 
 def test_connection_rising_falling_is_lah():
-    rising = basic_transfer(delta_catalog()["Nabla"], 8)
-    falling = basic_transfer(delta_catalog()["Delta"], 8)
+    rising = basic_set(delta_catalog()["Nabla"], 8, "transfer")
+    falling = basic_set(delta_catalog()["Delta"], 8, "transfer")
     conn = connection_constants(rising, falling)
     for n in range(9):
         for k in range(n + 1):
@@ -388,7 +425,7 @@ def test_connection_rising_falling_is_lah():
 
 
 def test_niederhausen_identity_gives_idempotent():
-    ident = basic_transfer(derivative_op(T), 8)
+    ident = basic_set(derivative_op(T), 8, "transfer")
     nie = niederhausen(ident)
     for n in range(9):
         for k in range(n + 1):
@@ -404,7 +441,7 @@ def test_niederhausen_delta_series_formula():
     # the transform's delta expands as R = sum_n phi_{n-1}(-n)/n! D^n
     for name in ("D", "Delta", "D/2", "Laguerre"):
         Q = delta_catalog()[name]
-        phi = basic_transfer(Q, 9)
+        phi = basic_set(Q, 9, "transfer")
         nie = niederhausen(phi)
         for n in range(1, 10):
             expected = phi.tri.row_poly(n - 1)(-n) / factorial(n)
@@ -419,7 +456,7 @@ def test_niederhausen_abel_inverse():
     stretch = UmbralOp(stretch_tri, validate_delta(ShiftOp(x_series(T) / a)))
     nie = niederhausen(stretch)
     abel = validate_delta(ShiftOp(x_series(T) * exp_series(x_series(T) * a)))
-    assert nie.tri == tri_invert(basic_transfer(abel, 8).tri)
+    assert nie.tri == tri_invert(basic_set(abel, 8, "transfer").tri)
 
 
 # -- coefficient extraction routes -------------------------------------------------------------------
@@ -448,7 +485,7 @@ def test_coeff_via_ratio_inverse_multiderivative_is_lah():
     # Q = D/(1+D): [t^m] g^k = [t^(m-k)] (g/t)^k, the ratio route, runs through
     # (1-D)^{-k} expansions
     Q = validate_delta(ShiftOp(mul_inv(series([1, 1], T)).shift_up(1).truncate(T)))
-    tri = basic_genfunc(Q, 8).tri
+    tri = basic_set(Q, 8, "genfunc").tri
     for n in range(9):
         for k in range(n + 1):
             assert tri.entry(n, k) == lah(n, k)
@@ -457,7 +494,7 @@ def test_coeff_via_ratio_inverse_multiderivative_is_lah():
 def test_catalan_inverse_closed_form():
     # coeff[n][k] of the inverse Catalan operator: C(k, n-k) n!/k! (-1)^{n-k}
     Q = delta_catalog()["Catalan"]
-    cinv = tri_invert(basic_transfer(Q, 9).tri)
+    cinv = tri_invert(basic_set(Q, 9, "transfer").tri)
     for n in range(10):
         for k in range(n + 1):
             expected = F(comb(k, n - k) * factorial(n), factorial(k)) * (-1) ** (n - k)
@@ -468,31 +505,31 @@ def test_catalan_inverse_closed_form():
 
 
 def test_special_class_trivial_identity():
-    phi = basic_transfer(derivative_op(T), 6)
+    phi = basic_set(derivative_op(T), 6, "transfer")
     one = identity_op(T)
     assert special_class_check(phi, one, one, 3)
 
 
 def test_special_class_falling():
-    phi = basic_transfer(delta_catalog()["Delta"], 8)
+    phi = basic_set(delta_catalog()["Delta"], 8, "transfer")
     assert special_class_check(phi, identity_op(T), shift_by(-1, T), 4)
 
 
 def test_special_class_laguerre():
-    phi = basic_transfer(delta_catalog()["Laguerre"], 8)
+    phi = basic_set(delta_catalog()["Laguerre"], 8, "transfer")
     om = ShiftOp(series([1, -1], T))
     assert special_class_check(phi, om, om, 4)
 
 
 def test_special_class_detects_wrong_operators():
-    phi = basic_transfer(delta_catalog()["Delta"], 8)
+    phi = basic_set(delta_catalog()["Delta"], 8, "transfer")
     assert not special_class_check(phi, identity_op(T), shift_by(1, T), 2)
 
 
 def test_commutation_expansion_reduces_to_recurrence_at_one():
     # n = 1 is the first commutation equality phi X = X (Q')^{-1} phi
     for name, Q in delta_catalog().items():
-        phi = basic_transfer(Q, 8)
+        phi = basic_set(Q, 8, "transfer")
         assert commutation_expansion_check(phi, 1), name
         qp_inv = ShiftOp(mul_inv(pincherle(Q).indicator))
         for m in range(7):
@@ -503,15 +540,15 @@ def test_commutation_expansion_reduces_to_recurrence_at_one():
 
 
 def test_commutation_expansion_higher():
-    assert commutation_expansion_check(basic_transfer(delta_catalog()["Delta"], 8), 2)
-    assert commutation_expansion_check(basic_transfer(derivative_op(T), 8), 3)
-    assert commutation_expansion_check(basic_transfer(delta_catalog()["Catalan"], 8), 2)
+    assert commutation_expansion_check(basic_set(delta_catalog()["Delta"], 8, "transfer"), 2)
+    assert commutation_expansion_check(basic_set(derivative_op(T), 8, "transfer"), 3)
+    assert commutation_expansion_check(basic_set(delta_catalog()["Catalan"], 8, "transfer"), 2)
 
 
 def test_differential_equation_invariant():
     # (n - X Q/Q') phi_n = 0
     for name, Q in delta_catalog().items():
-        phi = basic_transfer(Q, N)
+        phi = basic_set(Q, N, "transfer")
         ratio = divide(Q, pincherle(Q))
         for n in range(N + 1):
             pn = phi.tri.row_poly(n)
@@ -520,7 +557,7 @@ def test_differential_equation_invariant():
 
 def test_basicness_conditions():
     for name, Q in delta_catalog().items():
-        tri = basic_transfer(Q, N).tri
+        tri = basic_set(Q, N, "transfer").tri
         assert tri.entry(0, 0) == 1
         for n in range(1, N + 1):
             assert tri.entry(n, 0) == 0
@@ -530,4 +567,4 @@ def test_basicness_conditions():
 def test_bell_route_equals_operator_routes():
     for name, Q in delta_catalog().items():
         got = basic_from_inverse_series(comp_inv(Q.indicator), N)
-        assert got.tri == basic_transfer(Q, N).tri, name
+        assert got.tri == basic_set(Q, N, "transfer").tri, name
