@@ -207,12 +207,6 @@ def recurrence(f: Sequence[Fraction], g0: Fraction, wa: int, wb: int, q: int = 1
     return out
 
 
-def power(f: Sequence[Fraction], p: int, q: int) -> list[Fraction]:
-    """g = f^(p/q) for f_0 = 1, by J. C. P. Miller's recurrence (Knuth, TAOCP 2,
-    4.7): q m g_m = sum_{k=1..m} ((p+q) k - q m) f_k g_{m-k}, with g_0 = 1."""
-    return recurrence(f, Fraction(1), p + q, q, q)
-
-
 def scaled_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
     """(nums, den) with rows[m][j] == nums[m][j] / den, den the lcm of every denominator;
     each row is padded with zeros to the length of the longest."""

@@ -10,7 +10,7 @@ regression entry point used by the CLI.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 from itertools import repeat
 from math import comb, factorial, perm, prod
 from operator import add, mul
@@ -33,7 +33,7 @@ from .fps import (
 from .operators import DeltaOp, ShiftOp, shift_by, validate_delta
 from .rational import RatLike, rat
 from .umbral import (
-    Triangle,
+    RowForm,
     UmbralOp,
     basic_set,
     binomial_convolution,
@@ -43,32 +43,25 @@ from .umbral import (
     sheffer,
     special_class_check,
     tri_compose,
+    tri_from_form,
     tri_identity,
     tri_invert,
     triangle,
 )
 
 # ---------------------------------------------------------------------------
-# Stirling/Lah helpers (recurrence-based closed forms)
+# Stirling/Lah numbers
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _stirling_row(n: int, first_kind: bool) -> tuple[int, ...]:
-    """Row n of the unsigned Stirling numbers of the first kind, c(n, k) = (n-1) c(n-1, k) +
-    c(n-1, k-1), or of the second kind, S(n, k) = k S(n-1, k) + S(n-1, k-1)."""
-    if n == 0:
-        return (1,)
-    prev = _stirling_row(n - 1, first_kind) + (0,)
-    return tuple([(n - 1 if first_kind else k) * prev[k] + (prev[k - 1] if k else 0) for k in range(n + 1)])
-
-
-def stirling1_unsigned(n: int, k: int) -> int:
-    return _stirling_row(n, True)[k] if 0 <= k <= n else 0
-
-
-def stirling2(n: int, k: int) -> int:
-    return _stirling_row(n, False)[k] if 0 <= k <= n else 0
+def stirling_rows(n: int, first_kind: bool) -> list[list[int]]:
+    """Rows 0..n of the unsigned Stirling numbers of the first kind, c(m, k) = (m-1) c(m-1, k) +
+    c(m-1, k-1), or of the second kind, S(m, k) = k S(m-1, k) + S(m-1, k-1), built per call."""
+    rows = [[1]]
+    for m in range(1, n + 1):
+        prev = rows[-1] + [0]
+        rows.append([(m - 1 if first_kind else k) * prev[k] + (prev[k - 1] if k else 0) for k in range(m + 1)])
+    return rows
 
 
 def lah(n: int, k: int) -> int:
@@ -78,10 +71,6 @@ def lah(n: int, k: int) -> int:
     if k < 1 or k > n:
         return 0
     return comb(n - 1, k - 1) * factorial(n) // factorial(k)
-
-
-def bell_number(n: int) -> int:
-    return sum(stirling2(n, k) for k in range(n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -94,10 +83,10 @@ class FamilySpec(Record):
     name: str
     params: dict
     delta: Callable[[int], DeltaOp]
-    closed_form: Callable[[int, int], Fraction]
+    closed_form: Callable[[int], RowForm]
 
     def __init__(
-        self, name: str, params: dict, delta: Callable[[int], DeltaOp], closed_form: Callable[[int, int], Fraction]
+        self, name: str, params: dict, delta: Callable[[int], DeltaOp], closed_form: Callable[[int], RowForm]
     ):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "params", params)
@@ -110,14 +99,30 @@ class FamilySpec(Record):
         return basic_set(self.delta(n + 2), n, "transfer")
 
 
-# what a family's factory knows: its delta builder and the closed form of its triangle
-_Spec = tuple[Callable[[int], DeltaOp], Callable[[int, int], Fraction]]
+# what a family's factory knows: its delta builder and the closed form of its triangle, rows
+# 0..n as integers over one denominator per row (1 but for stretch, divided_difference, abel)
+_Spec = tuple[Callable[[int], DeltaOp], Callable[[int], RowForm]]
+
+
+def _integer(rows: list[list[int]]) -> RowForm:
+    return rows, [1] * len(rows)
+
+
+def _signed(rows: list[list[int]]) -> list[list[int]]:
+    """Entry (m, k) times (-1)^(m-k)."""
+    return [[-c if (m - k) % 2 else c for k, c in enumerate(row)] for m, row in enumerate(rows)]
+
+
+def _times_powers(rows: list[list[int]], u: int, v: int) -> RowForm:
+    """Entry (m, k) times (u/v)^(m-k), as u^(m-k) v^k over v^m."""
+    us, vs = [u**j for j in range(len(rows))], [v**j for j in range(len(rows))]
+    return [[c * us[m - k] * vs[k] for k, c in enumerate(row)] for m, row in enumerate(rows)], vs
 
 
 def _spec_derivative() -> _Spec:
     return (
         lambda t: validate_delta(ShiftOp(x_series(t))),
-        lambda n, k: Fraction(1 if n == k else 0),
+        lambda n: _integer([[0] * m + [1] for m in range(n + 1)]),
     )
 
 
@@ -127,31 +132,30 @@ def _spec_stretch(lam: Fraction) -> _Spec:
     u, v = lam.numerator, lam.denominator
     return (
         lambda t: validate_delta(ShiftOp(x_series(t).scale(1 / lam))),
-        lambda n, k: Fraction(u**n, v**n) if n == k else Fraction(0),
+        lambda n: ([[0] * m + [u**m] for m in range(n + 1)], [v**m for m in range(n + 1)]),
     )
 
 
 def _spec_falling() -> _Spec:
     return (
         lambda t: validate_delta(shift_by(1, t) - 1),
-        lambda n, k: Fraction((-1) ** (n - k) * stirling1_unsigned(n, k)),
+        lambda n: _integer(_signed(stirling_rows(n, True))),
     )
 
 
 def _spec_rising() -> _Spec:
     return (
         lambda t: validate_delta(1 - shift_by(-1, t)),
-        lambda n, k: Fraction(stirling1_unsigned(n, k)),
+        lambda n: _integer(stirling_rows(n, True)),
     )
 
 
 def _spec_divided_difference(h: Fraction) -> _Spec:
     if h == 0:
         return _spec_derivative()
-    u, v = -h.numerator, h.denominator  # (-1)^(n-k) h^(n-k) = u^(n-k) / v^(n-k)
     return (
         lambda t: validate_delta((shift_by(h, t) - 1) * (1 / h)),
-        lambda n, k: Fraction(stirling1_unsigned(n, k) * u ** (n - k), v ** (n - k)),
+        lambda n: _times_powers(stirling_rows(n, True), -h.numerator, h.denominator),  # times (-h)^(m-k)
     )
 
 
@@ -160,19 +164,15 @@ def _spec_touchard() -> _Spec:
 
     return (
         lambda t: validate_delta(ShiftOp(log1p(t))),
-        lambda n, k: Fraction(stirling2(n, k)),
+        lambda n: _integer(stirling_rows(n, False)),
     )
 
 
 def _spec_abel(a: Fraction) -> _Spec:
-    u, v = -a.numerator, a.denominator  # -a n = u n / v
-
-    def form(n: int, k: int) -> Fraction:
-        if n == 0:
-            return Fraction(1 if k == 0 else 0)
-        if k < 1 or k > n:
-            return Fraction(0)
-        return Fraction(comb(n - 1, k - 1) * (u * n) ** (n - k), v ** (n - k))
+    def form(n: int) -> RowForm:
+        """C(m-1, k-1) (-a m)^(m-k), as C(m-1, k-1) m^(m-k) times (-a)^(m-k); row 0 is 1."""
+        rows = [[0] + [comb(m - 1, k - 1) * m ** (m - k) for k in range(1, m + 1)] for m in range(1, n + 1)]
+        return _times_powers([[1]] + rows, -a.numerator, a.denominator)
 
     return (
         lambda t: validate_delta(ShiftOp(x_series(t) * exp_series(x_series(t).scale(a)))),
@@ -181,12 +181,12 @@ def _spec_abel(a: Fraction) -> _Spec:
 
 
 def _spec_catalan() -> _Spec:
-    def form(n: int, k: int) -> Fraction:
-        if n == 0:
-            return Fraction(1 if k == 0 else 0)
-        if k < 1 or k > n:
-            return Fraction(0)
-        return Fraction(comb(2 * n - k - 1, n - 1) * perm(n - 1, n - k))  # (n-1)!/(k-1)! = perm(n-1, n-k)
+    def form(n: int) -> RowForm:
+        """C(2m-k-1, m-1) (m-1)!/(k-1)!, where (m-1)!/(k-1)! = perm(m-1, m-k); row 0 is 1."""
+        rows = [[1]]
+        for m in range(1, n + 1):
+            rows.append([0] + [comb(2 * m - k - 1, m - 1) * perm(m - 1, m - k) for k in range(1, m + 1)])
+        return _integer(rows)
 
     return (
         lambda t: validate_delta(ShiftOp(series([0, 1, -1], t))),
@@ -197,7 +197,7 @@ def _spec_catalan() -> _Spec:
 def _spec_laguerre() -> _Spec:
     return (
         lambda t: validate_delta(ShiftOp(mul_inv(series([1, -1], t)).shift_up(1).truncate(t))),
-        lambda n, k: Fraction((-1) ** (n - k) * lah(n, k)),
+        lambda n: _integer(_signed([[lah(m, k) for k in range(m + 1)] for m in range(n + 1)])),
     )
 
 
@@ -214,16 +214,16 @@ def _spec_degenerate_laguerre(p: int) -> _Spec:
         base = _degenerate_base(p, t)
         return validate_delta(ShiftOp((x_series(t) * pow_rat(base, Fraction(-1, p))).truncate(t)))
 
-    def form(n: int, k: int) -> Fraction:
-        """binom(n/p - 1, j) n!/k! (-p)^j with j = (n - k)/p, on integers:
-        (-1)^j n!/(k! j!) (n - p)(n - 2p)...(n - jp), where n - jp = k."""
-        if (n - k) % p != 0 or k < 0 or k > n:
-            return Fraction(0)
-        j = (n - k) // p
-        top = factorial(n) // (factorial(k) * factorial(j))  # an integer: k + j <= n
-        return Fraction((-1) ** j * top * prod(range(n - p, k - 1, -p)))
+    def entry(m: int, k: int) -> int:
+        """binom(m/p - 1, j) m!/k! (-p)^j with j = (m - k)/p, on integers:
+        (-1)^j m!/(k! j!) (m - p)(m - 2p)...(m - jp), where m - jp = k."""
+        if (m - k) % p:
+            return 0
+        j = (m - k) // p
+        top = factorial(m) // (factorial(k) * factorial(j))  # an integer: k + j <= m
+        return (-1) ** j * top * prod(range(m - p, k - 1, -p))
 
-    return build, form
+    return build, lambda n: _integer([[entry(m, k) for k in range(m + 1)] for m in range(n + 1)])
 
 
 _SPEC_FACTORIES: dict[str, Callable[..., _Spec]] = {
@@ -320,10 +320,6 @@ def _basic(sets: dict, spec: FamilySpec, n: int) -> UmbralOp:
     return phi
 
 
-def _closed_triangle(spec: FamilySpec, n: int) -> Triangle:
-    return triangle([[spec.closed_form(m, k) for k in range(m + 1)] for m in range(n + 1)])
-
-
 def _check_routes(spec: FamilySpec, n: int, sets: dict):
     """All five construction routes and the closed form must agree.  The routes never read
     ``sets``: they stay independent of the basic set that the other identities share."""
@@ -331,7 +327,7 @@ def _check_routes(spec: FamilySpec, n: int, sets: dict):
         base = basic_set(spec.delta(n + 2), n).tri
     except RouteDisagreement as exc:
         return {"route": exc.routes[1], "against": exc.routes[0]}
-    if base != _closed_triangle(spec, n):
+    if base != tri_from_form(spec.closed_form(n)):
         return {"route": "closed_form"}
     return None
 
@@ -351,8 +347,8 @@ def _check_chu_vandermonde(spec: FamilySpec, n: int, sets: dict):
 def _check_stirling_recurrences(spec: FamilySpec, n: int, sets: dict):
     # operator forms phi X = X phi (1+D)^{-1} and phi^{-1} X = X (1+D) phi^{-1}, on the scaled rows
     # f of phi (falling) and g of phi^{-1} (Touchard); (1+D)^{-1} x^m = sum_j (-1)^(m-j) m!/j! x^j.
-    # The Stirling rows' own recurrences are how _stirling_row builds them, so five_routes and
-    # the closed forms check those rows.
+    # The Stirling rows' own recurrences are how stirling_rows builds them, so five_routes and
+    # triangle's closed-form check test those rows.
     f, _ = scaled_rows(_basic(sets, family("falling"), n + 1).tri.rows)
     g, _ = scaled_rows(_basic(sets, family("touchard"), n + 1).tri.rows)
     for m in range(n + 1):
@@ -366,10 +362,11 @@ def _check_stirling_recurrences(spec: FamilySpec, n: int, sets: dict):
 
 def _check_gen_bernoulli(spec: FamilySpec, n: int, sets: dict):
     egf = mul_inv(series([Fraction(1, factorial(j + 1)) for j in range(n + 1)], n))  # t/(e^t-1)
+    s1 = stirling_rows(n, True)
     for m in range(1, n + 1):
         direct = egf**m
         for k in range(m):
-            expected = Fraction((-1) ** k * stirling1_unsigned(m, m - k), comb(m - 1, k))
+            expected = Fraction((-1) ** k * s1[m][m - k], comb(m - 1, k))
             if direct[k] * factorial(k) != expected:
                 return {"n": m, "k": k}
     return None
@@ -446,35 +443,35 @@ def _check_spivey(spec: FamilySpec, n: int, sets: dict):
         return [sum(t * e[j][i] for j, t in enumerate(terms[i:], i)) for i in range(m + 1)]
 
     table = [[shifted(m, k) for k in range(n + 1 - m)] for m in range(n + 1)]
+    s2 = stirling_rows(n, False)
+    bell = [sum(row) for row in s2]
     for nn in range(n + 1):
         for m in range(n + 1 - nn):
             rhs = [0] * (nn + m + 1)
-            for k in range(nn + 1):
-                s = stirling2(nn, k)
+            for k, s in enumerate(s2[nn]):
                 if s:
                     seg = rhs[k : k + m + 1]
                     rhs[k : k + m + 1] = map(add, seg, map(mul, repeat(s), table[m][k]))
             if e[nn + m][: nn + m + 1] != rhs:
                 return {"form": "operator", "n": nn, "m": m}
             # Bell-number corollary at x = 1
-            bell_lhs = bell_number(nn + m)
             bell_rhs = sum(
-                stirling2(nn, k)
-                * sum(comb(m, j) * k ** (m - j) * bell_number(j) for j in range(m + 1))
-                for k in range(nn + 1)
+                s * sum(comb(m, j) * k ** (m - j) * bell[j] for j in range(m + 1))
+                for k, s in enumerate(s2[nn])
             )
-            if bell_lhs != bell_rhs:
+            if bell[nn + m] != bell_rhs:
                 return {"form": "bell", "n": nn, "m": m}
     return None
 
 
 def _check_dobinski(spec: FamilySpec, n: int, sets: dict):
+    s2 = stirling_rows(n, False)
     for nn in range(n + 1):
         for m in range(nn + 1):
             lhs = sum(
                 Fraction((-1) ** (m - j) * comb(m, j) * j**nn, factorial(m)) for j in range(m + 1)
             )
-            if lhs != stirling2(nn, m):
+            if lhs != s2[nn][m]:
                 return {"n": nn, "m": m}
     return None
 
@@ -492,7 +489,7 @@ def _check_erdelyi(spec: FamilySpec, n: int, sets: dict):
     lag = _basic(sets, spec, n)
     inv = tri_invert(lag.tri)
     for lam in (Fraction(2), Fraction(1, 2), Fraction(-1)):
-        stretch_tri = _closed_triangle(family("stretch", lam=lam), n)
+        stretch_tri = tri_from_form(family("stretch", lam=lam).closed_form(n))
         conn = tri_compose(inv, tri_compose(stretch_tri, lag.tri))  # the connection constants
         for m in range(n + 1):
             coef = [lah(m, k) * lam**k * (lam - 1) ** (m - k) for k in range(m + 1)]
@@ -519,7 +516,7 @@ def _check_lah_connection(spec: FamilySpec, n: int, sets: dict):
     if tri_compose(rising.tri, lag.tri) != falling.tri:
         return {"n": n}
     # Lah's original identity, (x)_m = sum_k (-1)^(m-k) Lah(m,k) x^(k), from the closed form
-    twin = tri_compose(rising.tri, _closed_triangle(spec, n))
+    twin = tri_compose(rising.tri, tri_from_form(spec.closed_form(n)))
     return next(({"n": m} for m in range(n + 1) if twin.rows[m] != falling.tri.rows[m]), None)
 
 
@@ -564,7 +561,7 @@ def _check_abel_inverse(spec: FamilySpec, n: int, sets: dict):
     if a == 0:
         return None
     stretch = family("stretch", lam=a)
-    stretch_basic = UmbralOp(_closed_triangle(stretch, n), stretch.delta(n + 2))
+    stretch_basic = UmbralOp(tri_from_form(stretch.closed_form(n)), stretch.delta(n + 2))
     nie = niederhausen(stretch_basic)
     if nie.tri != tri_invert(_basic(sets, spec, n).tri):
         return {"n": n}
@@ -622,7 +619,7 @@ def _check_degenerate_cross(spec: FamilySpec, n: int, sets: dict):
 
 def _check_degenerate_closed_form(spec: FamilySpec, n: int, sets: dict):
     tri = _basic(sets, spec, n).tri
-    if tri != _closed_triangle(spec, n):
+    if tri != tri_from_form(spec.closed_form(n)):
         return {"n": n}
     return None
 

@@ -214,11 +214,11 @@ def run(args):
         return basic_set(Q, order, args.route).tri
 
     if cmd == "triangle":
-        # the cheapest route, checked against the family's closed form; read from its integer
-        # form, so a malformed entry is a disagreement (exit 1), not a refused UmbralOp (exit 2)
+        # the cheapest route, checked against the family's closed form, both as integer row
+        # forms, so a malformed entry is a disagreement (exit 1), not a refused UmbralOp (exit 2)
         spec = catalog.family(args.family, **_parse_params(args.params))
-        tri = tri_from_form(basic_recurrence(spec.delta(order + 1), order))
-        return agree("triangle", recurrence=tri, closed_form=catalog._closed_triangle(spec, order))
+        form = basic_recurrence(spec.delta(order + 1), order)
+        return tri_from_form(agree("triangle", recurrence=form, closed_form=spec.closed_form(order)))
 
     if cmd == "sheffer":
         Q = _delta_from_expr(args.delta, order + 1)

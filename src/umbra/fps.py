@@ -17,7 +17,7 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from ._kernel import (
-    apply_derivatives, cauchy, composition, convolve, derivative, evaluate, power,
+    apply_derivatives, cauchy, composition, convolve, derivative, evaluate,
     reciprocal_powers, recurrence, reduced, scaled,
 )
 from .errors import ConstantTermError, DivisionOrderError, NotInvertible, OrderError, Record, TruncationError, agree
@@ -253,23 +253,25 @@ def iterate_int(f: Series, m: int) -> Series:
 
 
 def pow_rat(f: Series, r: RatLike) -> Series:
-    """f^r for rational r by Miller's recurrence, O(N^2); requires f(0) = 1.
+    """f^r for rational r = p/q, O(N^2); requires f(0) = 1.  By J. C. P. Miller's recurrence
+    (Knuth, TAOCP 2, 4.7): q m g_m = sum_{k=1..m} ((p+q) k - q m) f_k g_{m-k}, with g_0 = 1.
 
     Checked on every call against f g' = r f' g through x^(N-1), on integers: with
-    f = F / d_f and g = G / d_g (r = p/q), q F G' and p F' G are both over q d_f d_g,
+    f = F / d_f and g = G / d_g, q F G' and p F' G are both over q d_f d_g,
     and ``agree`` compares the two vectors with no Fraction.  With g(0) = 1 that
     equation has f^r as its only solution."""
     if f.coeffs[0] != 1:
         raise ConstantTermError("rational power requires constant term exactly 1")
     r = rat(r)
-    g = Series(f.trunc, tuple(power(f.coeffs, r.numerator, r.denominator)))
+    p, q = r.numerator, r.denominator
+    g = Series(f.trunc, tuple(recurrence(f.coeffs, Fraction(1), p + q, q, q)))
     agree("pow_rat", recurrence=g[0], constant_term=Fraction(1))
     (x, dx), (y, dy) = scaled(f.coeffs), scaled(g.coeffs)
-    n, den = f.trunc - 1, r.denominator * dx * dy
+    n, den = f.trunc - 1, q * dx * dy
     agree(
         "pow_rat",
-        recurrence=([r.denominator * v for v in cauchy(x, derivative(y), n)], den),
-        equation=([r.numerator * v for v in cauchy(derivative(x), y, n)], den),
+        recurrence=([q * v for v in cauchy(x, derivative(y), n)], den),
+        equation=([p * v for v in cauchy(derivative(x), y, n)], den),
     )
     return g
 

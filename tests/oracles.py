@@ -142,6 +142,30 @@ def bell_number(n: int) -> int:
     return sum(stirling2(n, k) for k in range(n + 1))
 
 
+def closed_form_entry(name: str, params: dict, n: int, k: int) -> Fraction:
+    """Entry (n, k) of a catalog family's closed form, one entry at a time (Roman, *The Umbral
+    Calculus*, 1984): Stirling numbers for falling, rising, Touchard and divided differences,
+    Lah numbers for Laguerre, binomials for Abel and Catalan; 0 outside 0 <= k <= n."""
+    if not 0 <= k <= n:
+        return Fraction(0)
+    if name == "degenerate_laguerre":
+        return degenerate_laguerre(params["p"], n, k)
+    if name in ("abel", "catalan") and (n == 0 or k == 0):
+        return Fraction(n == k)
+    forms = {
+        "derivative": lambda: Fraction(n == k),
+        "stretch": lambda: params["lam"] ** n if n == k else Fraction(0),
+        "falling": lambda: Fraction((-1) ** (n - k) * stirling1_unsigned(n, k)),
+        "rising": lambda: Fraction(stirling1_unsigned(n, k)),
+        "divided_difference": lambda: stirling1_unsigned(n, k) * (-params["h"]) ** (n - k),
+        "touchard": lambda: Fraction(stirling2(n, k)),
+        "abel": lambda: comb(n - 1, k - 1) * (-params["a"] * n) ** (n - k),
+        "catalan": lambda: Fraction(comb(2 * n - k - 1, n - 1) * factorial(n - 1) // factorial(k - 1)),
+        "laguerre": lambda: Fraction((-1) ** (n - k) * lah(n, k)),
+    }
+    return Fraction(forms[name]())
+
+
 # -- Newton-doubling compositional inverse ------------------------------------
 
 

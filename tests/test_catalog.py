@@ -13,13 +13,11 @@ from umbra.catalog import (
     DEFAULT_CHECK_SET,
     IdentityResult,
     Report,
-    bell_number,
     check_all,
     family,
     identity_check,
     lah,
-    stirling1_unsigned,
-    stirling2,
+    stirling_rows,
 )
 from umbra.errors import UnknownFamily
 from umbra.fps import Poly, poly, series, x_series
@@ -33,7 +31,8 @@ import oracles
 def test_family_lookup_and_params():
     spec = family("abel", a="1")
     assert spec.params["a"] == 1
-    assert spec.closed_form(3, 1) == 9 and spec.closed_form(3, 2) == -6
+    rows, dens = spec.closed_form(3)
+    assert rows[3] == [0, 9, -6, 1] and dens[3] == 1
     with pytest.raises(UnknownFamily):
         family("nope")
     with pytest.raises(UnknownFamily):
@@ -44,13 +43,16 @@ def test_family_lookup_and_params():
 
 
 def test_number_helpers_match_oracles():
-    for n in range(10):
+    first, second = stirling_rows(64, True), stirling_rows(64, False)
+    assert [len(row) for row in first] == [len(row) for row in second] == list(range(1, 66))
+    for n in range(65):
         for k in range(n + 1):
-            assert stirling1_unsigned(n, k) == oracles.stirling1_unsigned(n, k)
-            assert stirling2(n, k) == oracles.stirling2(n, k)
+            assert first[n][k] == oracles.stirling1_unsigned(n, k)
+            assert second[n][k] == oracles.stirling2(n, k)
             assert lah(n, k) == oracles.lah(n, k)
+    assert stirling_rows(0, True) == stirling_rows(0, False) == [[1]]
     assert lah(4, 2) == 36
-    assert [bell_number(n) for n in range(6)] == [1, 1, 2, 5, 15, 52]
+    assert [sum(row) for row in stirling_rows(5, False)] == [1, 1, 2, 5, 15, 52]
 
 
 def test_divided_difference_h_zero_is_derivative():
@@ -78,20 +80,42 @@ def test_catalan_family_delta():
 def test_closed_forms_match_routes():
     for name, params in DEFAULT_CHECK_SET:
         spec = family(name, **params)
-        if spec.closed_form is None:
-            continue
-        tri = spec.basic(12).tri
+        tri, closed = spec.basic(12).tri, umbral.tri_from_form(spec.closed_form(12))
         for n in range(13):
             for k in range(n + 1):
-                assert tri.entry(n, k) == spec.closed_form(n, k), (name, params, n, k)
+                assert tri.entry(n, k) == closed.entry(n, k), (name, params, n, k)
 
 
-@pytest.mark.parametrize("p", [1, 2, 3, 5])
-def test_degenerate_laguerre_closed_form_matches_the_binomial_form(p):
-    form = family("degenerate_laguerre", p=p).closed_form
-    for n in range(40):
-        for k in range(-1, n + 2):
-            assert form(n, k) == oracles.degenerate_laguerre(p, n, k), (n, k)
+# every family in its default parameters, and the parameters whose row forms have their own
+# denominators, signs or zeros: a negative or fractional lam, h and a, h = a = 0, p past 3
+CLOSED_FORM_SPECS = DEFAULT_CHECK_SET + (
+    ("stretch", {"lam": F(-2, 3)}),
+    ("divided_difference", {"h": F(-3, 5)}),
+    ("divided_difference", {"h": F(0)}),
+    ("abel", {"a": F(0)}),
+    ("abel", {"a": F(-1, 2)}),
+    ("abel", {"a": F(3, 7)}),
+    ("degenerate_laguerre", {"p": 4}),
+    ("degenerate_laguerre", {"p": 5}),
+)
+
+
+@pytest.mark.parametrize("name, params", CLOSED_FORM_SPECS)
+def test_closed_form_rows_match_the_entry_formulas(name, params):
+    # rows 0..N for every N = 0..64: rows of m + 1 integers over positive integer dens, the
+    # entry formula's values, and row m's denominator a divisor of v^m for a parameter u/v
+    spec = family(name, **params)
+    rows, dens = spec.closed_form(64)
+    v = next((q.denominator for q in params.values() if isinstance(q, F)), 1)
+    assert [len(row) for row in rows] == list(range(1, 66)) and len(dens) == 65
+    for m, (row, d) in enumerate(zip(rows, dens)):
+        assert type(d) is int and d > 0 and v**m % d == 0, (m, d)
+        assert all(type(c) is int for c in row)
+        expected = [oracles.closed_form_entry(name, params, m, k) for k in range(m + 1)]
+        assert [F(c, d) for c in row] == expected, m
+    for n in range(64):
+        head, head_dens = spec.closed_form(n)
+        assert (head, head_dens) == (rows[: n + 1], dens[: n + 1]), n
 
 
 def test_degenerate_laguerre_row_values():
@@ -497,6 +521,19 @@ def _corrupt_number(monkeypatch, name, at):
     monkeypatch.setattr(catalog, name, lambda n, k: real(n, k) + ((n, k) == at))
 
 
+def _corrupt_stirling(monkeypatch, first_kind, at):
+    """Add 1 to entry ``at`` of every table of Stirling rows of one kind that the catalog builds."""
+    real = catalog.stirling_rows
+
+    def rows(n, kind):
+        out = real(n, kind)
+        if kind == first_kind and at[0] <= n:
+            out[at[0]][at[1]] += 1
+        return out
+
+    monkeypatch.setattr(catalog, "stirling_rows", rows)
+
+
 def _erdelyi():
     return catalog._check_erdelyi(family("laguerre"), 8, {})
 
@@ -566,7 +603,7 @@ def test_spivey_operator_form_fails_on_a_corrupted_row(monkeypatch, row, col, ex
 
 
 def test_spivey_bell_form_fails_on_a_corrupted_stirling_number(monkeypatch):
-    _corrupt_number(monkeypatch, "stirling2", (3, 2))
+    _corrupt_stirling(monkeypatch, False, (3, 2))
     assert _spivey() == {"form": "bell", "n": 1, "m": 2}
 
 

@@ -6,8 +6,10 @@ under `python -O`.
 """
 
 import ast
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -17,6 +19,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 import pytest
 
+import umbra
 from umbra import _kernel, bell, catalog, cli, flow, fps, sigma, umbral
 from umbra.catalog import family, identity_check
 from umbra.cli import main
@@ -280,26 +283,27 @@ def _corrupt_niederhausen(mp):
 
 
 def _corrupt_power(mp):
-    real = fps.power
+    # g_3 of Miller's recurrence, the kernel's solved-prefix loop as pow_rat reads it, gains 1
+    real = fps.recurrence
 
-    def corrupted(f, p, q):
-        g = real(f, p, q)
+    def corrupted(*args, **kwargs):
+        g = real(*args, **kwargs)
         g[3] += 1
         return g
 
-    mp.setattr(fps, "power", corrupted)
+    mp.setattr(fps, "recurrence", corrupted)
 
 
 def _corrupt_last_power(mp):
     # g_N of Miller's recurrence gains 1; only f g' reads it, at x^(N-1)
-    real = fps.power
+    real = fps.recurrence
 
-    def corrupted(f, p, q):
-        g = real(f, p, q)
+    def corrupted(*args, **kwargs):
+        g = real(*args, **kwargs)
         g[-1] += 1
         return g
 
-    mp.setattr(fps, "power", corrupted)
+    mp.setattr(fps, "recurrence", corrupted)
 
 
 def _corrupt_powers(mp):
@@ -383,18 +387,27 @@ def _corrupt_divider(mp):
     mp.setattr(umbral, "divider", corrupted)
 
 
-def _corrupt_closed_triangle(m, k):
-    """An injection that adds 1 to entry (m, k) of the closed-form triangle that ``triangle`` reads."""
+def _corrupt_closed_form(m, k=None):
+    """An injection into the integer row form of the closed form that ``triangle`` reads: entry
+    (m, k) gains 1, or, with no k, row m's denominator is doubled."""
 
     def inject(mp):
-        real = catalog._closed_triangle
+        real = catalog.family
 
-        def corrupted(spec, n):
-            rows = [list(row) for row in real(spec, n).rows]
-            rows[m][k] += 1
-            return triangle(rows)
+        def corrupted(name, /, **params):
+            spec = real(name, **params)
 
-        mp.setattr(catalog, "_closed_triangle", corrupted)
+            def form(n):
+                rows, dens = out = spec.closed_form(n)
+                if k is None:
+                    dens[m] *= 2
+                else:
+                    rows[m][k] += dens[m]
+                return out
+
+            return catalog.FamilySpec(spec.name, spec.params, spec.delta, form)
+
+        mp.setattr(catalog, "family", corrupted)
 
     return inject
 
@@ -497,12 +510,23 @@ INJECTIONS = {
     ),
     "triangle_closed_form": (
         ["triangle", "--family", "touchard", "--order", "12", "--format", "json"],
-        _corrupt_closed_triangle(7, 3),
+        _corrupt_closed_form(7, 3),
         {
             "construction": "triangle",
             "routes": ["recurrence", "closed_form"],
             "index": [7, 3],
             "values": ["301", "302"],
+        },
+    ),
+    "triangle_closed_form_den": (
+        # row 7 of stretch's closed form is (2/3)^7 x^7 over 3^7; its denominator doubles
+        ["triangle", "--family", "stretch", "--params", "lam=2/3", "--order", "12", "--format", "json"],
+        _corrupt_closed_form(7),
+        {
+            "construction": "triangle",
+            "routes": ["recurrence", "closed_form"],
+            "index": [7, 7],
+            "values": ["128/2187", "64/2187"],
         },
     ),
     "triangle_recurrence": (
@@ -758,8 +782,8 @@ def test_triangle_forms_have_the_shape_agree_relies_on(delta, n):
 
 def test_pow_rat_checks_the_constant_term(monkeypatch):
     # 2 f^r satisfies f g' = r f' g too; only g(0) = 1 tells it from f^r
-    real = fps.power
-    monkeypatch.setattr(fps, "power", lambda f, p, q: [2 * v for v in real(f, p, q)])
+    real = fps.recurrence
+    monkeypatch.setattr(fps, "recurrence", lambda *args: [2 * v for v in real(*args)])
     with pytest.raises(RouteDisagreement) as info:
         fps.pow_rat(series([1, 1], 4), F(1, 2))
     assert (info.value.routes, info.value.values) == (("recurrence", "constant_term"), (2, 1))
@@ -875,3 +899,16 @@ def test_library_has_no_global():
     for path in paths:
         found = [node.lineno for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Global)]
         assert not found, f"{path.name}: global statement at lines {found}"
+
+
+def test_library_has_no_cache():
+    """No request leaves state behind for the next: no object in any umbra module, nor any
+    attribute of a class defined there, is a functools cache, but the argument parser, which
+    reads no environment and holds no result."""
+    found = []
+    for name in ["umbra"] + [info.name for info in pkgutil.walk_packages(umbra.__path__, "umbra.")]:
+        for key, obj in vars(importlib.import_module(name)).items():
+            owned = vars(obj).items() if isinstance(obj, type) and obj.__module__ == name else ()
+            found += [f"{name}.{key}"] * hasattr(obj, "cache_info")
+            found += [f"{name}.{key}.{attr}" for attr, value in owned if hasattr(value, "cache_info")]
+    assert found == ["umbra.cli.build_parser"]

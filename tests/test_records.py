@@ -16,8 +16,8 @@ def _delta(t):
     return DeltaOp(Series(2, (F(0), F(1), F(0))))
 
 
-def _form(n, k):
-    return F(n == k)
+def _form(n):
+    return [[0] * m + [1] for m in range(n + 1)], [1] * (n + 1)
 
 
 # one builder per record class; each call builds a new record with the same fields

@@ -40,11 +40,11 @@ def test_series_matches_sympy(text):
 
 
 def test_stirling_and_bell_numbers_match_sympy():
+    first, second = catalog.stirling_rows(N, True), catalog.stirling_rows(N, False)
     for n in range(N + 1):
-        assert catalog.bell_number(n) == bell(n)
-        for k in range(n + 1):
-            assert catalog.stirling1_unsigned(n, k) == stirling(n, k, kind=1)
-            assert catalog.stirling2(n, k) == stirling(n, k, kind=2)
+        assert sum(second[n]) == bell(n)
+        assert first[n] == [stirling(n, k, kind=1) for k in range(n + 1)]
+        assert second[n] == [stirling(n, k, kind=2) for k in range(n + 1)]
 
 
 def test_basic_triangles_match_sympy_stirling_numbers():
