@@ -44,7 +44,7 @@ Q = family("falling").delta(14)
 half_tri = phi_pow(Q, F(1, 2), 6)
 print("\nsquare root of the falling-factorial triangle, row 4:")
 print("   ", [str(v) for v in half_tri.rows[4]])
-print("   squared back:", tri_compose(half_tri, half_tri) == family("falling").basic(6).tri)
+print("   squared back:", tri_compose(half_tri, half_tri) == family("falling").basic(6))
 print("   phi^{-1} row 4 (Stirling-2):", [str(v) for v in phi_pow(Q, -1, 6).rows[4]])
 
 jab = jabotinsky(half_tri)

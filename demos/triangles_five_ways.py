@@ -14,9 +14,9 @@ from umbra import (
     BASIC_ROUTES,
     Triangle,
     basic_set,
-    connection_constants,
     family,
     is_binomial_type,
+    tri_compose,
     tri_invert,
 )
 
@@ -34,7 +34,7 @@ def show(title, tri):
 # kind.  Watch all five routes produce the same rows.
 delta = family("falling").delta(N + 2)
 print("five routes for the forward difference:")
-triangles = {name: basic_set(delta, N, name).tri for name in BASIC_ROUTES}
+triangles = {name: basic_set(delta, N, name) for name in BASIC_ROUTES}
 for name, tri in triangles.items():
     print(f"  {name:11s} row 4 ->", [str(v) for v in tri.rows[4]])
 assert len({tri for tri in triangles.values()}) == 1
@@ -47,21 +47,21 @@ show("inverse = Stirling-2 / Touchard", tri_invert(triangles["transfer"]))
 
 # The logistic derivative D(1-D) encodes Catalan numbers: its basic rows
 # have the closed form C(2n-k-1, n-1) (n-1)!/(k-1)!.
-show("Catalan polynomials for D(1-D)", family("catalan").basic(N).tri)
+show("Catalan polynomials for D(1-D)", family("catalan").basic(N))
 
 # Abel polynomials x(x-an)^{n-1} for the shifted derivative D E^a.
-show("Abel polynomials (a = 1)", family("abel", a=1).basic(N).tri)
+show("Abel polynomials (a = 1)", family("abel", a=1).basic(N))
 
 # Connection constants: expanding rising factorials in falling factorials
-# produces the unsigned Lah numbers.
+# produces the unsigned Lah numbers; their triangle is falling^{-1} o rising.
 rising = family("rising").basic(N)
 falling = family("falling").basic(N)
-show("Lah numbers = connection(rising -> falling)", connection_constants(rising, falling))
+show("Lah numbers = connection(rising -> falling)", tri_compose(tri_invert(falling), rising))
 
 # The binomial-type detector accepts every basic triangle and rejects
 # anything Sheffer-but-not-basic or perturbed.
 print("\nbinomial-type detector:")
-print("   falling factorials:", is_binomial_type(falling.tri))
-rows = [list(r) for r in falling.tri.rows]
+print("   falling factorials:", is_binomial_type(falling))
+rows = [list(r) for r in falling.rows]
 rows[4][2] += F(1, 3)
 print("   perturbed copy    :", is_binomial_type(Triangle(tuple(tuple(r) for r in rows))))

@@ -49,7 +49,6 @@ from .operators import (
     diamond,
     divide,
     is_appell,
-    pincherle,
     shift_by,
     validate_delta,
 )
@@ -57,14 +56,12 @@ from .bell import partial_bell
 from .umbral import (
     BASIC_ROUTES,
     Triangle,
-    UmbralOp,
     basic_genfunc,
     basic_km,
     basic_recurrence,
     basic_set,
     basic_steffensen,
     basic_transfer,
-    connection_constants,
     cross,
     delta_of,
     is_binomial_type,

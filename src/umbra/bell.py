@@ -15,11 +15,11 @@ a_j = A_j / D over one common denominator, E_{n,k} = k! D^k B_{n,k} obeys
 
 which has no division, and each entry becomes one reduced Fraction
 E_{n,k} / (k! D^k) at the end.  One entry B_{n,k} costs O(n^2 k) integer
-operations and the whole triangle up to row n (partial_bell_table) O(n^3),
-instead of enumerating partitions; the partition-sum definition is kept in
-the test suite as an oracle.  The flow layer reads the integer columns
-(``_bell_columns``) directly and puts them over one denominator, so no
-Fraction is built between them and its Krylov columns.
+operations and the whole triangle up to row n O(n^3), instead of enumerating
+partitions; the partition-sum definition and the whole Fraction table
+(``partial_bell_table``) are kept in tests/oracles.py as oracles.  The flow
+layer reads the integer columns (``_bell_columns``) directly and puts them over
+one denominator, so no Fraction is built between them and its Krylov columns.
 """
 
 from __future__ import annotations
@@ -63,10 +63,3 @@ def partial_bell(n: int, k: int, a: Sequence) -> Fraction:
     cols, den = _bell_columns(a, n, k, n - k)
     return Fraction(cols[k][n], factorial(k) * den**k)
 
-
-def partial_bell_table(n: int, a: Sequence) -> tuple[tuple[Fraction, ...], ...]:
-    """Rows [B_{m,0}, ..., B_{m,m}] for m = 0..n, in one O(n^3) pass over a_1..a_n."""
-    cols, den = _bell_columns(a, n, n, n)
-    scale = [factorial(k) * den**k for k in range(n + 1)]
-    # tuples from lists, not generators: see fps._coerce
-    return tuple([tuple([Fraction(cols[k][m], scale[k]) for k in range(m + 1)]) for m in range(n + 1)])

@@ -17,7 +17,6 @@ from operator import add, mul
 from typing import Callable
 
 from ._kernel import scaled, scaled_rows
-from .bell import partial_bell_table
 from .errors import Record, RouteDisagreement, UnknownFamily
 from .fps import (
     Poly,
@@ -34,10 +33,12 @@ from .operators import DeltaOp, ShiftOp, shift_by, validate_delta
 from .rational import RatLike, rat
 from .umbral import (
     RowForm,
-    UmbralOp,
+    Triangle,
+    basic_from_inverse_series,
     basic_set,
     binomial_convolution,
     cross,
+    delta_of,
     is_binomial_type,
     niederhausen,
     sheffer,
@@ -93,7 +94,7 @@ class FamilySpec(Record):
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "closed_form", closed_form)
 
-    def basic(self, n: int) -> UmbralOp:
+    def basic(self, n: int) -> Triangle:
         """The set that ``check``'s identities test, by the transfer route: Touchard's
         operator form g_{m+1} = x (1 + D) g_m is the recurrence route's own step."""
         return basic_set(self.delta(n + 2), n, "transfer")
@@ -260,7 +261,12 @@ def family(name: str, /, **params: RatLike) -> FamilySpec:
     coerced = {}
     for key, value in params.items():
         try:
-            coerced[key] = int(value) if key == "p" else rat(value)
+            if key != "p":
+                coerced[key] = rat(value)
+            elif isinstance(value, str) or rat(value).denominator == 1:  # int() refuses "5/2", "2.0"
+                coerced[key] = int(value)
+            else:
+                raise ValueError
         except (ValueError, ZeroDivisionError):
             msg = f"bad value {value!r} for parameter {key!r} of family {name!r}"
             raise UnknownFamily(msg) from None
@@ -309,7 +315,7 @@ class Report(Record):
         return all(r.passed for r in self.results)
 
 
-def _basic(sets: dict, spec: FamilySpec, n: int) -> UmbralOp:
+def _basic(sets: dict, spec: FamilySpec, n: int) -> Triangle:
     """spec's basic set through row n from ``sets``, the basic sets of one check request,
     built there by ``FamilySpec.basic`` on a miss; the key holds the coerced params, so
     lam=2 and lam=Fraction(2) find one set."""
@@ -324,7 +330,7 @@ def _check_routes(spec: FamilySpec, n: int, sets: dict):
     """All five construction routes and the closed form must agree.  The routes never read
     ``sets``: they stay independent of the basic set that the other identities share."""
     try:
-        base = basic_set(spec.delta(n + 2), n).tri
+        base = basic_set(spec.delta(n + 2), n)
     except RouteDisagreement as exc:
         return {"route": exc.routes[1], "against": exc.routes[0]}
     if base != tri_from_form(spec.closed_form(n)):
@@ -333,13 +339,13 @@ def _check_routes(spec: FamilySpec, n: int, sets: dict):
 
 
 def _check_binomial(spec: FamilySpec, n: int, sets: dict):
-    return None if is_binomial_type(_basic(sets, spec, n).tri) else {"n": n}
+    return None if is_binomial_type(_basic(sets, spec, n)) else {"n": n}
 
 
 def _check_chu_vandermonde(spec: FamilySpec, n: int, sets: dict):
     """p_m(x+y) = sum_k C(m,k) p_k(x) p_{m-k}(y) at every (i, j) of the column EGFs, where
     ``_check_binomial`` tests j = 1 and reaches the rest by induction."""
-    rows = _basic(sets, spec, n).tri.rows
+    rows = _basic(sets, spec, n).rows
     m = binomial_convolution(rows, rows, rows)
     return None if m is None else {"n": m}
 
@@ -349,8 +355,8 @@ def _check_stirling_recurrences(spec: FamilySpec, n: int, sets: dict):
     # f of phi (falling) and g of phi^{-1} (Touchard); (1+D)^{-1} x^m = sum_j (-1)^(m-j) m!/j! x^j.
     # The Stirling rows' own recurrences are how stirling_rows builds them, so five_routes and
     # triangle's closed-form check test those rows.
-    f, _ = scaled_rows(_basic(sets, family("falling"), n + 1).tri.rows)
-    g, _ = scaled_rows(_basic(sets, family("touchard"), n + 1).tri.rows)
+    f, _ = scaled_rows(_basic(sets, family("falling"), n + 1).rows)
+    g, _ = scaled_rows(_basic(sets, family("touchard"), n + 1).rows)
     for m in range(n + 1):
         w = [(-1) ** (m - j) * perm(m, m - j) for j in range(m + 1)]
         if f[m + 1] != [0] + [sum(wj * f[j][i] for j, wj in enumerate(w)) for i in range(n + 1)]:
@@ -410,13 +416,16 @@ def _check_catalan_inverse_class(spec: FamilySpec, n: int, sets: dict):
 
 
 def _check_catalan_bell(spec: FamilySpec, n: int, sets: dict):
-    catalans = [comb(2 * j, j) // (j + 1) for j in range(n + 1)]
-    args = [factorial(j) * catalans[j - 1] for j in range(1, n + 1)]
-    tri, table = _basic(sets, spec, n).tri, partial_bell_table(n, args)
+    """Entry (m, k) of the basic set and the partial Bell polynomial B_(m,k)(a) with
+    a_j = j! C_(j-1), read from the Bell triangle whose column-1 EGF is sum_j C_(j-1) x^j,
+    are both (m-1)!/(k-1)! C(2m-k-1, m-1); that series is read through x^1 at least."""
+    t = max(n, 1)
+    catalans = [comb(2 * j, j) // (j + 1) for j in range(t)]
+    tri, table = _basic(sets, spec, n), basic_from_inverse_series(series([0] + catalans, t), n)
     for m in range(1, n + 1):
         for k in range(1, m + 1):
             expected = Fraction(factorial(m - 1), factorial(k - 1)) * comb(2 * m - k - 1, m - 1)
-            if table[m][k] != expected or tri.entry(m, k) != expected:
+            if table.entry(m, k) != expected or tri.entry(m, k) != expected:
                 return {"n": m, "k": k}
     return None
 
@@ -435,7 +444,7 @@ def _check_catalan_numbers(spec: FamilySpec, n: int, sets: dict):
 def _check_spivey(spec: FamilySpec, n: int, sets: dict):
     """phi x^(n+m) = sum_k S(n,k) x^k phi (x+k)^m, on the rows e of the triangle
     scaled once: phi (x+k)^m = sum_j C(m,j) k^(m-j) e[j] is an integer combination."""
-    e, _ = scaled_rows(_basic(sets, spec, n).tri.rows)
+    e, _ = scaled_rows(_basic(sets, spec, n).rows)
 
     def shifted(m: int, k: int) -> list[int]:
         """phi (x+k)^m through x^m."""
@@ -478,7 +487,7 @@ def _check_dobinski(spec: FamilySpec, n: int, sets: dict):
 
 def _check_touchard_recurrence(spec: FamilySpec, n: int, sets: dict):
     """T_{m+1} = x sum_k C(m,k) T_k, on the scaled rows."""
-    e, _ = scaled_rows(_basic(sets, spec, n + 1).tri.rows)
+    e, _ = scaled_rows(_basic(sets, spec, n + 1).rows)
     for m in range(n + 1):
         if e[m + 1] != [0] + [sum(comb(m, k) * e[k][i] for k in range(m + 1)) for i in range(n + 1)]:
             return {"n": m}
@@ -487,10 +496,10 @@ def _check_touchard_recurrence(spec: FamilySpec, n: int, sets: dict):
 
 def _check_erdelyi(spec: FamilySpec, n: int, sets: dict):
     lag = _basic(sets, spec, n)
-    inv = tri_invert(lag.tri)
+    inv = tri_invert(lag)
     for lam in (Fraction(2), Fraction(1, 2), Fraction(-1)):
         stretch_tri = tri_from_form(family("stretch", lam=lam).closed_form(n))
-        conn = tri_compose(inv, tri_compose(stretch_tri, lag.tri))  # the connection constants
+        conn = tri_compose(inv, tri_compose(stretch_tri, lag))  # the connection constants
         for m in range(n + 1):
             coef = [lah(m, k) * lam**k * (lam - 1) ** (m - k) for k in range(m + 1)]
             for k in range(m + 1):
@@ -502,7 +511,7 @@ def _check_erdelyi(spec: FamilySpec, n: int, sets: dict):
 def _check_laguerre_involution(spec: FamilySpec, n: int, sets: dict):
     lag = _basic(sets, spec, n)
     ln = triangle(
-        [[(-1) ** m * lag.tri.entry(m, k) for k in range(m + 1)] for m in range(n + 1)]
+        [[(-1) ** m * lag.entry(m, k) for k in range(m + 1)] for m in range(n + 1)]
     )
     if tri_compose(ln, ln) != tri_identity(n):
         return {"n": n}
@@ -513,18 +522,18 @@ def _check_lah_connection(spec: FamilySpec, n: int, sets: dict):
     lag = _basic(sets, spec, n)
     rising = _basic(sets, family("rising"), n)
     falling = _basic(sets, family("falling"), n)
-    if tri_compose(rising.tri, lag.tri) != falling.tri:
+    if tri_compose(rising, lag) != falling:
         return {"n": n}
     # Lah's original identity, (x)_m = sum_k (-1)^(m-k) Lah(m,k) x^(k), from the closed form
-    twin = tri_compose(rising.tri, tri_from_form(spec.closed_form(n)))
-    return next(({"n": m} for m in range(n + 1) if twin.rows[m] != falling.tri.rows[m]), None)
+    twin = tri_compose(rising, tri_from_form(spec.closed_form(n)))
+    return next(({"n": m} for m in range(n + 1) if twin.rows[m] != falling.rows[m]), None)
 
 
 def _check_laguerre_powers(spec: FamilySpec, n: int, sets: dict):
     lag = _basic(sets, spec, n)
     tri_r = tri_identity(n)
     for r in (1, 2, 3):
-        tri_r = tri_compose(tri_r, lag.tri)
+        tri_r = tri_compose(tri_r, lag)
         for m in range(n + 1):
             for k in range(m + 1):
                 if tri_r.entry(m, k) != lah(m, k) * Fraction(-r) ** (m - k):
@@ -561,14 +570,13 @@ def _check_abel_inverse(spec: FamilySpec, n: int, sets: dict):
     if a == 0:
         return None
     stretch = family("stretch", lam=a)
-    stretch_basic = UmbralOp(tri_from_form(stretch.closed_form(n)), stretch.delta(n + 2))
-    nie = niederhausen(stretch_basic)
-    if nie.tri != tri_invert(_basic(sets, spec, n).tri):
+    nie = niederhausen(tri_from_form(stretch.closed_form(n)), stretch.delta(n + 2))
+    if nie != tri_invert(_basic(sets, spec, n)):
         return {"n": n}
     if n == 0:  # the delta has no coefficient to compare
         return None
     expected = x_series(n) * exp_series(x_series(n).scale(a))
-    inv_ind = comp_inv(nie.delta.indicator)
+    inv_ind = comp_inv(delta_of(nie).indicator)
     for m in range(min(n, inv_ind.trunc) + 1):
         if inv_ind[m] != expected[m]:
             return {"form": "delta", "n": m}
@@ -577,8 +585,8 @@ def _check_abel_inverse(spec: FamilySpec, n: int, sets: dict):
 
 def _check_conjugation(spec: FamilySpec, n: int, sets: dict):
     h = spec.params["h"]
-    phi_h = _basic(sets, spec, n).tri
-    falling = _basic(sets, family("falling"), n).tri
+    phi_h = _basic(sets, spec, n)
+    falling = _basic(sets, family("falling"), n)
     for m in range(n + 1):
         for k in range(m + 1):
             if phi_h.entry(m, k) != falling.entry(m, k) * h ** (m - k):
@@ -618,7 +626,7 @@ def _check_degenerate_cross(spec: FamilySpec, n: int, sets: dict):
 
 
 def _check_degenerate_closed_form(spec: FamilySpec, n: int, sets: dict):
-    tri = _basic(sets, spec, n).tri
+    tri = _basic(sets, spec, n)
     if tri != tri_from_form(spec.closed_form(n)):
         return {"n": n}
     return None
@@ -676,7 +684,7 @@ def _check_transform_roundtrip(spec: FamilySpec, n: int, sets: dict, rng) -> dic
     The row transform of a triangle is its matrix, the column transform its
     transpose; with both triangles scaled once to a / D_a and b / D_b, the round
     trip b (a s) = s is the integer test b (a S) = D_a D_b S."""
-    tri = _basic(sets, spec, n).tri
+    tri = _basic(sets, spec, n)
     (a, da), (b, db) = scaled_rows(tri.rows), scaled_rows(tri_invert(tri).rows)
     mats = {"row": (a, b), "column": ([*zip(*a)], [*zip(*b)])}
     for trial in range(5):

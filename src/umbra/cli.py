@@ -211,11 +211,11 @@ def run(args):
 
     if cmd == "basic":
         Q = _delta_from_expr(args.delta, order + 1)
-        return basic_set(Q, order, args.route).tri
+        return basic_set(Q, order, args.route)
 
     if cmd == "triangle":
         # the cheapest route, checked against the family's closed form, both as integer row
-        # forms, so a malformed entry is a disagreement (exit 1), not a refused UmbralOp (exit 2)
+        # forms: a malformed entry is a disagreement (exit 1), as no shape check runs (exit 2)
         spec = catalog.family(args.family, **_parse_params(args.params))
         form = basic_recurrence(spec.delta(order + 1), order)
         return tri_from_form(agree("triangle", recurrence=form, closed_form=spec.closed_form(order)))

@@ -58,7 +58,8 @@ def _column_powers(phi: tuple[list[list[int]], int], k: int, pmax: int):
 
 def _flow_triangle(f: Series, n: int) -> tuple[list[list[int]], int]:
     """The basic triangle with column-1 EGF f (the paper's phi for f) through row n, as
-    integer rows over one denominator: exactly ``_kernel.scaled`` of partial_bell_table.
+    integer rows over one denominator: exactly ``_kernel.scaled`` of the Bell table
+    ``partial_bell_table`` of tests/oracles.py.
 
     Entry (m, k) is B_(m,k)(a) = E_(m,k) / (k! D^k) for a_j = j! f_j, with E and D from
     ``bell._bell_columns``; every entry is put over n! D^n and the table is reduced once
@@ -192,9 +193,7 @@ def phi_pow(Q: DeltaOp, s: RatLike, n: int) -> Triangle:
     q = Q.indicator.truncate(max(n, 1))  # a delta's indicator reaches x^1
     g = frac_iterate(q, -s, 1, q.trunc)
     bell_form = umbral._bell_form(g, n)
-    rows, dens = bell_form
-    if rows[0] != [dens[0]] or any(row[0] for row in rows[1:]) or not all(row[-1] for row in rows):
-        raise ValueError("umbral triangle must have coeff[0][0] = 1, coeff[n][0] = 0 and a nonzero diagonal")
+    umbral._check_basic(bell_form, Fraction(1))
     power_form = umbral._power_rows(umbral.powers(g.coeffs, n), n)
     agree("phi_pow", bell=bell_form, powers=power_form)
     return tri_from_form(power_form)

@@ -17,7 +17,6 @@ from .fps import (
     Poly,
     Series,
     compose,
-    derive,
     exp_series,
     iterate_int,
     poly,
@@ -112,11 +111,6 @@ def apply_op(T: ShiftOp, p: Poly) -> Poly:
             f"indicator trunc {T.indicator.trunc} < deg p = {d}; operator not resolved deeply enough"
         )
     return poly(apply_derivatives(T.indicator.coeffs, [p.coeffs])[0])
-
-
-def pincherle(T: ShiftOp) -> ShiftOp:
-    """Pincherle derivative T' = Tx - xT; equals indicator differentiation."""
-    return ShiftOp(derive(T.indicator))
 
 
 def divide(U: ShiftOp, V: ShiftOp) -> ShiftOp:

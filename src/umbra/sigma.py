@@ -46,7 +46,7 @@ class SigmaOp:
         """Expand p in {phi_n}, shift indices, re-anchor."""
         if p.is_zero():
             return p
-        rows, d = self._phi.tri.rows, len(p.coeffs) - 1
+        rows, d = self._phi.rows, len(p.coeffs) - 1
         if d >= len(rows) - 1:
             raise TruncationError(f"sigma depth {len(rows) - 2} < deg p = {d}")
         # monomial coefficients a -> basic coordinates c, p = sum_n c_n phi_n: a_j is
@@ -55,7 +55,7 @@ class SigmaOp:
         for j in range(d, -1, -1):
             c[j] = (p.coeffs[j] - sum([c[n] * rows[n][j] for n in range(j + 1, d + 1)])) / rows[j][j]
         # sum_n c_n phi_{n+1}/(n+1) is phi applied to sum_n c_n x^{n+1}/(n+1)
-        out = self._phi.tri.apply_poly(poly([0] + [v / n for n, v in enumerate(c, 1)]))
+        out = self._phi.apply_poly(poly([0] + [v / n for n, v in enumerate(c, 1)]))
         return out - out(self.anchor)
 
 
@@ -166,9 +166,9 @@ def bernoulli2_poly(n: int) -> Poly:
     delta = _delta_op(trunc)
     b_inv = divide(delta, derivative_op(trunc))  # indicator (e^t - 1)/t
     falling = basic_set(delta, n + 1, "transfer")
-    route1 = apply_op(b_inv, falling.tri.row_poly(n))
-    anti = falling.tri.row_poly(n).antiderivative(0)
+    route1 = apply_op(b_inv, falling.row_poly(n))
+    anti = falling.row_poly(n).antiderivative(0)
     agree("second-kind Bernoulli", operator=route1, integral=anti.shifted(1) - anti)
-    lower = n * falling.tri.row_poly(max(n - 1, 0))  # n phi_{n-1}; zero for n = 0
+    lower = n * falling.row_poly(max(n - 1, 0))  # n phi_{n-1}; zero for n = 0
     agree("second-kind Bernoulli commutation", derivative=route1.derivative(), falling=lower)
     return route1

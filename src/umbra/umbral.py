@@ -142,36 +142,26 @@ def transform_seq(
 
 
 # ---------------------------------------------------------------------------
-# umbral / Sheffer operators
+# basic sets and Sheffer operators
 # ---------------------------------------------------------------------------
 
 
-class UmbralOp(Record):
-    """Basic-set operator: triangle plus (optionally cached) delta operator."""
-
-    __slots__ = ("tri", "delta")
-    tri: Triangle
-    delta: DeltaOp | None
-
-    def __init__(self, tri: Triangle, delta: DeltaOp | None = None):
-        object.__setattr__(self, "tri", tri)
-        object.__setattr__(self, "delta", delta)
-        self.__post_init__()
-
-    def __post_init__(self):
-        t = self.tri
-        if t.entry(0, 0) != 1:
-            raise ValueError("umbral triangle must have coeff[0][0] = 1")
-        for n in range(1, t.n + 1):
-            if t.entry(n, 0) != 0:
-                raise ValueError("umbral triangle must have coeff[n][0] = 0 for n >= 1")
-            if t.entry(n, n) == 0:
-                raise ValueError("umbral triangle must have nonzero diagonal")
-        if self.delta is not None:
-            c = self.delta.unit
-            for n in range(t.n + 1):
-                if t.entry(n, n) != c ** (-n):
-                    raise ValueError("diagonal must equal unit^(-n)")
+def _check_basic(form: RowForm, unit: Fraction):
+    """Refuse a triangle form that cannot be a basic set's: a basic triangle has
+    coeff[0][0] = 1, coeff[m][0] = 0 for m >= 1 and coeff[m][m] = unit^(-m) != 0,
+    where unit is the coefficient of D in its delta; read on integers."""
+    rows, dens = form
+    if rows[0][0] != dens[0]:
+        raise ValueError("umbral triangle must have coeff[0][0] = 1")
+    for m, row in enumerate(rows[1:], 1):
+        if row[0]:
+            raise ValueError("umbral triangle must have coeff[n][0] = 0 for n >= 1")
+        if not row[m]:
+            raise ValueError("umbral triangle must have nonzero diagonal")
+    u, v = unit.numerator, unit.denominator
+    for m, (row, d) in enumerate(zip(rows, dens)):
+        if row[m] * u**m != d * v**m:  # coeff[m][m] = row[m] / d must be (v / u)^m
+            raise ValueError("diagonal must equal unit^(-n)")
 
 
 def _require_depth(Q: DeltaOp, n: int):
@@ -342,22 +332,24 @@ BASIC_ROUTES: dict[str, Callable[[DeltaOp, int], RowForm]] = {
 }
 
 
-def basic_set(Q: DeltaOp, n: int, route: str = "all") -> UmbralOp:
-    """The basic set of Q through row n, by the named route of BASIC_ROUTES, or with "all"
-    by every route, which must agree.  The routes are looked up when called and hand
+def basic_set(Q: DeltaOp, n: int, route: str = "all") -> Triangle:
+    """The basic triangle of Q through row n, by the named route of BASIC_ROUTES, or with
+    "all" by every route, which must agree.  The routes are looked up when called and hand
     ``agree`` their integer forms, so they are compared with no Fraction; only the first
-    form, the one returned, is built from Fractions and checked by UmbralOp, and a
-    malformed entry of another route is a route disagreement."""
+    form, the one returned, is built from Fractions and shape-checked (``_check_basic``),
+    and a malformed entry of another route is a route disagreement."""
     if route == "all":
         form = agree("basic", **{name: build(Q, n) for name, build in BASIC_ROUTES.items()})
     elif route in BASIC_ROUTES:
         form = BASIC_ROUTES[route](Q, n)
     else:
         raise UmbraError(f"unknown basic route {route!r}; known: {', '.join(BASIC_ROUTES)}, all")
-    return UmbralOp(tri_from_form(form), Q)
+    tri = tri_from_form(form)  # Triangle refuses a row of the wrong length before the shape check
+    _check_basic(form, Q.unit)
+    return tri
 
 
-def basic_from_inverse_series(f: Series, n: int) -> UmbralOp:
+def basic_from_inverse_series(f: Series, n: int) -> Triangle:
     """Basic triangle whose column-1 EGF is f (= indicator of Q^[-1]).
 
     coeff[m][k] = B_{m,k}(a_1, ..., a_{m-k+1}) with a_j = j! [x^j] f, the rows of
@@ -368,12 +360,13 @@ def basic_from_inverse_series(f: Series, n: int) -> UmbralOp:
         raise NotUnitary("inverse indicator must have order 1")
     if f.trunc < n:
         raise TruncationError(f"need trunc >= {n}, have {f.trunc}")
-    return UmbralOp(tri_from_form(_bell_form(f, n)))
+    form = _bell_form(f, n)
+    _check_basic(form, 1 / f[1])
+    return tri_from_form(form)
 
 
-def delta_of(phi: UmbralOp | Triangle) -> DeltaOp:
+def delta_of(tri: Triangle) -> DeltaOp:
     """Recover Q from the triangle: column 1 is the EGF of Q^[-1]'s indicator."""
-    tri = phi.tri if isinstance(phi, UmbralOp) else phi
     if tri.n < 1:
         raise NotDelta("triangle too shallow to determine a delta operator")
     inv_ind = series(
@@ -457,54 +450,50 @@ def is_binomial_type(tri: Triangle) -> bool:
     return all([(i + 1) * one * v for v in cols[i + 1]] == cauchy(cols[i], cols[1], N) for i in range(1, N))
 
 
-def sheffer(A: ShiftOp, phi: UmbralOp) -> Triangle:
+def sheffer(A: ShiftOp, phi: Triangle) -> Triangle:
     """Triangle of the Sheffer operator A o phi; rows are A applied to the basic polynomials,
     all from one scaling of A and one factorial table (``_kernel.apply_derivatives``)."""
     if not is_appell(A):
         raise NotAppell("Sheffer construction requires an invertible (Appell) operator")
     t = A.indicator.trunc
-    if t < phi.tri.n:
-        raise TruncationError(f"indicator trunc {t} < deg p = {phi.tri.n}; operator not resolved deeply enough")
-    rows = apply_derivatives(A.indicator.coeffs, [phi.tri.row_poly(m).coeffs for m in range(phi.tri.n + 1)])
+    if t < phi.n:
+        raise TruncationError(f"indicator trunc {t} < deg p = {phi.n}; operator not resolved deeply enough")
+    rows = apply_derivatives(A.indicator.coeffs, [phi.row_poly(m).coeffs for m in range(phi.n + 1)])
     return Triangle(tuple([tuple(row) for row in rows]))
 
 
-def cross(C: ShiftOp, u: RatLike, phi: UmbralOp) -> Triangle:
+def cross(C: ShiftOp, u: RatLike, phi: Triangle) -> Triangle:
     """Triangle of the cross operator C^u o phi for rational u; requires C~(0) = 1 exactly."""
     appell = ShiftOp(pow_rat(C.indicator, rat(u)))
     return sheffer(appell, phi)
 
 
-def connection_constants(phi: UmbralOp, psi: UmbralOp) -> Triangle:
-    """Triangle c with phi_n = sum_k c[n][k] psi_k."""
-    return tri_compose(tri_invert(psi.tri), phi.tri)
+def niederhausen(phi: Triangle, Q: DeltaOp) -> Triangle:
+    """Coefficient transform coeff[n][k] = C(n,k) phi_{n-k}(k) of the basic triangle phi
+    of Q, on the rows of phi scaled once.
 
-
-def niederhausen(phi: UmbralOp) -> UmbralOp:
-    """Coefficient transform coeff[n][k] = C(n,k) phi_{n-k}(k).
-
-    The result is again basic; its delta R satisfies R^[-1] indicator
-    = t e^{invQ(t)}, which must agree with column 1 of the transform.
+    The result is again basic: its entries (0, 0), (m, 0) and (m, m) are phi_0(0) = 1,
+    phi_m(0) = 0 and phi_0(m) = 1.  Its delta R (``delta_of``) satisfies R^[-1] indicator
+    = t e^{invQ(t)}, which must agree with column 1 of the transform; that reads Q
+    through t^n, and a shallower Q raises TruncationError.
     """
-    if phi.delta is None:
-        raise ValueError("niederhausen needs the source delta cached")
-    n = phi.tri.n
-    rows = [[Fraction(0)] * (m + 1) for m in range(n + 1)]
-    for m in range(n + 1):
-        for k in range(m + 1):
-            rows[m][k] = comb(m, k) * phi.tri.row_poly(m - k)(k)
-    tri = Triangle(tuple(tuple(r) for r in rows))
+    n = phi.n
+    e, d = scaled_rows(phi.rows)
+    _check_basic((e, [d] * (n + 1)), Q.unit)
+    _require_depth(Q, n - 1)
+    pw = [[k**j for j in range(n + 1)] for k in range(n + 1)]
+    rows = [[Fraction(comb(m, k) * sum(map(mul, e[m - k], pw[k])), d) for k in range(m + 1)] for m in range(n + 1)]
+    tri = Triangle(tuple([tuple(row) for row in rows]))
     if n < 1:
-        return UmbralOp(tri, None)
-    ind = phi.delta.indicator
-    g = comp_inv(ind.truncate(n) if ind.trunc > n else ind)
+        return tri
+    g = comp_inv(Q.indicator.truncate(n))
     expected = exp_series(g) * series([0, 1], g.trunc)
     column = series([tri.entry(m, 1) / factorial(m) for m in range(n + 1)], n)
     agree("niederhausen", generating_function=expected, column=column)
-    return UmbralOp(tri, validate_delta(ShiftOp(comp_inv(expected))))
+    return tri
 
 
-def special_class_check(phi: UmbralOp, U: ShiftOp, V: ShiftOp, n: int) -> bool:
+def special_class_check(phi: Triangle, U: ShiftOp, V: ShiftOp, n: int) -> bool:
     """Verify phi X^n = sum_k coeff[n][k] X^k U^k V^n phi as operators.
 
     Both sides are applied to x^m for all m <= N - n, on integers: the rows of
@@ -512,14 +501,14 @@ def special_class_check(phi: UmbralOp, U: ShiftOp, V: ShiftOp, n: int) -> bool:
     terms weighted by coeff[n][k] as w[k][i] / W.  Then
         W e[n+m] = sum_k x^k sum_i w[k][i] D^i e[m].
     """
-    N = phi.tri.n
+    N = phi.n
     if n > N:
         raise TruncationError("n exceeds triangle depth")
     vn = V**n
-    ops = [(k, (U**k * vn).indicator) for k in range(n + 1) if phi.tri.entry(n, k)]
+    ops = [(k, (U**k * vn).indicator) for k in range(n + 1) if phi.entry(n, k)]
     width = N - n + 1
-    w, dw = scaled([phi.tri.entry(n, k) * ind[i] for k, ind in ops for i in range(width)])
-    e, _ = scaled_rows(phi.tri.rows)
+    w, dw = scaled([phi.entry(n, k) * ind[i] for k, ind in ops for i in range(width)])
+    e, _ = scaled_rows(phi.rows)
     fact = [factorial(j) for j in range(width)]
     for m in range(width):
         if any(ind.trunc < m for _, ind in ops):

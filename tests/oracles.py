@@ -13,8 +13,9 @@ recurrence and generating-function routes as they were before they divided
 by a short Q' and stepped by Q(g) = t, the column forms of the power-table
 and Bell triangles that their row forms replaced, and the binomial closed form
 of the degenerate Laguerre triangle.  Helpers that only tests call (such as
-``identity_op``, ``integrate``, ``render``, ``reflected``, ``times_x`` and
-``bernoulli_polynomial``) live here too, not in the package.
+``identity_op``, ``pincherle``, ``connection_constants``, ``partial_bell_table``,
+``integrate``, ``render``, ``reflected``, ``times_x`` and ``bernoulli_polynomial``)
+live here too, not in the package.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from umbra.operators import DeltaOp, ShiftOp, apply_op, validate_delta
 from umbra.rational import binom_row, rat, rat_str
 from umbra.serialize import series_to_json
 from umbra.sigma import bernoulli_numbers
-from umbra.umbral import Triangle, UmbralOp, _power_rows, basic_set, triangle
+from umbra.umbral import Triangle, _power_rows, basic_set, tri_compose, tri_invert, triangle
 
 
 def tri_from_polys(polys: Sequence[Poly]) -> Triangle:
@@ -60,6 +61,16 @@ def identity_op(trunc: int) -> ShiftOp:
     return ShiftOp(const(1, trunc))
 
 
+def pincherle(T: ShiftOp) -> ShiftOp:
+    """Pincherle derivative T' = Tx - xT; equals indicator differentiation."""
+    return ShiftOp(derive(T.indicator))
+
+
+def connection_constants(phi: Triangle, psi: Triangle) -> Triangle:
+    """Triangle c with phi_n = sum_k c[n][k] psi_k."""
+    return tri_compose(tri_invert(psi), phi)
+
+
 def integrate(f: Series, c0=0) -> Series:
     """Antiderivative with constant term c0.
 
@@ -68,6 +79,13 @@ def integrate(f: Series, c0=0) -> Series:
     """
     out = [rat(c0)] + [f.coeffs[k - 1] / k for k in range(1, f.trunc + 1)]
     return Series(f.trunc, tuple(out))
+
+
+def partial_bell_table(n: int, a: Sequence) -> tuple[tuple[Fraction, ...], ...]:
+    """Rows [B_{m,0}, ..., B_{m,m}] for m = 0..n, in one O(n^3) pass over a_1..a_n."""
+    cols, den = _bell_columns(a, n, n, n)
+    scale = [factorial(k) * den**k for k in range(n + 1)]
+    return tuple([tuple([Fraction(cols[k][m], scale[k]) for k in range(m + 1)]) for m in range(n + 1)])
 
 
 def complete_bell(n: int, a: Sequence) -> Fraction:
@@ -84,7 +102,7 @@ def power_coeffs(Q: DeltaOp, n: int) -> list[Fraction]:
     coeff[n][k]_phi / C(n-1, k-1).
     """
     phi = basic_set(Q, n, "transfer")
-    return [phi.tri.entry(n, k) / comb(n - 1, k - 1) for k in range(1, n + 1)]
+    return [phi.entry(n, k) / comb(n - 1, k - 1) for k in range(1, n + 1)]
 
 
 def binom(r, k: int) -> Fraction:
@@ -371,7 +389,7 @@ def sigma_corollary(Q: DeltaOp, a, p: Poly) -> Poly:
     """The anchored sigma by the corollary series -sum_{n=1}^{deg p + 1} phi_n(a - x)/n! Q^{n-1} p,
     with the basic set phi from ``km_ref`` and the powers of Q from ``apply_op_ref``."""
     d = 0 if p.is_zero() else int(p.degree())
-    phi = km_ref(Q, d + 1).tri
+    phi = km_ref(Q, d + 1)
     out = poly([])
     qpow = p  # Q^{n-1} p starting at n = 1
     for n in range(1, d + 2):
@@ -781,7 +799,7 @@ def times_x(p: Poly, k: int = 1) -> Poly:
     return Poly((Fraction(0),) * k + p.coeffs)
 
 
-def km_ref(Q: DeltaOp, n: int) -> UmbralOp:
+def km_ref(Q: DeltaOp, n: int) -> Triangle:
     """Kurbanov-Maksimov rows p_m = sum_j x^j/j! W^j x^m, W = invQ(D) - D, with one
     apply_op and one Poly sum per term."""
     nn = max(n, 1)
@@ -799,7 +817,7 @@ def km_ref(Q: DeltaOp, n: int) -> UmbralOp:
             j += 1
             fact *= j
         rows.append(acc)
-    return UmbralOp(tri_from_polys(rows), Q)
+    return tri_from_polys(rows)
 
 
 def tri_compose_ref(phi, psi):
@@ -893,14 +911,15 @@ def series_bell(n: int, k: int, args) -> Series | int:
     return sum(terms[1:], terms[0]) / k
 
 
-def commutation_expansion_check(phi, n: int) -> bool:
-    """Verify phi X^n = sum_k X^k B_{n,k}(g'(Q), g''(Q), ...) phi with g = invQ.
+def commutation_expansion_check(phi: Triangle, Q: DeltaOp, n: int) -> bool:
+    """Verify phi X^n = sum_k X^k B_{n,k}(g'(Q), g''(Q), ...) phi with g = invQ, for the
+    basic triangle phi of Q.
 
     The Bell arguments are shift-invariant operators (indicator series), so
     the recurrence runs directly on them.
     """
-    N = phi.tri.n
-    q = phi.delta.indicator
+    N = phi.n
+    q = Q.indicator
     # j-th derivative of invQ, composed with Q: indicator of (invQ)^(j)(Q)
     args = []
     dj = comp_inv(q)
@@ -908,13 +927,13 @@ def commutation_expansion_check(phi, n: int) -> bool:
         dj = derive(dj)
         args.append(compose(dj, q.truncate(dj.trunc) if q.trunc > dj.trunc else q))
     for m in range(N - n + 1):
-        pm = phi.tri.row_poly(m)
+        pm = phi.row_poly(m)
         rhs = poly([])
         for k in range(0 if n == 0 else 1, n + 1):  # B_{n,0} = 0 for n > 0
             b = series_bell(n, k, args)
             term = apply_op(ShiftOp(b), pm) if isinstance(b, Series) else b * pm
             rhs = rhs + times_x(term, k)
-        if phi.tri.row_poly(n + m) != rhs:
+        if phi.row_poly(n + m) != rhs:
             return False
     return True
 

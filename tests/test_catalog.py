@@ -22,7 +22,7 @@ from umbra.catalog import (
 from umbra.errors import UnknownFamily
 from umbra.fps import Poly, poly, series, x_series
 from umbra.umbral import (
-    Triangle, UmbralOp, binomial_convolution, is_binomial_type, tri_identity
+    Triangle, binomial_convolution, is_binomial_type, tri_identity
 )
 
 import oracles
@@ -40,6 +40,16 @@ def test_family_lookup_and_params():
     for name, params in DEFAULT_CHECK_SET + (("divided_difference", {"h": F(0)}),):
         spec = family(name, **{k: str(v) for k, v in params.items()})
         assert (spec.name, spec.params) == (name, params)
+
+
+@pytest.mark.parametrize("value", [F(5, 2), F(-1, 3), "5/2", "2.0", "x"], ids=repr)
+def test_family_refuses_a_p_that_is_not_an_integer(value):
+    # a Fraction is refused like the string "5/2", not cut to its integer part
+    message = f"bad value {value!r} for parameter 'p' of family 'degenerate_laguerre'"
+    with pytest.raises(UnknownFamily) as info:
+        family("degenerate_laguerre", p=value)
+    assert str(info.value) == message
+    assert family("degenerate_laguerre", p=F(6, 3)).params == {"p": 2}
 
 
 def test_number_helpers_match_oracles():
@@ -66,7 +76,7 @@ def test_abel_a_zero_degenerates_to_monomials():
     spec = family("abel", a=0)
     from umbra.umbral import tri_identity
 
-    assert spec.basic(6).tri == tri_identity(6)
+    assert spec.basic(6) == tri_identity(6)
     rep = identity_check("abel", n=6, a=0)
     assert rep.all_passed
 
@@ -80,7 +90,7 @@ def test_catalan_family_delta():
 def test_closed_forms_match_routes():
     for name, params in DEFAULT_CHECK_SET:
         spec = family(name, **params)
-        tri, closed = spec.basic(12).tri, umbral.tri_from_form(spec.closed_form(12))
+        tri, closed = spec.basic(12), umbral.tri_from_form(spec.closed_form(12))
         for n in range(13):
             for k in range(n + 1):
                 assert tri.entry(n, k) == closed.entry(n, k), (name, params, n, k)
@@ -120,7 +130,7 @@ def test_closed_form_rows_match_the_entry_formulas(name, params):
 
 def test_degenerate_laguerre_row_values():
     spec = family("degenerate_laguerre", p=2)
-    tri = spec.basic(4).tri
+    tri = spec.basic(4)
     assert list(tri.rows[2]) == [0, 0, 1]  # L_{2,2} = x^2
     assert list(tri.rows[3]) == [0, -6, 0, 1]  # x^3 - 6x
     assert list(tri.rows[4]) == [0, 0, -24, 0, 1]  # x^4 - 24x^2
@@ -305,9 +315,9 @@ def _corrupt_entries(monkeypatch, m, extra=_CORRUPTIONS["x"]):
     real = catalog.FamilySpec.basic
 
     def basic(spec, n):
-        rows = [list(r) for r in real(spec, n).tri.rows]
+        rows = [list(r) for r in real(spec, n).rows]
         rows[m] = [v + extra[k] for k, v in enumerate(rows[m])]
-        return UmbralOp(Triangle(tuple(map(tuple, rows))))
+        return Triangle(tuple(map(tuple, rows)))
 
     monkeypatch.setattr(catalog.FamilySpec, "basic", basic)
 
@@ -378,7 +388,7 @@ def test_degenerate_cross_names_the_corrupted_exponent_pair(monkeypatch, exponen
 
 
 def test_binomial_grid_oracle_returns_the_point_itself():
-    rows = [list(r) for r in family("falling").basic(8).tri.rows]
+    rows = [list(r) for r in family("falling").basic(8).rows]
     assert oracles.binomial_grid(rows, rows, rows, 8) is None
     assert oracles.binomial_grid([[2]] + rows[1:], rows, rows, 8) == (0, 0, 0)
     rows[2][1] += 1
@@ -412,7 +422,7 @@ def _sweep_convolution(lists: dict, triples: list) -> int:
 @pytest.mark.parametrize("N", [0, 1, 8])
 def test_convolution_matches_the_grid_oracle_on_basic_sets(name, params, N):
     # Chu-Vandermonde's triple (T, T, T)
-    lists = {"T": family(name, **params).basic(N).tri.rows}
+    lists = {"T": family(name, **params).basic(N).rows}
     assert _sweep_convolution(lists, [("T", "T", "T")]) == (N + 1) * (N + 2) // 2
 
 
@@ -444,7 +454,7 @@ def test_is_binomial_type_rejects_every_single_entry_corruption(name, params):
     # verdict.  The one exception is entry (N, 1): column 1 is the EGF of the inverse
     # indicator, so that triangle is the basic triangle of another delta operator.
     N = 10
-    tri = family(name, **params).basic(N).tri
+    tri = family(name, **params).basic(N)
     assert is_binomial_type(tri) and oracles.binomial_identity_ref(tri)
     for m in range(N + 1):
         for k in range(m + 1):
@@ -456,7 +466,7 @@ def test_is_binomial_type_rejects_every_single_entry_corruption(name, params):
             assert oracles.binomial_identity_ref(bad) == basic, (m, k)
             if basic:
                 col1 = series([0] + [bad.entry(j, 1) / factorial(j) for j in range(1, N + 1)], N)
-                assert umbral.basic_from_inverse_series(col1, N).tri == bad
+                assert umbral.basic_from_inverse_series(col1, N) == bad
 
 
 def _with_entry_raised(tri: Triangle, m: int, k: int) -> Triangle:
@@ -470,7 +480,7 @@ def test_binomial_type_and_grid_oracle_reject_every_single_entry_corruption(name
     # the column-EGF test and the grid it replaced, now an oracle, give one verdict on every
     # single-entry corruption; only entry (N, 1) gives the basic triangle of another delta
     N = 12
-    tri = family(name, **params).basic(N).tri
+    tri = family(name, **params).basic(N)
     assert is_binomial_type(tri) and oracles.binomial_grid_ref(tri)
     for m in range(N + 1):
         for k in range(m + 1):
@@ -484,7 +494,7 @@ def test_binomial_type_and_grid_oracle_reject_every_single_entry_corruption(name
 @pytest.mark.parametrize("N", [0, 1])
 def test_binomial_type_at_depth_zero_and_one(name, params, N):
     # at N = 0 only the guard speaks; at N = 1, p_1(x+y) = p_1(x) + p_1(y) asks coeff[1][0] = 0
-    tri = family(name, **params).basic(N).tri
+    tri = family(name, **params).basic(N)
     assert is_binomial_type(tri) and oracles.binomial_grid_ref(tri)
     for m in range(N + 1):
         for k in range(m + 1):
@@ -506,12 +516,12 @@ def _corrupt_basic(monkeypatch, name, row, col):
     real = catalog.FamilySpec.basic
 
     def basic(spec, n):
-        op = real(spec, n)
+        tri = real(spec, n)
         if spec.name != name or row > n:
-            return op
-        rows = [list(r) for r in op.tri.rows]
+            return tri
+        rows = [list(r) for r in tri.rows]
         rows[row][col] += 1
-        return UmbralOp(Triangle(tuple(map(tuple, rows))), op.delta)
+        return Triangle(tuple(map(tuple, rows)))
 
     monkeypatch.setattr(catalog.FamilySpec, "basic", basic)
 
@@ -683,7 +693,7 @@ def test_degenerate_basic_set_costs_its_depth_not_p():
     # the base 1 - p x^p is built through x^t only; p + 1 Fractions would take tens of MB
     tracemalloc.start()
     try:
-        tri = family("degenerate_laguerre", p=10**6).basic(4).tri
+        tri = family("degenerate_laguerre", p=10**6).basic(4)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

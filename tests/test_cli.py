@@ -78,7 +78,7 @@ def _params_text(params):
 def test_triangle_prints_the_transfer_routes_triangle(capsys, name, params, order):
     # triangle builds by the recurrence route, checked against the closed form
     spec = catalog.family(name, **params)
-    tri = umbral.basic_set(spec.delta(order + 2), order, "transfer").tri
+    tri = umbral.basic_set(spec.delta(order + 2), order, "transfer")
     expected = serialize.dumps(serialize.to_json(tri)) + "\n"
     argv = ["triangle", "--family", name, "--params", _params_text(params), "--order", str(order), "--format", "json"]
     assert run(capsys, *argv) == (0, expected, "")

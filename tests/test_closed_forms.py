@@ -48,7 +48,7 @@ def test_generalized_exponentiation_route():
                 acc = acc + comb(n + 1, k) * apply_op(ShiftOp(power), monomial(n))
                 power = power * shifted
             rows.append(apply_op(qprime_op, acc))
-        assert tri_from_polys(rows) == basic_set(Q, N, "transfer").tri, name
+        assert tri_from_polys(rows) == basic_set(Q, N, "transfer"), name
 
 
 def test_evaluation_form_inverse_route():
@@ -64,7 +64,7 @@ def test_evaluation_form_inverse_route():
                     acc = acc + value * monomial(k) / factorial(k)
                 qp = apply_op(Q, qp)
             rows.append(acc)
-        assert tri_from_polys(rows) == tri_invert(basic_set(Q, N, "transfer").tri), name
+        assert tri_from_polys(rows) == tri_invert(basic_set(Q, N, "transfer")), name
 
 
 def test_sheffer_generating_function_columns():
@@ -85,7 +85,7 @@ def test_sheffer_generating_function_columns():
 
 def test_coefficient_shift_laws():
     # coeff of UX, XU, UD, DU in terms of coeff of U
-    tri = basic_set(deltas()["Catalan"], N, "transfer").tri
+    tri = basic_set(deltas()["Catalan"], N, "transfer")
     ux_rows = [tri.apply_poly(monomial(n + 1)) for n in range(N)]  # U X x^n
     xu_rows = [times_x(tri.apply_poly(monomial(n))) for n in range(N)]  # X U x^n
     ud_rows = [tri.apply_poly(monomial(n).derivative()) for n in range(1, N + 1)]
@@ -125,12 +125,12 @@ def test_sigma_iterated_builds_basic_set():
         acc = poly([1])
         for n in range(1, N + 1):
             acc = s.apply(acc)
-            assert factorial(n) * acc == phi.tri.row_poly(n), name
+            assert factorial(n) * acc == phi.row_poly(n), name
         for n in range(1, 5):
             for p in range(1, 4):
-                out = phi.tri.row_poly(n)
+                out = phi.row_poly(n)
                 scale = 1
                 for i in range(1, p + 1):
                     out = s.apply(out)
                     scale *= n + i
-                assert scale * out == phi.tri.row_poly(n + p), name
+                assert scale * out == phi.row_poly(n + p), name

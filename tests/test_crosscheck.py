@@ -2,7 +2,9 @@
 
 Each injection below makes one route of one construction return a wrong
 answer; the CLI must then exit 1 with a single JSON counterexample, also
-under `python -O`.
+under `python -O`.  Each shape injection breaks one condition of the basic-set
+shape check (`umbral._check_basic`) in the one form it checks; the CLI must then
+exit 2 with that condition's message, also under `python -O`.
 """
 
 import ast
@@ -214,18 +216,23 @@ def _corrupt_frac_coefficients(j):
     return inject
 
 
-def _wrong_bell_column(mp):
-    # phi_pow's Bell route: E_(2,1) = 1! D B_(2,1) of bell._bell_columns gains D, so B_(2,1)
-    # gains 1; the flow triangle of frac_iterate reads flow's own binding and stays clean
-    real = bell._bell_columns
+def _wrong_bell_column(m, k):
+    """An injection into phi_pow's Bell route: E_(m,k) = k! D^k B_(m,k) of bell._bell_columns
+    gains D (so B_(2,1) gains 1); the flow triangle of frac_iterate reads flow's own binding
+    and stays clean."""
 
-    def corrupted(a, n, k, depth):
-        cols, d = real(a, n, k, depth)
-        if k >= 1 and n >= 2:
-            cols[1][2] += d
-        return cols, d
+    def inject(mp):
+        real = bell._bell_columns
 
-    mp.setattr(bell, "_bell_columns", corrupted)
+        def corrupted(a, n, kk, depth):
+            cols, d = real(a, n, kk, depth)
+            if k <= kk and m <= n:
+                cols[k][m] += d
+            return cols, d
+
+        mp.setattr(bell, "_bell_columns", corrupted)
+
+    return inject
 
 
 def _wrong_power_entry(mp):
@@ -452,8 +459,8 @@ INJECTIONS = {
         },
     ),
     "basic_km_zero_diagonal": (
-        # no UmbralOp has a zero diagonal, but only the returned route's triangle is built:
-        # a malformed entry of another route is a disagreement
+        # only the returned route's form is shape-checked (umbral._check_basic): a zero
+        # diagonal entry of another route is a disagreement
         ["basic", "--delta", "exp(D)-1", "--route", "all", "--order", "5", "--format", "json"],
         lambda mp: mp.setitem(umbral.BASIC_ROUTES, "km", _wrong_route(umbral.basic_km, 4, 4, -1)),
         {"construction": "basic", "routes": ["transfer", "km"], "index": [4, 4], "values": ["1", "0"]},
@@ -613,7 +620,7 @@ INJECTIONS = {
     ),
     "phipow_flow": (
         ["phipow", "--delta", "exp(D)-1", "--s", "1/2", "--order", "5", "--format", "tsv"],
-        _wrong_bell_column,
+        _wrong_bell_column(2, 1),
         {"construction": "phi_pow", "routes": ["bell", "powers"], "index": [2, 1], "values": ["1/2", "-1/2"]},
     ),
     "phipow_flow_columns": (
@@ -736,6 +743,52 @@ INJECTIONS = {
 }
 
 
+# name -> (argv, injection, the message of the shape condition it breaks); only the returned
+# route's form is checked, so each corrupts a single route or phi_pow's Bell route
+SHAPE_INJECTIONS = {
+    "shape_corner": (
+        ["basic", "--delta", "exp(D)-1", "--route", "transfer", "--order", "5"],
+        lambda mp: mp.setitem(umbral.BASIC_ROUTES, "transfer", _wrong_route(umbral.basic_transfer, 0, 0)),
+        "umbral triangle must have coeff[0][0] = 1",
+    ),
+    "shape_column_0": (
+        ["basic", "--delta", "exp(D)-1", "--route", "transfer", "--order", "5"],
+        lambda mp: mp.setitem(umbral.BASIC_ROUTES, "transfer", _wrong_route(umbral.basic_transfer, 3, 0)),
+        "umbral triangle must have coeff[n][0] = 0 for n >= 1",
+    ),
+    "shape_zero_diagonal": (
+        # entry (3, 3) of exp(D)-1's basic set is 1, and becomes 0
+        ["basic", "--delta", "exp(D)-1", "--route", "transfer", "--order", "5"],
+        lambda mp: mp.setitem(umbral.BASIC_ROUTES, "transfer", _wrong_route(umbral.basic_transfer, 3, 3, -1)),
+        "umbral triangle must have nonzero diagonal",
+    ),
+    "shape_unit_diagonal": (
+        # the unit of 2*D-D^2/3 is 2: entry (3, 3) is 1/8, and becomes 9/8
+        ["basic", "--delta=2*D-D^2/3", "--route", "transfer", "--order", "5"],
+        lambda mp: mp.setitem(umbral.BASIC_ROUTES, "transfer", _wrong_route(umbral.basic_transfer, 3, 3)),
+        "diagonal must equal unit^(-n)",
+    ),
+    "shape_phipow_corner": (
+        ["phipow", "--delta", "exp(D)-1", "--s", "1/2", "--order", "5"],
+        _wrong_bell_column(0, 0),
+        "umbral triangle must have coeff[0][0] = 1",
+    ),
+    "shape_phipow_column_0": (
+        ["phipow", "--delta", "exp(D)-1", "--s", "1/2", "--order", "5"],
+        _wrong_bell_column(3, 0),
+        "umbral triangle must have coeff[n][0] = 0 for n >= 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHAPE_INJECTIONS))
+def test_injected_shape_fault_exits_2_with_its_message(name, monkeypatch, capsys):
+    argv, inject, message = SHAPE_INJECTIONS[name]
+    inject(monkeypatch)
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def _check_document(out: str, expected: dict):
     doc = json.loads(out)  # exactly one JSON document
     assert doc == {"error": "route disagreement", **expected}
@@ -831,12 +884,11 @@ def test_sigma_check_rejects_every_single_coefficient_corruption(name, a, monkey
 _SUBPROCESS = """
 import contextlib, io, json, sys, traceback
 import pytest
-from test_crosscheck import INJECTIONS
+from test_crosscheck import INJECTIONS, SHAPE_INJECTIONS
 from umbra.cli import main
 
 rows = {}
-for name in sorted(INJECTIONS):
-    argv, inject, _ = INJECTIONS[name]
+for name, (argv, inject, _) in sorted({**INJECTIONS, **SHAPE_INJECTIONS}.items()):
     out, err, mp, code = io.StringIO(), io.StringIO(), pytest.MonkeyPatch(), None
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -853,9 +905,9 @@ json.dump(rows, sys.__stdout__)
 
 @pytest.fixture(scope="module")
 def optimized_rows():
-    """(exit code, stdout, stderr) of every injection row, all run in one `python -O`
-    interpreter, each with its own MonkeyPatch undone after it; an exception that
-    escapes a row is that row's stderr traceback, with no exit code."""
+    """(exit code, stdout, stderr) of every injection and shape injection row, all run in
+    one `python -O` interpreter, each with its own MonkeyPatch undone after it; an
+    exception that escapes a row is that row's stderr traceback, with no exit code."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")]))
     proc = subprocess.run(
         [sys.executable, "-O", "-c", _SUBPROCESS],
@@ -874,6 +926,11 @@ def test_injected_disagreement_survives_optimize_flag(name, optimized_rows):
     assert code == 1, err
     _check_document(out, INJECTIONS[name][2])
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", sorted(SHAPE_INJECTIONS))
+def test_injected_shape_fault_survives_optimize_flag(name, optimized_rows):
+    assert optimized_rows[name] == [2, "", f"error: {SHAPE_INJECTIONS[name][2]}\n"]
 
 
 # -- source guard ---------------------------------------------------------------------------------

@@ -33,7 +33,6 @@ from umbra.fps import (
 )
 from umbra.operators import ShiftOp, shift_by, validate_delta
 from umbra.umbral import (
-    UmbralOp,
     basic_from_inverse_series,
     basic_set,
     delta_of,
@@ -260,7 +259,7 @@ def test_frac_iterate_rejects_non_unitary():
 
 
 def touchard_triangle(n):
-    return basic_set(validate_delta(ShiftOp(log1p(n + 4))), n, "transfer").tri
+    return basic_set(validate_delta(ShiftOp(log1p(n + 4))), n, "transfer")
 
 
 def test_minus_one_power_p0():
@@ -324,7 +323,7 @@ def test_integer_chain_matches_composition():
         k = rng.randint(0, n)
         assert integer_power_chain_coeff(tri, 3, n, k) == t3.entry(n, k)
     # Bell-number identity: coeff(n,1) of phi^{-2} where phi is the falling triangle
-    falling = basic_set(validate_delta(shift_by(1, 10) - 1), 8, "transfer").tri
+    falling = basic_set(validate_delta(shift_by(1, 10) - 1), 8, "transfer")
     inv2 = tri_compose(tri_invert(falling), tri_invert(falling))
     from oracles import bell_number
 
@@ -341,7 +340,7 @@ def test_schroeder_consistency():
 
 def test_column_powers_match_full_powers_and_chain_oracles():
     f = series([0, 1, F(1, 2), F(-2, 3), F(1, 5)], 8)
-    tri, rows = basic_from_inverse_series(f, 8).tri, flow._flow_triangle(f, 8)
+    tri, rows = basic_from_inverse_series(f, 8), flow._flow_triangle(f, 8)
     powers = shifted_powers(tri, 8)
     for k in range(9):
         # column k as coeff(m, k) for m = 0..8; the Krylov columns start at row k
@@ -382,13 +381,13 @@ def test_phi_pow_zero_is_identity():
 
 def test_phi_pow_minus_one_is_touchard():
     got = phi_pow(delta_forward(10), -1, 6)
-    assert got == tri_invert(basic_set(delta_forward(10), 6, "transfer").tri)
+    assert got == tri_invert(basic_set(delta_forward(10), 6, "transfer"))
     assert got.entry(4, 2) == 7  # S(4,2)
 
 
 def test_phi_pow_half_self_composes():
     half = phi_pow(delta_forward(10), F(1, 2), 6)
-    assert tri_compose(half, half) == basic_set(delta_forward(10), 6, "transfer").tri
+    assert tri_compose(half, half) == basic_set(delta_forward(10), 6, "transfer")
 
 
 def test_phi_pow_unit_diagonal():
@@ -397,7 +396,7 @@ def test_phi_pow_unit_diagonal():
 
 
 def test_phi_pow_integer_matches_triangle_power():
-    base = basic_set(delta_forward(12), 7, "transfer").tri
+    base = basic_set(delta_forward(12), 7, "transfer")
     inv = tri_invert(base)
     expected = {-2: tri_compose(inv, inv), 2: tri_compose(base, base)}
     expected[3] = tri_compose(expected[2], base)
@@ -410,7 +409,7 @@ def test_phi_pow_delta_consistency():
     Q = delta_forward(12)
     for s in (F(1, 2), F(-1, 3)):
         tri = phi_pow(Q, s, 8)
-        got = delta_of(UmbralOp(tri))
+        got = delta_of(tri)
         expected = delta_power(Q, s, 8)
         assert all(got.indicator[i] == expected.indicator[i] for i in range(9))
 
@@ -491,7 +490,7 @@ def test_flow_route_matches_dense_oracle(n):
     for q in inputs:
         got = [phi_pow(validate_delta(ShiftOp(q)), s, n) for s in FLOW_EXPONENTS]
         assert got == flow_route_dense(itlog(q), FLOW_EXPONENTS, n), (q, n)
-        through_inverse = [basic_from_inverse_series(frac_iterate(comp_inv(q), s), n).tri for s in FLOW_EXPONENTS]
+        through_inverse = [basic_from_inverse_series(frac_iterate(comp_inv(q), s), n) for s in FLOW_EXPONENTS]
         assert got == through_inverse, (q, n)
 
 
@@ -499,8 +498,9 @@ def test_only_phi_pow_route_b_builds_a_bell_triangle(monkeypatch, capsys):
     # phi_pow's bell route is the one Bell table besides the flow triangle, and it stays
     # integer columns; the flow triangles of itlog and frac_iterate read the Bell columns
     # through flow's own binding, and no request builds a Bell triangle of Fractions
+    # (``basic_from_inverse_series``, which only ``check``'s catalan_bell calls)
     calls = []
-    for real, tag in ((bell._bell_columns, "columns"), (bell.partial_bell_table, "table")):
+    for real, tag in ((bell._bell_columns, "columns"), (umbral.basic_from_inverse_series, "table")):
 
         def counting(*args, real=real, tag=tag):
             calls.append(tag)
@@ -570,8 +570,10 @@ def test_phipow_exits_nonzero_or_prints_the_clean_triangle_on_each_wrong_entry(m
     cells = [(m, k) for m in range(9) for k in range(m + 1)]
     cases = [(flow, "_flow_triangle", wrong_flow(m, k), (m, k), "fractional iterate" if 1 <= k < m else None)
              for m, k in cells]
-    # column 0 of the Bell columns breaks UmbralOp's check (exit 2); any other entry reaches bell
-    cases += [(bell, "_bell_columns", _wrong_bell_columns(m, k), (m, k), "phi_pow" if k else 2) for m, k in cells]
+    # column 0 or the unit diagonal of the Bell columns breaks the shape check
+    # (umbral._check_basic, exit 2); any other entry reaches bell
+    cases += [(bell, "_bell_columns", _wrong_bell_columns(m, k), (m, k), "phi_pow" if 0 < k < m else 2)
+              for m, k in cells]
     # [x^m] g^k with m < k is never read
     cases += [(umbral, "powers", _wrong_powers(k, m), (m, k), "phi_pow") for m, k in cells]
     cases += [(umbral, "powers", _wrong_powers(k, m), (m, k), None) for k in range(9) for m in range(k)]

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import pytest
 
-from umbra import _kernel, bell, catalog, fps, operators, umbral
+from umbra import _kernel, catalog, fps, operators, umbral
 from umbra.errors import OrderError, TruncationError, agree
 from umbra.flow import _column_powers, _flow_triangle, shifted_powers
 from umbra.fps import (
@@ -472,7 +472,7 @@ def polynomial_deltas(draw):
 @example(validate_delta(ShiftOp(series([0, 2, 0, F(-1, 7)], 15))), 1)
 def test_km_matches_apply_op_oracle(Q, n):
     phi = basic_set(Q, n, "km")
-    assert phi == oracles.km_ref(Q, n) and normalised(entries(phi.tri))
+    assert phi == oracles.km_ref(Q, n) and normalised(entries(phi))
 
 
 # -- apply_op: one correlation instead of a Poly per derivative -----------------
@@ -560,10 +560,10 @@ def test_column_powers_match_oracle(tri, k, pmax):
 @settings(max_examples=60, deadline=None)
 @given(vectors(max_size=10), st.integers(0, 9))
 def test_flow_triangle_is_the_scaled_bell_table(cs, n):
-    # numerators and denominator exactly as `scaled` gives them for partial_bell_table
+    # numerators and denominator exactly as `scaled` gives them for the Bell table
     f = series([0, *cs], max(len(cs), n))
     rows, den = _flow_triangle(f, n)
-    table = bell.partial_bell_table(n, [factorial(j) * f[j] for j in range(1, n + 1)])
+    table = oracles.partial_bell_table(n, [factorial(j) * f[j] for j in range(1, n + 1)])
     nums, d = _kernel.scaled([v for row in table for v in row])
     assert [len(row) for row in rows] == list(range(1, n + 2))
     assert (den, [v for row in rows for v in row]) == (d, nums)
@@ -615,7 +615,7 @@ def _weighted_column(full, weights, k, n):
 
 KRYLOV_TRIANGLES = {
     "n=0": Triangle(((F(-3, 7),),)),
-    "unitary": basic_from_inverse_series(series([0, 1, F(1, 2), F(-2, 3), F(1, 5)], 6), 6).tri,
+    "unitary": basic_from_inverse_series(series([0, 1, F(1, 2), F(-2, 3), F(1, 5)], 6), 6),
     "non-unitary diagonal": Triangle(
         tuple(
             tuple(F((-1) ** (m + j) * (m + 2 * j + 1), PRIMES[(m + j) % 8]) for j in range(m + 1))

@@ -24,12 +24,11 @@ from umbra.operators import (
     diamond,
     divide,
     is_appell,
-    pincherle,
     shift_by,
     validate_delta,
 )
 
-from oracles import identity_op, reflected, times_x
+from oracles import identity_op, pincherle, reflected, times_x
 
 T = 14
 

@@ -9,7 +9,7 @@ from umbra.catalog import FamilySpec, IdentityResult, Report
 from umbra.expr import BinOp, Call, Neg, Node, Num, Pow, Token, Var
 from umbra.fps import Poly, Series
 from umbra.operators import DeltaOp, ShiftOp
-from umbra.umbral import Triangle, UmbralOp
+from umbra.umbral import Triangle
 
 
 def _delta(t):
@@ -27,7 +27,6 @@ BUILDERS = {
     ShiftOp: lambda: ShiftOp(Series(1, (F(1), F(1)))),
     DeltaOp: lambda: DeltaOp(Series(1, (F(0), F(1)))),
     Triangle: lambda: Triangle(((F(1),), (F(0), F(1)))),
-    UmbralOp: lambda: UmbralOp(Triangle(((F(1),), (F(0), F(1))))),
     Node: lambda: Node(0),
     Num: lambda: Num(0, F(3)),
     Var: lambda: Var(0, "x"),
@@ -79,8 +78,6 @@ def test_records_of_different_classes_are_unequal():
 
 
 def test_record_defaults():
-    tri = Triangle(((F(1),),))
-    assert UmbralOp(tri).delta is None and UmbralOp(tri) == UmbralOp(tri, None)
     result = IdentityResult("abel", "abel_identity", {})
     assert result.counterexample is None and result.passed and result.status == "pass"
     one, two = Report(), Report()
@@ -94,9 +91,6 @@ def test_record_repr_has_the_dataclass_form():
     assert repr(Num(3, F(2))) == "Num(pos=3, value=Fraction(2, 1))"
     assert repr(BinOp(1, "*", Var(0, "x"), Var(2, "y"))) == (
         "BinOp(pos=1, op='*', left=Var(pos=0, name='x'), right=Var(pos=2, name='y'))"
-    )
-    assert repr(UmbralOp(Triangle(((F(1),),)))) == (
-        "UmbralOp(tri=Triangle(rows=((Fraction(1, 1),),)), delta=None)"
     )
     assert repr(Token("end", "", 4)) == "Token(kind='end', text='', pos=4)"
     assert repr(Report()) == "Report(results=[])"

@@ -59,7 +59,7 @@ def test_shiftop_and_delta_round_trip():
 
 
 def test_triangle_schema_and_tsv():
-    tri = basic_set(validate_delta(shift_by(1, 6) - 1), 3, "transfer").tri
+    tri = basic_set(validate_delta(shift_by(1, 6) - 1), 3, "transfer")
     obj = triangle_to_json(tri)
     assert obj["kind"] == "triangle" and obj["n"] == 3
     assert obj["rows"][3] == ["0", "2", "-3", "1"]

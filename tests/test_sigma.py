@@ -251,7 +251,7 @@ def test_bernoulli2_integral_oracle():
     falling = basic_set(Delta, 8, "transfer")
     for n in range(8):
         psi = bernoulli2_poly(n)  # internal dual-route assertion
-        assert integral(falling.tri.row_poly(n), 0, 1) == psi(0)
+        assert integral(falling.row_poly(n), 0, 1) == psi(0)
 
 
 # -- the route of SigmaOp ------------------------------------------------------------------

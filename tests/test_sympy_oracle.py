@@ -48,8 +48,8 @@ def test_stirling_and_bell_numbers_match_sympy():
 
 
 def test_basic_triangles_match_sympy_stirling_numbers():
-    touchard = catalog.family("touchard").basic(N).tri
-    falling = catalog.family("falling").basic(N).tri
+    touchard = catalog.family("touchard").basic(N)
+    falling = catalog.family("falling").basic(N)
     for n in range(N + 1):
         assert sum(touchard.rows[n]) == bell(n)
         for k in range(n + 1):

@@ -27,17 +27,14 @@ from umbra.operators import (
     derivative_op,
     diamond,
     divide,
-    pincherle,
     shift_by,
     validate_delta,
 )
 from umbra.umbral import (
     BASIC_ROUTES,
     Triangle,
-    UmbralOp,
     basic_from_inverse_series,
     basic_set,
-    connection_constants,
     cross,
     delta_of,
     is_binomial_type,
@@ -53,8 +50,8 @@ from umbra.umbral import (
 )
 
 from oracles import (
-    commutation_expansion_check, identity_op, lah, power_coeffs, power_coeffs_direct, stirling1_unsigned, times_x,
-    tri_from_polys,
+    commutation_expansion_check, connection_constants, identity_op, lah, pincherle, power_coeffs, power_coeffs_direct,
+    stirling1_unsigned, times_x, tri_from_polys,
 )
 
 T = 16
@@ -79,7 +76,7 @@ def delta_catalog():
 
 def test_five_routes_agree():
     for name, Q in delta_catalog().items():
-        tris = {r: basic_set(Q, N, r).tri for r in BASIC_ROUTES}
+        tris = {r: basic_set(Q, N, r) for r in BASIC_ROUTES}
         base = tris.pop("transfer")
         for route, tri in tris.items():
             assert tri == base, (name, route)
@@ -105,8 +102,7 @@ def test_basic_set_is_the_operator_of_the_named_routes_form(name, delta, n, monk
     phi = basic_set(Q, n, name)
     assert calls == (list(routes) if name == "all" else [name])
     for route in calls:
-        assert phi.tri == tri_from_form(routes[route](Q, n)), route
-    assert phi.delta is Q
+        assert phi == tri_from_form(routes[route](Q, n)), route
 
 
 def test_basic_set_refuses_an_unknown_route():
@@ -115,11 +111,11 @@ def test_basic_set_refuses_an_unknown_route():
 
 
 def test_identity_triangle_for_derivative():
-    assert basic_set(derivative_op(T), 4, "transfer").tri == tri_identity(4)
+    assert basic_set(derivative_op(T), 4, "transfer") == tri_identity(4)
 
 
 def test_falling_is_signed_stirling1():
-    tri = basic_set(delta_catalog()["Delta"], N, "transfer").tri
+    tri = basic_set(delta_catalog()["Delta"], N, "transfer")
     for n in range(N + 1):
         for k in range(n + 1):
             assert tri.entry(n, k) == (-1) ** (n - k) * stirling1_unsigned(n, k)
@@ -128,29 +124,29 @@ def test_falling_is_signed_stirling1():
 
 def test_steffensen_abel_row():
     Q = delta_catalog()["Abel"]
-    row2 = basic_set(Q, 2, "steffensen").tri.rows[2]
+    row2 = basic_set(Q, 2, "steffensen").rows[2]
     assert list(row2) == [0, -2, 1]  # x(x - 2a) at a = 1
 
 
 def test_catalan_closed_form_row():
-    tri = basic_set(delta_catalog()["Catalan"], 2, "transfer").tri
+    tri = basic_set(delta_catalog()["Catalan"], 2, "transfer")
     assert list(tri.rows[2]) == [0, 2, 1]
 
 
 def test_genfunc_touchard():
-    tri = basic_set(delta_catalog()["log1p"], 3, "genfunc").tri
+    tri = basic_set(delta_catalog()["log1p"], 3, "genfunc")
     assert list(tri.rows[3]) == [0, 1, 3, 1]
 
 
 def test_km_stretch_is_diagonal():
     Q = validate_delta(ShiftOp(x_series(T) / 2))
-    tri = basic_set(Q, 2, "km").tri
+    tri = basic_set(Q, 2, "km")
     assert tri == triangle([[1], [0, 2], [0, 0, 4]])
 
 
 def test_unit_diagonal_law():
     Q = validate_delta(ShiftOp(x_series(T) / 3))
-    tri = basic_set(Q, 5, "transfer").tri
+    tri = basic_set(Q, 5, "transfer")
     assert tri.diagonal() == tuple(F(3) ** n for n in range(6))
 
 
@@ -158,8 +154,7 @@ def test_unit_diagonal_law():
 
 
 def test_delta_of_identity_triangle():
-    phi = UmbralOp(tri_identity(6))
-    assert delta_of(phi).indicator == x_series(6)
+    assert delta_of(tri_identity(6)).indicator == x_series(6)
 
 
 def test_delta_of_round_trip():
@@ -172,7 +167,7 @@ def test_delta_of_lah_triangle():
     tri = triangle(
         [[lah(n, k) * (-1) ** (n - k) for k in range(n + 1)] for n in range(9)]
     )
-    got = delta_of(UmbralOp(tri))
+    got = delta_of(tri)
     expected = mul_inv(series([1, -1], 8)).shift_up(1).truncate(8)  # t/(1-t)
     assert all(got.indicator[i] == expected[i] for i in range(9))
 
@@ -194,8 +189,8 @@ def test_composition_closure():
         Q, R = cat[qn], cat[rn]
         phi = basic_set(Q, 8, "transfer")
         psi = basic_set(R, 8, "transfer")
-        combined = tri_compose(psi.tri, phi.tri)
-        got = delta_of(UmbralOp(combined))
+        combined = tri_compose(psi, phi)
+        got = delta_of(combined)
         expected = diamond(Q, R).indicator
         assert all(got.indicator[i] == expected[i] for i in range(9))
 
@@ -204,8 +199,8 @@ def test_composition_closure():
 
 
 def test_stirling_pair_inverse():
-    falling = basic_set(delta_catalog()["Delta"], 8, "transfer").tri
-    touchard = basic_set(delta_catalog()["log1p"], 8, "transfer").tri
+    falling = basic_set(delta_catalog()["Delta"], 8, "transfer")
+    touchard = basic_set(delta_catalog()["log1p"], 8, "transfer")
     assert tri_compose(falling, touchard) == tri_identity(8)
     assert tri_invert(falling) == touchard
     assert list(tri_invert(falling).rows[3]) == [0, 1, 3, 1]
@@ -223,7 +218,7 @@ def test_tri_invert_requires_diagonal():
 
 def test_transform_round_trips_random():
     rng = random.Random(20)
-    tri = basic_set(delta_catalog()["Catalan"], N, "transfer").tri
+    tri = basic_set(delta_catalog()["Catalan"], N, "transfer")
     inv = tri_invert(tri)
     for _ in range(20):
         seq = [F(rng.randint(-30, 30), rng.randint(1, 11)) for _ in range(N + 1)]
@@ -233,7 +228,7 @@ def test_transform_round_trips_random():
 
 
 def test_transform_zero_and_window():
-    tri = basic_set(delta_catalog()["Delta"], 8, "transfer").tri
+    tri = basic_set(delta_catalog()["Delta"], 8, "transfer")
     assert transform_seq(tri, [0] * 5, "row") == [0] * 5
     # windowed (start=2) round trip
     seq = [F(1), F(-2), F(3)]
@@ -265,7 +260,7 @@ def test_pascal_involution():
 
 def test_detector_accepts_catalog():
     for name, Q in delta_catalog().items():
-        assert is_binomial_type(basic_set(Q, 8, "transfer").tri), name
+        assert is_binomial_type(basic_set(Q, 8, "transfer")), name
 
 
 def test_detector_rejects_bernoulli():
@@ -285,7 +280,7 @@ def test_detector_rejects_second_kind_bernoulli():
 
 def test_detector_rejects_perturbations():
     rng = random.Random(99)
-    base = basic_set(delta_catalog()["Delta"], 8, "transfer").tri
+    base = basic_set(delta_catalog()["Delta"], 8, "transfer")
     for _ in range(5):
         n = rng.randint(2, 8)
         k = rng.randint(2, n)
@@ -308,7 +303,7 @@ def test_second_kind_bernoulli_integral_rows():
     Delta = delta_catalog()["Delta"]
     sh = sheffer(divide(Delta, derivative_op(T)), basic_set(Delta, 6, "transfer"))
     for n in range(7):
-        anti = basic_set(Delta, 6, "transfer").tri.row_poly(n).antiderivative(0)
+        anti = basic_set(Delta, 6, "transfer").row_poly(n).antiderivative(0)
         assert sh.row_poly(n) == anti.shifted(1) - anti
 
 
@@ -330,7 +325,7 @@ def test_sheffer_bivariate_identity_on_grid():
         for x in pts:
             for y in pts:
                 rhs = sum(
-                    comb(n, k) * sh.row_poly(k)(x) * phi.tri.row_poly(n - k)(y)
+                    comb(n, k) * sh.row_poly(k)(x) * phi.row_poly(n - k)(y)
                     for k in range(n + 1)
                 )
                 assert sn(x + y) == rhs
@@ -343,16 +338,15 @@ def test_sheffer_and_cross_return_the_triangle_of_their_rows():
     C, u = ShiftOp(series([1, -1], T)), F(-3, 2)
 
     def rows(op):
-        return tri_from_polys([apply_op(op, phi.tri.row_poly(m)) for m in range(7)])
+        return tri_from_polys([apply_op(op, phi.row_poly(m)) for m in range(7)])
 
     assert sheffer(A, phi) == rows(A)
     assert cross(C, u, phi) == rows(ShiftOp(pow_rat(C.indicator, u)))
 
 
 def test_sheffer_without_a_cached_delta_does_not_recover_it(monkeypatch):
-    # the Sheffer triangle reads only phi's rows: no delta_of, so no comp_inv
-    Q = delta_catalog()["Delta"]
-    phi = UmbralOp(basic_set(Q, 6, "transfer").tri)
+    # the Sheffer triangle reads only phi's rows: it recovers no delta, so no delta_of or comp_inv
+    phi = basic_set(delta_catalog()["Delta"], 6, "transfer")
     calls = []
     for name in ("delta_of", "comp_inv"):
         monkeypatch.setattr(umbral, name, lambda *args, _name=name: calls.append(_name))
@@ -368,7 +362,7 @@ def test_sheffer_refusal_names_the_degree_it_needs():
 
 
 def test_apply_poly_past_the_depth_raises():
-    tri = basic_set(delta_catalog()["Delta"], 4, "transfer").tri
+    tri = basic_set(delta_catalog()["Delta"], 4, "transfer")
     assert tri.apply_poly(poly([])) == poly([])
     with pytest.raises(TruncationError):
         tri.apply_poly(monomial(5))
@@ -377,7 +371,7 @@ def test_apply_poly_past_the_depth_raises():
 def test_cross_zero_exponent_is_basic():
     Q = delta_catalog()["Laguerre"]
     phi = basic_set(Q, 6, "transfer")
-    assert cross(ShiftOp(series([1, 0, -2], T)), 0, phi) == phi.tri
+    assert cross(ShiftOp(series([1, 0, -2], T)), 0, phi) == phi
 
 
 def test_cross_two_parameter_convolution():
@@ -420,19 +414,19 @@ def test_connection_rising_falling_is_lah():
     pts = [F(i, 3) for i in range(10)]
     for n in range(9):
         for x in pts:
-            rhs = sum(conn.entry(n, k) * falling.tri.row_poly(k)(x) for k in range(n + 1))
-            assert rising.tri.row_poly(n)(x) == rhs
+            rhs = sum(conn.entry(n, k) * falling.row_poly(k)(x) for k in range(n + 1))
+            assert rising.row_poly(n)(x) == rhs
 
 
 def test_niederhausen_identity_gives_idempotent():
-    ident = basic_set(derivative_op(T), 8, "transfer")
-    nie = niederhausen(ident)
+    D = derivative_op(T)
+    nie = niederhausen(basic_set(D, 8, "transfer"), D)
     for n in range(9):
         for k in range(n + 1):
             expected = comb(n, k) * F(k) ** (n - k) if (n, k) != (0, 0) else F(1)
-            assert nie.tri.entry(n, k) == expected
+            assert nie.entry(n, k) == expected
     # the delta of the transform is the Lambert-type series comp_inv(t e^t)
-    ind = nie.delta.indicator
+    ind = delta_of(nie).indicator
     assert [ind[i] for i in range(1, 5)] == [1, -1, F(3, 2), F(-8, 3)]
     assert all(compose(x_series(8) * exp_series(x_series(8)), ind)[i] == x_series(8)[i] for i in range(9))
 
@@ -442,10 +436,10 @@ def test_niederhausen_delta_series_formula():
     for name in ("D", "Delta", "D/2", "Laguerre"):
         Q = delta_catalog()[name]
         phi = basic_set(Q, 9, "transfer")
-        nie = niederhausen(phi)
+        R = delta_of(niederhausen(phi, Q))
         for n in range(1, 10):
-            expected = phi.tri.row_poly(n - 1)(-n) / factorial(n)
-            assert nie.delta.indicator[n] == expected, (name, n)
+            expected = phi.row_poly(n - 1)(-n) / factorial(n)
+            assert R.indicator[n] == expected, (name, n)
 
 
 def test_niederhausen_abel_inverse():
@@ -453,10 +447,31 @@ def test_niederhausen_abel_inverse():
     stretch_tri = triangle(
         [[a**n if n == k else 0 for k in range(n + 1)] for n in range(9)]
     )
-    stretch = UmbralOp(stretch_tri, validate_delta(ShiftOp(x_series(T) / a)))
-    nie = niederhausen(stretch)
+    nie = niederhausen(stretch_tri, validate_delta(ShiftOp(x_series(T) / a)))
     abel = validate_delta(ShiftOp(x_series(T) * exp_series(x_series(T) * a)))
-    assert nie.tri == tri_invert(basic_set(abel, 8, "transfer").tri)
+    assert nie == tri_invert(basic_set(abel, 8, "transfer"))
+
+
+def test_niederhausen_refuses_a_delta_shallower_than_the_triangle():
+    # column 1 is compared with t e^{invQ(t)} through t^n, which reads Q through t^n
+    def delta(t):
+        return validate_delta(shift_by(1, t) - 1)
+
+    phi = basic_set(delta(10), 8, "transfer")
+    with pytest.raises(TruncationError, match="delta indicator trunc 4 < 8"):
+        niederhausen(phi, delta(4))
+    assert niederhausen(phi, delta(8)) == niederhausen(phi, delta(10))
+
+
+def test_niederhausen_checks_that_its_input_is_the_basic_triangle_of_its_delta():
+    Q = delta_catalog()["Delta"]
+    phi = basic_set(Q, 6, "transfer")
+    with pytest.raises(ValueError, match=r"^diagonal must equal unit\^\(-n\)$"):
+        niederhausen(phi, delta_catalog()["D/2"])  # the diagonal of D/2's basic set is 2^n
+    rows = [list(row) for row in phi.rows]
+    rows[3][0] = F(1)
+    with pytest.raises(ValueError, match=r"^umbral triangle must have coeff\[n\]\[0\] = 0 for n >= 1$"):
+        niederhausen(triangle(rows), Q)
 
 
 # -- coefficient extraction routes -------------------------------------------------------------------
@@ -485,7 +500,7 @@ def test_coeff_via_ratio_inverse_multiderivative_is_lah():
     # Q = D/(1+D): [t^m] g^k = [t^(m-k)] (g/t)^k, the ratio route, runs through
     # (1-D)^{-k} expansions
     Q = validate_delta(ShiftOp(mul_inv(series([1, 1], T)).shift_up(1).truncate(T)))
-    tri = basic_set(Q, 8, "genfunc").tri
+    tri = basic_set(Q, 8, "genfunc")
     for n in range(9):
         for k in range(n + 1):
             assert tri.entry(n, k) == lah(n, k)
@@ -494,7 +509,7 @@ def test_coeff_via_ratio_inverse_multiderivative_is_lah():
 def test_catalan_inverse_closed_form():
     # coeff[n][k] of the inverse Catalan operator: C(k, n-k) n!/k! (-1)^{n-k}
     Q = delta_catalog()["Catalan"]
-    cinv = tri_invert(basic_set(Q, 9, "transfer").tri)
+    cinv = tri_invert(basic_set(Q, 9, "transfer"))
     for n in range(10):
         for k in range(n + 1):
             expected = F(comb(k, n - k) * factorial(n), factorial(k)) * (-1) ** (n - k)
@@ -530,19 +545,18 @@ def test_commutation_expansion_reduces_to_recurrence_at_one():
     # n = 1 is the first commutation equality phi X = X (Q')^{-1} phi
     for name, Q in delta_catalog().items():
         phi = basic_set(Q, 8, "transfer")
-        assert commutation_expansion_check(phi, 1), name
+        assert commutation_expansion_check(phi, Q, 1), name
         qp_inv = ShiftOp(mul_inv(pincherle(Q).indicator))
         for m in range(7):
             # phi X x^m = X (Q')^{-1} phi x^m (operators act right-to-left)
-            lhs = phi.tri.apply_poly(monomial(m + 1))
-            rhs = times_x(apply_op(qp_inv, phi.tri.apply_poly(monomial(m))))
+            lhs = phi.apply_poly(monomial(m + 1))
+            rhs = times_x(apply_op(qp_inv, phi.apply_poly(monomial(m))))
             assert lhs == rhs, name
 
 
 def test_commutation_expansion_higher():
-    assert commutation_expansion_check(basic_set(delta_catalog()["Delta"], 8, "transfer"), 2)
-    assert commutation_expansion_check(basic_set(derivative_op(T), 8, "transfer"), 3)
-    assert commutation_expansion_check(basic_set(delta_catalog()["Catalan"], 8, "transfer"), 2)
+    for Q, n in ((delta_catalog()["Delta"], 2), (derivative_op(T), 3), (delta_catalog()["Catalan"], 2)):
+        assert commutation_expansion_check(basic_set(Q, 8, "transfer"), Q, n)
 
 
 def test_differential_equation_invariant():
@@ -551,13 +565,13 @@ def test_differential_equation_invariant():
         phi = basic_set(Q, N, "transfer")
         ratio = divide(Q, pincherle(Q))
         for n in range(N + 1):
-            pn = phi.tri.row_poly(n)
+            pn = phi.row_poly(n)
             assert (n * pn - times_x(apply_op(ratio, pn))).is_zero(), name
 
 
 def test_basicness_conditions():
     for name, Q in delta_catalog().items():
-        tri = basic_set(Q, N, "transfer").tri
+        tri = basic_set(Q, N, "transfer")
         assert tri.entry(0, 0) == 1
         for n in range(1, N + 1):
             assert tri.entry(n, 0) == 0
@@ -567,4 +581,4 @@ def test_basicness_conditions():
 def test_bell_route_equals_operator_routes():
     for name, Q in delta_catalog().items():
         got = basic_from_inverse_series(comp_inv(Q.indicator), N)
-        assert got.tri == basic_set(Q, N, "transfer").tri, name
+        assert got == basic_set(Q, N, "transfer"), name
