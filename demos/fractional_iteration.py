@@ -18,6 +18,7 @@ from umbra import (
     koszul_numbers,
     phi_pow,
     tri_compose,
+    tri_from_form,
 )
 
 f = expm1(12)  # e^x - 1, the forward-difference indicator
@@ -41,11 +42,11 @@ print("   Koszul numbers:", [str(v) for v in koszul_numbers(8)[2:]])
 # The same flow acts on umbral operators: phi^s for the forward difference
 # interpolates between the Stirling triangles of both kinds.
 Q = family("falling").delta(14)
-half_tri = phi_pow(Q, F(1, 2), 6)
+half_tri = tri_from_form(phi_pow(Q, F(1, 2), 6))
 print("\nsquare root of the falling-factorial triangle, row 4:")
 print("   ", [str(v) for v in half_tri.rows[4]])
 print("   squared back:", tri_compose(half_tri, half_tri) == family("falling").basic(6))
-print("   phi^{-1} row 4 (Stirling-2):", [str(v) for v in phi_pow(Q, -1, 6).rows[4]])
+print("   phi^{-1} row 4 (Stirling-2):", [str(v) for v in tri_from_form(phi_pow(Q, -1, 6)).rows[4]])
 
 jab = jabotinsky(half_tri)
 print("\nJabotinsky rescaling k!/n! of the half-power triangle, row 4:")

@@ -56,6 +56,7 @@ from .bell import partial_bell
 from .umbral import (
     BASIC_ROUTES,
     Triangle,
+    basic_form,
     basic_genfunc,
     basic_km,
     basic_recurrence,

@@ -326,6 +326,13 @@ def _basic(sets: dict, spec: FamilySpec, n: int) -> Triangle:
     return phi
 
 
+def _form(tri: Triangle) -> RowForm:
+    """The triangle form of tri that ``sheffer`` and ``cross`` read: each row over the lcm of
+    its denominators."""
+    pairs = [scaled(row) for row in tri.rows]
+    return [nums for nums, _ in pairs], [den for _, den in pairs]
+
+
 def _check_routes(spec: FamilySpec, n: int, sets: dict):
     """All five construction routes and the closed form must agree.  The routes never read
     ``sets``: they stay independent of the basic set that the other identities share."""
@@ -555,7 +562,8 @@ def _check_abel_identity(spec: FamilySpec, n: int, sets: dict):
 def _check_smooth_abel(spec: FamilySpec, n: int, sets: dict):
     a = spec.params["a"]
     # Sheffer route: smooth Abel operator is (1+aD)^{-1} applied to the basic set
-    rows = sheffer(ShiftOp(mul_inv(series([1, a], n + 3))), _basic(sets, spec, n)).rows
+    phi = _form(_basic(sets, spec, n))
+    rows = tri_from_form(sheffer(ShiftOp(mul_inv(series([1, a], n + 3))), phi)).rows
     smooth = [(poly([-a * m, 1]) ** m).coeffs for m in range(n + 1)]  # (x - am)^m
     hit = binomial_convolution(smooth, [p.coeffs for p in _abel_polys(a, n)], smooth)
     # at each degree the Sheffer form is reported before the convolution form
@@ -595,14 +603,15 @@ def _check_conjugation(spec: FamilySpec, n: int, sets: dict):
 
 
 def _check_degenerate_ode(spec: FamilySpec, n: int, sets: dict):
-    """p x f^(p+1) + alpha p^2 f^(p) - x f' + m f = 0 for row m of each cross sequence: on a
-    scaled row f, the coefficient of x^j is (p j + alpha p^2) (j+p)!/j! f_{j+p} + (m - j) f_j,
+    """p x f^(p+1) + alpha p^2 f^(p) - x f' + m f = 0 for row m of each cross sequence: on
+    the integer row f of its triangle form (the equation is homogeneous, so f's denominator
+    drops out), the coefficient of x^j is (p j + alpha p^2) (j+p)!/j! f_{j+p} + (m - j) f_j,
     times alpha's denominator b; f_{j+p} = 0 past the row."""
     p = spec.params["p"]
-    phi, base = _basic(sets, spec, n), ShiftOp(_degenerate_base(p, n + 3))
+    phi, base = _form(_basic(sets, spec, n)), ShiftOp(_degenerate_base(p, n + 3))
     for alpha in (Fraction(0), Fraction(1), Fraction(1, 2), Fraction(-2)):
         a, b = alpha.numerator, alpha.denominator
-        rows, _ = scaled_rows(cross(base, alpha, phi).rows)
+        rows, _ = cross(base, alpha, phi)
         for m, f in enumerate(rows):
             lhs = [b * (m - j) * f[j] for j in range(m + 1)]
             for j in range(m + 1 - p):
@@ -614,9 +623,9 @@ def _check_degenerate_ode(spec: FamilySpec, n: int, sets: dict):
 
 def _check_degenerate_cross(spec: FamilySpec, n: int, sets: dict):
     p = spec.params["p"]
-    phi, base = _basic(sets, spec, n), ShiftOp(_degenerate_base(p, n + 3))
+    phi, base = _form(_basic(sets, spec, n)), ShiftOp(_degenerate_base(p, n + 3))
     exps = (Fraction(0), Fraction(1), Fraction(-1, 2))
-    rows = {w: cross(base, w, phi).rows for w in {u + v for u in exps for v in exps}}
+    rows = {w: tri_from_form(cross(base, w, phi)).rows for w in {u + v for u in exps for v in exps}}
     for u in exps:
         for v in exps:
             m = binomial_convolution(rows[u + v], rows[u], rows[v])

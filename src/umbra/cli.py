@@ -24,7 +24,7 @@ from .flow import frac_iterate, itlog, phi_pow
 from .fps import Poly, comp_inv, poly
 from .operators import ShiftOp, validate_delta
 from .rational import rat, rat_str
-from .umbral import BASIC_ROUTES, Triangle, basic_recurrence, basic_set, sheffer, tri_from_form
+from .umbral import BASIC_ROUTES, RowForm, basic_form, basic_recurrence, sheffer
 
 MAX_ORDER = 64
 
@@ -150,9 +150,23 @@ def _rat_option(option: str, text: str) -> Fraction:
         ) from None
 
 
+def _triangle_text(form: RowForm, args) -> str:
+    """A triangle's integer row form as printed, rows 0..--order, with no Fraction but in
+    --decimal's lossy pretty text (``serialize.form_cells``)."""
+    n = _order(args)
+    if args.format == "json":
+        return serialize.dumps(serialize.form_to_json(form, n)) + "\n"
+    decimal = args.decimal and args.format == "pretty"
+    cells = serialize.form_cells(form, n, (lambda v, d: _decimal_str(Fraction(v, d))) if decimal else None)
+    sep = "\t" if args.format == "tsv" else "  "
+    return "\n".join([sep.join(row) for row in cells]) + "\n"
+
+
 def _text(value, args) -> str:
     """One result as printed: JSON, TSV, or pretty text (lossy decimals with --decimal).
     A report prints a line per identity and then, if one failed, the JSON of the failures."""
+    if isinstance(value, tuple):
+        return _triangle_text(value, args)
     if args.format == "json":
         return serialize.dumps(serialize.to_json(value)) + "\n"
     if isinstance(value, catalog.Report):
@@ -165,12 +179,8 @@ def _text(value, args) -> str:
             failures = catalog.Report([r for r in value.results if not r.passed])
             lines.append(serialize.dumps(serialize.to_json(failures)))
         return "\n".join(lines) + "\n"
-    if isinstance(value, Triangle) and args.format == "tsv":
-        return serialize.triangle_to_tsv(value)
     num = _decimal_str if args.decimal and args.format == "pretty" else rat_str
-    if isinstance(value, Triangle):
-        text = "\n".join("  ".join(map(num, row)) for row in value.rows)
-    elif isinstance(value, Fraction):
+    if isinstance(value, Fraction):
         text = num(value)
     elif args.format == "tsv":
         text = "\t".join(map(rat_str, value.coeffs)) or "0"  # the zero polynomial has no coefficients
@@ -193,7 +203,8 @@ def _poly_option(text: str, order: int) -> Poly:
 
 
 def run(args):
-    """The value of one subcommand: a Series, Poly, Triangle, Fraction (sum --at) or Report."""
+    """The value of one subcommand: a Series, Poly, triangle (its integer RowForm), Fraction
+    (sum --at) or Report."""
     cmd = args.command
     if cmd == "faulhaber":  # the one subcommand without an order
         if not 0 <= args.n <= MAX_ORDER:
@@ -211,19 +222,19 @@ def run(args):
 
     if cmd == "basic":
         Q = _delta_from_expr(args.delta, order + 1)
-        return basic_set(Q, order, args.route)
+        return basic_form(Q, order, args.route)
 
     if cmd == "triangle":
         # the cheapest route, checked against the family's closed form, both as integer row
-        # forms: a malformed entry is a disagreement (exit 1), as no shape check runs (exit 2)
+        # forms: a malformed entry or row is a disagreement (exit 1), before any shape check
         spec = catalog.family(args.family, **_parse_params(args.params))
         form = basic_recurrence(spec.delta(order + 1), order)
-        return tri_from_form(agree("triangle", recurrence=form, closed_form=spec.closed_form(order)))
+        return agree("triangle", recurrence=form, closed_form=spec.closed_form(order))
 
     if cmd == "sheffer":
         Q = _delta_from_expr(args.delta, order + 1)
         appell = ShiftOp(eval_expr(args.appell, order))
-        return sheffer(appell, basic_set(Q, order, "transfer"))
+        return sheffer(appell, basic_form(Q, order, "transfer"))
 
     if cmd == "iterate":
         f = eval_expr(args.series_expr, max(order, 1))

@@ -19,7 +19,7 @@ from .errors import NotUnitary, OrderError, TruncationError, agree
 from .fps import Series, compose, expm1, series, x_series
 from .operators import DeltaOp, ShiftOp, validate_delta
 from .rational import RatLike, binom_row, rat
-from .umbral import Triangle, tri_compose, tri_from_form, tri_identity
+from .umbral import Triangle, tri_compose, tri_identity
 
 
 def _require_unitary(f: Series):
@@ -170,8 +170,9 @@ def group_law_check(f: Series, r: RatLike, s: RatLike, n_max: int) -> bool:
     return True
 
 
-def phi_pow(Q: DeltaOp, s: RatLike, n: int) -> Triangle:
-    """Triangle of phi^s for the basic operator phi of a unitary delta Q, rows 0..n.
+def phi_pow(Q: DeltaOp, s: RatLike, n: int) -> umbral.RowForm:
+    """Triangle form (rows, dens) of phi^s, rows 0..n, for the basic operator phi of a
+    unitary delta Q; ``tri_from_form`` reads it as a Triangle.
 
     phi^s is the umbral operator whose column-1 EGF is the fractional iterate
     g = (q~^-1)^s = q~^(-s) of Q's indicator q (Jabotinsky, Trans. AMS 108, 1963),
@@ -179,11 +180,11 @@ def phi_pow(Q: DeltaOp, s: RatLike, n: int) -> Triangle:
     which checks it against q itself by its leading term and by g o q = q o g, and
     these two fix g.  The triangle of g is built by two routes that share no
     intermediate result and must agree: the Bell recurrence on integers
-    (``umbral._bell_form``) and the power table m!/k! [x^m] g^k
-    (``umbral._power_rows``).  Both stay integer rows over their own denominators
-    while ``agree`` compares them, and only the returned triangle, that of the power
-    table, whose denominators are the smaller, is made of Fractions.  q is read
-    through x^max(n, 1), so n = 0 gives the one-entry identity.
+    (``umbral._bell_form``), which is shape-checked (``umbral._check_basic``), and the
+    power table m!/k! [x^m] g^k (``umbral._power_rows``).  Both stay integer rows over
+    their own denominators, and the returned form is that of the power table, whose
+    denominators are the smaller; no Fraction triangle is built.  q is read through
+    x^max(n, 1), so n = 0 gives the one-entry identity.
     """
     if not Q.is_unitary():
         raise NotUnitary("fractional operator powers need a unitary delta")
@@ -196,7 +197,7 @@ def phi_pow(Q: DeltaOp, s: RatLike, n: int) -> Triangle:
     umbral._check_basic(bell_form, Fraction(1))
     power_form = umbral._power_rows(umbral.powers(g.coeffs, n), n)
     agree("phi_pow", bell=bell_form, powers=power_form)
-    return tri_from_form(power_form)
+    return power_form
 
 
 def jabotinsky(tri: Triangle) -> tuple[tuple[Fraction, ...], ...]:

@@ -27,13 +27,19 @@ def rat(value: RatLike) -> Fraction:
     return Fraction(str(value).strip())
 
 
-def rat_str(q: RatLike) -> str:
-    """"num/den", or "num" when den == 1; UmbraError past Python's int-to-str digit limit."""
-    q = rat(q)
+def ratio_str(num: int, den: int) -> str:
+    """"num/den", or "num" when den == 1, for num/den in lowest terms with den > 0; UmbraError
+    past Python's int-to-str digit limit.  Every printed rational goes through it."""
     try:
-        return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+        return str(num) if den == 1 else f"{num}/{den}"
     except ValueError:
         raise UmbraError(f"a coefficient would exceed {sys.get_int_max_str_digits()} digits") from None
+
+
+def rat_str(q: RatLike) -> str:
+    """"num/den", or "num" when den == 1 (``ratio_str``)."""
+    q = rat(q)
+    return ratio_str(q.numerator, q.denominator)
 
 
 def binom_row(r: RatLike, k: int) -> list[Fraction]:

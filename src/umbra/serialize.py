@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import gcd
+from typing import Callable
 
 from .errors import shown
 from .fps import Poly, Series
-from .rational import rat, rat_str
-from .umbral import Triangle
+from .rational import rat, rat_str, ratio_str
+from .umbral import RowForm
 
 
 def dumps(obj) -> str:
@@ -39,12 +41,29 @@ def poly_to_json(p: Poly) -> dict:
 # -- triangles ----------------------------------------------------------------
 
 
-def triangle_to_json(t: Triangle) -> dict:
-    return {"kind": "triangle", "n": t.n, "rows": [[rat_str(v) for v in row] for row in t.rows]}
+def _lowest(v: int, d: int) -> str:
+    g = gcd(v, d)
+    return ratio_str(v // g, d // g)
 
 
-def triangle_to_tsv(t: Triangle) -> str:
-    return "\n".join("\t".join(rat_str(v) for v in row) for row in t.rows) + "\n"
+def form_cells(form: RowForm, n: int, entry: Callable[[int, int], str] | None = None) -> list[list[str]]:
+    """The text of rows 0..n of a triangle form (rows, dens), dens > 0: entry k of row m is
+    rows[m][k] / dens[m] as ``entry(v, d)`` gives it, by default in lowest terms after one
+    gcd (``ratio_str``), the bytes that ``rat_str`` prints for that Fraction.  ValueError
+    unless the form has n + 1 rows and dens, row m of m + 1 entries: a triangle of the
+    wrong size is refused, not printed."""
+    rows, dens = form
+    if not len(rows) == len(dens) == n + 1:
+        raise ValueError(f"triangle must have {n + 1} rows")
+    for m, row in enumerate(rows):
+        if len(row) != m + 1:
+            raise ValueError(f"row {m} must have {m + 1} entries")
+    entry = entry or _lowest
+    return [[entry(v, d) for v in row] for row, d in zip(rows, dens)]
+
+
+def form_to_json(form: RowForm, n: int) -> dict:
+    return {"kind": "triangle", "n": n, "rows": form_cells(form, n)}
 
 
 # -- reports ------------------------------------------------------------------
@@ -76,6 +95,7 @@ def disagreement_to_json(exc) -> dict:
 
 
 def to_json(value):
-    """The schema of one CLI result: a Series, Poly, Triangle, Fraction or catalog Report."""
-    schemas = {Series: series_to_json, Poly: poly_to_json, Triangle: triangle_to_json, Fraction: rat_str}
+    """The schema of one CLI result but a triangle (``form_to_json``): a Series, Poly, Fraction
+    or catalog Report."""
+    schemas = {Series: series_to_json, Poly: poly_to_json, Fraction: rat_str}
     return schemas.get(type(value), report_to_json)(value)

@@ -21,8 +21,8 @@ from typing import Callable, Sequence
 
 from . import bell
 from ._kernel import (
-    apply_derivatives, cauchy, degree, divider, is_short, krylov, powers, reciprocal_powers, reduced,
-    scaled, scaled_rows, tri_inverse, tri_product, weighted_sum,
+    cauchy, degree, divider, is_short, krylov, powers, reciprocal_powers, reduced, scaled, scaled_rows,
+    tri_inverse, tri_product, weighted_sum,
 )
 from .errors import (
     NotAppell, NotDelta, NotUnitary, OrderError, Record, SingularTriangle, TruncationError, UmbraError, agree
@@ -332,21 +332,28 @@ BASIC_ROUTES: dict[str, Callable[[DeltaOp, int], RowForm]] = {
 }
 
 
-def basic_set(Q: DeltaOp, n: int, route: str = "all") -> Triangle:
-    """The basic triangle of Q through row n, by the named route of BASIC_ROUTES, or with
-    "all" by every route, which must agree.  The routes are looked up when called and hand
-    ``agree`` their integer forms, so they are compared with no Fraction; only the first
-    form, the one returned, is built from Fractions and shape-checked (``_check_basic``),
-    and a malformed entry of another route is a route disagreement."""
+def basic_form(Q: DeltaOp, n: int, route: str = "all") -> RowForm:
+    """The triangle form of Q's basic set through row n, by the named route of BASIC_ROUTES,
+    or with "all" by every route, which must agree.  The routes are looked up when called
+    and hand ``agree`` their integer forms, so they are compared with no Fraction; only the
+    first form, the one returned, is shape-checked (row m of m + 1 entries, then
+    ``_check_basic``), and a malformed entry of another route is a route disagreement."""
     if route == "all":
         form = agree("basic", **{name: build(Q, n) for name, build in BASIC_ROUTES.items()})
     elif route in BASIC_ROUTES:
         form = BASIC_ROUTES[route](Q, n)
     else:
         raise UmbraError(f"unknown basic route {route!r}; known: {', '.join(BASIC_ROUTES)}, all")
-    tri = tri_from_form(form)  # Triangle refuses a row of the wrong length before the shape check
+    for m, row in enumerate(form[0]):
+        if len(row) != m + 1:
+            raise ValueError(f"row {m} must have {m + 1} entries")
     _check_basic(form, Q.unit)
-    return tri
+    return form
+
+
+def basic_set(Q: DeltaOp, n: int, route: str = "all") -> Triangle:
+    """The basic triangle of Q through row n (``basic_form``)."""
+    return tri_from_form(basic_form(Q, n, route))
 
 
 def basic_from_inverse_series(f: Series, n: int) -> Triangle:
@@ -450,22 +457,32 @@ def is_binomial_type(tri: Triangle) -> bool:
     return all([(i + 1) * one * v for v in cols[i + 1]] == cauchy(cols[i], cols[1], N) for i in range(1, N))
 
 
-def sheffer(A: ShiftOp, phi: Triangle) -> Triangle:
-    """Triangle of the Sheffer operator A o phi; rows are A applied to the basic polynomials,
-    all from one scaling of A and one factorial table (``_kernel.apply_derivatives``)."""
+def sheffer(A: ShiftOp, form: RowForm) -> RowForm:
+    """Triangle form of the Sheffer operator A o phi, for the triangle form of the basic set
+    phi: row m is A applied to the basic polynomial p_m, sum_k A_k p_m^(k), all on integers.
+    A is scaled once to x / dx; with p_m = y / d_m, entry j is S_j / (dx d_m j!) for
+    S_j = sum_k x_k (j+k)! y_{j+k}, so row m is [S_j m!/j!] over dx d_m m!."""
     if not is_appell(A):
         raise NotAppell("Sheffer construction requires an invertible (Appell) operator")
-    t = A.indicator.trunc
-    if t < phi.n:
-        raise TruncationError(f"indicator trunc {t} < deg p = {phi.n}; operator not resolved deeply enough")
-    rows = apply_derivatives(A.indicator.coeffs, [phi.row_poly(m).coeffs for m in range(phi.n + 1)])
-    return Triangle(tuple([tuple(row) for row in rows]))
+    rows, dens = form
+    n, t = len(rows) - 1, A.indicator.trunc
+    if t < n:
+        raise TruncationError(f"indicator trunc {t} < deg p = {n}; operator not resolved deeply enough")
+    x, dx = scaled(A.indicator.coeffs[: n + 1])
+    fact = [factorial(j) for j in range(n + 1)]
+    out, out_dens = [], []
+    for m, (y, d) in enumerate(zip(rows, dens)):
+        q = list(map(mul, fact, y))
+        out.append([sum(map(mul, x, q[j:])) * (fact[m] // fact[j]) for j in range(m + 1)])
+        out_dens.append(dx * d * fact[m])
+    return out, out_dens
 
 
-def cross(C: ShiftOp, u: RatLike, phi: Triangle) -> Triangle:
-    """Triangle of the cross operator C^u o phi for rational u; requires C~(0) = 1 exactly."""
+def cross(C: ShiftOp, u: RatLike, form: RowForm) -> RowForm:
+    """Triangle form of the cross operator C^u o phi for rational u and the triangle form of
+    the basic set phi (``sheffer``); requires C~(0) = 1 exactly."""
     appell = ShiftOp(pow_rat(C.indicator, rat(u)))
-    return sheffer(appell, phi)
+    return sheffer(appell, form)
 
 
 def niederhausen(phi: Triangle, Q: DeltaOp) -> Triangle:

@@ -11,8 +11,9 @@ the dense expression evaluator that polynomial nodes' short values
 replaced, the full-length ``comp_inv`` loop that its windows replaced, the
 recurrence and generating-function routes as they were before they divided
 by a short Q' and stepped by Q(g) = t, the column forms of the power-table
-and Bell triangles that their row forms replaced, and the binomial closed form
-of the degenerate Laguerre triangle.  Helpers that only tests call (such as
+and Bell triangles that their row forms replaced, the binomial closed form
+of the degenerate Laguerre triangle, and the per-``Fraction`` triangle output
+that the row-form printer replaced.  Helpers that only tests call (such as
 ``identity_op``, ``pincherle``, ``connection_constants``, ``partial_bell_table``,
 ``integrate``, ``render``, ``reflected``, ``times_x`` and ``bernoulli_polynomial``)
 live here too, not in the package.
@@ -20,6 +21,7 @@ live here too, not in the package.
 
 from __future__ import annotations
 
+from decimal import Context
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm
@@ -39,7 +41,7 @@ from umbra.fps import (
 from umbra.flow import _column_powers
 from umbra.operators import DeltaOp, ShiftOp, apply_op, validate_delta
 from umbra.rational import binom_row, rat, rat_str
-from umbra.serialize import series_to_json
+from umbra.serialize import dumps, series_to_json
 from umbra.sigma import bernoulli_numbers
 from umbra.umbral import Triangle, _power_rows, basic_set, tri_compose, tri_invert, triangle
 
@@ -970,6 +972,26 @@ def shiftop_from_json(obj: dict) -> ShiftOp:
             raise ValueError("stored unit does not match the indicator")
         return op
     return ShiftOp(ind)
+
+
+def triangle_to_json(t: Triangle) -> dict:
+    return {"kind": "triangle", "n": t.n, "rows": [[rat_str(v) for v in row] for row in t.rows]}
+
+
+def triangle_to_tsv(t: Triangle) -> str:
+    return "\n".join("\t".join(rat_str(v) for v in row) for row in t.rows) + "\n"
+
+
+def triangle_text(t: Triangle, fmt: str, decimal: bool = False) -> str:
+    """A Triangle as the CLI printed it entry by entry from its Fractions, in json, tsv or
+    pretty text (lossy decimals with decimal=True, pretty only): the reference for the
+    printer of integer row forms (``serialize.form_cells``)."""
+    if fmt == "json":
+        return dumps(triangle_to_json(t)) + "\n"
+    if fmt == "tsv":
+        return triangle_to_tsv(t)
+    num = (lambda q: str(Context(prec=12).divide(q.numerator, q.denominator))) if decimal else rat_str
+    return "\n".join("  ".join(map(num, row)) for row in t.rows) + "\n"
 
 
 def triangle_from_json(obj: dict) -> Triangle:

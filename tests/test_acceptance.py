@@ -19,12 +19,14 @@ from umbra.sigma import SigmaOp, euler_maclaurin_residual, faulhaber, frac_sum_e
 from umbra.umbral import (
     BASIC_ROUTES,
     Triangle,
+    basic_form,
     basic_set,
     delta_of,
     is_binomial_type,
     niederhausen,
     sheffer,
     transform_seq,
+    tri_from_form,
     tri_invert,
 )
 
@@ -227,8 +229,8 @@ def test_criterion_10_detector():
     Delta = family("falling").delta(n + 2)
     from umbra.operators import divide
 
-    bernoulli = sheffer(divide(D, Delta), basic_set(D, n, "transfer"))
-    second_kind = sheffer(divide(Delta, D), basic_set(Delta, n, "transfer"))
+    bernoulli = tri_from_form(sheffer(divide(D, Delta), basic_form(D, n, "transfer")))
+    second_kind = tri_from_form(sheffer(divide(Delta, D), basic_form(Delta, n, "transfer")))
     assert not is_binomial_type(bernoulli)
     assert not is_binomial_type(second_kind)
     rng = random.Random(31337)

@@ -22,7 +22,7 @@ from umbra.catalog import (
 from umbra.errors import UnknownFamily
 from umbra.fps import Poly, poly, series, x_series
 from umbra.umbral import (
-    Triangle, binomial_convolution, is_binomial_type, tri_identity
+    Triangle, binomial_convolution, is_binomial_type, tri_from_form, tri_identity
 )
 
 import oracles
@@ -376,12 +376,10 @@ def test_degenerate_cross_names_the_corrupted_exponent_pair(monkeypatch, exponen
     real = catalog.cross
 
     def cross(C, u, phi):
-        sh = real(C, u, phi)
-        if u != F(exponent):
-            return sh
-        rows = [sh.row_poly(k) for k in range(sh.n + 1)]
-        rows[3] = rows[3] + poly([0, 1])
-        return oracles.tri_from_polys(rows)
+        rows, dens = sh = real(C, u, phi)
+        if u == F(exponent):
+            rows[3][1] += dens[3]
+        return sh
 
     monkeypatch.setattr(catalog, "cross", cross)
     assert _CONVOLUTION_SITES["degenerate_cross"]() == expected
@@ -430,8 +428,9 @@ def test_convolution_matches_the_grid_oracle_on_basic_sets(name, params, N):
 def test_convolution_matches_the_grid_oracle_on_degenerate_cross_pairs(p):
     # the nine (u, v) triples of degenerate_cross, on its six Sheffer sets at n = 6
     n, exps = 6, (F(0), F(1), F(-1, 2))
-    phi, base = family("degenerate_laguerre", p=p).basic(n), catalog.ShiftOp(catalog._degenerate_base(p, n + 3))
-    lists = {w: catalog.cross(base, w, phi).rows for w in {u + v for u in exps for v in exps}}
+    phi = catalog._form(family("degenerate_laguerre", p=p).basic(n))
+    base = catalog.ShiftOp(catalog._degenerate_base(p, n + 3))
+    lists = {w: tri_from_form(catalog.cross(base, w, phi)).rows for w in {u + v for u in exps for v in exps}}
     assert _sweep_convolution(lists, [(u + v, u, v) for u in exps for v in exps])
 
 

@@ -18,7 +18,7 @@ from umbra.catalog import Report
 from umbra.cli import main
 from umbra.rational import rat_str
 
-from oracles import series_from_json, triangle_from_json
+from oracles import series_from_json, triangle_from_json, triangle_text
 
 
 def run(capsys, *argv):
@@ -79,7 +79,7 @@ def test_triangle_prints_the_transfer_routes_triangle(capsys, name, params, orde
     # triangle builds by the recurrence route, checked against the closed form
     spec = catalog.family(name, **params)
     tri = umbral.basic_set(spec.delta(order + 2), order, "transfer")
-    expected = serialize.dumps(serialize.to_json(tri)) + "\n"
+    expected = triangle_text(tri, "json")
     argv = ["triangle", "--family", name, "--params", _params_text(params), "--order", str(order), "--format", "json"]
     assert run(capsys, *argv) == (0, expected, "")
 
@@ -97,6 +97,32 @@ def test_triangle_takes_neither_the_transfer_route_nor_reciprocal_powers(capsys,
                 spy = lambda *args, real=real, **kwargs: calls.append(real.__name__) or real(*args, **kwargs)
                 monkeypatch.setattr(module, real.__name__, spy)
     assert run(capsys, "triangle", "--family", "touchard", "--order", "40")[0] == 0
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["basic", "--delta", "exp(D)-1", "--route", "all"],
+        ["basic", "--delta", "D-D^2", "--route", "genfunc"],
+        ["triangle", "--family", "touchard"],
+        ["sheffer", "--appell", "1+D", "--delta", "exp(D)-1"],
+        ["phipow", "--delta", "exp(D)-1", "--s", "1/2"],
+    ],
+    ids=lambda argv: argv[0] + (argv[-1] if argv[0] == "basic" else ""),
+)
+@pytest.mark.parametrize("fmt", ["json", "tsv", "pretty"])
+def test_triangle_requests_build_no_fraction_triangle(capsys, monkeypatch, argv, fmt):
+    # a cost guard: each construction hands its integer row form to the printer
+    calls = []
+    init = umbral.Triangle.__init__
+    monkeypatch.setattr(umbral.Triangle, "__init__", lambda self, rows: calls.append("Triangle") or init(self, rows))
+    real = umbral.tri_from_form
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name.partition(".")[0] == "umbra" and getattr(module, "tri_from_form", None) is real:
+            monkeypatch.setattr(module, "tri_from_form", lambda form: calls.append("tri_from_form") or real(form))
+    code, out, err = run(capsys, *argv, "--order", "12", "--format", fmt)
+    assert (code, err) == (0, "") and len(out.splitlines()) == (1 if fmt == "json" else 13)
     assert calls == []
 
 
@@ -927,6 +953,8 @@ def test_zero_denominator_is_refused_at_its_offset(capsys, text, offset):
     [
         ["inverse", "x+2^6000*x^2", "--order", "64"],
         ["basic", "--delta", "D+2^6000*D^2", "--route", "transfer"],  # pretty rows: none printed
+        ["basic", "--delta", "D+2^6000*D^2", "--route", "transfer", "--format", "json"],
+        ["basic", "--delta", "D+2^6000*D^2", "--route", "transfer", "--format", "tsv"],
     ],
 )
 def test_unprintable_result_is_refused(capsys, argv):

@@ -12,7 +12,7 @@ from math import comb, factorial
 from umbra.fps import monomial, mul_inv, poly, series, x_series, log1p, compose, comp_inv
 from umbra.operators import ShiftOp, apply_op, derivative_op, divide, shift_by, validate_delta
 from umbra.sigma import SigmaOp
-from umbra.umbral import basic_set, sheffer, tri_invert
+from umbra.umbral import basic_form, basic_set, sheffer, tri_from_form, tri_invert
 
 from oracles import times_x, tri_from_polys
 
@@ -71,7 +71,7 @@ def test_sheffer_generating_function_columns():
     # column k of a Sheffer triangle: m! [t^m] A(invQ(t)) invQ(t)^k / k!
     Delta = deltas()["Delta"]
     A = divide(derivative_op(T), Delta)  # Bernoulli operator
-    sh = sheffer(A, basic_set(Delta, N, "transfer"))
+    sh = tri_from_form(sheffer(A, basic_form(Delta, N, "transfer")))
     g = comp_inv(Delta.indicator.truncate(N))
     a_of_g = compose(A.indicator.truncate(N), g)
     power = series([1], N)

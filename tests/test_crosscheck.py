@@ -150,6 +150,30 @@ def _wrong_route(route, m, k, gain=1):
 _wrong_km = _wrong_route(umbral.basic_km, 3, 2)
 
 
+def _extra_row(route):
+    """A route for ``BASIC_ROUTES``: the form of ``route`` with row n + 1 = x^(n+1) appended,
+    which passes the shape check of a basic set whose delta has unit 1."""
+
+    def wrong(Q, n):
+        rows, dens = out = route(Q, n)
+        rows.append([0] * (n + 1) + [1])
+        dens.append(1)
+        return out
+
+    return wrong
+
+
+def _missing_row(route):
+    """A route for ``BASIC_ROUTES``: the form of ``route`` without its last row."""
+
+    def wrong(Q, n):
+        rows, dens = out = route(Q, n)
+        del rows[-1], dens[-1]
+        return out
+
+    return wrong
+
+
 def _wrong_row_form(name, m, k):
     """An injection that raises entry (m, k) of the triangle form that ``umbral.<name>``
     returns by 1."""
@@ -767,6 +791,28 @@ SHAPE_INJECTIONS = {
         ["basic", "--delta=2*D-D^2/3", "--route", "transfer", "--order", "5"],
         lambda mp: mp.setitem(umbral.BASIC_ROUTES, "transfer", _wrong_route(umbral.basic_transfer, 3, 3)),
         "diagonal must equal unit^(-n)",
+    ),
+    # a form of the wrong size passes the basic set's checks and is refused by the printer
+    "shape_extra_row": (
+        ["basic", "--delta", "exp(D)-1", "--route", "transfer", "--order", "5"],
+        lambda mp: mp.setitem(umbral.BASIC_ROUTES, "transfer", _extra_row(umbral.basic_transfer)),
+        "triangle must have 6 rows",
+    ),
+    "shape_missing_row": (
+        ["basic", "--delta", "exp(D)-1", "--route", "transfer", "--order", "5"],
+        lambda mp: mp.setitem(umbral.BASIC_ROUTES, "transfer", _missing_row(umbral.basic_transfer)),
+        "triangle must have 6 rows",
+    ),
+    "shape_sheffer_extra_row": (
+        # row 6 has degree 6, past the Appell operator's x^5
+        ["sheffer", "--appell=1+D", "--delta", "exp(D)-1", "--order", "5"],
+        lambda mp: mp.setitem(umbral.BASIC_ROUTES, "transfer", _extra_row(umbral.basic_transfer)),
+        "indicator trunc 5 < deg p = 6; operator not resolved deeply enough",
+    ),
+    "shape_sheffer_missing_row": (
+        ["sheffer", "--appell=1+D", "--delta", "exp(D)-1", "--order", "5"],
+        lambda mp: mp.setitem(umbral.BASIC_ROUTES, "transfer", _missing_row(umbral.basic_transfer)),
+        "triangle must have 6 rows",
     ),
     "shape_phipow_corner": (
         ["phipow", "--delta", "exp(D)-1", "--s", "1/2", "--order", "5"],

@@ -23,8 +23,8 @@ from umbra.fps import (
 )
 from umbra.operators import ShiftOp, apply_op, validate_delta
 from umbra.umbral import (
-    Triangle, basic_from_inverse_series, basic_genfunc, basic_km, basic_recurrence, basic_set, basic_steffensen,
-    basic_transfer, sheffer, transform_seq, tri_compose, tri_from_form, tri_identity, tri_invert,
+    Triangle, basic_form, basic_from_inverse_series, basic_genfunc, basic_km, basic_recurrence, basic_set,
+    basic_steffensen, basic_transfer, sheffer, transform_seq, tri_compose, tri_from_form, tri_identity, tri_invert,
 )
 
 import oracles
@@ -217,10 +217,10 @@ def test_recurrences_and_km_take_no_apply_op_or_poly_sum(monkeypatch):
         monkeypatch.setattr(Poly, name, spy(name, getattr(Poly, name)))
     mul_inv(f), exp_series(f - f[0]), log_series(f / f[0])
     basic_km(Q, 16)
-    phi = basic_set(Q, 16, "recurrence")
+    phi = basic_form(Q, 16, "recurrence")
     sheffer(A, phi)
     assert calls == []
-    assert phi == basic_set(Q, 16, "transfer")
+    assert tri_from_form(phi) == basic_set(Q, 16, "transfer")
 
 
 # -- the recurrence and generating-function routes on polynomial deltas ---------

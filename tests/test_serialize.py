@@ -1,19 +1,25 @@
 """JSON/TSV schema round trips, byte-exact after canonicalization."""
 
+from argparse import Namespace
 from fractions import Fraction as F
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from umbra import cli
 from umbra.catalog import Report
 from umbra.fps import poly, series
 from umbra.operators import ShiftOp, shift_by, validate_delta
 from umbra.serialize import (
     dumps,
+    form_cells,
+    form_to_json,
     poly_to_json,
     report_to_json,
     series_to_json,
-    triangle_to_json,
-    triangle_to_tsv,
 )
-from umbra.umbral import basic_set
+from umbra.umbral import basic_form, basic_set, tri_from_form
 
 from oracles import (
     matrix_to_json,
@@ -22,6 +28,9 @@ from oracles import (
     shiftop_from_json,
     shiftop_to_json,
     triangle_from_json,
+    triangle_text,
+    triangle_to_json,
+    triangle_to_tsv,
 )
 
 
@@ -67,6 +76,51 @@ def test_triangle_schema_and_tsv():
     assert dumps(triangle_to_json(triangle_from_json(obj))) == dumps(obj)
     tsv = triangle_to_tsv(tri)
     assert tsv.splitlines()[3] == "0\t2\t-3\t1"
+
+
+def test_triangle_form_prints_as_its_triangle():
+    form = basic_form(validate_delta(shift_by(1, 6) - 1), 3, "transfer")
+    assert form_to_json(form, 3) == triangle_to_json(tri_from_form(form))
+
+
+@pytest.mark.parametrize(
+    "form, message",
+    [
+        (([[1], [0, 1]], [1, 1]), "triangle must have 3 rows"),
+        (([[1], [0, 1], [0, 0, 1], [0, 0, 0, 1]], [1, 1, 1, 1]), "triangle must have 3 rows"),
+        (([[1], [0, 1], [0, 0, 1]], [1, 1]), "triangle must have 3 rows"),
+        (([[1], [0, 1, 0], [0, 0, 1]], [1, 1, 1]), "row 1 must have 2 entries"),
+    ],
+)
+def test_row_form_printer_refuses_a_triangle_of_the_wrong_size(form, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        form_cells(form, 2)
+
+
+@st.composite
+def row_forms(draw):
+    """Triangle forms of rows 0..n: each row over d = d0 c, each entry v0 c or v0 d, so entries
+    come unreduced, with d | v, with d = 1, zero, negative, and of 300 bits and more."""
+    small, big = st.integers(-60, 60), st.integers(2**300, 2**320)
+    n = draw(st.integers(0, 4))
+    rows, dens = [], []
+    for m in range(n + 1):
+        d0 = draw(st.one_of(st.just(1), st.integers(1, 40), big))
+        c = draw(st.sampled_from([1, 6, 2**64]))
+        d = d0 * c
+        entries = st.one_of(small, big, big.map(lambda v: -v))
+        rows.append([draw(entries) * draw(st.sampled_from([c, d])) for _ in range(m + 1)])
+        dens.append(d)
+    return rows, dens
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(row_forms())
+def test_row_form_printer_matches_the_fraction_triangle(form):
+    tri, n = tri_from_form(form), len(form[0]) - 1
+    for fmt, decimal in (("json", False), ("tsv", False), ("pretty", False), ("pretty", True)):
+        args = Namespace(format=fmt, decimal=decimal, order=n)
+        assert cli._triangle_text(form, args) == triangle_text(tri, fmt, decimal), (fmt, decimal)
 
 
 def test_matrix_schema():
