@@ -6,6 +6,12 @@ each output entry becomes a reduced ``Fraction`` once, at the end.  This is
 the fraction-free idea of Bareiss (Math. Comp. 22, 1968): no gcd inside the
 loop, and no floats anywhere.
 
+A division by a short polynomial g (``divider``) carries its vectors graded
+instead: entry m is an integer over d b^m, for one denominator d per vector
+and one grade base b per divisor.  Each quotient then comes from the last
+vector with no lift, no gcd and no division; a caller lifts entry j by b^j
+once, when it builds the row it returns.
+
 The kernel is stateless and caches nothing, so routes that are meant to
 cross-check each other never share an intermediate value through it.
 """
@@ -13,7 +19,7 @@ cross-check each other never share an intermediate value through it.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import repeat
+from itertools import accumulate, repeat
 from math import factorial, gcd, lcm
 from operator import add, mul
 from typing import Sequence
@@ -90,44 +96,55 @@ def is_short(x: Sequence) -> bool:
     return 4 * (degree(x) + 1) <= len(x)
 
 
-def divider(x: Sequence[int], dx: int):
-    """The function (h, dh) -> (h/dh) / (x/dx) through x^(len(h) - 1) as reduced (nums, den),
-    for integer h no longer than x, and x_0 nonzero.
+def divider(g: Sequence[Fraction]):
+    """(b, divide) for g with g_0 != 0.  divide takes a vector graded by b, (h, dh) with
+    entry m equal to h[m] / (dh b^m) and dh > 0, to h/g through x^(len(h) - 1) in the same
+    graded form.
 
-    Graded short division (Knuth, TAOCP 2, 4.7): with a = h/x, B_m = a_m x_0^(m+1) solves
-    B_m = h_m x_0^m - sum_{i=1..d} x_i x_0^(i-1) B_{m-i} on integers, so x of degree d
-    costs O(len(h) d) integer products.  The powers of x_0 and the weights are built once,
-    and each quotient's B_m are lifted to one denominator for one ``reduced``."""
-    n, d = len(x) - 1, degree(x)
-    pw = [1]
-    for _ in range(n + 1):
-        pw.append(pw[-1] * x[0])
-    w = [x[i] * pw[i - 1] for i in range(d, 0, -1)]  # against B_{m-d}..B_{m-1}
-    lift = [dx * v for v in reversed(pw[: n + 1])]  # B_m over x_0^(m+1) to x_0^len(h)
+    A short g (``is_short``) is divided by on integers, graded short division (Knuth, TAOCP
+    2, 4.7).  With g_0 = u/v, g/g_0 is scaled once to y / b, so y_0 = b.  For entries
+    P_m / b^m, the entries of the quotient by y / b are P'_m / b^m over the same
+    denominator, where
+        P'_m = P_m - sum_{i=1..d} y_i b^(i-1) P'_(m-i),
+    O(len(h) d) integer products for g of degree d, with no lift and no gcd.  The scalar
+    1/g_0 = v/u goes to the numerators (v) and to dh (u), with u made positive.  A dense g
+    has b = 1: 1/g is scaled once and cut after its last nonzero entry, and each quotient
+    is one product by it, summed as a correlation of reversed(h), and one ``reduced``."""
+    if not is_short(g):
+        c, dc = scaled(recurrence(g, 1 / g[0], 0, 1))
+        del c[degree(c) + 1 :]
+
+        def correlate(h: Sequence[int], dh: int) -> tuple[list[int], int]:
+            r = h[::-1]  # entry m of the product is sum_k c_k r_(len(h)-1-m+k)
+            return reduced([sum(map(mul, c, r[j:])) for j in range(len(r) - 1, -1, -1)], dh * dc)
+
+        return 1, correlate
+    u, v = g[0].numerator, g[0].denominator
+    if u < 0:
+        u, v = -u, -v
+    y, b = scaled([c / g[0] for c in g])
+    d = degree(y)
+    w = [y[i] * b ** (i - 1) for i in range(d, 0, -1)]  # against P'_(m-d)..P'_(m-1)
 
     def divide(h: Sequence[int], dh: int) -> tuple[list[int], int]:
-        b = [0] * d
-        for m, v in enumerate(h):
-            b.append(v * pw[m] - sum(map(mul, w, b[m:])))
-        return reduced(list(map(mul, b[d:], lift[n + 1 - len(h) :])), dh * pw[len(h)])
+        p = [0] * d
+        for m, value in enumerate(h):
+            p.append(value - sum(map(mul, w, p[m:])))
+        return (p[d:] if v == 1 else [v * value for value in p[d:]]), dh * u
 
-    return divide
+    return b, divide
 
 
 def reciprocal_powers(g: Sequence[Fraction], count: int):
-    """Yield (1/g)^k through x^N (N = len(g) - 1) for k = 0..count, exactly as
-    ``powers(1/g, count)`` yields them; g_0 must be nonzero.  A short g (``is_short``)
-    divides each power by g (``divider``), O(N d) integer products per power; a dense g
-    goes through ``powers`` of 1/g."""
-    x, dx = scaled(g)
-    if not is_short(x):
-        yield from powers(recurrence(g, 1 / g[0], 0, 1), count)
-        return
-    divide, p, dp = divider(x, dx), [1] + [0] * (len(x) - 1), 1
-    yield p, dp
-    for _ in range(count):
-        p, dp = divide(p, dp)
-        yield p, dp
+    """(b, table) for g with g_0 != 0: table yields (1/g)^k through x^N (N = len(g) - 1)
+    for k = 0..count, graded by b: entry m of (p, dp) is p[m] / (dp b^m).  For a short g
+    each power is the last divided by g (``divider``), b is the lcm of the denominators of
+    g/g_0 and dp = |u|^k for g_0 = u/v; a dense g has b = 1 and the table is ``powers``
+    of 1/g."""
+    if not is_short(g):
+        return 1, powers(recurrence(g, 1 / g[0], 0, 1), count)
+    b, divide = divider(g)
+    return b, accumulate(repeat(None, count), lambda p, _: divide(*p), initial=([1] + [0] * (len(g) - 1), 1))
 
 
 def apply_derivatives(c: Sequence[Fraction], polys: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
@@ -193,8 +210,8 @@ def recurrence(f: Sequence[Fraction], g0: Fraction, wa: int, wb: int, q: int = 1
     with e = q f_0, or 1 when f_0 = 0.  Miller's recurrence for f^(p/q) is (p + q, q, q),
     1/f is (0, 1), exp f is (1, 0) and log f is (1, 1, log).  f is scaled once to integers
     and only up to its last nonzero entry takes part, so a polynomial of degree d costs
-    O(N d); g_0..g_{m-1} is kept as integers over a denominator that grows only when a new
-    entry needs it (``_append``)."""
+    O(N d): the sums read only g_(m-d)..g_(m-1), and only that window is kept, as integers
+    over a denominator that grows only when a new entry needs it (``_append``)."""
     x, dx = scaled(f)
     del x[degree(x) + 1 :]
     a, b = [wa * k * v for k, v in enumerate(x[1:], 1)], [wb * v for v in x[1:]]
@@ -204,6 +221,7 @@ def recurrence(f: Sequence[Fraction], g0: Fraction, wa: int, wb: int, q: int = 1
         s = sum(map(mul, a, reversed(col))) - m * sum(map(mul, b, reversed(col)))
         out.append(Fraction(s + m * x[m] * den if log and m < len(x) else s, lead * m * den))
         den = _append(col, den, out[-1])
+        del col[: max(len(col) - len(a), 0)]
     return out
 
 

@@ -23,7 +23,7 @@ from .expr import MAX_STR_DIGITS, degree_bound, eval_ast, eval_expr, parse
 from .flow import frac_iterate, itlog, phi_pow
 from .fps import Poly, comp_inv, poly
 from .operators import ShiftOp, validate_delta
-from .rational import rat, rat_str
+from .rational import rat, rat_str, ratio_str
 from .umbral import BASIC_ROUTES, RowForm, basic_form, basic_recurrence, sheffer
 
 MAX_ORDER = 64
@@ -38,6 +38,12 @@ def _default_order() -> int:
 
 
 def _decimal_str(q: Fraction) -> str:
+    """q to 12 significant digits.  An entry that the exact formats refuse (``ratio_str``)
+    is refused first, with their message, before a division on its numbers: one of at most
+    3 bits per allowed digit always fits, as 2^3 < 10."""
+    limit = sys.get_int_max_str_digits()
+    if limit and max(q.numerator.bit_length(), q.denominator.bit_length()) > 3 * limit:
+        ratio_str(q.numerator, q.denominator)
     return str(Context(prec=12).divide(q.numerator, q.denominator))
 
 

@@ -305,10 +305,11 @@ def lagrange_power(f: Series, k: int, n_max: int) -> Series:
     if f.trunc < n_max:
         raise TruncationError(f"need trunc >= {n_max}, have {f.trunc}")
     out = [Fraction(0)] * (n_max + 1)
-    # (x/f)^n = (f/x)^-n through x^(n_max-1)
-    for n, (p, dp) in enumerate(reciprocal_powers(f.coeffs[1 : max(n_max, 1) + 1], n_max)):
+    # (x/f)^n = (f/x)^-n through x^(n_max-1), entry i over b^i
+    b, table = reciprocal_powers(f.coeffs[1 : max(n_max, 1) + 1], n_max)
+    for n, (p, dp) in enumerate(table):
         if n >= k:
-            out[n] = Fraction(k * p[n - k], n * dp)
+            out[n] = Fraction(k * p[n - k], n * dp * b ** (n - k))
     return Series(n_max, tuple(out))
 
 

@@ -33,7 +33,6 @@ from .fps import (
     comp_inv,
     derive,
     exp_series,
-    mul_inv,
     poly,
     pow_rat,
     series,
@@ -171,72 +170,72 @@ def _require_depth(Q: DeltaOp, n: int):
         )
 
 
-def _on_monomial(c: Sequence[int], m: int, fact: Sequence[int]) -> list[int]:
-    """Numerators of (sum_i c_i D^i) x^m over the denominator of c: entry j is c_{m-j} m!/j!."""
-    return [c[m - j] * (fact[m] // fact[j]) for j in range(m + 1)]
+def _lifts(n: int, b: int):
+    """Yield lift_m = [(m!/j!) b^j for j = 0..m] for m = 0..n, each from the last: the
+    lifts that put row m of a route graded by b (entry j over b^(m-j)) over b^m."""
+    lift, bm = [1], 1
+    yield lift
+    for m in range(1, n + 1):
+        bm *= b
+        lift = [m * v for v in lift] + [bm]
+        yield lift
+
+
+def _on_monomial(c: Sequence[int], lift: Sequence[int]) -> list[int]:
+    """Row m = len(lift) - 1 of (sum_i c_i D^i) x^m, for c graded by b (c_i over b^i), over
+    b^m: entry j is c_(m-j) (m!/j!) b^j (``_lifts``)."""
+    return list(map(mul, c[len(lift) - 1 :: -1], lift))
 
 
 def basic_transfer(Q: DeltaOp, n: int) -> RowForm:
-    """Rows p_m = Q'(D/Q)^{m+1} x^m: with c = Q'(D/Q)^{m+1} through x^m, entry j
-    of row m is c_{m-j} m!/j!, one integer product per power of D/Q.  Row m of the
-    triangle form is over the denominators of Q' and (D/Q)^{m+1}."""
+    """Rows p_m = Q'(D/Q)^{m+1} x^m: with c = Q'(D/Q)^{m+1} through x^m, entry j of row m
+    is c_{m-j} m!/j!.  The powers of D/Q come graded by b (``reciprocal_powers``), Q' is
+    graded once to match, and each power is one integer product; row m of the triangle
+    form is over the denominators of Q' and (D/Q)^{m+1} and b^m."""
     _require_depth(Q, n)
+    b, table = reciprocal_powers(Q.indicator.coeffs[1 : n + 2], n + 1)
     q, dq = scaled(derive(Q.indicator).coeffs[: n + 1])
-    table = islice(reciprocal_powers(Q.indicator.coeffs[1 : n + 2], n + 1), 1, None)  # from (D/Q)^1
-    fact, rows, dens = [factorial(j) for j in range(n + 1)], [], []
-    for m, (p, dp) in enumerate(table):
-        rows.append(_on_monomial(cauchy(q, p, m), m, fact))
-        dens.append(dq * dp)
+    q = [v * b**i for i, v in enumerate(q)]
+    rows, dens = [], []
+    for (p, dp), lift in zip(islice(table, 1, None), _lifts(n, b)):  # from (D/Q)^1
+        rows.append(_on_monomial(cauchy(q, p, len(lift) - 1), lift))
+        dens.append(dq * dp * lift[-1])
     return rows, dens
 
 
 def basic_steffensen(Q: DeltaOp, n: int) -> RowForm:
-    """Rows p_m = x (D/Q)^m x^{m-1} (row 0 is [1]), one power of D/Q per row.  Row m
-    of the triangle form is over the denominator of (D/Q)^m."""
+    """Rows p_m = x (D/Q)^m x^{m-1} (row 0 is [1]), one power of D/Q per row, graded by b
+    (``reciprocal_powers``).  Row m of the triangle form is over the denominator of
+    (D/Q)^m and b^(m-1)."""
     _require_depth(Q, n)
-    table = islice(reciprocal_powers(Q.indicator.coeffs[1 : n + 2], n), 1, None)  # from (D/Q)^1
-    fact, rows, dens = [factorial(j) for j in range(n + 1)], [[1]], [1]
-    for m, (p, dp) in enumerate(table):
-        rows.append([0] + _on_monomial(p, m, fact))
-        dens.append(dp)
+    b, table = reciprocal_powers(Q.indicator.coeffs[1 : n + 2], n)
+    rows, dens = [[1]], [1]
+    for (p, dp), lift in zip(islice(table, 1, None), _lifts(n - 1, b)):  # from (D/Q)^1
+        rows.append([0] + _on_monomial(p, lift))
+        dens.append(dp * lift[-1])
     return rows, dens
 
 
 def basic_recurrence(Q: DeltaOp, n: int) -> RowForm:
     """Rows p_{m+1} = x (Q')^{-1} p_m; inherently sequential.  On r_j = j! p_j the step is
     r'_{j+1} = (j+1) U_j, where U_j = sum_k c_k r_{j+k} with c = 1/Q' is a correlation:
-    read backwards it is the series quotient, U = reversed(reversed(r) / Q').  A short Q'
-    (``_kernel.is_short``; Catalan's 1 - 2D) divides by it (``_kernel.divider``), O(N d)
-    integer products per row, and 1/Q' is never built.  Otherwise c is scaled once and cut
-    after its last nonzero entry, so a polynomial 1/Q' of degree d (Touchard's 1 + D,
-    Laguerre's (1 - D)^2) costs O(N d) per row too.  Each U is integers over one
-    denominator, one ``reduced`` per row.  Row m of the triangle form is r_j m!/j! over
-    dr m!."""
+    read backwards it is the series quotient, U = reversed(reversed(r) / Q').  So the loop
+    carries row m as h = reversed(r) in ``_kernel.divider``'s graded form, h_i = r_(m-i) as
+    H_i over d_h b^i, and row m + 1 is H'_i = (m + 1 - i) B_i for the quotient B of H by
+    Q', with a 0 appended: no rescaling.  A short Q' (``_kernel.is_short``; Catalan's
+    1 - 2D) is divided by on integers, O(N d) per row with no gcd, and 1/Q' is never
+    built; a dense Q' (b = 1) is one product by 1/Q' cut after its last nonzero entry, so a
+    polynomial 1/Q' of degree d (Touchard's 1 + D, Laguerre's (1 - D)^2) costs O(N d) per
+    row too.  Row m of the triangle form is r_j m!/j! lifted by b^j, over d_h m! b^m."""
     _require_depth(Q, n)
-    q = derive(Q.indicator)
-    head = q.coeffs[: n + 1]
-    if is_short(head):
-        divide = divider(*scaled(head))
-
-        def correlate(r: list[int], dr: int) -> tuple[list[int], int]:
-            u, du = divide(r[::-1], dr)
-            return u[::-1], du
-
-    else:
-        c, dc = scaled(mul_inv(q).coeffs[: n + 1])
-        del c[degree(c) + 1 :]
-
-        def correlate(r: list[int], dr: int) -> tuple[list[int], int]:
-            return reduced([sum(map(mul, c, r[j:])) for j in range(len(r))], dr * dc)
-
-    fact = [factorial(j) for j in range(n + 1)]
-    r, dr = [1], 1
+    b, divide = divider(derive(Q.indicator).coeffs[: n + 1])
+    h, dh = [1], 1
     rows, dens = [[1]], [1]
-    for m in range(1, n + 1):
-        u, dr = correlate(r, dr)
-        r = [0] + [(j + 1) * v for j, v in enumerate(u)]
-        rows.append([v * (fact[m] // fact[j]) for j, v in enumerate(r)])
-        dens.append(dr * fact[m])
+    for m, lift in islice(enumerate(_lifts(n, b)), 1, None):
+        u, dh = divide(h, dh)
+        h = [(m - i) * v for i, v in enumerate(u)] + [0]
+        rows.append(_on_monomial(h, lift))
+        dens.append(dh * lift[0] * lift[-1])  # d_h m! b^m
     return rows, dens
 
 

@@ -955,11 +955,15 @@ def test_zero_denominator_is_refused_at_its_offset(capsys, text, offset):
         ["basic", "--delta", "D+2^6000*D^2", "--route", "transfer"],  # pretty rows: none printed
         ["basic", "--delta", "D+2^6000*D^2", "--route", "transfer", "--format", "json"],
         ["basic", "--delta", "D+2^6000*D^2", "--route", "transfer", "--format", "tsv"],
+        # lossy decimals obey the same digit limit, refused before any decimal division
+        ["basic", "--delta", "D+2^6000*D^2", "--route", "transfer", "--format", "pretty", "--decimal"],
     ],
 )
 def test_unprintable_result_is_refused(capsys, argv):
     # each input is within the expression bound; the construction's result is not
+    start = time.perf_counter()
     code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
     assert code == 2 and out == ""
     assert err == "error: a coefficient would exceed 21845 digits\n"
 

@@ -357,13 +357,19 @@ def _corrupt_reciprocal_powers(mp):
     # (D/Q)^k, k >= 5, gains x.  Column 0 of transfer's row k - 1 is [x^(k-1)] Q'(D/Q)^k,
     # which reads x^1 only through Q'_(k-2), zero for k >= 5 as Q' has degree 2, so both
     # routes stay well-formed triangles and go wrong off column 0 and the diagonal.
+    # The table is graded by b: entry 1 of (p, dp) is p[1] / (dp b).
     real = umbral.reciprocal_powers
 
     def corrupted(g, count):
-        for k, (p, dp) in enumerate(real(g, count)):
-            if k >= 5:
-                p = [p[0], p[1] + dp, *p[2:]]
-            yield p, dp
+        b, table = real(g, count)
+
+        def wrong():
+            for k, (p, dp) in enumerate(table):
+                if k >= 5:
+                    p = [p[0], p[1] + dp * b, *p[2:]]
+                yield p, dp
+
+        return b, wrong()
 
     mp.setattr(umbral, "reciprocal_powers", corrupted)
 
@@ -384,17 +390,18 @@ def _corrupt_relation_power(mp):
 
 def _corrupt_divided_row(mp):
     # the recurrence route's quotient reversed(r) / Q' for row 6 gains 1 in its last entry,
-    # which is U_0, so r_1 of row 6 gains 1 and the rows after it read the wrong row 6
+    # which is U_0, so r_1 of row 6 gains 1 and the rows after it read the wrong row 6;
+    # entry i of a quotient (u, du) graded by b is u[i] / (du b^i)
     real = umbral.divider
 
-    def corrupted(x, dx):
-        divide = real(x, dx)
+    def corrupted(g):
+        b, divide = real(g)
 
         def wrong(h, dh):
             u, du = divide(h, dh)
-            return ([*u[:-1], u[-1] + du] if len(h) == 6 else u), du
+            return ([*u[:-1], u[-1] + du * b ** (len(u) - 1)] if len(h) == 6 else u), du
 
-        return wrong
+        return b, wrong
 
     mp.setattr(umbral, "divider", corrupted)
 
@@ -405,14 +412,14 @@ def _corrupt_divider(mp):
     # wrong at once, each in its own way: transfer's (5, 0) entry is no longer 0
     real = _kernel.divider
 
-    def corrupted(x, dx):
-        divide = real(x, dx)
+    def corrupted(g):
+        b, divide = real(g)
 
         def wrong(h, dh):
             u, du = divide(h, dh)
-            return ([*u[:5], u[5] + du, *u[6:]] if len(u) > 5 else u), du
+            return ([*u[:5], u[5] + du * b**5, *u[6:]] if len(u) > 5 else u), du
 
-        return wrong
+        return b, wrong
 
     mp.setattr(_kernel, "divider", corrupted)
     mp.setattr(umbral, "divider", corrupted)
@@ -537,6 +544,27 @@ INJECTIONS = {
             "routes": ["transfer", "steffensen"],
             "index": [5, 0],
             "values": ["945/2", "0"],
+        },
+    ),
+    "basic_divider_negative_lead": (
+        # the graded loop on Q/D and Q' with lead -3/2: the quotients carry 1/lead as -2 over 3
+        ["basic", "--delta=-3/2*D+D^2/5-2*D^3/7", "--route", "all", "--order", "20", "--format", "json"],
+        _corrupt_divider,
+        {
+            "construction": "basic",
+            "routes": ["transfer", "steffensen"],
+            "index": [5, 0],
+            "values": ["-2660/27", "0"],
+        },
+    ),
+    "basic_recurrence_divided_negative_lead": (
+        ["basic", "--delta=-3/2*D+D^2/5-2*D^3/7", "--route", "all", "--order", "20", "--format", "json"],
+        _corrupt_divided_row,
+        {
+            "construction": "basic",
+            "routes": ["transfer", "recurrence"],
+            "index": [6, 1],
+            "values": ["180158464/28704375", "208862839/28704375"],
         },
     ),
     "triangle_closed_form": (

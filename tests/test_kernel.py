@@ -166,14 +166,30 @@ def reciprocal_inputs(draw):
 @example(([F(1), F(-1, 5), F(3, 7), F(1, 2)] + [F(0)] * 11, 16))  # and one below it
 @example(([F(2), 0, F(1, 2**61 - 1), 0, F(-7, 65537)] + [F(0)] * 40, 6))  # interior zeros
 @example(([F(-3, 2), F(1, 10007)] + [F(0)] * 30, 31))
+@example(([F(2), F(-5, 3), F(1, 7)] + [F(0)] * 9, 9))  # lead 2 at the boundary N = 11
+@example(([F(-3, 2)] + [F(0)] * 3, 5))  # d = 0, the least short length
+@example(([F(1), 0, 0, F(-3)] + [F(0)] * 60, 12))  # Catalan-like: unit lead, integral
 @example(([F(2, 3)], 3))  # length 1
 @example((list(exp_x(24).coeffs), 8))  # dense: exp
 @example((list(log1p(25).shift_down(1).coeffs), 8))  # log(1+x)/x
 @example((list(series([1] * 25, 24).coeffs), 8))  # 1/(1-x)
 def test_reciprocal_powers_match_powers_of_the_inverse(case):
+    # entry m of each yielded (p, dp) is p[m] / (dp b^m), integers over positive dp and b: for
+    # a short g, b is the lcm of the denominators of g/g_0 and dp = |u|^k for g_0 = u/v; a
+    # dense g yields b = 1 and exactly the reduced form of powers(1/g)
     g, count = case
     expected = list(_kernel.powers(mul_inv(series(g)).coeffs, count))
-    assert list(_kernel.reciprocal_powers(g, count)) == expected
+    b, table = _kernel.reciprocal_powers(g, count)
+    table = list(table)
+    assert len(table) == count + 1
+    for (p, dp), (e, de) in zip(table, expected):
+        assert all(type(v) is int for v in p) and type(dp) is int
+        assert [F(v, dp * b**m) for m, v in enumerate(p)] == [F(v, de) for v in e]
+    if _kernel.is_short(g):
+        assert b == _kernel.scaled([c / g[0] for c in g])[1]
+        assert [dp for _, dp in table] == [abs(g[0].numerator) ** k for k in range(count + 1)]
+    else:
+        assert b == 1 and table == expected
 
 
 @pytest.mark.parametrize("n, short", [(14, False), (15, True), (64, True)])
@@ -181,7 +197,7 @@ def test_reciprocal_powers_divide_only_by_a_short_g(monkeypatch, n, short):
     calls = []
     monkeypatch.setattr(_kernel, "powers", lambda *args, real=_kernel.powers: calls.append(1) or real(*args))
     g = [F(-3, 2), F(1, 5), 0, F(2, 7)] + [F(0)] * (n - 3)  # degree 3: short from N = 15
-    list(_kernel.reciprocal_powers(g, 4))
+    list(_kernel.reciprocal_powers(g, 4)[1])
     assert calls == ([] if short else [1])
 
 
@@ -198,6 +214,22 @@ def test_power_loops_build_no_series_per_power(monkeypatch):
     assert series([0, 1], 64) ** 4 == series([0, 0, 0, 0, 1], 64)
     assert poly([0, 1]) ** 4 == poly([0, 0, 0, 0, 1]) and len(products) == 4
     assert series([2], 3) ** 0 == series([1], 3) and len(products) == 4
+
+
+def test_short_division_takes_no_gcd_per_power_or_row(monkeypatch):
+    # the graded loop has no lift and no reduced: the short paths of transfer, Steffensen
+    # and recurrence call gcd a fixed number of times (none), not once per power or row
+    calls = []
+    for module in (_kernel, umbral):
+        monkeypatch.setattr(module, "gcd", lambda *args, real=gcd: calls.append(1) or real(*args))
+    for lead in (F(1), F(-3, 2)):
+        Q = validate_delta(ShiftOp(series([0, lead, F(3, 7), F(-1, 5), F(1, 2)], 41)))
+        for route in (basic_transfer, basic_steffensen, basic_recurrence):
+            route(Q, 40)
+    assert calls == []
+    # the dense path keeps one reduced per power: the spy sees gcd where it is called
+    list(_kernel.reciprocal_powers(list(exp_x(12).coeffs), 3)[1])
+    assert calls
 
 
 def test_recurrences_and_km_take_no_apply_op_or_poly_sum(monkeypatch):
@@ -274,11 +306,11 @@ def test_pinned_deltas_routes_match_the_loops_they_replaced(Q, n):
 
 
 def _spies(monkeypatch):
-    """Record umbral's calls of ``mul_inv`` and of ``powers`` (with the count asked for) and
-    every Series product."""
+    """Record the kernel divider's builds of 1/g (its ``recurrence``, as "mul_inv"), umbral's
+    calls of ``powers`` (with the count asked for) and every Series product."""
     calls = []
-    real_inv, real_powers = umbral.mul_inv, umbral.powers
-    monkeypatch.setattr(umbral, "mul_inv", lambda f: calls.append("mul_inv") or real_inv(f))
+    real_inv, real_powers = _kernel.recurrence, umbral.powers
+    monkeypatch.setattr(_kernel, "recurrence", lambda *args: calls.append("mul_inv") or real_inv(*args))
     monkeypatch.setattr(umbral, "powers", lambda f, count: calls.append(("powers", count)) or real_powers(f, count))
     for name in ("__mul__", "__rmul__"):
         real = getattr(Series, name)
