@@ -43,11 +43,13 @@ def evaluate(c: Sequence[Fraction], a: Fraction) -> Fraction:
 
 
 def cauchy(x: Sequence[int], y: Sequence[int], n: int) -> list[int]:
-    """Integer Cauchy product through x^n: each nonzero of the sparser factor adds a copy of the other."""
-    if x.count(0) < y.count(0):
+    """Integer Cauchy product through x^n: each nonzero of the factor with fewer nonzeros
+    through x^n adds a copy of the other."""
+    x, y = x[: n + 1], y[: n + 1]
+    if len(x) - x.count(0) > len(y) - y.count(0):
         x, y = y, x
     acc = [0] * (n + 1)
-    for i, xi in enumerate(x[: n + 1]):
+    for i, xi in enumerate(x):
         if xi:
             seg = y[: n + 1 - i]
             acc[i : i + len(seg)] = map(add, acc[i : i + len(seg)], map(mul, repeat(xi), seg))

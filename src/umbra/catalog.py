@@ -1,10 +1,11 @@
 """Named basic-set families and their family-specific identity checks.
 
-Each family knows how to build its delta operator at any truncation and,
-where the literature provides one, the closed form of its coefficient
-triangle.  ``identity_check`` runs the family's special identities as exact
-assertions and returns a machine-readable report; ``check_all`` is the
-regression entry point used by the CLI.
+Each family is one row of ``_FAMILIES``: the factory of its spec (its delta
+operator at any truncation and the closed form of its coefficient triangle),
+the parameter sets that ``check --all`` runs, and its identity rows.
+``identity_check`` runs a family's identities as exact assertions and returns
+a machine-readable report; ``check_all`` is the regression entry point used by
+the CLI.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .fps import (
     series,
     x_series,
 )
-from .operators import DeltaOp, ShiftOp, shift_by, validate_delta
+from .operators import DeltaOp, ShiftOp, bracket_iterate, shift_by, validate_delta
 from .rational import RatLike, rat
 from .umbral import (
     RowForm,
@@ -80,6 +81,9 @@ def lah(n: int, k: int) -> int:
 
 
 class FamilySpec(Record):
+    """A family at coerced parameters: what its row's factory builds, its delta at any
+    truncation and the closed form of its triangle."""
+
     __slots__ = ("name", "params", "delta", "closed_form")
     name: str
     params: dict
@@ -120,13 +124,6 @@ def _times_powers(rows: list[list[int]], u: int, v: int) -> RowForm:
     return [[c * us[m - k] * vs[k] for k, c in enumerate(row)] for m, row in enumerate(rows)], vs
 
 
-def _spec_derivative() -> _Spec:
-    return (
-        lambda t: validate_delta(ShiftOp(x_series(t))),
-        lambda n: _integer([[0] * m + [1] for m in range(n + 1)]),
-    )
-
-
 def _spec_stretch(lam: Fraction) -> _Spec:
     if lam == 0:
         raise UnknownFamily("stretch parameter must be nonzero")
@@ -153,7 +150,7 @@ def _spec_rising() -> _Spec:
 
 def _spec_divided_difference(h: Fraction) -> _Spec:
     if h == 0:
-        return _spec_derivative()
+        return _spec_stretch(Fraction(1))  # the derivative
     return (
         lambda t: validate_delta((shift_by(h, t) - 1) * (1 / h)),
         lambda n: _times_powers(stirling_rows(n, True), -h.numerator, h.denominator),  # times (-h)^(m-k)
@@ -227,27 +224,11 @@ def _spec_degenerate_laguerre(p: int) -> _Spec:
     return build, lambda n: _integer([[entry(m, k) for k in range(m + 1)] for m in range(n + 1)])
 
 
-_SPEC_FACTORIES: dict[str, Callable[..., _Spec]] = {
-    "derivative": _spec_derivative,
-    "stretch": _spec_stretch,
-    "falling": _spec_falling,
-    "rising": _spec_rising,
-    "divided_difference": _spec_divided_difference,
-    "touchard": _spec_touchard,
-    "abel": _spec_abel,
-    "catalan": _spec_catalan,
-    "laguerre": _spec_laguerre,
-    "degenerate_laguerre": _spec_degenerate_laguerre,
-}
-
-FAMILY_NAMES = tuple(_SPEC_FACTORIES)
-
-
 def family(name: str, /, **params: RatLike) -> FamilySpec:
     """Look up a family by name; parameters are exact rationals."""
-    if name not in _SPEC_FACTORIES:
+    if name not in _FAMILIES:
         raise UnknownFamily(f"unknown family {name!r}; known: {', '.join(FAMILY_NAMES)}")
-    make_spec = _SPEC_FACTORIES[name]
+    make_spec = _FAMILIES[name][0]
     code = make_spec.__code__
     accepted = code.co_varnames[: code.co_argcount]
     missing = [key for key in accepted if key not in params]
@@ -385,41 +366,17 @@ def _check_gen_bernoulli(spec: FamilySpec, n: int, sets: dict):
     return None
 
 
-def _check_special_class(spec: FamilySpec, n: int, sets: dict):
-    T = n + 3
-    name = spec.name
-    if name == "falling":
-        U, V = ShiftOp(series([1], T)), shift_by(-1, T)
-    elif name == "divided_difference":
-        h = spec.params["h"]
-        U, V = ShiftOp(series([1], T)), shift_by(-h, T)
-    elif name == "laguerre":
-        U = V = ShiftOp(series([1, -1], T))
-    elif name == "touchard":
-        U, V = ShiftOp(series([1, 1], T)), ShiftOp(series([1], T))
-    elif name == "catalan":
-        U, V = ShiftOp(series([1, -2], T)), ShiftOp(mul_inv(series([1, -2], T)) ** 2)
-    else:
-        return None
-    phi = _basic(sets, spec, n)
-    for m in range(1, min(n, 4) + 1):
-        if not special_class_check(phi, U, V, m):
-            return {"n": m}
-    return None
+def _check_special_class(ops, spec: FamilySpec, n: int, sets: dict, basic=_basic):
+    """phi X^m = sum_k phi(m, k) X^k U^k V^m phi for m = 1..min(n, 4), on the basic set phi
+    that ``basic`` reads, with the operator pair (U, V) = ops(n + 3, **params) of the row."""
+    U, V = ops(n + 3, **spec.params)
+    phi = basic(sets, spec, n)
+    return next(({"n": m} for m in range(1, min(n, 4) + 1) if not special_class_check(phi, U, V, m)), None)
 
 
-def _check_catalan_inverse_class(spec: FamilySpec, n: int, sets: dict):
-    T = n + 3
-    Q = spec.delta(T)
-    from .operators import bracket_iterate
-
-    cinv = basic_set(bracket_iterate(Q, -1), n, "transfer")
-    U = ShiftOp(series([1, -4], T))
-    V = ShiftOp(pow_rat(series([1, -4], T), Fraction(-1, 2)))
-    for m in range(1, min(n, 4) + 1):
-        if not special_class_check(cinv, U, V, m):
-            return {"n": m}
-    return None
+def _inverse_basic(sets: dict, spec: FamilySpec, n: int) -> Triangle:
+    """The basic set of Q^[-1], the compositional inverse of spec's delta Q, by the transfer route."""
+    return basic_set(bracket_iterate(spec.delta(n + 3), -1), n, "transfer")
 
 
 def _check_catalan_bell(spec: FamilySpec, n: int, sets: dict):
@@ -641,52 +598,6 @@ def _check_degenerate_closed_form(spec: FamilySpec, n: int, sets: dict):
     return None
 
 
-_FAMILY_IDENTITIES: dict[str, list[tuple[str, Callable[[FamilySpec, int, dict], dict | None], int]]] = {
-    "derivative": [],
-    "stretch": [],
-    "falling": [
-        ("chu_vandermonde", _check_chu_vandermonde, 8),
-        ("stirling_recurrences", _check_stirling_recurrences, 10),
-        ("gen_bernoulli", _check_gen_bernoulli, 8),
-        ("special_class", _check_special_class, 8),
-    ],
-    "rising": [],
-    "divided_difference": [
-        ("conjugation", _check_conjugation, 10),
-        ("special_class", _check_special_class, 8),
-    ],
-    "touchard": [
-        ("spivey", _check_spivey, 10),
-        ("dobinski", _check_dobinski, 10),
-        ("touchard_recurrence", _check_touchard_recurrence, 10),
-        ("special_class", _check_special_class, 8),
-    ],
-    "abel": [
-        ("abel_identity", _check_abel_identity, 8),
-        ("smooth_abel", _check_smooth_abel, 8),
-        ("abel_inverse_niederhausen", _check_abel_inverse, 8),
-    ],
-    "catalan": [
-        ("catalan_bell", _check_catalan_bell, 8),
-        ("catalan_numbers", _check_catalan_numbers, 10),
-        ("special_class", _check_special_class, 8),
-        ("special_class_inverse", _check_catalan_inverse_class, 8),
-    ],
-    "laguerre": [
-        ("erdelyi", _check_erdelyi, 8),
-        ("laguerre_commutation", _check_special_class, 8),
-        ("laguerre_involution", _check_laguerre_involution, 8),
-        ("lah_connection", _check_lah_connection, 8),
-        ("laguerre_powers", _check_laguerre_powers, 8),
-    ],
-    "degenerate_laguerre": [
-        ("degenerate_closed_form", _check_degenerate_closed_form, 8),
-        ("degenerate_laguerre_ode", _check_degenerate_ode, 8),
-        ("degenerate_cross", _check_degenerate_cross, 6),
-    ],
-}
-
-
 def _check_transform_roundtrip(spec: FamilySpec, n: int, sets: dict, rng) -> dict | None:
     """Both dual inversion transforms on random rational sequences.
 
@@ -712,9 +623,78 @@ def _apply(rows, v: list[int]) -> list[int]:
     return [sum(map(mul, row, v)) for row in rows]
 
 
+_Identity = tuple[str, Callable[[FamilySpec, int, dict], dict | None], int]  # name, check, depth cap
+
+
+def _op(coeffs: list[int], T: int) -> ShiftOp:
+    return ShiftOp(series(coeffs, T))
+
+
+# One row per family: the factory of its spec, whose parameters are ``family``'s, the parameter
+# sets that ``check --all`` runs, and its identity rows after the three that every family runs.
+# A special-class row carries its operator pair (U, V) as a function of the truncation and the
+# family's parameters.
+_FAMILIES: dict[str, tuple[Callable[..., _Spec], tuple[dict, ...], tuple[_Identity, ...]]] = {
+    "derivative": (lambda: _spec_stretch(Fraction(1)), ({},), ()),
+    "stretch": (_spec_stretch, ({"lam": Fraction(2)}, {"lam": Fraction(3)}), ()),
+    "falling": (_spec_falling, ({},), (
+        ("chu_vandermonde", _check_chu_vandermonde, 8),
+        ("stirling_recurrences", _check_stirling_recurrences, 10),
+        ("gen_bernoulli", _check_gen_bernoulli, 8),
+        ("special_class", partial(_check_special_class, lambda T: (_op([1], T), shift_by(-1, T))), 8),
+    )),
+    "rising": (_spec_rising, ({},), ()),
+    "divided_difference": (_spec_divided_difference, ({"h": Fraction(1, 2)},), (
+        ("conjugation", _check_conjugation, 10),
+        ("special_class", partial(_check_special_class, lambda T, h: (_op([1], T), shift_by(-h, T))), 8),
+    )),
+    "touchard": (_spec_touchard, ({},), (
+        ("spivey", _check_spivey, 10),
+        ("dobinski", _check_dobinski, 10),
+        ("touchard_recurrence", _check_touchard_recurrence, 10),
+        ("special_class", partial(_check_special_class, lambda T: (_op([1, 1], T), _op([1], T))), 8),
+    )),
+    "abel": (_spec_abel, ({"a": Fraction(1)},), (
+        ("abel_identity", _check_abel_identity, 8),
+        ("smooth_abel", _check_smooth_abel, 8),
+        ("abel_inverse_niederhausen", _check_abel_inverse, 8),
+    )),
+    "catalan": (_spec_catalan, ({},), (
+        ("catalan_bell", _check_catalan_bell, 8),
+        ("catalan_numbers", _check_catalan_numbers, 10),
+        ("special_class", partial(
+            _check_special_class, lambda T: (_op([1, -2], T), ShiftOp(mul_inv(series([1, -2], T)) ** 2))
+        ), 8),
+        ("special_class_inverse", partial(
+            _check_special_class,
+            lambda T: (_op([1, -4], T), ShiftOp(pow_rat(series([1, -4], T), Fraction(-1, 2)))),
+            basic=_inverse_basic,
+        ), 8),
+    )),
+    "laguerre": (_spec_laguerre, ({},), (
+        ("erdelyi", _check_erdelyi, 8),
+        ("laguerre_commutation", partial(_check_special_class, lambda T: (_op([1, -1], T),) * 2), 8),
+        ("laguerre_involution", _check_laguerre_involution, 8),
+        ("lah_connection", _check_lah_connection, 8),
+        ("laguerre_powers", _check_laguerre_powers, 8),
+    )),
+    "degenerate_laguerre": (_spec_degenerate_laguerre, ({"p": 1}, {"p": 2}, {"p": 3}), (
+        ("degenerate_closed_form", _check_degenerate_closed_form, 8),
+        ("degenerate_laguerre_ode", _check_degenerate_ode, 8),
+        ("degenerate_cross", _check_degenerate_cross, 6),
+    )),
+}
+
+FAMILY_NAMES = tuple(_FAMILIES)
+
+DEFAULT_CHECK_SET: tuple[tuple[str, dict], ...] = tuple(
+    (name, params) for name, (_, check_params, _) in _FAMILIES.items() for params in check_params
+)
+
+
 def identity_check(name: str, n: int = 10, seed: int = 0, **params) -> Report:
-    """Run every identity of a family at depth min(n, its row's cap), the three rows
-    here and then the family's rows of ``_FAMILY_IDENTITIES``; exact pass/fail each.
+    """Run every identity of a family at depth min(n, its row's cap): the three rows that
+    every family runs, then its identity rows in ``_FAMILIES``; exact pass/fail each.
     The identities share one basic set per (family, params, depth), built in this call."""
     report = Report()
     _run_identities(family(name, **params), n, report, seed, {})
@@ -725,30 +705,13 @@ def _run_identities(spec: FamilySpec, n: int, report: Report, seed: int, sets: d
     """``identity_check`` of spec, with basic sets taken from and added to ``sets``."""
     import random
 
-    rows = [
+    rows = (
         ("five_routes", _check_routes, 10),
         ("binomial_type", _check_binomial, 8),
         ("transform_roundtrip", partial(_check_transform_roundtrip, rng=random.Random(seed)), 10),
-    ]
-    for identity, check, depth in rows + _FAMILY_IDENTITIES[spec.name]:
+    )
+    for identity, check, depth in rows + _FAMILIES[spec.name][2]:
         report.record(spec.name, identity, spec.params, check(spec, min(n, depth), sets))
-
-
-DEFAULT_CHECK_SET: tuple[tuple[str, dict], ...] = (
-    ("derivative", {}),
-    ("stretch", {"lam": Fraction(2)}),
-    ("stretch", {"lam": Fraction(3)}),
-    ("falling", {}),
-    ("rising", {}),
-    ("divided_difference", {"h": Fraction(1, 2)}),
-    ("touchard", {}),
-    ("abel", {"a": Fraction(1)}),
-    ("catalan", {}),
-    ("laguerre", {}),
-    ("degenerate_laguerre", {"p": 1}),
-    ("degenerate_laguerre", {"p": 2}),
-    ("degenerate_laguerre", {"p": 3}),
-)
 
 
 def check_all(n: int = 10, seed: int = 0) -> Report:

@@ -1,10 +1,13 @@
 """Family catalog: closed forms, lookups, identity reports."""
 
+import ast
 import tracemalloc
 from collections import Counter
 from fractions import Fraction as F
+from functools import partial
 from itertools import cycle
 from math import factorial
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +24,7 @@ from umbra.catalog import (
 )
 from umbra.errors import UnknownFamily
 from umbra.fps import Poly, poly, series, x_series
+from umbra.operators import shift_by
 from umbra.umbral import (
     Triangle, binomial_convolution, is_binomial_type, tri_from_form, tri_identity
 )
@@ -178,6 +182,143 @@ def test_identity_check_seeded_is_deterministic():
     b = identity_check("falling", n=8, seed=5)
     assert [(r.identity, r.status) for r in a.results] == [
         (r.identity, r.status) for r in b.results
+    ]
+
+
+# -- the depth of every identity row; no catalog function branches on a family's name -------------
+
+# family(params), identity, and the depth its check runs at in check_all at orders 0, 7 and 64.
+# No output shows a depth (check --all prints the same bytes from order 10 up), so a table edit
+# that moves a cap fails here and nowhere else.
+_DEPTHS = """
+derivative                 five_routes                 0 7 10
+derivative                 binomial_type               0 7 8
+derivative                 transform_roundtrip         0 7 10
+stretch(lam=2)             five_routes                 0 7 10
+stretch(lam=2)             binomial_type               0 7 8
+stretch(lam=2)             transform_roundtrip         0 7 10
+stretch(lam=3)             five_routes                 0 7 10
+stretch(lam=3)             binomial_type               0 7 8
+stretch(lam=3)             transform_roundtrip         0 7 10
+falling                    five_routes                 0 7 10
+falling                    binomial_type               0 7 8
+falling                    transform_roundtrip         0 7 10
+falling                    chu_vandermonde             0 7 8
+falling                    stirling_recurrences        0 7 10
+falling                    gen_bernoulli               0 7 8
+falling                    special_class               0 7 8
+rising                     five_routes                 0 7 10
+rising                     binomial_type               0 7 8
+rising                     transform_roundtrip         0 7 10
+divided_difference(h=1/2)  five_routes                 0 7 10
+divided_difference(h=1/2)  binomial_type               0 7 8
+divided_difference(h=1/2)  transform_roundtrip         0 7 10
+divided_difference(h=1/2)  conjugation                 0 7 10
+divided_difference(h=1/2)  special_class               0 7 8
+touchard                   five_routes                 0 7 10
+touchard                   binomial_type               0 7 8
+touchard                   transform_roundtrip         0 7 10
+touchard                   spivey                      0 7 10
+touchard                   dobinski                    0 7 10
+touchard                   touchard_recurrence         0 7 10
+touchard                   special_class               0 7 8
+abel(a=1)                  five_routes                 0 7 10
+abel(a=1)                  binomial_type               0 7 8
+abel(a=1)                  transform_roundtrip         0 7 10
+abel(a=1)                  abel_identity               0 7 8
+abel(a=1)                  smooth_abel                 0 7 8
+abel(a=1)                  abel_inverse_niederhausen   0 7 8
+catalan                    five_routes                 0 7 10
+catalan                    binomial_type               0 7 8
+catalan                    transform_roundtrip         0 7 10
+catalan                    catalan_bell                0 7 8
+catalan                    catalan_numbers             0 7 10
+catalan                    special_class               0 7 8
+catalan                    special_class_inverse       0 7 8
+laguerre                   five_routes                 0 7 10
+laguerre                   binomial_type               0 7 8
+laguerre                   transform_roundtrip         0 7 10
+laguerre                   erdelyi                     0 7 8
+laguerre                   laguerre_commutation        0 7 8
+laguerre                   laguerre_involution         0 7 8
+laguerre                   lah_connection              0 7 8
+laguerre                   laguerre_powers             0 7 8
+degenerate_laguerre(p=1)   five_routes                 0 7 10
+degenerate_laguerre(p=1)   binomial_type               0 7 8
+degenerate_laguerre(p=1)   transform_roundtrip         0 7 10
+degenerate_laguerre(p=1)   degenerate_closed_form      0 7 8
+degenerate_laguerre(p=1)   degenerate_laguerre_ode     0 7 8
+degenerate_laguerre(p=1)   degenerate_cross            0 6 6
+degenerate_laguerre(p=2)   five_routes                 0 7 10
+degenerate_laguerre(p=2)   binomial_type               0 7 8
+degenerate_laguerre(p=2)   transform_roundtrip         0 7 10
+degenerate_laguerre(p=2)   degenerate_closed_form      0 7 8
+degenerate_laguerre(p=2)   degenerate_laguerre_ode     0 7 8
+degenerate_laguerre(p=2)   degenerate_cross            0 6 6
+degenerate_laguerre(p=3)   five_routes                 0 7 10
+degenerate_laguerre(p=3)   binomial_type               0 7 8
+degenerate_laguerre(p=3)   transform_roundtrip         0 7 10
+degenerate_laguerre(p=3)   degenerate_closed_form      0 7 8
+degenerate_laguerre(p=3)   degenerate_laguerre_ode     0 7 8
+degenerate_laguerre(p=3)   degenerate_cross            0 6 6
+"""
+
+
+def test_every_identity_row_runs_at_its_pinned_depth(monkeypatch):
+    seen = []
+
+    def wrap(identity, check):
+        def run(spec, n, sets, **kwargs):
+            params = ",".join(f"{k}={v}" for k, v in sorted(spec.params.items()))
+            seen.append((f"{spec.name}({params})" if params else spec.name, identity, n))
+            return check(spec, n, sets, **kwargs)
+
+        return run
+
+    common = {"_check_routes": "five_routes", "_check_binomial": "binomial_type",
+              "_check_transform_roundtrip": "transform_roundtrip"}
+    for attr, identity in common.items():
+        monkeypatch.setattr(catalog, attr, wrap(identity, getattr(catalog, attr)))
+    for name, (make_spec, check_params, rows) in list(catalog._FAMILIES.items()):
+        wrapped = tuple((identity, wrap(identity, check), cap) for identity, check, cap in rows)
+        monkeypatch.setitem(catalog._FAMILIES, name, (make_spec, check_params, wrapped))
+    pinned = [line.split() for line in _DEPTHS.strip().splitlines()]
+    for col, order in enumerate((0, 7, 64)):
+        seen.clear()
+        assert check_all(order).all_passed
+        assert seen == [(label, identity, int(row[col])) for label, identity, *row in pinned], order
+
+
+def _family_name_comparisons(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each family name that a comparison or a match case inside a function
+    or lambda of ``source`` reads."""
+    names, hits = set(catalog.FAMILY_NAMES), []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, (ast.Compare, ast.MatchValue)):
+                hits += [
+                    (c.lineno, c.value) for c in ast.walk(node)
+                    if isinstance(c, ast.Constant) and isinstance(c.value, str) and c.value in names
+                ]
+    return sorted(set(hits))
+
+
+def test_no_catalog_function_compares_with_a_family_name():
+    # the table is the one place that says which family has which identity
+    assert _family_name_comparisons(Path(catalog.__file__).read_text()) == []
+    branching = (
+        "def check(spec):\n"
+        "    if spec.name == 'falling' or spec.name in ('catalan', 'rising'):\n"
+        "        return 1\n"
+        "    match spec.name:\n"
+        "        case 'laguerre':\n"
+        "            return 2\n"
+        "f = lambda name: 'abel' != name\n"
+    )
+    assert _family_name_comparisons(branching) == [
+        (2, "catalan"), (2, "falling"), (2, "rising"), (5, "laguerre"), (7, "abel")
     ]
 
 
@@ -651,13 +792,52 @@ def test_transform_roundtrip_fails_on_a_corrupted_inverse(monkeypatch, col, seq,
     assert catalog._check_transform_roundtrip(spec, 8, {}, _FixedDraws(seq)) == expected
 
 
-@pytest.mark.parametrize("name", ["falling", "touchard", "laguerre", "catalan"])
+def _row_check(name, identity):
+    """The check of the identity row ``identity`` in the table row of the family ``name``."""
+    return next(check for ident, check, _ in catalog._FAMILIES[name][2] if ident == identity)
+
+
+@pytest.mark.parametrize(
+    "name, params, identity",
+    [
+        ("falling", {}, "special_class"),
+        ("divided_difference", {"h": F(1, 2)}, "special_class"),
+        ("touchard", {}, "special_class"),
+        ("laguerre", {}, "laguerre_commutation"),
+        ("catalan", {}, "special_class"),
+    ],
+)
 @pytest.mark.parametrize("row, col", [(3, 1), (5, 2), (8, 7)])
-def test_special_class_fails_on_a_corrupted_row(monkeypatch, name, row, col):
+def test_special_class_fails_on_a_corrupted_row(monkeypatch, name, params, identity, row, col):
     # n = 1 reaches every row of the triangle, so the first failure is always there
-    assert catalog._check_special_class(family(name), 8, {}) is None
+    check, spec = _row_check(name, identity), family(name, **params)
+    assert check(spec, 8, {}) is None
     _corrupt_basic(monkeypatch, name, row, col)
-    assert catalog._check_special_class(family(name), 8, {}) == {"n": 1}
+    assert check(spec, 8, {}) == {"n": 1}
+
+
+@pytest.mark.parametrize("row, col", [(3, 1), (5, 2), (8, 7)])
+def test_special_class_inverse_reads_the_set_of_the_inverse_delta(monkeypatch, row, col):
+    # the Catalan set itself is not read; the set of Q^[-1] is, and a corrupted entry fails at n = 1
+    check, spec = _row_check("catalan", "special_class_inverse"), family("catalan")
+    _corrupt_basic(monkeypatch, "catalan", row, col)
+    assert check(spec, 8, {}) is None
+    real = catalog.basic_set
+
+    def basic_set(Q, n, route):
+        rows = [list(r) for r in real(Q, n, route).rows]
+        rows[row][col] += 1
+        return Triangle(tuple(map(tuple, rows)))
+
+    monkeypatch.setattr(catalog, "basic_set", basic_set)
+    assert check(spec, 8, {}) == {"n": 1}
+
+
+def test_special_class_fails_on_a_wrong_operator_pair():
+    # falling's pair is (1, E^-1); with V = E^+1 the identity fails at its first degree
+    wrong = partial(catalog._check_special_class, lambda T: (catalog._op([1], T), shift_by(1, T)))
+    assert _row_check("falling", "special_class")(family("falling"), 8, {}) is None
+    assert wrong(family("falling"), 8, {}) == {"n": 1}
 
 
 # -- the last Poly-loop identities on scaled rows; the degenerate base at any p -----------------

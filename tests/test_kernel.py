@@ -133,6 +133,18 @@ def test_empty_and_zero_vectors():
     assert zeros == [0, 0, 0, 0] and normalised(zeros)
 
 
+@pytest.mark.parametrize("swap", [False, True])
+def test_cauchy_walks_the_factor_with_fewer_nonzeros(monkeypatch, swap):
+    # h has more zeros than [1, 1] but 63 nonzeros to its 2: each walked row makes one repeat
+    h = list(range(1, 65))
+    h[5] = 0
+    x, y = ([1, 1], h)[::-1] if swap else ([1, 1], h)
+    walked = []
+    monkeypatch.setattr(_kernel, "repeat", lambda v, real=_kernel.repeat: walked.append(v) or real(v))
+    assert _kernel.cauchy(x, y, 63) == [h[0]] + [h[m] + h[m - 1] for m in range(1, 64)]
+    assert walked == [1, 1]
+
+
 @settings(max_examples=60, deadline=None)
 @given(series_values(), st.integers(0, 6))
 @example(series([F(2, 65537), 0, 0, F(-5, 3), 0, 0, 0, F(1, 7), 0], 8), 6)  # sparse, interior zeros
