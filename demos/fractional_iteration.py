@@ -42,12 +42,13 @@ print("   Koszul numbers:", [str(v) for v in koszul_numbers(8)[2:]])
 # The same flow acts on umbral operators: phi^s for the forward difference
 # interpolates between the Stirling triangles of both kinds.
 Q = family("falling").delta(14)
-half_tri = tri_from_form(phi_pow(Q, F(1, 2), 6))
+half_form = phi_pow(Q, F(1, 2), 6)
+half_tri = tri_from_form(half_form)
 print("\nsquare root of the falling-factorial triangle, row 4:")
 print("   ", [str(v) for v in half_tri.rows[4]])
-print("   squared back:", tri_compose(half_tri, half_tri) == family("falling").basic(6))
+print("   squared back:", tri_compose(half_tri, half_tri) == tri_from_form(family("falling").basic(6)))
 print("   phi^{-1} row 4 (Stirling-2):", [str(v) for v in tri_from_form(phi_pow(Q, -1, 6)).rows[4]])
 
-jab = jabotinsky(half_tri)
+jab = jabotinsky(half_form)
 print("\nJabotinsky rescaling k!/n! of the half-power triangle, row 4:")
 print("   ", [str(v) for v in jab[4]])

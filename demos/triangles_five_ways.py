@@ -17,7 +17,9 @@ from umbra import (
     family,
     is_binomial_type,
     tri_compose,
+    tri_from_form,
     tri_invert,
+    tri_to_form,
 )
 
 N = 6
@@ -47,21 +49,21 @@ show("inverse = Stirling-2 / Touchard", tri_invert(triangles["transfer"]))
 
 # The logistic derivative D(1-D) encodes Catalan numbers: its basic rows
 # have the closed form C(2n-k-1, n-1) (n-1)!/(k-1)!.
-show("Catalan polynomials for D(1-D)", family("catalan").basic(N))
+show("Catalan polynomials for D(1-D)", tri_from_form(family("catalan").basic(N)))
 
 # Abel polynomials x(x-an)^{n-1} for the shifted derivative D E^a.
-show("Abel polynomials (a = 1)", family("abel", a=1).basic(N))
+show("Abel polynomials (a = 1)", tri_from_form(family("abel", a=1).basic(N)))
 
 # Connection constants: expanding rising factorials in falling factorials
 # produces the unsigned Lah numbers; their triangle is falling^{-1} o rising.
-rising = family("rising").basic(N)
-falling = family("falling").basic(N)
+rising = tri_from_form(family("rising").basic(N))
+falling = tri_from_form(family("falling").basic(N))
 show("Lah numbers = connection(rising -> falling)", tri_compose(tri_invert(falling), rising))
 
 # The binomial-type detector accepts every basic triangle and rejects
 # anything Sheffer-but-not-basic or perturbed.
 print("\nbinomial-type detector:")
-print("   falling factorials:", is_binomial_type(falling))
+print("   falling factorials:", is_binomial_type(tri_to_form(falling)))
 rows = [list(r) for r in falling.rows]
 rows[4][2] += F(1, 3)
-print("   perturbed copy    :", is_binomial_type(Triangle(tuple(tuple(r) for r in rows))))
+print("   perturbed copy    :", is_binomial_type(tri_to_form(Triangle(tuple(tuple(r) for r in rows)))))

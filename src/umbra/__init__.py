@@ -72,9 +72,8 @@ from .umbral import (
     transform_seq,
     tri_compose,
     tri_from_form,
-    tri_identity,
     tri_invert,
-    triangle,
+    tri_to_form,
 )
 from .flow import (
     delta_power,

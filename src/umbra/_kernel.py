@@ -2,9 +2,10 @@
 
 A vector of rationals enters as integer numerators over one common
 denominator (the lcm of its denominators), the loop runs on Python ints, and
-each output entry becomes a reduced ``Fraction`` once, at the end.  This is
-the fraction-free idea of Bareiss (Math. Comp. 22, 1968): no gcd inside the
-loop, and no floats anywhere.
+each output entry becomes a reduced ``Fraction`` once, at the end, or stays
+an integer (nums, den); a triangle is its row form (rows, dens), row m over
+its own positive denominator.  This is the fraction-free idea of Bareiss
+(Math. Comp. 22, 1968): no gcd inside the loop, and no floats anywhere.
 
 A division by a short polynomial g (``divider``) carries its vectors graded
 instead: entry m is an integer over d b^m, for one denominator d per vector
@@ -23,6 +24,8 @@ from itertools import accumulate, repeat
 from math import factorial, gcd, lcm
 from operator import add, mul
 from typing import Sequence
+
+from .errors import SingularTriangle
 
 
 def scaled(values: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -168,32 +171,60 @@ def derivative(x: Sequence[int]) -> list[int]:
     return [k * v for k, v in enumerate(x[1:], 1)]
 
 
-def tri_product(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]):
-    """Rows of the lower-triangular product: out[m][k] = sum_j a[m][j] b[j][k]."""
-    n = min(len(a), len(b))
-    rows = [scaled(row) for row in a[:n]]
-    cols = [scaled([b[j][k] for j in range(k, n)]) for k in range(n)]
-    return [
-        tuple(Fraction(sum(map(mul, x[k:], y)), dx * dy) for k, (y, dy) in enumerate(cols[: m + 1]))
-        for m, (x, dx) in enumerate(rows)
-    ]
+RowForm = tuple[list[list[int]], list[int]]  # a triangle: row m is rows[m][k] / dens[m], k <= m
 
 
-def tri_inverse(rows: Sequence[Sequence[Fraction]]):
-    """Rows of the inverse of a lower-triangular matrix with a nonzero diagonal.
+def lifted(form: RowForm) -> tuple[list[list[int]], int]:
+    """(nums, den) with entry (m, k) of the form (rows, dens), dens > 0, equal to nums[m][k] / den,
+    den the lcm of dens; each row is padded with zeros to the length of the longest."""
+    rows, dens = form
+    den, width = lcm(*dens), max(map(len, rows), default=0)
+    lifts = [den // d for d in dens]
+    return [[v * f for v in row] + [0] * (width - len(row)) for row, f in zip(rows, lifts)], den
 
-    Forward substitution, one column at a time; the solved part of the column
-    is kept as integers over one denominator, which grows only when a new
-    entry needs it."""
-    mats = [scaled(row) for row in rows]
-    inv = [[Fraction(0)] * (m + 1) for m in range(len(rows))]
-    for k in range(len(rows)):
-        col, den = [], 1
-        for m, (x, dx) in enumerate(mats[k:], k):
-            v = Fraction((dx * den if m == k else 0) - sum(map(mul, x[k:m], col)), den * x[m])
-            inv[m][k] = v
-            den = _append(col, den, v)
-    return [tuple(row) for row in inv]
+
+def _join(cols: list[list[int]], den: int, row: Sequence[int], d: int) -> int:
+    """Open a column, then append entry k of row / d to cols[k], columns of integers over den;
+    returns the new den, which grows (and rescales cols) only when d does not divide it."""
+    if den % d:
+        f = d // gcd(den, d)
+        den, cols[:] = den * f, [[v * f for v in col] for col in cols]
+    cols.append([])
+    lift = den // d
+    for col, v in zip(cols, row):
+        col.append(v * lift)
+    return den
+
+
+def form_product(a: RowForm, b: RowForm) -> RowForm:
+    """The lower-triangular product of row forms (dens > 0), entry (m, k) sum_j a[m][j] b[j][k]:
+    the rows of b join columns over the running lcm L of their denominators (``_join``), and
+    row m is sum_j a_mj B_j over da_m L, reduced by one gcd."""
+    (ar, ad), (br, bd) = a, b
+    cols, den, rows, dens = [], 1, [], []
+    for x, dx, y, dy in zip(ar, ad, br, bd):
+        den = _join(cols, den, y, dy)
+        nums, d = reduced([sum(map(mul, x[k:], col)) for k, col in enumerate(cols)], dx * den)
+        rows.append(nums)
+        dens.append(d)
+    return rows, dens
+
+
+def form_inverse(form: RowForm) -> RowForm:
+    """The inverse of a lower-triangular row form (dens > 0); SingularTriangle on a zero
+    diagonal entry.  Forward substitution a row at a time, fraction-free: the solved rows
+    join columns over one denominator E (``_join``), and for row m of the input a / d, row m
+    of the inverse is [-sum_j a_j Y_jk for k < m] + [d E] over a_m E, reduced by one gcd."""
+    cols, den, out, out_dens = [], 1, [], []
+    for m, (x, d) in enumerate(zip(*form)):
+        if not x[m]:
+            raise SingularTriangle(f"zero diagonal entry at row {m}")
+        sums = [-sum(map(mul, x[k:m], col)) for k, col in enumerate(cols)]
+        nums, dm = reduced(sums + [d * den], x[m] * den)
+        out.append(nums)
+        out_dens.append(dm)
+        den = _join(cols, den, nums, dm)
+    return out, out_dens
 
 
 def _append(col: list[int], den: int, v: Fraction) -> int:
@@ -225,14 +256,6 @@ def recurrence(f: Sequence[Fraction], g0: Fraction, wa: int, wb: int, q: int = 1
         den = _append(col, den, out[-1])
         del col[: max(len(col) - len(a), 0)]
     return out
-
-
-def scaled_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
-    """(nums, den) with rows[m][j] == nums[m][j] / den, den the lcm of every denominator;
-    each row is padded with zeros to the length of the longest."""
-    den, width = lcm(*[v.denominator for row in rows for v in row]), max(map(len, rows), default=0)
-    nums = [[v.numerator * (den // v.denominator) for v in row] + [0] * (width - len(row)) for row in rows]
-    return nums, den
 
 
 def krylov(a: Sequence[Sequence[int]], da: int, vec: tuple[Sequence[int], int], count: int):

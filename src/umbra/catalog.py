@@ -17,38 +17,22 @@ from math import comb, factorial, perm, prod
 from operator import add, mul
 from typing import Callable
 
-from ._kernel import scaled, scaled_rows
-from .errors import Record, RouteDisagreement, UnknownFamily
-from .fps import (
-    Poly,
-    Series,
-    comp_inv,
-    exp_series,
-    mul_inv,
-    poly,
-    pow_rat,
-    series,
-    x_series,
-)
+from ._kernel import form_inverse, form_product, lifted, scaled
+from .errors import Record, RouteDisagreement, UnknownFamily, equal
+from .fps import Series, comp_inv, exp_series, mul_inv, pow_rat, series, x_series
 from .operators import DeltaOp, ShiftOp, bracket_iterate, shift_by, validate_delta
 from .rational import RatLike, rat
 from .umbral import (
     RowForm,
-    Triangle,
-    basic_from_inverse_series,
-    basic_set,
+    basic_form,
     binomial_convolution,
     cross,
     delta_of,
+    inverse_series_form,
     is_binomial_type,
     niederhausen,
     sheffer,
     special_class_check,
-    tri_compose,
-    tri_from_form,
-    tri_identity,
-    tri_invert,
-    triangle,
 )
 
 # ---------------------------------------------------------------------------
@@ -98,10 +82,10 @@ class FamilySpec(Record):
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "closed_form", closed_form)
 
-    def basic(self, n: int) -> Triangle:
-        """The set that ``check``'s identities test, by the transfer route: Touchard's
-        operator form g_{m+1} = x (1 + D) g_m is the recurrence route's own step."""
-        return basic_set(self.delta(n + 2), n, "transfer")
+    def basic(self, n: int) -> RowForm:
+        """The checked row form of the set that ``check``'s identities test, by the transfer
+        route: Touchard's operator form g_{m+1} = x (1 + D) g_m is the recurrence route's own step."""
+        return basic_form(self.delta(n + 2), n, "transfer")
 
 
 # what a family's factory knows: its delta builder and the closed form of its triangle, rows
@@ -296,10 +280,10 @@ class Report(Record):
         return all(r.passed for r in self.results)
 
 
-def _basic(sets: dict, spec: FamilySpec, n: int) -> Triangle:
-    """spec's basic set through row n from ``sets``, the basic sets of one check request,
-    built there by ``FamilySpec.basic`` on a miss; the key holds the coerced params, so
-    lam=2 and lam=Fraction(2) find one set."""
+def _basic(sets: dict, spec: FamilySpec, n: int) -> RowForm:
+    """The row form of spec's basic set through row n from ``sets``, the basic sets of one
+    check request, built there by ``FamilySpec.basic`` on a miss; the key holds the coerced
+    params, so lam=2 and lam=Fraction(2) find one set."""
     key = (spec.name, tuple(sorted(spec.params.items())), n)
     phi = sets.get(key)
     if phi is None:
@@ -307,23 +291,14 @@ def _basic(sets: dict, spec: FamilySpec, n: int) -> Triangle:
     return phi
 
 
-def _form(tri: Triangle) -> RowForm:
-    """The triangle form of tri that ``sheffer`` and ``cross`` read: each row over the lcm of
-    its denominators."""
-    pairs = [scaled(row) for row in tri.rows]
-    return [nums for nums, _ in pairs], [den for _, den in pairs]
-
-
 def _check_routes(spec: FamilySpec, n: int, sets: dict):
     """All five construction routes and the closed form must agree.  The routes never read
     ``sets``: they stay independent of the basic set that the other identities share."""
     try:
-        base = basic_set(spec.delta(n + 2), n)
+        base = basic_form(spec.delta(n + 2), n)
     except RouteDisagreement as exc:
         return {"route": exc.routes[1], "against": exc.routes[0]}
-    if base != tri_from_form(spec.closed_form(n)):
-        return {"route": "closed_form"}
-    return None
+    return None if equal(base, spec.closed_form(n)) else {"route": "closed_form"}
 
 
 def _check_binomial(spec: FamilySpec, n: int, sets: dict):
@@ -333,18 +308,18 @@ def _check_binomial(spec: FamilySpec, n: int, sets: dict):
 def _check_chu_vandermonde(spec: FamilySpec, n: int, sets: dict):
     """p_m(x+y) = sum_k C(m,k) p_k(x) p_{m-k}(y) at every (i, j) of the column EGFs, where
     ``_check_binomial`` tests j = 1 and reaches the rest by induction."""
-    rows = _basic(sets, spec, n).rows
-    m = binomial_convolution(rows, rows, rows)
+    phi = _basic(sets, spec, n)
+    m = binomial_convolution(phi, phi, phi)
     return None if m is None else {"n": m}
 
 
 def _check_stirling_recurrences(spec: FamilySpec, n: int, sets: dict):
-    # operator forms phi X = X phi (1+D)^{-1} and phi^{-1} X = X (1+D) phi^{-1}, on the scaled rows
+    # operator forms phi X = X phi (1+D)^{-1} and phi^{-1} X = X (1+D) phi^{-1}, on the lifted rows
     # f of phi (falling) and g of phi^{-1} (Touchard); (1+D)^{-1} x^m = sum_j (-1)^(m-j) m!/j! x^j.
     # The Stirling rows' own recurrences are how stirling_rows builds them, so five_routes and
     # triangle's closed-form check test those rows.
-    f, _ = scaled_rows(_basic(sets, family("falling"), n + 1).rows)
-    g, _ = scaled_rows(_basic(sets, family("touchard"), n + 1).rows)
+    f, _ = lifted(_basic(sets, family("falling"), n + 1))
+    g, _ = lifted(_basic(sets, family("touchard"), n + 1))
     for m in range(n + 1):
         w = [(-1) ** (m - j) * perm(m, m - j) for j in range(m + 1)]
         if f[m + 1] != [0] + [sum(wj * f[j][i] for j, wj in enumerate(w)) for i in range(n + 1)]:
@@ -374,9 +349,9 @@ def _check_special_class(ops, spec: FamilySpec, n: int, sets: dict, basic=_basic
     return next(({"n": m} for m in range(1, min(n, 4) + 1) if not special_class_check(phi, U, V, m)), None)
 
 
-def _inverse_basic(sets: dict, spec: FamilySpec, n: int) -> Triangle:
+def _inverse_basic(sets: dict, spec: FamilySpec, n: int) -> RowForm:
     """The basic set of Q^[-1], the compositional inverse of spec's delta Q, by the transfer route."""
-    return basic_set(bracket_iterate(spec.delta(n + 3), -1), n, "transfer")
+    return basic_form(bracket_iterate(spec.delta(n + 3), -1), n, "transfer")
 
 
 def _check_catalan_bell(spec: FamilySpec, n: int, sets: dict):
@@ -385,11 +360,11 @@ def _check_catalan_bell(spec: FamilySpec, n: int, sets: dict):
     are both (m-1)!/(k-1)! C(2m-k-1, m-1); that series is read through x^1 at least."""
     t = max(n, 1)
     catalans = [comb(2 * j, j) // (j + 1) for j in range(t)]
-    tri, table = _basic(sets, spec, n), basic_from_inverse_series(series([0] + catalans, t), n)
+    (rows, dens), (table, tdens) = _basic(sets, spec, n), inverse_series_form(series([0] + catalans, t), n)
     for m in range(1, n + 1):
         for k in range(1, m + 1):
-            expected = Fraction(factorial(m - 1), factorial(k - 1)) * comb(2 * m - k - 1, m - 1)
-            if table.entry(m, k) != expected or tri.entry(m, k) != expected:
+            expected = perm(m - 1, m - k) * comb(2 * m - k - 1, m - 1)
+            if table[m][k] != expected * tdens[m] or rows[m][k] != expected * dens[m]:
                 return {"n": m, "k": k}
     return None
 
@@ -407,8 +382,8 @@ def _check_catalan_numbers(spec: FamilySpec, n: int, sets: dict):
 
 def _check_spivey(spec: FamilySpec, n: int, sets: dict):
     """phi x^(n+m) = sum_k S(n,k) x^k phi (x+k)^m, on the rows e of the triangle
-    scaled once: phi (x+k)^m = sum_j C(m,j) k^(m-j) e[j] is an integer combination."""
-    e, _ = scaled_rows(_basic(sets, spec, n).rows)
+    lifted once: phi (x+k)^m = sum_j C(m,j) k^(m-j) e[j] is an integer combination."""
+    e, _ = lifted(_basic(sets, spec, n))
 
     def shifted(m: int, k: int) -> list[int]:
         """phi (x+k)^m through x^m."""
@@ -450,8 +425,8 @@ def _check_dobinski(spec: FamilySpec, n: int, sets: dict):
 
 
 def _check_touchard_recurrence(spec: FamilySpec, n: int, sets: dict):
-    """T_{m+1} = x sum_k C(m,k) T_k, on the scaled rows."""
-    e, _ = scaled_rows(_basic(sets, spec, n + 1).rows)
+    """T_{m+1} = x sum_k C(m,k) T_k, on the lifted rows."""
+    e, _ = lifted(_basic(sets, spec, n + 1))
     for m in range(n + 1):
         if e[m + 1] != [0] + [sum(comb(m, k) * e[k][i] for k in range(m + 1)) for i in range(n + 1)]:
             return {"n": m}
@@ -459,59 +434,67 @@ def _check_touchard_recurrence(spec: FamilySpec, n: int, sets: dict):
 
 
 def _check_erdelyi(spec: FamilySpec, n: int, sets: dict):
+    """The connection constants of the Laguerre set under x -> lam x, lam = u/v, are
+    Lah(m,k) lam^k (lam-1)^(m-k), that is Lah(m,k) u^k (u-v)^(m-k) over v^m."""
     lag = _basic(sets, spec, n)
-    inv = tri_invert(lag)
+    inv = form_inverse(lag)
     for lam in (Fraction(2), Fraction(1, 2), Fraction(-1)):
-        stretch_tri = tri_from_form(family("stretch", lam=lam).closed_form(n))
-        conn = tri_compose(inv, tri_compose(stretch_tri, lag))  # the connection constants
+        u, v = lam.numerator, lam.denominator
+        stretched = form_product(lag, family("stretch", lam=lam).closed_form(n))
+        rows, dens = form_product(stretched, inv)  # the connection constants
         for m in range(n + 1):
-            coef = [lah(m, k) * lam**k * (lam - 1) ** (m - k) for k in range(m + 1)]
             for k in range(m + 1):
-                if conn.entry(m, k) != coef[k]:
+                if rows[m][k] * v**m != lah(m, k) * u**k * (u - v) ** (m - k) * dens[m]:
                     return {"lam": str(lam), "n": m, "k": k}
     return None
 
 
 def _check_laguerre_involution(spec: FamilySpec, n: int, sets: dict):
-    lag = _basic(sets, spec, n)
-    ln = triangle(
-        [[(-1) ** m * lag.entry(m, k) for k in range(m + 1)] for m in range(n + 1)]
-    )
-    if tri_compose(ln, ln) != tri_identity(n):
-        return {"n": n}
-    return None
+    rows, dens = _basic(sets, spec, n)
+    ln = [[-v for v in row] if m % 2 else row for m, row in enumerate(rows)], dens
+    square = form_product(ln, ln)
+    return None if all(row == [0] * m + [d] for m, (row, d) in enumerate(zip(*square))) else {"n": n}
 
 
 def _check_lah_connection(spec: FamilySpec, n: int, sets: dict):
     lag = _basic(sets, spec, n)
     rising = _basic(sets, family("rising"), n)
     falling = _basic(sets, family("falling"), n)
-    if tri_compose(rising, lag) != falling:
+    if not equal(form_product(lag, rising), falling):
         return {"n": n}
     # Lah's original identity, (x)_m = sum_k (-1)^(m-k) Lah(m,k) x^(k), from the closed form
-    twin = tri_compose(rising, tri_from_form(spec.closed_form(n)))
-    return next(({"n": m} for m in range(n + 1) if twin.rows[m] != falling.rows[m]), None)
+    twin = form_product(spec.closed_form(n), rising)
+    lines = zip(zip(*twin), zip(*falling))
+    return next(({"n": m} for m, (t, f) in enumerate(lines) if not equal(t, f)), None)
 
 
 def _check_laguerre_powers(spec: FamilySpec, n: int, sets: dict):
-    lag = _basic(sets, spec, n)
-    tri_r = tri_identity(n)
+    lag = power = _basic(sets, spec, n)
     for r in (1, 2, 3):
-        tri_r = tri_compose(tri_r, lag)
+        if r > 1:
+            power = form_product(lag, power)
+        rows, dens = power
         for m in range(n + 1):
             for k in range(m + 1):
-                if tri_r.entry(m, k) != lah(m, k) * Fraction(-r) ** (m - k):
+                if rows[m][k] != lah(m, k) * (-r) ** (m - k) * dens[m]:
                     return {"r": r, "n": m, "k": k}
     return None
 
 
-def _abel_polys(a: Fraction, n: int) -> list[Poly]:
-    """The Abel polynomials x (x - ak)^(k-1) for k = 0..n."""
-    return [poly([1])] + [poly([0, 1]) * poly([-a * k, 1]) ** (k - 1) for k in range(1, n + 1)]
+def _shifted_power(u: int, v: int, e: int) -> list[int]:
+    """(x - u/v)^e as integers over v^e: entry j is C(e,j) (-u)^(e-j) v^j."""
+    return [comb(e, j) * (-u) ** (e - j) * v**j for j in range(e + 1)]
+
+
+def _abel_form(a: Fraction, n: int) -> RowForm:
+    """Rows 0..n of the Abel polynomials x (x - ak)^(k-1) on integers, row k over v^(k-1) for a = u/v."""
+    u, v = a.numerator, a.denominator
+    rows = [[0] + _shifted_power(u * k, v, k - 1) for k in range(1, n + 1)]
+    return [[1]] + rows, [1] + [v**k for k in range(n)]
 
 
 def _check_abel_identity(spec: FamilySpec, n: int, sets: dict):
-    abel = [p.coeffs for p in _abel_polys(spec.params["a"], n)]
+    abel = _abel_form(spec.params["a"], n)
     m = binomial_convolution(abel, abel, abel)
     return None if m is None else {"n": m}
 
@@ -519,13 +502,14 @@ def _check_abel_identity(spec: FamilySpec, n: int, sets: dict):
 def _check_smooth_abel(spec: FamilySpec, n: int, sets: dict):
     a = spec.params["a"]
     # Sheffer route: smooth Abel operator is (1+aD)^{-1} applied to the basic set
-    phi = _form(_basic(sets, spec, n))
-    rows = tri_from_form(sheffer(ShiftOp(mul_inv(series([1, a], n + 3))), phi)).rows
-    smooth = [(poly([-a * m, 1]) ** m).coeffs for m in range(n + 1)]  # (x - am)^m
-    hit = binomial_convolution(smooth, [p.coeffs for p in _abel_polys(a, n)], smooth)
+    sh = sheffer(ShiftOp(mul_inv(series([1, a], n + 3))), _basic(sets, spec, n))
+    u, v = a.numerator, a.denominator
+    smooth = [_shifted_power(u * m, v, m) for m in range(n + 1)], [v**m for m in range(n + 1)]  # (x - am)^m
+    hit = binomial_convolution(smooth, _abel_form(a, n), smooth)
     # at each degree the Sheffer form is reported before the convolution form
+    lines = list(zip(zip(*sh), zip(*smooth)))
     for m in range(n + 1 if hit is None else hit + 1):
-        if rows[m] != smooth[m]:
+        if not equal(*lines[m]):
             return {"form": "sheffer", "n": m}
     return None if hit is None else {"form": "convolution", "n": hit}
 
@@ -535,8 +519,8 @@ def _check_abel_inverse(spec: FamilySpec, n: int, sets: dict):
     if a == 0:
         return None
     stretch = family("stretch", lam=a)
-    nie = niederhausen(tri_from_form(stretch.closed_form(n)), stretch.delta(n + 2))
-    if nie != tri_invert(_basic(sets, spec, n)):
+    nie = niederhausen(stretch.closed_form(n), stretch.delta(n + 2))
+    if not equal(nie, form_inverse(_basic(sets, spec, n))):
         return {"n": n}
     if n == 0:  # the delta has no coefficient to compare
         return None
@@ -549,12 +533,14 @@ def _check_abel_inverse(spec: FamilySpec, n: int, sets: dict):
 
 
 def _check_conjugation(spec: FamilySpec, n: int, sets: dict):
+    """Entry (m, k) of the set for h = u/v is falling's times h^(m-k), on integers."""
     h = spec.params["h"]
-    phi_h = _basic(sets, spec, n)
-    falling = _basic(sets, family("falling"), n)
+    u, v = h.numerator, h.denominator
+    rows, dens = _basic(sets, spec, n)
+    f_rows, f_dens = _basic(sets, family("falling"), n)
     for m in range(n + 1):
         for k in range(m + 1):
-            if phi_h.entry(m, k) != falling.entry(m, k) * h ** (m - k):
+            if rows[m][k] * f_dens[m] * v ** (m - k) != f_rows[m][k] * dens[m] * u ** (m - k):
                 return {"n": m, "k": k}
     return None
 
@@ -565,7 +551,7 @@ def _check_degenerate_ode(spec: FamilySpec, n: int, sets: dict):
     drops out), the coefficient of x^j is (p j + alpha p^2) (j+p)!/j! f_{j+p} + (m - j) f_j,
     times alpha's denominator b; f_{j+p} = 0 past the row."""
     p = spec.params["p"]
-    phi, base = _form(_basic(sets, spec, n)), ShiftOp(_degenerate_base(p, n + 3))
+    phi, base = _basic(sets, spec, n), ShiftOp(_degenerate_base(p, n + 3))
     for alpha in (Fraction(0), Fraction(1), Fraction(1, 2), Fraction(-2)):
         a, b = alpha.numerator, alpha.denominator
         rows, _ = cross(base, alpha, phi)
@@ -580,32 +566,29 @@ def _check_degenerate_ode(spec: FamilySpec, n: int, sets: dict):
 
 def _check_degenerate_cross(spec: FamilySpec, n: int, sets: dict):
     p = spec.params["p"]
-    phi, base = _form(_basic(sets, spec, n)), ShiftOp(_degenerate_base(p, n + 3))
+    phi, base = _basic(sets, spec, n), ShiftOp(_degenerate_base(p, n + 3))
     exps = (Fraction(0), Fraction(1), Fraction(-1, 2))
-    rows = {w: tri_from_form(cross(base, w, phi)).rows for w in {u + v for u in exps for v in exps}}
+    forms = {w: cross(base, w, phi) for w in {u + v for u in exps for v in exps}}
     for u in exps:
         for v in exps:
-            m = binomial_convolution(rows[u + v], rows[u], rows[v])
+            m = binomial_convolution(forms[u + v], forms[u], forms[v])
             if m is not None:
                 return {"u": str(u), "v": str(v), "n": m}
     return None
 
 
 def _check_degenerate_closed_form(spec: FamilySpec, n: int, sets: dict):
-    tri = _basic(sets, spec, n)
-    if tri != tri_from_form(spec.closed_form(n)):
-        return {"n": n}
-    return None
+    return None if equal(_basic(sets, spec, n), spec.closed_form(n)) else {"n": n}
 
 
 def _check_transform_roundtrip(spec: FamilySpec, n: int, sets: dict, rng) -> dict | None:
     """Both dual inversion transforms on random rational sequences.
 
     The row transform of a triangle is its matrix, the column transform its
-    transpose; with both triangles scaled once to a / D_a and b / D_b, the round
+    transpose; with both triangles lifted once to a / D_a and b / D_b, the round
     trip b (a s) = s is the integer test b (a S) = D_a D_b S."""
-    tri = _basic(sets, spec, n)
-    (a, da), (b, db) = scaled_rows(tri.rows), scaled_rows(tri_invert(tri).rows)
+    phi = _basic(sets, spec, n)
+    (a, da), (b, db) = lifted(phi), lifted(form_inverse(phi))
     mats = {"row": (a, b), "column": ([*zip(*a)], [*zip(*b)])}
     for trial in range(5):
         seq = [Fraction(rng.randint(-40, 40), rng.randint(1, 12)) for _ in range(n + 1)]

@@ -153,7 +153,7 @@ def _same_line(a, b) -> bool:
     return all(u * fx == v * fy for u, v in zip(x, y))
 
 
-def _equal(a, b) -> bool:
+def equal(a, b) -> bool:
     """a == b, for integer forms as for Series and Triangles: the same shape and values."""
     if not isinstance(a, tuple):
         return a == b
@@ -195,7 +195,7 @@ def agree(construction: str, **routes):
     as it would between Series or Triangles."""
     (first_name, first), *rest = routes.items()
     for name, value in rest:
-        if not _equal(first, value):
+        if not equal(first, value):
             index, values = _first_difference(first, value)
             raise RouteDisagreement(construction, (first_name, name), index, values)
     return first

@@ -9,17 +9,16 @@ Everything stays in Q; non-unitary input is rejected rather than normalized.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
+from itertools import accumulate, chain, repeat
 from math import factorial, gcd
 
 from . import umbral
-from ._kernel import cauchy, composition, derivative, krylov, scaled, weighted_sum
+from ._kernel import RowForm, cauchy, composition, derivative, form_product, krylov, scaled, weighted_sum
 from .bell import _bell_columns
 from .errors import NotUnitary, OrderError, TruncationError, agree
 from .fps import Series, compose, expm1, series, x_series
 from .operators import DeltaOp, ShiftOp, validate_delta
 from .rational import RatLike, binom_row, rat
-from .umbral import Triangle, tri_compose, tri_identity
 
 
 def _require_unitary(f: Series):
@@ -27,24 +26,23 @@ def _require_unitary(f: Series):
         raise NotUnitary("series must be unitary (f = x + higher order)")
 
 
-def shifted_powers(tri: Triangle, pmax: int) -> list[Triangle]:
-    """[(phi-1)^p for p = 0..pmax] by repeated composition (nilpotent).
+def shifted_powers(phi: RowForm, pmax: int) -> list[RowForm]:
+    """[(phi-1)^p for p = 0..pmax] as row forms, by repeated products (nilpotent).
 
     No construction calls it: it stays as the full-power reference that the
     Krylov columns of _column_powers are tested against, at O(pmax N^3).
     """
-    shifted = Triangle(tuple(row[:n] + (Fraction(0),) for n, row in enumerate(tri.rows)))
-    out = [tri_identity(tri.n)]
-    for _ in range(pmax):
-        out.append(tri_compose(out[-1], shifted))
-    return out
+    rows, dens = phi
+    shifted = [row[:m] + [0] for m, row in enumerate(rows)], dens
+    identity = [[0] * m + [1] for m in range(len(rows))], [1] * len(rows)
+    return list(accumulate(repeat(shifted, pmax), form_product, initial=identity))
 
 
 def _column_powers(phi: tuple[list[list[int]], int], k: int, pmax: int):
     """Yield column k of (phi-1)^p for p = 0..pmax.
 
     phi is a triangle as integer rows over one denominator (``_flow_triangle``,
-    or ``_kernel.scaled_rows`` of a Fraction triangle); its rows k..N from
+    or ``_kernel.lifted`` of a row form); its rows k..N from
     column k on, without the diagonal, go to ``_kernel.krylov`` as they are, so
     no entry is rescaled.  Each column is the integer (nums, den), with entry i
     equal to den * coeff(k + i, k) of the p-th power.  Each step is one
@@ -170,7 +168,7 @@ def group_law_check(f: Series, r: RatLike, s: RatLike, n_max: int) -> bool:
     return True
 
 
-def phi_pow(Q: DeltaOp, s: RatLike, n: int) -> umbral.RowForm:
+def phi_pow(Q: DeltaOp, s: RatLike, n: int) -> RowForm:
     """Triangle form (rows, dens) of phi^s, rows 0..n, for the basic operator phi of a
     unitary delta Q; ``tri_from_form`` reads it as a Triangle.
 
@@ -180,7 +178,7 @@ def phi_pow(Q: DeltaOp, s: RatLike, n: int) -> umbral.RowForm:
     which checks it against q itself by its leading term and by g o q = q o g, and
     these two fix g.  The triangle of g is built by two routes that share no
     intermediate result and must agree: the Bell recurrence on integers
-    (``umbral._bell_form``), which is shape-checked (``umbral._check_basic``), and the
+    (``umbral.inverse_series_form``), which is shape-checked, and the
     power table m!/k! [x^m] g^k (``umbral._power_rows``).  Both stay integer rows over
     their own denominators, and the returned form is that of the power table, whose
     denominators are the smaller; no Fraction triangle is built.  q is read through
@@ -193,23 +191,20 @@ def phi_pow(Q: DeltaOp, s: RatLike, n: int) -> umbral.RowForm:
         raise TruncationError(f"need indicator trunc >= {n}")
     q = Q.indicator.truncate(max(n, 1))  # a delta's indicator reaches x^1
     g = frac_iterate(q, -s, 1, q.trunc)
-    bell_form = umbral._bell_form(g, n)
-    umbral._check_basic(bell_form, Fraction(1))
+    bell_form = umbral.inverse_series_form(g, n)
     power_form = umbral._power_rows(umbral.powers(g.coeffs, n), n)
     agree("phi_pow", bell=bell_form, powers=power_form)
     return power_form
 
 
-def jabotinsky(tri: Triangle) -> tuple[tuple[Fraction, ...], ...]:
-    """Dense square matrix with entries k!/n! coeff[n][k] (zeros above diagonal)."""
-    n = tri.n
-    return tuple(
-        tuple(
-            tri.entry(i, j) * Fraction(factorial(j), factorial(i)) if j <= i else Fraction(0)
-            for j in range(n + 1)
-        )
-        for i in range(n + 1)
-    )
+def jabotinsky(form: RowForm) -> tuple[tuple[Fraction, ...], ...]:
+    """Dense square matrix with entries k!/n! coeff[n][k] (zeros above diagonal), for a row form."""
+    rows, dens = form
+    zeros = [Fraction(0)] * len(rows)
+    return tuple([
+        tuple([Fraction(v * factorial(k), d * factorial(m)) for k, v in enumerate(row)] + zeros[m + 1 :])
+        for m, (row, d) in enumerate(zip(rows, dens))
+    ])
 
 
 def delta_power(Q: DeltaOp, s: RatLike, n: int) -> DeltaOp:

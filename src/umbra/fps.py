@@ -315,7 +315,7 @@ def lagrange_power(f: Series, k: int, n_max: int) -> Series:
 
 def exp_x(trunc: int) -> Series:
     """e^x - handy building block: sum x^n/n!."""
-    return Series(trunc, tuple(Fraction(1, factorial(n)) for n in range(trunc + 1)))
+    return Series(trunc, tuple([Fraction(1, factorial(n)) for n in range(trunc + 1)]))
 
 
 def expm1(trunc: int) -> Series:
@@ -327,7 +327,7 @@ def log1p(trunc: int) -> Series:
     """log(1+x)."""
     return Series(
         trunc,
-        tuple(Fraction(0) if n == 0 else Fraction((-1) ** (n - 1), n) for n in range(trunc + 1)),
+        tuple([Fraction(0) if n == 0 else Fraction((-1) ** (n - 1), n) for n in range(trunc + 1)]),
     )
 
 
@@ -394,7 +394,7 @@ class Poly(Record):
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self.coeffs))
+        return Poly(tuple([-c for c in self.coeffs]))
 
     def __sub__(self, other: "Poly | RatLike") -> "Poly":
         return self + (-other if isinstance(other, Poly) else -rat(other))

@@ -47,17 +47,19 @@ def _lowest(v: int, d: int) -> str:
 
 
 def form_cells(form: RowForm, n: int, entry: Callable[[int, int], str] | None = None) -> list[list[str]]:
-    """The text of rows 0..n of a triangle form (rows, dens), dens > 0: entry k of row m is
+    """The text of rows 0..n of a triangle form (rows, dens): entry k of row m is
     rows[m][k] / dens[m] as ``entry(v, d)`` gives it, by default in lowest terms after one
     gcd (``ratio_str``), the bytes that ``rat_str`` prints for that Fraction.  ValueError
-    unless the form has n + 1 rows and dens, row m of m + 1 entries: a triangle of the
-    wrong size is refused, not printed."""
+    unless the form has n + 1 rows and dens, row m of m + 1 entries over dens[m] > 0: a
+    triangle of the wrong size, or a row that would print "-1/-1", is refused, not printed."""
     rows, dens = form
     if not len(rows) == len(dens) == n + 1:
         raise ValueError(f"triangle must have {n + 1} rows")
-    for m, row in enumerate(rows):
+    for m, (row, d) in enumerate(zip(rows, dens)):
         if len(row) != m + 1:
             raise ValueError(f"row {m} must have {m + 1} entries")
+        if d <= 0:
+            raise ValueError(f"row {m} must have a positive denominator")
     entry = entry or _lowest
     return [[entry(v, d) for v in row] for row, d in zip(rows, dens)]
 

@@ -16,11 +16,12 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
+from ._kernel import weighted_sum
 from .errors import TruncationError, agree
 from .fps import Poly, expm1, mul_inv, poly
 from .operators import DeltaOp, apply_op, derivative_op, shift_by, validate_delta, divide
 from .rational import RatLike, rat
-from .umbral import basic_set
+from .umbral import basic_form
 
 
 def bernoulli_numbers(n: int) -> list[Fraction]:
@@ -32,30 +33,32 @@ def bernoulli_numbers(n: int) -> list[Fraction]:
 class SigmaOp:
     """Anchored pseudoinverse of a delta operator, by the basic-set route.
 
-    Precomputes the basic triangle of Q through row ``depth + 1``, so it acts on
-    polynomials of degree <= ``depth``.  The triangle is built by the recurrence
+    Precomputes the basic triangle of Q through row ``depth + 1`` as a row form, so it acts
+    on polynomials of degree <= ``depth``.  The triangle is built by the recurrence
     route, the cheapest of the five: ``sigma_apply`` checks s by Q s = p and
     s(a) = 0, which fix s whatever route built the triangle.
     """
 
     def __init__(self, Q: DeltaOp, anchor: RatLike = 0, depth: int = 16):
         self.anchor = rat(anchor)
-        self._phi = basic_set(Q, depth + 1, "recurrence")
+        self._phi = basic_form(Q, depth + 1, "recurrence")
 
     def apply(self, p: Poly) -> Poly:
         """Expand p in {phi_n}, shift indices, re-anchor."""
         if p.is_zero():
             return p
-        rows, d = self._phi.rows, len(p.coeffs) - 1
+        (rows, dens), d = self._phi, len(p.coeffs) - 1
         if d >= len(rows) - 1:
             raise TruncationError(f"sigma depth {len(rows) - 2} < deg p = {d}")
-        # monomial coefficients a -> basic coordinates c, p = sum_n c_n phi_n: a_j is
-        # sum_{n>=j} c_n phi[n][j], solved by back substitution from j = deg p down
-        c = [Fraction(0)] * (d + 1)
+        # monomial coefficients a -> coordinates b on the integer rows, p = sum_n b_n r_n: a_j
+        # is sum_{n>=j} b_n r_n[j], solved by back substitution from j = deg p down
+        b = [Fraction(0)] * (d + 1)
         for j in range(d, -1, -1):
-            c[j] = (p.coeffs[j] - sum([c[n] * rows[n][j] for n in range(j + 1, d + 1)])) / rows[j][j]
-        # sum_n c_n phi_{n+1}/(n+1) is phi applied to sum_n c_n x^{n+1}/(n+1)
-        out = self._phi.apply_poly(poly([0] + [v / n for n, v in enumerate(c, 1)]))
+            b[j] = (p.coeffs[j] - sum([b[n] * rows[n][j] for n in range(j + 1, d + 1)])) / rows[j][j]
+        # p = sum_n c_n phi_n with c_n = b_n d_n, and s is sum_n c_n phi_{n+1}/(n+1)
+        terms = [(v * dens[n] / (n + 1), (rows[n + 1], dens[n + 1])) for n, v in enumerate(b)]
+        nums, den = weighted_sum(terms, d + 2)
+        out = poly([Fraction(v, den) for v in nums])
         return out - out(self.anchor)
 
 
@@ -165,10 +168,11 @@ def bernoulli2_poly(n: int) -> Poly:
     trunc = n + 3
     delta = _delta_op(trunc)
     b_inv = divide(delta, derivative_op(trunc))  # indicator (e^t - 1)/t
-    falling = basic_set(delta, n + 1, "transfer")
-    route1 = apply_op(b_inv, falling.row_poly(n))
-    anti = falling.row_poly(n).antiderivative(0)
+    rows, dens = basic_form(delta, n + 1, "transfer")
+    falling, prev = (poly([Fraction(v, dens[m]) for v in rows[m]]) for m in (n, max(n - 1, 0)))
+    route1 = apply_op(b_inv, falling)
+    anti = falling.antiderivative(0)
     agree("second-kind Bernoulli", operator=route1, integral=anti.shifted(1) - anti)
-    lower = n * falling.row_poly(max(n - 1, 0))  # n phi_{n-1}; zero for n = 0
+    lower = n * prev  # n phi_{n-1}; zero for n = 0
     agree("second-kind Bernoulli commutation", derivative=route1.derivative(), falling=lower)
     return route1

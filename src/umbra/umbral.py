@@ -21,12 +21,10 @@ from typing import Callable, Sequence
 
 from . import bell
 from ._kernel import (
-    cauchy, degree, divider, is_short, krylov, powers, reciprocal_powers, reduced, scaled, scaled_rows,
-    tri_inverse, tri_product, weighted_sum,
+    RowForm, cauchy, degree, divider, form_inverse, form_product, is_short, krylov, lifted, powers,
+    reciprocal_powers, reduced, scaled, weighted_sum,
 )
-from .errors import (
-    NotAppell, NotDelta, NotUnitary, OrderError, Record, SingularTriangle, TruncationError, UmbraError, agree
-)
+from .errors import NotAppell, NotDelta, NotUnitary, OrderError, Record, TruncationError, UmbraError, agree
 from .fps import (
     Poly,
     Series,
@@ -48,7 +46,8 @@ from .rational import RatLike, rat
 
 
 class Triangle(Record):
-    """Ragged lower-triangular matrix of exact rationals; row n has n+1 entries."""
+    """Ragged lower-triangular matrix of exact rationals; row n has n+1 entries: the library's
+    view of the integer row forms (``RowForm``) that the engine reads and returns."""
 
     __slots__ = ("rows",)
     rows: tuple[tuple[Fraction, ...], ...]
@@ -82,37 +81,26 @@ class Triangle(Record):
         return tuple([self.rows[n][n] for n in range(self.n + 1)])
 
 
-def triangle(rows: Sequence[Sequence[RatLike]]) -> Triangle:
-    return Triangle(tuple([tuple([rat(v) for v in row]) for row in rows]))
-
-
-def tri_identity(n: int) -> Triangle:
-    return Triangle(
-        tuple([tuple([Fraction(1 if k == m else 0) for k in range(m + 1)]) for m in range(n + 1)])
-    )
-
-
-RowForm = tuple[list[list[int]], list[int]]  # agree's triangle form (rows, dens)
-
-
 def tri_from_form(form: RowForm) -> Triangle:
-    """The Triangle of ``agree``'s triangle form (rows, dens): entry (m, k) is rows[m][k] / dens[m]."""
+    """The Triangle of a row form (rows, dens): entry (m, k) is rows[m][k] / dens[m]."""
     rows, dens = form
     return Triangle(tuple([tuple([Fraction(v, d) for v in row]) for row, d in zip(rows, dens)]))
 
 
+def tri_to_form(tri: Triangle) -> RowForm:
+    """The row form of tri: each row over the lcm of its denominators (``_kernel.scaled``)."""
+    pairs = [scaled(row) for row in tri.rows]
+    return [nums for nums, _ in pairs], [den for _, den in pairs]
+
+
 def tri_compose(phi: Triangle, psi: Triangle) -> Triangle:
-    """Triangle of the operator product phi o psi (psi applied first)."""
-    n = min(phi.n, psi.n)
-    return Triangle(tuple(tri_product(psi.rows[: n + 1], phi.rows[: n + 1])))
+    """Triangle of the operator product phi o psi (psi applied first): ``_kernel.form_product``."""
+    return tri_from_form(form_product(tri_to_form(psi), tri_to_form(phi)))
 
 
 def tri_invert(phi: Triangle) -> Triangle:
-    """Inverse triangle by forward substitution; needs a nonzero diagonal."""
-    for n, d in enumerate(phi.diagonal()):
-        if d == 0:
-            raise SingularTriangle(f"zero diagonal entry at row {n}")
-    return Triangle(tuple(tri_inverse(phi.rows)))
+    """Inverse triangle (``_kernel.form_inverse``); SingularTriangle on a zero diagonal entry."""
+    return tri_from_form(form_inverse(tri_to_form(phi)))
 
 
 def transform_seq(
@@ -129,15 +117,12 @@ def transform_seq(
     m = len(vals)
     if start + m - 1 > phi.n:
         raise TruncationError(f"triangle depth {phi.n} < last index {start + m - 1}")
-    if mode == "row":
-        rows = [[phi.entry(start + i, start + j) for j in range(i + 1)] for i in range(m)]
-    elif mode == "column":
-        rows = [[phi.entry(start + j, start + i) for j in range(m)] for i in range(m)]
-    else:
+    if mode not in ("row", "column"):
         raise ValueError("mode must be 'row' or 'column'")
-    a, da = scaled_rows(rows)
-    *_, (nums, den) = krylov(a, da, scaled(vals), 1)
-    return [Fraction(v, den) for v in nums]
+    rows, den = lifted(tri_to_form(phi))
+    block = [row[start : start + m] for row in rows[start : start + m]]
+    *_, (nums, d) = krylov(block if mode == "row" else [*zip(*block)], den, scaled(vals), 1)
+    return [Fraction(v, d) for v in nums]
 
 
 # ---------------------------------------------------------------------------
@@ -355,12 +340,12 @@ def basic_set(Q: DeltaOp, n: int, route: str = "all") -> Triangle:
     return tri_from_form(basic_form(Q, n, route))
 
 
-def basic_from_inverse_series(f: Series, n: int) -> Triangle:
-    """Basic triangle whose column-1 EGF is f (= indicator of Q^[-1]).
+def inverse_series_form(f: Series, n: int) -> RowForm:
+    """Row form of the basic triangle whose column-1 EGF is f (= indicator of Q^[-1]).
 
     coeff[m][k] = B_{m,k}(a_1, ..., a_{m-k+1}) with a_j = j! [x^j] f, the rows of
-    ``_bell_form``; this is the Bell-polynomial route, independent of the five
-    operator routes.
+    ``_bell_form``, shape-checked (``_check_basic``); this is the Bell-polynomial route,
+    independent of the five operator routes.
     """
     if f.order() != 1:
         raise NotUnitary("inverse indicator must have order 1")
@@ -368,37 +353,40 @@ def basic_from_inverse_series(f: Series, n: int) -> Triangle:
         raise TruncationError(f"need trunc >= {n}, have {f.trunc}")
     form = _bell_form(f, n)
     _check_basic(form, 1 / f[1])
-    return tri_from_form(form)
+    return form
 
 
-def delta_of(tri: Triangle) -> DeltaOp:
-    """Recover Q from the triangle: column 1 is the EGF of Q^[-1]'s indicator."""
-    if tri.n < 1:
+def basic_from_inverse_series(f: Series, n: int) -> Triangle:
+    """The Triangle of ``inverse_series_form``."""
+    return tri_from_form(inverse_series_form(f, n))
+
+
+def delta_of(form: RowForm) -> DeltaOp:
+    """Recover Q from a basic triangle's row form: column 1 is the EGF of Q^[-1]'s indicator."""
+    rows, dens = form
+    n = len(rows) - 1
+    if n < 1:
         raise NotDelta("triangle too shallow to determine a delta operator")
-    inv_ind = series(
-        [Fraction(0)] + [tri.entry(m, 1) / factorial(m) for m in range(1, tri.n + 1)], tri.n
-    )
+    inv_ind = series([0] + [Fraction(rows[m][1], dens[m] * factorial(m)) for m in range(1, n + 1)], n)
     try:
         return validate_delta(ShiftOp(comp_inv(inv_ind)))
     except OrderError as exc:
         raise NotDelta(f"column 1 does not start with a nonzero entry: {exc}") from exc
 
 
-def _egf_columns(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
-    """The column EGFs c_k(t) = sum_m rows[m][k] t^m/m! through t^N (N = len(rows) - 1), on
-    integers: the rows are scaled once to e / D and row m is lifted by N!/m!, so column k
-    holds N! D c_k for k = 0..N; returns (columns, N! D)."""
-    N = len(rows) - 1
-    e, d = scaled_rows(rows)
+def _egf_columns(form: RowForm) -> tuple[list[list[int]], int]:
+    """The column EGFs c_k(t) = sum_m coeff[m][k] t^m/m! through t^N of a row form of rows
+    0..N, on integers: the form is lifted once to e / D (``_kernel.lifted``) and row m by
+    N!/m!, so column k holds N! D c_k for k = 0..N; returns (columns, N! D)."""
+    e, d = lifted(form)
+    N = len(e) - 1
     lift = [factorial(N) // factorial(m) for m in range(N + 1)]
-    return [[r[k] * f if k < len(r) else 0 for r, f in zip(e, lift)] for k in range(N + 1)], d * lift[0]
+    return [[r[k] * f for r, f in zip(e, lift)] for k in range(N + 1)], d * lift[0]
 
 
-def binomial_convolution(
-    s: Sequence[Sequence[Fraction]], a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]
-) -> int | None:
-    """First m <= N with s_m(x+y) != sum_k C(m,k) a_k(x) b_{m-k}(y), or None, for three lists
-    of coefficient rows m = 0..N (N = len(s) - 1), row m of degree at most m.
+def binomial_convolution(s: RowForm, a: RowForm, b: RowForm) -> int | None:
+    """First m <= N with s_m(x+y) != sum_k C(m,k) a_k(x) b_{m-k}(y), or None, for three row
+    forms of the polynomials m = 0..N (N = len(s[0]) - 1), row m of m + 1 entries.
 
     Proof.  With the column EGFs s_k(t) = sum_m s[m][k] t^m/m! (and a_k, b_k alike), each
     of order >= k, sum_m p_m(x) t^m/m! = sum_k x^k p_k(t), and the t^m coefficient of
@@ -410,15 +398,15 @@ def binomial_convolution(
     replaced found the same m: at degree m both sides have degree <= m in x and in y, and
     it tried m + 2 points of each.
 
-    On integers: each distinct list is scaled once (``_egf_columns``), column k holding
+    On integers: each distinct form is lifted once (``_egf_columns``), column k holding
     N! D c_k; the equation reads C(i+j, i) D_a D_b N!^2 S_{i+j} = D_s N! A_i B_j, one
     ``cauchy`` per pair (i, j)."""
     cols = {}
-    for rows in (s, a, b):
-        if id(rows) not in cols:
-            cols[id(rows)] = _egf_columns(rows)
+    for form in (s, a, b):
+        if id(form) not in cols:
+            cols[id(form)] = _egf_columns(form)
     (cs, one_s), (ca, one_a), (cb, one_b) = cols[id(s)], cols[id(a)], cols[id(b)]
-    N, first, scale = len(s) - 1, None, one_a * one_b
+    N, first, scale = len(cs) - 1, None, one_a * one_b
     for i in range(N + 1):
         for j in range(i if a is b else 0, N + 1 - i):  # (j, i) is (i, j) when a is b
             lhs = [comb(i + j, i) * scale * v for v in cs[i + j]]
@@ -429,7 +417,7 @@ def binomial_convolution(
     return first
 
 
-def is_binomial_type(tri: Triangle) -> bool:
+def is_binomial_type(form: RowForm) -> bool:
     """Detect binomial type == basicness: p_n(x+y) = sum_k C(n,k) p_k(x) p_{n-k}(y) for
     all n <= N, in O(N^3) through the column EGFs c_k(t) = sum_m coeff[m][k] t^m/m!
     (Mullin & Rota, On the foundations of combinatorial theory III, 1970).
@@ -444,13 +432,14 @@ def is_binomial_type(tri: Triangle) -> bool:
     c_1^k / k! vanish through t^N, so C(i+j, i) c_{i+j} = c_1^(i+j) / (i! j!) = c_i c_j
     for all i, j.
 
-    On integers (``_egf_columns``): column k holds N! D c_k; then c_0 = 1 reads column 0 =
-    [N! D, 0, ..., 0], and the second condition reads (i+1) N! D col_{i+1} = col_i col_1,
-    one ``cauchy`` per i."""
-    if tri.entry(0, 0) != 1 or 0 in tri.diagonal():
+    On integers, for a row form (``_egf_columns``): column k holds N! D c_k; then c_0 = 1
+    reads column 0 = [N! D, 0, ..., 0], and the second condition reads
+    (i+1) N! D col_{i+1} = col_i col_1, one ``cauchy`` per i."""
+    rows, dens = form
+    if rows[0][0] != dens[0] or not all([row[m] for m, row in enumerate(rows)]):
         return False
-    N = tri.n
-    cols, one = _egf_columns(tri.rows)
+    N = len(rows) - 1
+    cols, one = _egf_columns(form)
     if cols[0] != [one] + [0] * N:
         return False
     return all([(i + 1) * one * v for v in cols[i + 1]] == cauchy(cols[i], cols[1], N) for i in range(1, N))
@@ -484,47 +473,49 @@ def cross(C: ShiftOp, u: RatLike, form: RowForm) -> RowForm:
     return sheffer(appell, form)
 
 
-def niederhausen(phi: Triangle, Q: DeltaOp) -> Triangle:
-    """Coefficient transform coeff[n][k] = C(n,k) phi_{n-k}(k) of the basic triangle phi
-    of Q, on the rows of phi scaled once.
+def niederhausen(phi: RowForm, Q: DeltaOp) -> RowForm:
+    """Row form of the coefficient transform coeff[n][k] = C(n,k) phi_{n-k}(k) of the basic
+    triangle phi of Q, given by its row form, on the rows of phi lifted once to e / d: row n
+    is [C(n,k) sum_j e[n-k][j] k^j for k <= n] over d.
 
     The result is again basic: its entries (0, 0), (m, 0) and (m, m) are phi_0(0) = 1,
     phi_m(0) = 0 and phi_0(m) = 1.  Its delta R (``delta_of``) satisfies R^[-1] indicator
     = t e^{invQ(t)}, which must agree with column 1 of the transform; that reads Q
     through t^n, and a shallower Q raises TruncationError.
     """
-    n = phi.n
-    e, d = scaled_rows(phi.rows)
-    _check_basic((e, [d] * (n + 1)), Q.unit)
+    n = len(phi[0]) - 1
+    _check_basic(phi, Q.unit)
     _require_depth(Q, n - 1)
+    e, d = lifted(phi)
     pw = [[k**j for j in range(n + 1)] for k in range(n + 1)]
-    rows = [[Fraction(comb(m, k) * sum(map(mul, e[m - k], pw[k])), d) for k in range(m + 1)] for m in range(n + 1)]
-    tri = Triangle(tuple([tuple(row) for row in rows]))
+    rows = [[comb(m, k) * sum(map(mul, e[m - k], pw[k])) for k in range(m + 1)] for m in range(n + 1)]
+    form = rows, [d] * (n + 1)
     if n < 1:
-        return tri
+        return form
     g = comp_inv(Q.indicator.truncate(n))
     expected = exp_series(g) * series([0, 1], g.trunc)
-    column = series([tri.entry(m, 1) / factorial(m) for m in range(n + 1)], n)
+    column = series([0] + [Fraction(rows[m][1], d * factorial(m)) for m in range(1, n + 1)], n)
     agree("niederhausen", generating_function=expected, column=column)
-    return tri
+    return form
 
 
-def special_class_check(phi: Triangle, U: ShiftOp, V: ShiftOp, n: int) -> bool:
-    """Verify phi X^n = sum_k coeff[n][k] X^k U^k V^n phi as operators.
+def special_class_check(phi: RowForm, U: ShiftOp, V: ShiftOp, n: int) -> bool:
+    """Verify phi X^n = sum_k coeff[n][k] X^k U^k V^n phi as operators, for phi's row form.
 
-    Both sides are applied to x^m for all m <= N - n, on integers: the rows of
-    phi are scaled once to e / D, and the products U^k V^n are built once, their
-    terms weighted by coeff[n][k] as w[k][i] / W.  Then
-        W e[n+m] = sum_k x^k sum_i w[k][i] D^i e[m].
+    Both sides are applied to x^m for all m <= N - n, on integers: phi is lifted
+    once to e / D, and the products U^k V^n are built once, their terms weighted
+    by coeff[n][k] = r_k / d_n as w[k][i] / (W d_n).  Then
+        W d_n e[n+m] = sum_k x^k sum_i w[k][i] D^i e[m].
     """
-    N = phi.n
+    rows, dens = phi
+    N = len(rows) - 1
     if n > N:
         raise TruncationError("n exceeds triangle depth")
     vn = V**n
-    ops = [(k, (U**k * vn).indicator) for k in range(n + 1) if phi.entry(n, k)]
+    ops = [(k, (U**k * vn).indicator) for k in range(n + 1) if rows[n][k]]
     width = N - n + 1
-    w, dw = scaled([phi.entry(n, k) * ind[i] for k, ind in ops for i in range(width)])
-    e, _ = scaled_rows(phi.rows)
+    w, dw = scaled([rows[n][k] * ind[i] for k, ind in ops for i in range(width)])
+    e, _ = lifted(phi)
     fact = [factorial(j) for j in range(width)]
     for m in range(width):
         if any(ind.trunc < m for _, ind in ops):
@@ -535,6 +526,6 @@ def special_class_check(phi: Triangle, U: ShiftOp, V: ShiftOp, n: int) -> bool:
             wk = w[r * width : (r + 1) * width]
             for j in range(m + 1):
                 rhs[k + j] += sum(map(mul, wk, q[j:])) // fact[j]
-        if [dw * v for v in e[n + m]] != rhs:
+        if [dw * dens[n] * v for v in e[n + m]] != rhs:
             return False
     return True

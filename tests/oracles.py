@@ -6,7 +6,9 @@ enumeration for Bell polynomials, Lagrange interpolation for the iterative
 logarithm, plain finite sums/integrals and the corollary series for the
 summation calculus, the coefficient identity and the half-grid evaluation
 for binomial convolutions, the classical recurrences for Stirling/Lah
-numbers, the plain ``Fraction`` loops that the integer kernel replaced,
+numbers, the plain ``Fraction`` loops that the integer kernel replaced
+(among them the ``Fraction`` triangle product and inverse that the row-form
+``_kernel.form_product`` and ``form_inverse`` replaced),
 the dense expression evaluator that polynomial nodes' short values
 replaced, the full-length ``comp_inv`` loop that its windows replaced, the
 recurrence and generating-function routes as they were before they divided
@@ -15,6 +17,7 @@ and Bell triangles that their row forms replaced, the binomial closed form
 of the degenerate Laguerre triangle, and the per-``Fraction`` triangle output
 that the row-form printer replaced.  Helpers that only tests call (such as
 ``identity_op``, ``pincherle``, ``connection_constants``, ``partial_bell_table``,
+``triangle``, ``tri_identity``,
 ``integrate``, ``render``, ``reflected``, ``times_x`` and ``bernoulli_polynomial``)
 live here too, not in the package.
 """
@@ -28,7 +31,7 @@ from math import comb, factorial, lcm
 from operator import mul
 from typing import Sequence
 
-from umbra._kernel import powers, reduced, scaled, scaled_rows
+from umbra._kernel import _append, lifted, powers, reduced, scaled
 from umbra.bell import _bell_columns
 from umbra.errors import DivisionOrderError, NotInvertible, NotUnitary, OrderError, TruncationError, UmbraError
 from umbra.expr import (
@@ -43,7 +46,16 @@ from umbra.operators import DeltaOp, ShiftOp, apply_op, validate_delta
 from umbra.rational import binom_row, rat, rat_str
 from umbra.serialize import dumps, series_to_json
 from umbra.sigma import bernoulli_numbers
-from umbra.umbral import Triangle, _power_rows, basic_set, tri_compose, tri_invert, triangle
+from umbra.umbral import Triangle, _power_rows, basic_set, tri_compose, tri_invert, tri_to_form
+
+
+def triangle(rows: Sequence[Sequence]) -> Triangle:
+    """The Triangle of rows of rationals (ints, Fractions or "num/den" strings)."""
+    return Triangle(tuple([tuple([rat(v) for v in row]) for row in rows]))
+
+
+def tri_identity(n: int) -> Triangle:
+    return Triangle(tuple([tuple([Fraction(int(k == m)) for k in range(m + 1)]) for m in range(n + 1)]))
 
 
 def tri_from_polys(polys: Sequence[Poly]) -> Triangle:
@@ -281,7 +293,7 @@ def minus_one_power_coeff(tri: Triangle, p: int, n: int, k: int) -> Fraction:
         raise NotUnitary("triangle must have unit diagonal")
     if p > n - k or not 0 <= k <= n <= tri.n:
         return Fraction(0)
-    *_, (nums, den) = _column_powers(scaled_rows(tri.rows), k, p)
+    *_, (nums, den) = _column_powers(lifted(tri_to_form(tri)), k, p)
     return Fraction(nums[n - k], den)
 
 
@@ -834,6 +846,34 @@ def tri_compose_ref(phi, psi):
             for m in range(n + 1)
         )
     )
+
+
+def tri_product(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]):
+    """Rows of the lower-triangular product of Fraction rows, out[m][k] = sum_j a[m][j] b[j][k],
+    as the kernel computed it before it read row forms: each row of a and column of b scaled
+    once to integers."""
+    n = min(len(a), len(b))
+    rows = [scaled(row) for row in a[:n]]
+    cols = [scaled([b[j][k] for j in range(k, n)]) for k in range(n)]
+    return [
+        tuple(Fraction(sum(map(mul, x[k:], y)), dx * dy) for k, (y, dy) in enumerate(cols[: m + 1]))
+        for m, (x, dx) in enumerate(rows)
+    ]
+
+
+def tri_inverse(rows: Sequence[Sequence[Fraction]]):
+    """Rows of the inverse of a lower-triangular matrix of Fractions with a nonzero diagonal,
+    as the kernel computed it before it read row forms: forward substitution one column at a
+    time, the solved part of the column kept as integers over one denominator."""
+    mats = [scaled(row) for row in rows]
+    inv = [[Fraction(0)] * (m + 1) for m in range(len(rows))]
+    for k in range(len(rows)):
+        col, den = [], 1
+        for m, (x, dx) in enumerate(mats[k:], k):
+            v = Fraction((dx * den if m == k else 0) - sum(map(mul, x[k:m], col)), den * x[m])
+            inv[m][k] = v
+            den = _append(col, den, v)
+    return [tuple(row) for row in inv]
 
 
 def tri_invert_ref(phi):

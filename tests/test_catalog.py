@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from umbra import catalog, umbral
+from umbra import catalog, flow, sigma, umbral
+from umbra._kernel import scaled
 from umbra.catalog import (
     DEFAULT_CHECK_SET,
     IdentityResult,
@@ -26,10 +27,11 @@ from umbra.errors import UnknownFamily
 from umbra.fps import Poly, poly, series, x_series
 from umbra.operators import shift_by
 from umbra.umbral import (
-    Triangle, binomial_convolution, is_binomial_type, tri_from_form, tri_identity
+    Triangle, binomial_convolution, is_binomial_type, tri_from_form, tri_to_form
 )
 
 import oracles
+from oracles import tri_identity
 
 
 def test_family_lookup_and_params():
@@ -78,9 +80,7 @@ def test_divided_difference_h_zero_is_derivative():
 
 def test_abel_a_zero_degenerates_to_monomials():
     spec = family("abel", a=0)
-    from umbra.umbral import tri_identity
-
-    assert spec.basic(6) == tri_identity(6)
+    assert tri_from_form(spec.basic(6)) == tri_identity(6)
     rep = identity_check("abel", n=6, a=0)
     assert rep.all_passed
 
@@ -94,7 +94,7 @@ def test_catalan_family_delta():
 def test_closed_forms_match_routes():
     for name, params in DEFAULT_CHECK_SET:
         spec = family(name, **params)
-        tri, closed = spec.basic(12), umbral.tri_from_form(spec.closed_form(12))
+        tri, closed = tri_from_form(spec.basic(12)), tri_from_form(spec.closed_form(12))
         for n in range(13):
             for k in range(n + 1):
                 assert tri.entry(n, k) == closed.entry(n, k), (name, params, n, k)
@@ -134,7 +134,7 @@ def test_closed_form_rows_match_the_entry_formulas(name, params):
 
 def test_degenerate_laguerre_row_values():
     spec = family("degenerate_laguerre", p=2)
-    tri = spec.basic(4)
+    tri = tri_from_form(spec.basic(4))
     assert list(tri.rows[2]) == [0, 0, 1]  # L_{2,2} = x^2
     assert list(tri.rows[3]) == [0, -6, 0, 1]  # x^3 - 6x
     assert list(tri.rows[4]) == [0, 0, -24, 0, 1]  # x^4 - 24x^2
@@ -322,6 +322,35 @@ def test_no_catalog_function_compares_with_a_family_name():
     ]
 
 
+# the calls that build or read a Fraction Triangle: the library's view, which the engine does not use
+_TRIANGLE_CALLS = {
+    "Triangle", "triangle", "tri_from_form", "tri_compose", "tri_invert", "tri_identity", "scaled_rows",
+    "basic_set", "basic_from_inverse_series", "transform_seq",
+}
+
+
+def _triangle_calls(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each call in ``source`` of a name in _TRIANGLE_CALLS, bare or as an
+    attribute."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            hits += [(node.lineno, name)] * (name in _TRIANGLE_CALLS)
+    return sorted(hits)
+
+
+@pytest.mark.parametrize("module", [catalog, flow, sigma], ids=lambda m: m.__name__)
+def test_engine_modules_build_no_triangle(module):
+    # check's identities, the flow layer and sigma read integer row forms
+    assert _triangle_calls(Path(module.__file__).read_text()) == []
+
+
+def test_triangle_call_guard_sees_bare_and_attribute_calls():
+    source = "t = umbral.tri_from_form(form)\nu = Triangle(rows)\nf = tri_compose\ng = _kernel.scaled_rows(r)\n"
+    assert _triangle_calls(source) == [(1, "tri_from_form"), (2, "Triangle"), (4, "scaled_rows")]
+
+
 # -- one basic set per (family, params, depth) in a check request --------------------------------
 
 
@@ -452,26 +481,24 @@ _CONVOLUTION_COUNTEREXAMPLES = {
 }
 
 
+def _plus(form, m, extra: Poly):
+    """The row form `form` with p_m + extra in row m: row m and its denominator are lifted
+    by the lcm of extra's denominators."""
+    rows, dens = [list(r) for r in form[0]], list(form[1])
+    e, de = scaled([extra[k] for k in range(m + 1)])
+    rows[m] = [v * de + c * dens[m] for v, c in zip(rows[m], e)]
+    dens[m] *= de
+    return rows, dens
+
+
 def _corrupt_entries(monkeypatch, m, extra=_CORRUPTIONS["x"]):
     real = catalog.FamilySpec.basic
-
-    def basic(spec, n):
-        rows = [list(r) for r in real(spec, n).rows]
-        rows[m] = [v + extra[k] for k, v in enumerate(rows[m])]
-        return Triangle(tuple(map(tuple, rows)))
-
-    monkeypatch.setattr(catalog.FamilySpec, "basic", basic)
+    monkeypatch.setattr(catalog.FamilySpec, "basic", lambda spec, n: _plus(real(spec, n), m, extra))
 
 
 def _corrupt_abel(monkeypatch, m, extra=_CORRUPTIONS["x"]):
-    real = catalog._abel_polys
-
-    def abel_polys(a, n):
-        polys = real(a, n)
-        polys[m] = polys[m] + extra
-        return polys
-
-    monkeypatch.setattr(catalog, "_abel_polys", abel_polys)
+    real = catalog._abel_form
+    monkeypatch.setattr(catalog, "_abel_form", lambda a, n: _plus(real(a, n), m, extra))
 
 
 @pytest.mark.parametrize("site", sorted(_CONVOLUTION_SITES))
@@ -527,32 +554,41 @@ def test_degenerate_cross_names_the_corrupted_exponent_pair(monkeypatch, exponen
 
 
 def test_binomial_grid_oracle_returns_the_point_itself():
-    rows = [list(r) for r in family("falling").basic(8).rows]
+    rows = [list(r) for r in tri_from_form(family("falling").basic(8)).rows]
     assert oracles.binomial_grid(rows, rows, rows, 8) is None
     assert oracles.binomial_grid([[2]] + rows[1:], rows, rows, 8) == (0, 0, 0)
     rows[2][1] += 1
     assert oracles.binomial_grid(rows, rows, rows, 8) == (3, F(1, 2), F(1, 2))
 
 
+def _row_form(rows):
+    """The row form of lists of coefficient rows, row m of m + 1 entries."""
+    return tri_to_form(Triangle(tuple(map(tuple, rows))))
+
+
 def _sweep_convolution(lists: dict, triples: list) -> int:
     """``binomial_convolution`` against the grid oracle on each triple of `lists` keys: clean,
     then with each single entry (m, k), k <= m, of one list raised by 1.  Both must name the
-    same first failing degree, and both None on the clean lists.  Returns the number of
-    corrupted inputs."""
+    same first failing degree, and both None on the clean lists; the convolution reads each
+    list as one row form, so a key named twice in a triple is one object.  Returns the
+    number of corrupted inputs."""
     n = len(next(iter(lists.values()))) - 1
+    forms = {key: _row_form(rows) for key, rows in lists.items()}
     for triple in triples:
         rows = [lists[key] for key in triple]
-        assert binomial_convolution(*rows) is None and oracles.binomial_grid(*rows, n) is None, triple
+        assert binomial_convolution(*[forms[key] for key in triple]) is None, triple
+        assert oracles.binomial_grid(*rows, n) is None, triple
     count = 0
     for key, clean in lists.items():
         for m in range(n + 1):
             for k in range(m + 1):
                 bad = {**lists, key: [list(r) for r in clean]}
                 bad[key][m][k] += 1
+                bad_forms = {**forms, key: _row_form(bad[key])}
                 for triple in (t for t in triples if key in t):
-                    rows = [bad[t] for t in triple]
-                    hit = oracles.binomial_grid(*rows, n)
-                    assert binomial_convolution(*rows) == (hit and hit[0]), (triple, key, m, k)
+                    hit = oracles.binomial_grid(*[bad[t] for t in triple], n)
+                    got = binomial_convolution(*[bad_forms[t] for t in triple])
+                    assert got == (hit and hit[0]), (triple, key, m, k)
                     count += 1
     return count
 
@@ -561,7 +597,7 @@ def _sweep_convolution(lists: dict, triples: list) -> int:
 @pytest.mark.parametrize("N", [0, 1, 8])
 def test_convolution_matches_the_grid_oracle_on_basic_sets(name, params, N):
     # Chu-Vandermonde's triple (T, T, T)
-    lists = {"T": family(name, **params).basic(N).rows}
+    lists = {"T": tri_from_form(family(name, **params).basic(N)).rows}
     assert _sweep_convolution(lists, [("T", "T", "T")]) == (N + 1) * (N + 2) // 2
 
 
@@ -569,7 +605,7 @@ def test_convolution_matches_the_grid_oracle_on_basic_sets(name, params, N):
 def test_convolution_matches_the_grid_oracle_on_degenerate_cross_pairs(p):
     # the nine (u, v) triples of degenerate_cross, on its six Sheffer sets at n = 6
     n, exps = 6, (F(0), F(1), F(-1, 2))
-    phi = catalog._form(family("degenerate_laguerre", p=p).basic(n))
+    phi = family("degenerate_laguerre", p=p).basic(n)
     base = catalog.ShiftOp(catalog._degenerate_base(p, n + 3))
     lists = {w: tri_from_form(catalog.cross(base, w, phi)).rows for w in {u + v for u in exps for v in exps}}
     assert _sweep_convolution(lists, [(u + v, u, v) for u in exps for v in exps])
@@ -577,11 +613,14 @@ def test_convolution_matches_the_grid_oracle_on_degenerate_cross_pairs(p):
 
 @pytest.mark.parametrize("a", [F(1), F(-1), F(1, 2)])
 def test_convolution_matches_the_grid_oracle_on_abel_and_smooth_polynomials(a):
-    # abel_identity's (Abel, Abel, Abel) and smooth_abel's (smooth, Abel, smooth) at N = 8
+    # abel_identity's (Abel, Abel, Abel) and smooth_abel's (smooth, Abel, smooth) at N = 8, as
+    # Poly products x (x - ak)^(k-1) and (x - am)^m: catalog's integer rows must be these
+    abel = [poly([1])] + [poly([0, 1]) * poly([-a * k, 1]) ** (k - 1) for k in range(1, 9)]
     lists = {
-        "abel": oracles.tri_from_polys(catalog._abel_polys(a, 8)).rows,
+        "abel": oracles.tri_from_polys(abel).rows,
         "smooth": oracles.tri_from_polys([poly([-a * m, 1]) ** m for m in range(9)]).rows,
     }
+    assert tri_from_form(catalog._abel_form(a, 8)).rows == lists["abel"]
     assert _sweep_convolution(lists, [("abel", "abel", "abel"), ("smooth", "abel", "smooth")])
 
 
@@ -594,15 +633,15 @@ def test_is_binomial_type_rejects_every_single_entry_corruption(name, params):
     # verdict.  The one exception is entry (N, 1): column 1 is the EGF of the inverse
     # indicator, so that triangle is the basic triangle of another delta operator.
     N = 10
-    tri = family(name, **params).basic(N)
-    assert is_binomial_type(tri) and oracles.binomial_identity_ref(tri)
+    tri = tri_from_form(family(name, **params).basic(N))
+    assert is_binomial_type(tri_to_form(tri)) and oracles.binomial_identity_ref(tri)
     for m in range(N + 1):
         for k in range(m + 1):
             rows = [list(r) for r in tri.rows]
             rows[m][k] += 1
             bad = Triangle(tuple(tuple(r) for r in rows))
             basic = (m, k) == (N, 1)
-            assert is_binomial_type(bad) == basic, (m, k)
+            assert is_binomial_type(tri_to_form(bad)) == basic, (m, k)
             assert oracles.binomial_identity_ref(bad) == basic, (m, k)
             if basic:
                 col1 = series([0] + [bad.entry(j, 1) / factorial(j) for j in range(1, N + 1)], N)
@@ -620,13 +659,13 @@ def test_binomial_type_and_grid_oracle_reject_every_single_entry_corruption(name
     # the column-EGF test and the grid it replaced, now an oracle, give one verdict on every
     # single-entry corruption; only entry (N, 1) gives the basic triangle of another delta
     N = 12
-    tri = family(name, **params).basic(N)
-    assert is_binomial_type(tri) and oracles.binomial_grid_ref(tri)
+    tri = tri_from_form(family(name, **params).basic(N))
+    assert is_binomial_type(tri_to_form(tri)) and oracles.binomial_grid_ref(tri)
     for m in range(N + 1):
         for k in range(m + 1):
             bad = _with_entry_raised(tri, m, k)
             basic = (m, k) == (N, 1)
-            assert is_binomial_type(bad) == basic, (m, k)
+            assert is_binomial_type(tri_to_form(bad)) == basic, (m, k)
             assert oracles.binomial_grid_ref(bad) == basic, (m, k)
 
 
@@ -634,13 +673,13 @@ def test_binomial_type_and_grid_oracle_reject_every_single_entry_corruption(name
 @pytest.mark.parametrize("N", [0, 1])
 def test_binomial_type_at_depth_zero_and_one(name, params, N):
     # at N = 0 only the guard speaks; at N = 1, p_1(x+y) = p_1(x) + p_1(y) asks coeff[1][0] = 0
-    tri = family(name, **params).basic(N)
-    assert is_binomial_type(tri) and oracles.binomial_grid_ref(tri)
+    tri = tri_from_form(family(name, **params).basic(N))
+    assert is_binomial_type(tri_to_form(tri)) and oracles.binomial_grid_ref(tri)
     for m in range(N + 1):
         for k in range(m + 1):
             bad = _with_entry_raised(tri, m, k)
             expected = (m, k) == (1, 1) and bad.entry(1, 1) != 0  # c_1 alone is free at N = 1
-            assert is_binomial_type(bad) == oracles.binomial_grid_ref(bad) == expected, (m, k)
+            assert is_binomial_type(tri_to_form(bad)) == oracles.binomial_grid_ref(bad) == expected, (m, k)
 
 
 # -- identities on triangle products and scaled rows: counterexamples ----------------------------
@@ -652,16 +691,14 @@ def test_binomial_type_at_depth_zero_and_one(name, params, N):
 
 
 def _corrupt_basic(monkeypatch, name, row, col):
-    """Add 1 to entry (row, col) of every basic triangle of the family `name`."""
+    """Add 1 to entry (row, col) of every basic triangle of the family `name`, in its row form."""
     real = catalog.FamilySpec.basic
 
     def basic(spec, n):
-        tri = real(spec, n)
-        if spec.name != name or row > n:
-            return tri
-        rows = [list(r) for r in tri.rows]
-        rows[row][col] += 1
-        return Triangle(tuple(map(tuple, rows)))
+        rows, dens = form = real(spec, n)
+        if spec.name == name and row <= n:
+            rows[row][col] += dens[row]
+        return form
 
     monkeypatch.setattr(catalog.FamilySpec, "basic", basic)
 
@@ -781,14 +818,14 @@ class _FixedDraws:
 def test_transform_roundtrip_fails_on_a_corrupted_inverse(monkeypatch, col, seq, expected):
     spec = family("falling")
     assert catalog._check_transform_roundtrip(spec, 8, {}, _FixedDraws(seq)) is None
-    real = catalog.tri_invert
+    real = catalog.form_inverse
 
-    def tri_invert(tri):
-        rows = [list(r) for r in real(tri).rows]
-        rows[8][col] += 1
-        return Triangle(tuple(map(tuple, rows)))
+    def form_inverse(form):
+        rows, dens = inv = real(form)
+        rows[8][col] += dens[8]
+        return inv
 
-    monkeypatch.setattr(catalog, "tri_invert", tri_invert)
+    monkeypatch.setattr(catalog, "form_inverse", form_inverse)
     assert catalog._check_transform_roundtrip(spec, 8, {}, _FixedDraws(seq)) == expected
 
 
@@ -822,15 +859,56 @@ def test_special_class_inverse_reads_the_set_of_the_inverse_delta(monkeypatch, r
     check, spec = _row_check("catalan", "special_class_inverse"), family("catalan")
     _corrupt_basic(monkeypatch, "catalan", row, col)
     assert check(spec, 8, {}) is None
-    real = catalog.basic_set
+    real = catalog.basic_form
 
-    def basic_set(Q, n, route):
-        rows = [list(r) for r in real(Q, n, route).rows]
-        rows[row][col] += 1
-        return Triangle(tuple(map(tuple, rows)))
+    def basic_form(Q, n, route):
+        rows, dens = form = real(Q, n, route)
+        rows[row][col] += dens[row]
+        return form
 
-    monkeypatch.setattr(catalog, "basic_set", basic_set)
+    monkeypatch.setattr(catalog, "basic_form", basic_form)
     assert check(spec, 8, {}) == {"n": 1}
+
+
+def test_five_routes_fails_on_a_corrupted_closed_form():
+    # the five routes agree; the closed form, read as a row form, is compared with them
+    spec = family("touchard")
+
+    def closed_form(n):
+        rows, dens = form = spec.closed_form(n)
+        rows[n][1] += dens[n]
+        return form
+
+    assert catalog._check_routes(spec, 6, {}) is None
+    bad = catalog.FamilySpec(spec.name, spec.params, spec.delta, closed_form)
+    assert catalog._check_routes(bad, 6, {}) == {"route": "closed_form"}
+
+
+@pytest.mark.parametrize("row, col", [(3, 1), (5, 2), (8, 7)])
+def test_catalan_bell_fails_on_a_corrupted_set_or_bell_table(monkeypatch, row, col):
+    # each of the two triangles is compared with the closed form on its own
+    check, spec = _row_check("catalan", "catalan_bell"), family("catalan")
+    assert check(spec, 8, {}) is None
+    _corrupt_basic(monkeypatch, "catalan", row, col)
+    assert check(spec, 8, {}) == {"n": row, "k": col}
+    monkeypatch.undo()
+    real = catalog.inverse_series_form
+
+    def inverse_series_form(f, n):
+        rows, dens = form = real(f, n)
+        rows[row][col] += dens[row]
+        return form
+
+    monkeypatch.setattr(catalog, "inverse_series_form", inverse_series_form)
+    assert check(spec, 8, {}) == {"n": row, "k": col}
+
+
+@pytest.mark.parametrize("row, col", [(3, 1), (8, 7)])
+def test_laguerre_involution_fails_on_a_corrupted_row(monkeypatch, row, col):
+    check, spec = _row_check("laguerre", "laguerre_involution"), family("laguerre")
+    assert check(spec, 8, {}) is None
+    _corrupt_basic(monkeypatch, "laguerre", row, col)
+    assert check(spec, 8, {}) == {"n": 8}
 
 
 def test_special_class_fails_on_a_wrong_operator_pair():
@@ -872,12 +950,12 @@ def test_degenerate_basic_set_costs_its_depth_not_p():
     # the base 1 - p x^p is built through x^t only; p + 1 Fractions would take tens of MB
     tracemalloc.start()
     try:
-        tri = family("degenerate_laguerre", p=10**6).basic(4)
+        form = family("degenerate_laguerre", p=10**6).basic(4)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 2**20
-    assert tri == tri_identity(4)  # x^m: the term -p x^p lies past x^4
+    assert tri_from_form(form) == tri_identity(4)  # x^m: the term -p x^p lies past x^4
 
 
 @pytest.mark.parametrize(

@@ -108,8 +108,16 @@ def test_triangle_takes_neither_the_transfer_route_nor_reciprocal_powers(capsys,
         ["triangle", "--family", "touchard"],
         ["sheffer", "--appell", "1+D", "--delta", "exp(D)-1"],
         ["phipow", "--delta", "exp(D)-1", "--s", "1/2"],
+        # check's identities, sigma and the flow layer read row forms too; when they read
+        # Triangles these built 117, 27, 9, 7, 1 and 1
+        ["check", "--all"],
+        ["check", "--family", "laguerre"],
+        ["check", "--family", "abel", "--params", "a=1"],
+        ["check", "--family", "catalan"],
+        ["sum", "--poly", "x^3+2*x", "--from", "0"],
+        ["faulhaber", "--n", "6"],
     ],
-    ids=lambda argv: argv[0] + (argv[-1] if argv[0] == "basic" else ""),
+    ids=lambda argv: argv[0] + (argv[-1] if argv[0] in ("basic", "check") else ""),
 )
 @pytest.mark.parametrize("fmt", ["json", "tsv", "pretty"])
 def test_triangle_requests_build_no_fraction_triangle(capsys, monkeypatch, argv, fmt):
@@ -121,8 +129,11 @@ def test_triangle_requests_build_no_fraction_triangle(capsys, monkeypatch, argv,
     for mod_name, module in list(sys.modules.items()):
         if mod_name.partition(".")[0] == "umbra" and getattr(module, "tri_from_form", None) is real:
             monkeypatch.setattr(module, "tri_from_form", lambda form: calls.append("tri_from_form") or real(form))
-    code, out, err = run(capsys, *argv, "--order", "12", "--format", fmt)
-    assert (code, err) == (0, "") and len(out.splitlines()) == (1 if fmt == "json" else 13)
+    order = [] if argv[0] == "faulhaber" else ["--order", "12"]
+    code, out, err = run(capsys, *argv, *order, "--format", fmt)
+    assert (code, err) == (0, "")
+    if argv[0] in ("basic", "triangle", "sheffer", "phipow"):
+        assert len(out.splitlines()) == (1 if fmt == "json" else 13)
     assert calls == []
 
 

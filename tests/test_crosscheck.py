@@ -28,7 +28,8 @@ from umbra.cli import main
 from umbra.errors import RouteDisagreement, agree, shown
 from umbra.fps import monomial, poly, series
 from umbra.operators import ShiftOp, validate_delta
-from umbra.umbral import triangle
+
+from oracles import triangle
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -169,6 +170,18 @@ def _missing_row(route):
     def wrong(Q, n):
         rows, dens = out = route(Q, n)
         del rows[-1], dens[-1]
+        return out
+
+    return wrong
+
+
+def _negated_row(route, m):
+    """A route for ``BASIC_ROUTES``: the form of ``route`` with row m's numerators and its
+    denominator negated, the same values, which ``agree`` and the basic-set shape check accept."""
+
+    def wrong(Q, n):
+        rows, dens = out = route(Q, n)
+        rows[m], dens[m] = [-v for v in rows[m]], -dens[m]
         return out
 
     return wrong
@@ -830,6 +843,12 @@ SHAPE_INJECTIONS = {
         ["basic", "--delta", "exp(D)-1", "--route", "transfer", "--order", "5"],
         lambda mp: mp.setitem(umbral.BASIC_ROUTES, "transfer", _missing_row(umbral.basic_transfer)),
         "triangle must have 6 rows",
+    ),
+    # so is a row over a negative denominator, which would print as "-1/-1"
+    "shape_negative_denominator": (
+        ["basic", "--delta", "exp(D)-1", "--route", "transfer", "--order", "5"],
+        lambda mp: mp.setitem(umbral.BASIC_ROUTES, "transfer", _negated_row(umbral.basic_transfer, 3)),
+        "row 3 must have a positive denominator",
     ),
     "shape_sheffer_extra_row": (
         # row 6 has degree 6, past the Appell operator's x^5

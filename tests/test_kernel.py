@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import pytest
 
 from umbra import _kernel, catalog, fps, operators, umbral
-from umbra.errors import OrderError, TruncationError, agree
+from umbra.errors import OrderError, SingularTriangle, TruncationError, agree
 from umbra.flow import _column_powers, _flow_triangle, shifted_powers
 from umbra.fps import (
     Poly, Series, comp_inv, compose, const, exp_series, exp_x, log1p, log_series, mul_inv, poly, pow_rat,
@@ -24,10 +24,12 @@ from umbra.fps import (
 from umbra.operators import ShiftOp, apply_op, validate_delta
 from umbra.umbral import (
     Triangle, basic_form, basic_from_inverse_series, basic_genfunc, basic_km, basic_recurrence, basic_set,
-    basic_steffensen, basic_transfer, sheffer, transform_seq, tri_compose, tri_from_form, tri_identity, tri_invert,
+    basic_steffensen, basic_transfer, sheffer, transform_seq, tri_compose, tri_from_form, tri_invert,
+    tri_to_form,
 )
 
 import oracles
+from oracles import tri_identity
 
 # Large pairwise-coprime denominators (distinct primes), so a common
 # denominator is a product of several of them.
@@ -84,6 +86,31 @@ def normalised(values):
 
 def entries(t: Triangle):
     return [v for row in t.rows for v in row]
+
+
+@st.composite
+def row_forms(draw, max_n=8, nonzero_diagonal=False):
+    """A row form (rows, dens) of depth 0..max_n: row m of m + 1 signed integers over its own
+    positive denominator, both times a common factor, so that rows are often unreduced."""
+    n = draw(st.integers(0, max_n))
+    entry = st.one_of(st.integers(-9, 9), st.integers(-(10**30), 10**30))
+    rows, dens = [], []
+    for m in range(n + 1):
+        row = draw(st.lists(entry, min_size=m + 1, max_size=m + 1))
+        if nonzero_diagonal and not row[m]:
+            row[m] = draw(st.sampled_from((-7, -1, 1, 2, 10**20)))
+        scale = draw(st.sampled_from((1, 1, 2, 6, -1)))  # -1: the sign moves to the row only
+        rows.append([v * scale for v in row])
+        dens.append(draw(st.sampled_from(PRIMES + (1, 4, 36))) * abs(scale))
+    return rows, dens
+
+
+def form_values(form):
+    """The Fraction rows of a row form, each checked to be over a positive int denominator."""
+    rows, dens = form
+    assert all(type(d) is int and d > 0 for d in dens)
+    assert [len(row) for row in rows] == list(range(1, len(rows) + 1))
+    return [tuple(F(v, d) for v in row) for row, d in zip(rows, dens)]
 
 
 # -- the kernel primitives ------------------------------------------------------
@@ -550,6 +577,34 @@ def test_tri_compose_matches_oracle(phi, psi):
     assert out == oracles.tri_compose_ref(phi, psi) and normalised(entries(out))
 
 
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(row_forms(), row_forms())
+def test_form_product_matches_the_fraction_reference(a, b):
+    # the integer row-form product against the Fraction loop it replaced (oracles.tri_product)
+    expected = oracles.tri_product(form_values(a), form_values(b))
+    assert form_values(_kernel.form_product(a, b)) == expected
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(row_forms(nonzero_diagonal=True))
+def test_form_inverse_matches_the_fraction_reference(form):
+    inv = _kernel.form_inverse(form)
+    assert form_values(inv) == oracles.tri_inverse(form_values(form))
+    identity = tri_identity(len(inv[0]) - 1).rows
+    assert form_values(_kernel.form_product(form, inv)) == list(identity)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(row_forms(nonzero_diagonal=True), st.data())
+def test_form_inverse_refuses_a_zero_diagonal(form, data):
+    rows, _ = form
+    for m in data.draw(st.sets(st.integers(0, len(rows) - 1), min_size=1)):
+        rows[m][m] = 0
+    first = next(m for m, row in enumerate(rows) if not row[m])
+    with pytest.raises(SingularTriangle, match=f"^zero diagonal entry at row {first}$"):
+        _kernel.form_inverse(form)
+
+
 def test_tri_compose_of_nilpotent_triangles_is_zero():
     strict = Triangle(((F(0),), (F(3, 10007), F(0)), (F(-1, 2), F(5, 65537), F(0))))
     square = tri_compose(strict, strict)
@@ -593,7 +648,7 @@ def reduced_form(nums, den):
 @settings(max_examples=60, deadline=None)
 @given(triangles(), st.integers(0, 7), st.integers(0, 6))
 def test_column_powers_match_oracle(tri, k, pmax):
-    cols = list(_column_powers(_kernel.scaled_rows(tri.rows), k, pmax))
+    cols = list(_column_powers(_kernel.lifted(tri_to_form(tri)), k, pmax))
     ref = oracles.column_powers_ref(tri, k, pmax)
     assert len(cols) == len(ref) == pmax + 1
     for (nums, den), expected in zip(cols, ref):
@@ -640,7 +695,7 @@ def test_row_forms_match_the_column_forms_they_replaced(case):
 def _full_powers(tri, pmax, shifted):
     """The p-th powers for p = 0..pmax: shifted_powers' (phi-1)^p, or repeated tri_compose."""
     if shifted:
-        return shifted_powers(tri, pmax)
+        return [tri_from_form(form) for form in shifted_powers(tri_to_form(tri), pmax)]
     out = [tri_identity(tri.n)]
     for _ in range(pmax):
         out.append(tri_compose(out[-1], tri))
@@ -648,8 +703,9 @@ def _full_powers(tri, pmax, shifted):
 
 
 def _krylov_columns(tri, k, pmax, shifted):
-    rows, den = _kernel.scaled_rows([row[k : m + 1 - shifted] for m, row in enumerate(tri.rows[k:], k)])
-    return _kernel.krylov(rows, den, ([int(m == k) for m in range(k, tri.n + 1)], 1), pmax)
+    rows, den = _kernel.lifted(tri_to_form(tri))
+    a = [row[k : m + 1 - shifted] for m, row in enumerate(rows[k:], k)]
+    return _kernel.krylov(a, den, ([int(m == k) for m in range(k, tri.n + 1)], 1), pmax)
 
 
 def _weighted_column(full, weights, k, n):

@@ -97,6 +97,14 @@ def test_row_form_printer_refuses_a_triangle_of_the_wrong_size(form, message):
         form_cells(form, 2)
 
 
+@pytest.mark.parametrize("dens, row", [([1, -2], 1), ([1, 0], 1), ([-1, 1], 0), ([-1, -2], 0)])
+def test_row_form_printer_refuses_a_denominator_that_is_not_positive(dens, row):
+    # printed entry by entry, ([[1], [0, -3]], [1, -2]) would read "0/-1" and "-3/-2"
+    with pytest.raises(ValueError, match=f"^row {row} must have a positive denominator$"):
+        form_cells(([[1], [0, -3]], dens), 1)
+    assert form_cells(([[1], [0, -3]], [1, 2]), 1) == [["1"], ["0", "-3/2"]]
+
+
 @st.composite
 def row_forms(draw):
     """Triangle forms of rows 0..n: each row over d = d0 c, each entry v0 c or v0 d, so entries

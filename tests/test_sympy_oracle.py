@@ -13,6 +13,7 @@ sympy = pytest.importorskip("sympy")
 from sympy.functions.combinatorial.numbers import bell, stirling  # noqa: E402
 
 from umbra import catalog  # noqa: E402
+from umbra.umbral import tri_from_form  # noqa: E402
 from umbra.expr import eval_expr  # noqa: E402
 
 N = 12
@@ -48,8 +49,8 @@ def test_stirling_and_bell_numbers_match_sympy():
 
 
 def test_basic_triangles_match_sympy_stirling_numbers():
-    touchard = catalog.family("touchard").basic(N)
-    falling = catalog.family("falling").basic(N)
+    touchard = tri_from_form(catalog.family("touchard").basic(N))
+    falling = tri_from_form(catalog.family("falling").basic(N))
     for n in range(N + 1):
         assert sum(touchard.rows[n]) == bell(n)
         for k in range(n + 1):
